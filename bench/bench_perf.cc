@@ -2,7 +2,8 @@
 // engine steps/sec (macro, across heterogeneous zoo models), and emits a machine-readable
 // JSON trajectory file. Run with --baseline <prior.json> to embed the prior run's numbers
 // and per-metric speedups in the output — that file is committed as BENCH_perf.json so every
-// PR carries the perf history of the §5.4 allocation path.
+// change carries the perf history of the §5.4 allocation path. Every micro.* also runs at four
+// times its length and reports length.<name>.pct_at_4n, which --gate holds at >= 85%.
 //
 // Flags:
 //   --quick            smaller iteration counts (CI-friendly; ratios remain meaningful)
@@ -572,6 +573,24 @@ bool IsGatedKey(const std::string& key) {
 
 bool IsProfileKey(const std::string& key) { return key.rfind("profiler.", 0) == 0; }
 
+// Length-scaling gate (ROADMAP item 2): every micro.* also runs at 4n, and its ops/s there
+// must stay at or above `kLengthGateFloorPct` percent of its ops/s at n. A structure that
+// grows with history shows up as per-op cost climbing with run length, which a fixed-length
+// baseline comparison cannot see. Absolute, so it needs no baseline value.
+constexpr double kLengthGateFloorPct = 85.0;
+
+// "micro.cache_churn.ops_per_s" -> "length.cache_churn.pct_at_4n"; empty for non-micros.
+std::string LengthKeyFor(const std::string& micro_key) {
+  if (micro_key.rfind("micro.", 0) != 0) {
+    return "";
+  }
+  const size_t name_begin = std::strlen("micro.");
+  return "length." + micro_key.substr(name_begin, micro_key.find('.', name_begin) - name_begin) +
+         ".pct_at_4n";
+}
+
+bool IsLengthKey(const std::string& key) { return key.rfind("length.", 0) == 0; }
+
 // Key family = prefix up to the first '.' ("micro", "e2e", "profiler", ...).
 std::string KeyFamily(const std::string& key) { return key.substr(0, key.find('.')); }
 
@@ -607,6 +626,13 @@ bool GatePasses(const std::map<std::string, double>& baseline,
     if (ratio < kGateTolerance) {
       std::printf("gate: FAIL %s %.3g -> %.3g (%.2fx < %.2fx)\n", key.c_str(), base, it->second,
                   ratio, kGateTolerance);
+      ok = false;
+    }
+  }
+  for (const auto& [key, pct] : current) {
+    if (IsLengthKey(key) && pct < kLengthGateFloorPct) {
+      std::printf("gate: FAIL %s: ops/s at 4n is %.1f%% of ops/s at n (< %.0f%%)\n",
+                  key.c_str(), pct, kLengthGateFloorPct);
       ok = false;
     }
   }
@@ -707,26 +733,53 @@ bool Run(bool quick, bool gate, int profile, const std::string& out_path,
     return true;
   }
 
-  PrintRow({{34, "micro benchmark"}, {16, "ops/sec"}});
+  PrintRow({{34, "micro benchmark"}, {16, "ops/sec"}, {12, "4n vs n"}});
   PrintRule();
   const int64_t scale = quick ? 1 : 8;
   const struct {
     const char* key;
-    double ops_per_s;
+    double (*run)(int64_t);
+    int64_t n;
   } micros[] = {
-      {"micro.alloc_release.ops_per_s", MicroAllocRelease(125000 * scale)},
-      {"micro.alloc_burst_free.ops_per_s", MicroAllocBurstFree(64 * scale)},
-      {"micro.cache_churn.ops_per_s", MicroCacheChurn(125000 * scale)},
-      {"micro.cache_churn_offload.ops_per_s", MicroCacheChurnOffload(1500 * scale)},
-      {"micro.admission_readmit.ops_per_s", MicroAdmissionReadmit(1500 * scale)},
-      {"micro.evictor_churn.ops_per_s", MicroEvictorChurn(250000 * scale)},
-      {"micro.meta_reads.ops_per_s", MicroMetaReads(1250000 * scale)},
-      {"micro.deadline_sweep.steps_per_s", MicroDeadlineSweep(512 * scale)},
-      {"elastic.resize_cycle.ops_per_s", MicroElasticResizeCycle(25000 * scale)},
+      {"micro.alloc_release.ops_per_s", MicroAllocRelease, 125000 * scale},
+      {"micro.alloc_burst_free.ops_per_s", MicroAllocBurstFree, 64 * scale},
+      {"micro.cache_churn.ops_per_s", MicroCacheChurn, 125000 * scale},
+      {"micro.cache_churn_offload.ops_per_s", MicroCacheChurnOffload, 1500 * scale},
+      {"micro.admission_readmit.ops_per_s", MicroAdmissionReadmit, 1500 * scale},
+      {"micro.evictor_churn.ops_per_s", MicroEvictorChurn, 250000 * scale},
+      {"micro.meta_reads.ops_per_s", MicroMetaReads, 1250000 * scale},
+      {"micro.deadline_sweep.steps_per_s", MicroDeadlineSweep, 512 * scale},
+      {"elastic.resize_cycle.ops_per_s", MicroElasticResizeCycle, 25000 * scale},
   };
+  // ops/s is the best of several fresh runs of n ops: interference on a shared host only ever
+  // slows a run down. The length figure compares equal work back to back: four fresh runs of
+  // n ops, then one run of 4n ops. Host speed drifts over seconds, so it cancels within such
+  // a pair and only the run length differs; the best of kLengthPairs pairs is reported.
+  constexpr int kLengthPairs = 3;
   for (const auto& micro : micros) {
-    current[micro.key] = micro.ops_per_s;
-    PrintRow({{34, micro.key}, {16, Fmt("%.3g", micro.ops_per_s)}});
+    const std::string length_key = LengthKeyFor(micro.key);
+    const int pairs = length_key.empty() ? 1 : kLengthPairs;
+    double ops_per_s = 0.0;
+    double pct_at_4n = 0.0;
+    for (int pair = 0; pair < pairs; ++pair) {
+      double short_runs_s = 0.0;
+      for (int run = 0; run < 4; ++run) {
+        const double ops = micro.run(micro.n);
+        ops_per_s = std::max(ops_per_s, ops);
+        short_runs_s += static_cast<double>(micro.n) / ops;
+      }
+      if (!length_key.empty()) {
+        const double long_run_s = static_cast<double>(4 * micro.n) / micro.run(4 * micro.n);
+        pct_at_4n = std::max(pct_at_4n, 100.0 * short_runs_s / long_run_s);
+      }
+    }
+    current[micro.key] = ops_per_s;
+    std::string ratio_column;
+    if (!length_key.empty()) {
+      current[length_key] = pct_at_4n;
+      ratio_column = Fmt("%.1f%%", pct_at_4n);
+    }
+    PrintRow({{34, micro.key}, {16, Fmt("%.3g", ops_per_s)}, {12, ratio_column}});
   }
 
   std::printf("\n");

@@ -63,8 +63,10 @@ ctest --test-dir "$build" -L fleet --output-on-failure -j "$(nproc)"
 "$build/bench/bench_elastic" --quick
 
 # Perf gate: quick mode against the committed quick baseline; every micro.* and frontend.*
-# metric must stay within 10% of BENCH_perf_quick.json. Best-of-3 damps scheduler noise —
-# one passing run is enough. (The tracked BENCH_perf.json full-mode trajectory is only
+# metric must stay within 10% of BENCH_perf_quick.json. The same run is the length-scaling
+# gate: each micro.* also runs at 4x its length, and ops/s there must be at least 85% of
+# ops/s at 1x (length.*.pct_at_4n), so a structure that grows with history fails here even
+# when the short run looks fine. Best-of-3 damps scheduler noise — one passing run is enough. (The tracked BENCH_perf.json full-mode trajectory is only
 # regenerated deliberately via a full --baseline run.)
 #
 # Fail fast — with an actionable message — when the committed baseline is missing or
@@ -76,6 +78,7 @@ if [[ ! -r "$repo/BENCH_perf_quick.json" ]]; then
   exit 1
 fi
 for gated_key in micro.alloc_release.ops_per_s micro.deadline_sweep.steps_per_s \
+                 length.cache_churn.pct_at_4n \
                  elastic.resize_cycle.ops_per_s \
                  frontend.admit_4p.req_per_s fleet.route_4r.ops_per_s \
                  e2e.jamba-52b-fp8.mmlu.steps_per_s \

@@ -142,8 +142,10 @@ void AllocatorAuditor::SeedAllocatorShadow(AllocState* state) {
         shadow.slots[base + slot] = ShadowSlot{meta.state, meta.assoc};
       }
     }
-    for (const auto& [page, key] : grp.evictor_.keys_) {
-      shadow.evictor[page] = {key.last_access, -key.neg_prefix_length};
+    for (const Evictor::Key& key : grp.evictor_.keys_) {
+      if (key.page != kNoSmallPage) {
+        shadow.evictor[key.page] = {key.last_access, -key.neg_prefix_length};
+      }
     }
   }
 }
@@ -525,8 +527,7 @@ void AllocatorAuditor::AuditGroup(size_t a, int g, std::vector<std::string>* out
           if (!meta.has_hash) {
             Fail(out, tag + "evictable page " + std::to_string(page) + " has no content hash");
           } else {
-            const auto hit = grp.cache_index_.find(meta.hash);
-            if (hit == grp.cache_index_.end() || hit->second != page) {
+            if (grp.cache_index_.Find(meta.hash) != page) {
               Fail(out, tag + "evictable page " + std::to_string(page) +
                             " not reachable through the cache index");
             }
@@ -597,20 +598,50 @@ void AllocatorAuditor::AuditGroup(size_t a, int g, std::vector<std::string>* out
   }
 
   // Evictor: authoritative keys == ground truth == event shadow; lazy heap covers all keys.
-  if (grp.evictor_.keys_.size() != ground_truth.size()) {
-    Fail(out, tag + "evictor holds " + std::to_string(grp.evictor_.keys_.size()) +
-                  " keys, ground truth " + std::to_string(ground_truth.size()));
+  const Evictor& evictor = grp.evictor_;
+  if (!std::is_heap(evictor.heap_.begin(), evictor.heap_.end(), std::greater<Evictor::Key>{})) {
+    Fail(out, tag + "evictor heap violates the heap property");
+  }
+  std::unordered_set<SmallPageId> covered;
+  for (const Evictor::Key& key : evictor.heap_) {
+    if (key.page < 0 || static_cast<size_t>(key.page) >= evictor.keys_.size()) {
+      Fail(out, tag + "evictor heap entry for page " + std::to_string(key.page) +
+                    " lies outside the key table");
+    } else if (evictor.IsLive(key)) {
+      covered.insert(key.page);
+    }
+  }
+  // The dense key table holds exactly size() present slots, each at its own page's index.
+  size_t present = 0;
+  for (size_t index = 0; index < evictor.keys_.size(); ++index) {
+    const SmallPageId page = evictor.keys_[index].page;
+    if (page == kNoSmallPage) {
+      continue;
+    }
+    present += 1;
+    if (page != static_cast<SmallPageId>(index)) {
+      Fail(out, tag + "evictor key slot " + std::to_string(index) + " holds page " +
+                    std::to_string(page));
+    } else if (!covered.contains(page)) {
+      Fail(out, tag + "live evictor key for page " + std::to_string(page) +
+                    " has no matching heap entry (lost tombstone)");
+    }
+  }
+  if (present != evictor.size() || present != ground_truth.size()) {
+    Fail(out, tag + "evictor counts " + std::to_string(evictor.size()) + " keys and holds " +
+                  std::to_string(present) + ", ground truth " +
+                  std::to_string(ground_truth.size()));
   }
   for (const auto& [page, key] : ground_truth) {
-    const auto it = grp.evictor_.keys_.find(page);
-    if (it == grp.evictor_.keys_.end()) {
+    if (!evictor.Contains(page)) {
       Fail(out, tag + "evictable page " + std::to_string(page) + " missing from evictor");
       continue;
     }
-    if (it->second != key) {
+    const Evictor::Key& held = evictor.keys_[static_cast<size_t>(page)];
+    if (held != key) {
       Fail(out, tag + "evictor key for page " + std::to_string(page) + " is (" +
-                    std::to_string(it->second.last_access) + "," +
-                    std::to_string(-it->second.neg_prefix_length) + "), slot metadata says (" +
+                    std::to_string(held.last_access) + "," +
+                    std::to_string(-held.neg_prefix_length) + "), slot metadata says (" +
                     std::to_string(key.last_access) + "," +
                     std::to_string(-key.neg_prefix_length) + ")");
     }
@@ -630,34 +661,19 @@ void AllocatorAuditor::AuditGroup(size_t a, int g, std::vector<std::string>* out
     Fail(out, tag + "shadow evictor holds " + std::to_string(shadow.evictor.size()) +
                   " pages, ground truth " + std::to_string(ground_truth.size()));
   }
-  if (!std::is_heap(grp.evictor_.heap_.begin(), grp.evictor_.heap_.end(),
-                    std::greater<Evictor::Key>{})) {
-    Fail(out, tag + "evictor heap violates the heap property");
-  }
-  if (grp.evictor_.heap_.size() < grp.evictor_.keys_.size()) {
-    Fail(out, tag + "evictor heap has fewer entries than live keys");
-  }
-  std::unordered_set<SmallPageId> covered;
-  for (const Evictor::Key& key : grp.evictor_.heap_) {
-    const auto it = grp.evictor_.keys_.find(key.page);
-    if (it != grp.evictor_.keys_.end() && it->second == key) {
-      covered.insert(key.page);
-    }
-  }
-  for (const auto& [page, key] : grp.evictor_.keys_) {
-    if (!covered.contains(page)) {
-      Fail(out, tag + "live evictor key for page " + std::to_string(page) +
-                    " has no matching heap entry (lost tombstone)");
-    }
-  }
 
-  // Cache index: every entry resolves to a resident page carrying that hash.
-  for (const auto& [hash, page] : grp.cache_index_) {
+  // Cache index: every entry resolves to a resident page carrying that hash, and the table
+  // stays at most half full (the probe-length bound).
+  if (2 * grp.cache_index_.size() > grp.cache_index_.capacity()) {
+    Fail(out, tag + "cache index holds " + std::to_string(grp.cache_index_.size()) +
+                  " entries in " + std::to_string(grp.cache_index_.capacity()) + " slots");
+  }
+  grp.cache_index_.ForEach([&](BlockHash hash, SmallPageId page) {
     const LargePageId large = static_cast<LargePageId>(page / grp.pages_per_large_);
     if (!grp.IsResident(large)) {
       Fail(out, tag + "cache index maps hash " + std::to_string(hash) +
                     " to non-resident page " + std::to_string(page));
-      continue;
+      return;
     }
     const SmallPageAllocator::SlotMeta& meta =
         grp.larges_[static_cast<size_t>(large)]
@@ -667,7 +683,11 @@ void AllocatorAuditor::AuditGroup(size_t a, int g, std::vector<std::string>* out
                     " points at page " + std::to_string(page) +
                     " which does not carry it");
     }
-  }
+    if (grp.cache_index_.Find(hash) != page) {
+      Fail(out, tag + "cache index entry for hash " + std::to_string(hash) +
+                    " is unreachable by lookup (broken probe run)");
+    }
+  });
 
   // Affinity free lists: every live empty slot has exactly one valid ref in the any-list
   // (legacy mode) or exactly its claim bit set (sharded mode); per-request refs only point
@@ -750,8 +770,36 @@ void AllocatorAuditor::AuditGroup(size_t a, int g, std::vector<std::string>* out
 void AllocatorAuditor::AuditReclaimHeap(size_t a, std::vector<std::string>* out) const {
   const JengaAllocator& alloc = *allocs_[a]->alloc;
   const std::string tag = "[alloc" + std::to_string(a) + "] ";
-  if (!std::is_heap(alloc.reclaim_heap_.begin(), alloc.reclaim_heap_.end())) {
+  const std::vector<JengaAllocator::ReclaimEntry>& heap = alloc.reclaim_heap_;
+  const std::vector<int32_t>& pos = alloc.reclaim_pos_;
+  // Min-heap under the (timestamp, group, large) order: std::greater makes is_heap check
+  // that every parent orders at or before its children.
+  if (!std::is_heap(heap.begin(), heap.end(), std::greater<JengaAllocator::ReclaimEntry>{})) {
     Fail(out, tag + "reclaim heap violates the heap property");
+  }
+  const int32_t num_pages = alloc.lcm_.num_pages();
+  if (heap.size() > static_cast<size_t>(num_pages)) {
+    Fail(out, tag + "reclaim heap holds " + std::to_string(heap.size()) + " entries for a " +
+                  std::to_string(num_pages) + "-page pool");
+  }
+  if (pos.size() != static_cast<size_t>(num_pages)) {
+    Fail(out, tag + "reclaim position index covers " + std::to_string(pos.size()) +
+                  " large pages, the pool has " + std::to_string(num_pages));
+  }
+  // Each entry sits where the position index says, so no large page has two entries, and
+  // the index points nowhere else.
+  for (size_t i = 0; i < heap.size(); ++i) {
+    const LargePageId large = heap[i].large;
+    if (large < 0 || static_cast<size_t>(large) >= pos.size() ||
+        pos[static_cast<size_t>(large)] != static_cast<int32_t>(i)) {
+      Fail(out, tag + "reclaim heap slot " + std::to_string(i) + " holds large page " +
+                    std::to_string(large) + " whose position index disagrees");
+    }
+  }
+  const auto indexed = std::count_if(pos.begin(), pos.end(), [](int32_t at) { return at >= 0; });
+  if (static_cast<size_t>(indexed) != heap.size()) {
+    Fail(out, tag + "position index holds " + std::to_string(indexed) + " entries for a " +
+                  std::to_string(heap.size()) + "-entry reclaim heap");
   }
   for (int g = 0; g < alloc.num_groups(); ++g) {
     const SmallPageAllocator& grp = alloc.group(g);
@@ -761,18 +809,14 @@ void AllocatorAuditor::AuditReclaimHeap(size_t a, std::vector<std::string>* out)
         continue;
       }
       const Tick current = grp.ReclaimTimestamp(large);
-      bool represented = false;
-      for (const JengaAllocator::ReclaimEntry& entry : alloc.reclaim_heap_) {
-        if (entry.group != g || entry.large != large) {
-          continue;
-        }
-        represented = true;
-        if (entry.timestamp > current) {
-          Fail(out, tag + "reclaim entry for group " + std::to_string(g) + " large " +
-                        std::to_string(large) + " has timestamp " +
-                        std::to_string(entry.timestamp) + " newer than the current " +
-                        std::to_string(current));
-        }
+      const int32_t at = index < pos.size() ? pos[index] : -1;
+      const bool represented = at >= 0 && static_cast<size_t>(at) < heap.size() &&
+                               heap[static_cast<size_t>(at)].group == g;
+      if (represented && heap[static_cast<size_t>(at)].timestamp > current) {
+        Fail(out, tag + "reclaim entry for group " + std::to_string(g) + " large " +
+                      std::to_string(large) + " has timestamp " +
+                      std::to_string(heap[static_cast<size_t>(at)].timestamp) +
+                      " newer than the current " + std::to_string(current));
       }
       if (!represented) {
         Fail(out, tag + "whole-evictable large page " + std::to_string(large) + " of group " +

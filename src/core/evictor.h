@@ -10,13 +10,15 @@
 // victim order bit-identical to the ordered-set formulation: a heap entry is honored only
 // when it equals the page's current key, so the popped sequence is exactly the ascending
 // (last_access, -prefix_length, page) order over live keys.
+//
+// `keys_` is a dense vector indexed by page id (small-page ids are dense pool indices), so
+// the liveness test on every heap entry is an array read, not a hash probe.
 
 #ifndef JENGA_SRC_CORE_EVICTOR_H_
 #define JENGA_SRC_CORE_EVICTOR_H_
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "src/core/audit_events.h"
@@ -41,9 +43,12 @@ class Evictor {
   // page id (for determinism).
   [[nodiscard]] std::optional<SmallPageId> PopVictim();
 
-  [[nodiscard]] bool Contains(SmallPageId page) const { return keys_.contains(page); }
-  [[nodiscard]] size_t size() const { return keys_.size(); }
-  [[nodiscard]] bool empty() const { return keys_.empty(); }
+  [[nodiscard]] bool Contains(SmallPageId page) const {
+    return page >= 0 && static_cast<size_t>(page) < keys_.size() &&
+           keys_[static_cast<size_t>(page)].page == page;
+  }
+  [[nodiscard]] size_t size() const { return size_; }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
 
   // Priority of the page that PopVictim would return, without popping.
   [[nodiscard]] std::optional<Tick> PeekOldestAccess() const;
@@ -62,25 +67,29 @@ class Evictor {
   struct Key {
     Tick last_access;
     int64_t neg_prefix_length;  // negated so larger prefixes sort first.
-    SmallPageId page;
+    SmallPageId page;           // kNoSmallPage in an absent keys_ slot.
     auto operator<=>(const Key&) const = default;
   };
 
   // A heap entry is live iff it matches the page's current key; everything else is a
-  // tombstone left behind by Remove/rekey.
+  // tombstone left behind by Remove/rekey. Every heap entry's page indexes into keys_.
   [[nodiscard]] bool IsLive(const Key& key) const {
-    const auto it = keys_.find(key.page);
-    return it != keys_.end() && it->second == key;
+    return keys_[static_cast<size_t>(key.page)] == key;
   }
   void Push(Key key);
+  // Applies a changed key to a present page: records it and pushes the new heap entry.
+  void Rekey(Key& slot, const Key& key);
   // Discards stale entries from the heap top (const: tombstone cleanup is not observable).
   void DropStaleTop() const;
-  // Rebuilds the heap from live keys when tombstones dominate.
+  // Filters the heap down to one entry per live key when tombstones dominate.
   void MaybeCompact();
 
   // Min-heap over Key (ascending order through std::greater).
   mutable std::vector<Key> heap_;
-  std::unordered_map<SmallPageId, Key> keys_;
+  // Current key of every present page, indexed by page id; absent slots hold page ==
+  // kNoSmallPage. Grows to the largest page id ever inserted (bounded by the pool).
+  std::vector<Key> keys_;
+  size_t size_ = 0;
   AuditSink* audit_ = nullptr;
   int audit_group_ = 0;
 };

@@ -1,7 +1,5 @@
 #include "src/core/jenga_allocator.h"
 
-#include <algorithm>
-
 #include "src/common/check.h"
 
 namespace jenga {
@@ -16,18 +14,53 @@ JengaAllocator::JengaAllocator(KvSpec spec, int64_t pool_bytes, int64_t large_pa
     groups_.push_back(std::make_unique<SmallPageAllocator>(static_cast<int>(i), spec_.groups[i],
                                                            &lcm_, this, shards));
   }
+  reclaim_pos_.assign(static_cast<size_t>(lcm_.num_pages()), -1);
 }
 
-void JengaAllocator::PushReclaim(ReclaimEntry entry) {
-  reclaim_heap_.push_back(entry);
-  std::push_heap(reclaim_heap_.begin(), reclaim_heap_.end());
+void JengaAllocator::SiftReclaim(size_t index) {
+  const ReclaimEntry entry = reclaim_heap_[index];
+  while (index > 0) {
+    const size_t parent = (index - 1) / 2;
+    if (!(entry < reclaim_heap_[parent])) {
+      break;
+    }
+    SetReclaimSlot(index, reclaim_heap_[parent]);
+    index = parent;
+  }
+  const size_t size = reclaim_heap_.size();
+  for (size_t child = 2 * index + 1; child < size; child = 2 * index + 1) {
+    if (child + 1 < size && reclaim_heap_[child + 1] < reclaim_heap_[child]) {
+      child += 1;
+    }
+    if (!(reclaim_heap_[child] < entry)) {
+      break;
+    }
+    SetReclaimSlot(index, reclaim_heap_[child]);
+    index = child;
+  }
+  SetReclaimSlot(index, entry);
 }
 
-JengaAllocator::ReclaimEntry JengaAllocator::PopReclaim() {
-  const ReclaimEntry top = reclaim_heap_.front();
-  std::pop_heap(reclaim_heap_.begin(), reclaim_heap_.end());
+void JengaAllocator::PlaceReclaim(const ReclaimEntry& entry) {
+  const int32_t pos = reclaim_pos_[static_cast<size_t>(entry.large)];
+  size_t index = static_cast<size_t>(pos);
+  if (pos < 0) {
+    index = reclaim_heap_.size();
+    reclaim_heap_.push_back(entry);
+  } else {
+    reclaim_heap_[index] = entry;
+  }
+  SiftReclaim(index);
+}
+
+void JengaAllocator::RemoveReclaimAt(size_t index) {
+  reclaim_pos_[static_cast<size_t>(reclaim_heap_[index].large)] = -1;
+  const ReclaimEntry last = reclaim_heap_.back();
   reclaim_heap_.pop_back();
-  return top;
+  if (index < reclaim_heap_.size()) {
+    SetReclaimSlot(index, last);
+    SiftReclaim(index);
+  }
 }
 
 std::optional<LargePageId> JengaAllocator::AcquireLargePage(int group_index) {
@@ -35,20 +68,23 @@ std::optional<LargePageId> JengaAllocator::AcquireLargePage(int group_index) {
     return page;
   }
   // Step 3 of §5.4: evict the evictable large page with the earliest (max-of-slots)
-  // last-access time, across all groups. The heap is lazy: entries are revalidated against
-  // the owning group and re-pushed when their timestamp moved forward.
+  // last-access time, across all groups. The heap is lazy: the top entry is revalidated
+  // against the owning group, then dropped if the page is no longer a candidate or re-keyed
+  // in place if its timestamp moved.
   while (!reclaim_heap_.empty()) {
-    const ReclaimEntry top = PopReclaim();
+    const ReclaimEntry top = reclaim_heap_.front();
     SmallPageAllocator& owner = *groups_[static_cast<size_t>(top.group)];
     if (!owner.IsReclaimCandidate(top.large)) {
-      continue;  // Became used, was reclaimed, or was returned already.
+      RemoveReclaimAt(0);  // Became used, was reclaimed, or was returned already.
+      continue;
     }
     const Tick current = owner.ReclaimTimestamp(top.large);
     if (current != top.timestamp) {
-      PushReclaim({current, top.group, top.large});
+      PlaceReclaim({current, top.group, top.large});
       JENGA_AUDIT_HOOK(audit_, OnReclaimPushed(top.group, top.large, current));
       continue;
     }
+    RemoveReclaimAt(0);
     JENGA_AUDIT_HOOK(audit_, OnLargeReclaimed(top.group, top.large));
     owner.ReclaimLargePage(top.large);
     return lcm_.Allocate(group_index);
@@ -57,7 +93,7 @@ std::optional<LargePageId> JengaAllocator::AcquireLargePage(int group_index) {
 }
 
 void JengaAllocator::OnReclaimCandidate(int group_index, LargePageId large, Tick timestamp) {
-  PushReclaim({timestamp, group_index, large});
+  PlaceReclaim({timestamp, group_index, large});
   JENGA_AUDIT_HOOK(audit_, OnReclaimPushed(group_index, large, timestamp));
 }
 
@@ -67,6 +103,7 @@ void JengaAllocator::GrowPool(int32_t pages) {
     JENGA_CHECK_EQ(group->shards(), 1) << "pool resize requires the deterministic mode";
   }
   lcm_.GrowPages(pages);
+  reclaim_pos_.resize(static_cast<size_t>(lcm_.num_pages()), -1);
   for (const auto& group : groups_) {
     group->OnPoolResized(lcm_.num_pages());
   }
@@ -101,6 +138,13 @@ int32_t JengaAllocator::ShrinkPool(int32_t pages) {
     return 0;
   }
   lcm_.ShrinkPages(removable);
+  const auto new_pages = static_cast<size_t>(lcm_.num_pages());
+  for (size_t large = new_pages; large < reclaim_pos_.size(); ++large) {
+    if (reclaim_pos_[large] >= 0) {
+      RemoveReclaimAt(static_cast<size_t>(reclaim_pos_[large]));
+    }
+  }
+  reclaim_pos_.resize(new_pages);
   for (const auto& group : groups_) {
     group->OnPoolResized(lcm_.num_pages());
   }

@@ -108,35 +108,41 @@ class JengaAllocator final : public LargePageProvider {
 
   void CheckConsistency() const;
 
+  // Reclaim-heap entries, stale ones included; at most lcm().num_pages() (test/bench only).
+  [[nodiscard]] size_t reclaim_heap_entries() const { return reclaim_heap_.size(); }
+
  private:
   friend class AllocatorAuditor;
 
+  // Reclaim order (§5.4 step 3): earliest last access first; ties go to the lower group,
+  // then the lower large id, so the victim never depends on heap layout.
   struct ReclaimEntry {
     Tick timestamp = 0;
     int group = 0;
     LargePageId large = kNoLargePage;
-    // Max-heap by default; invert so the earliest timestamp pops first.
-    [[nodiscard]] bool operator<(const ReclaimEntry& other) const {
-      return timestamp > other.timestamp;
-    }
+    auto operator<=>(const ReclaimEntry&) const = default;
   };
 
-  void PushReclaim(ReclaimEntry entry);
-  [[nodiscard]] ReclaimEntry PopReclaim();
+  // Inserts the entry for `entry.large`, or re-keys the existing one in place.
+  void PlaceReclaim(const ReclaimEntry& entry);
+  void RemoveReclaimAt(size_t index);
+  // Restores the heap property around `index` after its entry changed.
+  void SiftReclaim(size_t index);
+  void SetReclaimSlot(size_t index, const ReclaimEntry& entry) {
+    reclaim_heap_[index] = entry;
+    reclaim_pos_[static_cast<size_t>(entry.large)] = static_cast<int32_t>(index);
+  }
 
   KvSpec spec_;
   LcmAllocator lcm_;
   std::vector<std::unique_ptr<SmallPageAllocator>> groups_;
-  // Duplicate-tolerant on purpose: every whole-evictable notification pushes, and stale
-  // entries are filtered (or re-keyed) on pop. Deduplicating pushes would change which entry
-  // wins among equal timestamps and therefore which large page gets reclaimed — eviction
-  // decisions must stay bit-identical across refactors (see bench_fig17 determinism check).
-  //
-  // Kept as a raw vector maintained with std::push_heap/std::pop_heap (exactly what
-  // std::priority_queue is specified to do, so pop order — including equal-timestamp
-  // tie-breaks — is bit-identical to the former priority_queue member) so the auditor can
-  // inspect entries without draining the queue.
+  // Binary min-heap of reclaim candidates with at most one entry per large page, so it never
+  // outgrows the pool. Lazy: an entry's page may have stopped being a candidate, or its
+  // timestamp may have moved on since it was placed; AcquireLargePage revalidates the top
+  // and re-keys or drops it in place.
   std::vector<ReclaimEntry> reclaim_heap_;
+  // reclaim_heap_ slot of each large page's entry (indexed by large id), -1 when absent.
+  std::vector<int32_t> reclaim_pos_;
   AuditSink* audit_ = nullptr;
 };
 

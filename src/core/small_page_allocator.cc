@@ -184,6 +184,12 @@ std::optional<SmallPageId> SmallPageAllocator::Allocate(RequestId request, Tick 
     empty_count_ += pages_per_large_;
     JENGA_AUDIT_HOOK(audit_, OnLargeAcquired(group_index_, *large, request));
     const SmallPageId base = static_cast<SmallPageId>(*large) * pages_per_large_;
+    // A one-slot large page leaves no empty slots behind: skip the affinity entry and the
+    // free-list upkeep altogether.
+    if (pages_per_large_ == 1) {
+      ClaimEmpty(base, request, now);
+      return base;
+    }
     std::vector<FreeRef>& request_refs = RefsFor(request);
     if (claims_ == nullptr) {
       for (int slot = 1; slot < pages_per_large_; ++slot) {
@@ -294,8 +300,7 @@ void SmallPageAllocator::NotifyEviction(SmallPageId page, const SlotMeta& meta) 
   if (eviction_sink_ == nullptr || !meta.has_hash) {
     return;
   }
-  const auto it = cache_index_.find(meta.hash);
-  if (it == cache_index_.end() || it->second != page) {
+  if (cache_index_.Find(meta.hash) != page) {
     return;
   }
   eviction_sink_->OnCacheEvicted(group_index_, meta.hash, spec_.page_bytes, meta.prefix_length,
@@ -304,9 +309,7 @@ void SmallPageAllocator::NotifyEviction(SmallPageId page, const SlotMeta& meta) 
 
 void SmallPageAllocator::UnregisterHash(SmallPageId page, SlotMeta& meta) {
   if (meta.has_hash) {
-    const auto it = cache_index_.find(meta.hash);
-    if (it != cache_index_.end() && it->second == page) {
-      cache_index_.erase(it);
+    if (cache_index_.Erase(meta.hash, page)) {
       if (residency_sink_ != nullptr) {
         residency_sink_->OnHashNonResident(group_index_, meta.hash);
       }
@@ -382,10 +385,8 @@ void SmallPageAllocator::Release(SmallPageId page, bool keep_cached) {
   bool cacheable = keep_cached && meta.has_hash;
   if (cacheable) {
     // Index the content if no other resident page holds it; duplicates are not worth keeping.
-    const auto [it, inserted] = cache_index_.emplace(meta.hash, page);
-    if (!inserted && it->second != page) {
-      cacheable = false;
-    }
+    const auto [indexed, inserted] = cache_index_.Emplace(meta.hash, page);
+    cacheable = indexed == page;
     if (inserted && residency_sink_ != nullptr) {
       residency_sink_->OnHashResident(group_index_, meta.hash);
     }
@@ -418,19 +419,17 @@ void SmallPageAllocator::SetContentHash(SmallPageId page, BlockHash hash) {
   meta.hash = hash;
   // Keeps an existing mapping if one is resident (in which case the index is unchanged and
   // the residency sink stays silent).
-  const auto [it, inserted] = cache_index_.emplace(hash, page);
-  (void)it;
-  if (inserted && residency_sink_ != nullptr) {
+  if (cache_index_.Emplace(hash, page).second && residency_sink_ != nullptr) {
     residency_sink_->OnHashResident(group_index_, hash);
   }
 }
 
 std::optional<SmallPageId> SmallPageAllocator::LookupCached(BlockHash hash) const {
-  const auto it = cache_index_.find(hash);
-  if (it == cache_index_.end()) {
+  const SmallPageId page = cache_index_.Find(hash);
+  if (page == kNoSmallPage) {
     return std::nullopt;
   }
-  return it->second;
+  return page;
 }
 
 void SmallPageAllocator::UpdateLastAccess(SmallPageId page, Tick now) {
@@ -600,13 +599,13 @@ void SmallPageAllocator::CheckConsistency() const {
     by_request += static_cast<int64_t>(refs.size());
   }
   JENGA_CHECK_EQ(by_request, by_request_refs_);
-  for (const auto& [hash, page] : cache_index_) {
+  cache_index_.ForEach([this](BlockHash hash, SmallPageId page) {
     JENGA_CHECK(IsResident(LargeOf(page))) << "cache index points at non-resident page";
     const SlotMeta& meta = Meta(page);
     JENGA_CHECK(meta.state != PageState::kEmpty);
     JENGA_CHECK(meta.has_hash);
     JENGA_CHECK_EQ(meta.hash, hash);
-  }
+  });
   if (claims_ != nullptr) {
     // Sharded mode: the claim bitmap is the authoritative empty-page index. At quiescence a
     // bit is set iff its resident slot is empty, and the per-shard population counters sum

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "src/core/audit_events.h"
+#include "src/core/cache_index.h"
 #include "src/core/evictor.h"
 #include "src/core/layer_policy.h"
 #include "src/core/lcm_allocator.h"
@@ -271,7 +272,7 @@ class SmallPageAllocator final : public GroupCacheOps {
   // Sharded mode only (shards > 1); nullptr means the legacy empty_any_ list is in charge.
   std::unique_ptr<ShardedClaimIndex> claims_;
   Evictor evictor_;
-  std::unordered_map<BlockHash, SmallPageId> cache_index_;
+  CacheIndex cache_index_;
 
   uint64_t next_epoch_ = 1;
   int64_t resident_larges_ = 0;

@@ -82,22 +82,22 @@ class ReferenceEvictor {
   std::set<Key> order_;
 };
 
-class EvictorEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(EvictorEquivalenceTest, MatchesOrderedSetModel) {
-  Rng rng(GetParam());
+// Runs 20000 random operations on both implementations; `pick_page(step, rng)` chooses the
+// page each operation targets.
+template <typename PickPage>
+void RunEquivalence(uint64_t seed, PickPage pick_page) {
+  Rng rng(seed);
   Evictor heap;
   ReferenceEvictor model;
   std::set<SmallPageId> members;
   Tick now = 0;
 
-  constexpr int kPages = 96;
   for (int step = 0; step < 20000; ++step) {
     // Ticks advance irregularly so distinct pages frequently share a last_access (the
     // tie-break paths) while others do not.
     now += rng.UniformInt(0, 2);
     const int op = static_cast<int>(rng.UniformInt(0, 99));
-    const SmallPageId page = rng.UniformInt(0, kPages - 1);
+    const SmallPageId page = pick_page(step, rng);
     if (op < 30) {
       if (!members.contains(page)) {
         const Tick access = now - rng.UniformInt(0, 3);
@@ -145,6 +145,25 @@ TEST_P(EvictorEquivalenceTest, MatchesOrderedSetModel) {
     }
   }
   ASSERT_EQ(heap.size(), 0u);
+}
+
+class EvictorEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(EvictorEquivalenceTest, MatchesOrderedSetModel) {
+  constexpr int kPages = 96;
+  RunEquivalence(GetParam(), [](int /*step*/, Rng& rng) { return rng.UniformInt(0, kPages - 1); });
+}
+
+// The evictor keeps its keys in a vector indexed by page id that grows with the largest id
+// inserted. Here the id range widens as the run goes on, and half of all operations target
+// ids up to twice past the widest range so far: absent pages beyond the vector's end must
+// stay no-ops, and inserts there must grow it without disturbing the keys already held.
+TEST_P(EvictorEquivalenceTest, PageIdsPastTheKeyTableMatchOrderedSetModel) {
+  RunEquivalence(GetParam(), [](int step, Rng& rng) {
+    const int64_t span = 64 + step / 4;
+    return rng.UniformInt(0, 1) == 0 ? rng.UniformInt(0, span - 1)
+                                     : rng.UniformInt(span, 2 * span + 4096);
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EvictorEquivalenceTest,

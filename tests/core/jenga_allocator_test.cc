@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <set>
+#include <tuple>
+#include <utility>
 #include <vector>
 
+#include "src/audit/allocator_auditor.h"
+#include "src/common/random.h"
 #include "src/model/kv_spec.h"
 #include "src/model/model_zoo.h"
 
@@ -112,12 +118,18 @@ TEST(JengaAllocator, ReclaimHeapRevalidatesRevivedPages) {
   alloc.CheckConsistency();
 }
 
-TEST(JengaAllocator, ReclaimHeapToleratesDuplicateEqualTimestampEntries) {
-  // Three fully-evictable large pages whose slots all share last-access tick 5 give the
-  // reclaim heap three entries with identical keys; reviving and re-releasing one page per
-  // large then pushes a second, duplicate entry for each. The lazy heap must reclaim each
-  // large exactly once, skip the stale duplicates silently, and fail allocation gracefully
-  // once everything evictable is gone.
+// Records the large pages reclaimed through step 3 (and through ShrinkPool's drain).
+struct ReclaimLog final : AuditSink {
+  std::vector<std::pair<int, LargePageId>> reclaimed;
+  void OnLargeReclaimed(int group, LargePageId large) override {
+    reclaimed.emplace_back(group, large);
+  }
+};
+
+TEST(JengaAllocator, ReclaimHeapBreaksEqualTimestampTiesByGroupThenLargeId) {
+  // Three fully-evictable large pages share last-access tick 5, and reviving and re-releasing
+  // one page per large re-keys every entry. Ties resolve by (group, large id): L0, L1, L2 —
+  // whatever order the entries were placed or re-keyed in.
   JengaAllocator alloc(Figure6Spec(), 768 * 3);
   std::vector<SmallPageId> pages;
   for (int i = 0; i < 9; ++i) {
@@ -128,36 +140,143 @@ TEST(JengaAllocator, ReclaimHeapToleratesDuplicateEqualTimestampEntries) {
   for (const SmallPageId p : pages) {
     alloc.group(0).Release(p, /*keep_cached=*/true);
   }
-  for (int l = 0; l < 3; ++l) {
+  for (const int l : {2, 0, 1}) {
     alloc.group(0).AddRef(pages[static_cast<size_t>(3 * l)]);
     alloc.group(0).Release(pages[static_cast<size_t>(3 * l)], true);
   }
-  // Six heap entries now cover three candidates. Drain the pool from group 1: two text
-  // pages fit per reclaimed large, so every odd allocation forces one reclaim. With equal
-  // keys the victim order is the binary-heap sift order over the duplicate-bearing array —
-  // L0, L2, L1 here — NOT insertion order. This locks the tie-break: fig17 diverges if the
-  // heap is deduplicated or the ordering nudged (see the CHANGES.md PR 1 note).
-  const LargePageId victim_order[] = {0, 2, 1};
-  const BlockHash bases[] = {0x100, 0x103, 0x106};
-  for (int step = 0; step < 3; ++step) {
+  EXPECT_EQ(alloc.reclaim_heap_entries(), 3u);
+  ReclaimLog log;
+  alloc.SetAuditSink(&log);
+  for (int i = 0; i < 6; ++i) {
     ASSERT_TRUE(alloc.group(1).Allocate(2, /*now=*/20).has_value());
-    ASSERT_TRUE(alloc.group(1).Allocate(2, /*now=*/20).has_value());
-    alloc.CheckConsistency();
-    for (int l = 0; l < 3; ++l) {
-      bool reclaimed = false;
-      for (int v = 0; v <= step; ++v) {
-        reclaimed = reclaimed || victim_order[v] == l;
-      }
-      EXPECT_EQ(alloc.group(0).LookupCached(bases[l]).has_value(), !reclaimed)
-          << "step " << step << " large " << l;
-    }
   }
-  EXPECT_EQ(alloc.group(0).GetStats().large_pages_held, 0);
-  EXPECT_EQ(alloc.group(1).GetStats().large_pages_held, 3);
-  // Only the three stale duplicates remain in the heap; all must be skipped.
+  const std::vector<std::pair<int, LargePageId>> expected = {{0, 0}, {0, 1}, {0, 2}};
+  EXPECT_EQ(log.reclaimed, expected);
+  EXPECT_EQ(alloc.reclaim_heap_entries(), 0u);
   EXPECT_FALSE(alloc.group(1).Allocate(2, /*now=*/30).has_value());
+  alloc.SetAuditSink(nullptr);
   alloc.CheckConsistency();
 }
+
+// Drives both groups through random claims, caching releases, plain releases, revivals,
+// last-access bumps and pool resizes with frequent equal ticks. Before every operation a
+// std::set of (current timestamp, group, large) over all whole-evictable large pages is the
+// model: a step-3 reclaim must take its first element. After every operation the heap holds
+// at most one entry per pool page and the auditor's reclaim-heap invariants hold.
+class ReclaimOrderTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ReclaimOrderTest, MatchesOrderedSetModel) {
+  Rng rng(GetParam());
+  JengaAllocator alloc(Figure6Spec(), 768 * 6);
+  ReclaimLog log;
+  AllocatorAuditor auditor;
+  std::vector<std::vector<SmallPageId>> used(2);      // Pages this test holds a ref on.
+  std::vector<std::vector<BlockHash>> hashes(2);      // Every hash ever registered.
+  BlockHash next_hash = 1;
+  Tick now = 0;
+  int64_t checked_reclaims = 0;
+  int64_t revives = 0;
+  int64_t rekeys = 0;
+  int64_t grows = 0;
+  int64_t shrinks = 0;
+
+  // A random resident evictable page of group `g`, found through its cached hash.
+  const auto pick_evictable = [&](int g) -> std::optional<SmallPageId> {
+    if (hashes[static_cast<size_t>(g)].empty()) {
+      return std::nullopt;
+    }
+    const auto& pool = hashes[static_cast<size_t>(g)];
+    const BlockHash hash = pool[static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(pool.size()) - 1))];
+    const auto page = alloc.group(g).LookupCached(hash);
+    if (!page.has_value() || alloc.group(g).state(*page) != PageState::kEvictable) {
+      return std::nullopt;
+    }
+    return page;
+  };
+
+  for (int step = 0; step < 4000; ++step) {
+    now += rng.UniformInt(0, 1);
+    std::set<std::tuple<Tick, int, LargePageId>> model;
+    for (int g = 0; g < alloc.num_groups(); ++g) {
+      for (LargePageId large = 0; large < alloc.lcm().num_pages(); ++large) {
+        if (alloc.group(g).IsReclaimCandidate(large)) {
+          model.emplace(alloc.group(g).ReclaimTimestamp(large), g, large);
+        }
+      }
+    }
+    log.reclaimed.clear();
+    alloc.SetAuditSink(&log);
+    const int g = static_cast<int>(rng.UniformInt(0, 1));
+    std::vector<SmallPageId>& held = used[static_cast<size_t>(g)];
+    const int op = static_cast<int>(rng.UniformInt(0, 99));
+    bool resized = false;
+    if (op < 35) {
+      const RequestId request = rng.UniformInt(1, 3);
+      if (const auto page = alloc.group(g).Allocate(request, now)) {
+        alloc.group(g).SetContentHash(*page, next_hash);
+        hashes[static_cast<size_t>(g)].push_back(next_hash++);
+        held.push_back(*page);
+      }
+    } else if (op < 65 && !held.empty()) {
+      const size_t at = static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(held.size()) - 1));
+      alloc.group(g).Release(held[at], /*keep_cached=*/op < 60);
+      held.erase(held.begin() + static_cast<std::ptrdiff_t>(at));
+    } else if (op < 77) {
+      if (const auto page = pick_evictable(g)) {
+        alloc.group(g).AddRef(*page);
+        alloc.group(g).UpdateLastAccess(*page, now);
+        held.push_back(*page);
+        revives += 1;
+      }
+    } else if (op < 92) {
+      if (const auto page = pick_evictable(g)) {
+        alloc.group(g).UpdateLastAccess(*page, now);
+        rekeys += 1;
+      }
+    } else if (op < 96) {
+      alloc.GrowPool(static_cast<int32_t>(rng.UniformInt(1, 2)));
+      resized = true;
+      grows += 1;
+    } else {
+      const int32_t before = alloc.lcm().num_pages();
+      if (before > 2) {
+        shrinks += alloc.ShrinkPool(static_cast<int32_t>(rng.UniformInt(1, 2))) > 0 ? 1 : 0;
+      }
+      resized = true;
+    }
+    alloc.SetAuditSink(nullptr);
+
+    // Step 3 reclaims at most once per allocation, and always the model's first element.
+    // (ShrinkPool drains trailing pages by position, not by order.)
+    if (!resized) {
+      ASSERT_LE(log.reclaimed.size(), 1u) << "step " << step;
+      if (!log.reclaimed.empty()) {
+        ASSERT_FALSE(model.empty()) << "step " << step;
+        const auto& [ts, group, large] = *model.begin();
+        (void)ts;
+        ASSERT_EQ(log.reclaimed.front(), std::make_pair(group, large)) << "step " << step;
+        checked_reclaims += 1;
+      }
+    }
+    ASSERT_LE(alloc.reclaim_heap_entries(), static_cast<size_t>(alloc.lcm().num_pages()))
+        << "step " << step;
+    if (step % 8 == 0) {
+      auditor.AttachAllocator(&alloc);
+      const auto violation = auditor.FirstViolation();
+      auditor.DetachAll();
+      ASSERT_FALSE(violation.has_value()) << "step " << step << ": " << *violation;
+    }
+  }
+  alloc.CheckConsistency();
+  EXPECT_GT(checked_reclaims, 50);
+  EXPECT_GT(revives, 50);
+  EXPECT_GT(rekeys, 50);
+  EXPECT_GT(grows, 20);
+  EXPECT_GT(shrinks, 5);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ReclaimOrderTest, ::testing::Values(0x1u, 0x5u, 0x2Au, 0xBEEFu));
 
 TEST(JengaAllocator, ReclaimHeapEqualTimestampsRespectLazyRekey) {
   // Both large pages become candidates with identical timestamp 5; a later touch of large

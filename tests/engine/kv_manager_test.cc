@@ -317,17 +317,24 @@ TEST(KvManager, FinishedReleaseDropsRequestAffinityState) {
   }
   kv->CheckConsistency();
 
-  // Preemption-style release (finished=false) keeps the affinity entry alive.
+  // Preemption-style release (finished=false) keeps the affinity entry alive. Both sliding-
+  // model groups share one page size, so each large page is a single small page and leaves
+  // no empty slots to remember; the Mamba model's attention group packs several per large.
+  auto mixed = MakeJengaManager(TinyMambaModel(), 1 << 22);
   Request r = MakeRequest(99, TextPrompt(100), 4, 0.0);
-  kv->OnAdmit(r, 50);
-  ComputeTokens(*kv, r, 100 - r.num_computed_tokens, 50);
-  kv->Release(r, 51);
+  mixed->OnAdmit(r, 50);
+  ComputeTokens(*mixed, r, 100 - r.num_computed_tokens, 50);
+  mixed->Release(r, 51);
   int64_t tracked = 0;
-  for (int g = 0; g < kv->allocator().num_groups(); ++g) {
-    tracked += kv->allocator().group(g).GetFreeListStats().tracked_requests;
+  int max_pages_per_large = 0;
+  for (int g = 0; g < mixed->allocator().num_groups(); ++g) {
+    tracked += mixed->allocator().group(g).GetFreeListStats().tracked_requests;
+    max_pages_per_large =
+        std::max(max_pages_per_large, mixed->allocator().group(g).pages_per_large());
   }
+  ASSERT_GT(max_pages_per_large, 1);
   EXPECT_GT(tracked, 0);
-  kv->CheckConsistency();
+  mixed->CheckConsistency();
 }
 
 }  // namespace
