@@ -24,11 +24,6 @@ MemoryGovernor::MemoryGovernor(GovernorConfig config)
   JENGA_CHECK_GT(config_.shrink_step_pages, 0);
 }
 
-void MemoryGovernor::AttachTo(Engine& engine) { engine.set_step_hook(this); }
-void MemoryGovernor::AttachTo(SpecDecodeEngine& engine) { engine.set_step_hook(this); }
-void MemoryGovernor::DetachFrom(Engine& engine) { engine.set_step_hook(nullptr); }
-void MemoryGovernor::DetachFrom(SpecDecodeEngine& engine) { engine.set_step_hook(nullptr); }
-
 void MemoryGovernor::RequestHotSwap(ModelConfig model, int64_t pool_bytes) {
   PendingSwap swap;
   swap.model = std::move(model);
@@ -67,12 +62,19 @@ bool MemoryGovernor::TryRung(Engine& engine, int rung) {
   }
 }
 
-void MemoryGovernor::OnStepBoundary(Engine& engine) {
+void MemoryGovernor::OnStepBoundary(SchedulerCore& core) {
   if (cooldown_ > 0) {
     cooldown_ -= 1;
     return;
   }
+  if (auto* spec = dynamic_cast<SpecDecodeEngine*>(&core)) {
+    StepSplit(*spec);
+  } else {
+    StepLadder(static_cast<Engine&>(core));
+  }
+}
 
+void MemoryGovernor::StepLadder(Engine& engine) {
   // Highest priority: an outstanding hot swap. The engine drains (the fleet router spills
   // around it) until the repartition commits or the retry budget runs out.
   if (pending_swap_.has_value()) {
@@ -158,11 +160,7 @@ int64_t MemoryGovernor::SplitShiftBytes(const SpecDecodeEngine& engine, int dono
   return engine.manager(donor).allocator().lcm().large_page_bytes();
 }
 
-void MemoryGovernor::OnStepBoundary(SpecDecodeEngine& engine) {
-  if (cooldown_ > 0) {
-    cooldown_ -= 1;
-    return;
-  }
+void MemoryGovernor::StepSplit(SpecDecodeEngine& engine) {
   if (engine.config().strategy != SpecStrategy::kVllmManual || engine.num_managers() < 2) {
     return;
   }

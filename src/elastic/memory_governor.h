@@ -81,15 +81,15 @@ struct GovernorConfig {
   int64_t fallback_pool_bytes = 0;
 };
 
-class MemoryGovernor final : public EngineStepHook, public SpecStepHook {
+class MemoryGovernor final : public StepHook {
  public:
   explicit MemoryGovernor(GovernorConfig config = {});
 
-  // Installs this governor as the engine's step hook. One governor drives one engine.
-  void AttachTo(Engine& engine);
-  void AttachTo(SpecDecodeEngine& engine);
-  void DetachFrom(Engine& engine);
-  void DetachFrom(SpecDecodeEngine& engine);
+  // Installs this governor as the engine's step hook. One governor drives one engine; the
+  // engine's type picks the policy (the pressure ladder for Engine, the adaptive split for
+  // SpecDecodeEngine).
+  void AttachTo(SchedulerCore& engine) { engine.set_step_hook(this); }
+  void DetachFrom(SchedulerCore& engine) { engine.set_step_hook(nullptr); }
 
   // Queues an external capacity event: positive = grow the pool by `pages`, negative =
   // shrink. Applied a few pages per step at step boundaries; shrinks blocked by a pinned
@@ -101,8 +101,7 @@ class MemoryGovernor final : public EngineStepHook, public SpecStepHook {
   // abandoned after max_hot_swap_retries rollbacks.
   void RequestHotSwap(ModelConfig model, int64_t pool_bytes = 0);
 
-  void OnStepBoundary(Engine& engine) override;
-  void OnStepBoundary(SpecDecodeEngine& engine) override;
+  void OnStepBoundary(SchedulerCore& core) override;
 
   struct Stats {
     int64_t park_actions = 0;         // Ladder rung 1 preemptions.
@@ -130,6 +129,10 @@ class MemoryGovernor final : public EngineStepHook, public SpecStepHook {
     int retries = 0;
   };
 
+  // Engine policy: external capacity deltas, hot swaps, and the pressure ladder.
+  void StepLadder(Engine& engine);
+  // SpecDecodeEngine policy: the adaptive draft/target split.
+  void StepSplit(SpecDecodeEngine& engine);
   // True when an action was taken (cooldown restarts).
   [[nodiscard]] bool TryRung(Engine& engine, int rung);
   [[nodiscard]] int64_t SplitShiftBytes(const SpecDecodeEngine& engine, int donor) const;

@@ -8,27 +8,19 @@
 
 #include <cstdint>
 #include <memory>
-#include <ostream>
-#include <unordered_map>
 #include <vector>
 
-#include "src/engine/deadline_heap.h"
 #include "src/engine/gpu.h"
-#include "src/fault/fault_injector.h"
 #include "src/engine/kv_manager.h"
 #include "src/engine/request.h"
-#include "src/engine/request_queue.h"
-#include "src/metrics/metrics.h"
-#include "src/metrics/step_profiler.h"
+#include "src/engine/scheduler_core.h"
 #include "src/model/model_config.h"
-#include "src/offload/swap_manager.h"
 
 namespace jenga {
 
-struct EngineConfig {
+// Engine-only configuration; the fields both engines share live in SchedulerConfig.
+struct EngineConfig : SchedulerConfig {
   ModelConfig model;
-  GpuSpec gpu;
-  int tokens_per_page = 16;
   bool enable_prefix_caching = true;
   // Admission fast path: memoize per-request prompt hash chains and modality streams across
   // re-admissions (KvManager::Options::memoize_admission). Off = rebuild-from-scratch
@@ -44,24 +36,10 @@ struct EngineConfig {
   double output_fraction = 1.0;
   // Scales the KV pool (engine profiles differ slightly in reserved memory).
   double memory_fraction = 1.0;
-  // Test overrides (0 = use the GPU defaults).
-  int64_t pool_bytes_override = 0;
+  // Test override (0 = use the GPU default).
   int max_batched_tokens_override = 0;
-  int max_num_seqs_override = 0;
   // Record a memory sample every N steps (0 disables).
   int memory_sample_every = 1;
-  // Host-memory KV offload tier (disabled by default; when disabled the engine is
-  // byte-identical to the tier-less build).
-  OffloadConfig offload;
-  // Fault injection (empty plan = disabled; the engine then constructs no injector and all
-  // consult sites short-circuit, keeping behavior byte-identical to the fault-less build).
-  FaultConfig fault;
-  // Load-shedding admission gate: when the head of the waiting queue has been blocked for
-  // this many consecutive steps while pool occupancy is at or above the watermark, fail it
-  // (vLLM-style abort) instead of letting it starve behind long-running requests.
-  // 0 disables the gate (default).
-  int shed_after_blocked_steps = 0;
-  double shed_occupancy_watermark = 0.95;
   // Empty-page index shards per group allocator (KvManager::Options::alloc_shards). 1 = the
   // deterministic legacy free lists; >1 = the lock-free claim bitmaps (concurrency-ready,
   // auditor-checked, different placement order — not the golden oracle).
@@ -74,76 +52,25 @@ struct EngineConfig {
 [[nodiscard]] EngineConfig TgiProfile(ModelConfig model, GpuSpec gpu);
 [[nodiscard]] EngineConfig JengaProfile(ModelConfig model, GpuSpec gpu);
 
-class Engine;
-
-// Step-boundary hook: the attach point for the elastic memory governor (src/elastic). Called
-// at the top of every StepOnce with work pending — the engine's quiesce point: no request is
-// mid-step, so the hook may preempt, shed, resize the pool, or repartition. Detached
-// (nullptr, the default) costs one null test per step and keeps the engine byte-identical to
-// a build without the subsystem — the same discipline as the audit/fault/offload hooks.
-class EngineStepHook {
- public:
-  virtual ~EngineStepHook() = default;
-  virtual void OnStepBoundary(Engine& engine) = 0;
-};
-
-class Engine {
+// The single-model engine: one KvManager (Jenga or the homogeneous baseline) under the
+// shared scheduler core. Its step policy is chunked prefill with vision encoding.
+class Engine final : public SchedulerCore {
  public:
   explicit Engine(EngineConfig config);
 
-  // Enqueues a request (arrival_time may be in the future).
-  void Submit(Request request);
+  bool StepOnce() override;
 
-  // Executes one scheduler step; returns false when no work remains.
-  bool StepOnce();
-
-  // Runs until every submitted request finished (or `max_steps` as a runaway guard).
-  void RunToCompletion(int64_t max_steps = 2000000);
-
-  // Aborts a request in any state — waiting, running, preempted, or swapped out to the host
-  // tier — with full resource reclamation (GPU pages, allocator affinity state, host
-  // swap-set bytes). Safe at any point between steps. Returns false when the id is unknown
-  // or the request already finished.
-  bool CancelRequest(RequestId id);
-
-  // Ids of every unfinished request in deterministic scheduler order (running queue first,
-  // then waiting) — the harvest order a fleet supervisor re-routes work in on replica death.
-  [[nodiscard]] std::vector<RequestId> ActiveRequests() const;
-
-  // Writes a human-readable state dump (queues, pool occupancy, per-request progress, fault
-  // counters) — the non-convergence diagnostic, also handy from test failures.
-  void DumpStateForDebug(std::ostream& os) const;
-
-  [[nodiscard]] double now() const { return now_; }
-  [[nodiscard]] const EngineMetrics& metrics() const { return metrics_; }
-  [[nodiscard]] KvManager& kv() { return *kv_; }
-  // nullptr when the offload tier is disabled.
-  [[nodiscard]] const SwapManager* swap() const { return swap_.get(); }
-  // Mutable access for the audit layer (tests only); nullptr when the tier is disabled.
-  [[nodiscard]] SwapManager* swap_mutable() { return swap_.get(); }
   [[nodiscard]] const EngineConfig& config() const { return config_; }
-  [[nodiscard]] const Request& request(RequestId id) const;
-  [[nodiscard]] int num_running() const { return static_cast<int>(running_.size()); }
-  [[nodiscard]] int num_waiting() const { return static_cast<int>(waiting_.size()); }
+  [[nodiscard]] KvManager& kv() { return *managers_[0]; }
+  [[nodiscard]] const KvManager& kv() const { return *managers_[0]; }
   [[nodiscard]] int64_t weight_bytes() const { return config_.model.WeightBytes(); }
   [[nodiscard]] int64_t reserved_bytes() const { return reserved_bytes_; }
 
   // --- Elastic pool operations (MemoryGovernor entry points; see src/elastic) ---
 
-  // Installs/removes the step-boundary hook (nullptr detaches; detached = byte-identical).
-  void set_step_hook(EngineStepHook* hook) { step_hook_ = hook; }
-  // Installs/removes the per-phase step profiler (nullptr detaches; detached = one null test
-  // per phase scope). The profiler reads only the host wall clock — attaching it never
-  // touches logical ticks or simulated time, so scheduling stays byte-identical (§12).
-  void set_step_profiler(StepProfiler* profiler) { prof_ = profiler; }
-  [[nodiscard]] const KvManager& kv() const { return *kv_; }
-  // The governor's ladder counters live in the same EngineMetrics the engine owns.
-  [[nodiscard]] EngineMetrics& metrics_mutable() { return metrics_; }
-  // nullptr when no faults are configured.
-  [[nodiscard]] FaultInjector* fault_injector() { return fault_.get(); }
   // Pool occupancy in [0, 1]: 1 − unallocated/pool (0 on an empty pool).
-  [[nodiscard]] double PoolOccupancy() const;
-  [[nodiscard]] int32_t PoolPages() const;
+  [[nodiscard]] double PoolOccupancy() const { return PoolOccupancyOf(0); }
+  [[nodiscard]] int32_t PoolPages() const { return kv().allocator().lcm().num_pages(); }
   // Audited grow: appends `pages` large pages to the pool. The pool_grow fault site is
   // consulted BEFORE any mutation, so a fire rolls the attempt back with zero net change.
   // Returns pages added (0 on rollback, or on sharded allocators which don't resize).
@@ -160,16 +87,6 @@ class Engine {
   // is aborted on either path. `new_pool_bytes` 0 derives the pool from the GPU spec and
   // the new model's weights. Returns true on commit.
   bool RepartitionKvPool(const ModelConfig& new_model, int64_t new_pool_bytes = 0);
-  // Pressure-ladder rung 1: preempts the newest running request (parking its KV to the host
-  // tier when the swap crossover accepts it). Refuses to park the only runner. Returns true
-  // if a request was preempted.
-  bool ParkNewestRunning();
-  // Pressure-ladder rung 2: sheds (fails) the oldest arrived waiting request.
-  bool ShedOldestWaiting();
-  // Advertised to the fleet router while a repartition/drain is in flight: a draining
-  // replica routes like a saturated one (DecideRoute spills around it).
-  void set_elastic_draining(bool draining) { elastic_draining_ = draining; }
-  [[nodiscard]] bool elastic_draining() const { return elastic_draining_; }
 
  private:
   struct Scheduled {
@@ -178,78 +95,18 @@ class Engine {
     bool was_prefill = false;
   };
 
-  [[nodiscard]] Request& Get(RequestId id);
+  // Builds the KvManager for `model` the way the config asks (Jenga or homogeneous spec,
+  // static Mamba reservation for the baseline). `pool_bytes` 0 derives the pool from the GPU
+  // spec and the model's weights; `reserved_bytes` receives the resulting reservation.
+  [[nodiscard]] std::unique_ptr<KvManager> BuildKvManager(const ModelConfig& model,
+                                                          int64_t pool_bytes,
+                                                          int64_t* reserved_bytes) const;
   [[nodiscard]] int64_t EffectiveOutputLen(const Request& r) const;
-  // `allow_swap` false forces the recompute path (repartition quiesce: swap-set fingerprints
-  // would bind the request to the layout being replaced).
-  void Preempt(RequestId id, bool allow_swap = true);
-  void FinishRequest(Request& r, bool failed);
-  // Cancels every unfinished request whose deadline has passed (same path as CancelRequest).
-  // O(1) when nothing expired (deadline-heap top check), O(log n) per single expiry; a step
-  // that expires several requests at once re-collects them in queue order so the cancel
-  // order — and every downstream release/eviction tie-break — matches the legacy full scan.
-  void ExpireDeadlines();
-  // JENGA_CHECK_DEADLINES fuzz arm: verifies the heap-collected expired set (already in
-  // expired_buf_) against the brute-force queue scan.
-  void CheckDeadlineHeapAgainstScan();
-  // Shed gate: called when the head of the waiting queue stayed blocked this step. Inlined
-  // disabled path — the occupancy probe in the slow path walks the request table, so configs
-  // without a shed gate must branch out before the call.
-  void MaybeShedHead() {
-    if (config_.shed_after_blocked_steps <= 0 ||
-        head_blocked_steps_ < config_.shed_after_blocked_steps || waiting_.empty()) {
-      return;
-    }
-    MaybeShedHeadSlow();
-  }
-  void MaybeShedHeadSlow();
-  // Copies injector/swap recovery counters into metrics_ (idempotent assignments). Inlined
-  // null path: with neither tier configured this is two pointer tests and no call — it runs
-  // on every step-exit path, so the common no-fault/no-offload config must not pay for it.
-  void SyncFaultMetrics() {
-    if (fault_ != nullptr || swap_ != nullptr) [[unlikely]] {
-      SyncFaultMetricsSlow();
-    }
-  }
-  void SyncFaultMetricsSlow();
   [[nodiscard]] double MaybeEncodeVision(Request& r, int64_t chunk_begin, int64_t chunk_end);
-
-  // Outcome of a swap-set re-admission attempt for the head of the waiting queue.
-  enum class SwapAdmit {
-    kFallthrough,  // No usable swap set: take the normal (recompute) admission path.
-    kAdmitted,     // Restored and moved to running_.
-    kBlocked,      // Cannot restore right now: head-of-line blocking, stop admitting.
-  };
-  [[nodiscard]] SwapAdmit TryAdmitFromSwap(Request& r, bool nothing_else_runnable);
 
   EngineConfig config_;
   GpuSim gpu_;
-  std::unique_ptr<KvManager> kv_;
-  std::unique_ptr<SwapManager> swap_;
-  std::unique_ptr<FaultInjector> fault_;  // nullptr when no faults are configured.
-  EngineStepHook* step_hook_ = nullptr;   // Not owned; nullptr = no governor attached.
-  StepProfiler* prof_ = nullptr;          // Not owned; nullptr = no profiler attached.
-  bool elastic_draining_ = false;
   int64_t reserved_bytes_ = 0;
-  int max_batched_tokens_ = 0;
-  int max_num_seqs_ = 0;
-  int head_blocked_steps_ = 0;
-  bool has_deadlines_ = false;
-
-  std::unordered_map<RequestId, Request> requests_;
-  // Indexed FIFOs: same iteration order as the deque/vector they replaced, but preempt,
-  // cancel, and finish remove mid-queue entries in O(1) instead of a std::find scan.
-  RequestQueue waiting_;
-  RequestQueue running_;
-  // One entry per submitted request with a deadline (deadlines are immutable, so preempt and
-  // re-admit need no updates); entries of requests that finish early are discarded lazily.
-  DeadlineHeap deadlines_;
-  // Scratch for ExpireDeadlines (cleared each use; capacity reused).
-  std::vector<RequestId> expired_buf_;
-
-  double now_ = 0.0;
-  Tick tick_ = 0;
-  EngineMetrics metrics_;
   // Scratch for StepOnce's schedule (cleared each step; capacity reused).
   std::vector<Scheduled> scheduled_buf_;
 };

@@ -13,21 +13,11 @@
 #define JENGA_SRC_ENGINE_SPEC_DECODE_H_
 
 #include <cstdint>
-#include <memory>
-#include <ostream>
-#include <unordered_map>
-#include <vector>
 
 #include "src/common/random.h"
-#include "src/engine/deadline_heap.h"
 #include "src/engine/gpu.h"
-#include "src/fault/fault_injector.h"
-#include "src/engine/kv_manager.h"
-#include "src/engine/request.h"
-#include "src/engine/request_queue.h"
-#include "src/metrics/metrics.h"
-#include "src/metrics/step_profiler.h"
-#include "src/offload/swap_manager.h"
+#include "src/engine/scheduler_core.h"
+#include "src/model/model_config.h"
 
 namespace jenga {
 
@@ -35,25 +25,14 @@ enum class SpecStrategy { kJenga, kVllmMax, kVllmManual };
 
 [[nodiscard]] const char* SpecStrategyName(SpecStrategy strategy);
 
-struct SpecDecodeConfig {
+// Spec-decode-only configuration; the fields both engines share live in SchedulerConfig.
+struct SpecDecodeConfig : SchedulerConfig {
   ModelConfig target;
   ModelConfig draft;
-  GpuSpec gpu;
   SpecStrategy strategy = SpecStrategy::kJenga;
   int propose_len = 4;
   double acceptance_rate = 0.7;
-  int tokens_per_page = 16;
   uint64_t seed = 1;
-  int64_t pool_bytes_override = 0;
-  int max_num_seqs_override = 0;
-  // Host-memory KV offload tier (disabled by default). With multiple managers the swap set
-  // covers both models' KV; all managers must restore together.
-  OffloadConfig offload;
-  // Fault injection (empty plan = disabled) and the load-shedding admission gate; see
-  // EngineConfig for semantics.
-  FaultConfig fault;
-  int shed_after_blocked_steps = 0;
-  double shed_occupancy_watermark = 0.95;
   // kVllmManual only: fraction of the (post-reservation) pool given to the draft model's
   // manager. Negative (default) uses the SmartSpec byte-proportional split; the adaptive
   // governor (src/elastic) starts from whichever split is configured and rebalances at run
@@ -61,57 +40,19 @@ struct SpecDecodeConfig {
   double manual_draft_fraction = -1.0;
 };
 
-class SpecDecodeEngine;
-
-// Step-boundary hook: the elastic governor's attach point for the spec-decode engine (the
-// adaptive draft/target split policy). Same contract as EngineStepHook: called at the top of
-// every macro step with work pending; detached (nullptr) keeps behavior byte-identical.
-class SpecStepHook {
- public:
-  virtual ~SpecStepHook() = default;
-  virtual void OnStepBoundary(SpecDecodeEngine& engine) = 0;
-};
-
-class SpecDecodeEngine {
+// The speculative-decoding engine: the shared scheduler core over one merged manager
+// (kJenga / kVllmMax) or a [target, draft] manager pair (kVllmManual). Its step policy is the
+// draft/verify macro step.
+class SpecDecodeEngine final : public SchedulerCore {
  public:
   explicit SpecDecodeEngine(SpecDecodeConfig config);
 
-  void Submit(Request request);
-  bool StepOnce();
-  void RunToCompletion(int64_t max_steps = 1000000);
+  bool StepOnce() override;
 
-  // Aborts a request in any state with full resource reclamation across all managers and the
-  // host tier; same contract as Engine::CancelRequest.
-  bool CancelRequest(RequestId id);
-
-  // Non-convergence / test-failure diagnostic dump.
-  void DumpStateForDebug(std::ostream& os) const;
-
-  [[nodiscard]] double now() const { return now_; }
-  [[nodiscard]] const EngineMetrics& metrics() const { return metrics_; }
-  [[nodiscard]] const Request& request(RequestId id) const;
-  [[nodiscard]] int num_running() const { return static_cast<int>(running_.size()); }
-  [[nodiscard]] int num_waiting() const { return static_cast<int>(waiting_.size()); }
-  [[nodiscard]] int num_managers() const { return static_cast<int>(managers_.size()); }
-  [[nodiscard]] const KvManager& manager(int i) const { return *managers_[static_cast<size_t>(i)]; }
-  // Mutable access for the audit layer (tests only).
-  [[nodiscard]] KvManager& manager_mutable(int i) { return *managers_[static_cast<size_t>(i)]; }
-  // nullptr when the offload tier is disabled.
-  [[nodiscard]] const SwapManager* swap() const { return swap_.get(); }
-  [[nodiscard]] SwapManager* swap_mutable() { return swap_.get(); }
   [[nodiscard]] const SpecDecodeConfig& config() const { return config_; }
 
-  // --- Elastic split operations (MemoryGovernor entry points; see src/elastic) ---
+  // --- Elastic split operation (MemoryGovernor entry point; see src/elastic) ---
 
-  void set_step_hook(SpecStepHook* hook) { step_hook_ = hook; }
-  // Per-phase step profiler; same contract as Engine::set_step_profiler (wall clock only,
-  // detached = one null test per scope, attached = byte-identical scheduling).
-  void set_step_profiler(StepProfiler* profiler) { prof_ = profiler; }
-  [[nodiscard]] EngineMetrics& metrics_mutable() { return metrics_; }
-  // nullptr when no faults are configured.
-  [[nodiscard]] FaultInjector* fault_injector() { return fault_.get(); }
-  // Occupancy of one manager's pool in [0, 1] (0 on an empty pool).
-  [[nodiscard]] double PoolOccupancyOf(int manager_index) const;
   // Moves roughly `bytes` of pool capacity from manager `from` to manager `to` by draining
   // trailing large pages from one homogeneous pool and appending them to the other (the
   // audited adaptive draft/target rebalance, kVllmManual only). Both fault sites
@@ -123,61 +64,10 @@ class SpecDecodeEngine {
   int64_t ShiftSplit(int from, int to, int64_t bytes);
 
  private:
-  [[nodiscard]] Request& Get(RequestId id);
-  [[nodiscard]] bool AllocateAll(Request& r, int64_t tokens);
-  void ReleaseAll(Request& r, bool finished = false);
-  void StepComputedAll(Request& r);
-  void AdmitAll(Request& r);
-  void Preempt(RequestId id);
-  void FinishRequest(Request& r, bool failed);
-  void ExpireDeadlines();
-  // JENGA_CHECK_DEADLINES fuzz arm: asserts the heap-derived expired set matches a
-  // brute-force queue scan (same contract as Engine::CheckDeadlineHeapAgainstScan).
-  void CheckDeadlineHeapAgainstScan();
-  // Inlined disabled path — see Engine::MaybeShedHead.
-  void MaybeShedHead() {
-    if (config_.shed_after_blocked_steps <= 0 ||
-        head_blocked_steps_ < config_.shed_after_blocked_steps || waiting_.empty()) {
-      return;
-    }
-    MaybeShedHeadSlow();
-  }
-  void MaybeShedHeadSlow();
-  // Inlined null path — see Engine::SyncFaultMetrics.
-  void SyncFaultMetrics() {
-    if (fault_ != nullptr || swap_ != nullptr) [[unlikely]] {
-      SyncFaultMetricsSlow();
-    }
-  }
-  void SyncFaultMetricsSlow();
-
   SpecDecodeConfig config_;
   GpuSim target_gpu_;
   GpuSim draft_gpu_;
-  // One merged manager (kJenga / kVllmMax) or [target, draft] managers (kVllmManual).
-  std::vector<std::unique_ptr<KvManager>> managers_;
-  std::unique_ptr<SwapManager> swap_;
-  std::unique_ptr<FaultInjector> fault_;  // nullptr when no faults are configured.
-  SpecStepHook* step_hook_ = nullptr;     // Not owned; nullptr = no governor attached.
-  StepProfiler* prof_ = nullptr;          // Not owned; nullptr = no profiler attached.
-  int max_num_seqs_ = 0;
-  int max_batched_tokens_ = 0;
-  int head_blocked_steps_ = 0;
-  bool has_deadlines_ = false;
-
   Rng rng_;
-  std::unordered_map<RequestId, Request> requests_;
-  // Indexed FIFOs (see request_queue.h): iteration order matches the deque/vector they
-  // replaced, with O(1) mid-queue removal on preempt/cancel/finish.
-  RequestQueue waiting_;
-  RequestQueue running_;
-  // Lazy min-heap over submitted deadlines (see deadline_heap.h); entries for requests that
-  // finished early are discarded when they surface. Keeps ExpireDeadlines O(1) per step.
-  DeadlineHeap deadlines_;
-  std::vector<RequestId> expired_buf_;  // Scratch for ExpireDeadlines (reused across steps).
-  double now_ = 0.0;
-  Tick tick_ = 0;
-  EngineMetrics metrics_;
 };
 
 }  // namespace jenga

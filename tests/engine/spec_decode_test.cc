@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/baseline/smartspec.h"
+#include "src/engine/engine.h"
 #include "tests/engine/test_models.h"
 
 namespace jenga {
@@ -162,6 +163,117 @@ TEST(SpecDecode, JengaBeatsManualOnHeterogeneousModel) {
     (strategy == SpecStrategy::kJenga ? jenga_time : manual_time) = engine.now();
   }
   EXPECT_LT(jenga_time, manual_time);
+}
+
+TEST(SpecDecode, FailedRequestsAreMarkedFailed) {
+  // Regression: the spec engine's finish path used to leave Request::failed unset on both
+  // failure paths, so the request view disagreed with its RequestRecord.
+  SpecDecodeConfig config = TestSpecConfig(TinyFullModel(), SpecStrategy::kJenga, 1 << 20);
+  config.gpu.max_batched_tokens = 8192;
+  SpecDecodeEngine engine(config);
+  engine.Submit(MakeRequest(0, TextPrompt(64), 8, 0.0));
+  engine.Submit(MakeRequest(1, TextPrompt(8192), 8, 0.0));  // > pool in one chunk.
+  engine.Submit(MakeRequest(2, TextPrompt(64), 8, 0.0));
+  ASSERT_TRUE(engine.CancelRequest(2));
+  engine.RunToCompletion();
+  EXPECT_FALSE(engine.request(0).failed);
+  EXPECT_TRUE(engine.request(1).failed);  // Oversized admission.
+  EXPECT_FALSE(engine.request(1).cancelled);
+  EXPECT_TRUE(engine.request(2).failed);  // Cancel.
+  EXPECT_TRUE(engine.request(2).cancelled);
+  for (const RequestRecord& record : engine.metrics().finished()) {
+    EXPECT_EQ(record.failed, engine.request(record.id).failed) << "request " << record.id;
+  }
+}
+
+TEST(SpecDecode, FutureArrivalsWaitForTheirArrivalTime) {
+  // Regression: admission used to ignore arrival_time, so a request submitted for t = 5 ran
+  // at t = 0 and reported a negative TTFT. The idle engine must also jump to the next arrival
+  // instead of spinning on a queue of future requests.
+  SpecDecodeEngine engine(TestSpecConfig(TinyFullModel(), SpecStrategy::kJenga, 1 << 24));
+  engine.Submit(MakeRequest(0, TextPrompt(64), 8, 5.0));
+  engine.Submit(MakeRequest(1, TextPrompt(64), 8, 5000.0));  // Long after request 0 is done.
+  engine.RunToCompletion(/*max_steps=*/1000);
+  ASSERT_EQ(engine.metrics().CompletedRequests(), 2);
+  for (const RequestRecord& record : engine.metrics().finished()) {
+    SCOPED_TRACE(record.id);
+    EXPECT_GE(record.first_scheduled_time, record.arrival_time);
+    EXPECT_GE(record.Ttft(), 0.0);
+  }
+  EXPECT_LT(engine.request(0).finish_time, 5000.0);
+}
+
+TEST(SpecDecode, PreemptInStepFaultWindowSwapsOnlyComputedState) {
+  // A GPU step fault voids a macro step after its decode pages were allocated, so until the
+  // recompute catches up the request holds pages past num_computed_tokens. Preempting it in
+  // that window must swap out only the computed state: the swap fingerprint has to match
+  // what the restore rebuilds (it used to diverge and abort the restore).
+  SpecDecodeConfig config = TestSpecConfig(TinyFullModel(), SpecStrategy::kVllmMax, 1 << 24);
+  config.acceptance_rate = 1.0;  // Every macro step emits propose_len + 1 = 5 tokens.
+  config.offload.enabled = true;
+  config.offload.host_prefix_cache = false;
+  // A free link makes the crossover always choose swap.
+  config.offload.pcie.h2d_bandwidth = 1e15;
+  config.offload.pcie.d2h_bandwidth = 1e15;
+  config.offload.pcie.per_transfer_latency = 0.0;
+  // Consults: step 0 prefills 27 tokens, step 1 recomputes the first generated token (28),
+  // step 2 decodes 5 more (to 33, a third 16-token page) and faults.
+  ASSERT_TRUE(FaultPlan::Parse("gpu_step:at=2", &config.fault.plan).ok());
+  SpecDecodeEngine engine(config);
+  engine.Submit(MakeRequest(0, TextPrompt(27), 40, 0.0));
+  engine.Submit(MakeRequest(1, TextPrompt(27, 300), 40, 0.0));
+  while (engine.metrics().gpu_step_faults == 0) {
+    ASSERT_TRUE(engine.StepOnce());
+  }
+  const Request& victim = engine.request(1);
+  ASSERT_EQ(victim.num_computed_tokens, 28);
+  ASSERT_EQ(victim.num_generated, 6);  // Appended, not yet computed.
+
+  ASSERT_TRUE(engine.ParkNewestRunning());
+  ASSERT_TRUE(victim.swapped_out);
+  const HostSwapSet* set = engine.swap()->PeekSwapSet(1);
+  ASSERT_NE(set, nullptr);
+  EXPECT_EQ(set->tokens, 28);
+  const int64_t page_bytes = engine.manager(0).allocator().lcm().large_page_bytes();
+  EXPECT_EQ(set->resident_bytes, 2 * page_bytes);  // ⌈28 / 16⌉ pages, not ⌈33 / 16⌉.
+
+  engine.RunToCompletion();
+  EXPECT_EQ(engine.metrics().CompletedRequests(), 2);
+  EXPECT_EQ(engine.metrics().swap_in_events, 1);
+  EXPECT_EQ(engine.request(1).num_generated, 40);
+}
+
+TEST(SpecDecode, CacheHitLedgerMatchesRecordsInBothEngines) {
+  // metrics.cache_hit_tokens sums the prefix hits granted at admission; with no preemption
+  // every request is admitted once, so it must equal the per-request records. The spec engine
+  // runs with prefix caching off (Fig. 19 isolates allocation efficiency): both sides are 0.
+  const auto record_hits = [](const EngineMetrics& metrics) {
+    int64_t hits = 0;
+    for (const RequestRecord& record : metrics.finished()) {
+      EXPECT_EQ(record.preemptions, 0);
+      hits += record.cached_prefix_tokens;
+    }
+    return hits;
+  };
+
+  EngineConfig engine_config = JengaProfile(TinyFullModel(), TestGpu());
+  engine_config.pool_bytes_override = 1 << 24;
+  Engine engine(engine_config);
+  engine.Submit(MakeRequest(0, TextPrompt(128), 8, 0.0));
+  engine.RunToCompletion();
+  engine.Submit(MakeRequest(1, TextPrompt(128), 8, 0.0));  // Same prompt: a prefix hit.
+  engine.Submit(MakeRequest(2, TextPrompt(96), 8, 0.0));
+  engine.RunToCompletion();
+  EXPECT_GT(engine.metrics().cache_hit_tokens, 0);
+  EXPECT_EQ(engine.metrics().cache_hit_tokens, record_hits(engine.metrics()));
+
+  SpecDecodeEngine spec(TestSpecConfig(TinyFullModel(), SpecStrategy::kJenga, 1 << 24));
+  spec.Submit(MakeRequest(0, TextPrompt(128), 8, 0.0));
+  spec.RunToCompletion();
+  spec.Submit(MakeRequest(1, TextPrompt(128), 8, 0.0));
+  spec.RunToCompletion();
+  EXPECT_EQ(spec.metrics().cache_hit_tokens, 0);
+  EXPECT_EQ(spec.metrics().cache_hit_tokens, record_hits(spec.metrics()));
 }
 
 TEST(SpecDecode, DeterministicGivenSeed) {

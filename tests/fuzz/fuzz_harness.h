@@ -280,7 +280,7 @@ inline FuzzSchedule DrawFuzzSchedule(uint64_t seed, bool spec_engine, bool offlo
     r.family = static_cast<int>(rng.UniformInt(0, num_families - 1));
     r.prompt_len = rng.UniformInt(16, max_prompt);
     r.output_len = rng.UniformInt(2, 40);
-    r.arrival = (spec_engine || rng.Bernoulli(0.6)) ? 0.0 : rng.UniformDouble(0.0, 0.2);
+    r.arrival = rng.Bernoulli(0.6) ? 0.0 : rng.UniformDouble(0.0, 0.2);
     if (s.model == FuzzModel::kVision) {
       r.images = static_cast<int>(rng.UniformInt(1, 3));
       r.prompt_len = std::max<int64_t>(r.prompt_len, r.images * 8 + 4);
