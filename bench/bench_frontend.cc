@@ -3,14 +3,16 @@
 // throughput and submit→first-token latency. One closed-loop client is latency-bound (the
 // engine idles during every think interval); added producers overlap their think times and
 // keep requests live for continuous batching, so throughput scales until the engine thread
-// saturates — the engine core stays single-threaded (DESIGN.md §9). Also compares the
-// sharded (alloc_shards=4) allocator hot path at the highest producer count.
+// saturates — the engine core stays single-threaded (DESIGN.md §9).
 //
 // Flags:
 //   --quick           fewer requests per producer (CI-friendly)
-//   --requests <n>    requests per producer (default 48, quick 16)
+//   --requests <n>    requests per producer, n >= 1 (default 48, quick 16)
 
+#include <cerrno>
+#include <climits>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -23,7 +25,6 @@ namespace {
 int Run(int per_producer) {
   PrintHeader("bench_frontend: closed-loop producer scaling (prompt 256, output 8)");
   PrintRow({{12, "producers"},
-            {10, "shards"},
             {12, "requests"},
             {12, "wall"},
             {14, "req/s"},
@@ -42,17 +43,6 @@ int Run(int per_producer) {
       rps_4p = r.requests_per_s;
     }
     PrintRow({{12, FmtI(producers)},
-              {10, "1"},
-              {12, FmtI(r.completed)},
-              {12, Fmt("%.3fs", r.wall_seconds)},
-              {14, Fmt("%.1f", r.requests_per_s)},
-              {12, Fmt("%.2fx", base_rps > 0 ? r.requests_per_s / base_rps : 0.0)},
-              {22, Fmt("%.2f/", r.first_token_p50_ms) + Fmt("%.2fms", r.first_token_p95_ms)}});
-  }
-  {
-    const FrontendLoadResult r = RunClosedLoop(8, per_producer, /*alloc_shards=*/4);
-    PrintRow({{12, "8"},
-              {10, "4"},
               {12, FmtI(r.completed)},
               {12, Fmt("%.3fs", r.wall_seconds)},
               {14, Fmt("%.1f", r.requests_per_s)},
@@ -63,6 +53,18 @@ int Run(int per_producer) {
   const double scaling = base_rps > 0 ? rps_4p / base_rps : 0.0;
   std::printf("\nscaling 4p/1p: %.2fx (target >= 2.0x)\n", scaling);
   return scaling >= 2.0 ? 0 : 1;
+}
+
+// Parses a whole-string decimal count in [1, INT_MAX]; false on anything else.
+bool ParseCount(const char* text, int* out) {
+  char* end = nullptr;
+  errno = 0;
+  const long value = std::strtol(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE || value < 1 || value > INT_MAX) {
+    return false;
+  }
+  *out = static_cast<int>(value);
+  return true;
 }
 
 }  // namespace
@@ -76,8 +78,9 @@ int main(int argc, char** argv) {
       if (!explicit_requests) {
         per_producer = 16;
       }
-    } else if (std::strcmp(argv[i], "--requests") == 0 && i + 1 < argc) {
-      per_producer = std::atoi(argv[++i]);
+    } else if (std::strcmp(argv[i], "--requests") == 0 && i + 1 < argc &&
+               jenga::ParseCount(argv[i + 1], &per_producer)) {
+      ++i;
       explicit_requests = true;
     } else {
       std::fprintf(stderr, "usage: %s [--quick] [--requests n]\n", argv[0]);

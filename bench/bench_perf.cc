@@ -47,8 +47,8 @@ double Seconds(Clock::time_point begin, Clock::time_point end) {
 // Prevents the compiler from eliding a measured computation.
 volatile int64_t g_sink = 0;
 
-// Two heterogeneous groups whose page sizes share a 12 KiB large page — the same shape the
-// allocator microbenchmarks (bench_micro_allocator) use.
+// Two heterogeneous groups whose page sizes share a 12 KiB large page, the shape every
+// micro.* allocator case runs on.
 KvSpec TwoGroupSpec() {
   KvSpec spec;
   KvGroupSpec a;

@@ -689,14 +689,9 @@ void AllocatorAuditor::AuditGroup(size_t a, int g, std::vector<std::string>* out
     }
   });
 
-  // Affinity free lists: every live empty slot has exactly one valid ref in the any-list
-  // (legacy mode) or exactly its claim bit set (sharded mode); per-request refs only point
-  // at empty slots associated with that request.
-  const bool sharded = grp.claims_ != nullptr;
+  // Affinity free lists: every live empty slot has exactly one valid ref in the any-list;
+  // per-request refs only point at empty slots associated with that request.
   std::unordered_map<SmallPageId, int> any_cover;
-  if (sharded && !grp.empty_any_.empty()) {
-    Fail(out, tag + "sharded group still holds entries in the any-free list");
-  }
   for (const SmallPageAllocator::FreeRef& ref : grp.empty_any_) {
     if (grp.IsValidEmpty(ref)) {
       any_cover[ref.page] += 1;
@@ -737,31 +732,17 @@ void AllocatorAuditor::AuditGroup(size_t a, int g, std::vector<std::string>* out
     }
     const SmallPageId base = static_cast<SmallPageId>(index) * grp.pages_per_large_;
     for (int slot = 0; slot < grp.pages_per_large_; ++slot) {
-      const bool is_empty =
-          entry.slots[static_cast<size_t>(slot)].state == PageState::kEmpty;
-      if (is_empty) {
-        empty_seen += 1;
+      if (entry.slots[static_cast<size_t>(slot)].state != PageState::kEmpty) {
+        continue;
       }
-      if (sharded) {
-        const bool bit = grp.claims_->IsClaimable(static_cast<LargePageId>(index), slot);
-        if (bit != is_empty) {
-          Fail(out, tag + "claim bit for page " + std::to_string(base + slot) +
-                        (is_empty ? " missing (empty slot unclaimable)"
-                                  : " set on a non-empty slot"));
-        }
-      } else if (is_empty && !any_cover.contains(base + slot)) {
+      empty_seen += 1;
+      if (!any_cover.contains(base + slot)) {
         Fail(out, tag + "empty page " + std::to_string(base + slot) +
                       " unreachable from the any-free list");
       }
     }
   }
-  if (sharded) {
-    if (grp.claims_->ClaimableApprox() != empty_seen) {
-      Fail(out, tag + "claim index population " +
-                    std::to_string(grp.claims_->ClaimableApprox()) + " != " +
-                    std::to_string(empty_seen) + " empty pages");
-    }
-  } else if (empty_seen != static_cast<int64_t>(any_cover.size())) {
+  if (empty_seen != static_cast<int64_t>(any_cover.size())) {
     Fail(out, tag + "any-free list covers " + std::to_string(any_cover.size()) +
                   " pages, but " + std::to_string(empty_seen) + " empty pages exist");
   }

@@ -4,15 +4,14 @@
 
 namespace jenga {
 
-JengaAllocator::JengaAllocator(KvSpec spec, int64_t pool_bytes, int64_t large_page_bytes_override,
-                               int shards)
+JengaAllocator::JengaAllocator(KvSpec spec, int64_t pool_bytes, int64_t large_page_bytes_override)
     : spec_(std::move(spec)),
       lcm_(pool_bytes,
            large_page_bytes_override > 0 ? large_page_bytes_override : spec_.LcmPageBytes()) {
   groups_.reserve(spec_.groups.size());
   for (size_t i = 0; i < spec_.groups.size(); ++i) {
     groups_.push_back(std::make_unique<SmallPageAllocator>(static_cast<int>(i), spec_.groups[i],
-                                                           &lcm_, this, shards));
+                                                           &lcm_, this));
   }
   reclaim_pos_.assign(static_cast<size_t>(lcm_.num_pages()), -1);
 }
@@ -99,9 +98,6 @@ void JengaAllocator::OnReclaimCandidate(int group_index, LargePageId large, Tick
 
 void JengaAllocator::GrowPool(int32_t pages) {
   JENGA_CHECK_GT(pages, 0);
-  for (const auto& group : groups_) {
-    JENGA_CHECK_EQ(group->shards(), 1) << "pool resize requires the deterministic mode";
-  }
   lcm_.GrowPages(pages);
   reclaim_pos_.resize(static_cast<size_t>(lcm_.num_pages()), -1);
   for (const auto& group : groups_) {
@@ -112,9 +108,6 @@ void JengaAllocator::GrowPool(int32_t pages) {
 
 int32_t JengaAllocator::ShrinkPool(int32_t pages) {
   JENGA_CHECK_GT(pages, 0);
-  for (const auto& group : groups_) {
-    JENGA_CHECK_EQ(group->shards(), 1) << "pool resize requires the deterministic mode";
-  }
   int32_t removable = 0;
   while (removable < pages) {
     const LargePageId page = lcm_.num_pages() - 1 - removable;

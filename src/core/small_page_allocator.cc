@@ -12,19 +12,15 @@ constexpr size_t kFreeListCompactFloor = 64;
 }  // namespace
 
 SmallPageAllocator::SmallPageAllocator(int group_index, KvGroupSpec spec, LcmAllocator* lcm,
-                                       LargePageProvider* provider, int shards)
+                                       LargePageProvider* provider)
     : group_index_(group_index), spec_(std::move(spec)), lcm_(lcm), provider_(provider) {
   JENGA_CHECK(lcm_ != nullptr);
   JENGA_CHECK(provider_ != nullptr);
   JENGA_CHECK_GT(spec_.page_bytes, 0);
-  JENGA_CHECK_GE(shards, 1);
   JENGA_CHECK_EQ(lcm_->large_page_bytes() % spec_.page_bytes, 0)
       << "group page size must divide the LCM page size";
   pages_per_large_ = static_cast<int>(lcm_->large_page_bytes() / spec_.page_bytes);
   larges_.resize(static_cast<size_t>(lcm_->num_pages()));
-  if (shards > 1) {
-    claims_ = std::make_unique<ShardedClaimIndex>(shards, lcm_->num_pages(), pages_per_large_);
-  }
 }
 
 SmallPageAllocator::SlotMeta& SmallPageAllocator::Meta(SmallPageId page) {
@@ -80,11 +76,6 @@ std::optional<SmallPageId> SmallPageAllocator::PopRequestFree(RequestId request)
     refs.pop_back();
     by_request_refs_ -= 1;
     if (IsValidEmpty(ref)) {
-      if (claims_ != nullptr &&
-          !claims_->TryClaim(LargeOf(ref.page), SlotOf(ref.page))) {
-        // Lost the bit to a concurrent FindAndClaim; the ref is stale, keep popping.
-        continue;
-      }
       return ref.page;
     }
   }
@@ -93,17 +84,7 @@ std::optional<SmallPageId> SmallPageAllocator::PopRequestFree(RequestId request)
   return std::nullopt;
 }
 
-std::optional<SmallPageId> SmallPageAllocator::PopAnyFree(RequestId request) {
-  if (claims_ != nullptr) {
-    if (const auto hit = claims_->FindAndClaim(request)) {
-      const SmallPageId page =
-          static_cast<SmallPageId>(hit->first) * pages_per_large_ + hit->second;
-      JENGA_CHECK(Meta(page).state == PageState::kEmpty)
-          << "claim index returned non-empty page " << page;
-      return page;
-    }
-    return std::nullopt;
-  }
+std::optional<SmallPageId> SmallPageAllocator::PopAnyFree() {
   while (!empty_any_.empty()) {
     const FreeRef ref = empty_any_.back();
     empty_any_.pop_back();
@@ -191,19 +172,10 @@ std::optional<SmallPageId> SmallPageAllocator::Allocate(RequestId request, Tick 
       return base;
     }
     std::vector<FreeRef>& request_refs = RefsFor(request);
-    if (claims_ == nullptr) {
-      for (int slot = 1; slot < pages_per_large_; ++slot) {
-        const FreeRef ref{base + slot, entry.slots[static_cast<size_t>(slot)].epoch};
-        request_refs.push_back(ref);
-        empty_any_.push_back(ref);
-      }
-    } else {
-      // Sharded mode: the claim index replaces empty_any_; the affinity list still gets the
-      // refs so step 1 keeps its request-aware placement.
-      for (int slot = 1; slot < pages_per_large_; ++slot) {
-        request_refs.push_back(FreeRef{base + slot, entry.slots[static_cast<size_t>(slot)].epoch});
-        claims_->Publish(*large, slot);
-      }
+    for (int slot = 1; slot < pages_per_large_; ++slot) {
+      const FreeRef ref{base + slot, entry.slots[static_cast<size_t>(slot)].epoch};
+      request_refs.push_back(ref);
+      empty_any_.push_back(ref);
     }
     by_request_refs_ += pages_per_large_ - 1;
     ClaimEmpty(base, request, now);
@@ -212,7 +184,7 @@ std::optional<SmallPageId> SmallPageAllocator::Allocate(RequestId request, Tick 
   }
 
   // Step 4: any empty page, regardless of association.
-  if (const auto page = PopAnyFree(request)) {
+  if (const auto page = PopAnyFree()) {
     ClaimEmpty(*page, request, now);
     return page;
   }
@@ -320,9 +292,6 @@ void SmallPageAllocator::UnregisterHash(SmallPageId page, SlotMeta& meta) {
 }
 
 void SmallPageAllocator::ReleaseLarge(LargePageId large, LargeEntry& entry) {
-  if (claims_ != nullptr) {
-    claims_->ClearLarge(large);
-  }
   entry.resident = false;
   entry.used_count = 0;
   entry.evictable_count = 0;
@@ -362,11 +331,7 @@ void SmallPageAllocator::TransitionToEmpty(SmallPageId page) {
   const FreeRef ref{page, meta.epoch};
   RefsFor(meta.assoc).push_back(ref);
   by_request_refs_ += 1;
-  if (claims_ == nullptr) {
-    empty_any_.push_back(ref);
-  } else {
-    claims_->Publish(large, SlotOf(page));
-  }
+  empty_any_.push_back(ref);
   NotifyCandidateIfEligible(large);
   MaybeCompactFreeLists();
 }
@@ -486,7 +451,6 @@ Tick SmallPageAllocator::ReclaimTimestamp(LargePageId large) const {
 }
 
 void SmallPageAllocator::OnPoolResized(int32_t new_num_larges) {
-  JENGA_CHECK(claims_ == nullptr) << "pool resize requires shards == 1";
   JENGA_CHECK_GE(new_num_larges, 0);
   for (size_t large = static_cast<size_t>(new_num_larges); large < larges_.size(); ++large) {
     JENGA_CHECK(!larges_[large].resident)
@@ -606,31 +570,6 @@ void SmallPageAllocator::CheckConsistency() const {
     JENGA_CHECK(meta.has_hash);
     JENGA_CHECK_EQ(meta.hash, hash);
   });
-  if (claims_ != nullptr) {
-    // Sharded mode: the claim bitmap is the authoritative empty-page index. At quiescence a
-    // bit is set iff its resident slot is empty, and the per-shard population counters sum
-    // to the live empty-page count.
-    JENGA_CHECK(empty_any_.empty()) << "sharded mode must not touch the empty_any_ list";
-    int64_t claimable = 0;
-    for (size_t index = 0; index < larges_.size(); ++index) {
-      const LargeEntry& entry = larges_[index];
-      const auto large = static_cast<LargePageId>(index);
-      for (int slot = 0; slot < pages_per_large_; ++slot) {
-        const bool bit = claims_->IsClaimable(large, slot);
-        if (!entry.resident) {
-          JENGA_CHECK(!bit) << "claim bit set on non-resident large " << large;
-          continue;
-        }
-        const bool is_empty =
-            entry.slots[static_cast<size_t>(slot)].state == PageState::kEmpty;
-        JENGA_CHECK_EQ(bit, is_empty)
-            << "claim bit / slot state mismatch at large " << large << " slot " << slot;
-        claimable += bit ? 1 : 0;
-      }
-    }
-    JENGA_CHECK_EQ(claimable, empty_count_);
-    JENGA_CHECK_EQ(claimable, claims_->ClaimableApprox());
-  }
 }
 
 }  // namespace jenga

@@ -74,7 +74,6 @@ std::unique_ptr<KvManager> Engine::BuildKvManager(const ModelConfig& model, int6
   options.memoize_admission = config_.memoize_admission;
   options.jenga = config_.jenga;
   options.tokens_per_image = model.vision.tokens_per_image;
-  options.alloc_shards = config_.alloc_shards;
   return std::make_unique<KvManager>(std::move(alloc_spec), std::move(accounting_spec), pool,
                                      options);
 }
@@ -91,9 +90,6 @@ int64_t Engine::EffectiveOutputLen(const Request& r) const {
 int32_t Engine::GrowKvPool(int32_t pages) {
   JENGA_CHECK_GT(pages, 0);
   metrics_.pool_grow_attempts += 1;
-  if (config_.alloc_shards > 1) {
-    return 0;  // Sharded claim indexes have fixed geometry; resize is shards==1 only.
-  }
   if (TransitionFaultFired(FaultSite::kPoolGrow, &metrics_.pool_grow_rollbacks)) {
     return 0;  // The reservation failed: the ledger records the attempt with zero net delta.
   }
@@ -106,9 +102,6 @@ int32_t Engine::GrowKvPool(int32_t pages) {
 int32_t Engine::ShrinkKvPool(int32_t pages) {
   JENGA_CHECK_GT(pages, 0);
   metrics_.pool_shrink_attempts += 1;
-  if (config_.alloc_shards > 1) {
-    return 0;
-  }
   if (TransitionFaultFired(FaultSite::kPoolShrinkDrain, &metrics_.pool_shrink_rollbacks)) {
     return 0;
   }
@@ -122,10 +115,6 @@ int32_t Engine::ShrinkKvPool(int32_t pages) {
 
 bool Engine::RepartitionKvPool(const ModelConfig& new_model, int64_t new_pool_bytes) {
   metrics_.repartition_attempts += 1;
-  if (config_.alloc_shards > 1) {
-    metrics_.repartition_rollbacks += 1;
-    return false;
-  }
   // Quiesce: preempt every running request back to the waiting queue through the recompute
   // path. Swap sets bind their fingerprints to the layout being replaced, so parking here
   // would only produce restore failures later.

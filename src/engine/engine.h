@@ -40,10 +40,6 @@ struct EngineConfig : SchedulerConfig {
   int max_batched_tokens_override = 0;
   // Record a memory sample every N steps (0 disables).
   int memory_sample_every = 1;
-  // Empty-page index shards per group allocator (KvManager::Options::alloc_shards). 1 = the
-  // deterministic legacy free lists; >1 = the lock-free claim bitmaps (concurrency-ready,
-  // auditor-checked, different placement order — not the golden oracle).
-  int alloc_shards = 1;
 };
 
 // Named engine profiles used in the Fig. 15 comparison.
@@ -73,11 +69,11 @@ class Engine final : public SchedulerCore {
   [[nodiscard]] int32_t PoolPages() const { return kv().allocator().lcm().num_pages(); }
   // Audited grow: appends `pages` large pages to the pool. The pool_grow fault site is
   // consulted BEFORE any mutation, so a fire rolls the attempt back with zero net change.
-  // Returns pages added (0 on rollback, or on sharded allocators which don't resize).
+  // Returns pages added (0 on rollback).
   int32_t GrowKvPool(int32_t pages);
   // Audited shrink: drains up to `pages` trailing large pages (cached content parks through
   // the eviction sink) and removes them. Consults pool_shrink_drain before mutating.
-  // Returns pages removed (0 on rollback, a pinned tail, or sharded allocators).
+  // Returns pages removed (0 on rollback or a pinned tail).
   int32_t ShrinkKvPool(int32_t pages);
   // LCM repartition for a model hot-swap: quiesce (preempt every running request via the
   // recompute path — swap-set fingerprints are tied to the old layout), build the new
