@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Full gate: warnings-clean Release build, entire test suite, a quick perf smoke, and an
+# Full gate: warnings-clean (-Werror) Release build, entire test suite, a quick perf smoke, and an
 # ASan+UBSan test pass (CMakePresets.json `asan-ubsan`).
 # Usage: scripts/check.sh [build-dir]   (default: build-check, kept separate from ./build)
 # Set JENGA_SKIP_SANITIZERS=1 to skip the sanitizer stage (it roughly doubles the runtime).
@@ -10,7 +10,7 @@ build="${1:-$repo/build-check}"
 
 cmake -B "$build" -S "$repo" \
   -DCMAKE_BUILD_TYPE=Release \
-  -DCMAKE_CXX_FLAGS="-Wall -Wextra"
+  -DCMAKE_CXX_FLAGS="-Wall -Wextra -Werror"
 cmake --build "$build" -j "$(nproc)"
 
 # Tier-1 gate (the fuzz-labeled tests run in the dedicated smoke stage below).

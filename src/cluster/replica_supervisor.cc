@@ -21,15 +21,6 @@ int ReplicaSupervisor::num_alive() const {
   return alive;
 }
 
-int ReplicaSupervisor::FirstAlive() const {
-  for (int i = 0; i < num_replicas(); ++i) {
-    if (alive(i)) {
-      return i;
-    }
-  }
-  return -1;
-}
-
 Request ReplicaSupervisor::ReviveForReroute(const Request& dead) {
   Request revived =
       MakeRequest(dead.id, dead.prompt, dead.output_len, dead.arrival_time);

@@ -44,8 +44,6 @@ class ReplicaSupervisor {
     alive_[static_cast<size_t>(replica)]->store(false, std::memory_order_release);
   }
   [[nodiscard]] int num_alive() const;
-  // Lowest-index live replica; -1 when none (the drivers never let that happen).
-  [[nodiscard]] int FirstAlive() const;
 
   // Stalls (deterministic driver only): the replica skips steps while step < stall_until.
   void MarkStalled(int replica, int64_t until_step) {

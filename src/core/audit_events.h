@@ -56,7 +56,8 @@ class AuditSink {
 
   // --- JengaAllocator (global coordination) ---
 
-  // A whole-evictable large page was (re-)pushed onto the lazy reclaim heap.
+  // A whole-evictable large page's reclaim-heap entry was placed, or re-keyed in place to a
+  // newer timestamp (the heap holds at most one entry per large page).
   virtual void OnReclaimPushed(int /*group*/, LargePageId /*large*/, Tick /*timestamp*/) {}
   // Step 3 of §5.4 chose this large page as the global reclaim victim.
   virtual void OnLargeReclaimed(int /*group*/, LargePageId /*large*/) {}

@@ -145,22 +145,6 @@ int32_t JengaAllocator::ShrinkPool(int32_t pages) {
   return removable;
 }
 
-int32_t JengaAllocator::ShrinkablePages(int32_t pages) const {
-  int32_t removable = 0;
-  while (removable < pages) {
-    const LargePageId page = lcm_.num_pages() - 1 - removable;
-    if (page < 0) {
-      break;
-    }
-    const int owner = lcm_.owner(page);
-    if (owner >= 0 && !groups_[static_cast<size_t>(owner)]->IsReclaimCandidate(page)) {
-      break;
-    }
-    removable += 1;
-  }
-  return removable;
-}
-
 void JengaAllocator::ForgetRequest(RequestId request) {
   for (const auto& group : groups_) {
     group->ForgetRequest(request);

@@ -53,10 +53,6 @@ class JengaAllocator final : public LargePageProvider {
   // dense — and returns the number of pages actually removed (possibly 0).
   [[nodiscard]] int32_t ShrinkPool(int32_t pages);
 
-  // Trailing pages removable right now without touching a used slot (what ShrinkPool would
-  // return, without doing it).
-  [[nodiscard]] int32_t ShrinkablePages(int32_t pages) const;
-
   // Drops every group's affinity free list for a retired request id (see
   // SmallPageAllocator::ForgetRequest).
   void ForgetRequest(RequestId request);

@@ -192,7 +192,6 @@ class MambaPolicy : public LayerPolicy {
                                                     int tokens_per_page) const override;
   [[nodiscard]] bool PrefixValid(BlockHitResolver& hits, int64_t p,
                                  int tokens_per_page) const override;
-  [[nodiscard]] int checkpoint_interval() const { return checkpoint_interval_; }
 
  private:
   int checkpoint_interval_;

@@ -7,7 +7,8 @@
 // preemption and re-admission need no heap updates. Deletion is lazy: requests that finish,
 // fail, or are cancelled before their deadline leave a stale entry behind, which the owner
 // discards when it surfaces at the top (the owner checks liveness against its request table).
-// This mirrors the duplicate-tolerant reclaim heap in JengaAllocator.
+// Unlike JengaAllocator's reclaim heap, which re-keys its one entry per large page in place,
+// entries here are never updated: each request contributes exactly one.
 //
 // Expiry-order contract: the heap yields deadline order, but the engines' legacy cancel
 // order is queue order (waiting first, then running). Callers that pop more than one expired

@@ -334,8 +334,7 @@ bool Engine::StepOnce() {
     }
   }
 
-  metrics_.RecordStep(now_, step_failed ? 0 : scheduled_tokens, step_failed ? 0 : decode_batch,
-                      static_cast<int>(running_.size()), static_cast<int>(waiting_.size()));
+  metrics_.RecordStep(now_, step_failed ? 0 : scheduled_tokens, step_failed ? 0 : decode_batch);
   if (config_.memory_sample_every > 0 &&
       metrics_.total_steps() % config_.memory_sample_every == 0) {
     const KvManager::MemoryStats stats = kv().GetMemoryStats();

@@ -72,6 +72,16 @@ bool IsSubsequenceScope(GroupScope scope) {
   return scope == GroupScope::kImageTokens || scope == GroupScope::kTextTokens;
 }
 
+// True when block j (tokens [j·bs, (j+1)·bs)) overlaps one of the needed token ranges.
+inline bool BlockNeeded(const std::vector<TokenRange>& ranges, int64_t j, int bs) {
+  for (const TokenRange& range : ranges) {
+    if (range.begin < (j + 1) * bs && range.end > j * bs) {
+      return true;
+    }
+  }
+  return false;
+}
+
 // Order-sensitive mix for the swap round-trip fingerprint (splitmix-style).
 uint64_t MixFingerprint(uint64_t h, uint64_t v) {
   h ^= v + 0x9E3779B97F4A7C15ull + (h << 12) + (h >> 4);
@@ -117,7 +127,7 @@ KvManager::KvManager(KvSpec alloc_spec, KvSpec accounting_spec, int64_t pool_byt
   }
 }
 
-KvManager::RequestKv& KvManager::StateOf(const Request& r) {
+const KvManager::RequestKv& KvManager::StateOf(const Request& r) const {
   const auto it = requests_.find(r.id);
   JENGA_CHECK(it != requests_.end()) << "request " << r.id << " not admitted";
   return it->second;
@@ -138,7 +148,7 @@ int64_t KvManager::TargetPages(const Request& r, const KvGroupSpec& group,
   return CeilDiv(tokens, group.tokens_per_page);
 }
 
-void KvManager::OnAdmit(Request& r, Tick now) {
+KvManager::RequestKv& KvManager::TrackRequest(Request& r) {
   JENGA_CHECK(!requests_.contains(r.id)) << "request " << r.id << " already admitted";
   RequestKv& state = requests_[r.id];
   state.groups.resize(spec_.groups.size());
@@ -147,16 +157,59 @@ void KvManager::OnAdmit(Request& r, Tick now) {
   }
   r.num_computed_tokens = 0;
   r.cached_prefix_tokens = 0;
-  state.computed_tokens = 0;
+  return state;
+}
 
+int KvManager::HitUnit(size_t g) const {
+  return spec_.groups[g].kind == GroupKind::kMamba ? kMambaCheckpointInterval
+                                                   : options_.tokens_per_page;
+}
+
+KvManager::GroupHit KvManager::HitBlocks(const Request& r, size_t g, int64_t tokens) const {
+  const int unit = HitUnit(g);
+  const int64_t group_tokens = GroupTokensFor(r, spec_.groups[g], tokens);
+  return GroupHit{group_tokens / unit, group_tokens % unit == 0};
+}
+
+template <typename Fn>
+void KvManager::ForEachHitBlock(const Request& r,
+                                const std::vector<std::vector<BlockHash>>& group_hashes,
+                                int64_t hit_tokens, Fn&& fn) const {
+  for (size_t g = 0; g < spec_.groups.size(); ++g) {
+    const KvGroupSpec& group = spec_.groups[g];
+    const std::vector<BlockHash>& hashes = group_hashes[g];
+    const int unit = HitUnit(g);
+    const int64_t blocks = HitBlocks(r, g, hit_tokens).blocks;
+    JENGA_CHECK_LE(blocks, static_cast<int64_t>(hashes.size()));
+    const int gi = static_cast<int>(g);
+    if (group.kind == GroupKind::kMamba) {
+      // Restoring from a checkpoint reads the deepest one alone.
+      if (blocks > 0) {
+        fn(gi, blocks - 1, hashes[static_cast<size_t>(blocks) - 1], blocks * unit);
+      }
+      continue;
+    }
+    // Only blocks the layer actually depends on (Figure 9b: update_last_access touches window
+    // tokens only). Cached out-of-window blocks keep their old timestamps, so they age out
+    // first under pressure.
+    const std::vector<TokenRange> needed =
+        policies_[g]->NeededTokenRanges(GroupTokensFor(r, group, hit_tokens));
+    for (int64_t j = 0; j < blocks; ++j) {
+      if (BlockNeeded(needed, j, unit)) {
+        fn(gi, j, hashes[static_cast<size_t>(j)], (j + 1) * unit);
+      }
+    }
+  }
+}
+
+void KvManager::OnAdmit(Request& r, Tick now) {
+  RequestKv& state = TrackRequest(r);
   if (!options_.enable_prefix_caching) {
     return;
   }
   const int bs = options_.tokens_per_page;
-  const int64_t prompt_len = r.prompt_len();
-  const int64_t num_boundaries = prompt_len / bs;  // Boundary b covers b·bs tokens.
-  if (num_boundaries == 0) {
-    return;
+  if (r.prompt_len() / bs == 0) {
+    return;  // No full block to hit.
   }
 
   // Per-group block-hash chains over the prompt (checkpoint-interval blocks for Mamba,
@@ -184,73 +237,46 @@ void KvManager::OnAdmit(Request& r, Tick now) {
     PromoteHostHits(r, group_hashes, now);
   }
 
-  int64_t boundary = ResolveHitBoundary(r, group_hashes, /*include_host=*/false);
-  // Keep at least one prompt token to compute (an engine cannot "hit" the whole prompt).
-  while (boundary > 0 && boundary * bs >= prompt_len) {
-    --boundary;
-  }
-  if (boundary == 0) {
+  const int64_t hit_tokens = ResolveHitBoundary(r, group_hashes, /*include_host=*/false) * bs;
+  if (hit_tokens == 0) {
     return;
   }
-  const int64_t hit_tokens = boundary * bs;
 
-  // Take references on the covering pages of every group.
+  // Every block table starts as the hit prefix of holes, with the hash chain positioned at its
+  // end; the reference pass then fills in the cached pages of the blocks the layer reads. The
+  // remaining holes are ones the policy tolerates (blocks it does not read at this length).
   for (size_t g = 0; g < spec_.groups.size(); ++g) {
-    const KvGroupSpec& group = spec_.groups[g];
-    SmallPageAllocator& alloc = allocator_.group(static_cast<int>(g));
     GroupState& gs = state.groups[g];
-
-    if (group.kind == GroupKind::kMamba) {
-      const int64_t k = hit_tokens / kMambaCheckpointInterval;
-      JENGA_CHECK_EQ(hit_tokens % kMambaCheckpointInterval, 0);
-      if (k > 0) {
-        const auto page = alloc.LookupCached(group_hashes[g][static_cast<size_t>(k) - 1]);
-        JENGA_CHECK(page.has_value()) << "mamba hit vanished";
-        alloc.UpdateLastAccess(*page, now);  // Restore-from-checkpoint touches the state.
-        gs.chain = group_hashes[g][static_cast<size_t>(k) - 1];
-        gs.chain_tokens = k * kMambaCheckpointInterval;
-        gs.checkpoints_done = k;
-      }
+    const bool mamba = spec_.groups[g].kind == GroupKind::kMamba;
+    const GroupHit hit = HitBlocks(r, g, hit_tokens);
+    JENGA_CHECK(!mamba || hit.aligned) << "mamba hit off a checkpoint";
+    if (hit.blocks == 0) {
       continue;
     }
-
-    const int64_t blocks =
-        IsSubsequenceScope(group.scope) ? GroupTokensFor(r, group, hit_tokens) / bs : boundary;
-    // Only blocks the layer actually depends on are referenced and refreshed (Figure 9b:
-    // update_last_access touches window tokens only). Cached out-of-window blocks stay
-    // evictable with their old timestamps, so they age out first under pressure.
-    const std::vector<TokenRange> needed =
-        policies_[g]->NeededTokenRanges(GroupTokensFor(r, group, hit_tokens));
-    gs.pages.reserve(static_cast<size_t>(blocks));
-    for (int64_t j = 0; j < blocks; ++j) {
-      bool block_needed = false;
-      for (const TokenRange& range : needed) {
-        if (range.begin < (j + 1) * bs && range.end > j * bs) {
-          block_needed = true;
-          break;
-        }
-      }
-      const auto page = block_needed
-                            ? alloc.LookupCached(group_hashes[g][static_cast<size_t>(j)])
-                            : std::nullopt;
-      if (page.has_value()) {
-        alloc.AddRef(*page);
-        alloc.UpdateLastAccess(*page, now);
-        gs.pages.push_back(*page);
-      } else {
-        // A hole the policy tolerates (out-of-window block, or an unneeded one we skip).
-        gs.pages.push_back(kNoSmallPage);
-      }
-    }
-    // Blocks before the first needed one will never be re-referenced; start the drop cursor
-    // past them so DropUnneededPages does not revisit.
-    gs.drop_cursor = 0;
-    gs.hashed_blocks = blocks;
-    if (blocks > 0) {
-      gs.chain = group_hashes[g][static_cast<size_t>(blocks) - 1];
-      gs.chain_tokens = blocks * bs;
+    gs.chain = group_hashes[g][static_cast<size_t>(hit.blocks) - 1];
+    gs.chain_tokens = hit.blocks * HitUnit(g);
+    if (mamba) {
+      gs.checkpoints_done = hit.blocks;
+    } else {
+      gs.pages.assign(static_cast<size_t>(hit.blocks), kNoSmallPage);
+      gs.hashed_blocks = hit.blocks;
     }
   }
+  ForEachHitBlock(r, group_hashes, hit_tokens,
+                  [&](int g, int64_t j, BlockHash hash, int64_t /*prefix_length*/) {
+                    SmallPageAllocator& alloc = allocator_.group(g);
+                    const auto page = alloc.LookupCached(hash);
+                    if (spec_.groups[static_cast<size_t>(g)].kind == GroupKind::kMamba) {
+                      JENGA_CHECK(page.has_value()) << "mamba hit vanished";
+                      // Restore-from-checkpoint touches the state; the running state page is
+                      // allocated fresh, so the checkpoint takes no reference.
+                      alloc.UpdateLastAccess(*page, now);
+                    } else if (page.has_value()) {
+                      alloc.AddRef(*page);
+                      alloc.UpdateLastAccess(*page, now);
+                      state.groups[static_cast<size_t>(g)].pages[static_cast<size_t>(j)] = *page;
+                    }
+                  });
 
   // Modality streams consumed so far (for future chain extension) — bulk-sliced from the
   // memoized prompt streams by the O(1) image-prefix counts.
@@ -330,32 +356,11 @@ int64_t KvManager::ResolveHitBoundary(const Request& r,
   for (int64_t b = num_boundaries; b > 0; --b) {
     bool all = true;
     for (size_t g = 0; g < spec_.groups.size() && all; ++g) {
-      const KvGroupSpec& group = spec_.groups[g];
-      const int64_t num_hashes = static_cast<int64_t>(group_hashes[g].size());
-      if (group.kind == GroupKind::kMamba) {
-        const int64_t tokens = b * bs;
-        if (tokens % kMambaCheckpointInterval != 0) {
-          all = false;  // Only checkpoint-aligned boundaries can be Mamba hits.
-          continue;
-        }
-        const int64_t k = tokens / kMambaCheckpointInterval;
-        all = k <= num_hashes &&
-              policies_[g]->PrefixValid(resolvers[g], k, kMambaCheckpointInterval);
-        continue;
-      }
-      if (IsSubsequenceScope(group.scope)) {
-        const int64_t sub_count = GroupTokensFor(r, group, b * bs);
-        // Conservative: only block-aligned subsequence coverage counts as a hit.
-        if (sub_count % bs != 0) {
-          all = false;
-          continue;
-        }
-        const int64_t p = sub_count / bs;
-        all = p <= num_hashes && policies_[g]->PrefixValid(resolvers[g], p, bs);
-        continue;
-      }
-      // All-token groups: boundaries map 1:1 to group blocks.
-      all = policies_[g]->PrefixValid(resolvers[g], b, bs);
+      // Only boundaries on a group's own unit edge (Mamba checkpoint, subsequence block) can
+      // be hits for it — conservative for modality-subsequence groups.
+      const GroupHit hit = HitBlocks(r, g, b * bs);
+      all = hit.aligned && hit.blocks <= static_cast<int64_t>(group_hashes[g].size()) &&
+            policies_[g]->PrefixValid(resolvers[g], hit.blocks, HitUnit(g));
     }
     if (all) {
       result = b;
@@ -367,6 +372,10 @@ int64_t KvManager::ResolveHitBoundary(const Request& r,
     const int64_t reference =
         LongestCommonValidPrefix(BuildValidBitmaps(r, group_hashes, include_host));
     JENGA_CHECK_EQ(result, reference) << "fused hit scan diverged from the bitmap reference";
+  }
+  // Keep at least one prompt token to compute (an engine cannot "hit" the whole prompt).
+  if (result * bs >= r.prompt_len()) {
+    --result;
   }
   return result;
 }
@@ -398,42 +407,68 @@ void KvManager::ExtendModalityStreams(const Request& r, RequestKv& state,
 }
 
 bool KvManager::AllocateForTokens(Request& r, int64_t n, Tick now) {
-  RequestKv& state = StateOf(r);
-  const int64_t upto = r.num_computed_tokens + n;
-  // Completed per-group bulk allocations, for cross-group rollback (within one group
-  // AllocateN rolls itself back before reporting failure). Groups are per layer *type*, so
-  // the count is tiny and bounded (checked in the constructor); the inline array removes the
-  // heap allocation this function used to pay per call even when nothing needed rolling
-  // back (ROADMAP item 5).
-  struct FreshGroup {
-    int group;
-    int64_t need;
-  };
-  std::array<FreshGroup, kMaxGroups> fresh;
-  size_t num_fresh = 0;
+  return GrowBlockTables(r, StateOf(r), r.num_computed_tokens + n, /*leave_dropped=*/false, now);
+}
+
+bool KvManager::GrowBlockTables(const Request& r, RequestKv& state, int64_t tokens,
+                                bool leave_dropped, Tick now) {
+  // Entry sizes of the groups visited so far, for cross-group rollback (within one group
+  // AllocateN rolls back its own run). Groups are per layer *type*, so the count is tiny and
+  // bounded (checked in the constructor); the inline array keeps this hot path free of heap
+  // allocation.
+  std::array<int64_t, kMaxGroups> entry_sizes{};
   for (size_t g = 0; g < spec_.groups.size(); ++g) {
     const KvGroupSpec& group = spec_.groups[g];
     GroupState& gs = state.groups[g];
-    const int64_t target = TargetPages(r, group, upto);
-    const int64_t need = target - static_cast<int64_t>(gs.pages.size());
-    if (need <= 0) {
+    const int64_t target = TargetPages(r, group, tokens);
+    int64_t j = static_cast<int64_t>(gs.pages.size());
+    entry_sizes[g] = j;
+    if (j >= target) {
       continue;
     }
-    if (!allocator_.group(static_cast<int>(g)).AllocateN(r.id, need, now, &gs.pages)) {
-      // Roll back everything this call allocated, newest first; the caller will preempt.
-      for (size_t f = num_fresh; f > 0; --f) {
-        SmallPageAllocator& alloc = allocator_.group(fresh[f - 1].group);
-        GroupState& owner = state.groups[static_cast<size_t>(fresh[f - 1].group)];
-        for (int64_t k = 0; k < fresh[f - 1].need; ++k) {
-          alloc.Release(owner.pages.back(), /*keep_cached=*/false);
-          owner.pages.pop_back();
-        }
-      }
-      return false;
+    // Droppable groups (sliding window, pyramid) restore only the blocks the policy still
+    // needs at `tokens`; everything else stays a hole, exactly as DropUnneededPages left it.
+    const bool holes = leave_dropped && options_.jenga && policies_[g]->CanDropUnneededPages();
+    std::vector<TokenRange> needed;
+    if (holes) {
+      needed = policies_[g]->NeededTokenRanges(GroupTokensFor(r, group, tokens));
     }
-    fresh[num_fresh++] = FreshGroup{static_cast<int>(g), need};
+    const int bs = group.tokens_per_page;
+    const auto wanted = [&](int64_t b) { return !holes || BlockNeeded(needed, b, bs); };
+    // Wanted blocks come in contiguous runs between the holes; each run is one AllocateN.
+    while (j < target) {
+      if (!wanted(j)) {
+        gs.pages.push_back(kNoSmallPage);
+        ++j;
+        continue;
+      }
+      int64_t run_end = holes ? j + 1 : target;
+      while (run_end < target && wanted(run_end)) {
+        ++run_end;
+      }
+      if (!allocator_.group(static_cast<int>(g)).AllocateN(r.id, run_end - j, now, &gs.pages)) {
+        // Roll back everything this call claimed, newest first (later groups are untouched).
+        for (size_t k = g + 1; k-- > 0;) {
+          TruncateBlockTable(state, static_cast<int>(k), entry_sizes[k]);
+        }
+        return false;
+      }
+      j = run_end;
+    }
   }
   return true;
+}
+
+void KvManager::TruncateBlockTable(RequestKv& state, int g, int64_t size) {
+  GroupState& gs = state.groups[static_cast<size_t>(g)];
+  SmallPageAllocator& alloc = allocator_.group(g);
+  while (static_cast<int64_t>(gs.pages.size()) > size) {
+    // Pages past the committed state never had a content hash registered.
+    if (gs.pages.back() != kNoSmallPage) {
+      alloc.Release(gs.pages.back(), /*keep_cached=*/false);
+    }
+    gs.pages.pop_back();
+  }
 }
 
 void KvManager::RegisterHashes(Request& r, RequestKv& state, Tick now) {
@@ -498,43 +533,35 @@ void KvManager::SnapshotMambaCheckpoints(Request& r, RequestKv& state, int g, Ti
   }
 }
 
-void KvManager::DropUnneededPages(RequestKv& state, int g, Tick now) {
+void KvManager::DropUnneededPages(RequestKv& state, int g, int64_t tokens) {
   GroupState& gs = state.groups[static_cast<size_t>(g)];
   if (gs.pages.empty()) {
     return;
   }
   SmallPageAllocator& alloc = allocator_.group(g);
-  const KvGroupSpec& group = spec_.groups[static_cast<size_t>(g)];
-  const int bs = group.tokens_per_page;
-  const int64_t tokens = gs.drop_tokens_hint;
+  const int bs = spec_.groups[static_cast<size_t>(g)].tokens_per_page;
   const std::vector<TokenRange> ranges = policies_[static_cast<size_t>(g)]->NeededTokenRanges(tokens);
   if (ranges.empty()) {
     return;
   }
+  // Every block visited ends at or before the last range's start, so it stays exactly when an
+  // earlier range (e.g. the attention sinks) overlaps it.
   const int64_t limit_block =
       std::min<int64_t>(ranges.back().begin / bs, static_cast<int64_t>(gs.pages.size()));
-  while (gs.drop_cursor < limit_block) {
+  for (; gs.drop_cursor < limit_block; ++gs.drop_cursor) {
     const int64_t j = gs.drop_cursor;
-    bool keep = false;
-    for (size_t i = 0; i + 1 < ranges.size(); ++i) {
-      if (ranges[i].begin < (j + 1) * bs && ranges[i].end > j * bs) {
-        keep = true;
-        break;
-      }
+    const SmallPageId page = gs.pages[static_cast<size_t>(j)];
+    if (page == kNoSmallPage || BlockNeeded(ranges, j, bs)) {
+      continue;
     }
-    if (!keep && gs.pages[static_cast<size_t>(j)] != kNoSmallPage) {
-      const SmallPageId page = gs.pages[static_cast<size_t>(j)];
-      if (defer_refresh_[static_cast<size_t>(g)] && gs.last_touch != 0) {
-        // Deferred refresh: the page was inside the window through the previous step.
-        alloc.UpdateLastAccess(page, gs.last_touch);
-      }
-      alloc.SetPrefixLength(page, (j + 1) * bs);
-      alloc.Release(page, options_.enable_prefix_caching);
-      gs.pages[static_cast<size_t>(j)] = kNoSmallPage;
+    if (defer_refresh_[static_cast<size_t>(g)] && gs.last_touch != 0) {
+      // Deferred refresh: the page was inside the window through the previous step.
+      alloc.UpdateLastAccess(page, gs.last_touch);
     }
-    gs.drop_cursor += 1;
+    alloc.SetPrefixLength(page, (j + 1) * bs);
+    alloc.Release(page, options_.enable_prefix_caching);
+    gs.pages[static_cast<size_t>(j)] = kNoSmallPage;
   }
-  (void)now;
 }
 
 void KvManager::FreeConsumedVisionPages(const Request& r, RequestKv& state, Tick now) {
@@ -590,9 +617,8 @@ void KvManager::OnStepComputed(Request& r, Tick now) {
         continue;  // Vision pages are freed by consumption, not by windowing.
       }
       if (policies_[g]->CanDropUnneededPages()) {
-        state.groups[g].drop_tokens_hint =
-            GroupTokensFor(r, spec_.groups[g], r.num_computed_tokens);
-        DropUnneededPages(state, static_cast<int>(g), now);
+        DropUnneededPages(state, static_cast<int>(g),
+                          GroupTokensFor(r, spec_.groups[g], r.num_computed_tokens));
       }
     }
     FreeConsumedVisionPages(r, state, now);
@@ -710,12 +736,8 @@ uint64_t KvManager::StateFingerprint(const RequestKv& state) const {
   return h;
 }
 
-KvSwapFootprint KvManager::GetSwapFootprint(const Request& r) const {
-  const auto it = requests_.find(r.id);
-  JENGA_CHECK(it != requests_.end()) << "request " << r.id << " not admitted";
-  const RequestKv& state = it->second;
-  KvSwapFootprint fp;
-  fp.tokens = r.num_computed_tokens;
+void KvManager::AddSwapFootprint(const Request& r, SwapFootprint* fp) const {
+  const RequestKv& state = StateOf(r);
   for (size_t g = 0; g < spec_.groups.size(); ++g) {
     const KvGroupSpec& group = spec_.groups[g];
     int64_t resident = 0;
@@ -724,110 +746,34 @@ KvSwapFootprint KvManager::GetSwapFootprint(const Request& r) const {
         resident += group.page_bytes;
       }
     }
-    fp.resident_bytes += resident;
+    fp->resident_bytes += resident;
     if (policies_[g]->SwapEligible()) {
-      fp.swappable_bytes += resident;
+      fp->swappable_bytes += resident;
     } else {
       // Recompute-cheap groups are dropped on swap-out; the swap alternative still pays for
       // rebuilding what the policy needs at this progress point.
       const int64_t tokens = GroupTokensFor(r, group, r.num_computed_tokens);
-      fp.drop_recompute_bytes +=
+      fp->drop_recompute_bytes +=
           RangeTokens(policies_[g]->NeededTokenRanges(tokens)) * group.BytesPerToken();
     }
   }
-  fp.fingerprint = StateFingerprint(state);
-  return fp;
+  fp->fingerprints.push_back(StateFingerprint(state));
 }
 
 void KvManager::TrimToComputed(const Request& r) {
   RequestKv& state = StateOf(r);
   for (size_t g = 0; g < spec_.groups.size(); ++g) {
-    GroupState& gs = state.groups[g];
-    const int64_t target = TargetPages(r, spec_.groups[g], r.num_computed_tokens);
-    SmallPageAllocator& alloc = allocator_.group(static_cast<int>(g));
-    while (static_cast<int64_t>(gs.pages.size()) > target) {
-      // Uncomputed pages never had a content hash registered; nothing to keep cached.
-      if (gs.pages.back() != kNoSmallPage) {
-        alloc.Release(gs.pages.back(), /*keep_cached=*/false);
-      }
-      gs.pages.pop_back();
-    }
+    TruncateBlockTable(state, static_cast<int>(g),
+                       TargetPages(r, spec_.groups[g], r.num_computed_tokens));
   }
 }
 
 bool KvManager::RestoreFromSwap(Request& r, int64_t tokens, uint64_t expected_fingerprint,
                                 Tick now) {
-  JENGA_CHECK(!requests_.contains(r.id)) << "request " << r.id << " already admitted";
   JENGA_CHECK_GT(tokens, 0);
   JENGA_CHECK_GE(static_cast<int64_t>(r.all_tokens.size()), tokens);
-  RequestKv& state = requests_[r.id];
-  state.groups.resize(spec_.groups.size());
-  for (size_t g = 0; g < spec_.groups.size(); ++g) {
-    state.groups[g].chain = InitBlockChain(GroupSalt(static_cast<int>(g)));
-  }
-  r.num_computed_tokens = 0;
-  r.cached_prefix_tokens = 0;
-  state.computed_tokens = 0;
-
-  // Completed bulk runs as (group, first block-table index, count) — needed pages come in
-  // contiguous runs between the droppable holes, so each run is one AllocateN call.
-  std::vector<std::tuple<int, size_t, int64_t>> fresh_runs;
-  bool failed = false;
-  for (size_t g = 0; g < spec_.groups.size() && !failed; ++g) {
-    const KvGroupSpec& group = spec_.groups[g];
-    SmallPageAllocator& alloc = allocator_.group(static_cast<int>(g));
-    GroupState& gs = state.groups[g];
-    const int64_t target = TargetPages(r, group, tokens);
-    // Droppable groups (sliding window, pyramid) restore only the blocks the policy still
-    // needs at `tokens`; everything else stays a hole, exactly as DropUnneededPages left it.
-    const bool droppable = options_.jenga && policies_[g]->CanDropUnneededPages();
-    std::vector<TokenRange> needed;
-    if (droppable) {
-      needed = policies_[g]->NeededTokenRanges(GroupTokensFor(r, group, tokens));
-    }
-    const int bs = group.tokens_per_page;
-    const auto want = [&](int64_t j) {
-      if (!droppable) {
-        return true;
-      }
-      for (const TokenRange& range : needed) {
-        if (range.begin < (j + 1) * bs && range.end > j * bs) {
-          return true;
-        }
-      }
-      return false;
-    };
-    gs.pages.reserve(static_cast<size_t>(target));
-    int64_t j = 0;
-    while (j < target) {
-      if (!want(j)) {
-        gs.pages.push_back(kNoSmallPage);
-        ++j;
-        continue;
-      }
-      int64_t run_end = j + 1;
-      while (run_end < target && want(run_end)) {
-        ++run_end;
-      }
-      const size_t start = gs.pages.size();
-      if (!alloc.AllocateN(r.id, run_end - j, now, &gs.pages)) {
-        failed = true;
-        break;
-      }
-      fresh_runs.emplace_back(static_cast<int>(g), start, run_end - j);
-      j = run_end;
-    }
-  }
-  if (failed) {
-    // Newest-first rollback across runs (AllocateN already rolled back the failing run).
-    for (auto it = fresh_runs.rbegin(); it != fresh_runs.rend(); ++it) {
-      const auto [g, start, count] = *it;
-      GroupState& gs = state.groups[static_cast<size_t>(g)];
-      for (int64_t k = count - 1; k >= 0; --k) {
-        allocator_.group(g).Release(gs.pages[start + static_cast<size_t>(k)],
-                                    /*keep_cached=*/false);
-      }
-    }
+  RequestKv& state = TrackRequest(r);
+  if (!GrowBlockTables(r, state, tokens, /*leave_dropped=*/true, now)) {
     requests_.erase(r.id);
     return false;
   }
@@ -908,76 +854,33 @@ std::vector<std::vector<bool>> KvManager::BuildValidBitmaps(
 void KvManager::PromoteHostHits(const Request& r,
                                 const std::vector<std::vector<BlockHash>>& group_hashes,
                                 Tick now) {
-  const int bs = options_.tokens_per_page;
-  const int64_t prompt_len = r.prompt_len();
   // The promotion target is what the hit scan *could* find if every host-resident block were
   // on the GPU: the longest common valid prefix over GPU ∪ host residency. Promotion then
   // fills exactly the gap between that target and current GPU residency — blocks a policy
   // never reads at the target length (out-of-window tails, pyramid middles) are not worth
   // PCIe time, and each one would evict a genuinely useful page.
-  int64_t boundary = ResolveHitBoundary(r, group_hashes, /*include_host=*/true);
-  while (boundary > 0 && boundary * bs >= prompt_len) {
-    --boundary;
-  }
-  if (boundary == 0) {
+  const int64_t hit_tokens =
+      ResolveHitBoundary(r, group_hashes, /*include_host=*/true) * options_.tokens_per_page;
+  if (hit_tokens == 0) {
     return;
   }
-  const int64_t hit_tokens = boundary * bs;
-
-  // Pass 0 refreshes the last-access of every GPU-resident needed block; pass 1 promotes the
-  // host-resident rest. Ordering matters: a promotion's allocation evicts under pressure, and
-  // it must take other requests' stale pages, not the prefix this pass is assembling (the
-  // reference pass in OnAdmit has not pinned it yet).
-  for (int pass = 0; pass < 2; ++pass) {
-    const bool promote = pass == 1;
-    for (size_t g = 0; g < spec_.groups.size(); ++g) {
-      const KvGroupSpec& group = spec_.groups[g];
-      SmallPageAllocator& alloc = allocator_.group(static_cast<int>(g));
-      const std::vector<BlockHash>& hashes = group_hashes[g];
-      if (group.kind == GroupKind::kMamba) {
-        // Only the deepest checkpoint at or before the target is restored from (the reference
-        // pass reads checkpoint k−1 alone).
-        const int64_t k = hit_tokens / kMambaCheckpointInterval;
-        if (k <= 0 || static_cast<size_t>(k) > hashes.size()) {
-          continue;
-        }
-        const BlockHash h = hashes[static_cast<size_t>(k) - 1];
-        if (const auto page = alloc.LookupCached(h)) {
-          if (!promote) {
-            alloc.UpdateLastAccess(*page, now);
-          }
-        } else if (promote) {
-          (void)TryPromoteHostBlock(static_cast<int>(g), h, k * kMambaCheckpointInterval, r.id,
-                                    now);
-        }
-        continue;
-      }
-      const int64_t group_tokens = GroupTokensFor(r, group, hit_tokens);
-      const int64_t blocks =
-          std::min(static_cast<int64_t>(hashes.size()), group_tokens / bs);
-      const std::vector<TokenRange> needed = policies_[g]->NeededTokenRanges(group_tokens);
-      for (int64_t j = 0; j < blocks; ++j) {
-        bool block_needed = false;
-        for (const TokenRange& range : needed) {
-          if (range.begin < (j + 1) * bs && range.end > j * bs) {
-            block_needed = true;
-            break;
-          }
-        }
-        if (!block_needed) {
-          continue;
-        }
-        const BlockHash h = hashes[static_cast<size_t>(j)];
-        if (const auto page = alloc.LookupCached(h)) {
-          if (!promote) {
-            alloc.UpdateLastAccess(*page, now);
-          }
-        } else if (promote) {
-          (void)TryPromoteHostBlock(static_cast<int>(g), h, (j + 1) * bs, r.id, now);
-        }
-      }
-    }
-  }
+  // The first walk refreshes the last-access of every GPU-resident needed block; the second
+  // promotes the host-resident rest. Ordering matters: a promotion's allocation evicts under
+  // pressure, and it must take other requests' stale pages, not the prefix this pass is
+  // assembling (the reference pass in OnAdmit has not pinned it yet).
+  ForEachHitBlock(r, group_hashes, hit_tokens,
+                  [&](int g, int64_t /*j*/, BlockHash hash, int64_t /*prefix_length*/) {
+                    SmallPageAllocator& alloc = allocator_.group(g);
+                    if (const auto page = alloc.LookupCached(hash)) {
+                      alloc.UpdateLastAccess(*page, now);
+                    }
+                  });
+  ForEachHitBlock(r, group_hashes, hit_tokens,
+                  [&](int g, int64_t /*j*/, BlockHash hash, int64_t prefix_length) {
+                    if (!allocator_.group(g).LookupCached(hash).has_value()) {
+                      (void)TryPromoteHostBlock(g, hash, prefix_length, r.id, now);
+                    }
+                  });
 }
 
 bool KvManager::TryPromoteHostBlock(int g, BlockHash hash, int64_t prefix_length, RequestId rid,

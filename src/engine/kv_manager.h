@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/core/block_hash.h"
@@ -22,17 +23,7 @@
 namespace jenga {
 
 class SwapManager;
-
-// A request's current KV footprint as seen by one manager, for the swap-vs-recompute
-// decision. `fingerprint` hashes the per-group chains and block-table shapes so a swap-in can
-// verify the round trip restored the exact same state.
-struct KvSwapFootprint {
-  int64_t tokens = 0;
-  int64_t swappable_bytes = 0;       // Resident bytes in swap-eligible groups.
-  int64_t resident_bytes = 0;        // Resident bytes in all groups.
-  int64_t drop_recompute_bytes = 0;  // Needed bytes of swap-ineligible groups.
-  uint64_t fingerprint = 0;
-};
+struct SwapFootprint;
 
 // Builds the per-group spec Jenga allocates with (vision-embedding group included when the
 // model has a vision encoder and `vision_cache` is set).
@@ -120,9 +111,11 @@ class KvManager {
   // block tables already match the committed state.
   void TrimToComputed(const Request& r);
 
-  // Footprint of `r`'s resident pages for the swap-vs-recompute crossover. Must be called
-  // before Release (it reads the live block tables).
-  [[nodiscard]] KvSwapFootprint GetSwapFootprint(const Request& r) const;
+  // Adds this manager's share of `r`'s resident pages to `fp` for the swap-vs-recompute
+  // crossover, and appends its state fingerprint (per-group chains and block-table shapes, so
+  // a swap-in can verify the round trip restored the exact same state). Must be called before
+  // Release (it reads the live block tables); the caller sets `fp->tokens`.
+  void AddSwapFootprint(const Request& r, SwapFootprint* fp) const;
 
   // Re-admission by swap-in: rebuilds `r`'s block tables for `tokens` computed tokens
   // (droppable groups restore only their needed windows) and replays the hash/checkpoint
@@ -161,10 +154,12 @@ class KvManager {
   [[nodiscard]] JengaAllocator& allocator_mutable() { return allocator_; }
   [[nodiscard]] const KvSpec& alloc_spec() const { return spec_; }
   [[nodiscard]] int tokens_per_page() const { return options_.tokens_per_page; }
-  [[nodiscard]] bool caching_enabled() const { return options_.enable_prefix_caching; }
-  [[nodiscard]] bool has_vision_group() const { return vision_group_ >= 0; }
   [[nodiscard]] int64_t total_cache_hit_tokens() const { return total_cache_hit_tokens_; }
-  [[nodiscard]] int num_tracked_requests() const { return static_cast<int>(requests_.size()); }
+  // Group g's block table for admitted request `r`; kNoSmallPage marks a hole (a dropped,
+  // consumed or unneeded block).
+  [[nodiscard]] const std::vector<SmallPageId>& block_table(const Request& r, int g) const {
+    return StateOf(r).groups[static_cast<size_t>(g)].pages;
+  }
 
   void CheckConsistency() const;
 
@@ -177,8 +172,6 @@ class KvManager {
     int64_t hashed_blocks = 0;
     // Blocks below this cursor were released (out-of-window / consumed vision embeddings).
     int64_t drop_cursor = 0;
-    // Group-local token count driving the next DropUnneededPages pass.
-    int64_t drop_tokens_hint = 0;
     // Mamba: checkpoints snapshotted so far.
     int64_t checkpoints_done = 0;
     // Deferred last-access refresh (deferred-refresh groups only): tick of the owner's most
@@ -209,13 +202,38 @@ class KvManager {
     std::vector<int32_t> prompt_text_tokens;
   };
 
-  [[nodiscard]] RequestKv& StateOf(const Request& r);
+  // A group's share of a global prefix, in the group's hit unit (HitUnit): whole units
+  // covered, and whether the prefix ends exactly on a unit edge.
+  struct GroupHit {
+    int64_t blocks = 0;
+    bool aligned = false;
+  };
+
+  [[nodiscard]] const RequestKv& StateOf(const Request& r) const;
+  [[nodiscard]] RequestKv& StateOf(const Request& r) {
+    return const_cast<RequestKv&>(std::as_const(*this).StateOf(r));
+  }
+  // Starts tracking `r` with empty block tables and fresh hash chains, at zero computed tokens
+  // (OnAdmit and RestoreFromSwap).
+  RequestKv& TrackRequest(Request& r);
+  // Group g's hit unit: the checkpoint interval for Mamba, a block otherwise (of the group's
+  // modality subsequence for image/text-scoped groups).
+  [[nodiscard]] int HitUnit(size_t g) const;
+  // The one boundary→block mapping of the §5.2 hit logic: group g's share of a `tokens`-long
+  // prompt prefix. Only aligned shares can be hits; all-token groups are always aligned.
+  [[nodiscard]] GroupHit HitBlocks(const Request& r, size_t g, int64_t tokens) const;
+  // Calls fn(g, j, hash, prefix_length) for every block of a `hit_tokens` prefix hit that its
+  // layer reads — blocks overlapping the policy's needed ranges, and for Mamba only the deepest
+  // checkpoint — in group order, blocks ascending. Looks nothing up; the caller decides.
+  template <typename Fn>
+  void ForEachHitBlock(const Request& r, const std::vector<std::vector<BlockHash>>& group_hashes,
+                       int64_t hit_tokens, Fn&& fn) const;
   [[nodiscard]] AdmissionMemo BuildAdmissionMemo(const Request& r) const;
   // Fused, early-exiting replacement for BuildValidBitmaps + LongestCommonValidPrefix: scans
-  // boundaries top-down and resolves block hits lazily, returning the identical boundary while
+  // boundaries top-down and resolves block hits lazily, finding the identical boundary while
   // touching O(blocks) allocator lookups instead of materializing every per-group bitmap.
   // With JENGA_CHECK_ADMISSION set in the environment, every call is cross-checked against the
-  // bitmap reference.
+  // bitmap reference. Returns that boundary, one lower when it covers the whole prompt.
   [[nodiscard]] int64_t ResolveHitBoundary(const Request& r,
                                            const std::vector<std::vector<BlockHash>>& group_hashes,
                                            bool include_host) const;
@@ -245,7 +263,17 @@ class KvManager {
   [[nodiscard]] uint64_t StateFingerprint(const RequestKv& state) const;
   void RegisterHashes(Request& r, RequestKv& state, Tick now);
   void SnapshotMambaCheckpoints(Request& r, RequestKv& state, int g, Tick now);
-  void DropUnneededPages(RequestKv& state, int g, Tick now);
+  // Releases group g's blocks that fell out of what its policy needs at `tokens` group-local
+  // tokens (Jenga mode, droppable policies only).
+  void DropUnneededPages(RequestKv& state, int g, int64_t tokens);
+  // Grows every block table to its target at `tokens` computed tokens, one AllocateN per run of
+  // wanted blocks. With `leave_dropped`, droppable groups leave the blocks their policy no
+  // longer needs at `tokens` as holes (swap restore). On failure every page this call claimed
+  // is released, newest first, and false is returned.
+  [[nodiscard]] bool GrowBlockTables(const Request& r, RequestKv& state, int64_t tokens,
+                                     bool leave_dropped, Tick now);
+  // Releases group g's block-table entries past `size`, newest first, skipping holes.
+  void TruncateBlockTable(RequestKv& state, int g, int64_t size);
   // Applies a deferred-refresh group's pending last_touch to the blocks the eager per-step
   // refresh would have marked (capped at computed tokens — the vision group allocates ahead).
   // Must run before any of the group's pages can become evictable.

@@ -265,11 +265,7 @@ void SchedulerCore::Preempt(RequestId id, bool allow_swap) {
     SwapFootprint fp;
     fp.tokens = r.num_computed_tokens;
     for (const auto& manager : managers_) {
-      const KvSwapFootprint kfp = manager->GetSwapFootprint(r);
-      fp.swappable_bytes += kfp.swappable_bytes;
-      fp.resident_bytes += kfp.resident_bytes;
-      fp.drop_recompute_bytes += kfp.drop_recompute_bytes;
-      fp.fingerprints.push_back(kfp.fingerprint);
+      manager->AddSwapFootprint(r, &fp);
     }
     // An injected transfer/host fault inside TryRecordSwapOut exhausts its retry budget and
     // reports non-OK; the fallback is the same recompute path a cost-crossover loss takes.

@@ -310,8 +310,7 @@ bool SpecDecodeEngine::StepOnce() {
   prof_gpu.reset();
   if (step_failed) {
     metrics_.gpu_step_faults += 1;
-    metrics_.RecordStep(now_, prefill_tokens, 0, static_cast<int>(running_.size()),
-                        static_cast<int>(waiting_.size()));
+    metrics_.RecordStep(now_, prefill_tokens, 0);
     SyncFaultMetrics();
     return true;
   }
@@ -344,8 +343,7 @@ bool SpecDecodeEngine::StepOnce() {
   }
 
   metrics_.RecordStep(now_, prefill_tokens + emitted_total,
-                      static_cast<int>(decode_emits.size()), static_cast<int>(running_.size()),
-                      static_cast<int>(waiting_.size()));
+                      static_cast<int>(decode_emits.size()));
   SyncFaultMetrics();
   return true;
 }

@@ -4,14 +4,11 @@
 
 namespace jenga {
 
-void EngineMetrics::RecordStep(double time, int64_t scheduled_tokens, int decode_batch,
-                               int running, int waiting) {
-  (void)waiting;
+void EngineMetrics::RecordStep(double time, int64_t scheduled_tokens, int decode_batch) {
   total_steps_ += 1;
   total_scheduled_tokens_ += scheduled_tokens;
   last_time_ = time;
   decode_batch_.Add(time, static_cast<double>(decode_batch));
-  running_.Add(time, static_cast<double>(running));
 }
 
 int64_t EngineMetrics::CompletedRequests() const {

@@ -51,8 +51,7 @@ struct MemorySample {
 
 class EngineMetrics {
  public:
-  void RecordStep(double time, int64_t scheduled_tokens, int decode_batch, int running,
-                  int waiting);
+  void RecordStep(double time, int64_t scheduled_tokens, int decode_batch);
   void RecordMemory(const MemorySample& sample) { memory_timeline_.push_back(sample); }
   void RecordFinished(const RequestRecord& record) { finished_.push_back(record); }
 
@@ -61,7 +60,6 @@ class EngineMetrics {
     return memory_timeline_;
   }
   [[nodiscard]] const TimeSeries& decode_batch_series() const { return decode_batch_; }
-  [[nodiscard]] const TimeSeries& running_series() const { return running_; }
   [[nodiscard]] int64_t total_steps() const { return total_steps_; }
   [[nodiscard]] int64_t total_scheduled_tokens() const { return total_scheduled_tokens_; }
   [[nodiscard]] double last_time() const { return last_time_; }
@@ -133,7 +131,6 @@ class EngineMetrics {
   std::vector<RequestRecord> finished_;
   std::vector<MemorySample> memory_timeline_;
   TimeSeries decode_batch_;
-  TimeSeries running_;
   int64_t total_steps_ = 0;
   int64_t total_scheduled_tokens_ = 0;
   double last_time_ = 0.0;

@@ -62,11 +62,11 @@ TEST(LcmAll, OneDividesOther) {
 
 TEST(MathUtilDeath, LcmRejectsNonPositive) {
   const int64_t sizes[] = {16, 0};
-  EXPECT_DEATH(LcmAll(sizes), "positive");
+  EXPECT_DEATH((void)LcmAll(sizes), "positive");
 }
 
 TEST(MathUtilDeath, GcdRejectsEmpty) {
-  EXPECT_DEATH(GcdAll({}), "at least one");
+  EXPECT_DEATH((void)GcdAll({}), "at least one");
 }
 
 }  // namespace

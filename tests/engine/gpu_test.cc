@@ -28,7 +28,7 @@ TEST(GpuSim, KvPoolSubtractsWeightsAndReserved) {
 TEST(GpuSim, ModelTooLargeDies) {
   ModelConfig model = Llama3_70B_Fp8();
   model.params_b = 300.0;  // 300 GB of weights cannot fit in 80 GB.
-  EXPECT_DEATH(GpuSim(H100(), model).KvPoolBytes(), "does not fit");
+  EXPECT_DEATH((void)GpuSim(H100(), model).KvPoolBytes(), "does not fit");
 }
 
 TEST(GpuSim, StepTimeScalesWithTokens) {

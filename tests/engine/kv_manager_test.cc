@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "src/audit/allocator_auditor.h"
 #include "src/common/math_util.h"
 #include "src/model/model_zoo.h"
+#include "src/offload/swap_manager.h"
 #include "tests/engine/test_models.h"
 
 namespace jenga {
@@ -45,6 +47,37 @@ void ComputeTokens(KvManager& kv, Request& r, int64_t n, Tick now) {
   ASSERT_TRUE(kv.AllocateForTokens(r, n, now));
   r.num_computed_tokens += n;
   kv.OnStepComputed(r, now);
+}
+
+// Index of the first alloc-spec group of `kind`, or -1.
+int GroupOf(const KvManager& kv, GroupKind kind) {
+  const KvSpec& spec = kv.alloc_spec();
+  for (int g = 0; g < static_cast<int>(spec.groups.size()); ++g) {
+    if (spec.groups[static_cast<size_t>(g)].kind == kind) {
+      return g;
+    }
+  }
+  return -1;
+}
+
+// Per group, which blocks of `r`'s block table are holes.
+std::vector<std::vector<bool>> HoleLayout(const KvManager& kv, const Request& r) {
+  std::vector<std::vector<bool>> layout;
+  for (int g = 0; g < kv.allocator().num_groups(); ++g) {
+    std::vector<bool>& holes = layout.emplace_back();
+    for (const SmallPageId page : kv.block_table(r, g)) {
+      holes.push_back(page == kNoSmallPage);
+    }
+  }
+  return layout;
+}
+
+// The footprint Preempt would snapshot for `r` from this one manager.
+SwapFootprint FootprintOf(const KvManager& kv, const Request& r) {
+  SwapFootprint fp;
+  fp.tokens = r.num_computed_tokens;
+  kv.AddSwapFootprint(r, &fp);
+  return fp;
 }
 
 TEST(KvManagerSpecBuilders, HomogeneousSumsLayers) {
@@ -335,6 +368,109 @@ TEST(KvManager, FinishedReleaseDropsRequestAffinityState) {
   ASSERT_GT(max_pages_per_large, 1);
   EXPECT_GT(tracked, 0);
   mixed->CheckConsistency();
+}
+
+TEST(KvManager, PyramidKeepsSinkBlocksAndDropsTheMiddle) {
+  // Budget 48 with 4 sinks: at 320 tokens the layer reads [0, 4) and [276, 320), so block 0
+  // and blocks 17-19 stay; blocks 1-16 become holes as the window slides past them.
+  const ModelConfig model = TinyPyramidModel(/*budget=*/48);
+  auto kv = MakeJengaManager(model, 1 << 22, /*caching=*/false);
+  Request r = MakeRequest(1, TextPrompt(320), 4, 0.0);
+  kv->OnAdmit(r, 1);
+  for (Tick t = 1; r.num_computed_tokens < 320; ++t) {
+    ComputeTokens(*kv, r, kBs, t);
+  }
+  const int pyramid = GroupOf(*kv, GroupKind::kSparsePyramid);
+  const int full = GroupOf(*kv, GroupKind::kFullAttention);
+  ASSERT_GE(pyramid, 0);
+  ASSERT_GE(full, 0);
+  const std::vector<SmallPageId>& table = kv->block_table(r, pyramid);
+  ASSERT_EQ(table.size(), 20u);
+  for (size_t j = 0; j < table.size(); ++j) {
+    const bool kept = j == 0 || j >= 17;
+    EXPECT_EQ(table[j] != kNoSmallPage, kept) << "block " << j;
+  }
+  EXPECT_EQ(kv->allocator().group(pyramid).GetStats().used_pages, 4);
+  for (const SmallPageId page : kv->block_table(r, full)) {
+    EXPECT_NE(page, kNoSmallPage);
+  }
+  kv->CheckConsistency();
+}
+
+TEST(KvManager, SwapRoundTripRestoresHoleLayoutAndFingerprint) {
+  const ModelConfig model = TinyPyramidModel(/*budget=*/48);
+  auto kv = MakeJengaManager(model, 1 << 22);
+  AllocatorAuditor auditor;
+  auditor.AttachAllocator(&kv->allocator_mutable());
+  Request r = MakeRequest(1, TextPrompt(320), 4, 0.0);
+  kv->OnAdmit(r, 1);
+  for (Tick t = 1; r.num_computed_tokens < 320; ++t) {
+    ComputeTokens(*kv, r, kBs, t);
+  }
+  const std::vector<std::vector<bool>> layout = HoleLayout(*kv, r);
+  const SwapFootprint before = FootprintOf(*kv, r);
+  ASSERT_EQ(before.fingerprints.size(), 1u);
+  // 20 full-attention blocks resident and swappable; the pyramid group's 4 are recomputed.
+  const int64_t page_bytes = kv->alloc_spec().groups[0].page_bytes;
+  EXPECT_EQ(before.resident_bytes, 24 * page_bytes);
+  EXPECT_EQ(before.swappable_bytes, 20 * page_bytes);
+  EXPECT_GT(before.drop_recompute_bytes, 0);
+
+  kv->Release(r, 30);
+  // RestoreFromSwap check-fails on a fingerprint mismatch, so success is the round trip.
+  ASSERT_TRUE(kv->RestoreFromSwap(r, before.tokens, before.fingerprints[0], 31));
+  EXPECT_EQ(r.num_computed_tokens, 320);
+  EXPECT_EQ(HoleLayout(*kv, r), layout);
+  const SwapFootprint after = FootprintOf(*kv, r);
+  EXPECT_EQ(after.fingerprints, before.fingerprints);
+  EXPECT_EQ(after.resident_bytes, before.resident_bytes);
+  EXPECT_TRUE(auditor.Audit().empty()) << auditor.FirstViolation().value_or("");
+  kv->CheckConsistency();
+}
+
+TEST(KvManager, FailedRestoreLeavesAllocatorUntouched) {
+  // One small page per large page in both groups, so the pool counts blocks. Restoring 320
+  // tokens needs 20 full-attention blocks, then the pyramid group's runs {0} and {17, 18, 19}.
+  // With 21 pages free the second pyramid run fails after 21 pages were claimed.
+  const ModelConfig model = TinyPyramidModel(/*budget=*/48);
+  const KvSpec spec = MakeJengaSpec(model, kBs, false);
+  ASSERT_EQ(spec.groups[0].kind, GroupKind::kFullAttention);
+  ASSERT_EQ(spec.groups[1].kind, GroupKind::kSparsePyramid);
+  ASSERT_EQ(spec.LcmPageBytes(), spec.groups[0].page_bytes);
+  ASSERT_EQ(spec.LcmPageBytes(), spec.groups[1].page_bytes);
+  auto kv = std::make_unique<KvManager>(spec, spec, spec.LcmPageBytes() * 27,
+                                        JengaOptions(/*caching=*/false));
+  AllocatorAuditor auditor;
+  auditor.AttachAllocator(&kv->allocator_mutable());
+  Request r = MakeRequest(1, TextPrompt(320), 4, 0.0);
+  kv->OnAdmit(r, 1);
+  for (Tick t = 1; r.num_computed_tokens < 320; ++t) {
+    ComputeTokens(*kv, r, kBs, t);
+  }
+  const SwapFootprint fp = FootprintOf(*kv, r);
+  kv->Release(r, 30);
+  Request other = MakeRequest(2, TextPrompt(48), 4, 0.0);
+  kv->OnAdmit(other, 31);
+  ASSERT_TRUE(kv->AllocateForTokens(other, 48, 31));  // 3 blocks in each group: 21 free.
+
+  const JengaAllocator::MemoryBreakdown before = kv->allocator().GetBreakdown();
+  EXPECT_FALSE(kv->RestoreFromSwap(r, fp.tokens, fp.fingerprints[0], 32));
+  const JengaAllocator::MemoryBreakdown after = kv->allocator().GetBreakdown();
+  EXPECT_EQ(after.allocated_bytes, before.allocated_bytes);
+  EXPECT_EQ(after.used_bytes, before.used_bytes);
+  EXPECT_EQ(after.evictable_bytes, before.evictable_bytes);
+  EXPECT_EQ(after.empty_bytes, before.empty_bytes);
+  EXPECT_EQ(after.unallocated_bytes, before.unallocated_bytes);
+  EXPECT_EQ(r.num_computed_tokens, 0);
+  EXPECT_TRUE(auditor.Audit().empty()) << auditor.FirstViolation().value_or("");
+  kv->CheckConsistency();
+
+  // The failed restore left `r` untracked (RestoreFromSwap check-fails on a tracked request):
+  // once the pool has room, the same snapshot restores. 27 free pages hold the 24 blocks of
+  // the needed windows, not the 40 of a restore that skipped no dropped block.
+  kv->Release(other, 33, /*finished=*/true);
+  ASSERT_TRUE(kv->RestoreFromSwap(r, fp.tokens, fp.fingerprints[0], 34));
+  EXPECT_TRUE(auditor.Audit().empty()) << auditor.FirstViolation().value_or("");
 }
 
 }  // namespace

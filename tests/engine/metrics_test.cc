@@ -32,7 +32,7 @@ TEST(RequestRecord, SingleTokenTpotIsZero) {
 
 TEST(EngineMetrics, ThroughputExcludesFailed) {
   EngineMetrics metrics;
-  metrics.RecordStep(10.0, 100, 2, 2, 0);
+  metrics.RecordStep(10.0, 100, 2);
   metrics.RecordFinished(MakeRecord(1, 0, 1, 5, 50));
   metrics.RecordFinished(MakeRecord(2, 0, 2, 8, 70));
   metrics.RecordFinished(MakeRecord(3, 0, -1, 3, 0, /*failed=*/true));
@@ -45,7 +45,7 @@ TEST(EngineMetrics, ThroughputExcludesFailed) {
 
 TEST(EngineMetrics, MeansOverCompleted) {
   EngineMetrics metrics;
-  metrics.RecordStep(10.0, 1, 1, 1, 0);
+  metrics.RecordStep(10.0, 1, 1);
   metrics.RecordFinished(MakeRecord(1, 0, 1, 5, 5));
   metrics.RecordFinished(MakeRecord(2, 2, 4, 10, 9));
   EXPECT_DOUBLE_EQ(metrics.MeanE2eLatency(), (5.0 + 8.0) / 2);
@@ -55,8 +55,8 @@ TEST(EngineMetrics, MeansOverCompleted) {
 
 TEST(EngineMetrics, StepAccumulation) {
   EngineMetrics metrics;
-  metrics.RecordStep(1.0, 128, 3, 5, 2);
-  metrics.RecordStep(2.0, 64, 4, 4, 1);
+  metrics.RecordStep(1.0, 128, 3);
+  metrics.RecordStep(2.0, 64, 4);
   EXPECT_EQ(metrics.total_steps(), 2);
   EXPECT_EQ(metrics.total_scheduled_tokens(), 192);
   EXPECT_DOUBLE_EQ(metrics.last_time(), 2.0);
