@@ -128,6 +128,9 @@ class SmallPageAllocator final : public GroupCacheOps {
   [[nodiscard]] int group_index() const { return group_index_; }
   [[nodiscard]] int pages_per_large() const { return pages_per_large_; }
   [[nodiscard]] int64_t page_bytes() const { return spec_.page_bytes; }
+  // O(1) counter reads of GetStats() fields, for per-call feasibility checks.
+  [[nodiscard]] int64_t empty_pages() const { return empty_count_; }
+  [[nodiscard]] int64_t evictable_pages() const { return evictable_count_; }
 
   [[nodiscard]] PageState state(SmallPageId page) const;
   [[nodiscard]] RequestId assoc(SmallPageId page) const;

@@ -412,26 +412,93 @@ bool KvManager::AllocateForTokens(Request& r, int64_t n, Tick now) {
 
 bool KvManager::GrowBlockTables(const Request& r, RequestKv& state, int64_t tokens,
                                 bool leave_dropped, Tick now) {
+  const GrowPlan plan = PlanGrow(r, state, tokens, leave_dropped);
+  if (!plan.grows) {
+    return true;
+  }
+  if (plan.beyond_empties && !GrowFits(plan)) {
+    return false;  // Decided from counters: nothing claimed, reclaimed, evicted or reshuffled.
+  }
+  return ClaimGrow(r, state, plan, now);
+}
+
+KvManager::GrowPlan KvManager::PlanGrow(const Request& r, const RequestKv& state, int64_t tokens,
+                                        bool leave_dropped) const {
+  GrowPlan plan;
+  plan.tokens = tokens;
+  for (size_t g = 0; g < spec_.groups.size(); ++g) {
+    const KvGroupSpec& group = spec_.groups[g];
+    const int64_t size = static_cast<int64_t>(state.groups[g].pages.size());
+    const int64_t target = TargetPages(r, group, tokens);
+    plan.target[g] = target;
+    plan.need[g] = 0;
+    if (size >= target) {
+      continue;
+    }
+    plan.grows = true;
+    int64_t need = target - size;
+    // Droppable groups (sliding window, pyramid) restore only the blocks the policy still
+    // needs at `tokens`; everything else stays a hole, exactly as DropUnneededPages left it.
+    if (leave_dropped && options_.jenga && policies_[g]->CanDropUnneededPages()) {
+      plan.holes |= 1u << g;
+      const std::vector<TokenRange> needed =
+          policies_[g]->NeededTokenRanges(GroupTokensFor(r, group, tokens));
+      need = 0;
+      for (int64_t j = size; j < target; ++j) {
+        need += BlockNeeded(needed, j, group.tokens_per_page) ? 1 : 0;
+      }
+    }
+    plan.need[g] = need;
+    plan.beyond_empties =
+        plan.beyond_empties || need > allocator_.group(static_cast<int>(g)).empty_pages();
+  }
+  return plan;
+}
+
+int64_t KvManager::LargesBeyondOwn(size_t g, int64_t pages, int64_t own) const {
+  return CeilDiv(std::max<int64_t>(0, pages - own),
+                 allocator_.group(static_cast<int>(g)).pages_per_large());
+}
+
+bool KvManager::GrowFits(const GrowPlan& plan) const {
+  // Soundness: a grow that completes releases nothing, so during it every group's empty and
+  // evictable pages only shrink (another group may reclaim its large pages) and no new reclaim
+  // candidate appears. Group g thus gets at most its own empties and evictables plus
+  // pages_per_large per large page it takes from the LCM free list or reclaims from another
+  // group — reclaiming one of its own turns its own pages into its own pages. All groups
+  // together take at most the free large pages plus today's reclaim candidates, and each
+  // candidate has a reclaim-heap entry and holds an evictable page.
+  int64_t larges = 0;
+  int64_t evictable = 0;
+  for (size_t g = 0; g < spec_.groups.size(); ++g) {
+    const SmallPageAllocator& alloc = allocator_.group(static_cast<int>(g));
+    larges += LargesBeyondOwn(g, plan.need[g], alloc.empty_pages() + alloc.evictable_pages());
+    evictable += alloc.evictable_pages();
+  }
+  const int64_t reclaimable =
+      std::min(static_cast<int64_t>(allocator_.reclaim_heap_entries()), evictable);
+  return larges <= allocator_.lcm().num_free() + reclaimable;
+}
+
+bool KvManager::ClaimGrow(const Request& r, RequestKv& state, const GrowPlan& plan, Tick now) {
   // Entry sizes of the groups visited so far, for cross-group rollback (within one group
   // AllocateN rolls back its own run). Groups are per layer *type*, so the count is tiny and
   // bounded (checked in the constructor); the inline array keeps this hot path free of heap
   // allocation.
-  std::array<int64_t, kMaxGroups> entry_sizes{};
+  std::array<int64_t, kMaxGroups> entry_sizes;
   for (size_t g = 0; g < spec_.groups.size(); ++g) {
     const KvGroupSpec& group = spec_.groups[g];
     GroupState& gs = state.groups[g];
-    const int64_t target = TargetPages(r, group, tokens);
+    const int64_t target = plan.target[g];
     int64_t j = static_cast<int64_t>(gs.pages.size());
     entry_sizes[g] = j;
     if (j >= target) {
       continue;
     }
-    // Droppable groups (sliding window, pyramid) restore only the blocks the policy still
-    // needs at `tokens`; everything else stays a hole, exactly as DropUnneededPages left it.
-    const bool holes = leave_dropped && options_.jenga && policies_[g]->CanDropUnneededPages();
+    const bool holes = ((plan.holes >> g) & 1u) != 0;
     std::vector<TokenRange> needed;
     if (holes) {
-      needed = policies_[g]->NeededTokenRanges(GroupTokensFor(r, group, tokens));
+      needed = policies_[g]->NeededTokenRanges(GroupTokensFor(r, group, plan.tokens));
     }
     const int bs = group.tokens_per_page;
     const auto wanted = [&](int64_t b) { return !holes || BlockNeeded(needed, b, bs); };
@@ -689,17 +756,16 @@ bool KvManager::CanAllocate(const Request& r, int64_t tokens) const {
   const auto it = requests_.find(r.id);
   const int64_t upto = r.num_computed_tokens + tokens;
   int64_t larges_needed = 0;
+  int64_t evictable_bytes = 0;
   for (size_t g = 0; g < spec_.groups.size(); ++g) {
+    const SmallPageAllocator& alloc = allocator_.group(static_cast<int>(g));
     const int64_t have =
         it == requests_.end() ? 0 : static_cast<int64_t>(it->second.groups[g].pages.size());
-    const int64_t target = TargetPages(r, spec_.groups[g], upto);
-    const int64_t own_empties = allocator_.group(static_cast<int>(g)).GetStats().empty_pages;
-    const int64_t new_pages = std::max<int64_t>(0, target - have - own_empties);
     larges_needed +=
-        CeilDiv(new_pages, allocator_.group(static_cast<int>(g)).pages_per_large());
+        LargesBeyondOwn(g, TargetPages(r, spec_.groups[g], upto) - have, alloc.empty_pages());
+    evictable_bytes += alloc.evictable_pages() * alloc.page_bytes();
   }
-  const int64_t evictable_larges =
-      allocator_.GetBreakdown().evictable_bytes / allocator_.lcm().large_page_bytes();
+  const int64_t evictable_larges = evictable_bytes / allocator_.lcm().large_page_bytes();
   const int64_t available = allocator_.lcm().num_free() + evictable_larges;
   // Watermark: keep ~2% of the pool free as decode-growth headroom (vLLM-style), so steady
   // decode progress does not degenerate into preemption storms.

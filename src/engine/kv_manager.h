@@ -7,6 +7,7 @@
 #ifndef JENGA_SRC_ENGINE_KV_MANAGER_H_
 #define JENGA_SRC_ENGINE_KV_MANAGER_H_
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
@@ -164,6 +165,9 @@ class KvManager {
   void CheckConsistency() const;
 
  private:
+  // Drives the claim walk and the feasibility bound separately (differential soundness test).
+  friend struct KvManagerTestPeer;
+
   struct GroupState {
     std::vector<SmallPageId> pages;  // Block table (attention/image groups); [state] for Mamba.
     // Incremental hash chain over the group's token stream.
@@ -266,12 +270,38 @@ class KvManager {
   // Releases group g's blocks that fell out of what its policy needs at `tokens` group-local
   // tokens (Jenga mode, droppable policies only).
   void DropUnneededPages(RequestKv& state, int g, int64_t tokens);
+  // One block-table grow, sized before anything is claimed: per group, the target table size
+  // and the pages the claim walk will request (only the wanted blocks when restoring with holes).
+  struct GrowPlan {
+    int64_t tokens = 0;
+    // Bit g set: group g restores only the blocks its policy still needs (holes elsewhere).
+    uint32_t holes = 0;
+    // True when some block table is shorter than its target.
+    bool grows = false;
+    // True when some group needs more pages than it has empty; only then can the grow fail.
+    bool beyond_empties = false;
+    // Written for every group of the spec; not zeroed, since every decode step plans a grow.
+    std::array<int64_t, kMaxGroups> target;
+    std::array<int64_t, kMaxGroups> need;
+  };
   // Grows every block table to its target at `tokens` computed tokens, one AllocateN per run of
   // wanted blocks. With `leave_dropped`, droppable groups leave the blocks their policy no
-  // longer needs at `tokens` as holes (swap restore). On failure every page this call claimed
-  // is released, newest first, and false is returned.
+  // longer needs at `tokens` as holes (swap restore). A grow that GrowFits rules out returns
+  // false before claiming anything; one that fails in the claim walk releases every page this
+  // call claimed, newest first, and returns false.
   [[nodiscard]] bool GrowBlockTables(const Request& r, RequestKv& state, int64_t tokens,
                                      bool leave_dropped, Tick now);
+  [[nodiscard]] GrowPlan PlanGrow(const Request& r, const RequestKv& state, int64_t tokens,
+                                  bool leave_dropped) const;
+  // Counter-only necessary condition for the claim walk to complete (never false for a grow
+  // the walk would finish); see the soundness argument at the definition.
+  [[nodiscard]] bool GrowFits(const GrowPlan& plan) const;
+  // The §5.4 claim walk over `plan`, with the rollback described at GrowBlockTables.
+  [[nodiscard]] bool ClaimGrow(const Request& r, RequestKv& state, const GrowPlan& plan,
+                               Tick now);
+  // Large pages group g must take from outside itself (the LCM free list, or another group's
+  // reclaimed large page) to place `pages` more small pages when it can reuse `own` of its own.
+  [[nodiscard]] int64_t LargesBeyondOwn(size_t g, int64_t pages, int64_t own) const;
   // Releases group g's block-table entries past `size`, newest first, skipping holes.
   void TruncateBlockTable(RequestKv& state, int g, int64_t size);
   // Applies a deferred-refresh group's pending last_touch to the blocks the eager per-step

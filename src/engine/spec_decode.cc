@@ -163,6 +163,7 @@ bool SpecDecodeEngine::StepOnce() {
     }
     budget -= n;
     prefill_tokens += n;
+    metrics_.prefill_tokens_computed += n;
     prefilled_this_step.insert(r.id);
   };
 

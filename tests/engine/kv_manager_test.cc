@@ -2,13 +2,47 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "src/audit/allocator_auditor.h"
 #include "src/common/math_util.h"
+#include "src/common/random.h"
 #include "src/model/model_zoo.h"
 #include "src/offload/swap_manager.h"
 #include "tests/engine/test_models.h"
 
 namespace jenga {
+
+// Runs KvManager's grow in its two halves: the counter-only feasibility bound and the §5.4 claim
+// walk. The differential test below uses it to run the walk without the bound on a twin.
+struct KvManagerTestPeer {
+  // Whether the bound admits growing `r` to `tokens` computed tokens; an untracked `r` is
+  // planned from empty block tables, as RestoreFromSwap starts from.
+  static bool Fits(const KvManager& kv, const Request& r, int64_t tokens, bool leave_dropped) {
+    KvManager::RequestKv fresh;
+    fresh.groups.resize(kv.spec_.groups.size());
+    const auto it = kv.requests_.find(r.id);
+    const KvManager::GrowPlan plan =
+        kv.PlanGrow(r, it == kv.requests_.end() ? fresh : it->second, tokens, leave_dropped);
+    return !plan.beyond_empties || kv.GrowFits(plan);
+  }
+  // AllocateForTokens without the bound.
+  static bool AllocateUnchecked(KvManager& kv, const Request& r, int64_t n, Tick now) {
+    KvManager::RequestKv& state = kv.StateOf(r);
+    return kv.ClaimGrow(r, state, kv.PlanGrow(r, state, r.num_computed_tokens + n, false), now);
+  }
+  // RestoreFromSwap's grow without the bound. Leaves `r` tracked with the claimed tables on
+  // success (the bookkeeping replay is skipped) and untracked on failure.
+  static bool RestoreGrowUnchecked(KvManager& kv, Request& r, int64_t tokens, Tick now) {
+    KvManager::RequestKv& state = kv.TrackRequest(r);
+    if (!kv.ClaimGrow(r, state, kv.PlanGrow(r, state, tokens, true), now)) {
+      kv.requests_.erase(r.id);
+      return false;
+    }
+    return true;
+  }
+};
+
 namespace {
 
 constexpr int kBs = 16;
@@ -471,6 +505,369 @@ TEST(KvManager, FailedRestoreLeavesAllocatorUntouched) {
   kv->Release(other, 33, /*finished=*/true);
   ASSERT_TRUE(kv->RestoreFromSwap(r, fp.tokens, fp.fingerprints[0], 34));
   EXPECT_TRUE(auditor.Audit().empty()) << auditor.FirstViolation().value_or("");
+}
+
+// Counts every audit event; a grow the feasibility bound rejects must emit none.
+class EventCounter final : public AuditSink {
+ public:
+  int64_t events = 0;
+  int64_t claims = 0;
+  int64_t acquisitions = 0;
+  int64_t bulk = 0;
+  int64_t evictions = 0;
+  int64_t reclaims = 0;
+  void OnLargeAcquired(int, LargePageId, RequestId) override { ++events, ++acquisitions; }
+  void OnLargeReleased(int, LargePageId) override { ++events; }
+  void OnPageClaimed(int, SmallPageId, RequestId) override { ++events, ++claims; }
+  void OnPageRevived(int, SmallPageId) override { ++events; }
+  void OnPageCached(int, SmallPageId, BlockHash) override { ++events; }
+  void OnPageEmptied(int, SmallPageId) override { ++events; }
+  void OnPageEvicted(int, SmallPageId) override { ++events, ++evictions; }
+  void OnRequestForgotten(int, RequestId) override { ++events; }
+  void OnBulkAllocate(int, RequestId, int64_t) override { ++events, ++bulk; }
+  void OnEvictorInsert(int, SmallPageId, Tick, int64_t) override { ++events; }
+  void OnEvictorRemove(int, SmallPageId) override { ++events; }
+  void OnEvictorRekey(int, SmallPageId, Tick, int64_t) override { ++events; }
+  void OnEvictorPop(int, SmallPageId) override { ++events; }
+  void OnReclaimPushed(int, LargePageId, Tick) override { ++events; }
+  void OnLargeReclaimed(int, LargePageId) override { ++events, ++reclaims; }
+};
+
+// Everything a grow could disturb, as counters and free-list sizes.
+struct AllocatorFootprint {
+  JengaAllocator::MemoryBreakdown breakdown;
+  std::vector<SmallPageAllocator::Stats> stats;
+  std::vector<SmallPageAllocator::FreeListStats> free_lists;
+  int32_t lcm_free = 0;
+  size_t reclaim_entries = 0;
+
+  explicit AllocatorFootprint(const JengaAllocator& alloc)
+      : breakdown(alloc.GetBreakdown()),
+        lcm_free(alloc.lcm().num_free()),
+        reclaim_entries(alloc.reclaim_heap_entries()) {
+    for (int g = 0; g < alloc.num_groups(); ++g) {
+      stats.push_back(alloc.group(g).GetStats());
+      free_lists.push_back(alloc.group(g).GetFreeListStats());
+    }
+  }
+};
+
+void ExpectSameFootprint(const AllocatorFootprint& a, const AllocatorFootprint& b) {
+  EXPECT_EQ(a.breakdown.allocated_bytes, b.breakdown.allocated_bytes);
+  EXPECT_EQ(a.breakdown.used_bytes, b.breakdown.used_bytes);
+  EXPECT_EQ(a.breakdown.evictable_bytes, b.breakdown.evictable_bytes);
+  EXPECT_EQ(a.breakdown.empty_bytes, b.breakdown.empty_bytes);
+  EXPECT_EQ(a.breakdown.unallocated_bytes, b.breakdown.unallocated_bytes);
+  EXPECT_EQ(a.lcm_free, b.lcm_free);
+  EXPECT_EQ(a.reclaim_entries, b.reclaim_entries);
+  ASSERT_EQ(a.stats.size(), b.stats.size());
+  for (size_t g = 0; g < a.stats.size(); ++g) {
+    SCOPED_TRACE(testing::Message() << "group " << g);
+    EXPECT_EQ(a.stats[g].large_pages_held, b.stats[g].large_pages_held);
+    EXPECT_EQ(a.stats[g].used_pages, b.stats[g].used_pages);
+    EXPECT_EQ(a.stats[g].evictable_pages, b.stats[g].evictable_pages);
+    EXPECT_EQ(a.stats[g].empty_pages, b.stats[g].empty_pages);
+    EXPECT_EQ(a.free_lists[g].any_refs, b.free_lists[g].any_refs);
+    EXPECT_EQ(a.free_lists[g].by_request_refs, b.free_lists[g].by_request_refs);
+    EXPECT_EQ(a.free_lists[g].tracked_requests, b.free_lists[g].tracked_requests);
+  }
+}
+
+TEST(KvManager, RejectedGrowLeavesNoTrace) {
+  // TinyMambaModel: the attention group packs several small pages per large page, the Mamba
+  // group one. Request 1 holds one page of each, leaving its attention large page's other
+  // slots empty and associated with it. Request 2 then asks for far more than the free large
+  // pages can hold; without the bound the claim walk would take every free large page and
+  // request 1's empties before failing and rolling back.
+  const ModelConfig model = TinyMambaModel();
+  const KvSpec spec = MakeJengaSpec(model, kBs, false);
+  const int64_t pool_larges = 8;
+  auto kv = std::make_unique<KvManager>(spec, spec, spec.LcmPageBytes() * pool_larges,
+                                        JengaOptions(/*caching=*/false));
+  const int attn = GroupOf(*kv, GroupKind::kFullAttention);
+  ASSERT_GE(attn, 0);
+  const int ppl = kv->allocator().group(attn).pages_per_large();
+  ASSERT_GT(ppl, 1);
+  Request holder = MakeRequest(1, TextPrompt(kBs), 4, 0.0);
+  kv->OnAdmit(holder, 1);
+  ComputeTokens(*kv, holder, kBs, 1);
+  ASSERT_EQ(kv->allocator().group(attn).empty_pages(), ppl - 1);
+
+  EventCounter counter;
+  kv->allocator_mutable().SetAuditSink(&counter);
+  const AllocatorFootprint before(kv->allocator());
+  const int64_t tokens = kBs * ppl * pool_larges;
+  Request big = MakeRequest(2, TextPrompt(tokens), 4, 0.0);
+  kv->OnAdmit(big, 2);
+  EXPECT_FALSE(kv->AllocateForTokens(big, tokens, 2));
+  EXPECT_EQ(counter.events, 0);
+  EXPECT_EQ(counter.claims, 0);
+  EXPECT_EQ(counter.acquisitions, 0);
+  EXPECT_EQ(counter.bulk, 0);
+  ExpectSameFootprint(before, AllocatorFootprint(kv->allocator()));
+  kv->allocator_mutable().SetAuditSink(nullptr);
+
+  // Both requests keep working: the holder grows into its own empties.
+  ComputeTokens(*kv, holder, kBs, 3);
+  kv->Release(big, 4);
+  kv->CheckConsistency();
+}
+
+TEST(KvManager, RejectedGrowEvictsAndReclaimsNothing) {
+  // One small page per large page: request 1's four full blocks stay cached after release, so
+  // four of the eight large pages are whole-evictable reclaim candidates. A 13-block grow fits
+  // neither the four free pages plus the four reclaimable ones nor any eviction; the unchecked
+  // walk would reclaim (and so evict) all four before failing.
+  const ModelConfig model = TinyFullModel();
+  const KvSpec spec = MakeJengaSpec(model, kBs, false);
+  auto kv = std::make_unique<KvManager>(spec, spec, spec.LcmPageBytes() * 8,
+                                        JengaOptions(/*caching=*/true));
+  Request a = MakeRequest(1, TextPrompt(4 * kBs + 1), 4, 0.0);
+  kv->OnAdmit(a, 1);
+  ComputeTokens(*kv, a, 4 * kBs + 1, 1);
+  kv->Release(a, 2, /*finished=*/true);
+  ASSERT_EQ(kv->allocator().group(0).evictable_pages(), 4);
+  ASSERT_EQ(kv->allocator().lcm().num_free(), 4);
+
+  EventCounter counter;
+  kv->allocator_mutable().SetAuditSink(&counter);
+  const AllocatorFootprint before(kv->allocator());
+  Request b = MakeRequest(2, TextPrompt(13 * kBs, /*base=*/5000), 4, 0.0);
+  kv->OnAdmit(b, 3);
+  ASSERT_EQ(b.num_computed_tokens, 0);
+  EXPECT_FALSE(kv->AllocateForTokens(b, 13 * kBs, 3));
+  EXPECT_EQ(counter.events, 0);
+  EXPECT_EQ(counter.evictions, 0);
+  EXPECT_EQ(counter.reclaims, 0);
+  ExpectSameFootprint(before, AllocatorFootprint(kv->allocator()));
+  kv->allocator_mutable().SetAuditSink(nullptr);
+  kv->Release(b, 4, /*finished=*/true);
+
+  // The cached prefix survived: a repeat of request 1's prompt hits it.
+  Request c = MakeRequest(3, TextPrompt(4 * kBs + 1), 4, 0.0);
+  kv->OnAdmit(c, 5);
+  EXPECT_EQ(c.cached_prefix_tokens, 4 * kBs);
+  kv->CheckConsistency();
+}
+
+// Differential soundness of the grow bound. Twin managers replay one randomized op sequence
+// (admissions with shared-prefix prompts, prefill chunks, decode steps, finishes, swap-outs
+// and restores) under tight pools with prefix caching on. Twin A runs the public API; twin B,
+// in the same state, runs the claim walk without the bound. Every grow must succeed or fail
+// alike on both — so every grow the bound rejects is one the walk could not complete. B is
+// rebuilt by replay after any op that left it apart from A.
+class GrowBoundDifferential {
+ public:
+  GrowBoundDifferential(KvSpec spec, int64_t pool_larges, uint64_t seed)
+      : spec_(std::move(spec)), pool_bytes_(spec_.LcmPageBytes() * pool_larges), rng_(seed) {
+    a_ = Fresh();
+    b_ = Fresh();
+  }
+
+  void Run(int num_ops) {
+    for (int i = 0; i < num_ops; ++i) {
+      const Op op = NextOp();
+      log_.push_back(op);
+      const Outcome outcome_a = Apply(a_, op, /*checked=*/true);
+      const Outcome outcome_b = Apply(b_, op, /*checked=*/false);
+      ASSERT_EQ(outcome_a.grew, outcome_b.grew)
+          << "op " << i << " kind " << static_cast<int>(op.kind) << " request " << op.id
+          << (outcome_a.rejected ? " (rejected by the bound)" : "");
+      rejected_ += outcome_a.rejected ? 1 : 0;
+      failed_ += outcome_a.grew == 0 ? 1 : 0;
+      grows_ += outcome_a.grew >= 0 ? 1 : 0;
+      if (outcome_a.rejected || op.kind == OpKind::kRestore) {
+        b_ = Fresh();
+        for (const Op& past : log_) {
+          Apply(b_, past, /*checked=*/true);
+        }
+      }
+    }
+    a_.kv->CheckConsistency();
+    b_.kv->CheckConsistency();
+  }
+
+  int64_t grows() const { return grows_; }
+  int64_t failed() const { return failed_; }
+  int64_t rejected() const { return rejected_; }
+
+ private:
+  enum class OpKind { kAdmit, kGrow, kFinish, kSwapOut, kRestore };
+  struct Op {
+    OpKind kind = OpKind::kAdmit;
+    RequestId id = 0;
+    int64_t prompt_len = 0;  // kAdmit.
+    int32_t prompt_base = 0;  // kAdmit: requests with one base share prompt prefixes.
+    int64_t chunk = 0;        // kAdmit, kGrow: tokens to add (capped by what is there).
+    Tick now = 0;
+  };
+  struct Swapped {
+    Request request;
+    int64_t tokens = 0;
+    uint64_t fingerprint = 0;
+  };
+  struct Twin {
+    std::unique_ptr<KvManager> kv;
+    std::map<RequestId, Request> running;
+    std::map<RequestId, Swapped> swapped;
+  };
+  struct Outcome {
+    int grew = -1;  // -1: the op grows nothing; else whether the grow succeeded.
+    bool rejected = false;
+  };
+
+  Twin Fresh() const {
+    Twin twin;
+    twin.kv = std::make_unique<KvManager>(spec_, spec_, pool_bytes_, JengaOptions(true));
+    return twin;
+  }
+
+  // Picks the next op from twin A's state (B is in the same state).
+  Op NextOp() {
+    Op op;
+    op.now = ++now_;
+    const int64_t roll = rng_.UniformInt(0, 99);
+    if (a_.running.empty() || roll < 20) {
+      op.kind = OpKind::kAdmit;
+      op.id = next_id_++;
+      // Lengths off the block grid: a whole-prompt hit would need the one-block step-back.
+      op.prompt_len = rng_.UniformInt(1, 70) * kBs + rng_.UniformInt(1, kBs - 1);
+      op.prompt_base = static_cast<int32_t>(100 + 1000 * rng_.UniformInt(0, 3));
+      op.chunk = rng_.UniformInt(1, 400);
+      return op;
+    }
+    const auto pick = [&](const auto& map) {
+      auto it = map.begin();
+      std::advance(it, rng_.UniformInt(0, static_cast<int64_t>(map.size()) - 1));
+      return it->first;
+    };
+    if (roll < 30 && !a_.swapped.empty()) {
+      op.kind = OpKind::kRestore;
+      op.id = pick(a_.swapped);
+      return op;
+    }
+    op.id = pick(a_.running);
+    if (roll < 40) {
+      op.kind = OpKind::kFinish;
+    } else if (roll < 47) {
+      op.kind = a_.running.at(op.id).num_computed_tokens > 0 ? OpKind::kSwapOut : OpKind::kFinish;
+    } else {
+      op.kind = OpKind::kGrow;
+      op.chunk = rng_.UniformInt(0, 1) == 0 ? rng_.UniformInt(1, 3) : rng_.UniformInt(1, 400);
+    }
+    return op;
+  }
+
+  // Grows `r` by up to `chunk` tokens (prompt first, then freshly appended decode tokens) and
+  // commits them; a failed grow preempts `r` for good.
+  static Outcome Grow(Twin& twin, Request& r, int64_t chunk, Tick now, bool checked) {
+    KvManager& kv = *twin.kv;
+    int64_t n = std::min(chunk, r.total_len() - r.num_computed_tokens);
+    if (n == 0) {
+      n = std::min<int64_t>(chunk, 3);
+      for (int64_t k = 0; k < n; ++k) {
+        r.AppendGenerated(static_cast<int32_t>(7 + (r.total_len() * 31 + r.id) % 500));
+      }
+    }
+    Outcome outcome;
+    outcome.rejected = !KvManagerTestPeer::Fits(kv, r, r.num_computed_tokens + n, false);
+    const bool ok = checked ? kv.AllocateForTokens(r, n, now)
+                            : KvManagerTestPeer::AllocateUnchecked(kv, r, n, now);
+    outcome.grew = ok ? 1 : 0;
+    if (ok) {
+      r.num_computed_tokens += n;
+      kv.OnStepComputed(r, now);
+    } else {
+      kv.Release(r, now, /*finished=*/true);
+      twin.running.erase(r.id);
+    }
+    return outcome;
+  }
+
+  static Outcome Apply(Twin& twin, const Op& op, bool checked) {
+    KvManager& kv = *twin.kv;
+    switch (op.kind) {
+      case OpKind::kAdmit: {
+        Request& r = twin.running
+                         .emplace(op.id, MakeRequest(op.id, TextPrompt(op.prompt_len,
+                                                                       op.prompt_base),
+                                                     4, 0.0))
+                         .first->second;
+        kv.OnAdmit(r, op.now);
+        return Grow(twin, r, op.chunk, op.now, checked);
+      }
+      case OpKind::kGrow:
+        return Grow(twin, twin.running.at(op.id), op.chunk, op.now, checked);
+      case OpKind::kFinish:
+        kv.Release(twin.running.at(op.id), op.now, /*finished=*/true);
+        twin.running.erase(op.id);
+        return {};
+      case OpKind::kSwapOut: {
+        Request& r = twin.running.at(op.id);
+        const SwapFootprint fp = FootprintOf(kv, r);
+        kv.Release(r, op.now);
+        twin.swapped.emplace(op.id, Swapped{r, fp.tokens, fp.fingerprints.at(0)});
+        twin.running.erase(op.id);
+        return {};
+      }
+      case OpKind::kRestore: {
+        Swapped& s = twin.swapped.at(op.id);
+        Outcome outcome;
+        outcome.rejected = !KvManagerTestPeer::Fits(kv, s.request, s.tokens, true);
+        const bool ok =
+            checked ? kv.RestoreFromSwap(s.request, s.tokens, s.fingerprint, op.now)
+                    : KvManagerTestPeer::RestoreGrowUnchecked(kv, s.request, s.tokens, op.now);
+        outcome.grew = ok ? 1 : 0;
+        if (ok) {
+          twin.running.emplace(op.id, s.request);
+          twin.swapped.erase(op.id);
+        }
+        return outcome;
+      }
+    }
+    return {};
+  }
+
+  KvSpec spec_;
+  int64_t pool_bytes_;
+  Rng rng_;
+  Twin a_;
+  Twin b_;
+  std::vector<Op> log_;
+  Tick now_ = 0;
+  RequestId next_id_ = 1;
+  int64_t grows_ = 0;
+  int64_t failed_ = 0;
+  int64_t rejected_ = 0;
+};
+
+TEST(KvManager, GrowBoundNeverRejectsAFeasibleGrow) {
+  const std::vector<std::pair<std::string, KvSpec>> specs = {
+      {"sliding", MakeJengaSpec(TinySlidingModel(64), kBs, false)},
+      {"mamba", MakeJengaSpec(TinyMambaModel(), kBs, false)},
+      {"merged", MergeKvSpecs({{"target", MakeJengaSpec(TinySlidingModel(64), kBs, false)},
+                               {"draft", MakeJengaSpec(TinyDraftModel(), kBs, false)}})},
+  };
+  for (const auto& [name, spec] : specs) {
+    int64_t grows = 0;
+    int64_t failed = 0;
+    int64_t rejected = 0;
+    for (uint64_t seed = 1; seed <= 8; ++seed) {
+      SCOPED_TRACE(testing::Message() << name << " seed " << seed);
+      GrowBoundDifferential run(spec, /*pool_larges=*/static_cast<int64_t>(16 + 8 * (seed % 4)),
+                                seed);
+      run.Run(/*num_ops=*/200);
+      if (HasFatalFailure()) {
+        return;
+      }
+      grows += run.grows();
+      failed += run.failed();
+      rejected += run.rejected();
+    }
+    // The sequences must exercise both outcomes of the bound, not just easy grows.
+    EXPECT_GT(rejected, 0) << name;
+    EXPECT_GT(grows, failed) << name;
+  }
 }
 
 }  // namespace

@@ -276,6 +276,30 @@ TEST(SpecDecode, CacheHitLedgerMatchesRecordsInBothEngines) {
   EXPECT_EQ(spec.metrics().cache_hit_tokens, record_hits(spec.metrics()));
 }
 
+TEST(SpecDecode, PrefillTokensComputedSumsThePrefillChunks) {
+  // Prompts up to 980 tokens prefill in chunks of at most 512 (the test GPU's token budget).
+  // With no preemption and prefix caching off, the prefill chunks cover every prompt token
+  // once plus each request's first generated token, whose KV the prefill continuation computes
+  // (PrefillTarget counts generated tokens). Every other scheduled token is a decode emit.
+  SpecDecodeEngine engine(TestSpecConfig(TinyFullModel(), SpecStrategy::kJenga, 1 << 24));
+  int64_t prompt_tokens = 0;
+  for (int r = 0; r < 5; ++r) {
+    const int64_t len = 300 + 170 * r;
+    engine.Submit(MakeRequest(r, TextPrompt(len), 12, 0.0));
+    prompt_tokens += len;
+  }
+  engine.RunToCompletion();
+  ASSERT_EQ(engine.metrics().CompletedRequests(), 5);
+  int64_t generated = 0;
+  for (const RequestRecord& record : engine.metrics().finished()) {
+    EXPECT_EQ(record.preemptions, 0);
+    generated += record.output_len;
+  }
+  EXPECT_EQ(engine.metrics().prefill_tokens_computed, prompt_tokens + 5);
+  EXPECT_EQ(engine.metrics().prefill_tokens_computed,
+            engine.metrics().total_scheduled_tokens() - generated);
+}
+
 TEST(SpecDecode, DeterministicGivenSeed) {
   auto run = [] {
     SpecDecodeEngine engine(TestSpecConfig(TinyFullModel(), SpecStrategy::kJenga, 1 << 23));
