@@ -82,23 +82,11 @@ class AuditSink {
 // Emits `sink->call` only when a sink is attached. The detached (null) case is the hot one
 // everywhere — benches and production runs never attach a sink — so the taken branch is
 // marked [[unlikely]] to keep the hook body out of the fall-through instruction stream.
-// Building with -DJENGA_AUDIT_HOOKS=0 elides every hook at compile time (the allocator then
-// cannot be audited; tier-1 test builds must keep the default).
-#ifndef JENGA_AUDIT_HOOKS
-#define JENGA_AUDIT_HOOKS 1
-#endif
-
-#if JENGA_AUDIT_HOOKS
-#define JENGA_AUDIT_HOOK(sink, call)  \
-  do {                                \
+#define JENGA_AUDIT_HOOK(sink, call)      \
+  do {                                    \
     if ((sink) != nullptr) [[unlikely]] { \
-      (sink)->call;                   \
-    }                                 \
+      (sink)->call;                       \
+    }                                     \
   } while (false)
-#else
-#define JENGA_AUDIT_HOOK(sink, call) \
-  do {                               \
-  } while (false)
-#endif
 
 #endif  // JENGA_SRC_CORE_AUDIT_EVENTS_H_

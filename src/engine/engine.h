@@ -22,9 +22,9 @@ namespace jenga {
 struct EngineConfig : SchedulerConfig {
   ModelConfig model;
   bool enable_prefix_caching = true;
-  // Admission fast path: memoize per-request prompt hash chains and modality streams across
-  // re-admissions (KvManager::Options::memoize_admission). Off = rebuild-from-scratch
-  // reference behavior, which the memoized path must match bit for bit (differential tests).
+  // Admission fast path: memoize per-request prompt hash chains across re-admissions
+  // (KvManager::Options::memoize_admission). Off = rebuild-from-scratch reference behavior,
+  // which the memoized path must match bit for bit (differential tests).
   bool memoize_admission = true;
   // True → Jenga memory management; false → PagedAttention-style homogeneous baseline.
   bool jenga = true;

@@ -82,6 +82,36 @@ inline bool BlockNeeded(const std::vector<TokenRange>& ranges, int64_t j, int bs
   return false;
 }
 
+// The tokens of hit unit j of a `scope` stream, for a unit past the prompt's whole units (the
+// admission memo hashes those). Generated tokens are text, so an image-scoped stream never
+// reaches past them, and a text-scoped one there is all_tokens shifted by the prompt's image
+// tokens — except for the one block straddling the prompt end, which is gathered into `buf`.
+std::span<const int32_t> UnitPastPrompt(const Request& r, GroupScope scope, int64_t j, int unit,
+                                        std::vector<int32_t>& buf) {
+  JENGA_DCHECK(scope != GroupScope::kImageTokens);
+  const std::span<const int32_t> all(r.all_tokens);
+  const int64_t begin = j * unit;
+  if (scope != GroupScope::kTextTokens) {
+    return all.subspan(static_cast<size_t>(begin), static_cast<size_t>(unit));
+  }
+  const int64_t prompt_len = r.prompt_len();
+  const int64_t prompt_text = r.TextTokensBefore(prompt_len);
+  if (begin >= prompt_text) {
+    return all.subspan(static_cast<size_t>(begin + prompt_len - prompt_text),
+                       static_cast<size_t>(unit));
+  }
+  // The prompt's last `k` text tokens, then the first generated ones.
+  int64_t k = prompt_text - begin;
+  buf.resize(static_cast<size_t>(unit));
+  std::copy(all.begin() + prompt_len, all.begin() + prompt_len + unit - k, buf.begin() + k);
+  for (int64_t i = prompt_len; k > 0;) {
+    if (r.prompt.kind(--i) == TokenKind::kText) {
+      buf[static_cast<size_t>(--k)] = r.prompt.tokens[static_cast<size_t>(i)];
+    }
+  }
+  return buf;
+}
+
 // Order-sensitive mix for the swap round-trip fingerprint (splitmix-style).
 uint64_t MixFingerprint(uint64_t h, uint64_t v) {
   h ^= v + 0x9E3779B97F4A7C15ull + (h << 12) + (h >> 4);
@@ -113,9 +143,6 @@ KvManager::KvManager(KvSpec alloc_spec, KvSpec accounting_spec, int64_t pool_byt
     }
     if (group.kind == GroupKind::kVisionEmbed) {
       vision_group_ = static_cast<int>(g);
-    }
-    if (group.scope == GroupScope::kTextTokens) {
-      has_text_scope_ = true;
     }
     const LayerPolicy& policy = *policies_.back();
     // Droppable policies cover all residents only when drops actually run (Jenga mode).
@@ -153,7 +180,7 @@ KvManager::RequestKv& KvManager::TrackRequest(Request& r) {
   RequestKv& state = requests_[r.id];
   state.groups.resize(spec_.groups.size());
   for (size_t g = 0; g < spec_.groups.size(); ++g) {
-    state.groups[g].chain = InitBlockChain(GroupSalt(static_cast<int>(g)));
+    state.groups[g].chain = InitBlockChain(GroupChainSalt(static_cast<int>(g)));
   }
   r.num_computed_tokens = 0;
   r.cached_prefix_tokens = 0;
@@ -208,27 +235,10 @@ void KvManager::OnAdmit(Request& r, Tick now) {
     return;
   }
   const int bs = options_.tokens_per_page;
-  if (r.prompt_len() / bs == 0) {
-    return;  // No full block to hit.
+  if (r.prompt_len() <= bs) {
+    return;  // No block boundary below the prompt end to hit.
   }
-
-  // Per-group block-hash chains over the prompt (checkpoint-interval blocks for Mamba,
-  // subsequence streams for modality-scoped groups, prompt blocks otherwise). Prompts are
-  // immutable, so re-admissions of the same request reuse the memoized chains instead of
-  // re-hashing the whole prompt.
-  const AdmissionMemo* memo = nullptr;
-  AdmissionMemo scratch;
-  if (options_.memoize_admission) {
-    const auto [it, inserted] = admission_memos_.try_emplace(r.id);
-    if (inserted) {
-      it->second = BuildAdmissionMemo(r);
-    }
-    memo = &it->second;
-  } else {
-    scratch = BuildAdmissionMemo(r);
-    memo = &scratch;
-  }
-  const std::vector<std::vector<BlockHash>>& group_hashes = memo->group_hashes;
+  const std::vector<std::vector<BlockHash>>& group_hashes = MemoFor(r).group_hashes;
 
   // Second-chance pass: re-materialize host-resident pages on the GPU *before* scanning for
   // hits, so the scan and the reference-taking below see one consistent allocator state
@@ -254,12 +264,9 @@ void KvManager::OnAdmit(Request& r, Tick now) {
       continue;
     }
     gs.chain = group_hashes[g][static_cast<size_t>(hit.blocks) - 1];
-    gs.chain_tokens = hit.blocks * HitUnit(g);
-    if (mamba) {
-      gs.checkpoints_done = hit.blocks;
-    } else {
+    gs.hashed_blocks = hit.blocks;
+    if (!mamba) {
       gs.pages.assign(static_cast<size_t>(hit.blocks), kNoSmallPage);
-      gs.hashed_blocks = hit.blocks;
     }
   }
   ForEachHitBlock(r, group_hashes, hit_tokens,
@@ -278,10 +285,6 @@ void KvManager::OnAdmit(Request& r, Tick now) {
                     }
                   });
 
-  // Modality streams consumed so far (for future chain extension) — bulk-sliced from the
-  // memoized prompt streams by the O(1) image-prefix counts.
-  ExtendModalityStreams(r, state, memo, 0, hit_tokens);
-
   r.num_computed_tokens = hit_tokens;
   r.cached_prefix_tokens = hit_tokens;
   state.computed_tokens = hit_tokens;
@@ -291,47 +294,39 @@ void KvManager::OnAdmit(Request& r, Tick now) {
 
 KvManager::AdmissionMemo KvManager::BuildAdmissionMemo(const Request& r) const {
   AdmissionMemo memo;
-  const int bs = options_.tokens_per_page;
-  const int64_t prompt_len = r.prompt_len();
-  // Prompt modality subsequences, extracted in one pass: they seed the subsequence-scope hash
-  // chains below and the stream rebuilds in OnAdmit/OnStepComputed, which then slice by the
-  // O(1) image-prefix counts instead of re-scanning token kinds.
-  memo.prompt_image_tokens.reserve(static_cast<size_t>(r.ImageTokensBefore(prompt_len)));
-  if (has_text_scope_) {
-    memo.prompt_text_tokens.reserve(static_cast<size_t>(r.TextTokensBefore(prompt_len)));
-  }
-  for (int64_t i = 0; i < prompt_len; ++i) {
-    if (r.all_kinds[static_cast<size_t>(i)] == TokenKind::kImage) {
-      memo.prompt_image_tokens.push_back(r.all_tokens[static_cast<size_t>(i)]);
-    } else if (has_text_scope_) {
-      memo.prompt_text_tokens.push_back(r.all_tokens[static_cast<size_t>(i)]);
-    }
-  }
   memo.group_hashes.resize(spec_.groups.size());
   for (size_t g = 0; g < spec_.groups.size(); ++g) {
-    const KvGroupSpec& group = spec_.groups[g];
-    if (group.kind == GroupKind::kMamba) {
-      memo.group_hashes[g] = ChainBlockHashes(r.prompt.tokens, kMambaCheckpointInterval,
-                                              GroupSalt(static_cast<int>(g)));
+    const GroupScope scope = spec_.groups[g].scope;
+    const uint64_t salt = GroupChainSalt(static_cast<int>(g));
+    if (!IsSubsequenceScope(scope)) {
+      memo.group_hashes[g] = ChainBlockHashes(r.prompt.tokens, HitUnit(g), salt);
       continue;
     }
-    if (IsSubsequenceScope(group.scope)) {
-      const std::vector<int32_t>& sub = group.scope == GroupScope::kImageTokens
-                                            ? memo.prompt_image_tokens
-                                            : memo.prompt_text_tokens;
-      memo.group_hashes[g] = ChainBlockHashes(sub, bs, GroupSalt(static_cast<int>(g)));
-      continue;
+    const TokenKind kind = scope == GroupScope::kImageTokens ? TokenKind::kImage : TokenKind::kText;
+    std::vector<int32_t> sub;
+    for (int64_t i = 0; i < r.prompt_len(); ++i) {
+      if (r.prompt.kind(i) == kind) {
+        sub.push_back(r.prompt.tokens[static_cast<size_t>(i)]);
+      }
     }
-    memo.group_hashes[g] = ChainBlockHashes(r.prompt.tokens, bs, GroupSalt(static_cast<int>(g)));
+    memo.group_hashes[g] = ChainBlockHashes(sub, HitUnit(g), salt);
   }
   return memo;
+}
+
+const KvManager::AdmissionMemo& KvManager::MemoFor(const Request& r) {
+  const auto [it, inserted] = admission_memos_.try_emplace(r.id);
+  if (inserted) {
+    it->second = BuildAdmissionMemo(r);
+  }
+  return it->second;
 }
 
 int64_t KvManager::ResolveHitBoundary(const Request& r,
                                       const std::vector<std::vector<BlockHash>>& group_hashes,
                                       bool include_host) const {
   const int bs = options_.tokens_per_page;
-  const int64_t num_boundaries = r.prompt_len() / bs;
+  const int64_t num_boundaries = (r.prompt_len() - 1) / bs;
   // One lazy hit resolver per group; a block's cache lookup happens at most once no matter how
   // many boundary candidates probe it.
   std::vector<BlockHitResolver> resolvers;
@@ -369,41 +364,14 @@ int64_t KvManager::ResolveHitBoundary(const Request& r,
   }
 
   if (AdmissionScanAuditEnabled()) {
-    const int64_t reference =
-        LongestCommonValidPrefix(BuildValidBitmaps(r, group_hashes, include_host));
-    JENGA_CHECK_EQ(result, reference) << "fused hit scan diverged from the bitmap reference";
-  }
-  // Keep at least one prompt token to compute (an engine cannot "hit" the whole prompt).
-  if (result * bs >= r.prompt_len()) {
-    --result;
+    std::vector<std::vector<bool>> bitmaps = BuildValidBitmaps(r, group_hashes, include_host);
+    for (std::vector<bool>& valid : bitmaps) {
+      valid.resize(static_cast<size_t>(num_boundaries) + 1);
+    }
+    JENGA_CHECK_EQ(result, LongestCommonValidPrefix(bitmaps))
+        << "fused hit scan diverged from the bitmap reference";
   }
   return result;
-}
-
-void KvManager::ExtendModalityStreams(const Request& r, RequestKv& state,
-                                      const AdmissionMemo* memo, int64_t from, int64_t to) {
-  int64_t i = from;
-  if (memo != nullptr) {
-    const int64_t prompt_end = std::min<int64_t>(to, r.prompt_len());
-    if (i < prompt_end) {
-      const auto img = memo->prompt_image_tokens.begin();
-      state.image_tokens.insert(state.image_tokens.end(), img + r.ImageTokensBefore(i),
-                                img + r.ImageTokensBefore(prompt_end));
-      if (has_text_scope_) {
-        const auto txt = memo->prompt_text_tokens.begin();
-        state.text_tokens.insert(state.text_tokens.end(), txt + r.TextTokensBefore(i),
-                                 txt + r.TextTokensBefore(prompt_end));
-      }
-      i = prompt_end;
-    }
-  }
-  for (; i < to; ++i) {
-    if (r.all_kinds[static_cast<size_t>(i)] == TokenKind::kImage) {
-      state.image_tokens.push_back(r.all_tokens[static_cast<size_t>(i)]);
-    } else if (has_text_scope_) {
-      state.text_tokens.push_back(r.all_tokens[static_cast<size_t>(i)]);
-    }
-  }
 }
 
 bool KvManager::AllocateForTokens(Request& r, int64_t n, Tick now) {
@@ -539,64 +507,40 @@ void KvManager::TruncateBlockTable(RequestKv& state, int g, int64_t size) {
 }
 
 void KvManager::RegisterHashes(Request& r, RequestKv& state, Tick now) {
-  const int bs = options_.tokens_per_page;
-  const int64_t c = r.num_computed_tokens;
+  const AdmissionMemo& memo = MemoFor(r);
+  std::vector<int32_t> straddle;
   for (size_t g = 0; g < spec_.groups.size(); ++g) {
     const KvGroupSpec& group = spec_.groups[g];
-    if (group.kind == GroupKind::kMamba) {
-      SnapshotMambaCheckpoints(r, state, static_cast<int>(g), now);
-      continue;
-    }
+    const std::vector<BlockHash>& prompt_hashes = memo.group_hashes[g];
     SmallPageAllocator& alloc = allocator_.group(static_cast<int>(g));
     GroupState& gs = state.groups[g];
-    const std::vector<int32_t>& stream = group.scope == GroupScope::kImageTokens
-                                             ? state.image_tokens
-                                             : (group.scope == GroupScope::kTextTokens
-                                                    ? state.text_tokens
-                                                    : r.all_tokens);
-    const int64_t stream_len = GroupTokensFor(r, group, c);
-    const int64_t num_blocks = stream_len / bs;
-    for (int64_t j = gs.hashed_blocks; j < num_blocks; ++j) {
-      gs.chain = ExtendBlockHash(
-          gs.chain, std::span<const int32_t>(stream).subspan(static_cast<size_t>(j) * bs,
-                                                             static_cast<size_t>(bs)));
-      gs.chain_tokens += bs;
-      if (j < static_cast<int64_t>(gs.pages.size()) &&
-          gs.pages[static_cast<size_t>(j)] != kNoSmallPage) {
+    const int unit = HitUnit(g);
+    const int64_t units = GroupTokensFor(r, group, r.num_computed_tokens) / unit;
+    for (int64_t j = gs.hashed_blocks; j < units; ++j) {
+      gs.chain = j < static_cast<int64_t>(prompt_hashes.size())
+                     ? prompt_hashes[static_cast<size_t>(j)]
+                     : ExtendBlockHash(gs.chain, UnitPastPrompt(r, group.scope, j, unit, straddle));
+      if (group.kind == GroupKind::kMamba) {
+        // §5.3: cache the Mamba state every kMambaCheckpointInterval tokens. The snapshot page
+        // is allocated, hashed, prioritized by its depth, and immediately released to
+        // evictable — the running request keeps only its live state page. Snapshots are
+        // best-effort: under memory pressure, or when already cached (e.g. a shared prefix),
+        // they are skipped rather than failing the step.
+        if (alloc.LookupCached(gs.chain).has_value()) {
+          continue;
+        }
+        if (const auto page = alloc.Allocate(r.id, now)) {
+          alloc.SetContentHash(*page, gs.chain);
+          alloc.SetPrefixLength(*page, (j + 1) * unit);
+          alloc.UpdateLastAccess(*page, now);
+          alloc.Release(*page, /*keep_cached=*/true);
+        }
+      } else if (j < static_cast<int64_t>(gs.pages.size()) &&
+                 gs.pages[static_cast<size_t>(j)] != kNoSmallPage) {
         alloc.SetContentHash(gs.pages[static_cast<size_t>(j)], gs.chain);
       }
     }
-    gs.hashed_blocks = num_blocks;
-  }
-}
-
-void KvManager::SnapshotMambaCheckpoints(Request& r, RequestKv& state, int g, Tick now) {
-  // §5.3: cache the Mamba state every kMambaCheckpointInterval tokens. The snapshot page is
-  // allocated, hashed, prioritized by its depth, and immediately released to evictable — the
-  // running request keeps only its live state page. Snapshots are best-effort: under memory
-  // pressure they are skipped rather than failing the step.
-  GroupState& gs = state.groups[static_cast<size_t>(g)];
-  SmallPageAllocator& alloc = allocator_.group(g);
-  const int64_t target = r.num_computed_tokens / kMambaCheckpointInterval;
-  for (int64_t k = gs.checkpoints_done + 1; k <= target; ++k) {
-    gs.chain = ExtendBlockHash(
-        gs.chain,
-        std::span<const int32_t>(r.all_tokens)
-            .subspan(static_cast<size_t>((k - 1) * kMambaCheckpointInterval),
-                     static_cast<size_t>(kMambaCheckpointInterval)));
-    gs.chain_tokens = k * kMambaCheckpointInterval;
-    gs.checkpoints_done = k;
-    if (alloc.LookupCached(gs.chain).has_value()) {
-      continue;  // Snapshot already cached (e.g. shared prefix).
-    }
-    const auto page = alloc.Allocate(r.id, now);
-    if (!page.has_value()) {
-      continue;
-    }
-    alloc.SetContentHash(*page, gs.chain);
-    alloc.SetPrefixLength(*page, k * kMambaCheckpointInterval);
-    alloc.UpdateLastAccess(*page, now);
-    alloc.Release(*page, /*keep_cached=*/true);
+    gs.hashed_blocks = units;
   }
 }
 
@@ -669,13 +613,6 @@ RequestPages KvManager::ViewOf(const Request& r, const RequestKv& state, int g) 
 void KvManager::OnStepComputed(Request& r, Tick now) {
   RequestKv& state = StateOf(r);
   if (options_.enable_prefix_caching) {
-    // Extend the modality streams with newly computed tokens (bulk copy over the prompt
-    // portion when the admission memo is available — the swap-restore replay covers thousands
-    // of tokens in one call).
-    const auto memo_it = admission_memos_.find(r.id);
-    ExtendModalityStreams(r, state,
-                          memo_it == admission_memos_.end() ? nullptr : &memo_it->second,
-                          state.computed_tokens, r.num_computed_tokens);
     RegisterHashes(r, state, now);
   }
   if (options_.jenga) {
@@ -742,8 +679,10 @@ void KvManager::Release(Request& r, Tick now, bool finished) {
     }
   }
   requests_.erase(r.id);
-  if (finished) {
+  if (finished || !options_.memoize_admission) {
     admission_memos_.erase(r.id);
+  }
+  if (finished) {
     allocator_.ForgetRequest(r.id);
   }
   (void)now;
@@ -796,7 +735,7 @@ uint64_t KvManager::StateFingerprint(const RequestKv& state) const {
     const GroupState& gs = state.groups[g];
     h = MixFingerprint(h, static_cast<uint64_t>(g));
     h = MixFingerprint(h, gs.chain);
-    h = MixFingerprint(h, static_cast<uint64_t>(gs.chain_tokens));
+    h = MixFingerprint(h, static_cast<uint64_t>(gs.hashed_blocks * HitUnit(g)));
     h = MixFingerprint(h, static_cast<uint64_t>(gs.pages.size()));
   }
   return h;
@@ -844,7 +783,7 @@ bool KvManager::RestoreFromSwap(Request& r, int64_t tokens, uint64_t expected_fi
     return false;
   }
   // Replay the bookkeeping a normal run reaching `tokens` computed tokens would have done:
-  // stream extension, hash registration, Mamba checkpoints, drop cursors, last-access.
+  // hash registration, Mamba checkpoints, drop cursors, last-access.
   r.num_computed_tokens = tokens;
   OnStepComputed(r, now);
   JENGA_CHECK_EQ(StateFingerprint(state), expected_fingerprint)

@@ -56,10 +56,10 @@ class KvManager {
     bool jenga = true;
     // Needed by the image-cache policies of multimodal models.
     int tokens_per_image = 0;
-    // Compute each request's admission inputs (prompt hash chains, modality subsequence
-    // streams) once at first admission and reuse them on every re-admission — prompts are
-    // immutable, so the results are too. Off = rebuild from scratch each time (the reference
-    // behavior the memoized path must match bit for bit).
+    // Keep each request's prompt hash chains from first use until the request retires, so
+    // re-admissions and swap restores reuse them — prompts are immutable, so the chains are
+    // too. Off = drop them at every Release, so each admission and restore rebuilds from
+    // scratch (the reference behavior the memoized path must match bit for bit).
     bool memoize_admission = true;
   };
 
@@ -170,14 +170,12 @@ class KvManager {
 
   struct GroupState {
     std::vector<SmallPageId> pages;  // Block table (attention/image groups); [state] for Mamba.
-    // Incremental hash chain over the group's token stream.
+    // Hash chain over the group's token stream, at the end of its first `hashed_blocks` hit
+    // units (blocks, or checkpoint intervals for Mamba).
     BlockHash chain = 0;
-    int64_t chain_tokens = 0;
     int64_t hashed_blocks = 0;
     // Blocks below this cursor were released (out-of-window / consumed vision embeddings).
     int64_t drop_cursor = 0;
-    // Mamba: checkpoints snapshotted so far.
-    int64_t checkpoints_done = 0;
     // Deferred last-access refresh (deferred-refresh groups only): tick of the owner's most
     // recent computed step. While a page is used its last-access is unobservable, so
     // OnStepComputed records one tick per group instead of writing O(pages) metadata and the
@@ -186,24 +184,19 @@ class KvManager {
   };
   struct RequestKv {
     std::vector<GroupState> groups;
-    // Modality subsequences accumulated as tokens are computed (shared by same-scope groups;
-    // text_tokens is only maintained when a text-scoped group exists).
-    std::vector<int32_t> image_tokens;
-    std::vector<int32_t> text_tokens;
     int64_t computed_tokens = 0;
     // Cached NeededBytesFor value for the Fig. 16 accounting.
     int64_t needed_bytes = 0;
   };
 
-  // Immutable per-request admission inputs, computed once (prompts never change) and reused
-  // across re-admissions: the per-group prompt hash chains of OnAdmit's §5.2 scan plus the
-  // prompt's modality subsequence streams. `prompt_text_tokens` is maintained only when a
-  // text-scoped group exists, mirroring RequestKv::text_tokens. Entries are dropped when the
-  // request id retires (Release(finished) / OnRequestRetired); preempted requests keep theirs.
+  // A request's per-group prompt hash chains, one hash per whole hit unit of the group's
+  // prompt stream (its modality subsequence for image/text-scoped groups): the input of
+  // OnAdmit's §5.2 scan and the hashes RegisterHashes registers for prompt units. Built on
+  // first use (MemoFor) and immutable, since prompts never change. Entries are dropped when
+  // the request id retires (Release(finished) / OnRequestRetired), and at every Release when
+  // memoize_admission is off; with it on, preempted requests keep theirs.
   struct AdmissionMemo {
     std::vector<std::vector<BlockHash>> group_hashes;
-    std::vector<int32_t> prompt_image_tokens;
-    std::vector<int32_t> prompt_text_tokens;
   };
 
   // A group's share of a global prefix, in the group's hit unit (HitUnit): whole units
@@ -233,20 +226,17 @@ class KvManager {
   void ForEachHitBlock(const Request& r, const std::vector<std::vector<BlockHash>>& group_hashes,
                        int64_t hit_tokens, Fn&& fn) const;
   [[nodiscard]] AdmissionMemo BuildAdmissionMemo(const Request& r) const;
+  // `r`'s memo, built on first use.
+  const AdmissionMemo& MemoFor(const Request& r);
   // Fused, early-exiting replacement for BuildValidBitmaps + LongestCommonValidPrefix: scans
   // boundaries top-down and resolves block hits lazily, finding the identical boundary while
   // touching O(blocks) allocator lookups instead of materializing every per-group bitmap.
   // With JENGA_CHECK_ADMISSION set in the environment, every call is cross-checked against the
-  // bitmap reference. Returns that boundary, one lower when it covers the whole prompt.
+  // bitmap reference. Only boundaries below the prompt length are candidates (an engine cannot
+  // "hit" the whole prompt: at least one prompt token is left to compute).
   [[nodiscard]] int64_t ResolveHitBoundary(const Request& r,
                                            const std::vector<std::vector<BlockHash>>& group_hashes,
                                            bool include_host) const;
-  // Appends all_tokens[from, to) to the modality subsequence streams. The prompt portion is
-  // bulk-copied from the memo (sliced by the O(1) image-prefix counts) when one is available;
-  // generated tokens fall back to the per-token kind scan.
-  void ExtendModalityStreams(const Request& r, RequestKv& state, const AdmissionMemo* memo,
-                             int64_t from, int64_t to);
-  [[nodiscard]] uint64_t GroupSalt(int g) const { return GroupChainSalt(g); }
   // Target block-table size for group `g` once `prefix_tokens` tokens are computed.
   [[nodiscard]] int64_t TargetPages(const Request& r, const KvGroupSpec& group,
                                     int64_t prefix_tokens) const;
@@ -265,8 +255,10 @@ class KvManager {
   [[nodiscard]] bool TryPromoteHostBlock(int g, BlockHash hash, int64_t prefix_length,
                                          RequestId rid, Tick now);
   [[nodiscard]] uint64_t StateFingerprint(const RequestKv& state) const;
+  // The one hash walk: per group, over the hit units computed since the last call, advances
+  // the chain (memoized hashes for prompt units, ExtendBlockHash past them) and registers the
+  // unit — a content hash on its block, or a §5.3 checkpoint snapshot for Mamba.
   void RegisterHashes(Request& r, RequestKv& state, Tick now);
-  void SnapshotMambaCheckpoints(Request& r, RequestKv& state, int g, Tick now);
   // Releases group g's blocks that fell out of what its policy needs at `tokens` group-local
   // tokens (Jenga mode, droppable policies only).
   void DropUnneededPages(RequestKv& state, int g, int64_t tokens);
@@ -323,9 +315,8 @@ class KvManager {
   // they fall out, which only happens in Jenga mode (sliding window, pyramid).
   std::vector<bool> defer_refresh_;
   int vision_group_ = -1;
-  bool has_text_scope_ = false;
   std::unordered_map<RequestId, RequestKv> requests_;
-  // Populated lazily when memoize_admission is on; survives preemption (requests_ does not).
+  // Populated lazily (MemoFor); survives preemption when memoize_admission is on.
   std::unordered_map<RequestId, AdmissionMemo> admission_memos_;
   int64_t total_cache_hit_tokens_ = 0;
   SwapManager* offload_ = nullptr;

@@ -24,22 +24,15 @@ void Request::Prepare() {
     JENGA_CHECK_EQ(prompt.kinds.size(), prompt.tokens.size());
   }
   all_tokens = prompt.tokens;
-  all_kinds.assign(static_cast<size_t>(prompt.size()), TokenKind::kText);
-  if (!prompt.kinds.empty()) {
-    all_kinds = prompt.kinds;
-  }
   image_prefix.assign(static_cast<size_t>(prompt.size()) + 1, 0);
   for (int64_t i = 0; i < prompt.size(); ++i) {
     image_prefix[static_cast<size_t>(i) + 1] =
-        image_prefix[static_cast<size_t>(i)] +
-        (all_kinds[static_cast<size_t>(i)] == TokenKind::kImage ? 1 : 0);
+        image_prefix[static_cast<size_t>(i)] + (prompt.kind(i) == TokenKind::kImage ? 1 : 0);
   }
 }
 
 void Request::AppendGenerated(int32_t token) {
   all_tokens.push_back(token);
-  all_kinds.push_back(TokenKind::kText);
-  image_prefix.push_back(image_prefix.back());
   num_generated += 1;
 }
 

@@ -4,6 +4,7 @@
 #ifndef JENGA_SRC_ENGINE_REQUEST_H_
 #define JENGA_SRC_ENGINE_REQUEST_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -41,10 +42,10 @@ struct Request {
 
   RequestState state = RequestState::kWaiting;
   // Tokens (prompt + generated so far); generated ids are appended as they are produced so
-  // that block hashing over decode output works like hashing over the prompt.
+  // that block hashing over decode output works like hashing over the prompt. Generated
+  // tokens are text.
   std::vector<int32_t> all_tokens;
-  std::vector<TokenKind> all_kinds;
-  // Prefix counts of image tokens over all_tokens: image_prefix[i] = #image tokens in [0, i).
+  // Prefix counts of image tokens over the prompt: image_prefix[i] = #image tokens in [0, i).
   std::vector<int64_t> image_prefix;
 
   // Number of tokens whose KV is computed (including prefix-cache hits).
@@ -74,17 +75,18 @@ struct Request {
   [[nodiscard]] int64_t total_len() const { return prompt.size() + num_generated; }
   [[nodiscard]] bool InPrefill() const { return num_computed_tokens < prompt_len(); }
   [[nodiscard]] bool Finished() const { return state == RequestState::kFinished; }
+  // Every image token is a prompt token, so positions past the prompt clamp to its end.
   [[nodiscard]] int64_t ImageTokensBefore(int64_t position) const {
-    return image_prefix[static_cast<size_t>(position)];
+    return image_prefix[static_cast<size_t>(std::min(position, prompt_len()))];
   }
   [[nodiscard]] int64_t TextTokensBefore(int64_t position) const {
     return position - ImageTokensBefore(position);
   }
 
-  // Initializes all_tokens/all_kinds/image_prefix from the prompt; must be called once before
-  // the request enters the scheduler.
+  // Initializes all_tokens/image_prefix from the prompt; must be called once before the
+  // request enters the scheduler.
   void Prepare();
-  // Appends one generated (text) token and maintains the prefix structures.
+  // Appends one generated (text) token.
   void AppendGenerated(int32_t token);
 };
 

@@ -7,6 +7,7 @@
 #include "src/audit/allocator_auditor.h"
 #include "src/common/math_util.h"
 #include "src/common/random.h"
+#include "src/core/policy_factory.h"
 #include "src/model/model_zoo.h"
 #include "src/offload/swap_manager.h"
 #include "tests/engine/test_models.h"
@@ -282,6 +283,118 @@ TEST(KvManager, MambaStateAndCheckpoints) {
   kv->OnAdmit(b, 3);
   EXPECT_EQ(b.cached_prefix_tokens, 1024);
   kv->CheckConsistency();
+}
+
+TEST(KvManager, MambaWholePromptReAdmissionHitsACheckpoint) {
+  // A 1024-token prompt ends on a checkpoint, so every group is valid at the whole prompt. A hit
+  // leaves at least one token to compute, so it must fall back to the 512-token checkpoint
+  // rather than to the unaligned boundary one block below the prompt end.
+  const ModelConfig model = TinyMambaModel();
+  auto kv = MakeJengaManager(model, 1 << 24, /*caching=*/true);
+  Request a = MakeRequest(1, TextPrompt(1024), 4, 0.0);
+  kv->OnAdmit(a, 1);
+  ComputeTokens(*kv, a, 1024, 1);
+  kv->Release(a, 2, /*finished=*/true);
+
+  Request b = MakeRequest(2, TextPrompt(1024), 4, 0.0);
+  kv->OnAdmit(b, 3);
+  EXPECT_EQ(b.cached_prefix_tokens, kMambaCheckpointInterval);
+  kv->CheckConsistency();
+}
+
+TEST(KvManager, SlidingWindowHitNeedsTheBlockBeforeItsWindow) {
+  // At the whole 320-token prompt the window reads blocks 16..19 only, but a hit must stop below
+  // the prompt end, and at 304 tokens the window also reads block 15. Pressure evicts sliding
+  // blocks 0..15, so no boundary below the prompt end has its window resident: nothing is hit,
+  // where a step back from the whole prompt would admit 304 tokens with block 15 missing.
+  const ModelConfig model = TinySlidingModel(64);
+  constexpr int64_t kLargePages = 44;
+  const int64_t large_bytes = MakeJengaSpec(model, kBs, false).groups[0].page_bytes;
+  auto kv = MakeJengaManager(model, kLargePages * large_bytes, /*caching=*/true);
+  ASSERT_EQ(kv->allocator().lcm().num_pages(), kLargePages);
+  const int sliding = GroupOf(*kv, GroupKind::kSlidingWindow);
+  ASSERT_GE(sliding, 0);
+
+  Request a = MakeRequest(1, TextPrompt(320), 4, 0.0);
+  kv->OnAdmit(a, 1);
+  ComputeTokens(*kv, a, 304, 1);  // Drops sliding blocks 0..14, last touched at tick 1.
+  ComputeTokens(*kv, a, 16, 2);   // Drops block 15, last touched at tick 1.
+  kv->Release(a, 3, /*finished=*/true);  // Every other page was last touched at tick 2.
+
+  // 20 pages over 4 free large pages reclaim the 16 oldest: exactly sliding blocks 0..15.
+  Request c = MakeRequest(3, TextPrompt(160, /*base=*/5000), 4, 0.0);
+  kv->OnAdmit(c, 4);
+  ASSERT_TRUE(kv->AllocateForTokens(c, 160, 4));
+  const std::vector<BlockHash> hashes =
+      ChainBlockHashes(a.prompt.tokens, kBs, GroupChainSalt(sliding));
+  const SmallPageAllocator& alloc = kv->allocator().group(sliding);
+  for (size_t j = 0; j < hashes.size(); ++j) {
+    ASSERT_EQ(alloc.LookupCached(hashes[j]).has_value(), j >= 16) << "sliding block " << j;
+  }
+
+  Request b = MakeRequest(2, TextPrompt(320), 4, 0.0);
+  kv->OnAdmit(b, 5);
+  EXPECT_EQ(b.cached_prefix_tokens, 0);
+  kv->CheckConsistency();
+}
+
+// The token stream of `r` that a `scope` group hashes, rebuilt from all_tokens and the prompt's
+// token kinds.
+std::vector<int32_t> GroupStream(const Request& r, GroupScope scope) {
+  std::vector<int32_t> stream;
+  for (int64_t i = 0; i < static_cast<int64_t>(r.all_tokens.size()); ++i) {
+    const bool image = i < r.prompt_len() && r.prompt.kind(i) == TokenKind::kImage;
+    const bool in_stream = scope == GroupScope::kImageTokens  ? image
+                           : scope == GroupScope::kTextTokens ? !image
+                                                              : true;
+    if (in_stream) {
+      stream.push_back(r.all_tokens[static_cast<size_t>(i)]);
+    }
+  }
+  return stream;
+}
+
+TEST(KvManager, RegisteredHashesMatchAnIndependentChain) {
+  // After decoding past the prompt, every whole hit unit of every group — the prompt's and the
+  // ones past it — is resident under the hash a from-scratch chain over the group's stream
+  // gives it. Covers the text-scoped block that straddles the prompt end (67 prompt text
+  // tokens), Mamba checkpoints past the prompt (1024 of 1100), and an all-token group.
+  struct Case {
+    ModelConfig model;
+    Prompt prompt;
+    int64_t generated;
+  };
+  const std::vector<Case> cases = {{TinyVisionModel(), MixedPrompt(30, 3, 8, 37), 40},
+                                   {TinyMambaModel(), TextPrompt(700), 400}};
+  for (const Case& tc : cases) {
+    SCOPED_TRACE(tc.model.name);
+    auto kv = MakeJengaManager(tc.model, 1 << 24, /*caching=*/true);
+    Request r = MakeRequest(1, tc.prompt, tc.generated + 1, 0.0);
+    kv->OnAdmit(r, 1);
+    ComputeTokens(*kv, r, r.prompt_len(), 1);
+    for (int64_t i = 0; i < tc.generated; ++i) {
+      r.AppendGenerated(static_cast<int32_t>(7000 + i));
+      ComputeTokens(*kv, r, 1, 2 + i);
+    }
+    const KvSpec& spec = kv->alloc_spec();
+    for (int g = 0; g < static_cast<int>(spec.groups.size()); ++g) {
+      const KvGroupSpec& group = spec.groups[static_cast<size_t>(g)];
+      const int unit = group.kind == GroupKind::kMamba ? kMambaCheckpointInterval : kBs;
+      const std::vector<int32_t> stream = GroupStream(r, group.scope);
+      const std::vector<BlockHash> hashes = ChainBlockHashes(stream, unit, GroupChainSalt(g));
+      if (group.scope != GroupScope::kImageTokens) {
+        // Some unit lies past the prompt.
+        EXPECT_GT(static_cast<int64_t>(hashes.size()) * unit,
+                  static_cast<int64_t>(stream.size()) - tc.generated);
+      }
+      for (size_t j = 0; j < hashes.size(); ++j) {
+        EXPECT_TRUE(kv->allocator().group(g).LookupCached(hashes[j]).has_value())
+            << GroupKindName(group.kind) << " unit " << j;
+      }
+    }
+    kv->Release(r, 2 + tc.generated, /*finished=*/true);
+    kv->CheckConsistency();
+  }
 }
 
 TEST(KvManager, VisionPagesFreedAsConsumed) {
