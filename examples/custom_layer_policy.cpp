@@ -24,7 +24,7 @@ class StreamingSinkPolicy : public LayerPolicy {
 
   const char* name() const override { return "streaming_sink"; }
 
-  std::vector<TokenRange> NeededTokenRanges(int64_t num_tokens) const override {
+  TokenRanges NeededTokenRanges(int64_t num_tokens) const override {
     if (num_tokens <= sinks_ + window_) {
       return {{0, num_tokens}};
     }

@@ -9,18 +9,6 @@ namespace jenga {
 
 namespace {
 
-// Marks blocks intersecting [range.begin, range.end) in `touched`.
-void MarkBlocks(const TokenRange& range, int tokens_per_page, std::vector<bool>& touched) {
-  if (range.empty()) {
-    return;
-  }
-  const int64_t first = range.begin / tokens_per_page;
-  const int64_t last = CeilDiv(range.end, tokens_per_page);  // exclusive
-  for (int64_t b = first; b < last && b < static_cast<int64_t>(touched.size()); ++b) {
-    touched[static_cast<size_t>(b)] = true;
-  }
-}
-
 // Stable 64-bit mix for the image-randomization hash.
 uint64_t Mix64(uint64_t x) {
   x ^= x >> 33;
@@ -77,12 +65,14 @@ bool BlockHitResolver::AnyMiss(int64_t lo, int64_t hi) {
 
 void LayerPolicy::UpdateLastAccess(const RequestPages& request, Tick now,
                                    GroupCacheOps& ops) const {
-  std::vector<bool> touched(request.pages.size(), false);
-  for (const TokenRange& range : NeededTokenRanges(request.num_tokens)) {
-    MarkBlocks(range, request.tokens_per_page, touched);
-  }
+  const TokenRanges ranges = NeededTokenRanges(request.num_tokens);
+  const int tpp = request.tokens_per_page;
   for (size_t i = 0; i < request.pages.size(); ++i) {
-    if (touched[i] && request.pages[i] != kNoSmallPage) {
+    const auto b = static_cast<int64_t>(i);
+    const bool touched = std::any_of(ranges.begin(), ranges.end(), [&](const TokenRange& range) {
+      return !range.empty() && range.begin / tpp <= b && b < CeilDiv(range.end, tpp);
+    });
+    if (touched && request.pages[i] != kNoSmallPage) {
       ops.UpdateLastAccess(request.pages[i], now);
     }
   }
@@ -149,7 +139,7 @@ SlidingWindowPolicy::SlidingWindowPolicy(int window) : window_(window) {
   JENGA_CHECK_GT(window, 0);
 }
 
-std::vector<TokenRange> SlidingWindowPolicy::NeededTokenRanges(int64_t num_tokens) const {
+TokenRanges SlidingWindowPolicy::NeededTokenRanges(int64_t num_tokens) const {
   if (num_tokens == 0) {
     return {};
   }
@@ -164,7 +154,7 @@ PyramidPolicy::PyramidPolicy(int token_budget, int num_sinks)
   JENGA_CHECK_LT(num_sinks, token_budget);
 }
 
-std::vector<TokenRange> PyramidPolicy::NeededTokenRanges(int64_t num_tokens) const {
+TokenRanges PyramidPolicy::NeededTokenRanges(int64_t num_tokens) const {
   if (num_tokens == 0) {
     return {};
   }
@@ -179,7 +169,7 @@ MambaPolicy::MambaPolicy(int checkpoint_interval) : checkpoint_interval_(checkpo
   JENGA_CHECK_GT(checkpoint_interval, 0);
 }
 
-std::vector<TokenRange> MambaPolicy::NeededTokenRanges(int64_t num_tokens) const {
+TokenRanges MambaPolicy::NeededTokenRanges(int64_t num_tokens) const {
   // Only the current state (represented by the final page) is needed; expressed as the last
   // "token" so that default block marking touches only the final page.
   if (num_tokens == 0) {

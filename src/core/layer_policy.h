@@ -12,11 +12,15 @@
 #ifndef JENGA_SRC_CORE_LAYER_POLICY_H_
 #define JENGA_SRC_CORE_LAYER_POLICY_H_
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <span>
 #include <vector>
 
+#include "src/common/check.h"
 #include "src/core/types.h"
 
 namespace jenga {
@@ -76,6 +80,31 @@ struct TokenRange {
   bool operator==(const TokenRange&) const = default;
 };
 
+// A needed-token rule's ranges, held inline: every dependency pattern is at most attention
+// sinks plus a recent window, so the per-step hooks never touch the heap.
+class TokenRanges {
+ public:
+  static constexpr size_t kCapacity = 2;
+
+  TokenRanges() = default;
+  TokenRanges(std::initializer_list<TokenRange> ranges) {
+    JENGA_CHECK_LE(ranges.size(), kCapacity);
+    std::copy(ranges.begin(), ranges.end(), ranges_.begin());
+    size_ = ranges.size();
+  }
+
+  [[nodiscard]] size_t size() const { return size_; }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] const TokenRange& operator[](size_t i) const { return ranges_[i]; }
+  [[nodiscard]] const TokenRange& back() const { return ranges_[size_ - 1]; }
+  [[nodiscard]] const TokenRange* begin() const { return ranges_.data(); }
+  [[nodiscard]] const TokenRange* end() const { return ranges_.data() + size_; }
+
+ private:
+  std::array<TokenRange, kCapacity> ranges_{};
+  size_t size_ = 0;
+};
+
 class LayerPolicy {
  public:
   virtual ~LayerPolicy() = default;
@@ -83,10 +112,10 @@ class LayerPolicy {
   [[nodiscard]] virtual const char* name() const = 0;
 
   // The prefix-subset dependency: which tokens of a `num_tokens`-long prefix are needed to
-  // generate the next token. Ranges are disjoint and ascending. Full attention returns
-  // [0, num_tokens); sliding window returns the trailing window; PyramidKV returns
-  // sinks + trailing budget.
-  [[nodiscard]] virtual std::vector<TokenRange> NeededTokenRanges(int64_t num_tokens) const = 0;
+  // generate the next token. Ranges are disjoint and ascending, at most
+  // TokenRanges::kCapacity of them. Full attention returns [0, num_tokens); sliding window
+  // returns the trailing window; PyramidKV returns sinks + trailing budget.
+  [[nodiscard]] virtual TokenRanges NeededTokenRanges(int64_t num_tokens) const = 0;
 
   // §5.1 (balanced eviction): refresh last-access time of the pages touched this step.
   // Default: every page intersecting a needed range.
@@ -136,7 +165,7 @@ class LayerPolicy {
 class FullPrefixPolicy : public LayerPolicy {
  public:
   [[nodiscard]] const char* name() const override { return "full_prefix"; }
-  [[nodiscard]] std::vector<TokenRange> NeededTokenRanges(int64_t num_tokens) const override {
+  [[nodiscard]] TokenRanges NeededTokenRanges(int64_t num_tokens) const override {
     if (num_tokens == 0) {
       return {};
     }
@@ -150,7 +179,7 @@ class SlidingWindowPolicy : public LayerPolicy {
  public:
   explicit SlidingWindowPolicy(int window);
   [[nodiscard]] const char* name() const override { return "sliding_window"; }
-  [[nodiscard]] std::vector<TokenRange> NeededTokenRanges(int64_t num_tokens) const override;
+  [[nodiscard]] TokenRanges NeededTokenRanges(int64_t num_tokens) const override;
   [[nodiscard]] bool CanDropUnneededPages() const override { return true; }
   [[nodiscard]] bool SwapEligible() const override { return false; }
   [[nodiscard]] bool RefreshCoversResidentPages() const override { return true; }
@@ -166,7 +195,7 @@ class PyramidPolicy : public LayerPolicy {
  public:
   PyramidPolicy(int token_budget, int num_sinks);
   [[nodiscard]] const char* name() const override { return "pyramid"; }
-  [[nodiscard]] std::vector<TokenRange> NeededTokenRanges(int64_t num_tokens) const override;
+  [[nodiscard]] TokenRanges NeededTokenRanges(int64_t num_tokens) const override;
   [[nodiscard]] bool CanDropUnneededPages() const override { return true; }
   [[nodiscard]] bool SwapEligible() const override { return false; }
   [[nodiscard]] bool RefreshCoversResidentPages() const override { return true; }
@@ -185,7 +214,7 @@ class MambaPolicy : public LayerPolicy {
  public:
   explicit MambaPolicy(int checkpoint_interval);
   [[nodiscard]] const char* name() const override { return "mamba"; }
-  [[nodiscard]] std::vector<TokenRange> NeededTokenRanges(int64_t num_tokens) const override;
+  [[nodiscard]] TokenRanges NeededTokenRanges(int64_t num_tokens) const override;
   void UpdateLastAccess(const RequestPages& request, Tick now, GroupCacheOps& ops) const override;
   void SetPrefixLength(const RequestPages& request, GroupCacheOps& ops) const override;
   [[nodiscard]] std::vector<bool> GetPossiblePrefix(const std::vector<bool>& is_hit,
@@ -206,7 +235,7 @@ class ImageCachePolicy : public LayerPolicy {
  public:
   explicit ImageCachePolicy(int tokens_per_image);
   [[nodiscard]] const char* name() const override { return "image_cache"; }
-  [[nodiscard]] std::vector<TokenRange> NeededTokenRanges(int64_t num_tokens) const override {
+  [[nodiscard]] TokenRanges NeededTokenRanges(int64_t num_tokens) const override {
     if (num_tokens == 0) {
       return {};
     }

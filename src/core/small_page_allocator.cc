@@ -79,8 +79,9 @@ std::optional<SmallPageId> SmallPageAllocator::PopRequestFree(RequestId request)
       return ref.page;
     }
   }
-  InvalidateRefsCacheFor(request);
-  empty_by_request_.erase(request);
+  // The drained list stays (and so does the cache over it): the request's next large page
+  // refills it in place instead of re-inserting an entry and regrowing its storage. It goes
+  // when the request retires (ForgetRequest) or a compaction sweep finds it empty.
   return std::nullopt;
 }
 
@@ -220,12 +221,13 @@ bool SmallPageAllocator::AllocateN(RequestId request, int64_t n, Tick now,
   JENGA_CHECK(out != nullptr);
   JENGA_CHECK_GE(n, 0);
   const size_t base = out->size();
-  out->reserve(base + static_cast<size_t>(n));
+  // No reserve: an exact-size reserve would defeat the vector's geometric growth and copy the
+  // whole block table on nearly every grow.
   for (int64_t i = 0; i < n; ++i) {
     // The five-step algorithm must re-run per page: a fresh large page acquired in step 2
     // refills the affinity free list that step 1 of the *next* page pops from, so batching
     // any step across pages would change placement. Allocate() is already O(1) per page;
-    // the bulk win is the single rollback below plus the caller-side reserve.
+    // the bulk win is the single rollback below.
     const auto page = Allocate(request, now);
     if (!page.has_value()) {
       for (size_t j = out->size(); j > base; --j) {

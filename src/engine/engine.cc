@@ -119,7 +119,7 @@ bool Engine::RepartitionKvPool(const ModelConfig& new_model, int64_t new_pool_by
   // path. Swap sets bind their fingerprints to the layout being replaced, so parking here
   // would only produce restore failures later.
   while (!running_.empty()) {
-    Preempt(running_.back(), /*allow_swap=*/false);
+    Preempt(*running_.back(), /*allow_swap=*/false);
   }
 
   // Build the replacement layout exactly the way the constructor built the old one.
@@ -204,19 +204,19 @@ bool Engine::StepOnce() {
     StepProfiler::Scope prof_schedule(prof_, StepPhase::kSchedule);
     // Phase 1: running requests, FCFS. Decode requests take one token; prefilling requests
     // take a chunk. Allocation failure preempts from the back of the running list.
-    for (RequestId id = running_.front(); id != kNoRequest;) {
-      Request& r = Get(id);
+    for (const RequestQueue::Node* node = running_.first(); node != nullptr;) {
+      Request& r = *node->request;
       const bool prefill = r.InPrefill();
       int64_t n = prefill ? std::min<int64_t>(r.prompt_len() - r.num_computed_tokens, budget) : 1;
       if (budget <= 0 || n <= 0) {
-        id = running_.Next(id);
+        node = node->next;
         continue;
       }
       n = std::min<int64_t>(n, budget);
       if (!AllocateOrPreempt(r, n)) {
-        // Every entry after `id` was preempted (back-first) before `id` itself was; nothing
-        // is left to visit. The successor must be read after the preempt loop either way —
-        // the loop unlinks it.
+        // Every entry after `r` was preempted (back-first) before `r` itself was; nothing is
+        // left to visit. The successor must be read after the preempt loop either way — the
+        // loop unlinks it.
         break;
       }
       {
@@ -224,15 +224,14 @@ bool Engine::StepOnce() {
         vision_time += MaybeEncodeVision(r, r.num_computed_tokens, r.num_computed_tokens + n);
       }
       budget -= n;
-      scheduled.push_back({id, n, prefill});
-      id = running_.Next(id);
+      scheduled.push_back({&r, n, prefill});
+      node = node->next;
     }
 
     // Phase 2: admissions.
     bool head_blocked = false;
     while (budget > 0 && static_cast<int>(running_.size()) < max_num_seqs_ && !waiting_.empty()) {
-      const RequestId id = waiting_.front();
-      Request& r = Get(id);
+      Request& r = *waiting_.front();
       if (r.arrival_time > now_) {
         break;  // Future arrival, not memory pressure: never counts toward the shed gate.
       }
@@ -259,7 +258,7 @@ bool Engine::StepOnce() {
         vision_time += MaybeEncodeVision(r, r.num_computed_tokens, r.num_computed_tokens + n);
       }
       budget -= n;
-      scheduled.push_back({id, n, true});
+      scheduled.push_back({&r, n, true});
     }
 
     MaybeShedHead(head_blocked);
@@ -289,8 +288,7 @@ bool Engine::StepOnce() {
     int64_t kv_read_bytes = 0;
     for (const Scheduled& s : scheduled) {
       new_tokens += s.tokens;
-      const Request& r = Get(s.id);
-      kv_read_bytes += kv().DecodeKvReadBytes(r);
+      kv_read_bytes += kv().DecodeKvReadBytes(*s.request);
       if (!s.was_prefill) {
         ++decode_batch;
       }
@@ -312,7 +310,7 @@ bool Engine::StepOnce() {
   if (!step_failed) {
     StepProfiler::Scope prof_commit(prof_, StepPhase::kCommit);
     for (const Scheduled& s : scheduled) {
-      Request& r = Get(s.id);
+      Request& r = *s.request;
       r.num_computed_tokens += s.tokens;
       if (s.was_prefill) {
         metrics_.prefill_tokens_computed += s.tokens;
@@ -328,7 +326,7 @@ bool Engine::StepOnce() {
       }
       if (r.num_generated >= effective_output) {
         kv().Release(r, tick_, /*finished=*/true);
-        running_.Erase(s.id);
+        running_.Erase(r.id);
         FinishRequest(r, /*failed=*/false);
       }
     }

@@ -86,7 +86,7 @@ class Engine final : public SchedulerCore {
 
  private:
   struct Scheduled {
-    RequestId id = kNoRequest;
+    Request* request = nullptr;
     int64_t tokens = 0;
     bool was_prefill = false;
   };

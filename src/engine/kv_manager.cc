@@ -47,7 +47,7 @@ int64_t StaticMambaReservationBytes(const ModelConfig& model, int max_num_seqs) 
 namespace {
 
 // Total tokens across a range list.
-int64_t RangeTokens(const std::vector<TokenRange>& ranges) {
+int64_t RangeTokens(const TokenRanges& ranges) {
   int64_t total = 0;
   for (const TokenRange& range : ranges) {
     total += range.end - range.begin;
@@ -73,7 +73,7 @@ bool IsSubsequenceScope(GroupScope scope) {
 }
 
 // True when block j (tokens [j·bs, (j+1)·bs)) overlaps one of the needed token ranges.
-inline bool BlockNeeded(const std::vector<TokenRange>& ranges, int64_t j, int bs) {
+inline bool BlockNeeded(const TokenRanges& ranges, int64_t j, int bs) {
   for (const TokenRange& range : ranges) {
     if (range.begin < (j + 1) * bs && range.end > j * bs) {
       return true;
@@ -154,10 +154,21 @@ KvManager::KvManager(KvSpec alloc_spec, KvSpec accounting_spec, int64_t pool_byt
   }
 }
 
-const KvManager::RequestKv& KvManager::StateOf(const Request& r) const {
-  const auto it = requests_.find(r.id);
-  JENGA_CHECK(it != requests_.end()) << "request " << r.id << " not admitted";
-  return it->second;
+const RequestKv* KvManager::FindState(const Request& r) const {
+  for (const KvHandle& handle : r.kv_handles) {
+    if (handle.manager == this) {
+      JENGA_DCHECK(requests_.contains(r.id) && &requests_.find(r.id)->second == handle.state)
+          << "stale KV handle for request " << r.id;
+      return handle.state;
+    }
+  }
+  return nullptr;
+}
+
+const RequestKv& KvManager::StateOf(const Request& r) const {
+  const RequestKv* state = FindState(r);
+  JENGA_CHECK(state != nullptr) << "request " << r.id << " not admitted";
+  return *state;
 }
 
 int64_t KvManager::TargetPages(const Request& r, const KvGroupSpec& group,
@@ -175,9 +186,17 @@ int64_t KvManager::TargetPages(const Request& r, const KvGroupSpec& group,
   return CeilDiv(tokens, group.tokens_per_page);
 }
 
-KvManager::RequestKv& KvManager::TrackRequest(Request& r) {
-  JENGA_CHECK(!requests_.contains(r.id)) << "request " << r.id << " already admitted";
-  RequestKv& state = requests_[r.id];
+RequestKv& KvManager::TrackRequest(Request& r) {
+  const auto [it, inserted] = requests_.try_emplace(r.id);
+  JENGA_CHECK(inserted) << "request " << r.id << " already admitted";
+  RequestKv& state = it->second;
+  // A handle for this manager on an untracked request is stale (a copy taken while the
+  // original was tracked), so its slot is as free as an empty one.
+  const auto slot =
+      std::find_if(r.kv_handles.begin(), r.kv_handles.end(),
+                   [this](const KvHandle& h) { return h.manager == this || h.manager == nullptr; });
+  JENGA_CHECK(slot != r.kv_handles.end()) << "request " << r.id << " tracked by too many managers";
+  *slot = KvHandle{this, &state};
   state.groups.resize(spec_.groups.size());
   for (size_t g = 0; g < spec_.groups.size(); ++g) {
     state.groups[g].chain = InitBlockChain(GroupChainSalt(static_cast<int>(g)));
@@ -185,6 +204,15 @@ KvManager::RequestKv& KvManager::TrackRequest(Request& r) {
   r.num_computed_tokens = 0;
   r.cached_prefix_tokens = 0;
   return state;
+}
+
+void KvManager::Untrack(Request& r) {
+  for (KvHandle& handle : r.kv_handles) {
+    if (handle.manager == this) {
+      handle = KvHandle{};
+    }
+  }
+  requests_.erase(r.id);
 }
 
 int KvManager::HitUnit(size_t g) const {
@@ -219,7 +247,7 @@ void KvManager::ForEachHitBlock(const Request& r,
     // Only blocks the layer actually depends on (Figure 9b: update_last_access touches window
     // tokens only). Cached out-of-window blocks keep their old timestamps, so they age out
     // first under pressure.
-    const std::vector<TokenRange> needed =
+    const TokenRanges needed =
         policies_[g]->NeededTokenRanges(GroupTokensFor(r, group, hit_tokens));
     for (int64_t j = 0; j < blocks; ++j) {
       if (BlockNeeded(needed, j, unit)) {
@@ -409,7 +437,7 @@ KvManager::GrowPlan KvManager::PlanGrow(const Request& r, const RequestKv& state
     // needs at `tokens`; everything else stays a hole, exactly as DropUnneededPages left it.
     if (leave_dropped && options_.jenga && policies_[g]->CanDropUnneededPages()) {
       plan.holes |= 1u << g;
-      const std::vector<TokenRange> needed =
+      const TokenRanges needed =
           policies_[g]->NeededTokenRanges(GroupTokensFor(r, group, tokens));
       need = 0;
       for (int64_t j = size; j < target; ++j) {
@@ -464,7 +492,7 @@ bool KvManager::ClaimGrow(const Request& r, RequestKv& state, const GrowPlan& pl
       continue;
     }
     const bool holes = ((plan.holes >> g) & 1u) != 0;
-    std::vector<TokenRange> needed;
+    TokenRanges needed;
     if (holes) {
       needed = policies_[g]->NeededTokenRanges(GroupTokensFor(r, group, plan.tokens));
     }
@@ -507,16 +535,20 @@ void KvManager::TruncateBlockTable(RequestKv& state, int g, int64_t size) {
 }
 
 void KvManager::RegisterHashes(Request& r, RequestKv& state, Tick now) {
-  const AdmissionMemo& memo = MemoFor(r);
+  // Most decode steps complete no unit, so the memo is fetched only for the first one that does.
+  const AdmissionMemo* memo = nullptr;
   std::vector<int32_t> straddle;
   for (size_t g = 0; g < spec_.groups.size(); ++g) {
     const KvGroupSpec& group = spec_.groups[g];
-    const std::vector<BlockHash>& prompt_hashes = memo.group_hashes[g];
     SmallPageAllocator& alloc = allocator_.group(static_cast<int>(g));
     GroupState& gs = state.groups[g];
     const int unit = HitUnit(g);
     const int64_t units = GroupTokensFor(r, group, r.num_computed_tokens) / unit;
     for (int64_t j = gs.hashed_blocks; j < units; ++j) {
+      if (memo == nullptr) {
+        memo = &MemoFor(r);
+      }
+      const std::vector<BlockHash>& prompt_hashes = memo->group_hashes[g];
       gs.chain = j < static_cast<int64_t>(prompt_hashes.size())
                      ? prompt_hashes[static_cast<size_t>(j)]
                      : ExtendBlockHash(gs.chain, UnitPastPrompt(r, group.scope, j, unit, straddle));
@@ -551,7 +583,7 @@ void KvManager::DropUnneededPages(RequestKv& state, int g, int64_t tokens) {
   }
   SmallPageAllocator& alloc = allocator_.group(g);
   const int bs = spec_.groups[static_cast<size_t>(g)].tokens_per_page;
-  const std::vector<TokenRange> ranges = policies_[static_cast<size_t>(g)]->NeededTokenRanges(tokens);
+  const TokenRanges ranges = policies_[static_cast<size_t>(g)]->NeededTokenRanges(tokens);
   if (ranges.empty()) {
     return;
   }
@@ -678,7 +710,7 @@ void KvManager::Release(Request& r, Tick now, bool finished) {
       }
     }
   }
-  requests_.erase(r.id);
+  Untrack(r);
   if (finished || !options_.memoize_admission) {
     admission_memos_.erase(r.id);
   }
@@ -692,14 +724,14 @@ bool KvManager::CanAllocate(const Request& r, int64_t tokens) const {
   // Large-page-granular admission check: a group can consume its own empty small pages, but
   // everything beyond that must come from free (or fully-evictable) large pages. Counting
   // other groups' stranded empties would over-admit and cause preemption storms.
-  const auto it = requests_.find(r.id);
+  const RequestKv* state = FindState(r);
   const int64_t upto = r.num_computed_tokens + tokens;
   int64_t larges_needed = 0;
   int64_t evictable_bytes = 0;
   for (size_t g = 0; g < spec_.groups.size(); ++g) {
     const SmallPageAllocator& alloc = allocator_.group(static_cast<int>(g));
     const int64_t have =
-        it == requests_.end() ? 0 : static_cast<int64_t>(it->second.groups[g].pages.size());
+        state == nullptr ? 0 : static_cast<int64_t>(state->groups[g].pages.size());
     larges_needed +=
         LargesBeyondOwn(g, TargetPages(r, spec_.groups[g], upto) - have, alloc.empty_pages());
     evictable_bytes += alloc.evictable_pages() * alloc.page_bytes();
@@ -779,7 +811,7 @@ bool KvManager::RestoreFromSwap(Request& r, int64_t tokens, uint64_t expected_fi
   JENGA_CHECK_GE(static_cast<int64_t>(r.all_tokens.size()), tokens);
   RequestKv& state = TrackRequest(r);
   if (!GrowBlockTables(r, state, tokens, /*leave_dropped=*/true, now)) {
-    requests_.erase(r.id);
+    Untrack(r);
     return false;
   }
   // Replay the bookkeeping a normal run reaching `tokens` computed tokens would have done:
@@ -912,6 +944,17 @@ bool KvManager::TryPromoteHostBlock(int g, BlockHash hash, int64_t prefix_length
   alloc.Release(*page, /*keep_cached=*/true);
   offload_->OnHostPagePromoted(manager_index_, g, hash, host_bytes);
   return true;
+}
+
+int64_t KvManager::DecodeKvReadBytes(const Request& r) const {
+  // The last commit (or prefix hit) cached NeededBytesFor at the computed length; a decode step
+  // reads at that same length. A state that has computed nothing has cached nothing yet.
+  const RequestKv& state = StateOf(r);
+  if (state.computed_tokens > 0 && state.computed_tokens == r.num_computed_tokens) {
+    JENGA_DCHECK(state.needed_bytes == NeededBytesFor(r));
+    return state.needed_bytes;
+  }
+  return NeededBytesFor(r);
 }
 
 int64_t KvManager::NeededBytesFor(const Request& r) const {

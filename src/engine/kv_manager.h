@@ -42,6 +42,30 @@ struct SwapFootprint;
 // Bytes a homogeneous engine reserves up front for Mamba states (max_num_seqs × state size).
 [[nodiscard]] int64_t StaticMambaReservationBytes(const ModelConfig& model, int max_num_seqs);
 
+// A request's state in one KvManager. Only the manager reads or writes it; the request carries
+// a KvHandle to it, so the per-step path reaches it without an id lookup.
+struct RequestKv {
+  struct GroupState {
+    std::vector<SmallPageId> pages;  // Block table (attention/image groups); [state] for Mamba.
+    // Hash chain over the group's token stream, at the end of its first `hashed_blocks` hit
+    // units (blocks, or checkpoint intervals for Mamba).
+    BlockHash chain = 0;
+    int64_t hashed_blocks = 0;
+    // Blocks below this cursor were released (out-of-window / consumed vision embeddings).
+    int64_t drop_cursor = 0;
+    // Deferred last-access refresh (deferred-refresh groups only): tick of the owner's most
+    // recent computed step. While a page is used its last-access is unobservable, so
+    // OnStepComputed records one tick per group instead of writing O(pages) metadata and the
+    // value is applied where a page can next become evictable — release, drop, or consume.
+    Tick last_touch = 0;
+  };
+  std::vector<GroupState> groups;
+  int64_t computed_tokens = 0;
+  // NeededBytesFor at `computed_tokens`, for the Fig. 16 accounting and the decode KV-read
+  // estimate. Zero until the first commit or prefix hit.
+  int64_t needed_bytes = 0;
+};
+
 class KvManager {
  public:
   // Upper bound on KV groups per spec (groups are per layer type: full-prefix attention,
@@ -147,8 +171,9 @@ class KvManager {
   // Needed bytes for one request at its current progress, per the accounting spec.
   [[nodiscard]] int64_t NeededBytesFor(const Request& r) const;
   // KV bytes a decode step must read for `r` (the bandwidth term of the cost model; identical
-  // across managers because attention kernels read only what the layer needs).
-  [[nodiscard]] int64_t DecodeKvReadBytes(const Request& r) const { return NeededBytesFor(r); }
+  // across managers because attention kernels read only what the layer needs). Equals
+  // NeededBytesFor(r); reuses the value the last commit cached when `r` has not moved since.
+  [[nodiscard]] int64_t DecodeKvReadBytes(const Request& r) const;
 
   [[nodiscard]] const JengaAllocator& allocator() const { return allocator_; }
   // Mutable access for the audit layer (AllocatorAuditor::AttachAllocator); tests only.
@@ -161,6 +186,8 @@ class KvManager {
   [[nodiscard]] const std::vector<SmallPageId>& block_table(const Request& r, int g) const {
     return StateOf(r).groups[static_cast<size_t>(g)].pages;
   }
+  // True while some request is admitted (its KvHandle points into this manager).
+  [[nodiscard]] bool tracks_requests() const { return !requests_.empty(); }
 
   void CheckConsistency() const;
 
@@ -168,26 +195,7 @@ class KvManager {
   // Drives the claim walk and the feasibility bound separately (differential soundness test).
   friend struct KvManagerTestPeer;
 
-  struct GroupState {
-    std::vector<SmallPageId> pages;  // Block table (attention/image groups); [state] for Mamba.
-    // Hash chain over the group's token stream, at the end of its first `hashed_blocks` hit
-    // units (blocks, or checkpoint intervals for Mamba).
-    BlockHash chain = 0;
-    int64_t hashed_blocks = 0;
-    // Blocks below this cursor were released (out-of-window / consumed vision embeddings).
-    int64_t drop_cursor = 0;
-    // Deferred last-access refresh (deferred-refresh groups only): tick of the owner's most
-    // recent computed step. While a page is used its last-access is unobservable, so
-    // OnStepComputed records one tick per group instead of writing O(pages) metadata and the
-    // value is applied where a page can next become evictable — release, drop, or consume.
-    Tick last_touch = 0;
-  };
-  struct RequestKv {
-    std::vector<GroupState> groups;
-    int64_t computed_tokens = 0;
-    // Cached NeededBytesFor value for the Fig. 16 accounting.
-    int64_t needed_bytes = 0;
-  };
+  using GroupState = RequestKv::GroupState;
 
   // A request's per-group prompt hash chains, one hash per whole hit unit of the group's
   // prompt stream (its modality subsequence for image/text-scoped groups): the input of
@@ -206,13 +214,18 @@ class KvManager {
     bool aligned = false;
   };
 
+  // `r`'s state, through its handle: nullptr unless `r` is admitted here (FindState), or a
+  // check failure (StateOf).
+  [[nodiscard]] const RequestKv* FindState(const Request& r) const;
   [[nodiscard]] const RequestKv& StateOf(const Request& r) const;
   [[nodiscard]] RequestKv& StateOf(const Request& r) {
     return const_cast<RequestKv&>(std::as_const(*this).StateOf(r));
   }
-  // Starts tracking `r` with empty block tables and fresh hash chains, at zero computed tokens
-  // (OnAdmit and RestoreFromSwap).
+  // Starts tracking `r` with empty block tables and fresh hash chains, at zero computed tokens,
+  // and points `r`'s handle for this manager at the new state (OnAdmit and RestoreFromSwap).
   RequestKv& TrackRequest(Request& r);
+  // Stops tracking `r`: drops its state and clears its handle (Release, failed restore).
+  void Untrack(Request& r);
   // Group g's hit unit: the checkpoint interval for Mamba, a block otherwise (of the group's
   // modality subsequence for image/text-scoped groups).
   [[nodiscard]] int HitUnit(size_t g) const;
@@ -315,6 +328,7 @@ class KvManager {
   // they fall out, which only happens in Jenga mode (sliding window, pyramid).
   std::vector<bool> defer_refresh_;
   int vision_group_ = -1;
+  // Owns every admitted request's state; node-based, so a handle stays valid until Untrack.
   std::unordered_map<RequestId, RequestKv> requests_;
   // Populated lazily (MemoFor); survives preemption when memoize_admission is on.
   std::unordered_map<RequestId, AdmissionMemo> admission_memos_;

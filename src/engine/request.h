@@ -5,6 +5,7 @@
 #define JENGA_SRC_ENGINE_REQUEST_H_
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -30,6 +31,17 @@ struct Prompt {
 };
 
 enum class RequestState : uint8_t { kWaiting, kRunning, kPreempted, kFinished };
+
+class KvManager;
+struct RequestKv;
+
+// How a KvManager reaches its state for a request without an id lookup: set when the manager
+// starts tracking the request (admission, swap restore), cleared when it stops (release, failed
+// restore).
+struct KvHandle {
+  const KvManager* manager = nullptr;
+  RequestKv* state = nullptr;
+};
 
 struct Request {
   RequestId id = kNoRequest;
@@ -70,6 +82,14 @@ struct Request {
   double first_scheduled_time = -1.0;
   double first_token_time = -1.0;
   double finish_time = -1.0;
+
+  // Tick of the last step in which SpecDecodeEngine prefilled or restored the request: its
+  // decode phase skips such requests by comparing ticks.
+  Tick prefilled_tick = -1;
+
+  // One handle per KvManager tracking the request; SpecDecodeEngine's [target, draft] manager
+  // pair is the most any engine has. Owned by the managers.
+  std::array<KvHandle, 2> kv_handles{};
 
   [[nodiscard]] int64_t prompt_len() const { return prompt.size(); }
   [[nodiscard]] int64_t total_len() const { return prompt.size() + num_generated; }

@@ -4,28 +4,34 @@
 
 namespace jenga {
 
-void RequestQueue::PushBack(RequestId id) {
-  JENGA_CHECK(id != kNoRequest);
-  const auto [it, inserted] = nodes_.emplace(id, Node{tail_, kNoRequest});
-  JENGA_CHECK(inserted) << "request " << id << " already queued";
-  if (tail_ == kNoRequest) {
-    head_ = id;
-  } else {
-    nodes_[tail_].next = id;
-  }
-  tail_ = id;
+RequestQueue::Node& RequestQueue::Insert(Request& r) {
+  JENGA_CHECK(r.id != kNoRequest);
+  const auto [it, inserted] = nodes_.try_emplace(r.id);
+  JENGA_CHECK(inserted) << "request " << r.id << " already queued";
+  it->second.request = &r;
+  return it->second;
 }
 
-void RequestQueue::PushFront(RequestId id) {
-  JENGA_CHECK(id != kNoRequest);
-  const auto [it, inserted] = nodes_.emplace(id, Node{kNoRequest, head_});
-  JENGA_CHECK(inserted) << "request " << id << " already queued";
-  if (head_ == kNoRequest) {
-    tail_ = id;
+void RequestQueue::PushBack(Request& r) {
+  Node& node = Insert(r);
+  node.prev = tail_;
+  if (tail_ == nullptr) {
+    head_ = &node;
   } else {
-    nodes_[head_].prev = id;
+    tail_->next = &node;
   }
-  head_ = id;
+  tail_ = &node;
+}
+
+void RequestQueue::PushFront(Request& r) {
+  Node& node = Insert(r);
+  node.next = head_;
+  if (head_ == nullptr) {
+    tail_ = &node;
+  } else {
+    head_->prev = &node;
+  }
+  head_ = &node;
 }
 
 void RequestQueue::Erase(RequestId id) {
@@ -33,29 +39,23 @@ void RequestQueue::Erase(RequestId id) {
   JENGA_CHECK(it != nodes_.end()) << "request " << id << " not queued";
   const Node node = it->second;
   nodes_.erase(it);
-  if (node.prev == kNoRequest) {
+  if (node.prev == nullptr) {
     head_ = node.next;
   } else {
-    nodes_[node.prev].next = node.next;
+    node.prev->next = node.next;
   }
-  if (node.next == kNoRequest) {
+  if (node.next == nullptr) {
     tail_ = node.prev;
   } else {
-    nodes_[node.next].prev = node.prev;
+    node.next->prev = node.prev;
   }
 }
 
-RequestId RequestQueue::PopFront() {
-  JENGA_CHECK(head_ != kNoRequest) << "pop from empty queue";
-  const RequestId id = head_;
-  Erase(id);
-  return id;
-}
-
-RequestId RequestQueue::Next(RequestId id) const {
-  const auto it = nodes_.find(id);
-  JENGA_CHECK(it != nodes_.end()) << "request " << id << " not queued";
-  return it->second.next;
+Request& RequestQueue::PopFront() {
+  JENGA_CHECK(head_ != nullptr) << "pop from empty queue";
+  Request& r = *head_->request;
+  Erase(r.id);
+  return r;
 }
 
 }  // namespace jenga

@@ -50,6 +50,10 @@ void SchedulerCore::AddManager(std::unique_ptr<KvManager> manager) {
 }
 
 void SchedulerCore::ReplaceManager(int index, std::unique_ptr<KvManager> manager) {
+  // Requests reach their KV state through handles into the manager; none may outlive it.
+  const std::unique_ptr<KvManager>& old = managers_[static_cast<size_t>(index)];
+  JENGA_CHECK(old == nullptr || !old->tracks_requests())
+      << "replacing a manager with admitted requests";
   managers_[static_cast<size_t>(index)] = std::move(manager);
   if (swap_ != nullptr) {
     managers_[static_cast<size_t>(index)]->AttachOffload(swap_.get(), index);
@@ -58,20 +62,18 @@ void SchedulerCore::ReplaceManager(int index, std::unique_ptr<KvManager> manager
 
 void SchedulerCore::Submit(Request request) {
   JENGA_CHECK(request.state == RequestState::kWaiting);
-  const RequestId id = request.id;
-  JENGA_CHECK(!requests_.contains(id)) << "duplicate request id " << id;
-  if (request.deadline >= 0.0) {
-    has_deadlines_ = true;
-    deadlines_.Push(request.deadline, id);
+  for (const KvHandle& handle : request.kv_handles) {
+    JENGA_CHECK(handle.manager == nullptr) << "request " << request.id << " is already tracked";
   }
-  requests_.emplace(id, std::move(request));
-  waiting_.PushBack(id);
-}
-
-Request& SchedulerCore::Get(RequestId id) {
-  const auto it = requests_.find(id);
-  JENGA_CHECK(it != requests_.end());
-  return it->second;
+  const RequestId id = request.id;
+  const auto [it, inserted] = requests_.emplace(id, std::move(request));
+  JENGA_CHECK(inserted) << "duplicate request id " << id;
+  Request& r = it->second;
+  if (r.deadline >= 0.0) {
+    has_deadlines_ = true;
+    deadlines_.Push(r.deadline, id);
+  }
+  waiting_.PushBack(r);
 }
 
 const Request& SchedulerCore::request(RequestId id) const {
@@ -169,8 +171,8 @@ void SchedulerCore::AdvanceClock(double compute_time) {
 
 double SchedulerCore::NextArrivalAfter(double t) const {
   double next_arrival = -1.0;
-  for (RequestId id = waiting_.front(); id != kNoRequest; id = waiting_.Next(id)) {
-    const double arrival = request(id).arrival_time;
+  for (const RequestQueue::Node* n = waiting_.first(); n != nullptr; n = n->next) {
+    const double arrival = n->request->arrival_time;
     if (arrival > t && (next_arrival < 0.0 || arrival < next_arrival)) {
       next_arrival = arrival;
     }
@@ -181,9 +183,9 @@ double SchedulerCore::NextArrivalAfter(double t) const {
 bool SchedulerCore::AllocateOrPreempt(Request& r, int64_t tokens) {
   StepProfiler::Scope prof_alloc(prof_, StepPhase::kAllocate);
   while (!AllocateAll(r, tokens)) {
-    const RequestId victim = running_.back();
+    Request& victim = *running_.back();
     Preempt(victim);
-    if (victim == r.id) {
+    if (&victim == &r) {
       return false;
     }
   }
@@ -239,23 +241,22 @@ SchedulerCore::Admission SchedulerCore::AdmitHead(Request& r, int64_t prefill_ta
       FinishRequest(r, /*failed=*/true);
       return Admission::kFailed;
     }
-    waiting_.PushFront(r.id);
+    waiting_.PushFront(r);
     return Admission::kBlocked;
   }
   r.state = RequestState::kRunning;
   if (r.first_scheduled_time < 0.0) {
     r.first_scheduled_time = now_;
   }
-  running_.PushBack(r.id);
+  running_.PushBack(r);
   return Admission::kAdmitted;
 }
 
-void SchedulerCore::Preempt(RequestId id, bool allow_swap) {
+void SchedulerCore::Preempt(Request& r, bool allow_swap) {
   // The whole preemption — TrimToComputed, the swap decision, and the release-to-cache walk —
   // bills to kEvictPreempt, pausing whatever scope drove it (e.g. kAllocate when an
   // allocation failure preempts from the back).
   StepProfiler::Scope prof_scope(prof_, StepPhase::kEvictPreempt);
-  Request& r = Get(id);
   // Return any retained-but-uncomputed pages (injected step fault retry window) before
   // snapshotting: the swap fingerprint and cost footprint must cover the committed state only.
   for (auto& manager : managers_) {
@@ -270,7 +271,7 @@ void SchedulerCore::Preempt(RequestId id, bool allow_swap) {
     // An injected transfer/host fault inside TryRecordSwapOut exhausts its retry budget and
     // reports non-OK; the fallback is the same recompute path a cost-crossover loss takes.
     if (swap_->ChoosePreemptMode(fp) == PreemptMode::kSwap &&
-        swap_->TryRecordSwapOut(id, fp).ok()) {
+        swap_->TryRecordSwapOut(r.id, fp).ok()) {
       r.swapped_out = true;
       r.swapped_out_tokens = r.num_computed_tokens;
       metrics_.swap_out_events += 1;
@@ -285,8 +286,8 @@ void SchedulerCore::Preempt(RequestId id, bool allow_swap) {
   r.preemptions += 1;
   r.num_computed_tokens = 0;
   r.vision_encoder_runs_this_admission = 0;
-  running_.Erase(id);
-  waiting_.PushFront(id);
+  running_.Erase(r.id);
+  waiting_.PushFront(r);
   // Preempt can be driven from outside StepOnce (governor park); a swap-out that trips the
   // injected host-failure degrade must be visible in metrics without waiting for a step.
   SyncFaultMetrics();
@@ -354,8 +355,8 @@ std::vector<RequestId> SchedulerCore::ActiveRequests() const {
   std::vector<RequestId> ids;
   ids.reserve(running_.size() + waiting_.size());
   for (const RequestQueue* queue : {&running_, &waiting_}) {
-    for (RequestId id = queue->front(); id != kNoRequest; id = queue->Next(id)) {
-      ids.push_back(id);
+    for (const RequestQueue::Node* n = queue->first(); n != nullptr; n = n->next) {
+      ids.push_back(n->request->id);
     }
   }
   return ids;
@@ -409,10 +410,10 @@ void SchedulerCore::CheckDeadlineHeapAgainstScan() {
 
 void SchedulerCore::ScanExpired(std::vector<RequestId>* out) const {
   for (const RequestQueue* queue : {&waiting_, &running_}) {
-    for (RequestId id = queue->front(); id != kNoRequest; id = queue->Next(id)) {
-      const Request& r = request(id);
+    for (const RequestQueue::Node* n = queue->first(); n != nullptr; n = n->next) {
+      const Request& r = *n->request;
       if (r.deadline >= 0.0 && r.deadline <= now_) {
-        out->push_back(id);
+        out->push_back(r.id);
       }
     }
   }
@@ -431,7 +432,7 @@ void SchedulerCore::MaybeShedHeadSlow() {
     return;
   }
   metrics_.shed_requests += 1;
-  RetireCancelled(Get(waiting_.PopFront()));
+  RetireCancelled(waiting_.PopFront());
   head_blocked_steps_ = 0;
 }
 
@@ -439,7 +440,7 @@ bool SchedulerCore::ParkNewestRunning() {
   if (running_.size() <= 1) {
     return false;  // Parking the only runner would just stall the engine.
   }
-  Preempt(running_.back());
+  Preempt(*running_.back());
   metrics_.elastic_parked += 1;
   return true;
 }
@@ -448,12 +449,11 @@ bool SchedulerCore::ShedOldestWaiting() {
   if (waiting_.empty()) {
     return false;
   }
-  const RequestId head = waiting_.front();
-  Request& r = Get(head);
+  Request& r = *waiting_.front();
   if (r.arrival_time > now_) {
     return false;  // Not yet arrived: future work is never pressure.
   }
-  waiting_.Erase(head);
+  waiting_.Erase(r.id);
   metrics_.shed_requests += 1;
   metrics_.elastic_shed += 1;
   RetireCancelled(r);
@@ -520,7 +520,7 @@ SchedulerCore::SwapAdmit SchedulerCore::TryAdmitFromSwap(Request& r, bool nothin
     if (r.first_scheduled_time < 0.0) {
       r.first_scheduled_time = now_;
     }
-    running_.PushBack(r.id);
+    running_.PushBack(r);
     return SwapAdmit::kAdmitted;
   }
   if (!nothing_else_runnable) {

@@ -144,7 +144,6 @@ class SchedulerCore {
   // Replaces manager `index` (a repartition commit) and re-attaches the host tier.
   void ReplaceManager(int index, std::unique_ptr<KvManager> manager);
 
-  [[nodiscard]] Request& Get(RequestId id);
   // Deterministic pseudo-token for generated output (ids live above the prompt vocabulary so
   // that decode blocks of different requests never alias by accident).
   [[nodiscard]] static int32_t PseudoToken(RequestId id, int64_t position);
@@ -187,7 +186,7 @@ class SchedulerCore {
   // Returns a running request to the front of the waiting queue, parking its KV to the host
   // tier when the swap crossover accepts it. `allow_swap` false forces the recompute path
   // (repartition quiesce: swap-set fingerprints would bind the request to the old layout).
-  void Preempt(RequestId id, bool allow_swap = true);
+  void Preempt(Request& r, bool allow_swap = true);
   void FinishRequest(Request& r, bool failed);
 
   // Abandons `r`'s swap set: it re-admits through recompute, and the ledger counts the

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <optional>
-#include <unordered_set>
 #include <vector>
 
 #include "src/baseline/smartspec.h"
@@ -152,7 +151,14 @@ bool SpecDecodeEngine::StepOnce() {
 
   int64_t budget = max_batched_tokens_;
   int64_t prefill_tokens = 0;
-  std::unordered_set<RequestId> prefilled_this_step;
+  // Requests that prefilled (or were restored) this step, in order. Each is stamped with this
+  // step's tick, which the decode phase checks to skip them.
+  std::vector<Request*>& prefilled = prefilled_buf_;
+  prefilled.clear();
+  const auto mark_prefilled = [&](Request& r) {
+    prefilled.push_back(&r);
+    r.prefilled_tick = tick_;
+  };
   // Prefill chunks commit inline (both models run them before the macro step), so they
   // survive a step fault later in this step.
   const auto commit_prefill = [&](Request& r, int64_t n) {
@@ -164,14 +170,14 @@ bool SpecDecodeEngine::StepOnce() {
     budget -= n;
     prefill_tokens += n;
     metrics_.prefill_tokens_computed += n;
-    prefilled_this_step.insert(r.id);
+    mark_prefilled(r);
   };
 
   // Phase 1: continue prefill (and post-preemption recompute) of running requests.
   {
     StepProfiler::Scope prof_schedule(prof_, StepPhase::kSchedule);
-    for (RequestId id = running_.front(); id != kNoRequest; id = running_.Next(id)) {
-      Request& r = Get(id);
+    for (const RequestQueue::Node* node = running_.first(); node != nullptr; node = node->next) {
+      Request& r = *node->request;
       if (r.num_computed_tokens >= PrefillTarget(r) || budget <= 0) {
         continue;
       }
@@ -193,8 +199,7 @@ bool SpecDecodeEngine::StepOnce() {
   std::optional<StepProfiler::Scope> prof_admissions;
   prof_admissions.emplace(prof_, StepPhase::kSchedule);
   while (budget > 0 && static_cast<int>(running_.size()) < max_num_seqs_ && !waiting_.empty()) {
-    const RequestId id = waiting_.front();
-    Request& r = Get(id);
+    Request& r = *waiting_.front();
     if (r.arrival_time > now_) {
       break;  // Future arrival, not memory pressure: never counts toward the shed gate.
     }
@@ -210,7 +215,7 @@ bool SpecDecodeEngine::StepOnce() {
     }
     if (admission == Admission::kRestored) {
       // The restore transfer is still in flight this step; decode resumes next step.
-      prefilled_this_step.insert(id);
+      mark_prefilled(r);
       continue;
     }
     commit_prefill(r, n);
@@ -221,18 +226,15 @@ bool SpecDecodeEngine::StepOnce() {
 
   // Phase 3: decode macro step — draft proposes, target verifies, accepted tokens commit.
   // Generated token ids are appended before allocation so block tables can cover them.
-  struct Emit {
-    RequestId id;
-    int64_t tokens;
-  };
-  std::vector<Emit> decode_emits;
+  std::vector<Emit>& decode_emits = emits_buf_;
+  decode_emits.clear();
   int64_t decode_kv_read = 0;
   std::optional<StepProfiler::Scope> prof_decode;
   prof_decode.emplace(prof_, StepPhase::kSchedule);
-  for (RequestId id = running_.front(); id != kNoRequest;) {
-    Request& r = Get(id);
-    if (prefilled_this_step.contains(id) || r.num_computed_tokens < PrefillTarget(r)) {
-      id = running_.Next(id);
+  for (const RequestQueue::Node* node = running_.first(); node != nullptr;) {
+    Request& r = *node->request;
+    if (r.prefilled_tick == tick_ || r.num_computed_tokens < PrefillTarget(r)) {
+      node = node->next;
       continue;
     }
     int accepted = 0;
@@ -244,8 +246,8 @@ bool SpecDecodeEngine::StepOnce() {
       // Every output token was already appended before a mid-decode self-preemption, and
       // the recompute that just completed re-covered their KV: the request finishes through
       // the normal commit path below without emitting anything new.
-      decode_emits.push_back({id, 0});
-      id = running_.Next(id);
+      decode_emits.push_back({&r, 0});
+      node = node->next;
       continue;
     }
     for (int64_t j = 0; j < emit; ++j) {
@@ -253,7 +255,7 @@ bool SpecDecodeEngine::StepOnce() {
     }
     if (!AllocateOrPreempt(r, emit)) {
       // Tokens stay appended; recompute covers their KV after re-admission. Everything after
-      // `id` was already preempted back-first, so the iteration is over — and the successor
+      // `r` was already preempted back-first, so the iteration is over — and the successor
       // must be read after the preempt loop anyway, since the loop unlinks it.
       break;
     }
@@ -263,16 +265,16 @@ bool SpecDecodeEngine::StepOnce() {
         decode_kv_read += manager->DecodeKvReadBytes(r);
       }
     }
-    decode_emits.push_back({id, emit});
-    id = running_.Next(id);
+    decode_emits.push_back({&r, emit});
+    node = node->next;
   }
   prof_decode.reset();
 
-  if (prefilled_this_step.empty() && decode_emits.empty()) {
+  if (prefilled.empty() && decode_emits.empty()) {
     // Everything blocked (e.g. a prefill cannot fit next to the others): preempt the youngest
     // running request so the head of the line can progress.
     if (!running_.empty()) {
-      Preempt(running_.back());
+      Preempt(*running_.back());
       SyncFaultMetrics();
       return true;
     }
@@ -320,7 +322,7 @@ bool SpecDecodeEngine::StepOnce() {
   int64_t emitted_total = 0;
   StepProfiler::Scope prof_commit(prof_, StepPhase::kCommit);
   for (const Emit& e : decode_emits) {
-    Request& r = Get(e.id);
+    Request& r = *e.request;
     r.num_computed_tokens += e.tokens;
     StepComputedAll(r);
     if (r.first_token_time < 0.0) {
@@ -329,12 +331,12 @@ bool SpecDecodeEngine::StepOnce() {
     emitted_total += e.tokens;
     if (r.num_generated >= r.output_len) {
       ReleaseAll(r, /*finished=*/true);
-      running_.Erase(e.id);
+      running_.Erase(r.id);
       FinishRequest(r, /*failed=*/false);
     }
   }
-  for (const RequestId id : prefilled_this_step) {
-    Request& r = Get(id);
+  for (Request* const p : prefilled) {
+    Request& r = *p;
     if (r.state == RequestState::kRunning && r.num_generated == 0 &&
         r.num_computed_tokens >= r.prompt_len()) {
       r.AppendGenerated(PseudoToken(r.id, r.total_len()));

@@ -13,6 +13,7 @@
 #define JENGA_SRC_ENGINE_SPEC_DECODE_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "src/common/random.h"
 #include "src/engine/gpu.h"
@@ -64,10 +65,19 @@ class SpecDecodeEngine final : public SchedulerCore {
   int64_t ShiftSplit(int from, int to, int64_t bytes);
 
  private:
+  // A decode emission of the macro step: `tokens` accepted tokens of `request`.
+  struct Emit {
+    Request* request = nullptr;
+    int64_t tokens = 0;
+  };
+
   SpecDecodeConfig config_;
   GpuSim target_gpu_;
   GpuSim draft_gpu_;
   Rng rng_;
+  // Scratch for StepOnce (cleared each step; capacity reused).
+  std::vector<Request*> prefilled_buf_;
+  std::vector<Emit> emits_buf_;
 };
 
 }  // namespace jenga

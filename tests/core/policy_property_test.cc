@@ -36,11 +36,14 @@ std::vector<std::unique_ptr<LayerPolicy>> AllPolicies() {
 class PolicyPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(PolicyPropertyTest, NeededRangesAreSortedDisjointAndBounded) {
+  // Ranges are held inline: attention sinks plus a recent window is the widest rule.
+  static_assert(TokenRanges::kCapacity == 2);
   Rng rng(GetParam());
   for (const auto& policy : AllPolicies()) {
     for (int trial = 0; trial < 50; ++trial) {
       const int64_t tokens = rng.UniformInt(0, 500);
-      const auto ranges = policy->NeededTokenRanges(tokens);
+      const TokenRanges ranges = policy->NeededTokenRanges(tokens);
+      EXPECT_LE(ranges.size(), 2u) << policy->name();
       int64_t previous_end = -1;
       for (const TokenRange& range : ranges) {
         EXPECT_LE(0, range.begin) << policy->name();

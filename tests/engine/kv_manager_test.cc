@@ -20,24 +20,24 @@ struct KvManagerTestPeer {
   // Whether the bound admits growing `r` to `tokens` computed tokens; an untracked `r` is
   // planned from empty block tables, as RestoreFromSwap starts from.
   static bool Fits(const KvManager& kv, const Request& r, int64_t tokens, bool leave_dropped) {
-    KvManager::RequestKv fresh;
+    RequestKv fresh;
     fresh.groups.resize(kv.spec_.groups.size());
-    const auto it = kv.requests_.find(r.id);
+    const RequestKv* state = kv.FindState(r);
     const KvManager::GrowPlan plan =
-        kv.PlanGrow(r, it == kv.requests_.end() ? fresh : it->second, tokens, leave_dropped);
+        kv.PlanGrow(r, state == nullptr ? fresh : *state, tokens, leave_dropped);
     return !plan.beyond_empties || kv.GrowFits(plan);
   }
   // AllocateForTokens without the bound.
   static bool AllocateUnchecked(KvManager& kv, const Request& r, int64_t n, Tick now) {
-    KvManager::RequestKv& state = kv.StateOf(r);
+    RequestKv& state = kv.StateOf(r);
     return kv.ClaimGrow(r, state, kv.PlanGrow(r, state, r.num_computed_tokens + n, false), now);
   }
   // RestoreFromSwap's grow without the bound. Leaves `r` tracked with the claimed tables on
   // success (the bookkeeping replay is skipped) and untracked on failure.
   static bool RestoreGrowUnchecked(KvManager& kv, Request& r, int64_t tokens, Tick now) {
-    KvManager::RequestKv& state = kv.TrackRequest(r);
+    RequestKv& state = kv.TrackRequest(r);
     if (!kv.ClaimGrow(r, state, kv.PlanGrow(r, state, tokens, true), now)) {
-      kv.requests_.erase(r.id);
+      kv.Untrack(r);
       return false;
     }
     return true;
@@ -618,6 +618,76 @@ TEST(KvManager, FailedRestoreLeavesAllocatorUntouched) {
   kv->Release(other, 33, /*finished=*/true);
   ASSERT_TRUE(kv->RestoreFromSwap(r, fp.tokens, fp.fingerprints[0], 34));
   EXPECT_TRUE(auditor.Audit().empty()) << auditor.FirstViolation().value_or("");
+}
+
+// Number of `r`'s KV handles that point into `kv`.
+int HandlesInto(const KvManager& kv, const Request& r) {
+  int n = 0;
+  for (const KvHandle& handle : r.kv_handles) {
+    if (handle.manager == &kv) {
+      EXPECT_NE(handle.state, nullptr);
+      ++n;
+    }
+  }
+  return n;
+}
+
+TEST(KvManager, KvHandlesNeverGoStale) {
+  // The pool setup of FailedRestoreLeavesAllocatorUntouched: 27 pages, one per large page.
+  const ModelConfig model = TinyPyramidModel(/*budget=*/48);
+  const KvSpec spec = MakeJengaSpec(model, kBs, false);
+  auto kv = std::make_unique<KvManager>(spec, spec, spec.LcmPageBytes() * 27,
+                                        JengaOptions(/*caching=*/false));
+  auto twin = std::make_unique<KvManager>(spec, spec, spec.LcmPageBytes() * 27,
+                                          JengaOptions(/*caching=*/false));
+  Request r = MakeRequest(1, TextPrompt(320), 4, 0.0);
+  kv->OnAdmit(r, 1);
+  twin->OnAdmit(r, 1);
+  EXPECT_EQ(HandlesInto(*kv, r), 1);
+  EXPECT_EQ(HandlesInto(*twin, r), 1);
+  for (Tick t = 1; r.num_computed_tokens < 320; ++t) {
+    ASSERT_TRUE(kv->AllocateForTokens(r, kBs, t));
+    ASSERT_TRUE(twin->AllocateForTokens(r, kBs, t));
+    r.num_computed_tokens += kBs;
+    kv->OnStepComputed(r, t);
+    twin->OnStepComputed(r, t);
+  }
+  // A request tracked by two managers (the speculative engine's pair) releases them apart.
+  twin->Release(r, 29, /*finished=*/true);
+  EXPECT_EQ(HandlesInto(*twin, r), 0);
+  EXPECT_EQ(HandlesInto(*kv, r), 1);
+
+  // Swap out, then restore: the restored state is reached through a live handle.
+  const SwapFootprint fp = FootprintOf(*kv, r);
+  kv->Release(r, 30);
+  EXPECT_EQ(HandlesInto(*kv, r), 0);
+  ASSERT_TRUE(kv->RestoreFromSwap(r, fp.tokens, fp.fingerprints[0], 31));
+  EXPECT_EQ(HandlesInto(*kv, r), 1);
+  EXPECT_EQ(FootprintOf(*kv, r).fingerprints, fp.fingerprints);
+  ASSERT_TRUE(kv->AllocateForTokens(r, 1, 32));
+
+  // A failed restore leaves no handle behind.
+  const SwapFootprint fp2 = FootprintOf(*kv, r);
+  kv->Release(r, 33);
+  Request other = MakeRequest(2, TextPrompt(48), 4, 0.0);
+  kv->OnAdmit(other, 34);
+  ASSERT_TRUE(kv->AllocateForTokens(other, 48, 34));  // 3 blocks in each group: 21 free.
+  EXPECT_FALSE(kv->RestoreFromSwap(r, fp2.tokens, fp2.fingerprints[0], 35));
+  EXPECT_EQ(HandlesInto(*kv, r), 0);
+  EXPECT_DEATH((void)kv->block_table(r, 0), "not admitted");
+
+  // Released (preempted), then re-admitted under the same id: a fresh handle to a fresh state.
+  kv->Release(other, 36);
+  EXPECT_EQ(HandlesInto(*kv, other), 0);
+  other.num_computed_tokens = 0;
+  kv->OnAdmit(other, 37);
+  EXPECT_EQ(HandlesInto(*kv, other), 1);
+  EXPECT_TRUE(kv->block_table(other, 0).empty());
+  ComputeTokens(*kv, other, 48, 37);
+  EXPECT_EQ(kv->block_table(other, 0).size(), 3u);
+  kv->Release(other, 38, /*finished=*/true);
+  EXPECT_FALSE(kv->tracks_requests());
+  kv->CheckConsistency();
 }
 
 // Counts every audit event; a grow the feasibility bound rejects must emit none.
