@@ -54,10 +54,10 @@ SwapResult RunLongDoc(bool swap_preemption, double pcie_gbps, int host_gb) {
   engine.RunToCompletion();
   SwapResult result;
   result.recomputed = engine.metrics().recomputed_tokens;
-  result.swap_out = engine.metrics().swap_out_events;
-  result.swap_in = engine.metrics().swap_in_events;
+  result.swap_out = engine.swap()->stats().swap_out_events;
+  result.swap_in = engine.swap()->stats().swap_in_events;
   result.fallbacks = engine.metrics().swap_fallback_events;
-  result.stall = engine.metrics().swap_stall_time;
+  result.stall = engine.swap()->stats().stall_time;
   result.steps = engine.metrics().total_steps();
   result.wall = engine.now();
   result.tok_s = engine.metrics().TokenThroughput();
@@ -109,8 +109,8 @@ CacheResult RunArxivQa(bool tier, int host_gb, double pcie_gbps) {
   if (engine.swap() != nullptr) {
     result.stored = engine.swap()->stats().host_pages_stored;
     result.promoted = engine.swap()->stats().host_pages_promoted;
+    result.stall = engine.swap()->stats().stall_time;
   }
-  result.stall = engine.metrics().swap_stall_time;
   result.req_s = engine.metrics().RequestThroughput();
   return result;
 }

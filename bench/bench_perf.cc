@@ -178,7 +178,7 @@ double MicroCacheChurnOffload(int64_t cycles) {
       r.num_computed_tokens = kLen;
       kv.OnStepComputed(r, now);
     }
-    kv.Release(r, now, /*finished=*/true);
+    kv.Release(r, /*finished=*/true);
   }
   const auto end = Clock::now();
   return static_cast<double>(cycles) / Seconds(begin, end);
@@ -203,7 +203,7 @@ double MicroAdmissionReadmit(int64_t cycles) {
       r.num_computed_tokens = kLen;
       kv.OnStepComputed(r, now);
     }
-    kv.Release(r, now, /*finished=*/false);  // Preemption: the request id stays live.
+    kv.Release(r, /*finished=*/false);  // Preemption: the request id stays live.
   }
   const auto end = Clock::now();
   kv.OnRequestRetired(7);

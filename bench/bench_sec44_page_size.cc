@@ -58,7 +58,7 @@ double MeasuredLcmFrag(const ModelConfig& model, int64_t pool_bytes) {
     Request r = MakeRequest(i, std::move(item.prompt), item.output_len, 0.0);
     kv.OnAdmit(r, i);
     if (!kv.AllocateForTokens(r, r.prompt_len(), i)) {
-      kv.Release(r, i);
+      kv.Release(r);
       continue;
     }
     r.num_computed_tokens = r.prompt_len();
@@ -66,7 +66,7 @@ double MeasuredLcmFrag(const ModelConfig& model, int64_t pool_bytes) {
     live.push_back(std::move(r));
     // Steady churn: occasionally retire the oldest request.
     if (live.size() > 12) {
-      kv.Release(live.front(), i);
+      kv.Release(live.front());
       live.erase(live.begin());
     }
     const KvManager::MemoryStats stats = kv.GetMemoryStats();

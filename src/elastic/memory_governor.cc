@@ -34,17 +34,9 @@ void MemoryGovernor::RequestHotSwap(ModelConfig model, int64_t pool_bytes) {
 bool MemoryGovernor::TryRung(Engine& engine, int rung) {
   switch (rung) {
     case kRungPark:
-      if (engine.ParkNewestRunning()) {
-        stats_.park_actions += 1;
-        return true;
-      }
-      return false;
+      return engine.ParkNewestRunning();
     case kRungShed:
-      if (engine.ShedOldestWaiting()) {
-        stats_.shed_actions += 1;
-        return true;
-      }
-      return false;
+      return engine.ShedOldestWaiting();
     case kRungRepartition: {
       if (!config_.fallback_model.has_value() || fallback_applied_) {
         return false;
@@ -134,11 +126,9 @@ void MemoryGovernor::StepLadder(Engine& engine) {
     // The previous action didn't bring occupancy below the band: climb.
     rung_ += 1;
     stats_.escalations += 1;
-    engine.metrics_mutable().ladder_activations += 1;
   }
   if (!acted_since_engage_) {
     stats_.engagements += 1;
-    engine.metrics_mutable().ladder_activations += 1;
   }
   for (int r = rung_; r <= kMaxRung; ++r) {
     if (TryRung(engine, r)) {
@@ -180,7 +170,6 @@ void MemoryGovernor::StepSplit(SpecDecodeEngine& engine) {
   }
   if (engine.ShiftSplit(donor, 1 - donor, SplitShiftBytes(engine, donor)) > 0) {
     stats_.split_shifts += 1;
-    engine.metrics_mutable().ladder_activations += 1;
     cooldown_ = config_.cooldown_steps;
   }
 }

@@ -104,8 +104,7 @@ class MemoryGovernor final : public StepHook {
   void OnStepBoundary(SchedulerCore& core) override;
 
   struct Stats {
-    int64_t park_actions = 0;         // Ladder rung 1 preemptions.
-    int64_t shed_actions = 0;         // Ladder rung 2 sheds.
+    // Rung 1 parks and rung 2 sheds are EngineMetrics::elastic_parked and elastic_shed.
     int64_t repartition_actions = 0;  // Ladder rung 3 fallback repartitions committed.
     int64_t grow_actions = 0;         // External-delta grow steps committed.
     int64_t shrink_actions = 0;       // External-delta shrink steps committed.

@@ -95,7 +95,6 @@ int32_t Engine::GrowKvPool(int32_t pages) {
   }
   kv().allocator_mutable().GrowPool(pages);
   metrics_.pool_grow_pages += pages;
-  SyncFaultMetrics();
   return pages;
 }
 
@@ -109,7 +108,6 @@ int32_t Engine::ShrinkKvPool(int32_t pages) {
   // an injected host failure in that path may degrade the tier outside any engine step.
   const int32_t removed = kv().allocator_mutable().ShrinkPool(pages);
   metrics_.pool_shrink_pages += removed;
-  SyncFaultMetrics();
   return removed;
 }
 
@@ -149,7 +147,6 @@ bool Engine::RepartitionKvPool(const ModelConfig& new_model, int64_t new_pool_by
   reserved_bytes_ = reserved;
   ReplaceManager(0, std::move(fresh));
   metrics_.repartitions += 1;
-  SyncFaultMetrics();
   return true;
 }
 
@@ -228,40 +225,28 @@ bool Engine::StepOnce() {
       node = node->next;
     }
 
-    // Phase 2: admissions.
-    bool head_blocked = false;
-    while (budget > 0 && static_cast<int>(running_.size()) < max_num_seqs_ && !waiting_.empty()) {
-      Request& r = *waiting_.front();
-      if (r.arrival_time > now_) {
-        break;  // Future arrival, not memory pressure: never counts toward the shed gate.
-      }
-      int64_t n = 0;
-      const bool nothing_else_runnable = running_.empty() && scheduled.empty();
-      const Admission admission = AdmitHead(r, r.prompt_len(), budget, nothing_else_runnable, &n);
-      if (admission == Admission::kBlocked) {
-        head_blocked = true;
-        break;
-      }
-      if (admission == Admission::kFailed) {
-        continue;
-      }
-      if (admission == Admission::kRestored) {
-        // The vision-embedding pages came back with the swap set; don't re-run the encoder.
-        if (config_.jenga && config_.vision_cache && config_.model.vision.present &&
-            r.image_prefix.back() > 0) {
-          r.vision_encoder_runs_this_admission = std::max(r.vision_encoder_runs_this_admission, 1);
-        }
-        continue;  // No prefill chunk needed; the request decodes (or resumes) next step.
-      }
-      {
-        StepProfiler::Scope prof_vision(prof_, StepPhase::kGpuSim);
-        vision_time += MaybeEncodeVision(r, r.num_computed_tokens, r.num_computed_tokens + n);
-      }
-      budget -= n;
-      scheduled.push_back({&r, n, true});
-    }
-
-    MaybeShedHead(head_blocked);
+    // Phase 2: admissions. Every scheduled request is still in running_ (phase 1 preempts
+    // only from behind the request it schedules), so the core's "nothing runnable" test
+    // covers this step's batch too.
+    AdmitArrived(
+        budget, [](const Request& r) { return r.prompt_len(); },
+        [&](Request& r, int64_t n) {
+          if (n == 0) {
+            // Restored from its swap set: the vision-embedding pages came back with it, so the
+            // encoder does not re-run. It decodes (or resumes) next step.
+            if (config_.jenga && config_.vision_cache && config_.model.vision.present &&
+                r.image_prefix.back() > 0) {
+              r.vision_encoder_runs_this_admission =
+                  std::max(r.vision_encoder_runs_this_admission, 1);
+            }
+            return;
+          }
+          {
+            StepProfiler::Scope prof_vision(prof_, StepPhase::kGpuSim);
+            vision_time += MaybeEncodeVision(r, r.num_computed_tokens, r.num_computed_tokens + n);
+          }
+          scheduled.push_back({&r, n, true});
+        });
   }
 
   if (scheduled.empty()) {
@@ -274,7 +259,6 @@ bool Engine::StepOnce() {
     // transiently full pool (running non-empty — retry next step) or this step only drained
     // failed requests and the queues are settling.
     AdvanceToNextArrival();
-    SyncFaultMetrics();
     return true;
   }
 
@@ -325,7 +309,7 @@ bool Engine::StepOnce() {
         }
       }
       if (r.num_generated >= effective_output) {
-        kv().Release(r, tick_, /*finished=*/true);
+        kv().Release(r, /*finished=*/true);
         running_.Erase(r.id);
         FinishRequest(r, /*failed=*/false);
       }
@@ -347,7 +331,6 @@ bool Engine::StepOnce() {
     sample.host_bytes = swap_ != nullptr ? swap_->host().used_bytes() : 0;
     metrics_.RecordMemory(sample);
   }
-  SyncFaultMetrics();
   return true;
 }
 

@@ -694,7 +694,7 @@ void KvManager::ApplyDeferredTouch(const Request& r, RequestKv& state, int g) {
   }
 }
 
-void KvManager::Release(Request& r, Tick now, bool finished) {
+void KvManager::Release(Request& r, bool finished) {
   RequestKv& state = StateOf(r);
   for (size_t g = 0; g < spec_.groups.size(); ++g) {
     SmallPageAllocator& alloc = allocator_.group(static_cast<int>(g));
@@ -717,7 +717,6 @@ void KvManager::Release(Request& r, Tick now, bool finished) {
   if (finished) {
     allocator_.ForgetRequest(r.id);
   }
-  (void)now;
 }
 
 bool KvManager::CanAllocate(const Request& r, int64_t tokens) const {

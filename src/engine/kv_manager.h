@@ -116,7 +116,7 @@ class KvManager {
   // allocator then drops its request-affinity free lists (which otherwise leak across
   // millions of requests). Preempted requests keep theirs — they re-admit under the same id
   // and the affinity drives §4.3 placement.
-  void Release(Request& r, Tick now, bool finished = false);
+  void Release(Request& r, bool finished = false);
 
   // Conservative admission check: can `tokens` more tokens of `r` be allocated right now,
   // counting free plus evictable capacity?

@@ -110,7 +110,7 @@ bool SchedulerCore::AllocateAll(Request& r, int64_t tokens) {
 
 void SchedulerCore::ReleaseAll(Request& r, bool finished) {
   for (auto& manager : managers_) {
-    manager->Release(r, tick_, finished);
+    manager->Release(r, finished);
   }
 }
 
@@ -162,9 +162,7 @@ bool SchedulerCore::BeginStep() {
 void SchedulerCore::AdvanceClock(double compute_time) {
   double step_time = compute_time;
   if (swap_ != nullptr) {
-    const double stall = swap_->ConsumeStall(compute_time);
-    metrics_.swap_stall_time += stall;
-    step_time += stall;
+    step_time += swap_->ConsumeStall(compute_time);
   }
   now_ += step_time;
 }
@@ -193,8 +191,8 @@ bool SchedulerCore::AllocateOrPreempt(Request& r, int64_t tokens) {
 }
 
 SchedulerCore::Admission SchedulerCore::AdmitHead(Request& r, int64_t prefill_target,
-                                                  int64_t budget, bool nothing_else_runnable,
-                                                  int64_t* chunk) {
+                                                  int64_t budget, int64_t* chunk) {
+  const bool nothing_else_runnable = running_.empty();
   if (swap_ != nullptr && r.swapped_out) {
     SwapAdmit outcome;
     {
@@ -206,7 +204,8 @@ SchedulerCore::Admission SchedulerCore::AdmitHead(Request& r, int64_t prefill_ta
     }
     if (outcome == SwapAdmit::kAdmitted) {
       waiting_.Erase(r.id);
-      return Admission::kRestored;
+      *chunk = 0;
+      return Admission::kAdmitted;
     }
     // kFallthrough: recompute from scratch via the normal path below.
   }
@@ -274,7 +273,6 @@ void SchedulerCore::Preempt(Request& r, bool allow_swap) {
         swap_->TryRecordSwapOut(r.id, fp).ok()) {
       r.swapped_out = true;
       r.swapped_out_tokens = r.num_computed_tokens;
-      metrics_.swap_out_events += 1;
     } else {
       metrics_.recomputed_tokens += r.num_computed_tokens;
     }
@@ -288,9 +286,6 @@ void SchedulerCore::Preempt(Request& r, bool allow_swap) {
   r.vision_encoder_runs_this_admission = 0;
   running_.Erase(r.id);
   waiting_.PushFront(r);
-  // Preempt can be driven from outside StepOnce (governor park); a swap-out that trips the
-  // injected host-failure degrade must be visible in metrics without waiting for a step.
-  SyncFaultMetrics();
 }
 
 void SchedulerCore::FinishRequest(Request& r, bool failed) {
@@ -465,20 +460,7 @@ bool SchedulerCore::TransitionFaultFired(FaultSite site, int64_t* rollbacks) {
     return false;
   }
   *rollbacks += 1;
-  SyncFaultMetrics();
   return true;
-}
-
-void SchedulerCore::SyncFaultMetricsSlow() {
-  if (fault_ != nullptr) {
-    metrics_.faults_injected = fault_->total_fires();
-  }
-  if (swap_ != nullptr) {
-    const SwapManager::Stats& s = swap_->stats();
-    metrics_.fault_retries = s.fault_retries;
-    metrics_.fault_backoff_time = s.backoff_time;
-    metrics_.degraded_mode_transitions = s.degraded_transitions;
-  }
 }
 
 SchedulerCore::SwapAdmit SchedulerCore::TryAdmitFromSwap(Request& r, bool nothing_else_runnable) {
@@ -491,7 +473,7 @@ SchedulerCore::SwapAdmit SchedulerCore::TryAdmitFromSwap(Request& r, bool nothin
   // Copy the set: restoring may evict cache pages into the host pool, which can LRU-evict
   // this set (and invalidate `set`) before the commit below.
   const HostSwapSet snapshot = *set;
-  if (!swap_->BeginSwapIn(r.id).ok()) {
+  if (!swap_->BeginSwapIn().ok()) {
     // Injected H2D fault that survived its retries: the set is unusable — drop it and
     // rebuild the request through normal (recompute) admission.
     swap_->DropSwapSet(r.id);
@@ -505,7 +487,7 @@ SchedulerCore::SwapAdmit SchedulerCore::TryAdmitFromSwap(Request& r, bool nothin
     if (!managers_[m]->RestoreFromSwap(r, tokens, snapshot.fingerprints[m], tick_)) {
       // All managers restore together: roll back the ones already restored.
       for (size_t k = 0; k < m; ++k) {
-        managers_[k]->Release(r, tick_);
+        managers_[k]->Release(r);
       }
       r.num_computed_tokens = 0;
       restored = false;
@@ -513,7 +495,6 @@ SchedulerCore::SwapAdmit SchedulerCore::TryAdmitFromSwap(Request& r, bool nothin
   }
   if (restored) {
     swap_->CommitSwapIn(r.id, snapshot);
-    metrics_.swap_in_events += 1;
     r.swapped_out = false;
     r.swapped_out_tokens = 0;
     r.state = RequestState::kRunning;
@@ -584,8 +565,7 @@ void SchedulerCore::DumpStateForDebug(std::ostream& os) const {
        << " repart=" << metrics_.repartitions << "/" << metrics_.repartition_attempts
        << " rollbacks=" << metrics_.pool_grow_rollbacks + metrics_.pool_shrink_rollbacks +
                                metrics_.repartition_rollbacks
-       << " parked=" << metrics_.elastic_parked << " eshed=" << metrics_.elastic_shed
-       << " ladder=" << metrics_.ladder_activations << "\n";
+       << " parked=" << metrics_.elastic_parked << " eshed=" << metrics_.elastic_shed << "\n";
   }
   std::vector<RequestId> ids;
   ids.reserve(requests_.size());

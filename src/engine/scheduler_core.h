@@ -1,9 +1,9 @@
 // The scheduler core shared by Engine and SpecDecodeEngine (§4, §6): one request lifecycle
 // over a set of KvManagers. The core owns the request table, the waiting/running queues, the
 // deadline heap, cancellation / expiry / load shedding / finish, preemption (swap or
-// recompute) and swap-set re-admission, the arrival gate, the host-offload and
-// fault-injection tiers, the metrics, the step hook, and the step profiler. An engine adds
-// only its step policy (StepOnce) and the construction of its managers: Engine has one
+// recompute), the admission loop with swap-set re-admission and the arrival gate, the
+// host-offload and fault-injection tiers, the metrics, the step hook, and the step profiler.
+// An engine adds only its step policy (StepOnce) and the construction of its managers: Engine has one
 // manager, SpecDecodeEngine one merged manager or a [target, draft] pair. Every core
 // operation covers the whole manager set, so a request's pages in all managers move together.
 
@@ -101,9 +101,10 @@ class SchedulerCore {
   bool ShedOldestWaiting();
 
   [[nodiscard]] double now() const { return now_; }
+  // The engine's own counters. Counters of the host tier, the fault injector and the
+  // governor stay with their owners: swap()->stats(), fault_injector()->total_fires(),
+  // MemoryGovernor::stats().
   [[nodiscard]] const EngineMetrics& metrics() const { return metrics_; }
-  // The governor's ladder counters live in the same EngineMetrics the engine owns.
-  [[nodiscard]] EngineMetrics& metrics_mutable() { return metrics_; }
   [[nodiscard]] const Request& request(RequestId id) const;
   [[nodiscard]] int num_running() const { return static_cast<int>(running_.size()); }
   [[nodiscard]] int num_waiting() const { return static_cast<int>(waiting_.size()); }
@@ -121,7 +122,7 @@ class SchedulerCore {
   // Mutable access for the audit layer (tests only); nullptr when the tier is disabled.
   [[nodiscard]] SwapManager* swap_mutable() { return swap_.get(); }
   // nullptr when no faults are configured.
-  [[nodiscard]] FaultInjector* fault_injector() { return fault_.get(); }
+  [[nodiscard]] const FaultInjector* fault_injector() const { return fault_.get(); }
 
   // Installs/removes the step-boundary hook (nullptr detaches; detached = byte-identical).
   void set_step_hook(StepHook* hook) { step_hook_ = hook; }
@@ -171,17 +172,35 @@ class SchedulerCore {
   // (every request after it already was, back-first).
   [[nodiscard]] bool AllocateOrPreempt(Request& r, int64_t tokens);
 
-  // Outcome of admitting the (arrived) head of the waiting queue.
-  enum class Admission {
-    kAdmitted,  // Hit scan done, first chunk of `*chunk` tokens allocated, not yet computed.
-    kRestored,  // Swap set restored in every manager: nothing to compute this step.
-    kFailed,    // Can never fit (nothing else runnable to free memory): finished as failed.
-    kBlocked,   // Cannot fit right now: head-of-line blocking, stop admitting.
-  };
-  // Admits `r` from its swap set when it has a usable one, else through recompute with a first
-  // chunk of up to `budget` tokens toward `prefill_target`. Moves it to running_ on success.
-  [[nodiscard]] Admission AdmitHead(Request& r, int64_t prefill_target, int64_t budget,
-                                    bool nothing_else_runnable, int64_t* chunk);
+  // The admission phase of a step, shared by both engines: FCFS over the arrived head of the
+  // waiting queue while `budget` tokens and a max_num_seqs slot remain. Each head is admitted
+  // through AdmitHead with a first chunk toward `prefill_target(r)`. `on_admit(r, n)` runs
+  // before the next head is tried, since an inline prefill commit can drop pages the next
+  // head's fit check sees: `n` is the chunk's token count, or 0 for a swap-set restore that
+  // computes nothing this step. A head that cannot fit blocks the rest (head-of-line
+  // blocking) and counts toward the shed gate.
+  template <typename PrefillTarget, typename OnAdmit>
+  void AdmitArrived(int64_t budget, PrefillTarget prefill_target, OnAdmit on_admit) {
+    bool head_blocked = false;
+    while (budget > 0 && num_running() < max_num_seqs_ && !waiting_.empty()) {
+      Request& r = *waiting_.front();
+      if (r.arrival_time > now_) {
+        break;  // Future arrival, not memory pressure: never counts toward the shed gate.
+      }
+      int64_t n = 0;
+      const Admission admission = AdmitHead(r, prefill_target(r), budget, &n);
+      if (admission == Admission::kBlocked) {
+        head_blocked = true;
+        break;
+      }
+      if (admission == Admission::kFailed) {
+        continue;
+      }
+      on_admit(r, n);
+      budget -= n;
+    }
+    MaybeShedHead(head_blocked);
+  }
 
   // Returns a running request to the front of the waiting queue, parking its KV to the host
   // tier when the swap crossover accepts it. `allow_swap` false forces the recompute path
@@ -196,30 +215,6 @@ class SchedulerCore {
   // Consults a pool-transition fault site before any mutation. A fire rolls the transition
   // back with zero net change and counts it in `*rollbacks`; returns true on a fire.
   [[nodiscard]] bool TransitionFaultFired(FaultSite site, int64_t* rollbacks);
-
-  // Closes a step's admission phase: a head that stayed blocked counts toward the shed gate,
-  // which sheds it once the gate trips. Inlined disabled path — configs without a shed gate
-  // never reach the occupancy probe.
-  void MaybeShedHead(bool head_blocked) {
-    if (!head_blocked) {
-      head_blocked_steps_ = 0;
-      return;
-    }
-    head_blocked_steps_ += 1;
-    StepProfiler::Scope prof_shed(prof_, StepPhase::kShedGate);
-    if (shed_after_blocked_steps_ > 0 && head_blocked_steps_ >= shed_after_blocked_steps_ &&
-        !waiting_.empty()) {
-      MaybeShedHeadSlow();
-    }
-  }
-  // Copies injector/swap recovery counters into metrics_ (idempotent assignments). Inlined
-  // null path: with neither tier configured this is two pointer tests and no call — it runs
-  // on every step-exit path, so the common no-fault/no-offload config must not pay for it.
-  void SyncFaultMetrics() {
-    if (fault_ != nullptr || swap_ != nullptr) [[unlikely]] {
-      SyncFaultMetricsSlow();
-    }
-  }
 
   std::vector<std::unique_ptr<KvManager>> managers_;
   std::unique_ptr<SwapManager> swap_;
@@ -239,6 +234,35 @@ class SchedulerCore {
   EngineMetrics metrics_;
 
  private:
+  // Outcome of admitting the (arrived) head of the waiting queue.
+  enum class Admission {
+    // Moved to running_. Either the hit scan is done and a first chunk of `*chunk` tokens is
+    // allocated, not yet computed, or the swap set was restored in every manager and
+    // `*chunk` is 0: nothing to compute this step.
+    kAdmitted,
+    kFailed,    // Can never fit (nothing else runnable to free memory): finished as failed.
+    kBlocked,   // Cannot fit right now: head-of-line blocking, stop admitting.
+  };
+  // Admits `r` from its swap set when it has a usable one, else through recompute with a first
+  // chunk of up to `budget` tokens toward `prefill_target`. Moves it to running_ on success.
+  // With nothing running, a head that cannot fit never will, and is failed.
+  [[nodiscard]] Admission AdmitHead(Request& r, int64_t prefill_target, int64_t budget,
+                                    int64_t* chunk);
+  // Closes a step's admission phase: a head that stayed blocked counts toward the shed gate,
+  // which sheds it once the gate trips. Inlined disabled path — configs without a shed gate
+  // never reach the occupancy probe.
+  void MaybeShedHead(bool head_blocked) {
+    if (!head_blocked) {
+      head_blocked_steps_ = 0;
+      return;
+    }
+    head_blocked_steps_ += 1;
+    StepProfiler::Scope prof_shed(prof_, StepPhase::kShedGate);
+    if (shed_after_blocked_steps_ > 0 && head_blocked_steps_ >= shed_after_blocked_steps_ &&
+        !waiting_.empty()) {
+      MaybeShedHeadSlow();
+    }
+  }
   // Cancels every unfinished request whose deadline has passed (same path as CancelRequest).
   // O(1) when nothing expired (deadline-heap top check), O(log n) per single expiry; a step
   // that expires several requests at once re-collects them in queue order so the cancel
@@ -266,7 +290,6 @@ class SchedulerCore {
   // Finishes `r` — already unlinked from its queue and holding no manager pages — as
   // cancelled (failed).
   void RetireCancelled(Request& r);
-  void SyncFaultMetricsSlow();
 
   StepHook* step_hook_ = nullptr;  // Not owned; nullptr = no governor attached.
   int shed_after_blocked_steps_ = 0;

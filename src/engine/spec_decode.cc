@@ -1,7 +1,6 @@
 #include "src/engine/spec_decode.h"
 
 #include <algorithm>
-#include <optional>
 #include <vector>
 
 #include "src/baseline/smartspec.h"
@@ -167,15 +166,15 @@ bool SpecDecodeEngine::StepOnce() {
       StepProfiler::Scope prof_commit(prof_, StepPhase::kCommit);
       StepComputedAll(r);
     }
-    budget -= n;
     prefill_tokens += n;
     metrics_.prefill_tokens_computed += n;
     mark_prefilled(r);
   };
 
-  // Phase 1: continue prefill (and post-preemption recompute) of running requests.
   {
     StepProfiler::Scope prof_schedule(prof_, StepPhase::kSchedule);
+    // Phase 1: continue prefill (and post-preemption recompute) of running requests. A chunk
+    // that does not fit retries next step, once decodes free memory, without preempting.
     for (const RequestQueue::Node* node = running_.first(); node != nullptr; node = node->next) {
       Request& r = *node->request;
       if (r.num_computed_tokens >= PrefillTarget(r) || budget <= 0) {
@@ -189,132 +188,111 @@ bool SpecDecodeEngine::StepOnce() {
       }
       if (allocated) {
         commit_prefill(r, n);
-      }  // Else retry next step once decodes free memory.
+        budget -= n;
+      }
     }
-  }
 
-  // Phase 2: admissions. The kSchedule scope is held in an optional so it can end before the
-  // shed-gate check without re-indenting the loop (nested scopes pause it as usual).
-  bool head_blocked = false;
-  std::optional<StepProfiler::Scope> prof_admissions;
-  prof_admissions.emplace(prof_, StepPhase::kSchedule);
-  while (budget > 0 && static_cast<int>(running_.size()) < max_num_seqs_ && !waiting_.empty()) {
-    Request& r = *waiting_.front();
-    if (r.arrival_time > now_) {
-      break;  // Future arrival, not memory pressure: never counts toward the shed gate.
-    }
-    int64_t n = 0;
-    const Admission admission =
-        AdmitHead(r, PrefillTarget(r), budget, /*nothing_else_runnable=*/running_.empty(), &n);
-    if (admission == Admission::kBlocked) {
-      head_blocked = true;
-      break;
-    }
-    if (admission == Admission::kFailed) {
-      continue;
-    }
-    if (admission == Admission::kRestored) {
-      // The restore transfer is still in flight this step; decode resumes next step.
-      mark_prefilled(r);
-      continue;
-    }
-    commit_prefill(r, n);
+    // Phase 2: admissions. A restored request's transfer is still in flight this step; it
+    // decodes from the next step on.
+    AdmitArrived(budget, PrefillTarget, [&](Request& r, int64_t n) {
+      if (n == 0) {
+        mark_prefilled(r);
+      } else {
+        commit_prefill(r, n);
+      }
+    });
   }
-  prof_admissions.reset();
-
-  MaybeShedHead(head_blocked);
 
   // Phase 3: decode macro step — draft proposes, target verifies, accepted tokens commit.
   // Generated token ids are appended before allocation so block tables can cover them.
   std::vector<Emit>& decode_emits = emits_buf_;
   decode_emits.clear();
   int64_t decode_kv_read = 0;
-  std::optional<StepProfiler::Scope> prof_decode;
-  prof_decode.emplace(prof_, StepPhase::kSchedule);
-  for (const RequestQueue::Node* node = running_.first(); node != nullptr;) {
-    Request& r = *node->request;
-    if (r.prefilled_tick == tick_ || r.num_computed_tokens < PrefillTarget(r)) {
-      node = node->next;
-      continue;
-    }
-    int accepted = 0;
-    while (accepted < config_.propose_len && rng_.Bernoulli(config_.acceptance_rate)) {
-      ++accepted;
-    }
-    const int64_t emit = std::min<int64_t>(accepted + 1, r.output_len - r.num_generated);
-    if (emit == 0) {
-      // Every output token was already appended before a mid-decode self-preemption, and
-      // the recompute that just completed re-covered their KV: the request finishes through
-      // the normal commit path below without emitting anything new.
-      decode_emits.push_back({&r, 0});
-      node = node->next;
-      continue;
-    }
-    for (int64_t j = 0; j < emit; ++j) {
-      r.AppendGenerated(PseudoToken(r.id, r.total_len()));
-    }
-    if (!AllocateOrPreempt(r, emit)) {
-      // Tokens stay appended; recompute covers their KV after re-admission. Everything after
-      // `r` was already preempted back-first, so the iteration is over — and the successor
-      // must be read after the preempt loop anyway, since the loop unlinks it.
-      break;
-    }
-    {
-      StepProfiler::Scope prof_gpu(prof_, StepPhase::kGpuSim);
-      for (auto& manager : managers_) {
-        decode_kv_read += manager->DecodeKvReadBytes(r);
+  {
+    StepProfiler::Scope prof_decode(prof_, StepPhase::kSchedule);
+    for (const RequestQueue::Node* node = running_.first(); node != nullptr;) {
+      Request& r = *node->request;
+      if (r.prefilled_tick == tick_ || r.num_computed_tokens < PrefillTarget(r)) {
+        node = node->next;
+        continue;
       }
+      int accepted = 0;
+      while (accepted < config_.propose_len && rng_.Bernoulli(config_.acceptance_rate)) {
+        ++accepted;
+      }
+      const int64_t emit = std::min<int64_t>(accepted + 1, r.output_len - r.num_generated);
+      if (emit == 0) {
+        // Every output token was already appended before a mid-decode self-preemption, and
+        // the recompute that just completed re-covered their KV: the request finishes through
+        // the normal commit path below without emitting anything new.
+        decode_emits.push_back({&r, 0});
+        node = node->next;
+        continue;
+      }
+      for (int64_t j = 0; j < emit; ++j) {
+        r.AppendGenerated(PseudoToken(r.id, r.total_len()));
+      }
+      if (!AllocateOrPreempt(r, emit)) {
+        // Tokens stay appended; recompute covers their KV after re-admission. Everything after
+        // `r` was already preempted back-first, so the iteration is over — and the successor
+        // must be read after the preempt loop anyway, since the loop unlinks it.
+        break;
+      }
+      {
+        StepProfiler::Scope prof_gpu(prof_, StepPhase::kGpuSim);
+        for (auto& manager : managers_) {
+          decode_kv_read += manager->DecodeKvReadBytes(r);
+        }
+      }
+      decode_emits.push_back({&r, emit});
+      node = node->next;
     }
-    decode_emits.push_back({&r, emit});
-    node = node->next;
   }
-  prof_decode.reset();
 
   if (prefilled.empty() && decode_emits.empty()) {
     // Everything blocked (e.g. a prefill cannot fit next to the others): preempt the youngest
     // running request so the head of the line can progress.
     if (!running_.empty()) {
       Preempt(*running_.back());
-      SyncFaultMetrics();
       return true;
     }
     // Either the head of the waiting line retries next step (after the next arrival, when
     // none has arrived yet), or every remaining request was failed at admission above and no
     // work remains.
     AdvanceToNextArrival();
-    SyncFaultMetrics();
     return !waiting_.empty();
   }
 
   // Phase 4: time accounting — chunked prefill on both models + propose_len draft steps +
   // one target verification pass over batch × (k+1) tokens.
-  std::optional<StepProfiler::Scope> prof_gpu;
-  prof_gpu.emplace(prof_, StepPhase::kGpuSim);
-  double step_time = 0.0;
-  if (prefill_tokens > 0) {
-    step_time += target_gpu_.StepTime(prefill_tokens, 0) + draft_gpu_.StepTime(prefill_tokens, 0);
-  }
-  if (!decode_emits.empty()) {
-    const int64_t batch = static_cast<int64_t>(decode_emits.size());
-    const int64_t per_pass_read = decode_kv_read / (config_.propose_len + 1);
-    for (int j = 0; j < config_.propose_len; ++j) {
-      step_time += draft_gpu_.StepTime(batch, per_pass_read);
+  bool step_failed;
+  {
+    StepProfiler::Scope prof_gpu(prof_, StepPhase::kGpuSim);
+    double step_time = 0.0;
+    if (prefill_tokens > 0) {
+      step_time +=
+          target_gpu_.StepTime(prefill_tokens, 0) + draft_gpu_.StepTime(prefill_tokens, 0);
     }
-    step_time += target_gpu_.StepTime(batch * (config_.propose_len + 1), per_pass_read);
-  }
-  AdvanceClock(step_time);
+    if (!decode_emits.empty()) {
+      const int64_t batch = static_cast<int64_t>(decode_emits.size());
+      const int64_t per_pass_read = decode_kv_read / (config_.propose_len + 1);
+      for (int j = 0; j < config_.propose_len; ++j) {
+        step_time += draft_gpu_.StepTime(batch, per_pass_read);
+      }
+      step_time += target_gpu_.StepTime(batch * (config_.propose_len + 1), per_pass_read);
+    }
+    AdvanceClock(step_time);
 
-  // A fired GPU step fault voids the whole draft+verify pass: the Phase 5 commit is skipped,
-  // and the appended-but-uncommitted decode tokens recover through the Phase 1 recompute path
-  // next step (the same mechanism a mid-decode self-preemption relies on — their pages are
-  // already allocated, so the retry is cheap). Prefill commits in Phases 1–2 are inline and
-  // survive the fault.
-  const bool step_failed = target_gpu_.InjectStepFault();
-  prof_gpu.reset();
+    // A fired GPU step fault voids the whole draft+verify pass: the Phase 5 commit is
+    // skipped, and the appended-but-uncommitted decode tokens recover through the Phase 1
+    // recompute path next step (the same mechanism a mid-decode self-preemption relies on —
+    // their pages are already allocated, so the retry is cheap). Prefill commits in Phases
+    // 1–2 are inline and survive the fault.
+    step_failed = target_gpu_.InjectStepFault();
+  }
   if (step_failed) {
     metrics_.gpu_step_faults += 1;
     metrics_.RecordStep(now_, prefill_tokens, 0);
-    SyncFaultMetrics();
     return true;
   }
 
@@ -347,7 +325,6 @@ bool SpecDecodeEngine::StepOnce() {
 
   metrics_.RecordStep(now_, prefill_tokens + emitted_total,
                       static_cast<int>(decode_emits.size()));
-  SyncFaultMetrics();
   return true;
 }
 

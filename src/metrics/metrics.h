@@ -89,24 +89,20 @@ class EngineMetrics {
   [[nodiscard]] double TtftPercentile(double p) const;
   [[nodiscard]] double TpotPercentile(double p) const;
 
-  // Counters maintained directly by the engine.
+  // Counters of events that happen in the scheduler core or an engine's step. Each counter
+  // has one owner: the host tier's swap, stall and retry counters live in
+  // SwapManager::Stats, injector fires in FaultInjector, and the governor's ladder
+  // engagements in MemoryGovernor::Stats.
   int64_t vision_encoder_runs = 0;
   double vision_encode_time = 0.0;
   int64_t cache_hit_tokens = 0;
   int64_t prefill_tokens_computed = 0;
-  // Host offload tier (all zero when the tier is disabled).
-  int64_t swap_out_events = 0;
-  int64_t swap_in_events = 0;
-  int64_t swap_fallback_events = 0;  // Chose/held a swap set but had to recompute anyway.
+  // Preemption outcomes.
+  int64_t swap_fallback_events = 0;  // Held a swap set but recomputed (0 without offload).
   int64_t recomputed_tokens = 0;     // Computed tokens discarded by recompute preemptions.
-  double swap_stall_time = 0.0;      // Engine time stalled on PCIe transfers.
-  // Fault injection & recovery (all zero when no faults are configured).
-  int64_t faults_injected = 0;        // Injector fires across all sites.
-  int64_t fault_retries = 0;          // Transfer retries after injected PCIe errors.
-  double fault_backoff_time = 0.0;    // Sim time spent waiting out retries/timeouts.
+  // Recovery and admission control.
   int64_t gpu_step_faults = 0;        // Steps whose results were discarded and recomputed.
   int64_t shed_requests = 0;          // Requests failed by the admission shed gate.
-  int64_t degraded_mode_transitions = 0;  // Offload tier detached (GPU-only fallback).
   int64_t cancelled_requests = 0;     // CancelRequest() aborts (incl. deadline expiries).
   int64_t deadline_expirations = 0;   // Subset of cancellations caused by deadlines.
   // Elastic memory governor (all zero when no governor is attached). The resize ledger
@@ -125,7 +121,6 @@ class EngineMetrics {
   int64_t repartition_rollbacks = 0;  // repartition_commit fired; old layout kept.
   int64_t elastic_parked = 0;         // Pressure-ladder rung 1: preempt-to-host parks.
   int64_t elastic_shed = 0;           // Pressure-ladder rung 2: governor-driven sheds.
-  int64_t ladder_activations = 0;     // Times the governor stepped onto any rung.
 
  private:
   std::vector<RequestRecord> finished_;

@@ -178,8 +178,7 @@ Status SwapManager::TryRecordSwapOut(RequestId id, const SwapFootprint& fp) {
   return Status::Ok();
 }
 
-Status SwapManager::BeginSwapIn(RequestId id) {
-  (void)id;
+Status SwapManager::BeginSwapIn() {
   if (degraded_) {
     return Status::FailedPrecondition("offload tier degraded to GPU-only mode");
   }

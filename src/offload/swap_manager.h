@@ -130,7 +130,7 @@ class SwapManager {
   // Consults the injector for the H2D leg of a swap-in, with the same retry/backoff policy
   // as TryRecordSwapOut. Call before KvManager::RestoreFromSwap; a non-OK status means the
   // engine should drop the set and recompute instead.
-  [[nodiscard]] Status BeginSwapIn(RequestId id);
+  [[nodiscard]] Status BeginSwapIn();
 
   // Swap set still resident in host memory, if any (nullptr after LRU eviction).
   [[nodiscard]] const HostSwapSet* PeekSwapSet(RequestId id) const;

@@ -103,7 +103,6 @@ TEST(MemoryGovernor, AttachedButIdleGovernorIsOutcomeIdentical) {
     EXPECT_DOUBLE_EQ(a.finish_time, b.finish_time);
   }
   EXPECT_EQ(governor.stats().engagements, 0);
-  EXPECT_EQ(hooked.metrics().ladder_activations, 0);
 }
 
 TEST(MemoryGovernor, PoolDeltaGrowsInStepsUntilSatisfied) {
@@ -191,15 +190,11 @@ TEST(MemoryGovernor, PressureLadderParksAndShedsUnderSustainedPressure) {
   SubmitBatch(engine, 4, /*prompt_len=*/64, /*output_len=*/32);
   engine.RunToCompletion();
 
-  const MemoryGovernor::Stats& s = governor.stats();
-  EXPECT_GE(s.engagements, 1);
-  EXPECT_GT(s.park_actions + s.shed_actions, 0);
+  EXPECT_GE(governor.stats().engagements, 1);
   const EngineMetrics& m = engine.metrics();
-  EXPECT_EQ(m.elastic_parked, s.park_actions);
-  EXPECT_EQ(m.elastic_shed, s.shed_actions);
-  EXPECT_EQ(m.shed_requests, s.shed_actions);
+  EXPECT_GT(m.elastic_parked + m.elastic_shed, 0);
+  EXPECT_EQ(m.shed_requests, m.elastic_shed);  // The admission shed gate is off.
   EXPECT_EQ(m.cancelled_requests, m.shed_requests);  // Sheds are the only cancellations.
-  EXPECT_GE(m.ladder_activations, s.engagements + s.escalations);
   // Every request reached a terminal state exactly once (shed ones as failed records).
   EXPECT_EQ(m.finished().size(), 4u);
   EXPECT_TRUE(auditor.Audit().empty());
@@ -225,8 +220,8 @@ TEST(MemoryGovernor, LadderEscalatesToFallbackRepartitionWhenParkAndShedCannotHe
   EXPECT_EQ(governor.stats().repartition_actions, 1);
   EXPECT_EQ(engine.metrics().repartitions, 1);
   EXPECT_EQ(engine.PoolPages(), 16);
-  EXPECT_EQ(governor.stats().park_actions, 0);
-  EXPECT_EQ(governor.stats().shed_actions, 0);
+  EXPECT_EQ(engine.metrics().elastic_parked, 0);
+  EXPECT_EQ(engine.metrics().elastic_shed, 0);
   const RequestRecord& r = engine.metrics().finished().front();
   EXPECT_FALSE(r.failed);  // The repartition aborted nothing.
   EXPECT_EQ(r.output_len, 32);

@@ -36,7 +36,8 @@ std::string Fingerprint(const Engine& engine) {
      << " sched=" << m.total_scheduled_tokens() << " done=" << m.CompletedRequests()
      << " failed=" << m.FailedRequests() << " hit=" << m.cache_hit_tokens
      << " prefill=" << m.prefill_tokens_computed << " recomputed=" << m.recomputed_tokens
-     << " swap_out=" << m.swap_out_events << " swap_in=" << m.swap_in_events
+     << " swap_out=" << SwapStats(engine).swap_out_events
+     << " swap_in=" << SwapStats(engine).swap_in_events
      << " vision_runs=" << m.vision_encoder_runs << "\n";
   for (const RequestRecord& r : m.finished()) {
     os << "r" << r.id << " cached=" << r.cached_prefix_tokens << " pre=" << r.preemptions
@@ -153,7 +154,7 @@ TEST(AdmissionMemo, SwapRestoreRoundTrip) {
     Engine probe(config);
     SubmitTextBatch(probe, 96, 80);
     probe.RunToCompletion();
-    ASSERT_GT(probe.metrics().swap_in_events, 0) << model.name;
+    ASSERT_GT(SwapStats(probe).swap_in_events, 0) << model.name;
     const int preemptions = ExpectMemoEquivalent(
         config, [](Engine& e) { SubmitTextBatch(e, 96, 80); });
     EXPECT_GT(preemptions, 0) << model.name;

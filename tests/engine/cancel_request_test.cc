@@ -207,7 +207,7 @@ TEST(CancelRequest, DuringTransferBackoff) {
   bool saw_backoff = false;
   for (int step = 0; step < 400 && !saw_backoff; ++step) {
     ASSERT_TRUE(engine.StepOnce());
-    saw_backoff = engine.metrics().fault_backoff_time > 0.0;
+    saw_backoff = SwapStats(engine).backoff_time > 0.0;
   }
   ASSERT_TRUE(saw_backoff) << "schedule never hit the injected-fault backoff path";
   RequestId victim = kNoRequest;

@@ -61,15 +61,15 @@ TEST(FaultRecovery, PcieD2HErrorRetriesThenFallsBackToRecompute) {
   engine.RunToCompletion();
   EXPECT_EQ(engine.metrics().CompletedRequests(), 4);
   // No swap-out can ever commit; every preemption fell back to recompute.
-  EXPECT_EQ(engine.metrics().swap_out_events, 0);
+  EXPECT_EQ(SwapStats(engine).swap_out_events, 0);
   EXPECT_GT(engine.metrics().recomputed_tokens, 0);
   // The retry loop ran with exponential backoff before giving up each time.
-  EXPECT_GT(engine.metrics().faults_injected, 0);
-  EXPECT_GT(engine.metrics().fault_retries, 0);
-  EXPECT_GT(engine.metrics().fault_backoff_time, 0.0);
+  EXPECT_GT(FaultsInjected(engine), 0);
+  EXPECT_GT(SwapStats(engine).fault_retries, 0);
+  EXPECT_GT(SwapStats(engine).backoff_time, 0.0);
   // Backoff is engine wait: it must show up in the stall clock too.
-  EXPECT_GE(engine.metrics().swap_stall_time, engine.metrics().fault_backoff_time);
-  EXPECT_EQ(engine.metrics().degraded_mode_transitions, 0);
+  EXPECT_GE(SwapStats(engine).stall_time, SwapStats(engine).backoff_time);
+  EXPECT_EQ(SwapStats(engine).degraded_transitions, 0);
   engine.kv().CheckConsistency();
 }
 
@@ -80,11 +80,11 @@ TEST(FaultRecovery, PcieTimeoutChargesBudgetOnceWithoutRetry) {
   SubmitPressureBatch(engine);
   engine.RunToCompletion();
   EXPECT_EQ(engine.metrics().CompletedRequests(), 4);
-  EXPECT_EQ(engine.metrics().swap_out_events, 0);
-  EXPECT_GT(engine.metrics().faults_injected, 0);
+  EXPECT_EQ(SwapStats(engine).swap_out_events, 0);
+  EXPECT_GT(FaultsInjected(engine), 0);
   // A hung link is not retried — the engine waits out the timeout budget and gives up.
-  EXPECT_EQ(engine.metrics().fault_retries, 0);
-  EXPECT_GE(engine.metrics().fault_backoff_time, config.offload.pcie.timeout_seconds);
+  EXPECT_EQ(SwapStats(engine).fault_retries, 0);
+  EXPECT_GE(SwapStats(engine).backoff_time, config.offload.pcie.timeout_seconds);
   engine.kv().CheckConsistency();
 }
 
@@ -95,13 +95,13 @@ TEST(FaultRecovery, PcieH2DErrorDropsSwapSetAndRecomputes) {
   SubmitPressureBatch(engine);
   engine.RunToCompletion();
   EXPECT_EQ(engine.metrics().CompletedRequests(), 4);
-  EXPECT_GT(engine.metrics().swap_out_events, 0);
-  EXPECT_EQ(engine.metrics().swap_in_events, 0);
+  EXPECT_GT(SwapStats(engine).swap_out_events, 0);
+  EXPECT_EQ(SwapStats(engine).swap_in_events, 0);
   // Every swapped-out request resolved through the fallback: set dropped, prefix recomputed.
-  EXPECT_EQ(engine.metrics().swap_fallback_events, engine.metrics().swap_out_events);
+  EXPECT_EQ(engine.metrics().swap_fallback_events, SwapStats(engine).swap_out_events);
   EXPECT_GT(engine.metrics().recomputed_tokens, 0);
-  EXPECT_GT(engine.metrics().fault_retries, 0);
-  EXPECT_GT(engine.metrics().fault_backoff_time, 0.0);
+  EXPECT_GT(SwapStats(engine).fault_retries, 0);
+  EXPECT_GT(SwapStats(engine).backoff_time, 0.0);
   // Nothing lingers in host memory once everything finished.
   EXPECT_EQ(engine.swap()->host().num_sets(), 0);
   engine.kv().CheckConsistency();
@@ -117,7 +117,7 @@ TEST(FaultRecovery, HostPoolFailureDegradesToGpuOnly) {
   EXPECT_EQ(engine.metrics().CompletedRequests(), 4);
   ASSERT_NE(engine.swap(), nullptr);
   EXPECT_TRUE(engine.swap()->degraded());
-  EXPECT_EQ(engine.metrics().degraded_mode_transitions, 1);
+  EXPECT_EQ(SwapStats(engine).degraded_transitions, 1);
   EXPECT_GE(engine.swap()->stats().host_failures, 1);
   // The tier drained cleanly: no sets, no pages, no bytes.
   EXPECT_EQ(engine.swap()->host().num_sets(), 0);
@@ -151,7 +151,7 @@ TEST(FaultRecovery, RepeatedShrinksDegradeBelowFloor) {
   engine.RunToCompletion();
   EXPECT_EQ(engine.metrics().CompletedRequests(), 4);
   EXPECT_TRUE(engine.swap()->degraded());
-  EXPECT_EQ(engine.metrics().degraded_mode_transitions, 1);
+  EXPECT_EQ(SwapStats(engine).degraded_transitions, 1);
   // 2^20 halves 4 times before the next halving lands below 2^16.
   EXPECT_EQ(engine.swap()->stats().host_shrinks, 4);
   EXPECT_EQ(engine.swap()->host().used_bytes(), 0);
@@ -168,7 +168,7 @@ TEST(FaultRecovery, GpuStepFaultDiscardsCommitAndRetries) {
   engine.Submit(MakeRequest(1, TextPrompt(48), 8, 0.0));
   engine.RunToCompletion();
   EXPECT_EQ(engine.metrics().gpu_step_faults, 1);
-  EXPECT_EQ(engine.metrics().faults_injected, 1);
+  EXPECT_EQ(FaultsInjected(engine), 1);
   // The voided step's work was re-done: both requests completed with full output.
   EXPECT_EQ(engine.metrics().CompletedRequests(), 2);
   for (const RequestRecord& record : engine.metrics().finished()) {
@@ -251,9 +251,9 @@ TEST(FaultRecovery, SpecDecodeH2DErrorFallsBackToRecompute) {
   SubmitSpecBatch(engine);
   engine.RunToCompletion();
   EXPECT_EQ(engine.metrics().CompletedRequests(), 4);
-  EXPECT_EQ(engine.metrics().swap_in_events, 0);
-  EXPECT_EQ(engine.metrics().swap_fallback_events, engine.metrics().swap_out_events);
-  EXPECT_GT(engine.metrics().fault_retries, 0);
+  EXPECT_EQ(SwapStats(engine).swap_in_events, 0);
+  EXPECT_EQ(engine.metrics().swap_fallback_events, SwapStats(engine).swap_out_events);
+  EXPECT_GT(SwapStats(engine).fault_retries, 0);
   for (int m = 0; m < engine.num_managers(); ++m) {
     engine.manager(m).CheckConsistency();
   }
@@ -268,7 +268,7 @@ TEST(FaultRecovery, SpecDecodeHostFailureDegrades) {
   engine.RunToCompletion();
   EXPECT_EQ(engine.metrics().CompletedRequests(), 4);
   EXPECT_TRUE(engine.swap()->degraded());
-  EXPECT_EQ(engine.metrics().degraded_mode_transitions, 1);
+  EXPECT_EQ(SwapStats(engine).degraded_transitions, 1);
   EXPECT_EQ(engine.swap()->host().used_bytes(), 0);
 }
 
@@ -278,11 +278,11 @@ TEST(FaultRecovery, DisabledInjectorReportsZeroEverywhere) {
   SubmitPressureBatch(engine);
   engine.RunToCompletion();
   EXPECT_EQ(engine.metrics().CompletedRequests(), 4);
-  EXPECT_EQ(engine.metrics().faults_injected, 0);
-  EXPECT_EQ(engine.metrics().fault_retries, 0);
-  EXPECT_EQ(engine.metrics().fault_backoff_time, 0.0);
+  EXPECT_EQ(engine.fault_injector(), nullptr);
+  EXPECT_EQ(SwapStats(engine).fault_retries, 0);
+  EXPECT_EQ(SwapStats(engine).backoff_time, 0.0);
   EXPECT_EQ(engine.metrics().gpu_step_faults, 0);
-  EXPECT_EQ(engine.metrics().degraded_mode_transitions, 0);
+  EXPECT_EQ(SwapStats(engine).degraded_transitions, 0);
   EXPECT_EQ(engine.metrics().shed_requests, 0);
   EXPECT_EQ(engine.metrics().cancelled_requests, 0);
 }

@@ -139,7 +139,7 @@ TEST(KvManager, AllocatesBlocksForPromptProgress) {
   ComputeTokens(*kv, r, 100, 1);
   // 100 tokens → 7 blocks of 16 in the single full-attention group.
   EXPECT_EQ(kv->allocator().group(0).GetStats().used_pages, 7);
-  kv->Release(r, 2);
+  kv->Release(r);
   EXPECT_EQ(kv->allocator().group(0).GetStats().used_pages, 0);
   kv->CheckConsistency();
 }
@@ -151,7 +151,7 @@ TEST(KvManager, PrefixHitOnIdenticalPrompt) {
   kv->OnAdmit(a, 1);
   EXPECT_EQ(a.cached_prefix_tokens, 0);
   ComputeTokens(*kv, a, 100, 1);
-  kv->Release(a, 2);
+  kv->Release(a);
 
   Request b = MakeRequest(2, TextPrompt(100), 4, 0.0);
   kv->OnAdmit(b, 3);
@@ -168,7 +168,7 @@ TEST(KvManager, FullBlockAlignedPromptHitsAllButOneBlock) {
   Request a = MakeRequest(1, TextPrompt(64), 4, 0.0);
   kv->OnAdmit(a, 1);
   ComputeTokens(*kv, a, 64, 1);
-  kv->Release(a, 2);
+  kv->Release(a);
   Request b = MakeRequest(2, TextPrompt(64), 4, 0.0);
   kv->OnAdmit(b, 3);
   // A full hit would leave nothing to compute; the manager caps at 48 of 64.
@@ -181,7 +181,7 @@ TEST(KvManager, NoHitWhenCachingDisabled) {
   Request a = MakeRequest(1, TextPrompt(100), 4, 0.0);
   kv->OnAdmit(a, 1);
   ComputeTokens(*kv, a, 100, 1);
-  kv->Release(a, 2);
+  kv->Release(a);
   // With caching off, releasing returns all memory to the pool.
   EXPECT_EQ(kv->allocator().lcm().num_allocated(), 0);
   Request b = MakeRequest(2, TextPrompt(100), 4, 0.0);
@@ -251,7 +251,7 @@ TEST(KvManager, SlidingWindowPrefixHitSurvivesPartialEviction) {
   Request a = MakeRequest(1, TextPrompt(320), 4, 0.0);
   kv->OnAdmit(a, 1);
   ComputeTokens(*kv, a, 320, 1);
-  kv->Release(a, 2);
+  kv->Release(a);
   Request b = MakeRequest(2, TextPrompt(320), 4, 0.0);
   kv->OnAdmit(b, 3);
   EXPECT_EQ(b.cached_prefix_tokens, 304);  // 19 of 20 blocks (cap leaves one to compute).
@@ -275,7 +275,7 @@ TEST(KvManager, MambaStateAndCheckpoints) {
   // One live state page + two checkpoint snapshots (512, 1024) already evictable.
   EXPECT_EQ(kv->allocator().group(mamba).GetStats().used_pages, 1);
   EXPECT_EQ(kv->allocator().group(mamba).GetStats().evictable_pages, 2);
-  kv->Release(r, 2);
+  kv->Release(r);
 
   // A successor with the same prompt restores from the 1024-token checkpoint; the hit must be
   // a multiple of the checkpoint interval (gated by the Mamba group).
@@ -294,7 +294,7 @@ TEST(KvManager, MambaWholePromptReAdmissionHitsACheckpoint) {
   Request a = MakeRequest(1, TextPrompt(1024), 4, 0.0);
   kv->OnAdmit(a, 1);
   ComputeTokens(*kv, a, 1024, 1);
-  kv->Release(a, 2, /*finished=*/true);
+  kv->Release(a, /*finished=*/true);
 
   Request b = MakeRequest(2, TextPrompt(1024), 4, 0.0);
   kv->OnAdmit(b, 3);
@@ -319,7 +319,7 @@ TEST(KvManager, SlidingWindowHitNeedsTheBlockBeforeItsWindow) {
   kv->OnAdmit(a, 1);
   ComputeTokens(*kv, a, 304, 1);  // Drops sliding blocks 0..14, last touched at tick 1.
   ComputeTokens(*kv, a, 16, 2);   // Drops block 15, last touched at tick 1.
-  kv->Release(a, 3, /*finished=*/true);  // Every other page was last touched at tick 2.
+  kv->Release(a, /*finished=*/true);  // Every other page was last touched at tick 2.
 
   // 20 pages over 4 free large pages reclaim the 16 oldest: exactly sliding blocks 0..15.
   Request c = MakeRequest(3, TextPrompt(160, /*base=*/5000), 4, 0.0);
@@ -392,7 +392,7 @@ TEST(KvManager, RegisteredHashesMatchAnIndependentChain) {
             << GroupKindName(group.kind) << " unit " << j;
       }
     }
-    kv->Release(r, 2 + tc.generated, /*finished=*/true);
+    kv->Release(r, /*finished=*/true);
     kv->CheckConsistency();
   }
 }
@@ -474,8 +474,8 @@ TEST(KvManager, SharedPrefixAcrossConcurrentRequests) {
   EXPECT_EQ(b.cached_prefix_tokens, 144);
   const auto stats = kv->allocator().group(0).GetStats();
   EXPECT_EQ(stats.used_pages, 10);  // No duplicate pages for the shared blocks.
-  kv->Release(a, 3);
-  kv->Release(b, 3);
+  kv->Release(a);
+  kv->Release(b);
   kv->CheckConsistency();
 }
 
@@ -489,7 +489,7 @@ TEST(KvManager, FinishedReleaseDropsRequestAffinityState) {
     kv->OnAdmit(r, id);
     // Later iterations admit with a cached prefix; only the remainder gets computed.
     ComputeTokens(*kv, r, 100 - r.num_computed_tokens, id);
-    kv->Release(r, id + 1, /*finished=*/true);
+    kv->Release(r, /*finished=*/true);
   }
   for (int g = 0; g < kv->allocator().num_groups(); ++g) {
     EXPECT_EQ(kv->allocator().group(g).GetFreeListStats().tracked_requests, 0)
@@ -504,7 +504,7 @@ TEST(KvManager, FinishedReleaseDropsRequestAffinityState) {
   Request r = MakeRequest(99, TextPrompt(100), 4, 0.0);
   mixed->OnAdmit(r, 50);
   ComputeTokens(*mixed, r, 100 - r.num_computed_tokens, 50);
-  mixed->Release(r, 51);
+  mixed->Release(r);
   int64_t tracked = 0;
   int max_pages_per_large = 0;
   for (int g = 0; g < mixed->allocator().num_groups(); ++g) {
@@ -563,7 +563,7 @@ TEST(KvManager, SwapRoundTripRestoresHoleLayoutAndFingerprint) {
   EXPECT_EQ(before.swappable_bytes, 20 * page_bytes);
   EXPECT_GT(before.drop_recompute_bytes, 0);
 
-  kv->Release(r, 30);
+  kv->Release(r);
   // RestoreFromSwap check-fails on a fingerprint mismatch, so success is the round trip.
   ASSERT_TRUE(kv->RestoreFromSwap(r, before.tokens, before.fingerprints[0], 31));
   EXPECT_EQ(r.num_computed_tokens, 320);
@@ -595,7 +595,7 @@ TEST(KvManager, FailedRestoreLeavesAllocatorUntouched) {
     ComputeTokens(*kv, r, kBs, t);
   }
   const SwapFootprint fp = FootprintOf(*kv, r);
-  kv->Release(r, 30);
+  kv->Release(r);
   Request other = MakeRequest(2, TextPrompt(48), 4, 0.0);
   kv->OnAdmit(other, 31);
   ASSERT_TRUE(kv->AllocateForTokens(other, 48, 31));  // 3 blocks in each group: 21 free.
@@ -615,7 +615,7 @@ TEST(KvManager, FailedRestoreLeavesAllocatorUntouched) {
   // The failed restore left `r` untracked (RestoreFromSwap check-fails on a tracked request):
   // once the pool has room, the same snapshot restores. 27 free pages hold the 24 blocks of
   // the needed windows, not the 40 of a restore that skipped no dropped block.
-  kv->Release(other, 33, /*finished=*/true);
+  kv->Release(other, /*finished=*/true);
   ASSERT_TRUE(kv->RestoreFromSwap(r, fp.tokens, fp.fingerprints[0], 34));
   EXPECT_TRUE(auditor.Audit().empty()) << auditor.FirstViolation().value_or("");
 }
@@ -653,13 +653,13 @@ TEST(KvManager, KvHandlesNeverGoStale) {
     twin->OnStepComputed(r, t);
   }
   // A request tracked by two managers (the speculative engine's pair) releases them apart.
-  twin->Release(r, 29, /*finished=*/true);
+  twin->Release(r, /*finished=*/true);
   EXPECT_EQ(HandlesInto(*twin, r), 0);
   EXPECT_EQ(HandlesInto(*kv, r), 1);
 
   // Swap out, then restore: the restored state is reached through a live handle.
   const SwapFootprint fp = FootprintOf(*kv, r);
-  kv->Release(r, 30);
+  kv->Release(r);
   EXPECT_EQ(HandlesInto(*kv, r), 0);
   ASSERT_TRUE(kv->RestoreFromSwap(r, fp.tokens, fp.fingerprints[0], 31));
   EXPECT_EQ(HandlesInto(*kv, r), 1);
@@ -668,7 +668,7 @@ TEST(KvManager, KvHandlesNeverGoStale) {
 
   // A failed restore leaves no handle behind.
   const SwapFootprint fp2 = FootprintOf(*kv, r);
-  kv->Release(r, 33);
+  kv->Release(r);
   Request other = MakeRequest(2, TextPrompt(48), 4, 0.0);
   kv->OnAdmit(other, 34);
   ASSERT_TRUE(kv->AllocateForTokens(other, 48, 34));  // 3 blocks in each group: 21 free.
@@ -677,7 +677,7 @@ TEST(KvManager, KvHandlesNeverGoStale) {
   EXPECT_DEATH((void)kv->block_table(r, 0), "not admitted");
 
   // Released (preempted), then re-admitted under the same id: a fresh handle to a fresh state.
-  kv->Release(other, 36);
+  kv->Release(other);
   EXPECT_EQ(HandlesInto(*kv, other), 0);
   other.num_computed_tokens = 0;
   kv->OnAdmit(other, 37);
@@ -685,7 +685,7 @@ TEST(KvManager, KvHandlesNeverGoStale) {
   EXPECT_TRUE(kv->block_table(other, 0).empty());
   ComputeTokens(*kv, other, 48, 37);
   EXPECT_EQ(kv->block_table(other, 0).size(), 3u);
-  kv->Release(other, 38, /*finished=*/true);
+  kv->Release(other, /*finished=*/true);
   EXPECT_FALSE(kv->tracks_requests());
   kv->CheckConsistency();
 }
@@ -792,7 +792,7 @@ TEST(KvManager, RejectedGrowLeavesNoTrace) {
 
   // Both requests keep working: the holder grows into its own empties.
   ComputeTokens(*kv, holder, kBs, 3);
-  kv->Release(big, 4);
+  kv->Release(big);
   kv->CheckConsistency();
 }
 
@@ -808,7 +808,7 @@ TEST(KvManager, RejectedGrowEvictsAndReclaimsNothing) {
   Request a = MakeRequest(1, TextPrompt(4 * kBs + 1), 4, 0.0);
   kv->OnAdmit(a, 1);
   ComputeTokens(*kv, a, 4 * kBs + 1, 1);
-  kv->Release(a, 2, /*finished=*/true);
+  kv->Release(a, /*finished=*/true);
   ASSERT_EQ(kv->allocator().group(0).evictable_pages(), 4);
   ASSERT_EQ(kv->allocator().lcm().num_free(), 4);
 
@@ -824,7 +824,7 @@ TEST(KvManager, RejectedGrowEvictsAndReclaimsNothing) {
   EXPECT_EQ(counter.reclaims, 0);
   ExpectSameFootprint(before, AllocatorFootprint(kv->allocator()));
   kv->allocator_mutable().SetAuditSink(nullptr);
-  kv->Release(b, 4, /*finished=*/true);
+  kv->Release(b, /*finished=*/true);
 
   // The cached prefix survived: a repeat of request 1's prompt hits it.
   Request c = MakeRequest(3, TextPrompt(4 * kBs + 1), 4, 0.0);
@@ -961,7 +961,7 @@ class GrowBoundDifferential {
       r.num_computed_tokens += n;
       kv.OnStepComputed(r, now);
     } else {
-      kv.Release(r, now, /*finished=*/true);
+      kv.Release(r, /*finished=*/true);
       twin.running.erase(r.id);
     }
     return outcome;
@@ -982,13 +982,13 @@ class GrowBoundDifferential {
       case OpKind::kGrow:
         return Grow(twin, twin.running.at(op.id), op.chunk, op.now, checked);
       case OpKind::kFinish:
-        kv.Release(twin.running.at(op.id), op.now, /*finished=*/true);
+        kv.Release(twin.running.at(op.id), /*finished=*/true);
         twin.running.erase(op.id);
         return {};
       case OpKind::kSwapOut: {
         Request& r = twin.running.at(op.id);
         const SwapFootprint fp = FootprintOf(kv, r);
-        kv.Release(r, op.now);
+        kv.Release(r);
         twin.swapped.emplace(op.id, Swapped{r, fp.tokens, fp.fingerprints.at(0)});
         twin.running.erase(op.id);
         return {};

@@ -83,7 +83,7 @@ TEST(MultimodalKv, VisionEmbeddingsReusedAcrossRequests) {
   Request a = MakeRequest(1, MixedPrompt(16, 2, 8, 16), 4, 0.0);
   kv->OnAdmit(a, 1);
   Compute(*kv, a, 48, 1);
-  kv->Release(a, 2);
+  kv->Release(a);
   Request b = MakeRequest(2, MixedPrompt(16, 2, 8, 16), 4, 0.0);
   kv->OnAdmit(b, 3);
   // 48 tokens → boundary capped below the prompt: 32 tokens hit.

@@ -67,8 +67,8 @@ TEST(OffloadEngine, SwapPreemptionRoundTripsUnderPressure) {
   EXPECT_GT(TotalPreemptions(engine), 0);
   // Every swap-in re-validated the per-group fingerprint (RestoreFromSwap CHECKs the round
   // trip is bit-identical), so surviving RunToCompletion proves the property held.
-  EXPECT_GT(engine.metrics().swap_in_events, 0);
-  EXPECT_EQ(engine.metrics().swap_in_events, engine.metrics().swap_out_events);
+  EXPECT_GT(SwapStats(engine).swap_in_events, 0);
+  EXPECT_EQ(SwapStats(engine).swap_in_events, SwapStats(engine).swap_out_events);
   engine.kv().CheckConsistency();
 }
 
@@ -79,7 +79,7 @@ TEST(OffloadEngine, SwapRoundTripsWithPrefixCachingOn) {
   SubmitPressureBatch(engine);
   engine.RunToCompletion();
   EXPECT_EQ(engine.metrics().CompletedRequests(), 4);
-  EXPECT_GT(engine.metrics().swap_in_events, 0);
+  EXPECT_GT(SwapStats(engine).swap_in_events, 0);
   engine.kv().CheckConsistency();
 }
 
@@ -91,7 +91,7 @@ TEST(OffloadEngine, SwapEliminatesRecomputedTokens) {
   SubmitPressureBatch(swap);
   swap.RunToCompletion();
   EXPECT_GT(recompute.metrics().recomputed_tokens, 0);
-  EXPECT_EQ(recompute.metrics().swap_out_events, 0);
+  EXPECT_EQ(SwapStats(recompute).swap_out_events, 0);
   EXPECT_LT(swap.metrics().recomputed_tokens, recompute.metrics().recomputed_tokens);
 }
 
@@ -141,8 +141,8 @@ TEST(OffloadEngine, DeterministicAcrossRuns) {
     engine.RunToCompletion();
     RunSummary summary;
     summary.now = engine.now();
-    summary.swap_out = engine.metrics().swap_out_events;
-    summary.stall = engine.metrics().swap_stall_time;
+    summary.swap_out = SwapStats(engine).swap_out_events;
+    summary.stall = SwapStats(engine).stall_time;
     for (const RequestRecord& record : engine.metrics().finished()) {
       summary.finish_times.push_back(record.finish_time);
     }
@@ -216,6 +216,70 @@ ModelConfig TinyDraftModel() {
   return model;
 }
 
+TEST(OffloadEngine, SwapRestoredVisionRequestDoesNotReEncode) {
+  // The vision-embedding pages come back with the swap set, so the admission loop's restore
+  // branch marks the encoder as run: the restored request's next steps must not re-encode.
+  EngineConfig config = PressureConfig(/*offload=*/true, /*swap_preemption=*/true);
+  config.model = TinyVisionModel();
+  config.pool_bytes_override = 1 << 24;  // No pressure: the restore fits at once.
+  Engine engine(config);
+  engine.Submit(MakeRequest(0, TextPrompt(64), 32, 0.0));
+  engine.Submit(MakeRequest(1, MixedPrompt(16, 2, 8, 16), 32, 0.0));
+  const Request& r = engine.request(1);
+  while (r.num_generated < 4) {
+    ASSERT_TRUE(engine.StepOnce());
+  }
+  ASSERT_EQ(r.vision_encoder_runs, 1);
+  ASSERT_TRUE(engine.ParkNewestRunning());
+  ASSERT_TRUE(r.swapped_out);
+
+  engine.RunToCompletion();
+  EXPECT_EQ(SwapStats(engine).swap_in_events, 1);
+  EXPECT_EQ(r.preemptions, 1);
+  EXPECT_EQ(r.vision_encoder_runs, 1);
+  EXPECT_EQ(engine.metrics().vision_encoder_runs, 1);
+  EXPECT_EQ(engine.metrics().CompletedRequests(), 2);
+}
+
+TEST(OffloadSpecDecode, RestoredRequestEmitsNothingInItsRestoreStep) {
+  // The restore transfer is still in flight in the step that admits it: the admission loop's
+  // restore branch keeps the request out of that step's decode, and it decodes from the
+  // next step on.
+  SpecDecodeConfig config;
+  config.target = TinyFullModel();
+  config.draft = TinyDraftModel();
+  config.gpu = TestGpu();
+  config.strategy = SpecStrategy::kJenga;
+  config.pool_bytes_override = 1 << 24;
+  config.seed = 7;
+  config.acceptance_rate = 1.0;
+  config.offload.enabled = true;
+  config.offload.host_pool_bytes = 1ll << 30;
+  config.offload.pcie.h2d_bandwidth = 1e15;
+  config.offload.pcie.d2h_bandwidth = 1e15;
+  config.offload.pcie.per_transfer_latency = 0.0;
+  SpecDecodeEngine engine(config);
+  engine.Submit(MakeRequest(0, TextPrompt(64), 64, 0.0));
+  engine.Submit(MakeRequest(1, TextPrompt(64, 300), 64, 0.0));
+  const Request& r = engine.request(1);
+  while (r.num_generated < 10) {
+    ASSERT_TRUE(engine.StepOnce());
+  }
+  ASSERT_TRUE(engine.ParkNewestRunning());
+  ASSERT_TRUE(r.swapped_out);
+  const int64_t generated = r.num_generated;
+
+  ASSERT_TRUE(engine.StepOnce());
+  ASSERT_FALSE(r.swapped_out);
+  EXPECT_EQ(SwapStats(engine).swap_in_events, 1);
+  EXPECT_EQ(r.num_generated, generated);
+  ASSERT_TRUE(engine.StepOnce());
+  EXPECT_GT(r.num_generated, generated);
+
+  engine.RunToCompletion();
+  EXPECT_EQ(engine.metrics().CompletedRequests(), 2);
+}
+
 TEST(OffloadSpecDecode, SwapRoundTripsAcrossAllManagers) {
   // kVllmManual runs two KvManagers; a swap set carries one fingerprint per manager and both
   // must restore together.
@@ -239,8 +303,8 @@ TEST(OffloadSpecDecode, SwapRoundTripsAcrossAllManagers) {
     }
     engine.RunToCompletion();
     EXPECT_EQ(engine.metrics().CompletedRequests(), 4);
-    EXPECT_GT(engine.metrics().swap_in_events, 0);
-    EXPECT_EQ(engine.metrics().swap_in_events, engine.metrics().swap_out_events);
+    EXPECT_GT(SwapStats(engine).swap_in_events, 0);
+    EXPECT_EQ(SwapStats(engine).swap_in_events, SwapStats(engine).swap_out_events);
     for (int m = 0; m < engine.num_managers(); ++m) {
       engine.manager(m).CheckConsistency();
     }

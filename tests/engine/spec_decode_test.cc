@@ -239,7 +239,7 @@ TEST(SpecDecode, PreemptInStepFaultWindowSwapsOnlyComputedState) {
 
   engine.RunToCompletion();
   EXPECT_EQ(engine.metrics().CompletedRequests(), 2);
-  EXPECT_EQ(engine.metrics().swap_in_events, 1);
+  EXPECT_EQ(SwapStats(engine).swap_in_events, 1);
   EXPECT_EQ(engine.request(1).num_generated, 40);
 }
 
@@ -298,6 +298,35 @@ TEST(SpecDecode, PrefillTokensComputedSumsThePrefillChunks) {
   EXPECT_EQ(engine.metrics().prefill_tokens_computed, prompt_tokens + 5);
   EXPECT_EQ(engine.metrics().prefill_tokens_computed,
             engine.metrics().total_scheduled_tokens() - generated);
+}
+
+TEST(SpecDecode, PrefillContinuationRetriesInsteadOfPreempting) {
+  // Phase 1 retries a prefill chunk that does not fit on the next step; it never preempts.
+  // Distinct prompts longer than a chunk, all at t=0 on a small pool: with this policy a
+  // request is preempted about once at most, while preempting from a continuation (the
+  // decode policy) thrashes, preempting and recomputing several times as much.
+  struct Case {
+    int64_t pool;
+    int prompt_len;
+  };
+  for (const Case c : {Case{1 << 19, 192}, Case{1 << 20, 256}}) {
+    SCOPED_TRACE(c.pool);
+    SpecDecodeConfig config = TestSpecConfig(TinyFullModel(), SpecStrategy::kJenga, c.pool);
+    config.gpu.max_batched_tokens = 128;
+    SpecDecodeEngine engine(config);
+    constexpr int kRequests = 8;
+    for (int i = 0; i < kRequests; ++i) {
+      engine.Submit(MakeRequest(i, TextPrompt(c.prompt_len, 1000 * (i + 1)), 32, 0.0));
+    }
+    engine.RunToCompletion();
+    ASSERT_EQ(engine.metrics().CompletedRequests(), kRequests);
+    int preemptions = 0;
+    for (const RequestRecord& record : engine.metrics().finished()) {
+      preemptions += record.preemptions;
+    }
+    EXPECT_LE(preemptions, kRequests);
+    EXPECT_LE(engine.metrics().recomputed_tokens, int64_t{kRequests} * c.prompt_len);
+  }
 }
 
 TEST(SpecDecode, DeterministicGivenSeed) {

@@ -3,8 +3,11 @@
 #ifndef JENGA_TESTS_ENGINE_TEST_MODELS_H_
 #define JENGA_TESTS_ENGINE_TEST_MODELS_H_
 
+#include <cstdint>
+
 #include "src/engine/gpu.h"
 #include "src/engine/request.h"
+#include "src/engine/scheduler_core.h"
 #include "src/model/model_config.h"
 
 namespace jenga {
@@ -157,6 +160,16 @@ inline Prompt MixedPrompt(int64_t text_prefix, int num_images, int tokens_per_im
   }
   prompt.num_images = num_images;
   return prompt;
+}
+
+// The host tier's counters, read from their owner: all zero when the tier is disabled.
+inline SwapManager::Stats SwapStats(const SchedulerCore& engine) {
+  return engine.swap() != nullptr ? engine.swap()->stats() : SwapManager::Stats{};
+}
+
+// Injector fires across all sites: 0 when no faults are configured.
+inline int64_t FaultsInjected(const SchedulerCore& engine) {
+  return engine.fault_injector() != nullptr ? engine.fault_injector()->total_fires() : 0;
 }
 
 }  // namespace jenga

@@ -20,7 +20,7 @@
 //   - cancelled records are also failed records, and the cancellation ledger balances:
 //     cancelled_requests == successful explicit cancels + shed_requests +
 //     deadline_expirations;
-//   - degradation is one-way and clean: degraded_mode_transitions <= 1, and a degraded
+//   - degradation is one-way and clean: the host tier's degraded_transitions <= 1, and a degraded
 //     engine has fully drained its host pool (zero bytes, zero swap sets);
 //   - fault/recovery counters are monotone and mutually consistent, and identically zero
 //     when the drawn plan arms nothing;
@@ -202,10 +202,13 @@ struct ChaosCounters {
   double backoff = 0.0;
 };
 
-ChaosCounters SnapshotCounters(const EngineMetrics& m) {
-  return ChaosCounters{m.faults_injected,  m.fault_retries,       m.gpu_step_faults,
+// Reads each counter from its owner: the injector, the host tier, or the engine's metrics.
+ChaosCounters SnapshotCounters(const FuzzHarness& harness) {
+  const EngineMetrics& m = harness.Metrics();
+  const SwapManager::Stats swap = SwapStats(harness.Core());
+  return ChaosCounters{FaultsInjected(harness.Core()), swap.fault_retries, m.gpu_step_faults,
                        m.shed_requests,    m.cancelled_requests,  m.deadline_expirations,
-                       m.degraded_mode_transitions, m.fault_backoff_time};
+                       swap.degraded_transitions, swap.backoff_time};
 }
 
 // Runs one chaos schedule to completion (auditing every step when asked), applying the
@@ -322,7 +325,7 @@ std::string RunChaosSchedule(const FuzzSchedule& s, bool with_audit, std::string
         return out;
       }
     }
-    const ChaosCounters now = SnapshotCounters(harness->Metrics());
+    const ChaosCounters now = SnapshotCounters(*harness);
     if (now.faults < prev.faults || now.retries < prev.retries ||
         now.gpu_faults < prev.gpu_faults || now.shed < prev.shed ||
         now.cancelled < prev.cancelled || now.deadlines < prev.deadlines ||
@@ -347,7 +350,8 @@ std::string RunChaosSchedule(const FuzzSchedule& s, bool with_audit, std::string
 
   // ----- End-of-run oracle -----
   const EngineMetrics& m = harness->Metrics();
-  const ChaosCounters c = SnapshotCounters(m);
+  const ChaosCounters c = SnapshotCounters(*harness);
+  const SwapManager::Stats swap_stats = SwapStats(harness->Core());
   if (static_cast<int>(m.finished().size()) != n) {
     return "finished " + std::to_string(m.finished().size()) + " of " + std::to_string(n) +
            " submitted requests";
@@ -400,8 +404,7 @@ std::string RunChaosSchedule(const FuzzSchedule& s, bool with_audit, std::string
   }
   if (!s.elastic.armed &&
       (m.pool_grow_attempts != 0 || m.pool_shrink_attempts != 0 ||
-       m.repartition_attempts != 0 || m.elastic_parked != 0 || m.elastic_shed != 0 ||
-       m.ladder_activations != 0)) {
+       m.repartition_attempts != 0 || m.elastic_parked != 0 || m.elastic_shed != 0)) {
     return "elastic counters nonzero with the elastic arm disabled";
   }
   if (m.repartition_attempts != m.repartitions + m.repartition_rollbacks) {
@@ -415,7 +418,7 @@ std::string RunChaosSchedule(const FuzzSchedule& s, bool with_audit, std::string
   const SwapManager* swap = harness->Swap();
   if (swap != nullptr && swap->degraded()) {
     if (c.degraded != 1) {
-      return "engine degraded but degraded_mode_transitions=" + std::to_string(c.degraded);
+      return "engine degraded but degraded_transitions=" + std::to_string(c.degraded);
     }
     if (swap->host().used_bytes() != 0 || swap->host().num_sets() != 0) {
       return "degraded engine left host pool populated (" +
@@ -423,7 +426,7 @@ std::string RunChaosSchedule(const FuzzSchedule& s, bool with_audit, std::string
              std::to_string(swap->host().num_sets()) + " sets)";
     }
   }
-  if (!s.offload && (m.swap_out_events != 0 || m.swap_stall_time != 0.0)) {
+  if (!s.offload && (swap_stats.swap_out_events != 0 || swap_stats.stall_time != 0.0)) {
     return "swap activity with the offload tier disabled";
   }
 
@@ -431,6 +434,11 @@ std::string RunChaosSchedule(const FuzzSchedule& s, bool with_audit, std::string
     *fires += c.faults;
   }
   if (signature != nullptr) {
+    int64_t ladder = 0;  // Rungs the governor stepped onto.
+    if (governor != nullptr) {
+      const MemoryGovernor::Stats& g = governor->stats();
+      ladder = g.engagements + g.escalations + g.split_shifts;
+    }
     std::ostringstream sig;
     for (const RequestRecord& record : m.finished()) {
       char times[128];
@@ -445,14 +453,14 @@ std::string RunChaosSchedule(const FuzzSchedule& s, bool with_audit, std::string
     sig << "faults=" << c.faults << " retries=" << c.retries << " gpu=" << c.gpu_faults
         << " shed=" << c.shed << " cancelled=" << c.cancelled << " deadline=" << c.deadlines
         << " degraded=" << c.degraded << " backoff=" << backoff
-        << " recomputed=" << m.recomputed_tokens << " swap=" << m.swap_out_events << "/"
-        << m.swap_in_events << "/" << m.swap_fallback_events << "\n";
+        << " recomputed=" << m.recomputed_tokens << " swap=" << swap_stats.swap_out_events
+        << "/" << swap_stats.swap_in_events << "/" << m.swap_fallback_events << "\n";
     sig << "elastic grow=" << m.pool_grow_attempts << "/" << m.pool_grow_pages << "/"
         << m.pool_grow_rollbacks << " shrink=" << m.pool_shrink_attempts << "/"
         << m.pool_shrink_pages << "/" << m.pool_shrink_rollbacks
         << " repartition=" << m.repartition_attempts << "/" << m.repartitions << "/"
         << m.repartition_rollbacks << " parked=" << m.elastic_parked
-        << " eshed=" << m.elastic_shed << " ladder=" << m.ladder_activations << "\n";
+        << " eshed=" << m.elastic_shed << " ladder=" << ladder << "\n";
     *signature += sig.str();
   }
   return std::string();

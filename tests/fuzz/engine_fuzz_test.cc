@@ -123,7 +123,8 @@ std::string RunSchedule(const FuzzSchedule& s, bool with_audit, std::string* sig
     }
 
     const EngineMetrics& m = harness->Metrics();
-    MetricsSnapshot now_m{m.recomputed_tokens, m.swap_out_events, m.swap_in_events,
+    const SwapManager::Stats swap = SwapStats(harness->Core());
+    MetricsSnapshot now_m{m.recomputed_tokens, swap.swap_out_events, swap.swap_in_events,
                           m.swap_fallback_events};
     const int64_t d_recomputed = now_m.recomputed - prev_m.recomputed;
     const int64_t d_swap_out = now_m.swap_out - prev_m.swap_out;
@@ -133,7 +134,7 @@ std::string RunSchedule(const FuzzSchedule& s, bool with_audit, std::string* sig
       return "metrics counter decreased at step " + std::to_string(steps);
     }
     if (!s.offload && (now_m.swap_out != 0 || now_m.swap_in != 0 || now_m.fallback != 0 ||
-                       m.swap_stall_time != 0.0)) {
+                       swap.stall_time != 0.0)) {
       return "swap metrics nonzero with the offload tier disabled";
     }
 
@@ -293,10 +294,11 @@ std::string RunSchedule(const FuzzSchedule& s, bool with_audit, std::string* sig
     return "KvManager hit total " + std::to_string(kv_hits) + " != engine metrics " +
            std::to_string(m.cache_hit_tokens);
   }
-  if (m.swap_in_events + m.swap_fallback_events > m.swap_out_events) {
+  const SwapManager::Stats swap = SwapStats(harness->Core());
+  if (swap.swap_in_events + m.swap_fallback_events > swap.swap_out_events) {
     return "swap resolutions exceed swap-outs";
   }
-  if (!s.offload && m.swap_stall_time != 0.0) {
+  if (!s.offload && swap.stall_time != 0.0) {
     return "stall time nonzero with the offload tier disabled";
   }
 
@@ -312,7 +314,7 @@ std::string RunSchedule(const FuzzSchedule& s, bool with_audit, std::string* sig
     }
     sig << "hits=" << m.cache_hit_tokens << " recomputed=" << m.recomputed_tokens
         << " prefill=" << m.prefill_tokens_computed << " vision=" << m.vision_encoder_runs
-        << " swap=" << m.swap_out_events << "/" << m.swap_in_events << "/"
+        << " swap=" << swap.swap_out_events << "/" << swap.swap_in_events << "/"
         << m.swap_fallback_events << "\n";
     *signature += sig.str();
   }

@@ -379,6 +379,8 @@ class FuzzHarness {
   [[nodiscard]] virtual const Request& Req(RequestId id) const = 0;
   [[nodiscard]] virtual const EngineMetrics& Metrics() const = 0;
   [[nodiscard]] virtual const SwapManager* Swap() const = 0;
+  // The engine as its scheduler core, for counters owned outside EngineMetrics.
+  [[nodiscard]] virtual const SchedulerCore& Core() const = 0;
   virtual void AttachAudit(AllocatorAuditor* auditor) = 0;
   virtual void Dump(std::ostream& os) const = 0;
   // Engine only: KvManager's own running hit total (cross-layer consistency check); -1 = n/a.
@@ -428,6 +430,7 @@ class EngineFuzzHarness final : public FuzzHarness {
   const Request& Req(RequestId id) const override { return engine_->request(id); }
   const EngineMetrics& Metrics() const override { return engine_->metrics(); }
   const SwapManager* Swap() const override { return engine_->swap(); }
+  const SchedulerCore& Core() const override { return *engine_; }
   void AttachAudit(AllocatorAuditor* auditor) override {
     auditor->AttachAllocator(&engine_->kv().allocator_mutable());
     if (engine_->swap_mutable() != nullptr) {
@@ -481,6 +484,7 @@ class SpecFuzzHarness final : public FuzzHarness {
   const Request& Req(RequestId id) const override { return engine_->request(id); }
   const EngineMetrics& Metrics() const override { return engine_->metrics(); }
   const SwapManager* Swap() const override { return engine_->swap(); }
+  const SchedulerCore& Core() const override { return *engine_; }
   void AttachAudit(AllocatorAuditor* auditor) override {
     for (int m = 0; m < engine_->num_managers(); ++m) {
       auditor->AttachAllocator(&engine_->manager_mutable(m).allocator_mutable());
