@@ -532,8 +532,11 @@ void AllocatorAuditor::AuditGroup(size_t a, int g, std::vector<std::string>* out
                             " not reachable through the cache index");
             }
           }
-          ground_truth.emplace(page,
-                               Evictor::Key{meta.last_access, -meta.prefix_length, page});
+          // One-slot groups keep no evictor: their ground truth is an empty one.
+          if (grp.uses_evictor_) {
+            ground_truth.emplace(page,
+                                 Evictor::Key{meta.last_access, -meta.prefix_length, page});
+          }
           break;
         }
         case PageState::kEmpty:

@@ -12,9 +12,10 @@
 //   - affinity free lists hold only refs whose (live) slot is empty and associated with the
 //     list's request, and the stale-inclusive ref accounting matches;
 //   - the evictor's authoritative key map equals a ground-truth rebuild from the slot
-//     metadata, its lazy heap covers every live key and satisfies the heap property, and the
-//     shadow (event-derived) copy agrees — so an UpdateLastAccess/SetPrefixLength that
-//     skipped the evictor (or vice versa) is caught;
+//     metadata (the evictable pages, or none in a one-slot group), its lazy heap covers every
+//     live key and satisfies the heap property, and the shadow (event-derived) copy agrees —
+//     so an UpdateLastAccess/SetPrefixLength that skipped the evictor (or vice versa) is
+//     caught;
 //   - every whole-evictable large page is represented on the global reclaim heap with a
 //     timestamp no newer than its current one (lazy re-key contract);
 //   - the prefix-cache index maps each hash to a resident page carrying that hash, and every

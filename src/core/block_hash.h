@@ -35,6 +35,12 @@ namespace jenga {
 [[nodiscard]] std::vector<BlockHash> ChainBlockHashes(std::span<const int32_t> tokens,
                                                       int block_size, uint64_t salt);
 
+// One chain per salt over the same stream and block size, in salt order; chain i equals
+// ChainBlockHashes(tokens, block_size, salts[i]). The chains advance together token by token,
+// so their independent multiply latencies overlap instead of running back to back.
+[[nodiscard]] std::vector<std::vector<BlockHash>> ChainBlockHashes(
+    std::span<const int32_t> tokens, int block_size, std::span<const uint64_t> salts);
+
 // Longest prefix boundary valid in *every* group (§5.2): each element of `valids` is one
 // group's bitmap over the same boundary indices (all must share a size); returns the largest
 // index at which all bitmaps are true. Index 0 (the empty prefix) is always valid.

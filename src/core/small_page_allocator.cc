@@ -20,6 +20,7 @@ SmallPageAllocator::SmallPageAllocator(int group_index, KvGroupSpec spec, LcmAll
   JENGA_CHECK_EQ(lcm_->large_page_bytes() % spec_.page_bytes, 0)
       << "group page size must divide the LCM page size";
   pages_per_large_ = static_cast<int>(lcm_->large_page_bytes() / spec_.page_bytes);
+  uses_evictor_ = pages_per_large_ > 1;
   larges_.resize(static_cast<size_t>(lcm_->num_pages()));
 }
 
@@ -190,7 +191,8 @@ std::optional<SmallPageId> SmallPageAllocator::Allocate(RequestId request, Tick 
     return page;
   }
 
-  // Step 5: evict this group's LRU evictable page and reuse it in place.
+  // Step 5: evict this group's LRU evictable page and reuse it in place (never in a one-slot
+  // group, whose evictor is empty).
   if (const auto victim = evictor_.PopVictim()) {
     const LargePageId large = LargeOf(*victim);
     LargeEntry& entry = Entry(large);
@@ -253,7 +255,9 @@ void SmallPageAllocator::AddRef(SmallPageId page) {
       meta.ref_count += 1;
       break;
     case PageState::kEvictable:
-      evictor_.Remove(page);
+      if (uses_evictor_) {
+        evictor_.Remove(page);
+      }
       meta.state = PageState::kUsed;
       meta.ref_count = 1;
       meta.epoch = next_epoch_++;
@@ -312,7 +316,9 @@ void SmallPageAllocator::TransitionToEmpty(SmallPageId page) {
     entry.used_count -= 1;
     used_count_ -= 1;
   } else {
-    evictor_.Remove(page);
+    if (uses_evictor_) {
+      evictor_.Remove(page);
+    }
     entry.evictable_count -= 1;
     evictable_count_ -= 1;
   }
@@ -371,7 +377,9 @@ void SmallPageAllocator::Release(SmallPageId page, bool keep_cached) {
   used_count_ -= 1;
   evictable_count_ += 1;
   JENGA_AUDIT_HOOK(audit_, OnPageCached(group_index_, page, meta.hash));
-  evictor_.Insert(page, meta.last_access, meta.prefix_length);
+  if (uses_evictor_) {
+    evictor_.Insert(page, meta.last_access, meta.prefix_length);
+  }
   NotifyCandidateIfEligible(large);
 }
 
@@ -402,7 +410,7 @@ std::optional<SmallPageId> SmallPageAllocator::LookupCached(BlockHash hash) cons
 void SmallPageAllocator::UpdateLastAccess(SmallPageId page, Tick now) {
   SlotMeta& meta = Meta(page);
   meta.last_access = std::max(meta.last_access, now);
-  if (meta.state == PageState::kEvictable) {
+  if (uses_evictor_ && meta.state == PageState::kEvictable) {
     evictor_.UpdateLastAccess(page, meta.last_access);
   }
 }
@@ -410,7 +418,7 @@ void SmallPageAllocator::UpdateLastAccess(SmallPageId page, Tick now) {
 void SmallPageAllocator::SetPrefixLength(SmallPageId page, int64_t prefix_length) {
   SlotMeta& meta = Meta(page);
   meta.prefix_length = prefix_length;
-  if (meta.state == PageState::kEvictable) {
+  if (uses_evictor_ && meta.state == PageState::kEvictable) {
     evictor_.SetPrefixLength(page, prefix_length);
   }
 }
@@ -469,7 +477,9 @@ void SmallPageAllocator::ReclaimLargePage(LargePageId large) {
     SlotMeta& meta = entry.slots[static_cast<size_t>(slot)];
     const SmallPageId page = base + slot;
     if (meta.state == PageState::kEvictable) {
-      evictor_.Remove(page);
+      if (uses_evictor_) {
+        evictor_.Remove(page);
+      }
       NotifyEviction(page, meta);
       UnregisterHash(page, meta);
       JENGA_AUDIT_HOOK(audit_, OnPageEvicted(group_index_, page));
@@ -537,7 +547,7 @@ void SmallPageAllocator::CheckConsistency() const {
           break;
         case PageState::kEvictable:
           JENGA_CHECK_EQ(meta.ref_count, 0);
-          JENGA_CHECK(evictor_.Contains(page));
+          JENGA_CHECK_EQ(evictor_.Contains(page), uses_evictor_);
           JENGA_CHECK(meta.has_hash);
           ++entry_evictable;
           break;
@@ -559,7 +569,7 @@ void SmallPageAllocator::CheckConsistency() const {
   JENGA_CHECK_EQ(used, used_count_);
   JENGA_CHECK_EQ(evictable, evictable_count_);
   JENGA_CHECK_EQ(empty, empty_count_);
-  JENGA_CHECK_EQ(evictable, static_cast<int64_t>(evictor_.size()));
+  JENGA_CHECK_EQ(uses_evictor_ ? evictable : 0, static_cast<int64_t>(evictor_.size()));
   int64_t by_request = 0;
   for (const auto& [request, refs] : empty_by_request_) {
     by_request += static_cast<int64_t>(refs.size());

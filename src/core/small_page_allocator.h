@@ -8,6 +8,10 @@
 //   4. any empty small page, regardless of association,
 //   5. evicting this group's LRU evictable small page.
 //
+// Step 5 is unreachable in a one-slot group (the group's page fills its large page): every
+// evictable page is then a whole reclaim candidate, which step 3 takes first. Such groups keep
+// no evictor at all.
+//
 // The allocator also maintains the group's prefix-cache index (block hash → resident page)
 // and implements GroupCacheOps so the layer policies can adjust eviction priorities.
 //
@@ -38,6 +42,8 @@ namespace jenga {
 class LargePageProvider {
  public:
   virtual ~LargePageProvider() = default;
+  // A provider that reclaims must succeed while any reclaim candidate exists: one-slot groups
+  // have no step 5 to fall back on.
   [[nodiscard]] virtual std::optional<LargePageId> AcquireLargePage(int group_index) = 0;
   // Called when `large` (owned by `group_index`) transitions to "whole-page evictable":
   // no used small pages and at least one evictable one. Lazy — the provider revalidates
@@ -157,8 +163,8 @@ class SmallPageAllocator final : public GroupCacheOps {
   };
   [[nodiscard]] FreeListStats GetFreeListStats() const;
 
-  // Verifies all internal invariants (counts, index consistency, evictor membership);
-  // test-only, O(pages).
+  // Verifies all internal invariants (counts, index consistency, evictor membership: exactly
+  // the evictable pages, and none in a one-slot group); test-only, O(pages).
   void CheckConsistency() const;
 
  private:
@@ -253,6 +259,9 @@ class SmallPageAllocator final : public GroupCacheOps {
   CacheResidencySink* residency_sink_ = nullptr;
   AuditSink* audit_ = nullptr;
   int pages_per_large_ = 0;
+  // False in one-slot groups, whose evictor stays empty: step 5 can never pick a victim there
+  // (see the header comment), so Insert/Remove/rekey upkeep is skipped.
+  bool uses_evictor_ = false;
 
   // Dense slab over the whole pool; larges_[id].resident marks the pages this group holds.
   std::vector<LargeEntry> larges_;

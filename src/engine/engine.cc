@@ -151,10 +151,10 @@ bool Engine::RepartitionKvPool(const ModelConfig& new_model, int64_t new_pool_by
 }
 
 double Engine::MaybeEncodeVision(Request& r, int64_t chunk_begin, int64_t chunk_end) {
-  if (!config_.model.vision.present || r.image_prefix.back() == 0) {
+  if (!config_.model.vision.present || r.ImageTokens() == 0) {
     return 0.0;
   }
-  const int64_t total_image_tokens = r.ImageTokensBefore(r.prompt_len());
+  const int64_t total_image_tokens = r.ImageTokens();
   if (config_.jenga && config_.vision_cache) {
     // Encode once per admission; the embeddings then live in the vision-embedding cache.
     if (r.vision_encoder_runs_this_admission > 0) {
@@ -235,7 +235,7 @@ bool Engine::StepOnce() {
             // Restored from its swap set: the vision-embedding pages came back with it, so the
             // encoder does not re-run. It decodes (or resumes) next step.
             if (config_.jenga && config_.vision_cache && config_.model.vision.present &&
-                r.image_prefix.back() > 0) {
+                r.ImageTokens() > 0) {
               r.vision_encoder_runs_this_admission =
                   std::max(r.vision_encoder_runs_this_admission, 1);
             }

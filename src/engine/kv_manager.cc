@@ -148,6 +148,17 @@ KvManager::KvManager(KvSpec alloc_spec, KvSpec accounting_spec, int64_t pool_byt
     // Droppable policies cover all residents only when drops actually run (Jenga mode).
     defer_refresh_.push_back(policy.RefreshCoversResidentPages() &&
                              (!policy.CanDropUnneededPages() || options_.jenga));
+    const GroupScope stream =
+        IsSubsequenceScope(group.scope) ? group.scope : GroupScope::kAllTokens;
+    const int unit = HitUnit(g);
+    auto pass = std::find_if(hash_passes_.begin(), hash_passes_.end(), [&](const HashPass& p) {
+      return p.stream == stream && p.unit == unit;
+    });
+    if (pass == hash_passes_.end()) {
+      pass = hash_passes_.insert(pass, HashPass{stream, unit, {}, {}});
+    }
+    pass->groups.push_back(g);
+    pass->salts.push_back(GroupChainSalt(static_cast<int>(g)));
   }
   for (const KvGroupSpec& group : accounting_spec_.groups) {
     accounting_policies_.push_back(MakeLayerPolicy(group, std::max(options_.tokens_per_image, 1)));
@@ -178,7 +189,7 @@ int64_t KvManager::TargetPages(const Request& r, const KvGroupSpec& group,
       return 1;  // The running state; checkpoints are transient snapshots.
     case GroupKind::kVisionEmbed:
       // All of the request's vision embeddings exist from admission (encoder output).
-      return CeilDiv(r.image_prefix.back(), group.tokens_per_page);
+      return CeilDiv(r.ImageTokens(), group.tokens_per_page);
     default:
       break;
   }
@@ -323,21 +334,24 @@ void KvManager::OnAdmit(Request& r, Tick now) {
 KvManager::AdmissionMemo KvManager::BuildAdmissionMemo(const Request& r) const {
   AdmissionMemo memo;
   memo.group_hashes.resize(spec_.groups.size());
-  for (size_t g = 0; g < spec_.groups.size(); ++g) {
-    const GroupScope scope = spec_.groups[g].scope;
-    const uint64_t salt = GroupChainSalt(static_cast<int>(g));
-    if (!IsSubsequenceScope(scope)) {
-      memo.group_hashes[g] = ChainBlockHashes(r.prompt.tokens, HitUnit(g), salt);
-      continue;
-    }
-    const TokenKind kind = scope == GroupScope::kImageTokens ? TokenKind::kImage : TokenKind::kText;
-    std::vector<int32_t> sub;
-    for (int64_t i = 0; i < r.prompt_len(); ++i) {
-      if (r.prompt.kind(i) == kind) {
-        sub.push_back(r.prompt.tokens[static_cast<size_t>(i)]);
+  std::vector<int32_t> sub;
+  for (const HashPass& pass : hash_passes_) {
+    std::span<const int32_t> stream(r.prompt.tokens);
+    if (pass.stream != GroupScope::kAllTokens) {
+      const TokenKind kind =
+          pass.stream == GroupScope::kImageTokens ? TokenKind::kImage : TokenKind::kText;
+      sub.clear();
+      for (int64_t i = 0; i < r.prompt_len(); ++i) {
+        if (r.prompt.kind(i) == kind) {
+          sub.push_back(r.prompt.tokens[static_cast<size_t>(i)]);
+        }
       }
+      stream = sub;
     }
-    memo.group_hashes[g] = ChainBlockHashes(sub, HitUnit(g), salt);
+    std::vector<std::vector<BlockHash>> chains = ChainBlockHashes(stream, pass.unit, pass.salts);
+    for (size_t i = 0; i < pass.groups.size(); ++i) {
+      memo.group_hashes[pass.groups[i]] = std::move(chains[i]);
+    }
   }
   return memo;
 }
@@ -615,7 +629,7 @@ void KvManager::FreeConsumedVisionPages(const Request& r, RequestKv& state, Tick
   SmallPageAllocator& alloc = allocator_.group(vision_group_);
   const int bs = spec_.groups[static_cast<size_t>(vision_group_)].tokens_per_page;
   const int64_t consumed = r.ImageTokensBefore(r.num_computed_tokens);
-  const int64_t total = r.image_prefix.back();
+  const int64_t total = r.ImageTokens();
   while (gs.drop_cursor < static_cast<int64_t>(gs.pages.size())) {
     const int64_t j = gs.drop_cursor;
     const bool fully_consumed = (j + 1) * bs <= consumed || consumed == total;
@@ -967,7 +981,7 @@ int64_t KvManager::NeededBytesFor(const Request& r) const {
         break;
       case GroupKind::kVisionEmbed: {
         if (vision_group_ >= 0) {
-          const int64_t unconsumed = r.image_prefix.back() - r.ImageTokensBefore(c);
+          const int64_t unconsumed = r.ImageTokens() - r.ImageTokensBefore(c);
           needed += unconsumed * group.bytes_per_token_per_layer;
         }
         break;

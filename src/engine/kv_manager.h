@@ -207,6 +207,16 @@ class KvManager {
     std::vector<std::vector<BlockHash>> group_hashes;
   };
 
+  // Groups whose prompt chains one BuildAdmissionMemo pass hashes together: they share a token
+  // stream (the prompt for all-token and per-sequence groups, its text or image subsequence
+  // for text- and image-scoped ones) and a hit unit.
+  struct HashPass {
+    GroupScope stream = GroupScope::kAllTokens;  // kAllTokens: the whole prompt.
+    int unit = 0;
+    std::vector<size_t> groups;
+    std::vector<uint64_t> salts;  // GroupChainSalt of each of `groups`.
+  };
+
   // A group's share of a global prefix, in the group's hit unit (HitUnit): whole units
   // covered, and whether the prefix ends exactly on a unit edge.
   struct GroupHit {
@@ -328,6 +338,8 @@ class KvManager {
   // they fall out, which only happens in Jenga mode (sliding window, pyramid).
   std::vector<bool> defer_refresh_;
   int vision_group_ = -1;
+  // The spec's groups partitioned by (stream, hit unit), in order of each pass's first group.
+  std::vector<HashPass> hash_passes_;
   // Owns every admitted request's state; node-based, so a handle stays valid until Untrack.
   std::unordered_map<RequestId, RequestKv> requests_;
   // Populated lazily (MemoFor); survives preemption when memoize_admission is on.

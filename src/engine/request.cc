@@ -24,6 +24,10 @@ void Request::Prepare() {
     JENGA_CHECK_EQ(prompt.kinds.size(), prompt.tokens.size());
   }
   all_tokens = prompt.tokens;
+  image_prefix.clear();
+  if (prompt.kinds.empty()) {
+    return;
+  }
   image_prefix.assign(static_cast<size_t>(prompt.size()) + 1, 0);
   for (int64_t i = 0; i < prompt.size(); ++i) {
     image_prefix[static_cast<size_t>(i) + 1] =

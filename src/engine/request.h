@@ -58,6 +58,7 @@ struct Request {
   // tokens are text.
   std::vector<int32_t> all_tokens;
   // Prefix counts of image tokens over the prompt: image_prefix[i] = #image tokens in [0, i).
+  // Empty for an all-text prompt (empty prompt.kinds), which has no image tokens to count.
   std::vector<int64_t> image_prefix;
 
   // Number of tokens whose KV is computed (including prefix-cache hits).
@@ -97,7 +98,13 @@ struct Request {
   [[nodiscard]] bool Finished() const { return state == RequestState::kFinished; }
   // Every image token is a prompt token, so positions past the prompt clamp to its end.
   [[nodiscard]] int64_t ImageTokensBefore(int64_t position) const {
-    return image_prefix[static_cast<size_t>(std::min(position, prompt_len()))];
+    return image_prefix.empty()
+               ? 0
+               : image_prefix[static_cast<size_t>(std::min(position, prompt_len()))];
+  }
+  // Image tokens in the whole prompt.
+  [[nodiscard]] int64_t ImageTokens() const {
+    return image_prefix.empty() ? 0 : image_prefix.back();
   }
   [[nodiscard]] int64_t TextTokensBefore(int64_t position) const {
     return position - ImageTokensBefore(position);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <span>
 #include <vector>
 
 namespace jenga {
@@ -58,6 +59,42 @@ TEST(ChainBlockHashes, NoCollisionsOnSmallUniverse) {
     }
   }
   EXPECT_EQ(static_cast<int>(seen.size()), count);
+}
+
+TEST(ChainBlockHashes, MultiSaltEqualsPerSaltChains) {
+  // Each lane of the interleaved pass must equal that salt's chain hashed alone, and the
+  // incremental InitBlockChain + ExtendBlockHash chain: every block size, full and partial
+  // tails, the empty stream, and one to four salts.
+  const std::vector<uint64_t> all_salts = {GroupChainSalt(0), GroupChainSalt(1), 0, 7};
+  uint32_t state = 12345;
+  for (const int bs : {1, 3, 16, 512}) {
+    for (const size_t len : {size_t{0}, size_t{1}, static_cast<size_t>(bs) - 1,
+                             static_cast<size_t>(bs), 3 * static_cast<size_t>(bs) + 2,
+                             5 * static_cast<size_t>(bs)}) {
+      std::vector<int32_t> tokens(len);
+      for (int32_t& token : tokens) {
+        state = state * 1664525u + 1013904223u;
+        token = static_cast<int32_t>(state);
+      }
+      for (size_t lanes = 1; lanes <= all_salts.size(); ++lanes) {
+        SCOPED_TRACE(testing::Message() << "bs=" << bs << " len=" << len << " lanes=" << lanes);
+        const std::span<const uint64_t> salts(all_salts.data(), lanes);
+        const std::vector<std::vector<BlockHash>> chains = ChainBlockHashes(tokens, bs, salts);
+        ASSERT_EQ(chains.size(), lanes);
+        for (size_t l = 0; l < lanes; ++l) {
+          EXPECT_EQ(chains[l], ChainBlockHashes(tokens, bs, salts[l]));
+          ASSERT_EQ(chains[l].size(), len / static_cast<size_t>(bs));
+          BlockHash chain = InitBlockChain(salts[l]);
+          for (size_t b = 0; b < chains[l].size(); ++b) {
+            chain = ExtendBlockHash(chain, std::span<const int32_t>(tokens).subspan(
+                                               b * static_cast<size_t>(bs),
+                                               static_cast<size_t>(bs)));
+            EXPECT_EQ(chains[l][b], chain) << "lane " << l << " block " << b;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(LongestCommonValidPrefix, IntersectsAcrossGroups) {

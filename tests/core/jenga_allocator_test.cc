@@ -367,5 +367,91 @@ TEST(JengaAllocator, RealModelSpec) {
   alloc.CheckConsistency();
 }
 
+// Per-group evictor and reclaim events.
+class EvictorEventCounter : public AuditSink {
+ public:
+  std::vector<int64_t> inserts = std::vector<int64_t>(2);
+  std::vector<int64_t> pops = std::vector<int64_t>(2);
+  int64_t reclaims = 0;
+  void OnEvictorInsert(int group, SmallPageId, Tick, int64_t) override {
+    ++inserts[static_cast<size_t>(group)];
+  }
+  void OnEvictorPop(int group, SmallPageId) override { ++pops[static_cast<size_t>(group)]; }
+  void OnLargeReclaimed(int, LargePageId) override { ++reclaims; }
+};
+
+// Two groups with `page_bytes` pages. Fills a `large_pages` pool with cached pages, then
+// keeps claiming and caching a page per group in turn; every claim must succeed. Returns the
+// claims made after the pool was full.
+int64_t ChurnCachedPages(JengaAllocator& alloc, int64_t large_pages, AuditSink* sink) {
+  alloc.SetAuditSink(sink);
+  BlockHash next_hash = 1;
+  Tick now = 0;
+  const auto claim_and_cache = [&](int group) {
+    SmallPageAllocator& g = alloc.group(group);
+    ++now;
+    const auto page = g.Allocate(/*request=*/now % 5, now);
+    EXPECT_TRUE(page.has_value()) << "claim " << now << " in group " << group << " failed";
+    if (page.has_value()) {
+      g.SetContentHash(*page, next_hash++);
+      g.Release(*page, /*keep_cached=*/true);
+    }
+  };
+  while (alloc.lcm().num_free() > 0) {
+    claim_and_cache(static_cast<int>(now % 2));
+  }
+  const int64_t after_full = 4 * large_pages;
+  for (int64_t i = 0; i < after_full; ++i) {
+    claim_and_cache(static_cast<int>(i % 2));
+  }
+  alloc.SetAuditSink(nullptr);
+  return after_full;
+}
+
+TEST(JengaAllocator, OneSlotGroupsNeverNeedStep5) {
+  // Gemma-2 shape: both groups' pages fill the large page, so every cached page is a whole
+  // reclaim candidate and step 3 always finds one before step 5 could run.
+  KvSpec spec = Figure6Spec();
+  spec.groups[0].page_bytes = 768;
+  spec.groups[1].page_bytes = 768;
+  constexpr int64_t kLarges = 8;
+  JengaAllocator alloc(spec, 768 * kLarges);
+  ASSERT_EQ(alloc.group(0).pages_per_large(), 1);
+  ASSERT_EQ(alloc.group(1).pages_per_large(), 1);
+  EvictorEventCounter counter;
+  const int64_t claims = ChurnCachedPages(alloc, kLarges, &counter);
+  EXPECT_EQ(counter.reclaims, claims) << "every claim on a full pool goes through reclaim";
+  for (int g = 0; g < 2; ++g) {
+    EXPECT_EQ(counter.inserts[static_cast<size_t>(g)], 0) << "group " << g;
+    EXPECT_EQ(counter.pops[static_cast<size_t>(g)], 0) << "group " << g;
+    EXPECT_GT(alloc.group(g).evictable_pages(), 0) << "group " << g;
+  }
+  alloc.CheckConsistency();
+  AllocatorAuditor auditor;
+  auditor.AttachAllocator(&alloc);
+  EXPECT_EQ(auditor.FirstViolation(), std::nullopt);
+  auditor.DetachAll();
+}
+
+TEST(JengaAllocator, MultiSlotGroupsKeepTheirEvictor) {
+  // Pages of 4096 and 6144 bytes in a 12288-byte large page: 3 and 2 slots per large page.
+  KvSpec spec = Figure6Spec();
+  spec.groups[0].page_bytes = 4096;
+  spec.groups[1].page_bytes = 6144;
+  constexpr int64_t kLarges = 8;
+  JengaAllocator alloc(spec, 12288 * kLarges);
+  ASSERT_EQ(alloc.group(0).pages_per_large(), 3);
+  ASSERT_EQ(alloc.group(1).pages_per_large(), 2);
+  EvictorEventCounter counter;
+  ChurnCachedPages(alloc, kLarges, &counter);
+  EXPECT_GT(counter.inserts[0], 0);
+  EXPECT_GT(counter.inserts[1], 0);
+  alloc.CheckConsistency();
+  AllocatorAuditor auditor;
+  auditor.AttachAllocator(&alloc);
+  EXPECT_EQ(auditor.FirstViolation(), std::nullopt);
+  auditor.DetachAll();
+}
+
 }  // namespace
 }  // namespace jenga
