@@ -114,11 +114,11 @@ void AllocatorAuditor::AttachSwapManager(SwapManager* swap) {
 
 void AllocatorAuditor::DetachAll() {
   for (const auto& state : allocs_) {
-    state->alloc->SetAuditSink(nullptr);
+    state->alloc->RemoveAuditSink(state->tap.get());
   }
   allocs_.clear();
   if (host_.swap != nullptr) {
-    host_.swap->SetAuditSink(nullptr);
+    host_.swap->RemoveAuditSink(host_.tap.get());
   }
   host_ = HostShadow{};
   event_errors_.clear();

@@ -32,8 +32,8 @@
 // violations detected at event time (e.g. a page claimed while not empty) are buffered and
 // reported by the next Audit() call.
 //
-// The auditor is strictly an observer — it never mutates the audited structures, and
-// detaching restores the zero-overhead null-sink configuration.
+// The auditor is strictly an observer — it never mutates the audited structures. It is one
+// subscriber among any others attached to the same allocator; detaching removes only its own.
 
 #ifndef JENGA_SRC_AUDIT_ALLOCATOR_AUDITOR_H_
 #define JENGA_SRC_AUDIT_ALLOCATOR_AUDITOR_H_

@@ -57,9 +57,9 @@ FleetFrontend::FleetFrontend(FleetConfig config, ServingFrontend::Options option
     routing_salt_ = GroupChainSalt(routing_group_);
   }
   index_ = std::make_unique<ClusterPrefixIndex>(config_.num_replicas, routing_group_);
-  // Sinks attach before Start(), so no engine thread is touching the allocator yet.
+  // Feeds attach before Start(), so no engine thread is touching the allocator yet.
   for (int i = 0; i < config_.num_replicas; ++i) {
-    fronts_[static_cast<size_t>(i)]->engine().kv().allocator_mutable().SetResidencySink(
+    fronts_[static_cast<size_t>(i)]->engine().kv().allocator_mutable().SetAuditSink(
         index_->feed(i));
   }
   rr_cursor_.store(
@@ -102,9 +102,9 @@ bool FleetFrontend::KillReplica(int replica) {
   supervisor_.MarkDead(replica);
   ServingFrontend& dead = *fronts_[static_cast<size_t>(replica)];
   dead.Kill();
-  // The dead engine is quiescent now (thread joined): silence its residency events and drop
-  // its summary so routing stops scoring it immediately.
-  dead.engine().kv().allocator_mutable().SetResidencySink(nullptr);
+  // The dead engine is quiescent now (thread joined): detach its index feed and drop its
+  // summary so routing stops scoring it immediately.
+  dead.engine().kv().allocator_mutable().RemoveAuditSink(index_->feed(replica));
   index_->PurgeReplica(replica);
   for (ServingFrontend::AbandonedWork& w : dead.HarvestAbandoned()) {
     if (w.engine_side) {

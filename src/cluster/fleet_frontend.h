@@ -1,8 +1,8 @@
 // Concurrent fleet serving: N ServingFrontends (one engine thread per replica) behind the
 // same prefix-affinity routing policy as FleetRouter. Client threads call SubmitAsync from
 // anywhere; the routing decision runs on the submitting thread against (a) the shared
-// ClusterPrefixIndex, fed by each replica's engine thread through the allocator residency
-// sinks, and (b) lock-free per-replica load snapshots that each engine thread publishes
+// ClusterPrefixIndex, fed by each replica's engine thread through the allocator's index
+// events, and (b) lock-free per-replica load snapshots that each engine thread publishes
 // after every step.
 //
 // Unlike FleetRouter — the seeded single-threaded determinism reference — this path is
@@ -77,7 +77,7 @@ class FleetFrontend {
   // --- Failure injection (any thread; kills serialize) ---
 
   // Kills a live replica: marks it unroutable, hard-stops and joins its engine thread,
-  // detaches its residency sink, purges its index summary, and re-submits every harvested
+  // detaches its index feed, purges its index summary, and re-submits every harvested
   // request to a surviving replica — the clients' streams move with the work. Returns false
   // without side effects when the replica is already dead, it is the last one alive, or the
   // fleet is shut down. Must not race ~FleetFrontend.

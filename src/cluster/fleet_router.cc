@@ -182,8 +182,7 @@ FleetRouter::FleetRouter(FleetConfig config)
   }
   index_ = std::make_unique<ClusterPrefixIndex>(config_.num_replicas, routing_group_);
   for (int i = 0; i < config_.num_replicas; ++i) {
-    replicas_[static_cast<size_t>(i)]->kv().allocator_mutable().SetResidencySink(
-        index_->feed(i));
+    replicas_[static_cast<size_t>(i)]->kv().allocator_mutable().SetAuditSink(index_->feed(i));
   }
   rr_cursor_ = static_cast<int64_t>(config_.seed % static_cast<uint64_t>(config_.num_replicas));
 }
@@ -293,7 +292,7 @@ void FleetRouter::KillReplica(int replica) {
   Engine& dead = *replicas_[static_cast<size_t>(replica)];
   // Stop feeding the cluster index, then drop the dead replica's summary: it must stop
   // attracting affinity immediately, and the cancels below must not churn the index.
-  dead.kv().allocator_mutable().SetResidencySink(nullptr);
+  dead.kv().allocator_mutable().RemoveAuditSink(index_->feed(replica));
   index_->PurgeReplica(replica);
   // Harvest in scheduler order (running queue first, then waiting): cancel off the dead
   // engine with full reclamation — the dead allocator still audits clean — and re-submit

@@ -1,7 +1,7 @@
 // Fleet serving: one FleetRouter owns N Engine replicas (each with its own config, KV
 // manager, and allocator stack — one simulated GPU per replica) and dispatches requests by
 // prefix affinity. A cluster-level prefix index (per-replica block-hash summaries fed by the
-// allocators' CacheResidencySink events) scores each replica by longest resident prefix of
+// allocators' index-membership events) scores each replica by longest resident prefix of
 // the prompt's routing-group hash chain; load-aware spillover redirects to the least-loaded
 // replica when the affine replica is saturated (waiting-queue depth or pool-occupancy
 // watermark), and per-replica admission backpressure surfaces through TrySubmit.
@@ -168,7 +168,7 @@ class FleetRouter {
   // Cancels a request wherever it was routed; false for unknown ids.
   bool CancelRequest(RequestId id);
 
-  // Kills a live replica: marks it unroutable, detaches its residency sink, purges its
+  // Kills a live replica: marks it unroutable, detaches its index feed, purges its
   // cluster-index summary, cancels its active work with full reclamation (the dead engine
   // still audits clean), and re-submits every harvested request to a surviving replica
   // (recompute-from-prompt). CHECK-fails on a dead replica or when it is the last one live.

@@ -15,11 +15,11 @@ ClusterPrefixIndex::ClusterPrefixIndex(int num_replicas, int routing_group)
   }
 }
 
-CacheResidencySink* ClusterPrefixIndex::feed(int replica) {
+AuditSink* ClusterPrefixIndex::feed(int replica) {
   return feeds_[static_cast<size_t>(replica)].get();
 }
 
-void ClusterPrefixIndex::Feed::OnHashResident(int group_index, BlockHash hash) {
+void ClusterPrefixIndex::Feed::OnHashIndexed(int group_index, BlockHash hash) {
   if (group_index != index_->routing_group_) {
     return;
   }
@@ -28,7 +28,8 @@ void ClusterPrefixIndex::Feed::OnHashResident(int group_index, BlockHash hash) {
   summary.hashes.insert(hash);
 }
 
-void ClusterPrefixIndex::Feed::OnHashNonResident(int group_index, BlockHash hash) {
+void ClusterPrefixIndex::Feed::OnHashUnindexed(int group_index, BlockHash hash,
+                                               const CacheEviction* /*evicted*/) {
   if (group_index != index_->routing_group_) {
     return;
   }

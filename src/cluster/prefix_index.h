@@ -1,6 +1,7 @@
 // Cluster-level prefix index: one block-hash summary per Engine replica, maintained live
-// from the replicas' CacheResidencySink events (core event export), queried by the router to
-// score replicas by longest resident prefix.
+// from the OnHashIndexed / OnHashUnindexed events of the replicas' allocators (one AuditSink
+// subscriber per replica), queried by the router to score replicas by longest resident
+// prefix.
 //
 // Staleness model (DESIGN.md §10): the summary tracks *index membership*, not reservations.
 // Between the router's scoring decision and the request's admission on the chosen replica,
@@ -12,7 +13,7 @@
 // summary time, so the score scan can stop at the first miss.
 //
 // Threading: each replica's summary is guarded by its own mutex. Writers are the replicas'
-// engine threads (sink callbacks fire inside allocator calls); readers are router threads.
+// engine threads (feed events fire inside allocator calls); readers are router threads.
 // In the deterministic single-threaded FleetRouter the locks are uncontended and the index
 // adds no nondeterminism — events fire at fixed points of the replicas' step loops.
 
@@ -26,6 +27,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "src/core/audit_events.h"
 #include "src/core/types.h"
 
 namespace jenga {
@@ -40,9 +42,9 @@ class ClusterPrefixIndex {
   ClusterPrefixIndex(const ClusterPrefixIndex&) = delete;
   ClusterPrefixIndex& operator=(const ClusterPrefixIndex&) = delete;
 
-  // The sink to install on replica `replica`'s allocator (JengaAllocator::SetResidencySink).
+  // The subscriber to attach to replica `replica`'s allocator (JengaAllocator::SetAuditSink).
   // Owned by the index; valid for the index's lifetime.
-  [[nodiscard]] CacheResidencySink* feed(int replica);
+  [[nodiscard]] AuditSink* feed(int replica);
 
   // Number of leading blocks of `chain` (a routing-group hash chain) resident on `replica`
   // per the current summary. Chained hashes ⇒ the scan stops at the first miss.
@@ -53,7 +55,7 @@ class ClusterPrefixIndex {
 
   // Drops every summarized hash for `replica`. Called by the replica supervisor on death:
   // a dead replica must stop attracting affinity immediately, not when its (never-coming)
-  // eviction events would have drained the summary. Detach the replica's sink first.
+  // eviction events would have drained the summary. Detach the replica's feed first.
   void PurgeReplica(int replica);
 
   [[nodiscard]] int num_replicas() const { return static_cast<int>(replicas_.size()); }
@@ -65,11 +67,12 @@ class ClusterPrefixIndex {
     std::unordered_set<BlockHash> hashes;
   };
 
-  class Feed final : public CacheResidencySink {
+  class Feed final : public AuditSink {
    public:
     Feed(ClusterPrefixIndex* index, int replica) : index_(index), replica_(replica) {}
-    void OnHashResident(int group_index, BlockHash hash) override;
-    void OnHashNonResident(int group_index, BlockHash hash) override;
+    void OnHashIndexed(int group_index, BlockHash hash) override;
+    void OnHashUnindexed(int group_index, BlockHash hash,
+                         const CacheEviction* evicted) override;
 
    private:
     ClusterPrefixIndex* index_;

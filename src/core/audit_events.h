@@ -1,21 +1,35 @@
-// Audit event hooks for the two-tier allocator stack. An AuditSink observes every state
-// transition in SmallPageAllocator / Evictor / JengaAllocator / HostPool so an external
-// auditor (src/audit) can maintain shadow state and cross-check it against a full
-// re-derivation on demand.
+// The allocator event interface. An AuditSink observes every state transition in
+// SmallPageAllocator / Evictor / JengaAllocator / HostPool and every prefix-index insert and
+// erase. Every consumer subscribes through it: the auditor (src/audit) keeps shadow state and
+// cross-checks it against a full re-derivation, the host offload tier parks capacity
+// evictions, and the cluster prefix index mirrors each replica's indexed hashes.
 //
-// Detached is the default and costs one null-pointer test per transition — no virtual call,
-// no allocation, no behavior change. The hooks are observation-only: implementations must
-// not call back into the allocator. Lives in core (like CacheEvictionSink) so the audited
-// classes need not depend on the audit library.
+// JengaAllocator and HostPool each own an AuditSinkList; a JengaAllocator's group allocators
+// and evictors emit through a pointer to their owner's list. Attach order is delivery order:
+// every event reaches the attached sinks one after another, in the order they were
+// attached. Detached is the default and costs one null-pointer test per transition — no
+// virtual call, no allocation, no behavior change. The hooks are observation-only:
+// subscribers must not call back into the allocator. Lives in core so the emitting classes
+// need not depend on any subscriber.
 
 #ifndef JENGA_SRC_CORE_AUDIT_EVENTS_H_
 #define JENGA_SRC_CORE_AUDIT_EVENTS_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <vector>
 
+#include "src/common/check.h"
 #include "src/core/types.h"
 
 namespace jenga {
+
+// What a capacity eviction destroyed: enough for the host tier to park the page.
+struct CacheEviction {
+  int64_t page_bytes = 0;
+  int64_t prefix_length = 0;
+  Tick last_access = 0;
+};
 
 class AuditSink {
  public:
@@ -37,7 +51,7 @@ class AuditSink {
   // used/evictable → empty (content declared obsolete by its owner).
   virtual void OnPageEmptied(int /*group*/, SmallPageId /*page*/) {}
   // evictable → empty under capacity pressure (step-5 victim or large-page reclaim); the
-  // cached content was destroyed (or parked in the host tier via CacheEvictionSink).
+  // cached content was destroyed (its OnHashUnindexed payload let the host tier park it).
   virtual void OnPageEvicted(int /*group*/, SmallPageId /*page*/) {}
   // The request's affinity free list was dropped (request id retired).
   virtual void OnRequestForgotten(int /*group*/, RequestId /*request*/) {}
@@ -46,6 +60,20 @@ class AuditSink {
   // exactly the order `count` single Allocate calls would have produced. Lets the auditor
   // cross-check the bulk path against its per-page shadow state.
   virtual void OnBulkAllocate(int /*group*/, RequestId /*request*/, int64_t /*count*/) {}
+
+  // --- Prefix-cache index membership (one event per key insert / erase) ---
+  //
+  // A subscriber that keeps a set from these two events holds exactly the hashes LookupCached
+  // would find.
+
+  // `hash` entered the group's index (SetContentHash, or Release with keep_cached).
+  virtual void OnHashIndexed(int /*group*/, BlockHash /*hash*/) {}
+  // `hash` left the group's index. `evicted` is non-null only for capacity eviction (a
+  // step-5 victim or a large-page reclaim; fires just before OnPageEvicted) and describes
+  // the destroyed page. Null for a recompute re-hash and for content its owner declared
+  // obsolete (Release with keep_cached=false), which is not an eviction.
+  virtual void OnHashUnindexed(int /*group*/, BlockHash /*hash*/,
+                               const CacheEviction* /*evicted*/) {}
 
   // --- Evictor transitions ---
 
@@ -77,16 +105,44 @@ class AuditSink {
   virtual void OnHostPageRemoved(int /*manager*/, int /*group*/, BlockHash /*hash*/, int64_t /*bytes*/, bool /*evicted*/) {}
 };
 
+// The sinks attached to one emitter, in attach order.
+class AuditSinkList {
+ public:
+  // Appends `sink`, which must not be attached already.
+  void Add(AuditSink* sink) {
+    JENGA_CHECK(sink != nullptr);
+    JENGA_CHECK(std::find(sinks_.begin(), sinks_.end(), sink) == sinks_.end())
+        << "audit sink attached twice";
+    sinks_.push_back(sink);
+  }
+  // Detaches `sink`, which must be attached; the others keep their order.
+  void Remove(AuditSink* sink) {
+    const auto it = std::find(sinks_.begin(), sinks_.end(), sink);
+    JENGA_CHECK(it != sinks_.end()) << "audit sink not attached";
+    sinks_.erase(it);
+  }
+  // What JENGA_AUDIT_HOOK takes: null while no sink is attached.
+  [[nodiscard]] const std::vector<AuditSink*>* get() const {
+    return sinks_.empty() ? nullptr : &sinks_;
+  }
+
+ private:
+  std::vector<AuditSink*> sinks_;
+};
+
 }  // namespace jenga
 
-// Emits `sink->call` only when a sink is attached. The detached (null) case is the hot one
-// everywhere — benches and production runs never attach a sink — so the taken branch is
-// marked [[unlikely]] to keep the hook body out of the fall-through instruction stream.
-#define JENGA_AUDIT_HOOK(sink, call)      \
-  do {                                    \
-    if ((sink) != nullptr) [[unlikely]] { \
-      (sink)->call;                       \
-    }                                     \
+// Delivers `call` to every sink of `sinks` (an AuditSinkList::get() value) in attach order.
+// The detached (null) case is the hot one — most runs attach nothing — so the taken branch
+// is marked [[unlikely]] to keep the delivery loop out of the fall-through instruction
+// stream.
+#define JENGA_AUDIT_HOOK(sinks, call)                      \
+  do {                                                     \
+    if ((sinks) != nullptr) [[unlikely]] {                 \
+      for (::jenga::AuditSink* audit_sink_ : *(sinks)) {   \
+        audit_sink_->call;                                 \
+      }                                                    \
+    }                                                      \
   } while (false)
 
 #endif  // JENGA_SRC_CORE_AUDIT_EVENTS_H_

@@ -56,9 +56,9 @@ class Evictor {
   // Heap entries including tombstones; bounded at O(size()) by compaction (test/bench only).
   [[nodiscard]] size_t heap_entries() const { return heap_.size(); }
 
-  // Audit observation (nullptr = detached); `group` tags this queue's events.
-  void set_audit_sink(AuditSink* sink, int group) {
-    audit_ = sink;
+  // Event subscribers (an AuditSinkList::get() value); `group` tags this queue's events.
+  void set_audit_sinks(const std::vector<AuditSink*>* sinks, int group) {
+    audit_ = sinks;
     audit_group_ = group;
   }
 
@@ -90,7 +90,7 @@ class Evictor {
   // kNoSmallPage. Grows to the largest page id ever inserted (bounded by the pool).
   std::vector<Key> keys_;
   size_t size_ = 0;
-  AuditSink* audit_ = nullptr;
+  const std::vector<AuditSink*>* audit_ = nullptr;
   int audit_group_ = 0;
 };
 

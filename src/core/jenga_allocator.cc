@@ -80,11 +80,11 @@ std::optional<LargePageId> JengaAllocator::AcquireLargePage(int group_index) {
     const Tick current = owner.ReclaimTimestamp(top.large);
     if (current != top.timestamp) {
       PlaceReclaim({current, top.group, top.large});
-      JENGA_AUDIT_HOOK(audit_, OnReclaimPushed(top.group, top.large, current));
+      JENGA_AUDIT_HOOK(audit_.get(), OnReclaimPushed(top.group, top.large, current));
       continue;
     }
     RemoveReclaimAt(0);
-    JENGA_AUDIT_HOOK(audit_, OnLargeReclaimed(top.group, top.large));
+    JENGA_AUDIT_HOOK(audit_.get(), OnLargeReclaimed(top.group, top.large));
     owner.ReclaimLargePage(top.large);
     return lcm_.Allocate(group_index);
   }
@@ -93,7 +93,7 @@ std::optional<LargePageId> JengaAllocator::AcquireLargePage(int group_index) {
 
 void JengaAllocator::OnReclaimCandidate(int group_index, LargePageId large, Tick timestamp) {
   PlaceReclaim({timestamp, group_index, large});
-  JENGA_AUDIT_HOOK(audit_, OnReclaimPushed(group_index, large, timestamp));
+  JENGA_AUDIT_HOOK(audit_.get(), OnReclaimPushed(group_index, large, timestamp));
 }
 
 void JengaAllocator::GrowPool(int32_t pages) {
@@ -103,7 +103,7 @@ void JengaAllocator::GrowPool(int32_t pages) {
   for (const auto& group : groups_) {
     group->OnPoolResized(lcm_.num_pages());
   }
-  JENGA_AUDIT_HOOK(audit_, OnPoolResized(lcm_.num_pages()));
+  JENGA_AUDIT_HOOK(audit_.get(), OnPoolResized(lcm_.num_pages()));
 }
 
 int32_t JengaAllocator::ShrinkPool(int32_t pages) {
@@ -123,7 +123,7 @@ int32_t JengaAllocator::ShrinkPool(int32_t pages) {
     if (!group.IsReclaimCandidate(page)) {
       break;  // Used slots pin the page; the id space must stay dense, so stop here.
     }
-    JENGA_AUDIT_HOOK(audit_, OnLargeReclaimed(owner, page));
+    JENGA_AUDIT_HOOK(audit_.get(), OnLargeReclaimed(owner, page));
     group.ReclaimLargePage(page);
     removable += 1;
   }
@@ -141,7 +141,7 @@ int32_t JengaAllocator::ShrinkPool(int32_t pages) {
   for (const auto& group : groups_) {
     group->OnPoolResized(lcm_.num_pages());
   }
-  JENGA_AUDIT_HOOK(audit_, OnPoolResized(lcm_.num_pages()));
+  JENGA_AUDIT_HOOK(audit_.get(), OnPoolResized(lcm_.num_pages()));
   return removable;
 }
 
@@ -151,22 +151,17 @@ void JengaAllocator::ForgetRequest(RequestId request) {
   }
 }
 
-void JengaAllocator::SetEvictionSink(CacheEvictionSink* sink) {
-  for (const auto& group : groups_) {
-    group->set_eviction_sink(sink);
-  }
-}
-
-void JengaAllocator::SetResidencySink(CacheResidencySink* sink) {
-  for (const auto& group : groups_) {
-    group->set_residency_sink(sink);
-  }
-}
-
 void JengaAllocator::SetAuditSink(AuditSink* sink) {
-  audit_ = sink;
+  audit_.Add(sink);
   for (const auto& group : groups_) {
-    group->set_audit_sink(sink);
+    group->set_audit_sinks(audit_.get());
+  }
+}
+
+void JengaAllocator::RemoveAuditSink(AuditSink* sink) {
+  audit_.Remove(sink);
+  for (const auto& group : groups_) {
+    group->set_audit_sinks(audit_.get());
   }
 }
 

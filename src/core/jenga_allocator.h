@@ -48,24 +48,22 @@ class JengaAllocator final : public LargePageProvider {
 
   // Opportunistically removes up to `pages` trailing large pages: free pages are dropped
   // directly and whole-evictable trailing pages are drained through ReclaimLargePage first
-  // (their cached content parks in the host tier via the eviction sink, same path as step-3
-  // reclaims). Stops at the first trailing page with used slots — the id space must stay
-  // dense — and returns the number of pages actually removed (possibly 0).
+  // (their cached content parks in the host tier through the OnHashUnindexed eviction
+  // payload, same path as step-3 reclaims). Stops at the first trailing page with used
+  // slots — the id space must stay dense — and returns the number of pages actually removed
+  // (possibly 0).
   [[nodiscard]] int32_t ShrinkPool(int32_t pages);
 
   // Drops every group's affinity free list for a retired request id (see
   // SmallPageAllocator::ForgetRequest).
   void ForgetRequest(RequestId request);
 
-  // Installs a cache-eviction observer on every group allocator (host offload tier).
-  void SetEvictionSink(CacheEvictionSink* sink);
-
-  // Installs a prefix-cache residency observer on every group allocator (cluster routing
-  // summaries); nullptr detaches. Pure observation — never changes allocation behavior.
-  void SetResidencySink(CacheResidencySink* sink);
-
-  // Installs an audit observer on this allocator and every group (nullptr detaches).
+  // Attaches one event subscriber (non-null, not attached yet) to this allocator, every
+  // group and every evictor. It receives each event after the subscribers attached before
+  // it. Pure observation — never changes allocation behavior.
   void SetAuditSink(AuditSink* sink);
+  // Detaches one attached subscriber; the others keep their order.
+  void RemoveAuditSink(AuditSink* sink);
 
   // Total small pages (across groups) that could still be produced without evicting anything
   // cached: free large pages × pages-per-large for `group_index`, plus its empty smalls.
@@ -136,7 +134,7 @@ class JengaAllocator final : public LargePageProvider {
   std::vector<ReclaimEntry> reclaim_heap_;
   // reclaim_heap_ slot of each large page's entry (indexed by large id), -1 when absent.
   std::vector<int32_t> reclaim_pos_;
-  AuditSink* audit_ = nullptr;
+  AuditSinkList audit_;
 };
 
 }  // namespace jenga

@@ -198,8 +198,7 @@ std::optional<SmallPageId> SmallPageAllocator::Allocate(RequestId request, Tick 
     LargeEntry& entry = Entry(large);
     SlotMeta& meta = entry.slots[static_cast<size_t>(SlotOf(*victim))];
     JENGA_CHECK(meta.state == PageState::kEvictable);
-    NotifyEviction(*victim, meta);
-    UnregisterHash(*victim, meta);
+    UnregisterHash(*victim, meta, /*evicted=*/true);
     JENGA_AUDIT_HOOK(audit_, OnPageEvicted(group_index_, *victim));
     meta.state = PageState::kUsed;
     meta.assoc = request;
@@ -272,25 +271,14 @@ void SmallPageAllocator::AddRef(SmallPageId page) {
   }
 }
 
-void SmallPageAllocator::NotifyEviction(SmallPageId page, const SlotMeta& meta) const {
-  // Only indexed content is recoverable later; a page whose hash was superseded by another
-  // resident copy offers nothing a future hit could use.
-  if (eviction_sink_ == nullptr || !meta.has_hash) {
-    return;
-  }
-  if (cache_index_.Find(meta.hash) != page) {
-    return;
-  }
-  eviction_sink_->OnCacheEvicted(group_index_, meta.hash, spec_.page_bytes, meta.prefix_length,
-                                 meta.last_access);
-}
-
-void SmallPageAllocator::UnregisterHash(SmallPageId page, SlotMeta& meta) {
+void SmallPageAllocator::UnregisterHash(SmallPageId page, SlotMeta& meta, bool evicted) {
   if (meta.has_hash) {
+    // Only an index entry is announced: a page whose hash another resident copy holds offers
+    // nothing a future hit could use, so its loss is no event.
     if (cache_index_.Erase(meta.hash, page)) {
-      if (residency_sink_ != nullptr) {
-        residency_sink_->OnHashNonResident(group_index_, meta.hash);
-      }
+      const CacheEviction eviction{spec_.page_bytes, meta.prefix_length, meta.last_access};
+      JENGA_AUDIT_HOOK(audit_, OnHashUnindexed(group_index_, meta.hash,
+                                               evicted ? &eviction : nullptr));
     }
     meta.has_hash = false;
     meta.hash = 0;
@@ -360,8 +348,8 @@ void SmallPageAllocator::Release(SmallPageId page, bool keep_cached) {
     // Index the content if no other resident page holds it; duplicates are not worth keeping.
     const auto [indexed, inserted] = cache_index_.Emplace(meta.hash, page);
     cacheable = indexed == page;
-    if (inserted && residency_sink_ != nullptr) {
-      residency_sink_->OnHashResident(group_index_, meta.hash);
+    if (inserted) {
+      JENGA_AUDIT_HOOK(audit_, OnHashIndexed(group_index_, meta.hash));
     }
   }
 
@@ -393,9 +381,9 @@ void SmallPageAllocator::SetContentHash(SmallPageId page, BlockHash hash) {
   meta.has_hash = true;
   meta.hash = hash;
   // Keeps an existing mapping if one is resident (in which case the index is unchanged and
-  // the residency sink stays silent).
-  if (cache_index_.Emplace(hash, page).second && residency_sink_ != nullptr) {
-    residency_sink_->OnHashResident(group_index_, hash);
+  // no event fires).
+  if (cache_index_.Emplace(hash, page).second) {
+    JENGA_AUDIT_HOOK(audit_, OnHashIndexed(group_index_, hash));
   }
 }
 
@@ -480,8 +468,7 @@ void SmallPageAllocator::ReclaimLargePage(LargePageId large) {
       if (uses_evictor_) {
         evictor_.Remove(page);
       }
-      NotifyEviction(page, meta);
-      UnregisterHash(page, meta);
+      UnregisterHash(page, meta, /*evicted=*/true);
       JENGA_AUDIT_HOOK(audit_, OnPageEvicted(group_index_, page));
       evictable_count_ -= 1;
     } else {

@@ -92,22 +92,13 @@ class SmallPageAllocator final : public GroupCacheOps {
   void UpdateLastAccess(SmallPageId page, Tick now) override;
   void SetPrefixLength(SmallPageId page, int64_t prefix_length) override;
 
-  // Installs an observer for cache-eviction events (Evictor victims in Allocate step 5 and
-  // whole-large-page reclaims). nullptr (the default) restores destroy-on-evict. Release with
-  // keep_cached=false is NOT an eviction — that content was declared obsolete by its owner.
-  void set_eviction_sink(CacheEvictionSink* sink) { eviction_sink_ = sink; }
-
-  // Installs an audit observer on this group and its evictor (nullptr detaches). Costs one
-  // null test per transition when detached; never changes allocation behavior.
-  void set_audit_sink(AuditSink* sink) {
-    audit_ = sink;
-    evictor_.set_audit_sink(sink, group_index_);
+  // Points this group and its evictor at the owner's event subscribers (an
+  // AuditSinkList::get() value; null when none is attached). Never changes allocation
+  // behavior.
+  void set_audit_sinks(const std::vector<AuditSink*>* sinks) {
+    audit_ = sinks;
+    evictor_.set_audit_sinks(sinks, group_index_);
   }
-
-  // Installs a prefix-cache index-membership observer (cluster residency summaries); nullptr
-  // (the default) detaches. Events track cache_index_'s key set exactly; see
-  // CacheResidencySink. Never changes allocation behavior.
-  void set_residency_sink(CacheResidencySink* sink) { residency_sink_ = sink; }
 
   // Drops the request-affinity free list of a finished request. Affinity state is otherwise
   // only pruned lazily (on pop exhaustion), so long-lived servers must call this when a
@@ -244,20 +235,17 @@ class SmallPageAllocator final : public GroupCacheOps {
   void ClaimEmpty(SmallPageId page, RequestId request, Tick now);
   // evictable/used(ref 0) → empty; may return the large page to the LCM allocator.
   void TransitionToEmpty(SmallPageId page);
-  void UnregisterHash(SmallPageId page, SlotMeta& meta);
+  // Drops the page's hash, erasing its index entry if the page holds it. `evicted` marks a
+  // capacity eviction, whose OnHashUnindexed event carries the destroyed page.
+  void UnregisterHash(SmallPageId page, SlotMeta& meta, bool evicted = false);
   void NotifyCandidateIfEligible(LargePageId large);
   void ReleaseLarge(LargePageId large, LargeEntry& entry);
-
-  // Announces an evictable page's cached content to the sink just before it is destroyed.
-  void NotifyEviction(SmallPageId page, const SlotMeta& meta) const;
 
   int group_index_;
   KvGroupSpec spec_;
   LcmAllocator* lcm_;
   LargePageProvider* provider_;
-  CacheEvictionSink* eviction_sink_ = nullptr;
-  CacheResidencySink* residency_sink_ = nullptr;
-  AuditSink* audit_ = nullptr;
+  const std::vector<AuditSink*>* audit_ = nullptr;
   int pages_per_large_ = 0;
   // False in one-slot groups, whose evictor stays empty: step 5 can never pick a victim there
   // (see the header comment), so Insert/Remove/rekey upkeep is skipped.

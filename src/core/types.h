@@ -34,33 +34,6 @@ enum class PageState : uint8_t {
   kUsed,
 };
 
-// Observer for prefix-cache pages destroyed by capacity eviction (Evictor victims and
-// whole-large-page reclaims). The host offload tier implements this to give evicted pages a
-// second chance in host memory; with no sink installed, eviction destroys the content as
-// before. Lives in core so SmallPageAllocator need not depend on the offload subsystem.
-class CacheEvictionSink {
- public:
-  virtual ~CacheEvictionSink() = default;
-  virtual void OnCacheEvicted(int group_index, BlockHash hash, int64_t page_bytes,
-                              int64_t prefix_length, Tick last_access) = 0;
-};
-
-// Observer for prefix-cache *index membership*: a hash becomes resident when the group
-// allocator indexes it (SetContentHash, or Release with keep_cached) and non-resident when
-// its index entry is dropped (capacity eviction, whole-large-page reclaim, recompute with a
-// new boundary, or owner-declared obsolescence). Events mirror the index's key set exactly —
-// one OnHashResident per key insert, one OnHashNonResident per key erase — so a listener
-// maintaining a set sees precisely the hashes LookupCached would find. The cluster layer
-// implements this to keep per-replica block-hash summaries for prefix-affinity routing.
-// With no sink installed (the default) the allocator's behavior is unchanged; the hooks cost
-// one null test per index transition.
-class CacheResidencySink {
- public:
-  virtual ~CacheResidencySink() = default;
-  virtual void OnHashResident(int group_index, BlockHash hash) = 0;
-  virtual void OnHashNonResident(int group_index, BlockHash hash) = 0;
-};
-
 [[nodiscard]] inline const char* PageStateName(PageState state) {
   switch (state) {
     case PageState::kEmpty:

@@ -104,7 +104,7 @@ int32_t Engine::ShrinkKvPool(int32_t pages) {
   if (TransitionFaultFired(FaultSite::kPoolShrinkDrain, &metrics_.pool_shrink_rollbacks)) {
     return 0;
   }
-  // Draining the free tail can evict cached blocks whose eviction sink parks them to host;
+  // Draining the free tail can evict cached blocks that the offload tier parks to host;
   // an injected host failure in that path may degrade the tier outside any engine step.
   const int32_t removed = kv().allocator_mutable().ShrinkPool(pages);
   metrics_.pool_shrink_pages += removed;

@@ -71,8 +71,8 @@ class Engine final : public SchedulerCore {
   // consulted BEFORE any mutation, so a fire rolls the attempt back with zero net change.
   // Returns pages added (0 on rollback).
   int32_t GrowKvPool(int32_t pages);
-  // Audited shrink: drains up to `pages` trailing large pages (cached content parks through
-  // the eviction sink) and removes them. Consults pool_shrink_drain before mutating.
+  // Audited shrink: drains up to `pages` trailing large pages (cached content parks in the
+  // offload tier) and removes them. Consults pool_shrink_drain before mutating.
   // Returns pages removed (0 on rollback or a pinned tail).
   int32_t ShrinkKvPool(int32_t pages);
   // LCM repartition for a model hot-swap: quiesce (preempt every running request via the

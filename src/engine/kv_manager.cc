@@ -762,16 +762,7 @@ void KvManager::AttachOffload(SwapManager* offload, int manager_index) {
   JENGA_CHECK(offload_ == nullptr) << "offload tier already attached";
   offload_ = offload;
   manager_index_ = manager_index;
-  std::vector<char> eligible;
-  std::vector<int64_t> page_bytes;
-  eligible.reserve(spec_.groups.size());
-  page_bytes.reserve(spec_.groups.size());
-  for (size_t g = 0; g < spec_.groups.size(); ++g) {
-    eligible.push_back(policies_[g]->SwapEligible() ? 1 : 0);
-    page_bytes.push_back(spec_.groups[g].page_bytes);
-  }
-  allocator_.SetEvictionSink(
-      offload_->RegisterManager(manager_index, std::move(eligible), std::move(page_bytes)));
+  allocator_.SetAuditSink(offload_->RegisterManager(manager_index));
 }
 
 uint64_t KvManager::StateFingerprint(const RequestKv& state) const {

@@ -124,9 +124,9 @@ class KvManager {
 
   // --- Host offload tier (all no-ops / unused when no SwapManager is attached) ---
 
-  // Connects this manager to the offload tier: installs the eviction sink on the allocator
-  // (second-chance prefix cache) and enables host-hit promotion in OnAdmit. `manager_index`
-  // disambiguates managers sharing one SwapManager (speculative decoding).
+  // Connects this manager to the offload tier: attaches the tier's eviction subscriber to the
+  // allocator (second-chance prefix cache) and enables host-hit promotion in OnAdmit.
+  // `manager_index` disambiguates managers sharing one SwapManager (speculative decoding).
   void AttachOffload(SwapManager* offload, int manager_index);
 
   // Releases pages allocated beyond `r`'s committed-token target. An injected step fault

@@ -19,7 +19,8 @@ void HostPool::MakeRoom(int64_t incoming) {
       used_bytes_ -= it->second.set.bytes;
       bytes_evicted_ += it->second.set.bytes;
       sets_evicted_ += 1;
-      JENGA_AUDIT_HOOK(audit_, OnHostSetRemoved(ref.id, it->second.set.bytes, /*evicted=*/true));
+      JENGA_AUDIT_HOOK(audit_.get(),
+                       OnHostSetRemoved(ref.id, it->second.set.bytes, /*evicted=*/true));
       sets_.erase(it);
     } else {
       const auto it = pages_.find(ref.key);
@@ -27,10 +28,8 @@ void HostPool::MakeRoom(int64_t incoming) {
       used_bytes_ -= it->second.page.bytes;
       bytes_evicted_ += it->second.page.bytes;
       pages_evicted_ += 1;
-      if (audit_ != nullptr) [[unlikely]] {
-        audit_->OnHostPageRemoved(ref.key.manager, ref.key.group, ref.key.hash,
-                                  it->second.page.bytes, /*evicted=*/true);
-      }
+      JENGA_AUDIT_HOOK(audit_.get(), OnHostPageRemoved(ref.key.manager, ref.key.group, ref.key.hash,
+                                                       it->second.page.bytes, /*evicted=*/true));
       pages_.erase(it);
     }
   }
@@ -57,16 +56,15 @@ void HostPool::Clear() {
       const auto it = sets_.find(ref.id);
       JENGA_CHECK(it != sets_.end());
       used_bytes_ -= it->second.set.bytes;
-      JENGA_AUDIT_HOOK(audit_, OnHostSetRemoved(ref.id, it->second.set.bytes, /*evicted=*/false));
+      JENGA_AUDIT_HOOK(audit_.get(),
+                       OnHostSetRemoved(ref.id, it->second.set.bytes, /*evicted=*/false));
       sets_.erase(it);
     } else {
       const auto it = pages_.find(ref.key);
       JENGA_CHECK(it != pages_.end());
       used_bytes_ -= it->second.page.bytes;
-      if (audit_ != nullptr) [[unlikely]] {
-        audit_->OnHostPageRemoved(ref.key.manager, ref.key.group, ref.key.hash,
-                                  it->second.page.bytes, /*evicted=*/false);
-      }
+      JENGA_AUDIT_HOOK(audit_.get(), OnHostPageRemoved(ref.key.manager, ref.key.group, ref.key.hash,
+                                                       it->second.page.bytes, /*evicted=*/false));
       pages_.erase(it);
     }
   }
@@ -87,7 +85,7 @@ bool HostPool::PutSwapSet(RequestId id, HostSwapSet set) {
   if (const auto it = sets_.find(id); it != sets_.end()) {
     used_bytes_ -= it->second.set.bytes;
     Unlink(it->second.seq);
-    JENGA_AUDIT_HOOK(audit_, OnHostSetRemoved(id, it->second.set.bytes, /*evicted=*/false));
+    JENGA_AUDIT_HOOK(audit_.get(), OnHostSetRemoved(id, it->second.set.bytes, /*evicted=*/false));
     sets_.erase(it);
   }
   MakeRoom(set.bytes);
@@ -96,7 +94,7 @@ bool HostPool::PutSwapSet(RequestId id, HostSwapSet set) {
   lru_.emplace(seq, LruRef{/*is_set=*/true, id, PageKey{}});
   const int64_t bytes = set.bytes;
   sets_.emplace(id, SetEntry{std::move(set), seq});
-  JENGA_AUDIT_HOOK(audit_, OnHostSetStored(id, bytes));
+  JENGA_AUDIT_HOOK(audit_.get(), OnHostSetStored(id, bytes));
   return true;
 }
 
@@ -114,10 +112,8 @@ bool HostPool::PutPage(const PageKey& key, HostCachePage page) {
   if (const auto it = pages_.find(key); it != pages_.end()) {
     used_bytes_ -= it->second.page.bytes;
     Unlink(it->second.seq);
-    if (audit_ != nullptr) [[unlikely]] {
-      audit_->OnHostPageRemoved(key.manager, key.group, key.hash, it->second.page.bytes,
-                                /*evicted=*/false);
-    }
+    JENGA_AUDIT_HOOK(audit_.get(), OnHostPageRemoved(key.manager, key.group, key.hash,
+                                                     it->second.page.bytes, /*evicted=*/false));
     pages_.erase(it);
   }
   MakeRoom(page.bytes);
@@ -125,7 +121,8 @@ bool HostPool::PutPage(const PageKey& key, HostCachePage page) {
   used_bytes_ += page.bytes;
   lru_.emplace(seq, LruRef{/*is_set=*/false, kNoRequest, key});
   pages_.emplace(key, PageEntry{page, seq});
-  JENGA_AUDIT_HOOK(audit_, OnHostPageStored(key.manager, key.group, key.hash, page.bytes));
+  JENGA_AUDIT_HOOK(audit_.get(),
+                   OnHostPageStored(key.manager, key.group, key.hash, page.bytes));
   return true;
 }
 
@@ -146,7 +143,7 @@ bool HostPool::EraseSwapSet(RequestId id) {
   }
   used_bytes_ -= it->second.set.bytes;
   Unlink(it->second.seq);
-  JENGA_AUDIT_HOOK(audit_, OnHostSetRemoved(id, it->second.set.bytes, /*evicted=*/false));
+  JENGA_AUDIT_HOOK(audit_.get(), OnHostSetRemoved(id, it->second.set.bytes, /*evicted=*/false));
   sets_.erase(it);
   return true;
 }
@@ -158,10 +155,8 @@ bool HostPool::ErasePage(const PageKey& key) {
   }
   used_bytes_ -= it->second.page.bytes;
   Unlink(it->second.seq);
-  if (audit_ != nullptr) [[unlikely]] {
-    audit_->OnHostPageRemoved(key.manager, key.group, key.hash, it->second.page.bytes,
-                              /*evicted=*/false);
-  }
+  JENGA_AUDIT_HOOK(audit_.get(), OnHostPageRemoved(key.manager, key.group, key.hash,
+                                                   it->second.page.bytes, /*evicted=*/false));
   pages_.erase(it);
   return true;
 }

@@ -90,8 +90,8 @@ class HostPool {
   // Inserts rejected by an injected kHostPoolAlloc fault (subset of rejected_inserts()).
   [[nodiscard]] int64_t injected_failures() const { return injected_failures_; }
 
-  // Audit observation of every insert/erase/LRU-eviction (nullptr = detached).
-  void set_audit_sink(AuditSink* sink) { audit_ = sink; }
+  // Subscribers to every insert/erase/LRU-eviction.
+  AuditSinkList& audit_sinks() { return audit_; }
 
   // Fault injection (nullptr = disabled). Consulted at the top of every Put*, before any
   // state is touched, so a fired fault leaves the pool exactly as it was.
@@ -131,7 +131,7 @@ class HostPool {
   int64_t capacity_bytes_ = 0;
   int64_t used_bytes_ = 0;
   uint64_t next_seq_ = 1;
-  AuditSink* audit_ = nullptr;
+  AuditSinkList audit_;
   FaultInjector* fault_ = nullptr;
   std::unordered_map<RequestId, SetEntry> sets_;
   std::unordered_map<PageKey, PageEntry, PageKeyHash> pages_;

@@ -7,20 +7,17 @@
 
 namespace jenga {
 
-// Per-manager adapter: tags allocator eviction callbacks with the manager index so host-pool
+// Per-manager subscriber: tags allocator eviction events with the manager index so host-pool
 // keys stay unique when several KvManagers (speculative decoding) share one SwapManager.
-struct SwapManager::ManagerSink final : CacheEvictionSink {
+struct SwapManager::ManagerSink final : AuditSink {
   SwapManager* owner = nullptr;
   int manager_index = 0;
-  std::vector<char> group_swap_eligible;
-  std::vector<int64_t> group_page_bytes;
 
-  void OnCacheEvicted(int group_index, BlockHash hash, int64_t page_bytes,
-                      int64_t prefix_length, Tick last_access) override {
-    if (!owner->config_.host_prefix_cache || owner->degraded_) {
+  void OnHashUnindexed(int group_index, BlockHash hash, const CacheEviction* evicted) override {
+    // Only capacity evictions park; content its owner declared obsolete has no second life.
+    if (evicted == nullptr || !owner->config_.host_prefix_cache || owner->degraded_) {
       return;
     }
-    JENGA_CHECK_LT(static_cast<size_t>(group_index), group_swap_eligible.size());
     // Unlike preemption swap sets (where SwapEligible() gates transfers and ineligible groups
     // are recomputed on restore), the second-chance cache parks every group's evictions: the
     // hit scan demands residency at a common boundary across ALL groups, so a hole in a
@@ -28,14 +25,14 @@ struct SwapManager::ManagerSink final : CacheEvictionSink {
     // the host holds. Out-of-window parked pages are never promoted and age out of the
     // host LRU naturally.
     HostCachePage page;
-    page.bytes = page_bytes;
-    page.prefix_length = prefix_length;
-    page.evicted_at = last_access;
+    page.bytes = evicted->page_bytes;
+    page.prefix_length = evicted->prefix_length;
+    page.evicted_at = evicted->last_access;
     const int64_t injected_before = owner->host_.injected_failures();
     if (owner->host_.PutPage({manager_index, group_index, hash}, page)) {
-      owner->pending_transfer_ += owner->pcie_.D2HStreamTime(page_bytes);
+      owner->pending_transfer_ += owner->pcie_.D2HStreamTime(page.bytes);
       owner->stats_.host_pages_stored += 1;
-      owner->stats_.swap_out_bytes += page_bytes;
+      owner->stats_.swap_out_bytes += page.bytes;
     } else if (owner->host_.injected_failures() > injected_before) {
       // Injected allocation failure: the page is simply not parked (second-chance is an
       // optimization, losing one page is safe), but repeated failures degrade the tier.
@@ -53,16 +50,12 @@ SwapManager::SwapManager(OffloadConfig config, SwapCostParams cost)
 
 SwapManager::~SwapManager() = default;
 
-CacheEvictionSink* SwapManager::RegisterManager(int manager_index,
-                                                std::vector<char> group_swap_eligible,
-                                                std::vector<int64_t> group_page_bytes) {
+AuditSink* SwapManager::RegisterManager(int manager_index) {
   JENGA_CHECK_LE(manager_index, static_cast<int>(sinks_.size()))
       << "managers must register in index order";
   auto sink = std::make_unique<ManagerSink>();
   sink->owner = this;
   sink->manager_index = manager_index;
-  sink->group_swap_eligible = std::move(group_swap_eligible);
-  sink->group_page_bytes = std::move(group_page_bytes);
   if (manager_index < static_cast<int>(sinks_.size())) {
     // Repartition re-attach: the rebuilt KvManager takes over the slot.
     sinks_[manager_index] = std::move(sink);

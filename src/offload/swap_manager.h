@@ -6,9 +6,11 @@
 //      re-admits by transferring them back. The mode is chosen per preemption by an analytic
 //      cost crossover — recompute time (GpuSim-style compute + chunked KV re-read) vs swap
 //      round-trip time (PcieSim D2H + H2D + recompute of swap-ineligible groups).
-//   2. Second-chance prefix cache: Evictor victims flow into the host pool (via the
-//      CacheEvictionSink installed on each group allocator) instead of being destroyed, and
-//      KvManager::OnAdmit promotes host-resident pages back on a hit, charging swap-in time.
+//   2. Second-chance prefix cache: capacity evictions flow into the host pool (through an
+//      AuditSink subscribed to each KvManager's allocator, which parks every
+//      OnHashUnindexed event that carries an eviction payload) instead of being destroyed,
+//      and KvManager::OnAdmit promotes host-resident pages back on a hit, charging swap-in
+//      time.
 //
 // The SwapManager never touches allocator or request state itself: the engines and KvManager
 // drive the mechanics (footprints, restores, promotions) and report to it; it decides, keeps
@@ -28,6 +30,7 @@
 #include <vector>
 
 #include "src/common/status.h"
+#include "src/core/audit_events.h"
 #include "src/core/types.h"
 #include "src/fault/fault_injector.h"
 #include "src/offload/host_pool.h"
@@ -87,14 +90,13 @@ class SwapManager {
 
   // --- Attachment (KvManager::AttachOffload calls this) ---
 
-  // Registers a KvManager's groups (index order = attach order) and returns the eviction sink
-  // to install on its allocator. `group_swap_eligible[g]` gates the second-chance path.
-  // Re-registering an existing index replaces that sink in place — the pool-repartition path
-  // rebuilds a KvManager and re-attaches under the same index (call FlushHostState first:
-  // parked state keyed by the old layout is meaningless to the new manager).
-  [[nodiscard]] CacheEvictionSink* RegisterManager(int manager_index,
-                                                   std::vector<char> group_swap_eligible,
-                                                   std::vector<int64_t> group_page_bytes);
+  // Registers a KvManager (index order = attach order) and returns the subscriber to attach
+  // to its allocator with JengaAllocator::SetAuditSink. It parks every group's capacity
+  // evictions. Re-registering an existing index replaces that subscriber in place — the
+  // pool-repartition path rebuilds a KvManager and re-attaches under the same index (call
+  // FlushHostState first: parked state keyed by the old layout is meaningless to the new
+  // manager).
+  [[nodiscard]] AuditSink* RegisterManager(int manager_index);
 
   // Drops every swap set and parked cache page through the audited removal paths WITHOUT
   // degrading the tier. Used at repartition commit: group structure and hash salts belong to
@@ -183,8 +185,9 @@ class SwapManager {
   [[nodiscard]] const OffloadConfig& config() const { return config_; }
   [[nodiscard]] const PcieSim& pcie() const { return pcie_; }
 
-  // Installs an audit observer on the host pool (nullptr detaches).
-  void SetAuditSink(AuditSink* sink) { host_.set_audit_sink(sink); }
+  // Attaches / detaches one host-pool event subscriber (see AuditSinkList).
+  void SetAuditSink(AuditSink* sink) { host_.audit_sinks().Add(sink); }
+  void RemoveAuditSink(AuditSink* sink) { host_.audit_sinks().Remove(sink); }
 
   // --- Fault injection & graceful degradation ---
 
@@ -199,7 +202,7 @@ class SwapManager {
 
   // Detaches the tier: drains every swap set and parked cache page through the audited
   // removal paths, then refuses all future swaps (ChoosePreemptMode → kRecompute, lookups
-  // miss, the eviction sink no-ops). Swapped-out requests recover through the existing
+  // miss, the eviction subscribers no-op). Swapped-out requests recover through the existing
   // missing-set recompute fallback. Idempotent.
   void DegradeToGpuOnly();
   [[nodiscard]] bool degraded() const { return degraded_; }

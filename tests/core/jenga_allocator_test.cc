@@ -154,7 +154,7 @@ TEST(JengaAllocator, ReclaimHeapBreaksEqualTimestampTiesByGroupThenLargeId) {
   EXPECT_EQ(log.reclaimed, expected);
   EXPECT_EQ(alloc.reclaim_heap_entries(), 0u);
   EXPECT_FALSE(alloc.group(1).Allocate(2, /*now=*/30).has_value());
-  alloc.SetAuditSink(nullptr);
+  alloc.RemoveAuditSink(&log);
   alloc.CheckConsistency();
 }
 
@@ -245,7 +245,7 @@ TEST_P(ReclaimOrderTest, MatchesOrderedSetModel) {
       }
       resized = true;
     }
-    alloc.SetAuditSink(nullptr);
+    alloc.RemoveAuditSink(&log);
 
     // Step 3 reclaims at most once per allocation, and always the model's first element.
     // (ShrinkPool drains trailing pages by position, not by order.)
@@ -404,7 +404,7 @@ int64_t ChurnCachedPages(JengaAllocator& alloc, int64_t large_pages, AuditSink* 
   for (int64_t i = 0; i < after_full; ++i) {
     claim_and_cache(static_cast<int>(i % 2));
   }
-  alloc.SetAuditSink(nullptr);
+  alloc.RemoveAuditSink(sink);
   return after_full;
 }
 

@@ -788,7 +788,7 @@ TEST(KvManager, RejectedGrowLeavesNoTrace) {
   EXPECT_EQ(counter.acquisitions, 0);
   EXPECT_EQ(counter.bulk, 0);
   ExpectSameFootprint(before, AllocatorFootprint(kv->allocator()));
-  kv->allocator_mutable().SetAuditSink(nullptr);
+  kv->allocator_mutable().RemoveAuditSink(&counter);
 
   // Both requests keep working: the holder grows into its own empties.
   ComputeTokens(*kv, holder, kBs, 3);
@@ -823,7 +823,7 @@ TEST(KvManager, RejectedGrowEvictsAndReclaimsNothing) {
   EXPECT_EQ(counter.evictions, 0);
   EXPECT_EQ(counter.reclaims, 0);
   ExpectSameFootprint(before, AllocatorFootprint(kv->allocator()));
-  kv->allocator_mutable().SetAuditSink(nullptr);
+  kv->allocator_mutable().RemoveAuditSink(&counter);
   kv->Release(b, /*finished=*/true);
 
   // The cached prefix survived: a repeat of request 1's prompt hits it.

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/audit_events.h"
 #include "src/core/types.h"
 
 namespace jenga {
@@ -124,27 +125,47 @@ TEST(SwapManager, StallOverlapsWithComputeTime) {
   EXPECT_EQ(swap.ConsumeStall(10.0), 0.0);
 }
 
+// Delivers a capacity eviction of `hash` to a RegisterManager subscriber.
+void Evict(AuditSink* sink, int group, BlockHash hash, int64_t page_bytes) {
+  const CacheEviction evicted{page_bytes, /*prefix_length=*/16, /*last_access=*/1};
+  sink->OnHashUnindexed(group, hash, &evicted);
+}
+
 TEST(SwapManager, SinkParksEvictionsFromEveryGroup) {
   SwapManager swap(TestConfig(), TestCost());
-  // Group 1 is swap-ineligible (e.g. sliding window) — its evictions still park, because the
-  // hit scan needs residency across all groups at a common boundary.
-  CacheEvictionSink* sink = swap.RegisterManager(0, {1, 0}, {4096, 4096});
-  sink->OnCacheEvicted(/*group_index=*/0, /*hash=*/11, /*page_bytes=*/4096,
-                       /*prefix_length=*/16, /*last_access=*/1);
-  sink->OnCacheEvicted(/*group_index=*/1, /*hash=*/22, /*page_bytes=*/4096,
-                       /*prefix_length=*/16, /*last_access=*/1);
+  // Every group parks, swap-ineligible ones (e.g. sliding window) included, because the hit
+  // scan needs residency across all groups at a common boundary.
+  AuditSink* sink = swap.RegisterManager(0);
+  Evict(sink, /*group=*/0, /*hash=*/11, /*page_bytes=*/4096);
+  Evict(sink, /*group=*/1, /*hash=*/22, /*page_bytes=*/4096);
   EXPECT_EQ(swap.stats().host_pages_stored, 2);
-  EXPECT_NE(swap.LookupHostPage(0, 0, 11), nullptr);
+  const HostCachePage* parked = swap.LookupHostPage(0, 0, 11);
+  ASSERT_NE(parked, nullptr);
+  EXPECT_EQ(parked->bytes, 4096);
+  EXPECT_EQ(parked->prefix_length, 16);
+  EXPECT_EQ(parked->evicted_at, 1);
   EXPECT_NE(swap.LookupHostPage(0, 1, 22), nullptr);
   EXPECT_EQ(swap.LookupHostPage(0, 0, 22), nullptr);  // Keys are group-scoped.
+}
+
+TEST(SwapManager, UnindexWithoutEvictionParksNothing) {
+  SwapManager swap(TestConfig(), TestCost());
+  AuditSink* sink = swap.RegisterManager(0);
+  // Release(keep_cached=false) and recompute re-hashes unindex with no payload: the content
+  // was declared obsolete, not evicted.
+  sink->OnHashIndexed(0, 11);
+  sink->OnHashUnindexed(0, 11, /*evicted=*/nullptr);
+  EXPECT_EQ(swap.stats().host_pages_stored, 0);
+  EXPECT_EQ(swap.LookupHostPage(0, 0, 11), nullptr);
+  EXPECT_FALSE(swap.HasPendingTransfer());
 }
 
 TEST(SwapManager, HostPrefixCacheSwitchDisablesParkingAndLookup) {
   OffloadConfig config = TestConfig();
   config.host_prefix_cache = false;
   SwapManager swap(config, TestCost());
-  CacheEvictionSink* sink = swap.RegisterManager(0, {1}, {4096});
-  sink->OnCacheEvicted(0, 11, 4096, 16, 1);
+  AuditSink* sink = swap.RegisterManager(0);
+  Evict(sink, 0, 11, 4096);
   EXPECT_EQ(swap.stats().host_pages_stored, 0);
   EXPECT_EQ(swap.LookupHostPage(0, 0, 11), nullptr);
   EXPECT_FALSE(swap.HasPendingTransfer());
@@ -152,8 +173,8 @@ TEST(SwapManager, HostPrefixCacheSwitchDisablesParkingAndLookup) {
 
 TEST(SwapManager, PromotionRemovesThePageAndChargesH2D) {
   SwapManager swap(TestConfig(), TestCost());
-  CacheEvictionSink* sink = swap.RegisterManager(0, {1}, {4096});
-  sink->OnCacheEvicted(0, 11, 1'000'000'000, 16, 1);
+  AuditSink* sink = swap.RegisterManager(0);
+  Evict(sink, 0, 11, 1'000'000'000);
   swap.ConsumeStall(0.0);  // Drain the D2H stream charge.
   swap.OnHostPagePromoted(0, 0, 11, 1'000'000'000);
   EXPECT_EQ(swap.LookupHostPage(0, 0, 11), nullptr);
