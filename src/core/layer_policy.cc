@@ -147,6 +147,11 @@ TokenRanges SlidingWindowPolicy::NeededTokenRanges(int64_t num_tokens) const {
   return {{begin, num_tokens}};
 }
 
+int64_t SlidingWindowPolicy::NextDropPoint(int64_t num_tokens, int64_t token) const {
+  // The window [n - window, n) begins past `token` from n = token + window + 1 on.
+  return std::max(num_tokens + 1, token + window_ + 1);
+}
+
 PyramidPolicy::PyramidPolicy(int token_budget, int num_sinks)
     : token_budget_(token_budget), num_sinks_(num_sinks) {
   JENGA_CHECK_GT(token_budget, 0);
@@ -163,6 +168,13 @@ TokenRanges PyramidPolicy::NeededTokenRanges(int64_t num_tokens) const {
   }
   const int64_t recent = token_budget_ - num_sinks_;
   return {{0, num_sinks_}, {num_tokens - recent, num_tokens}};
+}
+
+int64_t PyramidPolicy::NextDropPoint(int64_t num_tokens, int64_t token) const {
+  // Up to the budget the one range begins at 0; past it, the recent range [n - recent, n)
+  // begins past `token` from n = token + recent + 1 on.
+  const int64_t recent = token_budget_ - num_sinks_;
+  return std::max({num_tokens + 1, static_cast<int64_t>(token_budget_) + 1, token + recent + 1});
 }
 
 MambaPolicy::MambaPolicy(int checkpoint_interval) : checkpoint_interval_(checkpoint_interval) {

@@ -147,11 +147,20 @@ class LayerPolicy {
   // either because the needed ranges always cover the full prefix (full attention, image
   // caches) or because pages outside the ranges are dropped as they fall out (sliding window
   // and pyramid, provided DropUnneededPages actually runs). KvManager uses this to defer the
-  // per-step O(pages) refresh to a single per-group timestamp applied at release/drop time:
+  // per-step O(pages) refresh to a single per-request timestamp applied at release/drop time:
   // while a page is used its last-access is unobservable, so the deferred value — the tick of
   // the owner's last computed step — is exactly what the eager loop would have left behind.
-  // Mamba returns false (it refreshes only the newest state page, which is O(1) eagerly).
+  // Mamba qualifies too: its one resident page is the running state, which every step
+  // touches and which never carries a content hash.
   [[nodiscard]] virtual bool RefreshCoversResidentPages() const { return false; }
+
+  // Drop schedule of a droppable policy, for KvManager's event-driven step: the smallest token
+  // count above `num_tokens` at which the last needed range begins past `token`, i.e. when a
+  // drop walk can pass `token`. An earlier count is allowed, a later one is not. The default
+  // is the next token, so a custom droppable policy is re-checked every step.
+  [[nodiscard]] virtual int64_t NextDropPoint(int64_t num_tokens, int64_t /*token*/) const {
+    return num_tokens + 1;
+  }
 
   // Host-offload eligibility: whether this group's pages are worth moving over PCIe instead
   // of recomputing. Full-prefix KV, Mamba states, and vision embeddings are (the state is
@@ -183,6 +192,7 @@ class SlidingWindowPolicy : public LayerPolicy {
   [[nodiscard]] bool CanDropUnneededPages() const override { return true; }
   [[nodiscard]] bool SwapEligible() const override { return false; }
   [[nodiscard]] bool RefreshCoversResidentPages() const override { return true; }
+  [[nodiscard]] int64_t NextDropPoint(int64_t num_tokens, int64_t token) const override;
   [[nodiscard]] int window() const { return window_; }
 
  private:
@@ -199,6 +209,7 @@ class PyramidPolicy : public LayerPolicy {
   [[nodiscard]] bool CanDropUnneededPages() const override { return true; }
   [[nodiscard]] bool SwapEligible() const override { return false; }
   [[nodiscard]] bool RefreshCoversResidentPages() const override { return true; }
+  [[nodiscard]] int64_t NextDropPoint(int64_t num_tokens, int64_t token) const override;
 
  private:
   int token_budget_;
@@ -221,6 +232,7 @@ class MambaPolicy : public LayerPolicy {
                                                     int tokens_per_page) const override;
   [[nodiscard]] bool PrefixValid(BlockHitResolver& hits, int64_t p,
                                  int tokens_per_page) const override;
+  [[nodiscard]] bool RefreshCoversResidentPages() const override { return true; }
 
  private:
   int checkpoint_interval_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdlib>
+#include <limits>
 #include <span>
 
 #include "src/common/check.h"
@@ -45,6 +46,9 @@ int64_t StaticMambaReservationBytes(const ModelConfig& model, int max_num_seqs) 
 }
 
 namespace {
+
+// A token count no request reaches: "no such event" for the event-driven step's counts.
+constexpr int64_t kNoKvEvent = std::numeric_limits<int64_t>::max();
 
 // Total tokens across a range list.
 int64_t RangeTokens(const TokenRanges& ranges) {
@@ -417,19 +421,28 @@ int64_t KvManager::ResolveHitBoundary(const Request& r,
 }
 
 bool KvManager::AllocateForTokens(Request& r, int64_t n, Tick now) {
-  return GrowBlockTables(r, StateOf(r), r.num_computed_tokens + n, /*leave_dropped=*/false, now);
+  RequestKv& state = StateOf(r);
+  const int64_t tokens = r.num_computed_tokens + n;
+  if (tokens <= state.grow_limit) {
+    JENGA_DCHECK(!PlanGrow(r, state, tokens, /*leave_dropped=*/false).grows);
+    return true;
+  }
+  return GrowBlockTables(r, state, tokens, /*leave_dropped=*/false, now);
 }
 
 bool KvManager::GrowBlockTables(const Request& r, RequestKv& state, int64_t tokens,
                                 bool leave_dropped, Tick now) {
   const GrowPlan plan = PlanGrow(r, state, tokens, leave_dropped);
-  if (!plan.grows) {
-    return true;
+  if (plan.grows) {
+    if (plan.beyond_empties && !GrowFits(plan)) {
+      return false;  // Decided from counters: nothing claimed, reclaimed, evicted or reshuffled.
+    }
+    if (!ClaimGrow(r, state, plan, now)) {
+      return false;
+    }
   }
-  if (plan.beyond_empties && !GrowFits(plan)) {
-    return false;  // Decided from counters: nothing claimed, reclaimed, evicted or reshuffled.
-  }
-  return ClaimGrow(r, state, plan, now);
+  state.grow_limit = GrowLimit(r, state);
+  return true;
 }
 
 KvManager::GrowPlan KvManager::PlanGrow(const Request& r, const RequestKv& state, int64_t tokens,
@@ -537,6 +550,8 @@ bool KvManager::ClaimGrow(const Request& r, RequestKv& state, const GrowPlan& pl
 }
 
 void KvManager::TruncateBlockTable(RequestKv& state, int g, int64_t size) {
+  state.grow_limit = -1;
+  state.next_event = -1;
   GroupState& gs = state.groups[static_cast<size_t>(g)];
   SmallPageAllocator& alloc = allocator_.group(g);
   while (static_cast<int64_t>(gs.pages.size()) > size) {
@@ -590,17 +605,21 @@ void KvManager::RegisterHashes(Request& r, RequestKv& state, Tick now) {
   }
 }
 
-void KvManager::DropUnneededPages(RequestKv& state, int g, int64_t tokens) {
+void KvManager::DropUnneededPages(const Request& r, RequestKv& state, int g) {
   GroupState& gs = state.groups[static_cast<size_t>(g)];
   if (gs.pages.empty()) {
     return;
   }
   SmallPageAllocator& alloc = allocator_.group(g);
-  const int bs = spec_.groups[static_cast<size_t>(g)].tokens_per_page;
+  const KvGroupSpec& group = spec_.groups[static_cast<size_t>(g)];
+  const int bs = group.tokens_per_page;
+  const int64_t tokens = GroupTokensFor(r, group, r.num_computed_tokens);
   const TokenRanges ranges = policies_[static_cast<size_t>(g)]->NeededTokenRanges(tokens);
   if (ranges.empty()) {
     return;
   }
+  // The previous commit's length: blocks below it were inside the window at that commit.
+  const int64_t touched = GroupTokensFor(r, group, state.computed_tokens);
   // Every block visited ends at or before the last range's start, so it stays exactly when an
   // earlier range (e.g. the attention sinks) overlaps it.
   const int64_t limit_block =
@@ -611,9 +630,10 @@ void KvManager::DropUnneededPages(RequestKv& state, int g, int64_t tokens) {
     if (page == kNoSmallPage || BlockNeeded(ranges, j, bs)) {
       continue;
     }
-    if (defer_refresh_[static_cast<size_t>(g)] && gs.last_touch != 0) {
-      // Deferred refresh: the page was inside the window through the previous step.
-      alloc.UpdateLastAccess(page, gs.last_touch);
+    if (defer_refresh_[static_cast<size_t>(g)] && state.last_touch != 0 && j * bs < touched) {
+      // Deferred refresh: the page was inside the window through the previous step. A block
+      // claimed ahead (a failed step's chunk) that no commit reached keeps its claim tick.
+      alloc.UpdateLastAccess(page, state.last_touch);
     }
     alloc.SetPrefixLength(page, (j + 1) * bs);
     alloc.Release(page, options_.enable_prefix_caching);
@@ -658,52 +678,154 @@ RequestPages KvManager::ViewOf(const Request& r, const RequestKv& state, int g) 
 
 void KvManager::OnStepComputed(Request& r, Tick now) {
   RequestKv& state = StateOf(r);
-  if (options_.enable_prefix_caching) {
-    RegisterHashes(r, state, now);
-  }
-  if (options_.jenga) {
+  if (r.num_computed_tokens < state.next_event) {
+    // No KV event yet: the walk in the other branch would change nothing.
+    JENGA_DCHECK(StepWalkIsNoOp(r, state)) << "request " << r.id << " skipped a KV event";
+  } else {
+    if (options_.enable_prefix_caching) {
+      RegisterHashes(r, state, now);
+    }
+    if (options_.jenga) {
+      for (size_t g = 0; g < spec_.groups.size(); ++g) {
+        if (static_cast<int>(g) == vision_group_) {
+          continue;  // Vision pages are freed by consumption, not by windowing.
+        }
+        if (policies_[g]->CanDropUnneededPages()) {
+          DropUnneededPages(r, state, static_cast<int>(g));
+        }
+      }
+      FreeConsumedVisionPages(r, state, now);
+    }
+    // Balanced eviction (§5.1): refresh last-access of the pages this step actually touched.
+    // Deferred-refresh groups share the one tick recorded below instead of writing O(pages)
+    // metadata — a used page's last-access is unobservable until it can become evictable, so
+    // the tick is applied at release/drop/consume time (ApplyDeferredTouch), yielding the
+    // same final values.
     for (size_t g = 0; g < spec_.groups.size(); ++g) {
-      if (static_cast<int>(g) == vision_group_) {
-        continue;  // Vision pages are freed by consumption, not by windowing.
-      }
-      if (policies_[g]->CanDropUnneededPages()) {
-        DropUnneededPages(state, static_cast<int>(g),
-                          GroupTokensFor(r, spec_.groups[g], r.num_computed_tokens));
+      if (!defer_refresh_[g]) {
+        policies_[g]->UpdateLastAccess(ViewOf(r, state, static_cast<int>(g)), now,
+                                       allocator_.group(static_cast<int>(g)));
       }
     }
-    FreeConsumedVisionPages(r, state, now);
+    state.next_event = NextKvEvent(r, state);
   }
-  // Balanced eviction (§5.1): refresh last-access of the pages this step actually touched.
-  // Deferred-refresh groups record one tick instead of writing O(pages) metadata — a used
-  // page's last-access is unobservable until it can become evictable, so the tick is applied
-  // at release/drop/consume time (ApplyDeferredTouch), yielding the same final values.
-  for (size_t g = 0; g < spec_.groups.size(); ++g) {
-    if (defer_refresh_[g]) {
-      state.groups[g].last_touch = now;
-    } else {
-      policies_[g]->UpdateLastAccess(ViewOf(r, state, static_cast<int>(g)), now,
-                                     allocator_.group(static_cast<int>(g)));
-    }
-  }
+  state.last_touch = now;
   state.computed_tokens = r.num_computed_tokens;
   state.needed_bytes = NeededBytesFor(r);
 }
 
+int64_t KvManager::TokensToReach(const Request& r, size_t g, int64_t group_tokens) const {
+  const KvGroupSpec& group = spec_.groups[g];
+  if (!IsSubsequenceScope(group.scope)) {
+    return group_tokens;
+  }
+  if (group.scope == GroupScope::kImageTokens && group_tokens > r.ImageTokens()) {
+    return kNoKvEvent;
+  }
+  const int64_t c = r.num_computed_tokens;
+  return c + group_tokens - GroupTokensFor(r, group, c);
+}
+
+int64_t KvManager::GrowLimit(const Request& r, const RequestKv& state) const {
+  int64_t limit = kNoKvEvent;
+  for (size_t g = 0; g < spec_.groups.size(); ++g) {
+    const KvGroupSpec& group = spec_.groups[g];
+    const int64_t size = static_cast<int64_t>(state.groups[g].pages.size());
+    if (group.kind == GroupKind::kMamba || group.kind == GroupKind::kVisionEmbed) {
+      // Fixed-size tables (TargetPages ignores the length).
+      if (size < TargetPages(r, group, 0)) {
+        return -1;
+      }
+      continue;
+    }
+    // The table stays long enough until the group's count passes the tokens it covers.
+    const int64_t reach = TokensToReach(r, g, size * group.tokens_per_page + 1);
+    if (reach != kNoKvEvent) {
+      limit = std::min(limit, reach - 1);
+    }
+  }
+  return limit;
+}
+
+int64_t KvManager::NextKvEvent(const Request& r, const RequestKv& state) const {
+  const int64_t c = r.num_computed_tokens;
+  int64_t next = kNoKvEvent;
+  for (size_t g = 0; g < spec_.groups.size(); ++g) {
+    if (!defer_refresh_[g]) {
+      return c + 1;  // The policy refreshes last-access itself, every step.
+    }
+    const GroupState& gs = state.groups[g];
+    if (options_.enable_prefix_caching) {
+      // The next hit unit completes: a content hash, or a Mamba checkpoint.
+      next = std::min(next, TokensToReach(r, g, (gs.hashed_blocks + 1) * HitUnit(g)));
+    }
+    if (!options_.jenga) {
+      continue;
+    }
+    const KvGroupSpec& group = spec_.groups[g];
+    const int bs = group.tokens_per_page;
+    if (static_cast<int>(g) == vision_group_) {
+      // The cursor's block is consumed once its last image token is computed.
+      if (gs.drop_cursor < CeilDiv(r.ImageTokens(), bs)) {
+        next = std::min(next,
+                        TokensToReach(r, g, std::min((gs.drop_cursor + 1) * bs, r.ImageTokens())));
+      }
+    } else if (policies_[g]->CanDropUnneededPages()) {
+      // The drop walk can pass the cursor's block once the last needed range begins past it.
+      const int64_t drop = policies_[g]->NextDropPoint(GroupTokensFor(r, group, c),
+                                                       (gs.drop_cursor + 1) * bs - 1);
+      next = std::min(next, TokensToReach(r, g, drop));
+    }
+  }
+  return next;
+}
+
+bool KvManager::StepWalkIsNoOp(const Request& r, const RequestKv& state) const {
+  for (size_t g = 0; g < spec_.groups.size(); ++g) {
+    const KvGroupSpec& group = spec_.groups[g];
+    const GroupState& gs = state.groups[g];
+    const int64_t tokens = GroupTokensFor(r, group, r.num_computed_tokens);
+    const int64_t size = static_cast<int64_t>(gs.pages.size());
+    const int bs = group.tokens_per_page;
+    if (!defer_refresh_[g] ||
+        (options_.enable_prefix_caching && tokens / HitUnit(g) != gs.hashed_blocks)) {
+      return false;
+    }
+    if (!options_.jenga || gs.drop_cursor >= size) {
+      continue;
+    }
+    if (static_cast<int>(g) == vision_group_) {
+      if ((gs.drop_cursor + 1) * bs <= tokens || tokens == r.ImageTokens()) {
+        return false;
+      }
+    } else if (policies_[g]->CanDropUnneededPages()) {
+      const TokenRanges ranges = policies_[g]->NeededTokenRanges(tokens);
+      if (!ranges.empty() && ranges.back().begin / bs > gs.drop_cursor) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
 void KvManager::ApplyDeferredTouch(const Request& r, RequestKv& state, int g) {
   GroupState& gs = state.groups[static_cast<size_t>(g)];
-  if (!defer_refresh_[static_cast<size_t>(g)] || gs.last_touch == 0 || gs.pages.empty()) {
+  if (!defer_refresh_[static_cast<size_t>(g)] || state.last_touch == 0 || gs.pages.empty()) {
     return;
   }
   const KvGroupSpec& group = spec_.groups[static_cast<size_t>(g)];
   // Only blocks the eager refresh would have marked: blocks of computed tokens. The vision
   // group allocates ahead for unconsumed images — those pages keep their claim-time tick.
-  const int64_t tokens = GroupTokensFor(r, group, state.computed_tokens);
-  const int64_t marked = std::min<int64_t>(CeilDiv(tokens, group.tokens_per_page),
-                                           static_cast<int64_t>(gs.pages.size()));
+  // Mamba's one page is the running state, which every step touches.
+  int64_t marked = static_cast<int64_t>(gs.pages.size());
+  if (group.kind != GroupKind::kMamba) {
+    const int64_t tokens = GroupTokensFor(r, group, state.computed_tokens);
+    marked = std::min(marked, CeilDiv(tokens, group.tokens_per_page));
+  }
   SmallPageAllocator& alloc = allocator_.group(g);
   for (int64_t j = 0; j < marked; ++j) {
     if (gs.pages[static_cast<size_t>(j)] != kNoSmallPage) {
-      alloc.UpdateLastAccess(gs.pages[static_cast<size_t>(j)], gs.last_touch);
+      alloc.UpdateLastAccess(gs.pages[static_cast<size_t>(j)], state.last_touch);
     }
   }
 }

@@ -53,17 +53,23 @@ struct RequestKv {
     int64_t hashed_blocks = 0;
     // Blocks below this cursor were released (out-of-window / consumed vision embeddings).
     int64_t drop_cursor = 0;
-    // Deferred last-access refresh (deferred-refresh groups only): tick of the owner's most
-    // recent computed step. While a page is used its last-access is unobservable, so
-    // OnStepComputed records one tick per group instead of writing O(pages) metadata and the
-    // value is applied where a page can next become evictable — release, drop, or consume.
-    Tick last_touch = 0;
   };
   std::vector<GroupState> groups;
   int64_t computed_tokens = 0;
   // NeededBytesFor at `computed_tokens`, for the Fig. 16 accounting and the decode KV-read
   // estimate. Zero until the first commit or prefix hit.
   int64_t needed_bytes = 0;
+  // Deferred last-access refresh (deferred-refresh groups): tick of the most recent computed
+  // step. While a page is used its last-access is unobservable, so OnStepComputed records one
+  // tick instead of writing O(pages) metadata, and the value is applied where a page can next
+  // become evictable — release, drop, or consume.
+  Tick last_touch = 0;
+  // The event-driven step's two token counts (-1: unknown, take the full path). Every block
+  // table covers at least `grow_limit` tokens, so AllocateForTokens up to it claims nothing.
+  // Below `next_event` no hit unit completes and no block can be dropped or consumed, so
+  // OnStepComputed has nothing to walk.
+  int64_t grow_limit = -1;
+  int64_t next_event = -1;
 };
 
 class KvManager {
@@ -108,7 +114,8 @@ class KvManager {
   // Bookkeeping after a step computed tokens of `r` up to r.num_computed_tokens (already
   // advanced by the caller): registers content hashes of completed blocks, snapshots Mamba
   // checkpoints, drops out-of-window pages (Jenga), frees consumed vision embeddings, and
-  // refreshes eviction metadata via the layer policies.
+  // refreshes eviction metadata via the layer policies. A step that reaches none of these
+  // events only records its progress (DESIGN.md §12).
   void OnStepComputed(Request& r, Tick now);
 
   // Releases every page of `r` (finish or preemption). Cached content stays evictable when
@@ -282,9 +289,9 @@ class KvManager {
   // the chain (memoized hashes for prompt units, ExtendBlockHash past them) and registers the
   // unit — a content hash on its block, or a §5.3 checkpoint snapshot for Mamba.
   void RegisterHashes(Request& r, RequestKv& state, Tick now);
-  // Releases group g's blocks that fell out of what its policy needs at `tokens` group-local
-  // tokens (Jenga mode, droppable policies only).
-  void DropUnneededPages(RequestKv& state, int g, int64_t tokens);
+  // Releases group g's blocks that fell out of what its policy needs at r's computed length
+  // (Jenga mode, droppable policies only). Runs before the commit updates `computed_tokens`.
+  void DropUnneededPages(const Request& r, RequestKv& state, int g);
   // One block-table grow, sized before anything is claimed: per group, the target table size
   // and the pages the claim walk will request (only the wanted blocks when restoring with holes).
   struct GrowPlan {
@@ -317,11 +324,22 @@ class KvManager {
   // Large pages group g must take from outside itself (the LCM free list, or another group's
   // reclaimed large page) to place `pages` more small pages when it can reuse `own` of its own.
   [[nodiscard]] int64_t LargesBeyondOwn(size_t g, int64_t pages, int64_t own) const;
-  // Releases group g's block-table entries past `size`, newest first, skipping holes.
+  // Releases group g's block-table entries past `size`, newest first, skipping holes, and
+  // invalidates both event counts.
   void TruncateBlockTable(RequestKv& state, int g, int64_t size);
-  // Applies a deferred-refresh group's pending last_touch to the blocks the eager per-step
-  // refresh would have marked (capped at computed tokens — the vision group allocates ahead).
-  // Must run before any of the group's pages can become evictable.
+  // The token count at which group g's own count (GroupTokensFor) can first reach
+  // `group_tokens`: exact for all-token groups, a lower bound for text/image subsequences
+  // (each token adds at most one), kNoKvEvent for an image count the request never reaches.
+  [[nodiscard]] int64_t TokensToReach(const Request& r, size_t g, int64_t group_tokens) const;
+  // RequestKv::grow_limit and RequestKv::next_event for `state` at r's current length.
+  [[nodiscard]] int64_t GrowLimit(const Request& r, const RequestKv& state) const;
+  [[nodiscard]] int64_t NextKvEvent(const Request& r, const RequestKv& state) const;
+  // Debug check behind OnStepComputed's fast return: at r's current length the step walk
+  // would hash no unit, drop or consume no block, and run no per-step policy refresh.
+  [[nodiscard]] bool StepWalkIsNoOp(const Request& r, const RequestKv& state) const;
+  // Applies the pending last_touch to the blocks group g's eager per-step refresh would have
+  // marked (capped at computed tokens — the vision group allocates ahead; Mamba's running
+  // state page always). Must run before any of the group's pages can become evictable.
   void ApplyDeferredTouch(const Request& r, RequestKv& state, int g);
   void FreeConsumedVisionPages(const Request& r, RequestKv& state, Tick now);
   [[nodiscard]] RequestPages ViewOf(const Request& r, const RequestKv& state, int g) const;
@@ -333,9 +351,11 @@ class KvManager {
   std::vector<std::unique_ptr<LayerPolicy>> policies_;             // Per alloc-spec group.
   std::vector<std::unique_ptr<LayerPolicy>> accounting_policies_;  // Per accounting group.
   // Per alloc-spec group: true when the per-step eviction-metadata refresh is deferred to
-  // GroupState::last_touch. Requires the policy's refresh to cover every resident page —
-  // unconditionally (full prefix, image cache) or because out-of-range pages are dropped as
-  // they fall out, which only happens in Jenga mode (sliding window, pyramid).
+  // RequestKv::last_touch. Requires the policy's refresh to cover every resident page —
+  // unconditionally (full prefix, image cache, Mamba's running state) or because out-of-range
+  // pages are dropped as they fall out, which only happens in Jenga mode (sliding window,
+  // pyramid). Every built-in policy qualifies; the eager per-step refresh stays for other
+  // policies and as the reference the event-driven step is tested against.
   std::vector<bool> defer_refresh_;
   int vision_group_ = -1;
   // The spec's groups partitioned by (stream, hit unit), in order of each pass's first group.

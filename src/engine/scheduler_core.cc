@@ -182,6 +182,14 @@ bool SchedulerCore::AllocateOrPreempt(Request& r, int64_t tokens) {
   StepProfiler::Scope prof_alloc(prof_, StepPhase::kAllocate);
   while (!AllocateAll(r, tokens)) {
     Request& victim = *running_.back();
+    if (&victim == &r && running_.size() == 1) {
+      // `r` alone does not fit the pool, so re-queuing it would only make it preempt itself
+      // again, forever: fail it, as AdmitHead fails a head that cannot fit on its own.
+      ReleaseAll(r, /*finished=*/true);
+      running_.Erase(r.id);
+      FinishRequest(r, /*failed=*/true);
+      return false;
+    }
     Preempt(victim);
     if (&victim == &r) {
       return false;

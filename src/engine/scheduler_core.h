@@ -169,7 +169,8 @@ class SchedulerCore {
 
   // Allocates `tokens` more for the running request `r` in every manager, preempting from
   // the back of the running queue until it fits. Returns false when `r` itself was preempted
-  // (every request after it already was, back-first).
+  // (every request after it already was, back-first), or failed because it does not fit
+  // even with nothing else running.
   [[nodiscard]] bool AllocateOrPreempt(Request& r, int64_t tokens);
 
   // The admission phase of a step, shared by both engines: FCFS over the arrived head of the

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <map>
+#include <ostream>
 
 #include "src/audit/allocator_auditor.h"
 #include "src/common/math_util.h"
@@ -15,7 +17,8 @@
 namespace jenga {
 
 // Runs KvManager's grow in its two halves: the counter-only feasibility bound and the §5.4 claim
-// walk. The differential test below uses it to run the walk without the bound on a twin.
+// walk. The differential test below uses it to run the walk without the bound on a twin. It
+// also turns a manager into the full-walk reference of the event-driven step.
 struct KvManagerTestPeer {
   // Whether the bound admits growing `r` to `tokens` computed tokens; an untracked `r` is
   // planned from empty block tables, as RestoreFromSwap starts from.
@@ -41,6 +44,25 @@ struct KvManagerTestPeer {
       return false;
     }
     return true;
+  }
+  // Forgets both event counts of `r`: its next grow is planned and its next commit walks.
+  static void InvalidateCounts(KvManager& kv, const Request& r) {
+    RequestKv& state = kv.StateOf(r);
+    state.grow_limit = -1;
+    state.next_event = -1;
+  }
+  // Every group refreshes last-access through its policy at every commit, nothing deferred.
+  static void RefreshEveryStep(KvManager& kv) {
+    kv.defer_refresh_.assign(kv.defer_refresh_.size(), false);
+  }
+  static uint64_t Fingerprint(const KvManager& kv, const Request& r) {
+    return kv.StateFingerprint(kv.StateOf(r));
+  }
+  static int64_t NeededBytes(const KvManager& kv, const Request& r) {
+    return kv.StateOf(r).needed_bytes;
+  }
+  static int64_t NextEvent(const KvManager& kv, const Request& r) {
+    return kv.StateOf(r).next_event;
   }
 };
 
@@ -699,11 +721,17 @@ class EventCounter final : public AuditSink {
   int64_t bulk = 0;
   int64_t evictions = 0;
   int64_t reclaims = 0;
+  std::array<int64_t, KvManager::kMaxGroups> claims_in{};
+  std::array<int64_t, KvManager::kMaxGroups> cached_in{};
   void OnLargeAcquired(int, LargePageId, RequestId) override { ++events, ++acquisitions; }
   void OnLargeReleased(int, LargePageId) override { ++events; }
-  void OnPageClaimed(int, SmallPageId, RequestId) override { ++events, ++claims; }
+  void OnPageClaimed(int g, SmallPageId, RequestId) override {
+    ++events, ++claims, ++claims_in[static_cast<size_t>(g)];
+  }
   void OnPageRevived(int, SmallPageId) override { ++events; }
-  void OnPageCached(int, SmallPageId, BlockHash) override { ++events; }
+  void OnPageCached(int g, SmallPageId, BlockHash) override {
+    ++events, ++cached_in[static_cast<size_t>(g)];
+  }
   void OnPageEmptied(int, SmallPageId) override { ++events; }
   void OnPageEvicted(int, SmallPageId) override { ++events, ++evictions; }
   void OnRequestForgotten(int, RequestId) override { ++events; }
@@ -1050,6 +1078,358 @@ TEST(KvManager, GrowBoundNeverRejectsAFeasibleGrow) {
     // The sequences must exercise both outcomes of the bound, not just easy grows.
     EXPECT_GT(rejected, 0) << name;
     EXPECT_GT(grows, failed) << name;
+  }
+}
+
+TEST(KvManager, DecodeStepBetweenKvEventsEmitsNothing) {
+  // Jamba-shaped (attention + Mamba): the attention group claims a page every 16 tokens and
+  // the Mamba group caches a checkpoint every 512. A decode step that crosses neither does no
+  // allocator work at all.
+  const ModelConfig model = TinyMambaModel();
+  auto kv = MakeJengaManager(model, 1 << 22);
+  const int attn = GroupOf(*kv, GroupKind::kFullAttention);
+  const int mamba = GroupOf(*kv, GroupKind::kMamba);
+  ASSERT_GE(attn, 0);
+  ASSERT_GE(mamba, 0);
+  Request r = MakeRequest(1, TextPrompt(500), 64, 0.0);
+  kv->OnAdmit(r, 1);
+  ComputeTokens(*kv, r, 500, 1);
+  EventCounter counter;
+  kv->allocator_mutable().SetAuditSink(&counter);
+  for (Tick t = 2; r.num_computed_tokens < 540; ++t) {
+    SCOPED_TRACE(testing::Message() << "decode from " << r.num_computed_tokens);
+    const int64_t before = r.num_computed_tokens;
+    const int64_t events = counter.events;
+    const int64_t all_claims = counter.claims;
+    const auto claims = counter.claims_in;
+    const auto cached = counter.cached_in;
+    r.AppendGenerated(static_cast<int32_t>(7 + t));
+    ComputeTokens(*kv, r, 1, t);
+    const int64_t after = r.num_computed_tokens;
+    const auto delta = [](const auto& now, const auto& then, int g) {
+      return now[static_cast<size_t>(g)] - then[static_cast<size_t>(g)];
+    };
+    if (after == 512) {
+      // The first checkpoint unit completes: one snapshot enters the Mamba group's cache.
+      EXPECT_EQ(delta(counter.cached_in, cached, mamba), 1);
+      EXPECT_EQ(delta(counter.claims_in, claims, attn), 0);
+    } else if (before % kBs == 0) {
+      // The new token starts a page.
+      EXPECT_EQ(delta(counter.claims_in, claims, attn), 1);
+      EXPECT_EQ(delta(counter.claims_in, claims, mamba), 0);
+      EXPECT_EQ(counter.claims - all_claims, 1);
+    } else if (after % kBs != 0) {
+      EXPECT_EQ(counter.events, events);
+      EXPECT_GT(KvManagerTestPeer::NextEvent(*kv, r), after);
+    }
+  }
+  kv->allocator_mutable().RemoveAuditSink(&counter);
+  kv->Release(r, /*finished=*/true);
+  kv->CheckConsistency();
+}
+
+// One page's allocator metadata, for comparing two pools page by page.
+struct PageRecord {
+  int group = -1;
+  SmallPageId page = kNoSmallPage;
+  PageState state = PageState::kEmpty;
+  int ref_count = 0;
+  Tick last_access = 0;
+  int64_t prefix_length = 0;
+  bool operator==(const PageRecord&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const PageRecord& p) {
+  return os << "group " << p.group << " page " << p.page << " state "
+            << static_cast<int>(p.state) << " refs " << p.ref_count << " last_access "
+            << p.last_access << " prefix_length " << p.prefix_length;
+}
+
+// Every small page of every held large page, in large-page order. A used page's last access
+// is left out: deferred refreshes write it only when the page can next become evictable.
+std::vector<PageRecord> PoolSnapshot(const KvManager& kv) {
+  const JengaAllocator& alloc = kv.allocator();
+  std::vector<PageRecord> pages;
+  for (LargePageId large = 0; large < alloc.lcm().num_pages(); ++large) {
+    const int g = alloc.lcm().owner(large);
+    if (g < 0) {
+      continue;
+    }
+    const SmallPageAllocator& group = alloc.group(g);
+    for (int slot = 0; slot < group.pages_per_large(); ++slot) {
+      const SmallPageId page = SmallPageId{large} * group.pages_per_large() + slot;
+      const PageState state = group.state(page);
+      pages.push_back({g, page, state, group.ref_count(page),
+                       state == PageState::kUsed ? 0 : group.last_access(page),
+                       group.prefix_length(page)});
+    }
+  }
+  return pages;
+}
+
+void ExpectSamePool(const KvManager& a, const KvManager& b) {
+  const std::vector<PageRecord> pa = PoolSnapshot(a);
+  const std::vector<PageRecord> pb = PoolSnapshot(b);
+  ASSERT_EQ(pa.size(), pb.size());
+  for (size_t i = 0; i < pa.size(); ++i) {
+    ASSERT_EQ(pa[i], pb[i]);
+  }
+  const JengaAllocator::MemoryBreakdown ba = a.allocator().GetBreakdown();
+  const JengaAllocator::MemoryBreakdown bb = b.allocator().GetBreakdown();
+  EXPECT_EQ(ba.allocated_bytes, bb.allocated_bytes);
+  EXPECT_EQ(ba.used_bytes, bb.used_bytes);
+  EXPECT_EQ(ba.evictable_bytes, bb.evictable_bytes);
+  EXPECT_EQ(ba.empty_bytes, bb.empty_bytes);
+  EXPECT_EQ(ba.unallocated_bytes, bb.unallocated_bytes);
+}
+
+// The event-driven step against the full walk. `fast_` runs as the engines drive it. `full_`
+// is the step before it became event-driven: both event counts are invalidated before every
+// grow and commit, and every group refreshes last-access through its policy at every commit.
+// One seeded trace drives both: admissions with shared prompt prefixes (so hits happen),
+// prefill chunks, decode emits of 1..max_emit tokens, failed steps that leave their pages
+// allocated, preemptions (trimmed, then swapped out or dropped), swap restores, re-admissions
+// and finishes.
+class EventStepDifferential {
+ public:
+  struct Config {
+    KvSpec alloc_spec;
+    KvSpec accounting_spec;
+    int64_t pool_larges = 0;
+    KvManager::Options options;
+    bool images = false;  // Prompts carry images (vision specs).
+  };
+
+  EventStepDifferential(const Config& config, uint64_t seed)
+      : config_(config),
+        fast_(config.alloc_spec, config.accounting_spec,
+              config.alloc_spec.LcmPageBytes() * config.pool_larges, config.options),
+        full_(config.alloc_spec, config.accounting_spec,
+              config.alloc_spec.LcmPageBytes() * config.pool_larges, config.options),
+        rng_(seed) {
+    KvManagerTestPeer::RefreshEveryStep(full_);
+  }
+
+  void Run(int steps, int max_emit) {
+    for (int i = 0; i < steps && !testing::Test::HasFatalFailure(); ++i) {
+      ++now_;
+      const int64_t roll = rng_.UniformInt(0, 99);
+      if (!waiting_.empty() && roll < 10) {
+        Admit(waiting_.front());
+        waiting_.erase(waiting_.begin());
+      } else if (live_.size() < 5 && roll < 30) {
+        Admit(next_id_++);
+      } else if (!live_.empty() && roll < 34) {
+        Evict(std::next(live_.begin(), rng_.UniformInt(0, static_cast<int64_t>(live_.size()) - 1))
+                  ->first,
+              /*finished=*/roll < 32);
+      } else {
+        std::vector<RequestId> ids;
+        for (const auto& [id, pair] : live_) {
+          ids.push_back(id);
+        }
+        for (const RequestId id : ids) {
+          Advance(id, max_emit);
+        }
+      }
+    }
+    while (!live_.empty() && !testing::Test::HasFatalFailure()) {
+      Evict(live_.begin()->first, /*finished=*/true);
+    }
+    fast_.CheckConsistency();
+    full_.CheckConsistency();
+  }
+
+  int64_t skipped() const { return skipped_; }
+  int64_t walked() const { return walked_; }
+
+ private:
+  struct Pair {
+    Request fast;
+    Request full;
+  };
+  // A preempted request's swap snapshot: computed tokens and the two managers' fingerprints.
+  struct Swapped {
+    int64_t tokens = 0;
+    uint64_t fast = 0;
+    uint64_t full = 0;
+  };
+
+  Request NewRequest(RequestId id) const {
+    // A few prompt families, so later prompts share prefixes with earlier ones.
+    const int64_t family = id % 3;
+    const int64_t len = 40 + (id * 97) % 700;
+    Prompt prompt = config_.images
+                        ? MixedPrompt(16 + 24 * family, static_cast<int>(1 + id % 4), 8, len % 90)
+                        : TextPrompt(len, static_cast<int32_t>(100 + 1000 * family));
+    return MakeRequest(id, std::move(prompt), 8 + (id * 37) % 300, 0.0);
+  }
+
+  void Admit(RequestId id) {
+    auto [it, inserted] = live_.emplace(id, Pair{NewRequest(id), NewRequest(id)});
+    ASSERT_TRUE(inserted);
+    Pair& pair = it->second;
+    const auto found = generated_.find(id);
+    if (found != generated_.end()) {
+      // A preempted request keeps the tokens it generated; they are recomputed as prefill.
+      for (const int32_t token : found->second) {
+        pair.fast.AppendGenerated(token);
+        pair.full.AppendGenerated(token);
+      }
+    }
+    const auto swapped = swapped_.find(id);
+    if (swapped != swapped_.end()) {
+      const Swapped snapshot = swapped->second;
+      swapped_.erase(swapped);
+      const bool restored =
+          fast_.RestoreFromSwap(pair.fast, snapshot.tokens, snapshot.fast, now_);
+      ASSERT_EQ(full_.RestoreFromSwap(pair.full, snapshot.tokens, snapshot.full, now_), restored);
+      if (restored) {
+        ExpectSameState(pair);
+        return;
+      }
+    }
+    fast_.OnAdmit(pair.fast, now_);
+    full_.OnAdmit(pair.full, now_);
+    ASSERT_EQ(pair.fast.num_computed_tokens, pair.full.num_computed_tokens);
+    ExpectSameState(pair);
+    // As in the engines, an admission allocates its first chunk at once.
+    Advance(id, /*max_emit=*/1);
+  }
+
+  void Advance(RequestId id, int max_emit) {
+    Pair& pair = live_.at(id);
+    Request& r = pair.fast;
+    int64_t n = r.total_len() - r.num_computed_tokens;
+    if (n > 0) {
+      n = std::min<int64_t>(n, rng_.UniformInt(1, 96));
+    } else if (r.num_generated >= r.output_len) {
+      Evict(id, /*finished=*/true);
+      return;
+    } else {
+      n = std::min<int64_t>(rng_.UniformInt(1, max_emit), r.output_len - r.num_generated);
+      for (int64_t k = 0; k < n; ++k) {
+        const int32_t token = static_cast<int32_t>(7 + (r.total_len() * 31 + id) % 500);
+        pair.fast.AppendGenerated(token);
+        pair.full.AppendGenerated(token);
+        generated_[id].push_back(token);
+      }
+    }
+    KvManagerTestPeer::InvalidateCounts(full_, pair.full);
+    const bool ok = fast_.AllocateForTokens(pair.fast, n, now_);
+    ASSERT_EQ(full_.AllocateForTokens(pair.full, n, now_), ok);
+    if (!ok) {
+      Evict(id, /*finished=*/false);
+      return;
+    }
+    if (rng_.UniformInt(0, 19) == 0) {
+      // A failed step: the pages stay allocated, the tokens uncomputed. The next advance
+      // retries them as a chunk, or a preemption trims them off.
+      return;
+    }
+    pair.fast.num_computed_tokens += n;
+    pair.full.num_computed_tokens += n;
+    if (KvManagerTestPeer::NextEvent(fast_, pair.fast) > pair.fast.num_computed_tokens) {
+      ++skipped_;
+    } else {
+      ++walked_;
+    }
+    KvManagerTestPeer::InvalidateCounts(full_, pair.full);
+    fast_.OnStepComputed(pair.fast, now_);
+    full_.OnStepComputed(pair.full, now_);
+    ExpectSameState(pair);
+  }
+
+  // Finishes request `id` in both managers, or preempts it to re-admit later: its pages past
+  // the computed tokens are trimmed, and a request with computed tokens may swap out.
+  void Evict(RequestId id, bool finished) {
+    Pair& pair = live_.at(id);
+    if (!finished) {
+      fast_.TrimToComputed(pair.fast);
+      full_.TrimToComputed(pair.full);
+      ExpectSameState(pair);
+      if (pair.fast.num_computed_tokens > 0 && rng_.UniformInt(0, 1) == 0) {
+        const SwapFootprint fast = FootprintOf(fast_, pair.fast);
+        const SwapFootprint full = FootprintOf(full_, pair.full);
+        swapped_[id] = Swapped{fast.tokens, fast.fingerprints.at(0), full.fingerprints.at(0)};
+      }
+    }
+    fast_.Release(pair.fast, finished);
+    full_.Release(pair.full, finished);
+    live_.erase(id);
+    if (finished) {
+      generated_.erase(id);
+    } else {
+      waiting_.push_back(id);
+    }
+    ExpectSamePool(fast_, full_);
+  }
+
+  void ExpectSameState(const Pair& pair) {
+    ASSERT_EQ(pair.fast.num_computed_tokens, pair.full.num_computed_tokens);
+    EXPECT_EQ(KvManagerTestPeer::Fingerprint(fast_, pair.fast),
+              KvManagerTestPeer::Fingerprint(full_, pair.full));
+    EXPECT_EQ(KvManagerTestPeer::NeededBytes(fast_, pair.fast),
+              KvManagerTestPeer::NeededBytes(full_, pair.full));
+    for (int g = 0; g < fast_.allocator().num_groups(); ++g) {
+      ASSERT_EQ(fast_.block_table(pair.fast, g), full_.block_table(pair.full, g))
+          << "request " << pair.fast.id << " group " << g << " at "
+          << pair.fast.num_computed_tokens << " tokens";
+    }
+  }
+
+  Config config_;
+  KvManager fast_;
+  KvManager full_;
+  Rng rng_;
+  std::map<RequestId, Pair> live_;
+  std::vector<RequestId> waiting_;
+  std::map<RequestId, std::vector<int32_t>> generated_;
+  std::map<RequestId, Swapped> swapped_;
+  Tick now_ = 0;
+  RequestId next_id_ = 1;
+  int64_t skipped_ = 0;
+  int64_t walked_ = 0;
+};
+
+TEST(KvManager, EventDrivenStepMatchesFullWalk) {
+  const ModelConfig vision = TinyVisionModel();
+  KvManager::Options vision_options = JengaOptions(true, vision.vision.tokens_per_image);
+  const std::vector<std::pair<std::string, EventStepDifferential::Config>> configs = {
+      {"jamba",
+       {MakeJengaSpec(TinyMambaModel(), kBs, false), MakeJengaSpec(TinyMambaModel(), kBs, false),
+        48, JengaOptions(), false}},
+      {"gemma2",
+       {MakeJengaSpec(TinySlidingModel(64), kBs, false),
+        MakeJengaSpec(TinySlidingModel(64), kBs, false), 96, JengaOptions(), false}},
+      {"pyramid",
+       {MakeJengaSpec(TinyPyramidModel(48), kBs, false),
+        MakeJengaSpec(TinyPyramidModel(48), kBs, false), 96, JengaOptions(), false}},
+      {"vision",
+       {MakeJengaSpec(vision, kBs, true), MakeJengaSpec(vision, kBs, true), 96, vision_options,
+        true}},
+      {"paged",
+       {MakeHomogeneousSpec(TinySlidingModel(64), kBs),
+        MakeJengaSpec(TinySlidingModel(64), kBs, false), 192, BaselineOptions(), false}},
+  };
+  for (const auto& [name, config] : configs) {
+    for (const int max_emit : {1, 5}) {
+      int64_t skipped = 0;
+      int64_t walked = 0;
+      for (uint64_t seed = 1; seed <= 3; ++seed) {
+        SCOPED_TRACE(testing::Message() << name << " max_emit " << max_emit << " seed " << seed);
+        EventStepDifferential run(config, seed);
+        run.Run(/*steps=*/400, max_emit);
+        if (HasFatalFailure()) {
+          return;
+        }
+        skipped += run.skipped();
+        walked += run.walked();
+      }
+      // Both paths must be exercised: commits between events skip, the event steps walk.
+      EXPECT_GT(skipped, 0) << name << " max_emit " << max_emit;
+      EXPECT_GT(walked, 0) << name << " max_emit " << max_emit;
+    }
   }
 }
 

@@ -329,6 +329,25 @@ TEST(SpecDecode, PrefillContinuationRetriesInsteadOfPreempting) {
   }
 }
 
+TEST(SpecDecode, RequestThatCannotFitAloneFailsInsteadOfLivelocking) {
+  // Prompt plus output of one request (about 532 KB of target and draft KV) exceeds the
+  // 512 KiB pool. Running alone, request 0 used to preempt itself at every decode that ran
+  // out of room, re-admit, recompute and preempt itself again — hundreds of thousands of
+  // times. A request that does not fit with nothing else running must fail instead.
+  SpecDecodeConfig config = TestSpecConfig(TinyFullModel(), SpecStrategy::kJenga, 512 << 10);
+  config.gpu.max_batched_tokens = 64;
+  SpecDecodeEngine engine(config);
+  constexpr int kRequests = 8;
+  for (int i = 0; i < kRequests; ++i) {
+    engine.Submit(MakeRequest(i, TextPrompt(384, 1000 * (i + 1)), 32, 0.0));
+  }
+  engine.RunToCompletion(/*max_steps=*/20000);
+  ASSERT_EQ(engine.metrics().finished().size(), static_cast<size_t>(kRequests));
+  EXPECT_TRUE(engine.request(0).failed);
+  EXPECT_EQ(engine.metrics().FailedRequests(), kRequests);
+  EXPECT_LT(engine.metrics().total_steps(), 20000);
+}
+
 TEST(SpecDecode, DeterministicGivenSeed) {
   auto run = [] {
     SpecDecodeEngine engine(TestSpecConfig(TinyFullModel(), SpecStrategy::kJenga, 1 << 23));
