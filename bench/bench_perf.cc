@@ -19,11 +19,13 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "bench/fleet_bench.h"
 #include "bench/frontend_bench.h"
+#include "src/common/random.h"
 #include "src/core/evictor.h"
 #include "src/core/jenga_allocator.h"
 #include "src/engine/engine.h"
@@ -128,6 +130,65 @@ double MicroCacheChurn(int64_t iters) {
   }
   const auto end = Clock::now();
   return static_cast<double>(iters) / Seconds(begin, end);
+}
+
+// Step-3 reclaims under equal-timestamp ties, the arxiv-evict shape: two one-slot groups
+// (Gemma-2's groups share one page size, so a large page is one small page) fill the pool,
+// and half of it stays cached. Each cycle caches a batch of held pages at one tick in
+// shuffled large-id order, which appends one run of tied entries to the reclaim queue, then
+// claims as many pages, each reclaiming the oldest cached large page. Counts claims per
+// second.
+double MicroReclaimTies(int64_t cycles) {
+  constexpr int kLarges = 4096;
+  constexpr int kBatch = 64;
+  KvSpec spec = TwoGroupSpec();
+  spec.groups[1].num_layers = spec.groups[0].num_layers;
+  spec.groups[1].page_bytes = spec.groups[0].page_bytes;
+  JengaAllocator alloc(spec, kLarges * spec.groups[0].page_bytes);
+  std::vector<std::pair<int, SmallPageId>> held;
+  held.reserve(kLarges);
+  BlockHash hash = 1;
+  Tick now = 0;
+  const auto claim = [&](int group) {
+    const SmallPageId page = *alloc.group(group).Allocate(1, now);
+    alloc.group(group).SetContentHash(page, hash++);
+    held.emplace_back(group, page);
+  };
+  const auto cache = [&](const std::pair<int, SmallPageId>& page) {
+    alloc.group(page.first).Release(page.second, /*keep_cached=*/true);
+  };
+  for (int i = 0; i < kLarges; ++i) {
+    claim(i % 2);
+  }
+  // A fixed shuffle: claims come back in queue order, so releasing a batch through it caches
+  // the batch's large pages out of id order.
+  Rng rng(0x7135);
+  std::vector<size_t> shuffle(kBatch);
+  for (size_t i = 0; i < shuffle.size(); ++i) {
+    shuffle[i] = i;
+  }
+  for (size_t i = shuffle.size() - 1; i > 0; --i) {
+    std::swap(shuffle[i], shuffle[static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(i)))]);
+  }
+  for (int i = 0; i < kLarges / 2; ++i) {
+    cache(held.back());
+    held.pop_back();
+  }
+  const auto begin = Clock::now();
+  for (int64_t c = 0; c < cycles; ++c) {
+    ++now;
+    const size_t base = held.size() - kBatch;
+    for (const size_t at : shuffle) {
+      cache(held[base + at]);
+    }
+    held.resize(base);
+    for (int i = 0; i < kBatch; ++i) {
+      claim(i % 2);
+    }
+  }
+  const auto end = Clock::now();
+  g_sink = g_sink + static_cast<int64_t>(alloc.reclaim_heap_entries());
+  return static_cast<double>(cycles * kBatch) / Seconds(begin, end);
 }
 
 // Prompt with deterministic all-text tokens; `tag` separates prefix classes.
@@ -772,6 +833,7 @@ bool Run(bool quick, bool gate, int profile, const std::string& out_path,
       {"micro.alloc_release.ops_per_s", MicroAllocRelease, 125000 * scale},
       {"micro.alloc_burst_free.ops_per_s", MicroAllocBurstFree, 64 * scale},
       {"micro.cache_churn.ops_per_s", MicroCacheChurn, 125000 * scale},
+      {"micro.reclaim_ties.ops_per_s", MicroReclaimTies, 2000 * scale},
       {"micro.cache_churn_offload.ops_per_s", MicroCacheChurnOffload, 1500 * scale},
       {"micro.admission_readmit.ops_per_s", MicroAdmissionReadmit, 1500 * scale},
       {"micro.evictor_churn.ops_per_s", MicroEvictorChurn, 250000 * scale},

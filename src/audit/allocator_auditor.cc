@@ -751,40 +751,109 @@ void AllocatorAuditor::AuditGroup(size_t a, int g, std::vector<std::string>* out
   }
 }
 
-void AllocatorAuditor::AuditReclaimHeap(size_t a, std::vector<std::string>* out) const {
+void AllocatorAuditor::AuditReclaimQueue(size_t a, std::vector<std::string>* out) const {
+  using Entry = JengaAllocator::ReclaimEntry;
   const JengaAllocator& alloc = *allocs_[a]->alloc;
-  const std::string tag = "[alloc" + std::to_string(a) + "] ";
-  const std::vector<JengaAllocator::ReclaimEntry>& heap = alloc.reclaim_heap_;
-  const std::vector<int32_t>& pos = alloc.reclaim_pos_;
-  // Min-heap under the (timestamp, group, large) order: std::greater makes is_heap check
-  // that every parent orders at or before its children.
-  if (!std::is_heap(heap.begin(), heap.end(), std::greater<JengaAllocator::ReclaimEntry>{})) {
-    Fail(out, tag + "reclaim heap violates the heap property");
-  }
+  const std::string tag = "[alloc" + std::to_string(a) + "] reclaim queue: ";
+  const std::vector<Entry>& storage = alloc.reclaim_runs_storage_;
+  const std::vector<JengaAllocator::ReclaimRun>& runs = alloc.reclaim_runs_;
+  const std::vector<Entry>& side = alloc.reclaim_side_;
+  const std::vector<uint32_t>& generation = alloc.reclaim_generation_;
+  const size_t front = alloc.reclaim_front_run_;
+  const size_t cursor = alloc.reclaim_cursor_;
   const int32_t num_pages = alloc.lcm_.num_pages();
-  if (heap.size() > static_cast<size_t>(num_pages)) {
-    Fail(out, tag + "reclaim heap holds " + std::to_string(heap.size()) + " entries for a " +
-                  std::to_string(num_pages) + "-page pool");
+
+  // Layout first: everything below indexes through it. Runs tile the storage back to back,
+  // and the cursor lies inside the front run (at the end when no run is left).
+  bool laid_out = front <= runs.size() && generation.size() >= static_cast<size_t>(num_pages) &&
+                  (runs.empty() ? storage.empty() : runs.back().end == storage.size());
+  for (size_t r = 0; laid_out && r < runs.size(); ++r) {
+    laid_out = runs[r].end > (r == 0 ? 0 : runs[r - 1].end);
   }
-  if (pos.size() != static_cast<size_t>(num_pages)) {
-    Fail(out, tag + "reclaim position index covers " + std::to_string(pos.size()) +
-                  " large pages, the pool has " + std::to_string(num_pages));
+  if (laid_out) {
+    const size_t front_begin = front == 0 ? 0 : runs[front - 1].end;
+    laid_out = front == runs.size() ? cursor == storage.size()
+                                    : cursor >= front_begin && cursor < runs[front].end;
   }
-  // Each entry sits where the position index says, so no large page has two entries, and
-  // the index points nowhere else.
-  for (size_t i = 0; i < heap.size(); ++i) {
-    const LargePageId large = heap[i].large;
-    if (large < 0 || static_cast<size_t>(large) >= pos.size() ||
-        pos[static_cast<size_t>(large)] != static_cast<int32_t>(i)) {
-      Fail(out, tag + "reclaim heap slot " + std::to_string(i) + " holds large page " +
-                    std::to_string(large) + " whose position index disagrees");
+  const auto id_in_range = [&](const Entry& entry) {
+    return JengaAllocator::ReclaimGroup(entry) < alloc.num_groups() &&
+           static_cast<size_t>(JengaAllocator::ReclaimLarge(entry)) < generation.size();
+  };
+  laid_out = laid_out &&
+             std::all_of(storage.begin() + static_cast<std::ptrdiff_t>(cursor), storage.end(),
+                         id_in_range) &&
+             std::all_of(side.begin(), side.end(), id_in_range);
+  if (!laid_out) {
+    Fail(out, tag + "runs, cursor or entry ids do not tile its " +
+                  std::to_string(storage.size()) + "-entry storage");
+    return;
+  }
+
+  // Order: runs ascend by timestamp and hold only their own timestamp, a sorted front run
+  // ascends by key from the cursor, and the side store is a min-heap.
+  std::vector<const Entry*> live(generation.size(), nullptr);
+  std::vector<int> live_count(generation.size(), 0);
+  const auto count_live = [&](const Entry& entry) {
+    if (alloc.IsLiveReclaim(entry)) {
+      const auto large = static_cast<size_t>(JengaAllocator::ReclaimLarge(entry));
+      live[large] = &entry;
+      live_count[large] += 1;
+    }
+  };
+  for (size_t r = front, begin = cursor; r < runs.size(); begin = runs[r++].end) {
+    if (r > front && runs[r].timestamp <= runs[r - 1].timestamp) {
+      Fail(out, tag + "run " + std::to_string(r) + " at timestamp " +
+                    std::to_string(runs[r].timestamp) + " does not follow timestamp " +
+                    std::to_string(runs[r - 1].timestamp));
+    }
+    for (size_t i = begin; i < runs[r].end; ++i) {
+      if (storage[i].timestamp != runs[r].timestamp) {
+        Fail(out, tag + "entry " + std::to_string(i) + " has timestamp " +
+                      std::to_string(storage[i].timestamp) + " in a run at " +
+                      std::to_string(runs[r].timestamp));
+      }
+      count_live(storage[i]);
     }
   }
-  const auto indexed = std::count_if(pos.begin(), pos.end(), [](int32_t at) { return at >= 0; });
-  if (static_cast<size_t>(indexed) != heap.size()) {
-    Fail(out, tag + "position index holds " + std::to_string(indexed) + " entries for a " +
-                  std::to_string(heap.size()) + "-entry reclaim heap");
+  if (alloc.reclaim_front_sorted_ && front < runs.size() &&
+      !std::is_sorted(storage.begin() + static_cast<std::ptrdiff_t>(cursor),
+                      storage.begin() + static_cast<std::ptrdiff_t>(runs[front].end))) {
+    Fail(out, tag + "the sorted front run is out of order after its cursor");
   }
+  if (!std::is_heap(side.begin(), side.end(), std::greater<Entry>{})) {
+    Fail(out, tag + "the side heap violates the heap property");
+  }
+  for (const Entry& entry : side) {
+    count_live(entry);
+  }
+
+  // Membership: a page is queued (odd generation) exactly when it has one live entry, only
+  // pool pages are queued, and the queued count is the live count.
+  size_t queued = 0;
+  size_t live_entries = 0;
+  for (size_t large = 0; large < generation.size(); ++large) {
+    const bool is_queued = (generation[large] & 1) == 1;
+    queued += is_queued ? 1 : 0;
+    live_entries += static_cast<size_t>(live_count[large]);
+    if (live_count[large] != (is_queued ? 1 : 0)) {
+      Fail(out, tag + "large page " + std::to_string(large) +
+                    (is_queued ? " is queued" : " is not queued") + " but has " +
+                    std::to_string(live_count[large]) + " live entries");
+    }
+    if (is_queued && large >= static_cast<size_t>(num_pages)) {
+      Fail(out, tag + "large page " + std::to_string(large) + " beyond the " +
+                    std::to_string(num_pages) + "-page pool is queued");
+    }
+  }
+  if (alloc.reclaim_live_ != queued || alloc.reclaim_live_ != live_entries ||
+      alloc.reclaim_live_ > static_cast<size_t>(num_pages)) {
+    Fail(out, tag + "counts " + std::to_string(alloc.reclaim_live_) + " queued pages, " +
+                  std::to_string(queued) + " are queued with " + std::to_string(live_entries) +
+                  " live entries in a " + std::to_string(num_pages) + "-page pool");
+  }
+
+  // Coverage: every whole-evictable page has a live entry under its owning group, keyed no
+  // later than its current timestamp (the lazy re-key contract).
   for (int g = 0; g < alloc.num_groups(); ++g) {
     const SmallPageAllocator& grp = alloc.group(g);
     for (size_t index = 0; index < grp.larges_.size(); ++index) {
@@ -792,21 +861,33 @@ void AllocatorAuditor::AuditReclaimHeap(size_t a, std::vector<std::string>* out)
       if (!grp.IsReclaimCandidate(large)) {
         continue;
       }
-      const Tick current = grp.ReclaimTimestamp(large);
-      const int32_t at = index < pos.size() ? pos[index] : -1;
-      const bool represented = at >= 0 && static_cast<size_t>(at) < heap.size() &&
-                               heap[static_cast<size_t>(at)].group == g;
-      if (represented && heap[static_cast<size_t>(at)].timestamp > current) {
-        Fail(out, tag + "reclaim entry for group " + std::to_string(g) + " large " +
-                      std::to_string(large) + " has timestamp " +
-                      std::to_string(heap[static_cast<size_t>(at)].timestamp) +
-                      " newer than the current " + std::to_string(current));
-      }
-      if (!represented) {
+      const Entry* entry = index < live.size() ? live[index] : nullptr;
+      if (entry == nullptr || JengaAllocator::ReclaimGroup(*entry) != g) {
         Fail(out, tag + "whole-evictable large page " + std::to_string(large) + " of group " +
-                      std::to_string(g) + " is not represented on the reclaim heap");
+                      std::to_string(g) + " is not represented");
+        continue;
+      }
+      const Tick current = grp.ReclaimTimestamp(large);
+      if (entry->timestamp > current) {
+        Fail(out, tag + "entry for group " + std::to_string(g) + " large " +
+                      std::to_string(large) + " has timestamp " +
+                      std::to_string(entry->timestamp) + " newer than the current " +
+                      std::to_string(current));
       }
     }
+  }
+
+  // Storage: bounded by the entries written since the last compaction, which compaction keeps
+  // within 2 × live + floor.
+  const size_t stored = alloc.reclaim_queue_storage();
+  if (stored > alloc.reclaim_written_) {
+    Fail(out, tag + "stores " + std::to_string(stored) + " entries but counts only " +
+                  std::to_string(alloc.reclaim_written_) + " written");
+  }
+  if (alloc.reclaim_written_ > 2 * alloc.reclaim_live_ + JengaAllocator::kReclaimStorageFloor) {
+    Fail(out, tag + std::to_string(alloc.reclaim_written_) + " entries written since the last "
+                  "compaction exceed 2 x " + std::to_string(alloc.reclaim_live_) + " live + " +
+                  std::to_string(JengaAllocator::kReclaimStorageFloor));
   }
 }
 
@@ -854,7 +935,7 @@ void AllocatorAuditor::AuditAllocator(size_t a, std::vector<std::string>* out) c
   for (int g = 0; g < alloc.num_groups(); ++g) {
     AuditGroup(a, g, out);
   }
-  AuditReclaimHeap(a, out);
+  AuditReclaimQueue(a, out);
 }
 
 void AllocatorAuditor::AuditHost(std::vector<std::string>* out) const {

@@ -16,8 +16,11 @@
 //     live key and satisfies the heap property, and the shadow (event-derived) copy agrees —
 //     so an UpdateLastAccess/SetPrefixLength that skipped the evictor (or vice versa) is
 //     caught;
-//   - every whole-evictable large page is represented on the global reclaim heap with a
-//     timestamp no newer than its current one (lazy re-key contract);
+//   - the global reclaim queue keeps its runs in ascending timestamp order and a sorted run
+//     in key order from its cursor, holds exactly one live entry per queued large page and
+//     stays within its compaction bound, and every whole-evictable large page is
+//     represented under its owning group with a timestamp no newer than its current one
+//     (lazy re-key contract);
 //   - the prefix-cache index maps each hash to a resident page carrying that hash, and every
 //     evictable page is reachable through it;
 //   - host-pool byte accounting equals the sum of parked swap sets and cache pages, the LRU
@@ -143,7 +146,7 @@ class AllocatorAuditor {
   // Re-derivation passes (append violations to `out`).
   void AuditAllocator(size_t a, std::vector<std::string>* out) const;
   void AuditGroup(size_t a, int g, std::vector<std::string>* out) const;
-  void AuditReclaimHeap(size_t a, std::vector<std::string>* out) const;
+  void AuditReclaimQueue(size_t a, std::vector<std::string>* out) const;
   void AuditHost(std::vector<std::string>* out) const;
 
   void SeedAllocatorShadow(AllocState* state);

@@ -99,41 +99,92 @@ class JengaAllocator final : public LargePageProvider {
 
   void CheckConsistency() const;
 
-  // Reclaim-heap entries, stale ones included; at most lcm().num_pages() (test/bench only).
-  [[nodiscard]] size_t reclaim_heap_entries() const { return reclaim_heap_.size(); }
+  // Large pages queued for step-3 reclaim, one per page whether or not it is still a
+  // candidate (revalidation is lazy); at most lcm().num_pages(). KvManager::GrowFits bounds
+  // reclaimable pages by it.
+  [[nodiscard]] size_t reclaim_heap_entries() const { return reclaim_live_; }
+  // Entries the reclaim queue stores, stale and consumed ones included (test/bench only).
+  // Compaction keeps it at most 2 × reclaim_heap_entries() + kReclaimStorageFloor.
+  [[nodiscard]] size_t reclaim_queue_storage() const {
+    return reclaim_runs_storage_.size() + reclaim_side_.size();
+  }
+  static constexpr size_t kReclaimStorageFloor = 64;
 
  private:
   friend class AllocatorAuditor;
+  friend struct ReclaimQueueTestPeer;
 
   // Reclaim order (§5.4 step 3): earliest last access first; ties go to the lower group,
-  // then the lower large id, so the victim never depends on heap layout.
+  // then the lower large id, so the victim never depends on queue layout. `key` packs
+  // (group, large, generation) from the high bits down, so (timestamp, key) compares in
+  // exactly that order. An entry is live while its generation equals its page's.
   struct ReclaimEntry {
     Tick timestamp = 0;
-    int group = 0;
-    LargePageId large = kNoLargePage;
+    uint64_t key = 0;
     auto operator<=>(const ReclaimEntry&) const = default;
   };
-
-  // Inserts the entry for `entry.large`, or re-keys the existing one in place.
-  void PlaceReclaim(const ReclaimEntry& entry);
-  void RemoveReclaimAt(size_t index);
-  // Restores the heap property around `index` after its entry changed.
-  void SiftReclaim(size_t index);
-  void SetReclaimSlot(size_t index, const ReclaimEntry& entry) {
-    reclaim_heap_[index] = entry;
-    reclaim_pos_[static_cast<size_t>(entry.large)] = static_cast<int32_t>(index);
+  static constexpr int kGenerationBits = 30;
+  static constexpr int kLargeBits = 26;
+  static constexpr int kGroupBits = 64 - kLargeBits - kGenerationBits;
+  static constexpr uint32_t kGenerationMask = (1u << kGenerationBits) - 1;
+  static uint64_t PackReclaimKey(int group, LargePageId large, uint32_t generation) {
+    return (static_cast<uint64_t>(group) << (kLargeBits + kGenerationBits)) |
+           (static_cast<uint64_t>(large) << kGenerationBits) | generation;
   }
+  static int ReclaimGroup(const ReclaimEntry& entry) {
+    return static_cast<int>(entry.key >> (kLargeBits + kGenerationBits));
+  }
+  static LargePageId ReclaimLarge(const ReclaimEntry& entry) {
+    return static_cast<LargePageId>((entry.key >> kGenerationBits) & ((1u << kLargeBits) - 1));
+  }
+  static uint32_t ReclaimGeneration(const ReclaimEntry& entry) {
+    return static_cast<uint32_t>(entry.key) & kGenerationMask;
+  }
+  [[nodiscard]] bool IsLiveReclaim(const ReclaimEntry& entry) const {
+    return reclaim_generation_[static_cast<size_t>(ReclaimLarge(entry))] ==
+           ReclaimGeneration(entry);
+  }
+  // A run of entries sharing one timestamp; it ends (exclusive) at `end` in
+  // reclaim_runs_storage_ and begins where the previous run ends.
+  struct ReclaimRun {
+    Tick timestamp = 0;
+    uint32_t end = 0;
+  };
+
+  // Queues `large` for reclaim under `group` at `timestamp`, superseding its live entry.
+  void PlaceReclaim(Tick timestamp, int group, LargePageId large);
+  // Removes and returns the least live entry (stale ones it passes are dropped); its page
+  // stays queued until the caller places or dequeues it again. nullopt when none is queued.
+  std::optional<ReclaimEntry> PopReclaim();
+  void DequeueReclaim(LargePageId large);
+  void MaybeCompactReclaim();
+  void CompactReclaim();
+  void CheckReclaimIdsFit() const;
 
   KvSpec spec_;
   LcmAllocator lcm_;
   std::vector<std::unique_ptr<SmallPageAllocator>> groups_;
-  // Binary min-heap of reclaim candidates with at most one entry per large page, so it never
-  // outgrows the pool. Lazy: an entry's page may have stopped being a candidate, or its
-  // timestamp may have moved on since it was placed; AcquireLargePage revalidates the top
-  // and re-keys or drops it in place.
-  std::vector<ReclaimEntry> reclaim_heap_;
-  // reclaim_heap_ slot of each large page's entry (indexed by large id), -1 when absent.
-  std::vector<int32_t> reclaim_pos_;
+  // The reclaim queue: entries with at most one live entry per large page, kept as runs of
+  // equal timestamps in ascending timestamp order plus a side min-heap. Almost every
+  // placement carries the newest timestamp and appends to the last run. A run is sorted
+  // by key once, when popping first reaches it. A placement older than the last run, or
+  // equal to it once popping has sorted it, goes to the side heap; a pop takes the lesser
+  // of the two fronts. Superseded entries stay in place until a pop passes them or a
+  // compaction drops them.
+  std::vector<ReclaimEntry> reclaim_runs_storage_;
+  std::vector<ReclaimRun> reclaim_runs_;
+  size_t reclaim_cursor_ = 0;     // First unconsumed entry of the front run.
+  size_t reclaim_front_run_ = 0;  // Index of the front run in reclaim_runs_.
+  bool reclaim_front_sorted_ = false;
+  std::vector<ReclaimEntry> reclaim_side_;  // Min-heap under std::greater.
+  // Per large page (indexed by id, never shrunk so a re-grown id keeps counting): the
+  // generation of its live entry. Odd while the page is queued, even while it is not.
+  std::vector<uint32_t> reclaim_generation_;
+  size_t reclaim_live_ = 0;     // Queued pages, i.e. live entries.
+  // Entries written since the last compaction, its survivors included: an upper bound on
+  // the storage that pops off the side heap never lower, so it also bounds how many
+  // placements a stale entry can outlive (see CompactReclaim).
+  size_t reclaim_written_ = 0;
   AuditSinkList audit_;
 };
 

@@ -490,7 +490,7 @@ bool KvManager::GrowFits(const GrowPlan& plan) const {
   // pages_per_large per large page it takes from the LCM free list or reclaims from another
   // group — reclaiming one of its own turns its own pages into its own pages. All groups
   // together take at most the free large pages plus today's reclaim candidates, and each
-  // candidate has a reclaim-heap entry and holds an evictable page.
+  // candidate is queued for reclaim and holds an evictable page.
   int64_t larges = 0;
   int64_t evictable = 0;
   for (size_t g = 0; g < spec_.groups.size(); ++g) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/cluster/prefix_index.h"
@@ -10,6 +14,7 @@
 #include "src/core/jenga_allocator.h"
 #include "src/model/kv_spec.h"
 #include "src/offload/swap_manager.h"
+#include "tests/core/reclaim_queue_test_peer.h"
 
 namespace jenga {
 namespace {
@@ -117,6 +122,154 @@ TEST(AllocatorAuditor, InjectedShadowFaultIsDetected) {
   EXPECT_FALSE(auditor.Audit().empty());
   EXPECT_TRUE(auditor.FirstViolation().has_value());
 }
+
+// Seeded defects in the §5.4 reclaim queue: each corrupts one invariant of a queue with a
+// sorted front run partly popped, three runs and a two-entry side heap, and the auditor must
+// name it.
+struct ReclaimQueueDefect {
+  const char* name;
+  void (*seed)(JengaAllocator&);
+  const char* expected;
+};
+
+class ReclaimQueueAuditTest : public ::testing::TestWithParam<ReclaimQueueDefect> {
+ protected:
+  using Peer = ReclaimQueueTestPeer;
+
+  // Group 1 (two text pages per large page) fills all eight large pages; large page L is
+  // cached at tick 10 + L / 3 and released in the order 2 0 1 5 3 4 7 6, giving runs
+  // {2 0 1}@10, {5 3 4}@11 and {7 6}@12. Group 0's claim sorts the first run and reclaims
+  // large 0. Reviving and re-caching large pages 5 and 4 places them at 11, older than the
+  // newest run, so they go to the side heap and leave their run entries stale.
+  ReclaimQueueAuditTest() : alloc_(TwoGroupSpec(), 768 * 8) {
+    std::vector<std::vector<SmallPageId>> by_large(8);
+    for (int i = 0; i < 16; ++i) {
+      const SmallPageId page = *alloc_.group(1).Allocate(1, /*now=*/0);
+      alloc_.group(1).SetContentHash(page, 0x500 + static_cast<BlockHash>(i));
+      const auto large = static_cast<size_t>(page / alloc_.group(1).pages_per_large());
+      alloc_.group(1).UpdateLastAccess(page, 10 + static_cast<Tick>(large) / 3);
+      by_large[large].push_back(page);
+    }
+    for (const size_t large : {2, 0, 1, 5, 3, 4, 7, 6}) {
+      for (const SmallPageId page : by_large[large]) {
+        alloc_.group(1).Release(page, /*keep_cached=*/true);
+      }
+    }
+    (void)*alloc_.group(0).Allocate(2, /*now=*/20);
+    for (const size_t large : {5, 4}) {
+      alloc_.group(1).AddRef(by_large[large][0]);
+      alloc_.group(1).Release(by_large[large][0], /*keep_cached=*/true);
+    }
+  }
+
+  JengaAllocator alloc_;
+};
+
+TEST_P(ReclaimQueueAuditTest, SeededDefectIsReported) {
+  // The setup reached the shape the defects assume.
+  ASSERT_TRUE(Peer::FrontSorted(alloc_));
+  ASSERT_EQ(Peer::Cursor(alloc_), 1u);
+  ASSERT_EQ(Peer::Large(alloc_, 1), 1);
+  ASSERT_EQ(Peer::Runs(alloc_).size(), 3u);
+  ASSERT_EQ(Peer::Side(alloc_).size(), 2u);
+  ASSERT_EQ(alloc_.reclaim_heap_entries(), 7u);
+  AllocatorAuditor auditor;
+  auditor.AttachAllocator(&alloc_);
+  ExpectGreen(auditor);
+
+  GetParam().seed(alloc_);
+  const std::vector<std::string> violations = auditor.Audit();
+  const bool named = std::any_of(violations.begin(), violations.end(), [](const std::string& v) {
+    return v.find(GetParam().expected) != std::string::npos;
+  });
+  EXPECT_TRUE(named) << "no violation mentions \"" << GetParam().expected << "\"; first: "
+                     << (violations.empty() ? std::string("none") : violations.front());
+  auditor.DetachAll();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Defects, ReclaimQueueAuditTest,
+    ::testing::Values(
+        ReclaimQueueDefect{"RunPastStorage",
+                           [](JengaAllocator& a) { ReclaimQueueTestPeer::Runs(a).back().end += 1; },
+                           "do not tile"},
+        ReclaimQueueDefect{"RunsOutOfOrder",
+                           [](JengaAllocator& a) {
+                             auto& runs = ReclaimQueueTestPeer::Runs(a);
+                             std::swap(runs[1].timestamp, runs[2].timestamp);
+                           },
+                           "does not follow"},
+        ReclaimQueueDefect{"EntryOutsideItsRun",
+                           [](JengaAllocator& a) {
+                             ReclaimQueueTestPeer::Storage(a)[6].timestamp = 11;
+                           },
+                           "in a run at"},
+        ReclaimQueueDefect{"SortedRunUnsorted",
+                           [](JengaAllocator& a) {
+                             auto& storage = ReclaimQueueTestPeer::Storage(a);
+                             std::swap(storage[1], storage[2]);
+                           },
+                           "out of order after its cursor"},
+        ReclaimQueueDefect{"SideHeapBroken",
+                           [](JengaAllocator& a) {
+                             auto& side = ReclaimQueueTestPeer::Side(a);
+                             std::swap(side[0], side[1]);
+                           },
+                           "violates the heap property"},
+        ReclaimQueueDefect{"QueuedWithoutLiveEntry",
+                           [](JengaAllocator& a) { ReclaimQueueTestPeer::Generation(a)[3] += 2; },
+                           "large page 3 is queued but has 0 live entries"},
+        ReclaimQueueDefect{"TwoLiveEntries",
+                           [](JengaAllocator& a) {
+                             auto& side = ReclaimQueueTestPeer::Side(a);
+                             side.push_back(ReclaimQueueTestPeer::Storage(a)[1]);
+                             std::push_heap(side.begin(), side.end(), std::greater<>{});
+                             ReclaimQueueTestPeer::Written(a) += 1;
+                           },
+                           "large page 1 is queued but has 2 live entries"},
+        ReclaimQueueDefect{"LiveEntryForUnqueuedPage",
+                           [](JengaAllocator& a) {
+                             auto& side = ReclaimQueueTestPeer::Side(a);
+                             side.push_back(side.front());
+                             side.back().key = ReclaimQueueTestPeer::Key(
+                                 0, 0, ReclaimQueueTestPeer::Generation(a)[0]);
+                             std::push_heap(side.begin(), side.end(), std::greater<>{});
+                             ReclaimQueueTestPeer::Written(a) += 1;
+                           },
+                           "large page 0 is not queued but has 1 live entries"},
+        ReclaimQueueDefect{"QueuedBeyondPool",
+                           [](JengaAllocator& a) {
+                             ReclaimQueueTestPeer::Generation(a).push_back(1);
+                           },
+                           "beyond the 8-page pool is queued"},
+        ReclaimQueueDefect{"QueuedCountDrifts",
+                           [](JengaAllocator& a) { ReclaimQueueTestPeer::Live(a) += 1; },
+                           "counts 8 queued pages, 7 are queued"},
+        ReclaimQueueDefect{"CandidateDequeued",
+                           [](JengaAllocator& a) {
+                             ReclaimQueueTestPeer::Generation(a)[6] += 1;
+                             ReclaimQueueTestPeer::Live(a) -= 1;
+                           },
+                           "large page 6 of group 1 is not represented"},
+        ReclaimQueueDefect{"KeyNewerThanPage",
+                           [](JengaAllocator& a) { ReclaimQueueTestPeer::Place(a, 99, 1, 3); },
+                           "large 3 has timestamp 99 newer than the current 11"},
+        ReclaimQueueDefect{"WrittenUndercounted",
+                           [](JengaAllocator& a) { ReclaimQueueTestPeer::Written(a) -= 1; },
+                           "stores 10 entries but counts only 9 written"},
+        ReclaimQueueDefect{"CompactionSkipped",
+                           [](JengaAllocator& a) {
+                             // Stale copies a compaction should have dropped.
+                             auto& side = ReclaimQueueTestPeer::Side(a);
+                             for (size_t i = 0; i < 2 * 7 + JengaAllocator::kReclaimStorageFloor;
+                                  ++i) {
+                               side.push_back(ReclaimQueueTestPeer::Storage(a)[3]);
+                               std::push_heap(side.begin(), side.end(), std::greater<>{});
+                               ReclaimQueueTestPeer::Written(a) += 1;
+                             }
+                           },
+                           "exceed 2 x 7 live"}),
+    [](const ::testing::TestParamInfo<ReclaimQueueDefect>& info) { return info.param.name; });
 
 TEST(AllocatorAuditor, TracksTwoAllocatorsIndependently) {
   JengaAllocator a(TwoGroupSpec(), 768 * 2);

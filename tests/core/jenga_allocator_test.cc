@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <optional>
 #include <set>
 #include <tuple>
@@ -12,6 +14,7 @@
 #include "src/common/random.h"
 #include "src/model/kv_spec.h"
 #include "src/model/model_zoo.h"
+#include "tests/core/reclaim_queue_test_peer.h"
 
 namespace jenga {
 namespace {
@@ -158,27 +161,59 @@ TEST(JengaAllocator, ReclaimHeapBreaksEqualTimestampTiesByGroupThenLargeId) {
   alloc.CheckConsistency();
 }
 
+// Classifies every reclaim placement by where it lands in the queue, and counts large pages
+// that one group reclaims and the other places again within the same tick.
+struct PlacementLog final : AuditSink {
+  using Route = ReclaimQueueTestPeer::Route;
+  const JengaAllocator* alloc = nullptr;
+  Tick now = 0;
+  std::map<Route, int64_t> routes;
+  std::map<LargePageId, std::pair<int, Tick>> last_reclaim;  // large -> (group, tick).
+  int64_t replaced_by_other_group = 0;
+  void OnReclaimPushed(int group, LargePageId large, Tick /*timestamp*/) override {
+    routes[ReclaimQueueTestPeer::LastPlacement(*alloc, large)] += 1;
+    const auto it = last_reclaim.find(large);
+    if (it != last_reclaim.end() && it->second.first != group && it->second.second == now) {
+      replaced_by_other_group += 1;
+    }
+  }
+  void OnLargeReclaimed(int group, LargePageId large) override {
+    last_reclaim[large] = {group, now};
+  }
+};
+
 // Drives both groups through random claims, caching releases, plain releases, revivals,
-// last-access bumps and pool resizes with frequent equal ticks. Before every operation a
-// std::set of (current timestamp, group, large) over all whole-evictable large pages is the
-// model: a step-3 reclaim must take its first element. After every operation the heap holds
-// at most one entry per pool page and the auditor's reclaim-heap invariants hold.
+// last-access bumps, claim-and-cache in one tick, tie bursts and pool resizes with frequent
+// equal ticks. Before every claim a std::set of (current timestamp, group, large) over all
+// whole-evictable large pages is the model: a step-3 reclaim must take its first element.
+// After every operation the queue holds at most one live entry per pool page, its storage
+// stays within the compaction bound and the auditor's reclaim-queue invariants hold. The
+// schedule must reach each queue path: placements older than the newest run, equal ones
+// after popping sorted it, a page re-placed by the other group in the tick it was reclaimed,
+// and a grow that reuses ids a shrink left stale entries for.
 class ReclaimOrderTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ReclaimOrderTest, MatchesOrderedSetModel) {
+  using Route = ReclaimQueueTestPeer::Route;
   Rng rng(GetParam());
   JengaAllocator alloc(Figure6Spec(), 768 * 6);
   ReclaimLog log;
+  PlacementLog placements;
+  placements.alloc = &alloc;
+  alloc.SetAuditSink(&log);
+  alloc.SetAuditSink(&placements);
   AllocatorAuditor auditor;
   std::vector<std::vector<SmallPageId>> used(2);      // Pages this test holds a ref on.
   std::vector<std::vector<BlockHash>> hashes(2);      // Every hash ever registered.
   BlockHash next_hash = 1;
   Tick now = 0;
+  int step = 0;
   int64_t checked_reclaims = 0;
   int64_t revives = 0;
   int64_t rekeys = 0;
   int64_t grows = 0;
   int64_t shrinks = 0;
+  int64_t grows_over_stale_ids = 0;
 
   // A random resident evictable page of group `g`, found through its cached hash.
   const auto pick_evictable = [&](int g) -> std::optional<SmallPageId> {
@@ -194,72 +229,107 @@ TEST_P(ReclaimOrderTest, MatchesOrderedSetModel) {
     }
     return page;
   };
-
-  for (int step = 0; step < 4000; ++step) {
-    now += rng.UniformInt(0, 1);
+  // Claims one hashed page of group `g`. Step 3 reclaims at most once per claim, and always
+  // the model's first element.
+  const auto claim = [&](int g) -> std::optional<SmallPageId> {
     std::set<std::tuple<Tick, int, LargePageId>> model;
-    for (int g = 0; g < alloc.num_groups(); ++g) {
+    for (int group = 0; group < alloc.num_groups(); ++group) {
       for (LargePageId large = 0; large < alloc.lcm().num_pages(); ++large) {
-        if (alloc.group(g).IsReclaimCandidate(large)) {
-          model.emplace(alloc.group(g).ReclaimTimestamp(large), g, large);
+        if (alloc.group(group).IsReclaimCandidate(large)) {
+          model.emplace(alloc.group(group).ReclaimTimestamp(large), group, large);
         }
       }
     }
     log.reclaimed.clear();
-    alloc.SetAuditSink(&log);
+    const auto page = alloc.group(g).Allocate(rng.UniformInt(1, 3), now);
+    EXPECT_LE(log.reclaimed.size(), 1u) << "step " << step;
+    if (!log.reclaimed.empty()) {
+      EXPECT_FALSE(model.empty()) << "step " << step;
+      if (!model.empty()) {
+        const auto& [ts, group, large] = *model.begin();
+        (void)ts;
+        EXPECT_EQ(log.reclaimed.front(), std::make_pair(group, large)) << "step " << step;
+      }
+      checked_reclaims += 1;
+    }
+    if (page.has_value()) {
+      alloc.group(g).SetContentHash(*page, next_hash);
+      hashes[static_cast<size_t>(g)].push_back(next_hash++);
+    }
+    return page;
+  };
+  // Revives a cached page of group `g` at `now` and keeps holding it.
+  const auto revive = [&](int g) {
+    if (const auto page = pick_evictable(g)) {
+      alloc.group(g).AddRef(*page);
+      alloc.group(g).UpdateLastAccess(*page, now);
+      used[static_cast<size_t>(g)].push_back(*page);
+      revives += 1;
+    }
+  };
+
+  for (; step < 4000 && !::testing::Test::HasFailure(); ++step) {
+    now += rng.UniformInt(0, 1);
+    placements.now = now;
     const int g = static_cast<int>(rng.UniformInt(0, 1));
     std::vector<SmallPageId>& held = used[static_cast<size_t>(g)];
     const int op = static_cast<int>(rng.UniformInt(0, 99));
-    bool resized = false;
-    if (op < 35) {
-      const RequestId request = rng.UniformInt(1, 3);
-      if (const auto page = alloc.group(g).Allocate(request, now)) {
-        alloc.group(g).SetContentHash(*page, next_hash);
-        hashes[static_cast<size_t>(g)].push_back(next_hash++);
+    if (op < 33) {
+      if (const auto page = claim(g)) {
         held.push_back(*page);
       }
-    } else if (op < 65 && !held.empty()) {
+    } else if (op < 62 && !held.empty()) {
       const size_t at = static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(held.size()) - 1));
-      alloc.group(g).Release(held[at], /*keep_cached=*/op < 60);
+      alloc.group(g).Release(held[at], /*keep_cached=*/op < 57);
       held.erase(held.begin() + static_cast<std::ptrdiff_t>(at));
-    } else if (op < 77) {
-      if (const auto page = pick_evictable(g)) {
-        alloc.group(g).AddRef(*page);
-        alloc.group(g).UpdateLastAccess(*page, now);
-        held.push_back(*page);
-        revives += 1;
-      }
-    } else if (op < 92) {
+    } else if (op < 74) {
+      revive(g);
+    } else if (op < 87) {
       if (const auto page = pick_evictable(g)) {
         alloc.group(g).UpdateLastAccess(*page, now);
         rekeys += 1;
       }
+    } else if (op < 90) {
+      // Claim and cache within one tick: a claim that reclaims the other group's page places
+      // it again under this group at the same tick.
+      if (const auto page = claim(g)) {
+        alloc.group(g).Release(*page, /*keep_cached=*/true);
+      }
+    } else if (op < 92) {
+      // Tie burst: touch every cached page, so the next claim re-places every candidate at
+      // `now`, drains the older runs, sorts the run at `now` and reclaims from it; then a
+      // revival and cached release places a page at `now` again.
+      for (int group = 0; group < alloc.num_groups(); ++group) {
+        for (const BlockHash hash : hashes[static_cast<size_t>(group)]) {
+          const auto page = alloc.group(group).LookupCached(hash);
+          if (page.has_value() && alloc.group(group).state(*page) == PageState::kEvictable) {
+            alloc.group(group).UpdateLastAccess(*page, now);
+          }
+        }
+      }
+      if (const auto page = claim(g)) {
+        held.push_back(*page);
+      }
+      revive(1 - g);
+      std::vector<SmallPageId>& other = used[static_cast<size_t>(1 - g)];
+      if (!other.empty()) {
+        alloc.group(1 - g).Release(other.back(), /*keep_cached=*/true);
+        other.pop_back();
+      }
     } else if (op < 96) {
+      grows_over_stale_ids +=
+          ReclaimQueueTestPeer::EntriesAtOrAbove(alloc, alloc.lcm().num_pages()) > 0 ? 1 : 0;
       alloc.GrowPool(static_cast<int32_t>(rng.UniformInt(1, 2)));
-      resized = true;
       grows += 1;
-    } else {
-      const int32_t before = alloc.lcm().num_pages();
-      if (before > 2) {
-        shrinks += alloc.ShrinkPool(static_cast<int32_t>(rng.UniformInt(1, 2))) > 0 ? 1 : 0;
-      }
-      resized = true;
+    } else if (alloc.lcm().num_pages() > 2) {
+      // ShrinkPool drains trailing pages by position, not by order.
+      shrinks += alloc.ShrinkPool(static_cast<int32_t>(rng.UniformInt(1, 2))) > 0 ? 1 : 0;
     }
-    alloc.RemoveAuditSink(&log);
 
-    // Step 3 reclaims at most once per allocation, and always the model's first element.
-    // (ShrinkPool drains trailing pages by position, not by order.)
-    if (!resized) {
-      ASSERT_LE(log.reclaimed.size(), 1u) << "step " << step;
-      if (!log.reclaimed.empty()) {
-        ASSERT_FALSE(model.empty()) << "step " << step;
-        const auto& [ts, group, large] = *model.begin();
-        (void)ts;
-        ASSERT_EQ(log.reclaimed.front(), std::make_pair(group, large)) << "step " << step;
-        checked_reclaims += 1;
-      }
-    }
     ASSERT_LE(alloc.reclaim_heap_entries(), static_cast<size_t>(alloc.lcm().num_pages()))
+        << "step " << step;
+    ASSERT_LE(alloc.reclaim_queue_storage(),
+              2 * alloc.reclaim_heap_entries() + JengaAllocator::kReclaimStorageFloor)
         << "step " << step;
     if (step % 8 == 0) {
       auditor.AttachAllocator(&alloc);
@@ -268,15 +338,56 @@ TEST_P(ReclaimOrderTest, MatchesOrderedSetModel) {
       ASSERT_FALSE(violation.has_value()) << "step " << step << ": " << *violation;
     }
   }
+  alloc.RemoveAuditSink(&placements);
+  alloc.RemoveAuditSink(&log);
   alloc.CheckConsistency();
   EXPECT_GT(checked_reclaims, 50);
   EXPECT_GT(revives, 50);
   EXPECT_GT(rekeys, 50);
   EXPECT_GT(grows, 20);
   EXPECT_GT(shrinks, 5);
+  EXPECT_GT(placements.routes[Route::kRun], 100);
+  EXPECT_GT(placements.routes[Route::kSideOlder], 0);
+  EXPECT_GT(placements.routes[Route::kSideSorted], 0);
+  EXPECT_GT(placements.replaced_by_other_group, 0);
+  EXPECT_GT(grows_over_stale_ids, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ReclaimOrderTest, ::testing::Values(0x1u, 0x5u, 0x2Au, 0xBEEFu));
+
+TEST(JengaAllocator, ReclaimQueueCompactionKeepsAnUnsortedRunUnsorted) {
+  // Large pages 7, 6, 5 and 4 are cached at one tick in that order, so the front run is out
+  // of key order and nothing has sorted it yet. Re-caching large 4 over and over supersedes
+  // its entry until a compaction runs. The pops that follow must still sort the run.
+  JengaAllocator alloc(Figure6Spec(), 768 * 8);
+  std::vector<std::vector<SmallPageId>> by_large(8);
+  for (int i = 0; i < 16; ++i) {
+    const SmallPageId p = *alloc.group(1).Allocate(1, /*now=*/1);
+    alloc.group(1).SetContentHash(p, 0x100 + static_cast<BlockHash>(i));
+    by_large[static_cast<size_t>(p / alloc.group(1).pages_per_large())].push_back(p);
+  }
+  for (const size_t large : {7, 6, 5, 4}) {
+    for (const SmallPageId p : by_large[large]) {
+      alloc.group(1).Release(p, /*keep_cached=*/true);
+    }
+  }
+  size_t peak_storage = 0;
+  for (int i = 0; i < 100; ++i) {
+    alloc.group(1).AddRef(by_large[4][0]);
+    alloc.group(1).Release(by_large[4][0], /*keep_cached=*/true);
+    peak_storage = std::max(peak_storage, alloc.reclaim_queue_storage());
+  }
+  EXPECT_EQ(alloc.reclaim_heap_entries(), 4u);
+  EXPECT_LT(alloc.reclaim_queue_storage(), peak_storage);  // A compaction ran.
+  ReclaimLog log;
+  alloc.SetAuditSink(&log);
+  for (int i = 0; i < 12; ++i) {
+    ASSERT_TRUE(alloc.group(0).Allocate(2, /*now=*/5).has_value());
+  }
+  alloc.RemoveAuditSink(&log);
+  const std::vector<std::pair<int, LargePageId>> expected = {{1, 4}, {1, 5}, {1, 6}, {1, 7}};
+  EXPECT_EQ(log.reclaimed, expected);
+}
 
 TEST(JengaAllocator, ReclaimHeapEqualTimestampsRespectLazyRekey) {
   // Both large pages become candidates with identical timestamp 5; a later touch of large

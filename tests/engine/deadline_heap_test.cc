@@ -82,7 +82,7 @@ TEST(DeadlineHeapUnit, TiedDeadlinesAllSurface) {
 
 TEST(DeadlineHeapUnit, DuplicateEntriesForOneIdAreTolerated) {
   // The engine never pushes twice for one request, but the heap itself is duplicate-
-  // tolerant by design (mirrors the allocator's reclaim heap).
+  // tolerant by design (like the allocator's reclaim queue, which skips superseded entries).
   DeadlineHeap heap;
   heap.Push(1.0, 7);
   heap.Push(2.0, 7);
