@@ -462,14 +462,11 @@ void Fail(std::vector<std::string>* out, const std::string& message) {
 }
 }  // namespace
 
-void AllocatorAuditor::AuditGroup(size_t a, int g, std::vector<std::string>* out) const {
-  const AllocState& state = *allocs_[a];
-  const SmallPageAllocator& grp = state.alloc->group(g);
-  const ShadowGroup& shadow = state.groups[static_cast<size_t>(g)];
-  std::ostringstream tag_stream;
-  tag_stream << "[alloc" << a << "/group" << g << "] ";
-  const std::string tag = tag_stream.str();
-
+std::vector<std::string> AllocatorAuditor::CheckState(const SmallPageAllocator& grp) {
+  std::vector<std::string> violations;
+  std::vector<std::string>* out = &violations;
+  const int g = grp.group_index_;
+  const std::string tag = "[group" + std::to_string(g) + "] ";
   int64_t resident = 0;
   int64_t used = 0;
   int64_t evictable = 0;
@@ -480,10 +477,6 @@ void AllocatorAuditor::AuditGroup(size_t a, int g, std::vector<std::string>* out
     const SmallPageAllocator::LargeEntry& entry = grp.larges_[index];
     const LargePageId large = static_cast<LargePageId>(index);
     if (!entry.resident) {
-      if (shadow.resident.contains(large)) {
-        Fail(out, tag + "shadow believes large page " + std::to_string(large) +
-                      " is resident but it is not");
-      }
       continue;
     }
     resident += 1;
@@ -497,9 +490,6 @@ void AllocatorAuditor::AuditGroup(size_t a, int g, std::vector<std::string>* out
                     std::to_string(entry.slots.size()) + " slots, expected " +
                     std::to_string(grp.pages_per_large_));
       continue;
-    }
-    if (!shadow.resident.contains(large)) {
-      Fail(out, tag + "large page " + std::to_string(large) + " resident but not in shadow");
     }
     int32_t entry_used = 0;
     int32_t entry_evictable = 0;
@@ -549,21 +539,6 @@ void AllocatorAuditor::AuditGroup(size_t a, int g, std::vector<std::string>* out
           }
           break;
       }
-      const auto sh = shadow.slots.find(page);
-      if (sh == shadow.slots.end()) {
-        Fail(out, tag + "page " + std::to_string(page) + " missing from shadow");
-      } else {
-        if (sh->second.state != meta.state) {
-          Fail(out, tag + "page " + std::to_string(page) + " is " +
-                        PageStateName(meta.state) + " but shadow says " +
-                        PageStateName(sh->second.state));
-        }
-        if (sh->second.assoc != meta.assoc) {
-          Fail(out, tag + "page " + std::to_string(page) + " assoc " +
-                        std::to_string(meta.assoc) + " but shadow says " +
-                        std::to_string(sh->second.assoc));
-        }
-      }
     }
     if (entry_used != entry.used_count || entry_evictable != entry.evictable_count) {
       Fail(out, tag + "large page " + std::to_string(large) + " counts (" +
@@ -589,18 +564,8 @@ void AllocatorAuditor::AuditGroup(size_t a, int g, std::vector<std::string>* out
                   "/" + std::to_string(used) + "/" + std::to_string(evictable) + "/" +
                   std::to_string(empty));
   }
-  if (shadow.resident.size() != static_cast<size_t>(resident)) {
-    Fail(out, tag + "shadow tracks " + std::to_string(shadow.resident.size()) +
-                  " resident large pages, actual " + std::to_string(resident));
-  }
-  if (shadow.slots.size() !=
-      static_cast<size_t>(resident) * static_cast<size_t>(grp.pages_per_large_)) {
-    Fail(out, tag + "shadow tracks " + std::to_string(shadow.slots.size()) +
-                  " slots, expected " +
-                  std::to_string(resident * grp.pages_per_large_));
-  }
 
-  // Evictor: authoritative keys == ground truth == event shadow; lazy heap covers all keys.
+  // Evictor: authoritative keys == ground truth; lazy heap covers all keys.
   const Evictor& evictor = grp.evictor_;
   if (!std::is_heap(evictor.heap_.begin(), evictor.heap_.end(), std::greater<Evictor::Key>{})) {
     Fail(out, tag + "evictor heap violates the heap property");
@@ -648,21 +613,6 @@ void AllocatorAuditor::AuditGroup(size_t a, int g, std::vector<std::string>* out
                     std::to_string(key.last_access) + "," +
                     std::to_string(-key.neg_prefix_length) + ")");
     }
-    const auto sh = shadow.evictor.find(page);
-    if (sh == shadow.evictor.end()) {
-      Fail(out, tag + "evictor page " + std::to_string(page) + " missing from shadow");
-    } else if (sh->second.first != key.last_access ||
-               sh->second.second != -key.neg_prefix_length) {
-      Fail(out, tag + "shadow evictor key for page " + std::to_string(page) + " is (" +
-                    std::to_string(sh->second.first) + "," +
-                    std::to_string(sh->second.second) + "), expected (" +
-                    std::to_string(key.last_access) + "," +
-                    std::to_string(-key.neg_prefix_length) + ")");
-    }
-  }
-  if (shadow.evictor.size() != ground_truth.size()) {
-    Fail(out, tag + "shadow evictor holds " + std::to_string(shadow.evictor.size()) +
-                  " pages, ground truth " + std::to_string(ground_truth.size()));
   }
 
   // Cache index: every entry resolves to a resident page carrying that hash, and the table
@@ -749,12 +699,87 @@ void AllocatorAuditor::AuditGroup(size_t a, int g, std::vector<std::string>* out
     Fail(out, tag + "any-free list covers " + std::to_string(any_cover.size()) +
                   " pages, but " + std::to_string(empty_seen) + " empty pages exist");
   }
+  return violations;
 }
 
-void AllocatorAuditor::AuditReclaimQueue(size_t a, std::vector<std::string>* out) const {
+void AllocatorAuditor::CompareShadow(size_t a, int g, std::vector<std::string>* out) const {
+  const SmallPageAllocator& grp = allocs_[a]->alloc->group(g);
+  const ShadowGroup& shadow = allocs_[a]->groups[static_cast<size_t>(g)];
+  const std::string tag = "[alloc" + std::to_string(a) + "/group" + std::to_string(g) + "] ";
+  size_t resident = 0;
+  size_t evictor_keys = 0;  // The evictable pages of a group that uses its evictor.
+  for (size_t index = 0; index < grp.larges_.size(); ++index) {
+    const SmallPageAllocator::LargeEntry& entry = grp.larges_[index];
+    const LargePageId large = static_cast<LargePageId>(index);
+    if (!entry.resident) {
+      if (shadow.resident.contains(large)) {
+        Fail(out, tag + "shadow believes large page " + std::to_string(large) +
+                      " is resident but it is not");
+      }
+      continue;
+    }
+    resident += 1;
+    if (static_cast<int>(entry.slots.size()) != grp.pages_per_large_) {
+      continue;  // CheckState reports it.
+    }
+    if (!shadow.resident.contains(large)) {
+      Fail(out, tag + "large page " + std::to_string(large) + " resident but not in shadow");
+    }
+    const SmallPageId base = static_cast<SmallPageId>(large) * grp.pages_per_large_;
+    for (int slot = 0; slot < grp.pages_per_large_; ++slot) {
+      const SmallPageAllocator::SlotMeta& meta = entry.slots[static_cast<size_t>(slot)];
+      const SmallPageId page = base + slot;
+      const auto sh = shadow.slots.find(page);
+      if (sh == shadow.slots.end()) {
+        Fail(out, tag + "page " + std::to_string(page) + " missing from shadow");
+      } else {
+        if (sh->second.state != meta.state) {
+          Fail(out, tag + "page " + std::to_string(page) + " is " +
+                        PageStateName(meta.state) + " but shadow says " +
+                        PageStateName(sh->second.state));
+        }
+        if (sh->second.assoc != meta.assoc) {
+          Fail(out, tag + "page " + std::to_string(page) + " assoc " +
+                        std::to_string(meta.assoc) + " but shadow says " +
+                        std::to_string(sh->second.assoc));
+        }
+      }
+      if (meta.state != PageState::kEvictable || !grp.uses_evictor_) {
+        continue;
+      }
+      evictor_keys += 1;
+      const auto key = shadow.evictor.find(page);
+      if (key == shadow.evictor.end()) {
+        Fail(out, tag + "evictor page " + std::to_string(page) + " missing from shadow");
+      } else if (key->second.first != meta.last_access ||
+                 key->second.second != meta.prefix_length) {
+        Fail(out, tag + "shadow evictor key for page " + std::to_string(page) + " is (" +
+                      std::to_string(key->second.first) + "," +
+                      std::to_string(key->second.second) + "), expected (" +
+                      std::to_string(meta.last_access) + "," +
+                      std::to_string(meta.prefix_length) + ")");
+      }
+    }
+  }
+  if (shadow.resident.size() != resident) {
+    Fail(out, tag + "shadow tracks " + std::to_string(shadow.resident.size()) +
+                  " resident large pages, actual " + std::to_string(resident));
+  }
+  if (shadow.slots.size() != resident * static_cast<size_t>(grp.pages_per_large_)) {
+    Fail(out, tag + "shadow tracks " + std::to_string(shadow.slots.size()) +
+                  " slots, expected " +
+                  std::to_string(resident * static_cast<size_t>(grp.pages_per_large_)));
+  }
+  if (shadow.evictor.size() != evictor_keys) {
+    Fail(out, tag + "shadow evictor holds " + std::to_string(shadow.evictor.size()) +
+                  " pages, ground truth " + std::to_string(evictor_keys));
+  }
+}
+
+void AllocatorAuditor::CheckReclaimQueue(const JengaAllocator& alloc,
+                                         std::vector<std::string>* out) {
   using Entry = JengaAllocator::ReclaimEntry;
-  const JengaAllocator& alloc = *allocs_[a]->alloc;
-  const std::string tag = "[alloc" + std::to_string(a) + "] reclaim queue: ";
+  const std::string tag = "reclaim queue: ";
   const std::vector<Entry>& storage = alloc.reclaim_runs_storage_;
   const std::vector<JengaAllocator::ReclaimRun>& runs = alloc.reclaim_runs_;
   const std::vector<Entry>& side = alloc.reclaim_side_;
@@ -891,9 +916,9 @@ void AllocatorAuditor::AuditReclaimQueue(size_t a, std::vector<std::string>* out
   }
 }
 
-void AllocatorAuditor::AuditAllocator(size_t a, std::vector<std::string>* out) const {
-  const JengaAllocator& alloc = *allocs_[a]->alloc;
-  const std::string tag = "[alloc" + std::to_string(a) + "] ";
+std::vector<std::string> AllocatorAuditor::CheckState(const JengaAllocator& alloc) {
+  std::vector<std::string> violations;
+  std::vector<std::string>* out = &violations;
 
   // Each allocated LCM page must be resident in exactly its owning group's slab — and only
   // there ("every small page maps into exactly one live large page of its group").
@@ -904,11 +929,11 @@ void AllocatorAuditor::AuditAllocator(size_t a, std::vector<std::string>* out) c
       const bool resident =
           alloc.group(g).larges_[static_cast<size_t>(page)].resident;
       if (resident && owner != g) {
-        Fail(out, tag + "large page " + std::to_string(page) + " resident in group " +
+        Fail(out, "large page " + std::to_string(page) + " resident in group " +
                       std::to_string(g) + " but LCM owner is " + std::to_string(owner));
       }
       if (!resident && owner == g) {
-        Fail(out, tag + "large page " + std::to_string(page) + " owned by group " +
+        Fail(out, "large page " + std::to_string(page) + " owned by group " +
                       std::to_string(g) + " but not resident in its slab");
       }
     }
@@ -917,7 +942,7 @@ void AllocatorAuditor::AuditAllocator(size_t a, std::vector<std::string>* out) c
     }
   }
   if (held != alloc.lcm_.num_allocated()) {
-    Fail(out, tag + "LCM owner table counts " + std::to_string(held) +
+    Fail(out, "LCM owner table counts " + std::to_string(held) +
                   " allocated pages, allocator reports " +
                   std::to_string(alloc.lcm_.num_allocated()));
   }
@@ -925,7 +950,7 @@ void AllocatorAuditor::AuditAllocator(size_t a, std::vector<std::string>* out) c
   const JengaAllocator::MemoryBreakdown breakdown = alloc.GetBreakdown();
   if (breakdown.allocated_bytes !=
       breakdown.used_bytes + breakdown.evictable_bytes + breakdown.empty_bytes) {
-    Fail(out, tag + "byte conservation violated: allocated " +
+    Fail(out, "byte conservation violated: allocated " +
                   std::to_string(breakdown.allocated_bytes) + " != used " +
                   std::to_string(breakdown.used_bytes) + " + evictable " +
                   std::to_string(breakdown.evictable_bytes) + " + empty " +
@@ -933,9 +958,11 @@ void AllocatorAuditor::AuditAllocator(size_t a, std::vector<std::string>* out) c
   }
 
   for (int g = 0; g < alloc.num_groups(); ++g) {
-    AuditGroup(a, g, out);
+    const std::vector<std::string> group = CheckState(alloc.group(g));
+    violations.insert(violations.end(), group.begin(), group.end());
   }
-  AuditReclaimQueue(a, out);
+  CheckReclaimQueue(alloc, out);
+  return violations;
 }
 
 void AllocatorAuditor::AuditHost(std::vector<std::string>* out) const {
@@ -1011,7 +1038,12 @@ void AllocatorAuditor::AuditHost(std::vector<std::string>* out) const {
 std::vector<std::string> AllocatorAuditor::Audit() const {
   std::vector<std::string> out = event_errors_;
   for (size_t a = 0; a < allocs_.size(); ++a) {
-    AuditAllocator(a, &out);
+    for (const std::string& violation : CheckState(*allocs_[a]->alloc)) {
+      out.push_back("[alloc" + std::to_string(a) + "] " + violation);
+    }
+    for (int g = 0; g < allocs_[a]->alloc->num_groups(); ++g) {
+      CompareShadow(a, g, &out);
+    }
   }
   AuditHost(&out);
   return out;

@@ -30,10 +30,11 @@
 //     MAY legally coexist with a GPU page of the same hash when a request *recomputed* the
 //     block after its eviction; promotion is the only path that must erase.)
 //
-// Audit() never aborts: it returns the list of violations so harnesses (the engine fuzzer)
-// can print a reproducible schedule instead of dying mid-run. Shadow-state machine
-// violations detected at event time (e.g. a page claimed while not empty) are buffered and
-// reported by the next Audit() call.
+// CheckState re-derives every clause above but the shadow and host ones from one allocator's
+// state alone; it is the one allocator invariant checker. Neither it nor Audit() aborts: both
+// return the list of violations so harnesses (the engine fuzzer) can print a reproducible
+// schedule instead of dying mid-run. Shadow-state machine violations detected at event time
+// (e.g. a page claimed while not empty) are buffered and reported by the next Audit() call.
 //
 // The auditor is strictly an observer — it never mutates the audited structures. It is one
 // subscriber among any others attached to the same allocator; detaching removes only its own.
@@ -74,8 +75,14 @@ class AllocatorAuditor {
   // Uninstalls every sink and clears all shadow state.
   void DetachAll();
 
-  // Re-derives global state and cross-checks every invariant plus the shadow copies.
-  // Returns all violations found (empty = green), including buffered event-time violations.
+  // Returns every invariant `alloc`'s state breaks (empty = consistent). Needs no attached
+  // auditor; O(pool).
+  [[nodiscard]] static std::vector<std::string> CheckState(const JengaAllocator& alloc);
+  // The per-group clauses of the above; also serves a group built over its own LCM allocator.
+  [[nodiscard]] static std::vector<std::string> CheckState(const SmallPageAllocator& group);
+
+  // CheckState on every attached allocator, then the shadow copies. Returns all violations
+  // found (empty = green), including buffered event-time violations.
   [[nodiscard]] std::vector<std::string> Audit() const;
 
   // Convenience: first violation, or nullopt when everything is green.
@@ -143,10 +150,9 @@ class AllocatorAuditor {
   [[nodiscard]] ShadowSlot* FindSlot(size_t a, int g, SmallPageId page, const char* event);
   void EventError(std::string message);
 
-  // Re-derivation passes (append violations to `out`).
-  void AuditAllocator(size_t a, std::vector<std::string>* out) const;
-  void AuditGroup(size_t a, int g, std::vector<std::string>* out) const;
-  void AuditReclaimQueue(size_t a, std::vector<std::string>* out) const;
+  // Passes of CheckState and Audit (append violations to `out`).
+  static void CheckReclaimQueue(const JengaAllocator& alloc, std::vector<std::string>* out);
+  void CompareShadow(size_t a, int g, std::vector<std::string>* out) const;
   void AuditHost(std::vector<std::string>* out) const;
 
   void SeedAllocatorShadow(AllocState* state);

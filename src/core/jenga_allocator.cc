@@ -7,10 +7,8 @@
 
 namespace jenga {
 
-JengaAllocator::JengaAllocator(KvSpec spec, int64_t pool_bytes, int64_t large_page_bytes_override)
-    : spec_(std::move(spec)),
-      lcm_(pool_bytes,
-           large_page_bytes_override > 0 ? large_page_bytes_override : spec_.LcmPageBytes()) {
+JengaAllocator::JengaAllocator(KvSpec spec, int64_t pool_bytes)
+    : spec_(std::move(spec)), lcm_(pool_bytes, spec_.LcmPageBytes()) {
   groups_.reserve(spec_.groups.size());
   for (size_t i = 0; i < spec_.groups.size(); ++i) {
     groups_.push_back(std::make_unique<SmallPageAllocator>(static_cast<int>(i), spec_.groups[i],
@@ -252,24 +250,6 @@ void JengaAllocator::RemoveAuditSink(AuditSink* sink) {
   }
 }
 
-int64_t JengaAllocator::FreeSmallPages(int group_index) const {
-  const SmallPageAllocator& group = *groups_[static_cast<size_t>(group_index)];
-  return static_cast<int64_t>(lcm_.num_free()) * group.pages_per_large() +
-         group.GetStats().empty_pages;
-}
-
-int64_t JengaAllocator::AvailableSmallPages(int group_index) const {
-  // Evictable capacity: this group's evictable smalls are directly reusable (step 5), and
-  // whole evictable large pages of *other* groups can be reclaimed (step 3). A conservative
-  // estimate counts every group's evictable pages scaled into this group's page size.
-  const SmallPageAllocator& target = *groups_[static_cast<size_t>(group_index)];
-  int64_t evictable_bytes = 0;
-  for (const auto& group : groups_) {
-    evictable_bytes += group->GetStats().evictable_bytes;
-  }
-  return FreeSmallPages(group_index) + evictable_bytes / target.page_bytes();
-}
-
 JengaAllocator::MemoryBreakdown JengaAllocator::GetBreakdown() const {
   MemoryBreakdown breakdown;
   breakdown.pool_bytes =
@@ -285,18 +265,6 @@ JengaAllocator::MemoryBreakdown JengaAllocator::GetBreakdown() const {
   breakdown.unallocated_bytes =
       static_cast<int64_t>(lcm_.num_free()) * lcm_.large_page_bytes() + lcm_.slack_bytes();
   return breakdown;
-}
-
-void JengaAllocator::CheckConsistency() const {
-  int64_t held = 0;
-  for (const auto& group : groups_) {
-    group->CheckConsistency();
-    held += group->GetStats().large_pages_held;
-  }
-  JENGA_CHECK_EQ(held, lcm_.num_allocated());
-  const MemoryBreakdown breakdown = GetBreakdown();
-  JENGA_CHECK_EQ(breakdown.allocated_bytes,
-                 breakdown.used_bytes + breakdown.evictable_bytes + breakdown.empty_bytes);
 }
 
 }  // namespace jenga

@@ -21,8 +21,8 @@ namespace jenga {
 class JengaAllocator final : public LargePageProvider {
  public:
   // Creates the two-level allocator over a `pool_bytes` KV pool; the large-page size is the
-  // LCM of the group page sizes (overridable for ablations, must be a common multiple).
-  JengaAllocator(KvSpec spec, int64_t pool_bytes, int64_t large_page_bytes_override = 0);
+  // LCM of the group page sizes.
+  JengaAllocator(KvSpec spec, int64_t pool_bytes);
 
   JengaAllocator(const JengaAllocator&) = delete;
   JengaAllocator& operator=(const JengaAllocator&) = delete;
@@ -65,13 +65,6 @@ class JengaAllocator final : public LargePageProvider {
   // Detaches one attached subscriber; the others keep their order.
   void RemoveAuditSink(AuditSink* sink);
 
-  // Total small pages (across groups) that could still be produced without evicting anything
-  // cached: free large pages × pages-per-large for `group_index`, plus its empty smalls.
-  [[nodiscard]] int64_t FreeSmallPages(int group_index) const;
-  // As above but also counting evictable capacity (what allocation can obtain at the cost of
-  // cache evictions).
-  [[nodiscard]] int64_t AvailableSmallPages(int group_index) const;
-
   struct MemoryBreakdown {
     int64_t pool_bytes = 0;
     int64_t allocated_bytes = 0;    // Large pages held by any group.
@@ -96,8 +89,6 @@ class JengaAllocator final : public LargePageProvider {
         static_cast<int64_t>(lcm_.num_free()) * lcm_.large_page_bytes() + lcm_.slack_bytes();
     return 1.0 - static_cast<double>(unallocated) / static_cast<double>(pool);
   }
-
-  void CheckConsistency() const;
 
   // Large pages queued for step-3 reclaim, one per page whether or not it is still a
   // candidate (revalidation is lazy); at most lcm().num_pages(). KvManager::GrowFits bounds

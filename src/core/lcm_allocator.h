@@ -49,6 +49,8 @@ class LcmAllocator {
   [[nodiscard]] int owner(LargePageId page) const;
 
  private:
+  friend struct AllocatorStateTestPeer;
+
   int64_t large_page_bytes_ = 0;
   int64_t slack_bytes_ = 0;
   int32_t num_pages_ = 0;

@@ -506,69 +506,4 @@ SmallPageAllocator::FreeListStats SmallPageAllocator::GetFreeListStats() const {
   return stats;
 }
 
-void SmallPageAllocator::CheckConsistency() const {
-  int64_t resident = 0;
-  int64_t used = 0;
-  int64_t evictable = 0;
-  int64_t empty = 0;
-  for (size_t index = 0; index < larges_.size(); ++index) {
-    const LargeEntry& entry = larges_[index];
-    if (!entry.resident) {
-      continue;
-    }
-    const LargePageId large = static_cast<LargePageId>(index);
-    JENGA_CHECK_EQ(lcm_->owner(large), group_index_);
-    JENGA_CHECK_EQ(static_cast<int>(entry.slots.size()), pages_per_large_);
-    ++resident;
-    int32_t entry_used = 0;
-    int32_t entry_evictable = 0;
-    const SmallPageId base = static_cast<SmallPageId>(large) * pages_per_large_;
-    for (int slot = 0; slot < pages_per_large_; ++slot) {
-      const SlotMeta& meta = entry.slots[static_cast<size_t>(slot)];
-      const SmallPageId page = base + slot;
-      switch (meta.state) {
-        case PageState::kUsed:
-          JENGA_CHECK_GT(meta.ref_count, 0);
-          JENGA_CHECK(!evictor_.Contains(page));
-          ++entry_used;
-          break;
-        case PageState::kEvictable:
-          JENGA_CHECK_EQ(meta.ref_count, 0);
-          JENGA_CHECK_EQ(evictor_.Contains(page), uses_evictor_);
-          JENGA_CHECK(meta.has_hash);
-          ++entry_evictable;
-          break;
-        case PageState::kEmpty:
-          JENGA_CHECK_EQ(meta.ref_count, 0);
-          JENGA_CHECK(!meta.has_hash);
-          JENGA_CHECK(!evictor_.Contains(page));
-          break;
-      }
-    }
-    JENGA_CHECK_EQ(entry_used, entry.used_count);
-    JENGA_CHECK_EQ(entry_evictable, entry.evictable_count);
-    JENGA_CHECK(entry_used + entry_evictable > 0) << "fully-empty large page not returned";
-    used += entry_used;
-    evictable += entry_evictable;
-    empty += entry.empty_count();
-  }
-  JENGA_CHECK_EQ(resident, resident_larges_);
-  JENGA_CHECK_EQ(used, used_count_);
-  JENGA_CHECK_EQ(evictable, evictable_count_);
-  JENGA_CHECK_EQ(empty, empty_count_);
-  JENGA_CHECK_EQ(uses_evictor_ ? evictable : 0, static_cast<int64_t>(evictor_.size()));
-  int64_t by_request = 0;
-  for (const auto& [request, refs] : empty_by_request_) {
-    by_request += static_cast<int64_t>(refs.size());
-  }
-  JENGA_CHECK_EQ(by_request, by_request_refs_);
-  cache_index_.ForEach([this](BlockHash hash, SmallPageId page) {
-    JENGA_CHECK(IsResident(LargeOf(page))) << "cache index points at non-resident page";
-    const SlotMeta& meta = Meta(page);
-    JENGA_CHECK(meta.state != PageState::kEmpty);
-    JENGA_CHECK(meta.has_hash);
-    JENGA_CHECK_EQ(meta.hash, hash);
-  });
-}
-
 }  // namespace jenga

@@ -154,12 +154,9 @@ class SmallPageAllocator final : public GroupCacheOps {
   };
   [[nodiscard]] FreeListStats GetFreeListStats() const;
 
-  // Verifies all internal invariants (counts, index consistency, evictor membership: exactly
-  // the evictable pages, and none in a one-slot group); test-only, O(pages).
-  void CheckConsistency() const;
-
  private:
-  friend class AllocatorAuditor;
+  friend class AllocatorAuditor;  // CheckState re-derives this allocator's invariants.
+  friend struct AllocatorStateTestPeer;
 
   struct SlotMeta {
     PageState state = PageState::kEmpty;

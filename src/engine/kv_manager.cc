@@ -1127,6 +1127,4 @@ KvManager::MemoryStats KvManager::GetMemoryStats() const {
   return stats;
 }
 
-void KvManager::CheckConsistency() const { allocator_.CheckConsistency(); }
-
 }  // namespace jenga

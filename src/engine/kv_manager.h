@@ -196,8 +196,6 @@ class KvManager {
   // True while some request is admitted (its KvHandle points into this manager).
   [[nodiscard]] bool tracks_requests() const { return !requests_.empty(); }
 
-  void CheckConsistency() const;
-
  private:
   // Drives the claim walk and the feasibility bound separately (differential soundness test).
   friend struct KvManagerTestPeer;

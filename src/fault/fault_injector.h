@@ -91,9 +91,9 @@ struct FaultConfig {
   bool enabled() const { return !plan.empty(); }
 };
 
-// Reads JENGA_FAULT_PLAN / JENGA_FAULT_SEED. Used only by explicit chaos entry points (the
-// chaos fuzz tier's replay path); engines and benches never consult the environment
-// implicitly. Returns InvalidArgument if the plan text does not parse.
+// Reads JENGA_FAULT_PLAN / JENGA_FAULT_SEED. Used only by the replay paths of the engine and
+// fleet chaos tiers; engines and benches never consult the environment. Returns
+// InvalidArgument if the plan text or the seed does not parse.
 Status FaultConfigFromEnv(FaultConfig* config);
 
 // The injector itself. Deterministic: consult order at a site fully determines its fires.

@@ -124,10 +124,6 @@ class SwapManager {
   // was stored and the engine falls back to recompute. Without a FaultInjector attached this
   // only fails for oversized sets (defensive: ChoosePreemptMode never picks kSwap then).
   [[nodiscard]] Status TryRecordSwapOut(RequestId id, const SwapFootprint& fp);
-  // Legacy bool wrapper.
-  bool RecordSwapOut(RequestId id, const SwapFootprint& fp) {
-    return TryRecordSwapOut(id, fp).ok();
-  }
 
   // Consults the injector for the H2D leg of a swap-in, with the same retry/backoff policy
   // as TryRecordSwapOut. Call before KvManager::RestoreFromSwap; a non-OK status means the

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -14,6 +15,8 @@
 #include "src/core/jenga_allocator.h"
 #include "src/model/kv_spec.h"
 #include "src/offload/swap_manager.h"
+#include "tests/audit/audit_test_util.h"
+#include "tests/core/allocator_state_test_peer.h"
 #include "tests/core/reclaim_queue_test_peer.h"
 
 namespace jenga {
@@ -42,38 +45,33 @@ KvSpec TwoGroupSpec() {
   return spec;
 }
 
-void ExpectGreen(const AllocatorAuditor& auditor) {
-  const auto violations = auditor.Audit();
-  EXPECT_TRUE(violations.empty()) << violations.front();
-}
-
 TEST(AllocatorAuditor, GreenAcrossAllocateCacheEvictCycle) {
   JengaAllocator alloc(TwoGroupSpec(), /*pool_bytes=*/768 * 2);
   AllocatorAuditor auditor;
   auditor.AttachAllocator(&alloc);
-  ExpectGreen(auditor);
+  ExpectConsistent(auditor);
 
   std::vector<SmallPageId> pages;
   for (int i = 0; i < 6; ++i) {
     const SmallPageId p = *alloc.group(0).Allocate(1, /*now=*/i);
     alloc.group(0).SetContentHash(p, 0x100 + static_cast<BlockHash>(i));
     pages.push_back(p);
-    ExpectGreen(auditor);
+    ExpectConsistent(auditor);
   }
   for (const SmallPageId p : pages) {
     alloc.group(0).Release(p, /*keep_cached=*/true);
-    ExpectGreen(auditor);
+    ExpectConsistent(auditor);
   }
   // Cross-group reclaim: group 1 steals a large page, evicting cached image pages.
   ASSERT_TRUE(alloc.group(1).Allocate(2, /*now=*/10).has_value());
-  ExpectGreen(auditor);
+  ExpectConsistent(auditor);
   // Cache revival through the prefix index.
   const auto revived = alloc.group(0).LookupCached(0x103);
   if (revived.has_value()) {
     alloc.group(0).AddRef(*revived);
-    ExpectGreen(auditor);
+    ExpectConsistent(auditor);
     alloc.group(0).Release(*revived, true);
-    ExpectGreen(auditor);
+    ExpectConsistent(auditor);
   }
   EXPECT_GT(auditor.events_observed(), 0);
 }
@@ -91,10 +89,10 @@ TEST(AllocatorAuditor, AttachSeedsFromMidLifeState) {
 
   AllocatorAuditor auditor;
   auditor.AttachAllocator(&alloc);
-  ExpectGreen(auditor);
+  ExpectConsistent(auditor);
   // And it keeps tracking transitions from that seeded state.
   alloc.group(1).Release(pages[1], false);
-  ExpectGreen(auditor);
+  ExpectConsistent(auditor);
   EXPECT_GT(auditor.events_observed(), 0);
 }
 
@@ -109,7 +107,7 @@ TEST(AllocatorAuditor, DetachStopsObservationAndClearsState) {
   EXPECT_EQ(auditor.num_attached_allocators(), 0);
   (void)*alloc.group(0).Allocate(1, 1);
   EXPECT_EQ(auditor.events_observed(), seen);
-  ExpectGreen(auditor);  // Nothing attached: trivially green.
+  ExpectConsistent(auditor);  // Nothing attached: trivially green.
 }
 
 TEST(AllocatorAuditor, InjectedShadowFaultIsDetected) {
@@ -117,7 +115,7 @@ TEST(AllocatorAuditor, InjectedShadowFaultIsDetected) {
   AllocatorAuditor auditor;
   auditor.AttachAllocator(&alloc);
   (void)*alloc.group(0).Allocate(1, 0);
-  ExpectGreen(auditor);
+  ExpectConsistent(auditor);
   auditor.InjectShadowFaultForTest();
   EXPECT_FALSE(auditor.Audit().empty());
   EXPECT_TRUE(auditor.FirstViolation().has_value());
@@ -175,7 +173,7 @@ TEST_P(ReclaimQueueAuditTest, SeededDefectIsReported) {
   ASSERT_EQ(alloc_.reclaim_heap_entries(), 7u);
   AllocatorAuditor auditor;
   auditor.AttachAllocator(&alloc_);
-  ExpectGreen(auditor);
+  ExpectConsistent(auditor);
 
   GetParam().seed(alloc_);
   const std::vector<std::string> violations = auditor.Audit();
@@ -271,6 +269,203 @@ INSTANTIATE_TEST_SUITE_P(
                            "exceed 2 x 7 live"}),
     [](const ::testing::TestParamInfo<ReclaimQueueDefect>& info) { return info.param.name; });
 
+// Seeded defects in the per-group and pool state: each corrupts one clause of
+// AllocatorAuditor::CheckState through AllocatorStateTestPeer, and CheckState must name it —
+// on the whole allocator and, for a group clause, on that group alone.
+struct StatePages {
+  SmallPageId used = kNoSmallPage;       // Group 0, hashed; shares a large page with `evictable`.
+  SmallPageId evictable = kNoSmallPage;  // Group 0.
+  SmallPageId lone = kNoSmallPage;       // Group 0, unhashed; the only used page of its large.
+  SmallPageId empty = kNoSmallPage;      // Group 0, next to `lone`.
+  SmallPageId state = kNoSmallPage;      // Group 2 (one slot per large page), evictable.
+};
+
+struct StateDefect {
+  const char* name;
+  void (*seed)(JengaAllocator&, const StatePages&);
+  int group;  // The group whose own CheckState must name it too; -1 for a pool clause.
+  // Fragments one violation must contain.
+  const char* what;
+  const char* detail;
+};
+
+void PrintTo(const StateDefect& defect, std::ostream* os) { *os << defect.name; }
+
+class AllocatorStateDefectTest : public ::testing::TestWithParam<StateDefect> {
+ protected:
+  // TwoGroupSpec plus a one-slot group of 768 B pages. Group 0 holds one large page with two
+  // hashed used pages and one cached page, and one with a single used page and two empty
+  // slots; group 1 fills a large page; group 2 holds a used and a cached page.
+  AllocatorStateDefectTest() : alloc_(ThreeGroupSpec(), 768 * 8) {
+    SmallPageAllocator& image = alloc_.group(0);
+    std::vector<SmallPageId> pages;
+    for (int i = 0; i < 4; ++i) {
+      pages.push_back(*image.Allocate(1, /*now=*/i));
+    }
+    for (int i = 0; i < 3; ++i) {
+      image.SetContentHash(pages[static_cast<size_t>(i)], 0x100 + static_cast<BlockHash>(i));
+    }
+    image.Release(pages[1], /*keep_cached=*/true);
+    pages_.used = pages[0];
+    pages_.evictable = pages[1];
+    pages_.lone = pages[3];
+    pages_.empty = pages[3] + 1;
+    for (int i = 0; i < 2; ++i) {
+      alloc_.group(1).SetContentHash(*alloc_.group(1).Allocate(2, 4), 0x200 + static_cast<BlockHash>(i));
+    }
+    for (int i = 0; i < 2; ++i) {
+      const SmallPageId page = *alloc_.group(2).Allocate(3, 5);
+      alloc_.group(2).SetContentHash(page, 0x300 + static_cast<BlockHash>(i));
+      pages_.state = page;
+    }
+    alloc_.group(2).Release(pages_.state, /*keep_cached=*/true);
+  }
+
+  static KvSpec ThreeGroupSpec() {
+    KvSpec spec = TwoGroupSpec();
+    KvGroupSpec state = spec.groups[1];
+    state.name = "state";
+    state.tokens_per_page = 2;
+    state.page_bytes = 768;
+    spec.groups.push_back(state);
+    return spec;
+  }
+
+  static ::testing::AssertionResult Names(const std::vector<std::string>& violations) {
+    for (const std::string& v : violations) {
+      if (v.find(GetParam().what) != std::string::npos &&
+          v.find(GetParam().detail) != std::string::npos) {
+        return ::testing::AssertionSuccess();
+      }
+    }
+    return ::testing::AssertionFailure()
+           << "no violation mentions \"" << GetParam().what << "\" and \"" << GetParam().detail
+           << "\"; first: " << (violations.empty() ? std::string("none") : violations.front());
+  }
+
+  JengaAllocator alloc_;
+  StatePages pages_;
+};
+
+TEST_P(AllocatorStateDefectTest, CheckStateNamesTheFault) {
+  ASSERT_EQ(alloc_.group(0).state(pages_.evictable), PageState::kEvictable);
+  ASSERT_EQ(alloc_.group(0).state(pages_.empty), PageState::kEmpty);
+  ASSERT_EQ(alloc_.group(2).pages_per_large(), 1);
+  ASSERT_EQ(alloc_.group(2).state(pages_.state), PageState::kEvictable);
+  ExpectConsistent(alloc_);
+
+  GetParam().seed(alloc_, pages_);
+  EXPECT_TRUE(Names(AllocatorAuditor::CheckState(alloc_)));
+  if (GetParam().group >= 0) {
+    EXPECT_TRUE(Names(AllocatorAuditor::CheckState(alloc_.group(GetParam().group))));
+  }
+}
+
+using Peer = AllocatorStateTestPeer;
+
+INSTANTIATE_TEST_SUITE_P(
+    Defects, AllocatorStateDefectTest,
+    ::testing::Values(
+        StateDefect{"LcmOwnerIsAnotherGroup",
+                    [](JengaAllocator& a, const StatePages& p) {
+                      SmallPageAllocator& g = a.group(0);
+                      Peer::Owner(Peer::Lcm(g))[static_cast<size_t>(
+                          p.used / g.pages_per_large())] = 1;
+                    },
+                    0, "resident large page", "is owned by group 1 in the LCM allocator"},
+        StateDefect{"SlotCountWrong",
+                    [](JengaAllocator& a, const StatePages& p) {
+                      Peer::Large(a.group(0), p.used).slots.emplace_back();
+                    },
+                    0, "has 4 slots", "expected 3"},
+        StateDefect{"UsedPageWithoutRef",
+                    [](JengaAllocator& a, const StatePages& p) {
+                      Peer::Slot(a.group(0), p.used).ref_count = 0;
+                    },
+                    0, "used page", "has ref_count 0"},
+        StateDefect{"UsedPageInEvictor",
+                    [](JengaAllocator& a, const StatePages& p) {
+                      Peer::EvictorOf(a.group(0)).Insert(p.used, 0, 0);
+                    },
+                    0, "used page", "present in evictor"},
+        StateDefect{"EvictablePageWithRef",
+                    [](JengaAllocator& a, const StatePages& p) {
+                      Peer::Slot(a.group(0), p.evictable).ref_count = 1;
+                    },
+                    0, "evictable page", "has ref_count 1"},
+        StateDefect{"EvictablePageWithoutHash",
+                    [](JengaAllocator& a, const StatePages& p) {
+                      Peer::Slot(a.group(0), p.evictable).has_hash = false;
+                    },
+                    0, "evictable page", "has no content hash"},
+        StateDefect{"EvictablePageOutsideEvictor",
+                    [](JengaAllocator& a, const StatePages& p) {
+                      Peer::EvictorOf(a.group(0)).Remove(p.evictable);
+                    },
+                    0, "evictable page", "missing from evictor"},
+        StateDefect{"EmptyPageWithRef",
+                    [](JengaAllocator& a, const StatePages& p) {
+                      Peer::Slot(a.group(0), p.empty).ref_count = 1;
+                    },
+                    0, "empty page", "carries refs or cached content"},
+        StateDefect{"EmptyPageWithHash",
+                    [](JengaAllocator& a, const StatePages& p) {
+                      Peer::Slot(a.group(0), p.empty).has_hash = true;
+                    },
+                    0, "empty page", "carries refs or cached content"},
+        StateDefect{"EmptyPageInEvictor",
+                    [](JengaAllocator& a, const StatePages& p) {
+                      Peer::EvictorOf(a.group(0)).Insert(p.empty, 0, 0);
+                    },
+                    0, "empty page", "present in evictor"},
+        StateDefect{"EvictorEntryInOneSlotGroup",
+                    [](JengaAllocator& a, const StatePages& p) {
+                      Peer::EvictorOf(a.group(2)).Insert(p.state, 5, 0);
+                    },
+                    2, "evictor counts 1 keys", "ground truth 0"},
+        StateDefect{"LargePageCounterDrifts",
+                    [](JengaAllocator& a, const StatePages& p) {
+                      Peer::Large(a.group(0), p.used).used_count += 1;
+                    },
+                    0, "counts (3u/1e)", "!= recount (2u/1e)"},
+        StateDefect{"GroupCounterDrifts",
+                    [](JengaAllocator& a, const StatePages& /*p*/) {
+                      Peer::UsedCount(a.group(0)) += 1;
+                    },
+                    0, "group totals", "!= recount"},
+        StateDefect{"FullyEmptyLargePageResident",
+                    [](JengaAllocator& a, const StatePages& p) {
+                      SmallPageAllocator& g = a.group(0);
+                      Peer::Slot(g, p.lone).state = PageState::kEmpty;
+                      Peer::Slot(g, p.lone).ref_count = 0;
+                      Peer::Large(g, p.lone).used_count -= 1;
+                      Peer::UsedCount(g) -= 1;
+                      Peer::EmptyCount(g) += 1;
+                    },
+                    0, "fully-empty large page", "was not returned to the LCM allocator"},
+        StateDefect{"ByRequestRefCountDrifts",
+                    [](JengaAllocator& a, const StatePages& /*p*/) {
+                      Peer::ByRequestRefs(a.group(0)) += 1;
+                    },
+                    0, "by-request ref count", "!= recount"},
+        StateDefect{"CacheIndexEntryLosesItsHash",
+                    [](JengaAllocator& a, const StatePages& p) {
+                      Peer::Slot(a.group(0), p.used).hash ^= 1;
+                    },
+                    0, "cache index entry for hash", "which does not carry it"},
+        StateDefect{"LcmAllocatedCountDrifts",
+                    [](JengaAllocator& a, const StatePages& p) {
+                      SmallPageAllocator& g = a.group(0);
+                      Peer::FreeList(Peer::Lcm(g)).push_back(p.used / g.pages_per_large());
+                    },
+                    -1, "LCM owner table counts", "allocated pages, allocator reports"},
+        StateDefect{"BytesNotConserved",
+                    [](JengaAllocator& a, const StatePages& /*p*/) {
+                      Peer::EmptyCount(a.group(0)) += 1;
+                    },
+                    -1, "byte conservation violated", "allocated"}),
+    [](const ::testing::TestParamInfo<StateDefect>& info) { return info.param.name; });
+
 TEST(AllocatorAuditor, TracksTwoAllocatorsIndependently) {
   JengaAllocator a(TwoGroupSpec(), 768 * 2);
   JengaAllocator b(TwoGroupSpec(), 768 * 2);
@@ -280,7 +475,7 @@ TEST(AllocatorAuditor, TracksTwoAllocatorsIndependently) {
   EXPECT_EQ(auditor.num_attached_allocators(), 2);
   (void)*a.group(0).Allocate(1, 0);
   (void)*b.group(1).Allocate(2, 0);
-  ExpectGreen(auditor);
+  ExpectConsistent(auditor);
 }
 
 // Several subscribers on one allocator at once: the auditor, the host offload tier (which
@@ -438,14 +633,14 @@ TEST(AuditSubscribers, AuditorHostTierAndRoutingFeedShareOneAllocator) {
     // the host tier parked each payload.
     EXPECT_EQ(counter.evictions, counter.pages_evicted);
     EXPECT_EQ(counter.evictions, swap.stats().host_pages_stored);
-    ExpectGreen(auditor);
+    ExpectConsistent(auditor);
   }
   EXPECT_GT(counter.evictor_pops, 0);
   EXPECT_GT(counter.reclaims, 0);
   EXPECT_GT(counter.unindexed_obsolete, 0);
   EXPECT_GT(workload.rehashes(), 0);
   EXPECT_EQ(swap.host().rejected_inserts(), 0);
-  alloc.CheckConsistency();
+  ExpectConsistent(alloc);
 
   // Detaching the feed freezes its summary; the host tier and the auditor keep going.
   alloc.RemoveAuditSink(index.feed(0));
@@ -458,8 +653,8 @@ TEST(AuditSubscribers, AuditorHostTierAndRoutingFeedShareOneAllocator) {
   EXPECT_NE(Indexed(alloc), frozen);  // The index itself moved on.
   EXPECT_GT(swap.stats().host_pages_stored, stored_before);
   EXPECT_EQ(counter.evictions, swap.stats().host_pages_stored);
-  ExpectGreen(auditor);
-  alloc.CheckConsistency();
+  ExpectConsistent(auditor);
+  ExpectConsistent(alloc);
 
   auditor.DetachAll();
   alloc.RemoveAuditSink(&counter);

@@ -170,12 +170,16 @@ FleetChaosSchedule DrawFleetChaosSchedule(uint64_t seed) {
   }
   s.fault_seed = rng.NextU64() | 1;
 
-  // Operator replay overrides (same env contract as the engine chaos tier).
+  // Operator replay overrides, parsed by FaultConfigFromEnv: a malformed value aborts the
+  // run instead of silently replaying another fault world.
+  FaultConfig replay;
+  const Status env = FaultConfigFromEnv(&replay);
+  JENGA_CHECK(env.ok()) << env;
   if (const char* env_plan = std::getenv("JENGA_FAULT_PLAN")) {
     s.fleet_plan = env_plan;
   }
-  if (const char* env_seed = std::getenv("JENGA_FAULT_SEED")) {
-    s.fault_seed = std::strtoull(env_seed, nullptr, 0);
+  if (std::getenv("JENGA_FAULT_SEED") != nullptr) {
+    s.fault_seed = replay.seed;
   }
   return s;
 }

@@ -12,6 +12,7 @@
 #include "src/core/jenga_allocator.h"
 #include "src/core/small_page_allocator.h"
 #include "src/model/kv_spec.h"
+#include "tests/audit/audit_test_util.h"
 
 namespace jenga {
 namespace {
@@ -37,11 +38,6 @@ KvSpec TwoGroupSpec() {
   text.page_bytes = 384;
   spec.groups = {image, text};
   return spec;
-}
-
-void ExpectGreen(const AllocatorAuditor& auditor, const char* who) {
-  const auto violations = auditor.Audit();
-  EXPECT_TRUE(violations.empty()) << who << ": " << violations.front();
 }
 
 // The reference semantics AllocateN promises: n consecutive Allocate calls, releasing in
@@ -109,14 +105,14 @@ TEST(AllocateN, MatchesLoopOnSuccess) {
   ASSERT_TRUE(bulk_alloc.group(1).AllocateN(/*request=*/7, 7, /*now=*/30, &bulk_pages));
   ASSERT_TRUE(LoopAllocate(loop_alloc.group(1), /*request=*/7, 7, /*now=*/30, &loop_pages));
   EXPECT_EQ(bulk_pages, loop_pages);
-  ExpectGreen(bulk_audit, "bulk");
-  ExpectGreen(loop_audit, "loop");
+  ExpectConsistent(bulk_audit);
+  ExpectConsistent(loop_audit);
 
   // Identical internal state afterwards: both twins hand out the same pages until empty.
   EXPECT_EQ(DrainFingerprint(bulk_alloc.group(0), /*now=*/40),
             DrainFingerprint(loop_alloc.group(0), /*now=*/40));
-  bulk_alloc.group(1).CheckConsistency();
-  loop_alloc.group(1).CheckConsistency();
+  ExpectConsistent(bulk_alloc);
+  ExpectConsistent(loop_alloc);
 }
 
 TEST(AllocateN, RollsBackExactlyLikeLoopOnExhaustion) {
@@ -137,8 +133,8 @@ TEST(AllocateN, RollsBackExactlyLikeLoopOnExhaustion) {
   EXPECT_FALSE(LoopAllocate(loop_alloc.group(1), /*request=*/7, 64, /*now=*/30, &loop_pages));
   EXPECT_EQ(bulk_pages, std::vector<SmallPageId>{kNoSmallPage});
   EXPECT_EQ(bulk_pages, loop_pages);
-  ExpectGreen(bulk_audit, "bulk");
-  ExpectGreen(loop_audit, "loop");
+  ExpectConsistent(bulk_audit);
+  ExpectConsistent(loop_audit);
 
   // Rollback released the partial run (keep_cached=false) identically on both sides.
   const auto bulk_stats = bulk_alloc.group(1).GetFreeListStats();
@@ -150,7 +146,7 @@ TEST(AllocateN, RollsBackExactlyLikeLoopOnExhaustion) {
             DrainFingerprint(loop_alloc.group(1), /*now=*/40));
   EXPECT_EQ(DrainFingerprint(bulk_alloc.group(0), /*now=*/50),
             DrainFingerprint(loop_alloc.group(0), /*now=*/50));
-  bulk_alloc.group(1).CheckConsistency();
+  ExpectConsistent(bulk_alloc);
 }
 
 TEST(AllocateN, ZeroAndRepeatedCallsAreNoOpsAndComposable) {
@@ -168,7 +164,7 @@ TEST(AllocateN, ZeroAndRepeatedCallsAreNoOpsAndComposable) {
   EXPECT_TRUE(one_call.group(0).AllocateN(/*request=*/1, 3, /*now=*/1, &reference));
   EXPECT_TRUE(one_call.group(0).AllocateN(/*request=*/1, 2, /*now=*/2, &reference));
   EXPECT_EQ(pages, reference);
-  alloc.group(0).CheckConsistency();
+  ExpectConsistent(alloc);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include "src/common/random.h"
 #include "src/core/jenga_allocator.h"
 #include "src/model/kv_spec.h"
+#include "tests/audit/audit_test_util.h"
 
 namespace jenga {
 namespace {
@@ -71,7 +72,8 @@ TEST_P(AllocatorPropertyTest, RandomWorkoutKeepsInvariants) {
         EXPECT_EQ(alloc.group(group).assoc(*page), request);
       } else {
         // Allocation may only fail when nothing is free or evictable anywhere.
-        EXPECT_EQ(alloc.FreeSmallPages(group), 0);
+        EXPECT_EQ(alloc.lcm().num_free(), 0);
+        EXPECT_EQ(alloc.group(group).empty_pages(), 0);
         EXPECT_EQ(alloc.group(group).GetStats().evictable_pages, 0);
       }
     } else if (op < 75 && !held.empty()) {
@@ -116,7 +118,7 @@ TEST_P(AllocatorPropertyTest, RandomWorkoutKeepsInvariants) {
     }
 
     if (step % 256 == 0) {
-      alloc.CheckConsistency();
+      ExpectConsistent(alloc);
       // Conservation: the breakdown always partitions the pool.
       const auto b = alloc.GetBreakdown();
       EXPECT_EQ(b.allocated_bytes + b.unallocated_bytes, b.pool_bytes);
@@ -135,7 +137,7 @@ TEST_P(AllocatorPropertyTest, RandomWorkoutKeepsInvariants) {
   for (int g = 0; g < alloc.num_groups(); ++g) {
     EXPECT_EQ(alloc.group(g).GetStats().used_pages, 0);
   }
-  alloc.CheckConsistency();
+  ExpectConsistent(alloc);
 }
 
 TEST_P(AllocatorPropertyTest, NoCachingDrainReturnsEverything) {
@@ -165,7 +167,7 @@ TEST_P(AllocatorPropertyTest, NoCachingDrainReturnsEverything) {
   EXPECT_EQ(alloc.lcm().num_allocated(), 0);
   const auto b = alloc.GetBreakdown();
   EXPECT_EQ(b.unallocated_bytes, b.pool_bytes);
-  alloc.CheckConsistency();
+  ExpectConsistent(alloc);
 }
 
 TEST_P(AllocatorPropertyTest, RequestAwarePackingBeatsArbitraryPlacement) {
@@ -193,7 +195,7 @@ TEST_P(AllocatorPropertyTest, RequestAwarePackingBeatsArbitraryPlacement) {
   // Request 0 holds 24 pages = 8 large pages; everything else must be free again.
   EXPECT_EQ(alloc.lcm().num_allocated(), 8);
   EXPECT_LT(alloc.lcm().num_allocated(), held_before);
-  alloc.CheckConsistency();
+  ExpectConsistent(alloc);
 }
 
 TEST_P(AllocatorPropertyTest, LongRunFreeListsStayCompact) {
@@ -231,7 +233,7 @@ TEST_P(AllocatorPropertyTest, LongRunFreeListsStayCompact) {
     }
 
     if (step % 1024 == 0) {
-      alloc.CheckConsistency();
+      ExpectConsistent(alloc);
     }
     for (int g = 0; g < alloc.num_groups(); ++g) {
       const auto stats = alloc.group(g).GetFreeListStats();
@@ -246,7 +248,7 @@ TEST_P(AllocatorPropertyTest, LongRunFreeListsStayCompact) {
   for (const Held& h : held) {
     alloc.group(h.group).Release(h.page, false);
   }
-  alloc.CheckConsistency();
+  ExpectConsistent(alloc);
   // Once every request id is forgotten, no affinity state may remain.
   for (RequestId r = 0; r < 16; ++r) {
     alloc.ForgetRequest(r);
@@ -255,7 +257,7 @@ TEST_P(AllocatorPropertyTest, LongRunFreeListsStayCompact) {
     EXPECT_EQ(alloc.group(g).GetFreeListStats().by_request_refs, 0);
     EXPECT_EQ(alloc.group(g).GetFreeListStats().tracked_requests, 0);
   }
-  alloc.CheckConsistency();
+  ExpectConsistent(alloc);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AllocatorPropertyTest,

@@ -14,6 +14,7 @@
 #include "src/common/random.h"
 #include "src/model/kv_spec.h"
 #include "src/model/model_zoo.h"
+#include "tests/audit/audit_test_util.h"
 #include "tests/core/reclaim_queue_test_peer.h"
 
 namespace jenga {
@@ -77,7 +78,7 @@ TEST(JengaAllocator, WholePageEvictionMovesMemoryBetweenGroups) {
   // One large page was reclaimed from group 0; its three cached image pages are gone.
   EXPECT_EQ(alloc.group(0).GetStats().evictable_pages, 3);
   EXPECT_EQ(alloc.group(1).GetStats().large_pages_held, 1);
-  alloc.CheckConsistency();
+  ExpectConsistent(alloc);
 }
 
 TEST(JengaAllocator, WholePageEvictionPrefersLruLargePage) {
@@ -118,7 +119,7 @@ TEST(JengaAllocator, ReclaimHeapRevalidatesRevivedPages) {
   (void)*alloc.group(1).Allocate(2, 20);
   EXPECT_TRUE(alloc.group(0).LookupCached(0x100).has_value());
   EXPECT_FALSE(alloc.group(0).LookupCached(0x103).has_value());
-  alloc.CheckConsistency();
+  ExpectConsistent(alloc);
 }
 
 // Records the large pages reclaimed through step 3 (and through ShrinkPool's drain).
@@ -158,7 +159,7 @@ TEST(JengaAllocator, ReclaimHeapBreaksEqualTimestampTiesByGroupThenLargeId) {
   EXPECT_EQ(alloc.reclaim_heap_entries(), 0u);
   EXPECT_FALSE(alloc.group(1).Allocate(2, /*now=*/30).has_value());
   alloc.RemoveAuditSink(&log);
-  alloc.CheckConsistency();
+  ExpectConsistent(alloc);
 }
 
 // Classifies every reclaim placement by where it lands in the queue, and counts large pages
@@ -340,7 +341,7 @@ TEST_P(ReclaimOrderTest, MatchesOrderedSetModel) {
   }
   alloc.RemoveAuditSink(&placements);
   alloc.RemoveAuditSink(&log);
-  alloc.CheckConsistency();
+  ExpectConsistent(alloc);
   EXPECT_GT(checked_reclaims, 50);
   EXPECT_GT(revives, 50);
   EXPECT_GT(rekeys, 50);
@@ -411,28 +412,13 @@ TEST(JengaAllocator, ReclaimHeapEqualTimestampsRespectLazyRekey) {
   EXPECT_TRUE(alloc.group(0).LookupCached(0x102).has_value());
   EXPECT_FALSE(alloc.group(0).LookupCached(0x103).has_value());
   EXPECT_FALSE(alloc.group(0).LookupCached(0x105).has_value());
-  alloc.CheckConsistency();
+  ExpectConsistent(alloc);
   // A second large is needed next: now A's re-keyed entry (9) is the only candidate left.
   ASSERT_TRUE(alloc.group(1).Allocate(2, /*now=*/21).has_value());
   ASSERT_TRUE(alloc.group(1).Allocate(2, /*now=*/22).has_value());
   EXPECT_FALSE(alloc.group(0).LookupCached(0x100).has_value());
   EXPECT_EQ(alloc.group(1).GetStats().large_pages_held, 2);
-  alloc.CheckConsistency();
-}
-
-TEST(JengaAllocator, FreeAndAvailableSmallPages) {
-  JengaAllocator alloc(Figure6Spec(), 768 * 4);
-  EXPECT_EQ(alloc.FreeSmallPages(0), 4 * 3);
-  EXPECT_EQ(alloc.FreeSmallPages(1), 4 * 2);
-  const SmallPageId p = *alloc.group(0).Allocate(1, 0);
-  // One large page now held by group 0 with 2 empty slots.
-  EXPECT_EQ(alloc.FreeSmallPages(0), 3 * 3 + 2);
-  EXPECT_EQ(alloc.FreeSmallPages(1), 3 * 2);
-  alloc.group(0).SetContentHash(p, 0x1);
-  alloc.group(0).Release(p, true);
-  // The cached page counts toward available-but-not-free capacity.
-  EXPECT_EQ(alloc.FreeSmallPages(0), 3 * 3 + 2);
-  EXPECT_EQ(alloc.AvailableSmallPages(0), 3 * 3 + 2 + 1);
+  ExpectConsistent(alloc);
 }
 
 TEST(JengaAllocator, BreakdownSumsToPool) {
@@ -447,18 +433,7 @@ TEST(JengaAllocator, BreakdownSumsToPool) {
   EXPECT_EQ(breakdown.evictable_bytes, 0);
   EXPECT_EQ(breakdown.unallocated_bytes, 768 * 2 + 32);
   EXPECT_EQ(breakdown.allocated_bytes + breakdown.unallocated_bytes, breakdown.pool_bytes);
-  alloc.CheckConsistency();
-}
-
-TEST(JengaAllocator, OverrideLargePageSize) {
-  // MAX-page ablation: force the large page to the larger group page (384); the 256-byte
-  // group cannot pack into it evenly, so construction must reject it.
-  EXPECT_DEATH(JengaAllocator(Figure6Spec(), 768 * 4, /*large_page_bytes_override=*/384),
-               "must divide");
-  // A valid override: double the LCM.
-  JengaAllocator alloc(Figure6Spec(), 768 * 4, 1536);
-  EXPECT_EQ(alloc.lcm().large_page_bytes(), 1536);
-  EXPECT_EQ(alloc.group(0).pages_per_large(), 6);
+  ExpectConsistent(alloc);
 }
 
 TEST(JengaAllocator, RealModelSpec) {
@@ -475,7 +450,7 @@ TEST(JengaAllocator, RealModelSpec) {
   EXPECT_EQ(alloc.group(mamba_index).pages_per_large(), 1);
   const auto state = alloc.group(mamba_index).Allocate(1, 0);
   ASSERT_TRUE(state.has_value());
-  alloc.CheckConsistency();
+  ExpectConsistent(alloc);
 }
 
 // Per-group evictor and reclaim events.
@@ -537,10 +512,10 @@ TEST(JengaAllocator, OneSlotGroupsNeverNeedStep5) {
     EXPECT_EQ(counter.pops[static_cast<size_t>(g)], 0) << "group " << g;
     EXPECT_GT(alloc.group(g).evictable_pages(), 0) << "group " << g;
   }
-  alloc.CheckConsistency();
+  ExpectConsistent(alloc);
   AllocatorAuditor auditor;
   auditor.AttachAllocator(&alloc);
-  EXPECT_EQ(auditor.FirstViolation(), std::nullopt);
+  ExpectConsistent(auditor);
   auditor.DetachAll();
 }
 
@@ -557,10 +532,10 @@ TEST(JengaAllocator, MultiSlotGroupsKeepTheirEvictor) {
   ChurnCachedPages(alloc, kLarges, &counter);
   EXPECT_GT(counter.inserts[0], 0);
   EXPECT_GT(counter.inserts[1], 0);
-  alloc.CheckConsistency();
+  ExpectConsistent(alloc);
   AllocatorAuditor auditor;
   auditor.AttachAllocator(&alloc);
-  EXPECT_EQ(auditor.FirstViolation(), std::nullopt);
+  ExpectConsistent(auditor);
   auditor.DetachAll();
 }
 

@@ -4,6 +4,8 @@
 
 #include <vector>
 
+#include "tests/audit/audit_test_util.h"
+
 namespace jenga {
 namespace {
 
@@ -64,7 +66,7 @@ TEST_F(SmallPageAllocatorTest, FirstAllocationAcquiresLargePage) {
   EXPECT_EQ(alloc_.state(*page), PageState::kUsed);
   EXPECT_EQ(alloc_.assoc(*page), 1);
   EXPECT_EQ(alloc_.ref_count(*page), 1);
-  alloc_.CheckConsistency();
+  ExpectConsistent(alloc_);
 }
 
 TEST_F(SmallPageAllocatorTest, SameRequestFillsItsLargePageFirst) {
@@ -107,7 +109,7 @@ TEST_F(SmallPageAllocatorTest, Step4FallsBackToForeignEmpties) {
   ASSERT_TRUE(page.has_value());
   EXPECT_EQ(*page, pages[0]);
   EXPECT_EQ(alloc_.assoc(*page), 2);
-  alloc_.CheckConsistency();
+  ExpectConsistent(alloc_);
 }
 
 TEST_F(SmallPageAllocatorTest, FullyEmptyLargePageReturnsToLcm) {
@@ -119,7 +121,7 @@ TEST_F(SmallPageAllocatorTest, FullyEmptyLargePageReturnsToLcm) {
   alloc_.Release(b, false);
   EXPECT_EQ(lcm_.num_allocated(), 0);  // All three slots empty → returned.
   EXPECT_EQ(alloc_.GetStats().large_pages_held, 0);
-  alloc_.CheckConsistency();
+  ExpectConsistent(alloc_);
 }
 
 TEST_F(SmallPageAllocatorTest, ReleaseWithoutHashGoesEmptyEvenIfCachingRequested) {
@@ -136,7 +138,7 @@ TEST_F(SmallPageAllocatorTest, CachedReleaseBecomesEvictableAndIndexed) {
   alloc_.Release(a, true);
   EXPECT_EQ(alloc_.state(a), PageState::kEvictable);
   EXPECT_EQ(alloc_.LookupCached(0xABCD), a);
-  alloc_.CheckConsistency();
+  ExpectConsistent(alloc_);
 }
 
 TEST_F(SmallPageAllocatorTest, AddRefRevivesEvictablePage) {
@@ -153,7 +155,7 @@ TEST_F(SmallPageAllocatorTest, AddRefRevivesEvictablePage) {
   EXPECT_EQ(alloc_.state(a), PageState::kUsed);  // One reference remains.
   alloc_.Release(a, true);
   EXPECT_EQ(alloc_.state(a), PageState::kEvictable);
-  alloc_.CheckConsistency();
+  ExpectConsistent(alloc_);
 }
 
 TEST_F(SmallPageAllocatorTest, Step5EvictsLruCachedPage) {
@@ -174,7 +176,7 @@ TEST_F(SmallPageAllocatorTest, Step5EvictsLruCachedPage) {
   EXPECT_EQ(*page, pages[0]);
   EXPECT_FALSE(alloc_.LookupCached(0x1000).has_value());
   EXPECT_TRUE(alloc_.LookupCached(0x1001).has_value());
-  alloc_.CheckConsistency();
+  ExpectConsistent(alloc_);
 }
 
 TEST_F(SmallPageAllocatorTest, DuplicateContentIsNotDoubleIndexed) {
@@ -189,7 +191,7 @@ TEST_F(SmallPageAllocatorTest, DuplicateContentIsNotDoubleIndexed) {
   alloc_.Release(b, true);
   EXPECT_EQ(alloc_.state(b), PageState::kEmpty);
   EXPECT_EQ(alloc_.LookupCached(0x77), a);
-  alloc_.CheckConsistency();
+  ExpectConsistent(alloc_);
 }
 
 TEST_F(SmallPageAllocatorTest, ReclaimCandidateNotifications) {
@@ -215,7 +217,7 @@ TEST_F(SmallPageAllocatorTest, ReclaimLargePageDropsCacheAndFrees) {
   EXPECT_FALSE(alloc_.LookupCached(0x1).has_value());
   EXPECT_FALSE(alloc_.IsReclaimCandidate(large));
   EXPECT_EQ(alloc_.GetStats().large_pages_held, 0);
-  alloc_.CheckConsistency();
+  ExpectConsistent(alloc_);
 }
 
 TEST_F(SmallPageAllocatorTest, UpdateLastAccessProtectsFromEviction) {
@@ -238,7 +240,7 @@ TEST_F(SmallPageAllocatorTest, UpdateLastAccessProtectsFromEviction) {
   EXPECT_TRUE(alloc_.LookupCached(0xA).has_value());
   EXPECT_FALSE(alloc_.LookupCached(0xB).has_value());
   (void)filler;
-  alloc_.CheckConsistency();
+  ExpectConsistent(alloc_);
 }
 
 TEST_F(SmallPageAllocatorTest, StatsTrackBytes) {
@@ -269,7 +271,7 @@ TEST_F(SmallPageAllocatorTest, EpochSafetyAcrossLargePageRecycling) {
     }
     EXPECT_EQ(lcm_.num_allocated(), 0);
   }
-  alloc_.CheckConsistency();
+  ExpectConsistent(alloc_);
 }
 
 TEST_F(SmallPageAllocatorTest, MambaStyleWholeLargePages) {
@@ -280,11 +282,18 @@ TEST_F(SmallPageAllocatorTest, MambaStyleWholeLargePages) {
   EXPECT_EQ(lcm_.num_allocated(), 1);
   mamba.Release(state, false);
   EXPECT_EQ(lcm_.num_allocated(), 0);
-  mamba.CheckConsistency();
+  ExpectConsistent(mamba);
 }
 
 TEST_F(SmallPageAllocatorTest, DeathOnForeignPage) {
   EXPECT_DEATH(alloc_.Release(99, false), "not resident");
+}
+
+TEST_F(SmallPageAllocatorTest, DeathOnPageSizeNotDividingLargePage) {
+  // The MAX-page shape: 256-byte pages cannot pack evenly into 384-byte large pages.
+  LcmAllocator lcm(4 * 384, 384);
+  SimpleProvider provider(&lcm);
+  EXPECT_DEATH(SmallPageAllocator(0, MakeGroup(256), &lcm, &provider), "must divide");
 }
 
 TEST_F(SmallPageAllocatorTest, DeathOnDoubleRelease) {

@@ -18,6 +18,7 @@
 #include "src/engine/engine.h"
 #include "src/engine/spec_decode.h"
 #include "src/fault/fault_injector.h"
+#include "tests/audit/audit_test_util.h"
 #include "tests/engine/test_models.h"
 
 namespace jenga {
@@ -38,11 +39,6 @@ EngineConfig WithFaultPlan(EngineConfig config, const char* plan, uint64_t seed 
   return config;
 }
 
-void ExpectAuditGreen(AllocatorAuditor& auditor, const char* where) {
-  const auto violations = auditor.Audit();
-  ASSERT_TRUE(violations.empty()) << where << ": " << violations.front();
-}
-
 // --- Engine grow/shrink ---
 
 TEST(ElasticResize, GrowThenShrinkRoundTripsAndBalancesTheLedger) {
@@ -53,11 +49,11 @@ TEST(ElasticResize, GrowThenShrinkRoundTripsAndBalancesTheLedger) {
 
   EXPECT_EQ(engine.GrowKvPool(3), 3);
   EXPECT_EQ(engine.PoolPages(), initial + 3);
-  ExpectAuditGreen(auditor, "after grow");
+  ExpectConsistent(auditor);
 
   EXPECT_EQ(engine.ShrinkKvPool(3), 3);
   EXPECT_EQ(engine.PoolPages(), initial);
-  ExpectAuditGreen(auditor, "after shrink");
+  ExpectConsistent(auditor);
 
   const EngineMetrics& m = engine.metrics();
   EXPECT_EQ(m.pool_grow_attempts, 1);
@@ -85,7 +81,7 @@ TEST(ElasticResize, ShrinkDrainsOnlyTheUnpinnedTail) {
   EXPECT_LT(removed, initial);  // The live request's pages stayed.
   EXPECT_EQ(engine.PoolPages(), initial - removed);
   EXPECT_EQ(engine.metrics().pool_shrink_pages, removed);
-  ExpectAuditGreen(auditor, "after partial shrink");
+  ExpectConsistent(auditor);
   // The drained pool only holds the request's pinned prefix; give back enough pages for the
   // remaining decode (64 prompt + 64 output = 8 pages total) so the run can converge.
   EXPECT_EQ(engine.GrowKvPool(4), 4);
@@ -93,7 +89,7 @@ TEST(ElasticResize, ShrinkDrainsOnlyTheUnpinnedTail) {
   EXPECT_FALSE(engine.request(1).failed);
   EXPECT_EQ(engine.metrics().pool_grow_pages - engine.metrics().pool_shrink_pages,
             engine.PoolPages() - initial);
-  ExpectAuditGreen(auditor, "after run");
+  ExpectConsistent(auditor);
 }
 
 TEST(ElasticResize, GrowRollbackUnderFaultLeavesThePoolUntouched) {
@@ -107,7 +103,7 @@ TEST(ElasticResize, GrowRollbackUnderFaultLeavesThePoolUntouched) {
   EXPECT_EQ(engine.metrics().pool_grow_rollbacks, 1);
   EXPECT_EQ(engine.metrics().pool_grow_pages, 0);
   EXPECT_GT(FaultsInjected(engine), 0);
-  ExpectAuditGreen(auditor, "after grow rollback");
+  ExpectConsistent(auditor);
 }
 
 TEST(ElasticResize, ShrinkRollbackUnderFaultLeavesThePoolUntouched) {
@@ -120,7 +116,7 @@ TEST(ElasticResize, ShrinkRollbackUnderFaultLeavesThePoolUntouched) {
   EXPECT_EQ(engine.metrics().pool_shrink_attempts, 1);
   EXPECT_EQ(engine.metrics().pool_shrink_rollbacks, 1);
   EXPECT_EQ(engine.metrics().pool_shrink_pages, 0);
-  ExpectAuditGreen(auditor, "after shrink rollback");
+  ExpectConsistent(auditor);
 }
 
 // --- Engine repartition ---
@@ -147,7 +143,7 @@ TEST(ElasticResize, RepartitionCommitSwapsTheModelWithoutAbortingRequests) {
   AllocatorAuditor auditor;  // Attach after the swap: the old allocator is gone.
   auditor.AttachAllocator(&engine.kv().allocator_mutable());
   engine.RunToCompletion();
-  ExpectAuditGreen(auditor, "after post-repartition run");
+  ExpectConsistent(auditor);
   for (int i = 0; i < 3; ++i) {
     EXPECT_FALSE(engine.request(i).failed) << "request " << i;
     EXPECT_FALSE(engine.request(i).cancelled) << "request " << i;
@@ -173,11 +169,11 @@ TEST(ElasticResize, RepartitionRollbackKeepsTheOldLayoutLive) {
   EXPECT_EQ(engine.metrics().repartition_attempts, 1);
   EXPECT_EQ(engine.metrics().repartitions, 0);
   EXPECT_EQ(engine.metrics().repartition_rollbacks, 1);
-  ExpectAuditGreen(auditor, "after repartition rollback");
+  ExpectConsistent(auditor);
 
   // The quiesced requests re-admit against the old layout and finish cleanly.
   engine.RunToCompletion();
-  ExpectAuditGreen(auditor, "after run");
+  ExpectConsistent(auditor);
   for (int i = 0; i < 2; ++i) {
     EXPECT_FALSE(engine.request(i).failed) << "request " << i;
   }
@@ -205,7 +201,7 @@ TEST(ElasticResize, RepartitionWithOffloadFlushesHostStateAndReattaches) {
   auditor.AttachAllocator(&engine.kv().allocator_mutable());
   auditor.AttachSwapManager(engine.swap_mutable());
   engine.RunToCompletion();
-  ExpectAuditGreen(auditor, "offload run after repartition");
+  ExpectConsistent(auditor);
   for (int i = 0; i < 3; ++i) {
     EXPECT_FALSE(engine.request(i).failed) << "request " << i;
   }

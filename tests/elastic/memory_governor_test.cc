@@ -15,6 +15,7 @@
 #include "src/engine/engine.h"
 #include "src/engine/spec_decode.h"
 #include "src/fault/fault_injector.h"
+#include "tests/audit/audit_test_util.h"
 #include "tests/engine/test_models.h"
 
 namespace jenga {
@@ -125,7 +126,7 @@ TEST(MemoryGovernor, PoolDeltaGrowsInStepsUntilSatisfied) {
   EXPECT_EQ(governor.stats().grow_actions, 3);  // 2 pages per boundary.
   const EngineMetrics& m = engine.metrics();
   EXPECT_EQ(m.pool_grow_pages - m.pool_shrink_pages, engine.PoolPages() - initial);
-  EXPECT_TRUE(auditor.Audit().empty());
+  ExpectConsistent(auditor);
 }
 
 TEST(MemoryGovernor, PoolDeltaShrinkDrainsAFreeTail) {
@@ -197,7 +198,7 @@ TEST(MemoryGovernor, PressureLadderParksAndShedsUnderSustainedPressure) {
   EXPECT_EQ(m.cancelled_requests, m.shed_requests);  // Sheds are the only cancellations.
   // Every request reached a terminal state exactly once (shed ones as failed records).
   EXPECT_EQ(m.finished().size(), 4u);
-  EXPECT_TRUE(auditor.Audit().empty());
+  ExpectConsistent(auditor);
 }
 
 TEST(MemoryGovernor, LadderEscalatesToFallbackRepartitionWhenParkAndShedCannotHelp) {

@@ -14,6 +14,7 @@
 
 #include "src/engine/engine.h"
 #include "src/engine/kv_manager.h"
+#include "tests/audit/audit_test_util.h"
 #include "tests/engine/test_models.h"
 
 namespace jenga {
@@ -56,14 +57,14 @@ int ExpectMemoEquivalent(const EngineConfig& config,
   Engine memoized(memo_config);
   submit(memoized);
   memoized.RunToCompletion();
-  memoized.kv().CheckConsistency();
+  ExpectConsistent(memoized.kv());
 
   EngineConfig ref_config = config;
   ref_config.memoize_admission = false;
   Engine reference(ref_config);
   submit(reference);
   reference.RunToCompletion();
-  reference.kv().CheckConsistency();
+  ExpectConsistent(reference.kv());
 
   EXPECT_EQ(Fingerprint(memoized), Fingerprint(reference)) << "model " << config.model.name;
   int preemptions = 0;

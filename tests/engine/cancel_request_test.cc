@@ -11,6 +11,7 @@
 #include "src/audit/allocator_auditor.h"
 #include "src/engine/engine.h"
 #include "src/engine/spec_decode.h"
+#include "tests/audit/audit_test_util.h"
 #include "tests/engine/test_models.h"
 
 namespace jenga {
@@ -107,7 +108,7 @@ TEST(CancelRequest, WaitingRequestBothTiers) {
     EXPECT_EQ(engine.metrics().cancelled_requests, 1);
     EXPECT_EQ(engine.metrics().CompletedRequests(), 3);
     ExpectCancelledRecord(engine.metrics(), 3);
-    engine.kv().CheckConsistency();
+    ExpectConsistent(engine.kv());
   }
 }
 
@@ -133,7 +134,7 @@ TEST(CancelRequest, RunningRequestBothTiers) {
     engine.RunToCompletion();
     EXPECT_EQ(engine.metrics().CompletedRequests(), 3);
     ExpectCancelledRecord(engine.metrics(), victim);
-    engine.kv().CheckConsistency();
+    ExpectConsistent(engine.kv());
   }
 }
 
@@ -157,7 +158,7 @@ TEST(CancelRequest, PreemptedRequestReclaims) {
   engine.RunToCompletion();
   EXPECT_EQ(engine.metrics().CompletedRequests(), 3);
   ExpectCancelledRecord(engine.metrics(), victim);
-  engine.kv().CheckConsistency();
+  ExpectConsistent(engine.kv());
 }
 
 TEST(CancelRequest, SwappedOutRequestReleasesHostSwapSet) {
@@ -172,7 +173,7 @@ TEST(CancelRequest, SwappedOutRequestReleasesHostSwapSet) {
   RequestId victim = kNoRequest;
   for (int step = 0; step < 400 && victim == kNoRequest; ++step) {
     ASSERT_TRUE(engine.StepOnce());
-    ASSERT_TRUE(auditor.Audit().empty()) << auditor.FirstViolation().value_or("");
+    ExpectConsistent(auditor);
     for (RequestId id = 0; id < 4; ++id) {
       if (engine.request(id).swapped_out) {
         victim = id;
@@ -187,14 +188,14 @@ TEST(CancelRequest, SwappedOutRequestReleasesHostSwapSet) {
   EXPECT_EQ(engine.swap()->PeekSwapSet(victim), nullptr)
       << "cancel left the aborted request's swap set in host memory";
   EXPECT_LT(engine.swap()->host().used_bytes(), used_before);
-  ASSERT_TRUE(auditor.Audit().empty()) << auditor.FirstViolation().value_or("");
+  ExpectConsistent(auditor);
   engine.RunToCompletion();
-  ASSERT_TRUE(auditor.Audit().empty()) << auditor.FirstViolation().value_or("");
+  ExpectConsistent(auditor);
   EXPECT_EQ(engine.metrics().CompletedRequests(), 3);
   ExpectCancelledRecord(engine.metrics(), victim);
   // Everything finished: the host pool holds no leftover swap sets.
   EXPECT_EQ(engine.swap()->host().num_sets(), 0);
-  engine.kv().CheckConsistency();
+  ExpectConsistent(engine.kv());
 }
 
 TEST(CancelRequest, DuringTransferBackoff) {
@@ -222,7 +223,7 @@ TEST(CancelRequest, DuringTransferBackoff) {
   engine.RunToCompletion();
   EXPECT_EQ(engine.metrics().CompletedRequests() + engine.metrics().FailedRequests(), 4);
   ExpectCancelledRecord(engine.metrics(), victim);
-  engine.kv().CheckConsistency();
+  ExpectConsistent(engine.kv());
 }
 
 TEST(CancelRequest, ShedGateFailsStarvingHeadAndCancelAfterShedIsFalse) {
@@ -245,7 +246,7 @@ TEST(CancelRequest, ShedGateFailsStarvingHeadAndCancelAfterShedIsFalse) {
   ASSERT_NE(shed_id, kNoRequest);
   // Cancelling an already-shed request is a clean no-op.
   EXPECT_FALSE(engine.CancelRequest(shed_id));
-  engine.kv().CheckConsistency();
+  ExpectConsistent(engine.kv());
 }
 
 TEST(CancelRequest, ShedGateDisabledByDefault) {
@@ -267,7 +268,7 @@ TEST(CancelRequest, DeadlineExpiresThroughCancelPath) {
   EXPECT_EQ(engine.metrics().cancelled_requests, 1);
   EXPECT_EQ(engine.metrics().CompletedRequests(), 1);
   ExpectCancelledRecord(engine.metrics(), 1);
-  engine.kv().CheckConsistency();
+  ExpectConsistent(engine.kv());
 }
 
 // --- SpecDecodeEngine ---
@@ -297,7 +298,7 @@ TEST(SpecCancelRequest, WaitingAndRunningBothTiers) {
     ExpectCancelledRecord(engine.metrics(), 3);
     ExpectCancelledRecord(engine.metrics(), victim);
     for (int m = 0; m < engine.num_managers(); ++m) {
-      engine.manager(m).CheckConsistency();
+      ExpectConsistent(engine.manager(m));
     }
   }
 }
@@ -313,7 +314,7 @@ TEST(SpecCancelRequest, SwappedOutReleasesHostSwapSet) {
   RequestId victim = kNoRequest;
   for (int step = 0; step < 400 && victim == kNoRequest; ++step) {
     ASSERT_TRUE(engine.StepOnce());
-    ASSERT_TRUE(auditor.Audit().empty()) << auditor.FirstViolation().value_or("");
+    ExpectConsistent(auditor);
     for (RequestId id = 0; id < 4; ++id) {
       if (engine.request(id).swapped_out) {
         victim = id;
@@ -325,9 +326,9 @@ TEST(SpecCancelRequest, SwappedOutReleasesHostSwapSet) {
   ASSERT_NE(engine.swap()->PeekSwapSet(victim), nullptr);
   EXPECT_TRUE(engine.CancelRequest(victim));
   EXPECT_EQ(engine.swap()->PeekSwapSet(victim), nullptr);
-  ASSERT_TRUE(auditor.Audit().empty()) << auditor.FirstViolation().value_or("");
+  ExpectConsistent(auditor);
   engine.RunToCompletion();
-  ASSERT_TRUE(auditor.Audit().empty()) << auditor.FirstViolation().value_or("");
+  ExpectConsistent(auditor);
   EXPECT_EQ(engine.metrics().CompletedRequests(), 3);
   ExpectCancelledRecord(engine.metrics(), victim);
   EXPECT_EQ(engine.swap()->host().num_sets(), 0);

@@ -20,6 +20,7 @@
 
 #include "src/engine/deadline_heap.h"
 #include "src/engine/engine.h"
+#include "tests/audit/audit_test_util.h"
 #include "tests/engine/test_models.h"
 
 namespace jenga {
@@ -110,7 +111,7 @@ TEST(DeadlineExpiry, CancelWhileHeapedLeavesStaleEntry) {
     records_for_doomed += record.id == 1 ? 1 : 0;
   }
   EXPECT_EQ(records_for_doomed, 1) << "stale heap entry re-cancelled a finished request";
-  engine.kv().CheckConsistency();
+  ExpectConsistent(engine.kv());
 }
 
 TEST(DeadlineExpiry, FinishBeforeDeadlineNeverExpires) {
@@ -143,7 +144,7 @@ TEST(DeadlineExpiry, MultiExpirySameStepCancelsInQueueOrder) {
   EXPECT_EQ(finished[1].id, 2);
   EXPECT_EQ(finished[2].id, 3);
   EXPECT_TRUE(finished[0].cancelled);
-  engine.kv().CheckConsistency();
+  ExpectConsistent(engine.kv());
 }
 
 // Preempt → re-admit must not need a heap update: the Submit-time entry still fires, once,
@@ -214,7 +215,7 @@ TEST(DeadlineExpiry, FiresAfterPreemptAndReadmit) {
     EXPECT_GE(record.preemptions, 1) << "expired before the preempt+readmit it should span";
   }
   EXPECT_TRUE(found);
-  engine.kv().CheckConsistency();
+  ExpectConsistent(engine.kv());
 }
 
 // Same contract across a swap-out + restore cycle: the offload tier swaps the victim's KV
@@ -286,7 +287,7 @@ TEST(DeadlineExpiry, FiresAfterSwapRestore) {
   engine.RunToCompletion();
   EXPECT_EQ(engine.metrics().deadline_expirations, 1);
   EXPECT_EQ(engine.metrics().CompletedRequests(), kBatch - 1);
-  engine.kv().CheckConsistency();
+  ExpectConsistent(engine.kv());
 }
 
 // A parked far-future batch must cost nothing per step: the sweep shape from
@@ -305,7 +306,7 @@ TEST(DeadlineExpiry, ParkedBatchExpiresAfterDecodeDrains) {
   engine.RunToCompletion();
   EXPECT_EQ(engine.metrics().deadline_expirations, kParked);
   EXPECT_EQ(engine.metrics().CompletedRequests(), 1);
-  engine.kv().CheckConsistency();
+  ExpectConsistent(engine.kv());
 }
 
 }  // namespace

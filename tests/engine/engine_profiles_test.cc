@@ -6,6 +6,7 @@
 
 #include "src/engine/engine.h"
 #include "src/model/model_zoo.h"
+#include "tests/audit/audit_test_util.h"
 #include "tests/engine/test_models.h"
 
 namespace jenga {
@@ -82,7 +83,7 @@ TEST(EngineProfiles, MambaModelServesUnderBothManagers) {
     }
     engine.RunToCompletion();
     EXPECT_EQ(engine.metrics().CompletedRequests(), 5) << (jenga ? "jenga" : "vllm");
-    engine.kv().CheckConsistency();
+    ExpectConsistent(engine.kv());
   }
 }
 

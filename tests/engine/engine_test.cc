@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/audit/audit_test_util.h"
 #include "tests/engine/test_models.h"
 
 namespace jenga {
@@ -30,7 +31,7 @@ TEST(Engine, SingleRequestCompletes) {
   EXPECT_GE(record.finish_time, record.first_token_time);
   // 1 prefill step + 9 decode steps.
   EXPECT_EQ(engine.metrics().total_steps(), 10);
-  engine.kv().CheckConsistency();
+  ExpectConsistent(engine.kv());
 }
 
 TEST(Engine, TtftBeforeE2eAndTpotPositive) {
@@ -83,7 +84,7 @@ TEST(Engine, PreemptionRecoversUnderMemoryPressure) {
     preemptions += record.preemptions;
   }
   EXPECT_GT(preemptions, 0);
-  engine.kv().CheckConsistency();
+  ExpectConsistent(engine.kv());
 }
 
 TEST(Engine, OversizedRequestFailsInsteadOfDeadlocking) {
@@ -107,7 +108,7 @@ TEST(Engine, PrefixCachingAcceleratesRepeatedPrompts) {
   const int64_t prefill_second = engine.metrics().prefill_tokens_computed - prefill_first;
   EXPECT_EQ(engine.metrics().cache_hit_tokens, 496);  // 31 of 32 blocks.
   EXPECT_EQ(prefill_second, 16);
-  engine.kv().CheckConsistency();
+  ExpectConsistent(engine.kv());
 }
 
 TEST(Engine, JengaMatchesBaselineOnHomogeneousModel) {

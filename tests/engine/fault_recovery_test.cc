@@ -14,6 +14,7 @@
 
 #include "src/engine/engine.h"
 #include "src/engine/spec_decode.h"
+#include "tests/audit/audit_test_util.h"
 #include "tests/engine/test_models.h"
 
 namespace jenga {
@@ -70,7 +71,7 @@ TEST(FaultRecovery, PcieD2HErrorRetriesThenFallsBackToRecompute) {
   // Backoff is engine wait: it must show up in the stall clock too.
   EXPECT_GE(SwapStats(engine).stall_time, SwapStats(engine).backoff_time);
   EXPECT_EQ(SwapStats(engine).degraded_transitions, 0);
-  engine.kv().CheckConsistency();
+  ExpectConsistent(engine.kv());
 }
 
 TEST(FaultRecovery, PcieTimeoutChargesBudgetOnceWithoutRetry) {
@@ -85,7 +86,7 @@ TEST(FaultRecovery, PcieTimeoutChargesBudgetOnceWithoutRetry) {
   // A hung link is not retried — the engine waits out the timeout budget and gives up.
   EXPECT_EQ(SwapStats(engine).fault_retries, 0);
   EXPECT_GE(SwapStats(engine).backoff_time, config.offload.pcie.timeout_seconds);
-  engine.kv().CheckConsistency();
+  ExpectConsistent(engine.kv());
 }
 
 TEST(FaultRecovery, PcieH2DErrorDropsSwapSetAndRecomputes) {
@@ -104,7 +105,7 @@ TEST(FaultRecovery, PcieH2DErrorDropsSwapSetAndRecomputes) {
   EXPECT_GT(SwapStats(engine).backoff_time, 0.0);
   // Nothing lingers in host memory once everything finished.
   EXPECT_EQ(engine.swap()->host().num_sets(), 0);
-  engine.kv().CheckConsistency();
+  ExpectConsistent(engine.kv());
 }
 
 TEST(FaultRecovery, HostPoolFailureDegradesToGpuOnly) {
@@ -125,7 +126,7 @@ TEST(FaultRecovery, HostPoolFailureDegradesToGpuOnly) {
   EXPECT_EQ(engine.swap()->host().used_bytes(), 0);
   // After degradation every preemption is recompute, so the engine still finishes.
   EXPECT_GT(engine.metrics().recomputed_tokens, 0);
-  engine.kv().CheckConsistency();
+  ExpectConsistent(engine.kv());
 }
 
 TEST(FaultRecovery, HostPoolShrinkHalvesCapacity) {
@@ -138,7 +139,7 @@ TEST(FaultRecovery, HostPoolShrinkHalvesCapacity) {
   EXPECT_EQ(engine.swap()->stats().host_shrinks, 1);
   EXPECT_EQ(engine.swap()->host().capacity_bytes(), config.offload.host_pool_bytes / 2);
   EXPECT_FALSE(engine.swap()->degraded());
-  engine.kv().CheckConsistency();
+  ExpectConsistent(engine.kv());
 }
 
 TEST(FaultRecovery, RepeatedShrinksDegradeBelowFloor) {
@@ -155,7 +156,7 @@ TEST(FaultRecovery, RepeatedShrinksDegradeBelowFloor) {
   // 2^20 halves 4 times before the next halving lands below 2^16.
   EXPECT_EQ(engine.swap()->stats().host_shrinks, 4);
   EXPECT_EQ(engine.swap()->host().used_bytes(), 0);
-  engine.kv().CheckConsistency();
+  ExpectConsistent(engine.kv());
 }
 
 TEST(FaultRecovery, GpuStepFaultDiscardsCommitAndRetries) {
@@ -175,7 +176,7 @@ TEST(FaultRecovery, GpuStepFaultDiscardsCommitAndRetries) {
     EXPECT_FALSE(record.failed);
     EXPECT_EQ(record.output_len, 8);
   }
-  engine.kv().CheckConsistency();
+  ExpectConsistent(engine.kv());
 }
 
 TEST(FaultRecovery, GpuStepFaultCostsTimeButNotTokens) {
@@ -240,7 +241,7 @@ TEST(FaultRecovery, SpecDecodeStepFaultVoidsDecodePass) {
     EXPECT_EQ(record.output_len, 24);
   }
   for (int m = 0; m < engine.num_managers(); ++m) {
-    engine.manager(m).CheckConsistency();
+    ExpectConsistent(engine.manager(m));
   }
 }
 
@@ -255,7 +256,7 @@ TEST(FaultRecovery, SpecDecodeH2DErrorFallsBackToRecompute) {
   EXPECT_EQ(engine.metrics().swap_fallback_events, SwapStats(engine).swap_out_events);
   EXPECT_GT(SwapStats(engine).fault_retries, 0);
   for (int m = 0; m < engine.num_managers(); ++m) {
-    engine.manager(m).CheckConsistency();
+    ExpectConsistent(engine.manager(m));
   }
 }
 

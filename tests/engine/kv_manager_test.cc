@@ -12,6 +12,7 @@
 #include "src/core/policy_factory.h"
 #include "src/model/model_zoo.h"
 #include "src/offload/swap_manager.h"
+#include "tests/audit/audit_test_util.h"
 #include "tests/engine/test_models.h"
 
 namespace jenga {
@@ -163,7 +164,7 @@ TEST(KvManager, AllocatesBlocksForPromptProgress) {
   EXPECT_EQ(kv->allocator().group(0).GetStats().used_pages, 7);
   kv->Release(r);
   EXPECT_EQ(kv->allocator().group(0).GetStats().used_pages, 0);
-  kv->CheckConsistency();
+  ExpectConsistent(*kv);
 }
 
 TEST(KvManager, PrefixHitOnIdenticalPrompt) {
@@ -181,7 +182,7 @@ TEST(KvManager, PrefixHitOnIdenticalPrompt) {
   EXPECT_EQ(b.cached_prefix_tokens, 96);
   EXPECT_EQ(b.num_computed_tokens, 96);
   EXPECT_EQ(kv->total_cache_hit_tokens(), 96);
-  kv->CheckConsistency();
+  ExpectConsistent(*kv);
 }
 
 TEST(KvManager, FullBlockAlignedPromptHitsAllButOneBlock) {
@@ -233,7 +234,7 @@ TEST(KvManager, SlidingWindowDropsOutOfWindowPages) {
   ASSERT_GE(sliding, 0);
   EXPECT_EQ(kv->allocator().group(full).GetStats().used_pages, 20);
   EXPECT_EQ(kv->allocator().group(sliding).GetStats().used_pages, 4);
-  kv->CheckConsistency();
+  ExpectConsistent(*kv);
 }
 
 TEST(KvManager, BaselineKeepsEverything) {
@@ -248,7 +249,7 @@ TEST(KvManager, BaselineKeepsEverything) {
   EXPECT_GT(stats.wasted_bytes, 0);
   // Needed = full layers × 320 + sliding layers × 64 tokens.
   EXPECT_EQ(stats.needed_bytes, 2LL * 256 * 320 + 2LL * 256 * 64);
-  kv->CheckConsistency();
+  ExpectConsistent(*kv);
 }
 
 TEST(KvManager, JengaWasteIsNearZero) {
@@ -261,7 +262,7 @@ TEST(KvManager, JengaWasteIsNearZero) {
   // Waste is bounded by partial blocks + unused smalls inside the requests' large pages.
   EXPECT_LT(static_cast<double>(stats.wasted_bytes),
             0.1 * static_cast<double>(stats.used_bytes));
-  kv->CheckConsistency();
+  ExpectConsistent(*kv);
 }
 
 TEST(KvManager, SlidingWindowPrefixHitSurvivesPartialEviction) {
@@ -277,7 +278,7 @@ TEST(KvManager, SlidingWindowPrefixHitSurvivesPartialEviction) {
   Request b = MakeRequest(2, TextPrompt(320), 4, 0.0);
   kv->OnAdmit(b, 3);
   EXPECT_EQ(b.cached_prefix_tokens, 304);  // 19 of 20 blocks (cap leaves one to compute).
-  kv->CheckConsistency();
+  ExpectConsistent(*kv);
 }
 
 TEST(KvManager, MambaStateAndCheckpoints) {
@@ -304,7 +305,7 @@ TEST(KvManager, MambaStateAndCheckpoints) {
   Request b = MakeRequest(2, TextPrompt(1200), 4, 0.0);
   kv->OnAdmit(b, 3);
   EXPECT_EQ(b.cached_prefix_tokens, 1024);
-  kv->CheckConsistency();
+  ExpectConsistent(*kv);
 }
 
 TEST(KvManager, MambaWholePromptReAdmissionHitsACheckpoint) {
@@ -321,7 +322,7 @@ TEST(KvManager, MambaWholePromptReAdmissionHitsACheckpoint) {
   Request b = MakeRequest(2, TextPrompt(1024), 4, 0.0);
   kv->OnAdmit(b, 3);
   EXPECT_EQ(b.cached_prefix_tokens, kMambaCheckpointInterval);
-  kv->CheckConsistency();
+  ExpectConsistent(*kv);
 }
 
 TEST(KvManager, SlidingWindowHitNeedsTheBlockBeforeItsWindow) {
@@ -357,7 +358,7 @@ TEST(KvManager, SlidingWindowHitNeedsTheBlockBeforeItsWindow) {
   Request b = MakeRequest(2, TextPrompt(320), 4, 0.0);
   kv->OnAdmit(b, 5);
   EXPECT_EQ(b.cached_prefix_tokens, 0);
-  kv->CheckConsistency();
+  ExpectConsistent(*kv);
 }
 
 // The token stream of `r` that a `scope` group hashes, rebuilt from all_tokens and the prompt's
@@ -415,7 +416,7 @@ TEST(KvManager, RegisteredHashesMatchAnIndependentChain) {
       }
     }
     kv->Release(r, /*finished=*/true);
-    kv->CheckConsistency();
+    ExpectConsistent(*kv);
   }
 }
 
@@ -447,7 +448,7 @@ TEST(KvManager, VisionPagesFreedAsConsumed) {
   // Cross-attention KV for the 32 image tokens stays: 2 blocks.
   EXPECT_EQ(kv->allocator().group(cross).GetStats().used_pages, 2);
   ComputeTokens(*kv, r, 16, 3);
-  kv->CheckConsistency();
+  ExpectConsistent(*kv);
 }
 
 TEST(KvManager, RollbackOnOutOfMemory) {
@@ -461,7 +462,7 @@ TEST(KvManager, RollbackOnOutOfMemory) {
   EXPECT_FALSE(kv->AllocateForTokens(r, 48, 1));
   EXPECT_EQ(kv->allocator().lcm().num_allocated(), 0);
   EXPECT_TRUE(kv->AllocateForTokens(r, 32, 1));
-  kv->CheckConsistency();
+  ExpectConsistent(*kv);
 }
 
 TEST(KvManager, CanAllocateReflectsCapacity) {
@@ -498,7 +499,7 @@ TEST(KvManager, SharedPrefixAcrossConcurrentRequests) {
   EXPECT_EQ(stats.used_pages, 10);  // No duplicate pages for the shared blocks.
   kv->Release(a);
   kv->Release(b);
-  kv->CheckConsistency();
+  ExpectConsistent(*kv);
 }
 
 TEST(KvManager, FinishedReleaseDropsRequestAffinityState) {
@@ -517,7 +518,7 @@ TEST(KvManager, FinishedReleaseDropsRequestAffinityState) {
     EXPECT_EQ(kv->allocator().group(g).GetFreeListStats().tracked_requests, 0)
         << "group " << g << " leaked affinity entries for finished requests";
   }
-  kv->CheckConsistency();
+  ExpectConsistent(*kv);
 
   // Preemption-style release (finished=false) keeps the affinity entry alive. Both sliding-
   // model groups share one page size, so each large page is a single small page and leaves
@@ -536,7 +537,7 @@ TEST(KvManager, FinishedReleaseDropsRequestAffinityState) {
   }
   ASSERT_GT(max_pages_per_large, 1);
   EXPECT_GT(tracked, 0);
-  mixed->CheckConsistency();
+  ExpectConsistent(*mixed);
 }
 
 TEST(KvManager, PyramidKeepsSinkBlocksAndDropsTheMiddle) {
@@ -563,7 +564,7 @@ TEST(KvManager, PyramidKeepsSinkBlocksAndDropsTheMiddle) {
   for (const SmallPageId page : kv->block_table(r, full)) {
     EXPECT_NE(page, kNoSmallPage);
   }
-  kv->CheckConsistency();
+  ExpectConsistent(*kv);
 }
 
 TEST(KvManager, SwapRoundTripRestoresHoleLayoutAndFingerprint) {
@@ -593,8 +594,8 @@ TEST(KvManager, SwapRoundTripRestoresHoleLayoutAndFingerprint) {
   const SwapFootprint after = FootprintOf(*kv, r);
   EXPECT_EQ(after.fingerprints, before.fingerprints);
   EXPECT_EQ(after.resident_bytes, before.resident_bytes);
-  EXPECT_TRUE(auditor.Audit().empty()) << auditor.FirstViolation().value_or("");
-  kv->CheckConsistency();
+  ExpectConsistent(auditor);
+  ExpectConsistent(*kv);
 }
 
 TEST(KvManager, FailedRestoreLeavesAllocatorUntouched) {
@@ -631,15 +632,15 @@ TEST(KvManager, FailedRestoreLeavesAllocatorUntouched) {
   EXPECT_EQ(after.empty_bytes, before.empty_bytes);
   EXPECT_EQ(after.unallocated_bytes, before.unallocated_bytes);
   EXPECT_EQ(r.num_computed_tokens, 0);
-  EXPECT_TRUE(auditor.Audit().empty()) << auditor.FirstViolation().value_or("");
-  kv->CheckConsistency();
+  ExpectConsistent(auditor);
+  ExpectConsistent(*kv);
 
   // The failed restore left `r` untracked (RestoreFromSwap check-fails on a tracked request):
   // once the pool has room, the same snapshot restores. 27 free pages hold the 24 blocks of
   // the needed windows, not the 40 of a restore that skipped no dropped block.
   kv->Release(other, /*finished=*/true);
   ASSERT_TRUE(kv->RestoreFromSwap(r, fp.tokens, fp.fingerprints[0], 34));
-  EXPECT_TRUE(auditor.Audit().empty()) << auditor.FirstViolation().value_or("");
+  ExpectConsistent(auditor);
 }
 
 // Number of `r`'s KV handles that point into `kv`.
@@ -709,7 +710,7 @@ TEST(KvManager, KvHandlesNeverGoStale) {
   EXPECT_EQ(kv->block_table(other, 0).size(), 3u);
   kv->Release(other, /*finished=*/true);
   EXPECT_FALSE(kv->tracks_requests());
-  kv->CheckConsistency();
+  ExpectConsistent(*kv);
 }
 
 // Counts every audit event; a grow the feasibility bound rejects must emit none.
@@ -821,7 +822,7 @@ TEST(KvManager, RejectedGrowLeavesNoTrace) {
   // Both requests keep working: the holder grows into its own empties.
   ComputeTokens(*kv, holder, kBs, 3);
   kv->Release(big);
-  kv->CheckConsistency();
+  ExpectConsistent(*kv);
 }
 
 TEST(KvManager, RejectedGrowEvictsAndReclaimsNothing) {
@@ -858,7 +859,7 @@ TEST(KvManager, RejectedGrowEvictsAndReclaimsNothing) {
   Request c = MakeRequest(3, TextPrompt(4 * kBs + 1), 4, 0.0);
   kv->OnAdmit(c, 5);
   EXPECT_EQ(c.cached_prefix_tokens, 4 * kBs);
-  kv->CheckConsistency();
+  ExpectConsistent(*kv);
 }
 
 // Differential soundness of the grow bound. Twin managers replay one randomized op sequence
@@ -894,8 +895,8 @@ class GrowBoundDifferential {
         }
       }
     }
-    a_.kv->CheckConsistency();
-    b_.kv->CheckConsistency();
+    ExpectConsistent(*a_.kv);
+    ExpectConsistent(*b_.kv);
   }
 
   int64_t grows() const { return grows_; }
@@ -1125,7 +1126,7 @@ TEST(KvManager, DecodeStepBetweenKvEventsEmitsNothing) {
   }
   kv->allocator_mutable().RemoveAuditSink(&counter);
   kv->Release(r, /*finished=*/true);
-  kv->CheckConsistency();
+  ExpectConsistent(*kv);
 }
 
 // One page's allocator metadata, for comparing two pools page by page.
@@ -1236,8 +1237,8 @@ class EventStepDifferential {
     while (!live_.empty() && !testing::Test::HasFatalFailure()) {
       Evict(live_.begin()->first, /*finished=*/true);
     }
-    fast_.CheckConsistency();
-    full_.CheckConsistency();
+    ExpectConsistent(fast_);
+    ExpectConsistent(full_);
   }
 
   int64_t skipped() const { return skipped_; }

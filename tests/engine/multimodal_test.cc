@@ -7,6 +7,7 @@
 #include "src/engine/engine.h"
 #include "src/engine/kv_manager.h"
 #include "src/model/model_zoo.h"
+#include "tests/audit/audit_test_util.h"
 #include "tests/engine/test_models.h"
 
 namespace jenga {
@@ -88,7 +89,7 @@ TEST(MultimodalKv, VisionEmbeddingsReusedAcrossRequests) {
   kv->OnAdmit(b, 3);
   // 48 tokens → boundary capped below the prompt: 32 tokens hit.
   EXPECT_EQ(b.cached_prefix_tokens, 32);
-  kv->CheckConsistency();
+  ExpectConsistent(*kv);
 }
 
 TEST(MultimodalKv, HomogeneousBaselineChargesAllTokensAllLayers) {

@@ -6,6 +6,7 @@
 
 #include "src/engine/engine.h"
 #include "src/engine/spec_decode.h"
+#include "tests/audit/audit_test_util.h"
 #include "tests/engine/test_models.h"
 
 namespace jenga {
@@ -69,7 +70,7 @@ TEST(OffloadEngine, SwapPreemptionRoundTripsUnderPressure) {
   // trip is bit-identical), so surviving RunToCompletion proves the property held.
   EXPECT_GT(SwapStats(engine).swap_in_events, 0);
   EXPECT_EQ(SwapStats(engine).swap_in_events, SwapStats(engine).swap_out_events);
-  engine.kv().CheckConsistency();
+  ExpectConsistent(engine.kv());
 }
 
 TEST(OffloadEngine, SwapRoundTripsWithPrefixCachingOn) {
@@ -80,7 +81,7 @@ TEST(OffloadEngine, SwapRoundTripsWithPrefixCachingOn) {
   engine.RunToCompletion();
   EXPECT_EQ(engine.metrics().CompletedRequests(), 4);
   EXPECT_GT(SwapStats(engine).swap_in_events, 0);
-  engine.kv().CheckConsistency();
+  ExpectConsistent(engine.kv());
 }
 
 TEST(OffloadEngine, SwapEliminatesRecomputedTokens) {
@@ -105,7 +106,7 @@ TEST(OffloadEngine, FreeListsDrainAfterPreemptionCycles) {
     ASSERT_EQ(engine.metrics().CompletedRequests(), 4);
     EXPECT_GT(TotalPreemptions(engine), 0);
     ExpectFreeListsDrained(engine);
-    engine.kv().CheckConsistency();
+    ExpectConsistent(engine.kv());
   }
   // And without the tier at all (Release(finished=true) path only).
   Engine plain(PressureConfig(/*offload=*/false, /*swap_preemption=*/false));
@@ -125,7 +126,7 @@ TEST(OffloadEngine, FailedRequestsAlsoDrainFreeLists) {
   EXPECT_EQ(engine.metrics().FailedRequests(), 1);
   EXPECT_EQ(engine.metrics().CompletedRequests(), 1);
   ExpectFreeListsDrained(engine);
-  engine.kv().CheckConsistency();
+  ExpectConsistent(engine.kv());
 }
 
 TEST(OffloadEngine, DeterministicAcrossRuns) {
@@ -188,7 +189,7 @@ TEST(OffloadEngine, HostPrefixCacheGivesEvictedPagesASecondChance) {
     }
     engine.RunToCompletion();
     EXPECT_EQ(engine.metrics().CompletedRequests(), 8);
-    engine.kv().CheckConsistency();
+    ExpectConsistent(engine.kv());
     return engine.metrics().cache_hit_tokens;
   };
   const int64_t gpu_only_hits = run(false);
@@ -306,7 +307,7 @@ TEST(OffloadSpecDecode, SwapRoundTripsAcrossAllManagers) {
     EXPECT_GT(SwapStats(engine).swap_in_events, 0);
     EXPECT_EQ(SwapStats(engine).swap_in_events, SwapStats(engine).swap_out_events);
     for (int m = 0; m < engine.num_managers(); ++m) {
-      engine.manager(m).CheckConsistency();
+      ExpectConsistent(engine.manager(m));
     }
   }
 }

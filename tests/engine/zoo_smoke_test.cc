@@ -7,6 +7,7 @@
 #include "src/engine/engine.h"
 #include "src/model/model_zoo.h"
 #include "src/workload/datasets.h"
+#include "tests/audit/audit_test_util.h"
 
 namespace jenga {
 namespace {
@@ -41,7 +42,7 @@ TEST_P(ZooSmokeTest, ServesUnderBothManagers) {
     EXPECT_GT(engine.metrics().CompletedRequests(), 0);
     EXPECT_EQ(engine.metrics().FailedRequests() + engine.metrics().CompletedRequests(),
               static_cast<int64_t>(requests.size()));
-    engine.kv().CheckConsistency();
+    ExpectConsistent(engine.kv());
   }
 }
 

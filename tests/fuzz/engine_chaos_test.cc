@@ -176,14 +176,16 @@ FuzzSchedule DrawChaosSchedule(uint64_t seed, bool spec_engine, bool offload) {
     s.cancels.push_back(c);
   }
 
-  // Operator replay overrides (same env contract as the engine's own FaultConfigFromEnv).
-  if (const char* env_plan = std::getenv("JENGA_FAULT_PLAN")) {
-    FaultPlan parsed;
-    JENGA_CHECK(FaultPlan::Parse(env_plan, &parsed).ok()) << env_plan;
-    s.fault_plan = parsed;
+  // Operator replay overrides, parsed by FaultConfigFromEnv: a malformed value aborts the
+  // run instead of silently replaying another fault world.
+  FaultConfig replay;
+  const Status env = FaultConfigFromEnv(&replay);
+  JENGA_CHECK(env.ok()) << env;
+  if (std::getenv("JENGA_FAULT_PLAN") != nullptr) {
+    s.fault_plan = replay.plan;
   }
-  if (const char* env_seed = std::getenv("JENGA_FAULT_SEED")) {
-    s.fault_seed = std::strtoull(env_seed, nullptr, 0);
+  if (std::getenv("JENGA_FAULT_SEED") != nullptr) {
+    s.fault_seed = replay.seed;
   }
   return s;
 }

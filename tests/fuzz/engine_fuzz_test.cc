@@ -44,6 +44,7 @@
 #include <vector>
 
 #include "src/audit/allocator_auditor.h"
+#include "tests/audit/audit_test_util.h"
 #include "tests/fuzz/fuzz_harness.h"
 
 namespace jenga {
@@ -433,7 +434,7 @@ TEST(AllocatorAuditorFuzz, DetectsInjectedShadowDivergence) {
   harness.AttachAudit(&auditor);
   // Run a few steps so slots exist, verifying green along the way.
   for (int i = 0; i < 6 && harness.Step(); ++i) {
-    ASSERT_TRUE(auditor.Audit().empty()) << auditor.FirstViolation().value_or("");
+    ExpectConsistent(auditor);
   }
   ASSERT_GT(auditor.events_observed(), 0);
   auditor.InjectShadowFaultForTest();

@@ -16,6 +16,7 @@
 
 #include "src/engine/engine.h"
 #include "src/metrics/step_profiler.h"
+#include "tests/audit/audit_test_util.h"
 #include "tests/engine/test_models.h"
 
 namespace jenga {
@@ -229,7 +230,7 @@ TEST(StepProfilerEngine, CacheEvictionWithoutPreemptStaysOutOfEvictPreempt) {
   EXPECT_EQ(prof.phase(StepPhase::kEvictPreempt).calls, 0);
   EXPECT_EQ(prof.phase(StepPhase::kEvictPreempt).ns, 0);
   EXPECT_GT(prof.phase(StepPhase::kAllocate).calls, 0);
-  engine.kv().CheckConsistency();
+  ExpectConsistent(engine.kv());
 }
 
 }  // namespace

@@ -89,7 +89,7 @@ TEST(SwapManager, SwapPreemptionSwitchForcesRecompute) {
 TEST(SwapManager, SwapSetLifecycleAccountsTransfersAndStats) {
   SwapManager swap(TestConfig(), TestCost());
   const SwapFootprint fp = Footprint(1000, 1'000'000'000);
-  ASSERT_TRUE(swap.RecordSwapOut(5, fp));
+  ASSERT_TRUE(swap.TryRecordSwapOut(5, fp).ok());
   EXPECT_EQ(swap.stats().swap_out_events, 1);
   EXPECT_EQ(swap.stats().swap_out_bytes, 1'000'000'000);
   EXPECT_TRUE(swap.HasPendingTransfer());
@@ -108,7 +108,7 @@ TEST(SwapManager, SwapSetLifecycleAccountsTransfersAndStats) {
 
 TEST(SwapManager, DropSwapSetAbandonsWithoutChargingH2D) {
   SwapManager swap(TestConfig(), TestCost());
-  ASSERT_TRUE(swap.RecordSwapOut(5, Footprint(1000, 1'000'000'000)));
+  ASSERT_TRUE(swap.TryRecordSwapOut(5, Footprint(1000, 1'000'000'000)).ok());
   swap.ConsumeStall(0.0);  // Drain the D2H charge.
   swap.DropSwapSet(5);
   EXPECT_EQ(swap.PeekSwapSet(5), nullptr);
@@ -118,7 +118,7 @@ TEST(SwapManager, DropSwapSetAbandonsWithoutChargingH2D) {
 
 TEST(SwapManager, StallOverlapsWithComputeTime) {
   SwapManager swap(TestConfig(), TestCost());
-  ASSERT_TRUE(swap.RecordSwapOut(5, Footprint(1000, 1'000'000'000)));
+  ASSERT_TRUE(swap.TryRecordSwapOut(5, Footprint(1000, 1'000'000'000)).ok());
   // Pending D2H = 0.101 s; 0.1 s of compute hides 0.05 s of it.
   EXPECT_DOUBLE_EQ(swap.ConsumeStall(0.1), 0.101 - 0.05);
   // Drained: a second step pays nothing.
