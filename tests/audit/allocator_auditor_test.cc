@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <ostream>
 #include <string>
@@ -124,11 +125,19 @@ TEST(AllocatorAuditor, InjectedShadowFaultIsDetected) {
 // Seeded defects in the §5.4 reclaim queue: each corrupts one invariant of a queue with a
 // sorted front run partly popped, three runs and a two-entry side heap, and the auditor must
 // name it.
+//
+// gtest prints a parameter that has no PrintTo as its raw bytes, and each case's ctest ID
+// keeps the first of them. `id` leads the struct so that this byte is fixed per case instead
+// of being the low byte of a string's address, which moved with the build type and with any
+// change to the binary; the values are the bytes the cases were first listed under, so the
+// IDs did not change when the layout was pinned.
 struct ReclaimQueueDefect {
+  uint64_t id;
   const char* name;
-  void (*seed)(JengaAllocator&);
-  const char* expected;
+  // Corrupts one invariant and returns a phrase the auditor's report must contain.
+  const char* (*seed)(JengaAllocator&);
 };
+static_assert(sizeof(ReclaimQueueDefect) == 24, "the printed size is part of each case's ID");
 
 class ReclaimQueueAuditTest : public ::testing::TestWithParam<ReclaimQueueDefect> {
  protected:
@@ -175,12 +184,12 @@ TEST_P(ReclaimQueueAuditTest, SeededDefectIsReported) {
   auditor.AttachAllocator(&alloc_);
   ExpectConsistent(auditor);
 
-  GetParam().seed(alloc_);
+  const std::string expected = GetParam().seed(alloc_);
   const std::vector<std::string> violations = auditor.Audit();
-  const bool named = std::any_of(violations.begin(), violations.end(), [](const std::string& v) {
-    return v.find(GetParam().expected) != std::string::npos;
+  const bool named = std::any_of(violations.begin(), violations.end(), [&](const std::string& v) {
+    return v.find(expected) != std::string::npos;
   });
-  EXPECT_TRUE(named) << "no violation mentions \"" << GetParam().expected << "\"; first: "
+  EXPECT_TRUE(named) << "no violation mentions \"" << expected << "\"; first: "
                      << (violations.empty() ? std::string("none") : violations.front());
   auditor.DetachAll();
 }
@@ -188,44 +197,48 @@ TEST_P(ReclaimQueueAuditTest, SeededDefectIsReported) {
 INSTANTIATE_TEST_SUITE_P(
     Defects, ReclaimQueueAuditTest,
     ::testing::Values(
-        ReclaimQueueDefect{"RunPastStorage",
-                           [](JengaAllocator& a) { ReclaimQueueTestPeer::Runs(a).back().end += 1; },
-                           "do not tile"},
-        ReclaimQueueDefect{"RunsOutOfOrder",
+        ReclaimQueueDefect{0x1E, "RunPastStorage",
+                           [](JengaAllocator& a) {
+                             ReclaimQueueTestPeer::Runs(a).back().end += 1;
+                             return "do not tile";
+                           }},
+        ReclaimQueueDefect{0x39, "RunsOutOfOrder",
                            [](JengaAllocator& a) {
                              auto& runs = ReclaimQueueTestPeer::Runs(a);
                              std::swap(runs[1].timestamp, runs[2].timestamp);
-                           },
-                           "does not follow"},
-        ReclaimQueueDefect{"EntryOutsideItsRun",
+                             return "does not follow";
+                           }},
+        ReclaimQueueDefect{0x58, "EntryOutsideItsRun",
                            [](JengaAllocator& a) {
                              ReclaimQueueTestPeer::Storage(a)[6].timestamp = 11;
-                           },
-                           "in a run at"},
-        ReclaimQueueDefect{"SortedRunUnsorted",
+                             return "in a run at";
+                           }},
+        ReclaimQueueDefect{0x77, "SortedRunUnsorted",
                            [](JengaAllocator& a) {
                              auto& storage = ReclaimQueueTestPeer::Storage(a);
                              std::swap(storage[1], storage[2]);
-                           },
-                           "out of order after its cursor"},
-        ReclaimQueueDefect{"SideHeapBroken",
+                             return "out of order after its cursor";
+                           }},
+        ReclaimQueueDefect{0xA7, "SideHeapBroken",
                            [](JengaAllocator& a) {
                              auto& side = ReclaimQueueTestPeer::Side(a);
                              std::swap(side[0], side[1]);
-                           },
-                           "violates the heap property"},
-        ReclaimQueueDefect{"QueuedWithoutLiveEntry",
-                           [](JengaAllocator& a) { ReclaimQueueTestPeer::Generation(a)[3] += 2; },
-                           "large page 3 is queued but has 0 live entries"},
-        ReclaimQueueDefect{"TwoLiveEntries",
+                             return "violates the heap property";
+                           }},
+        ReclaimQueueDefect{0xD1, "QueuedWithoutLiveEntry",
+                           [](JengaAllocator& a) {
+                             ReclaimQueueTestPeer::Generation(a)[3] += 2;
+                             return "large page 3 is queued but has 0 live entries";
+                           }},
+        ReclaimQueueDefect{0xE8, "TwoLiveEntries",
                            [](JengaAllocator& a) {
                              auto& side = ReclaimQueueTestPeer::Side(a);
                              side.push_back(ReclaimQueueTestPeer::Storage(a)[1]);
                              std::push_heap(side.begin(), side.end(), std::greater<>{});
                              ReclaimQueueTestPeer::Written(a) += 1;
-                           },
-                           "large page 1 is queued but has 2 live entries"},
-        ReclaimQueueDefect{"LiveEntryForUnqueuedPage",
+                             return "large page 1 is queued but has 2 live entries";
+                           }},
+        ReclaimQueueDefect{0xF7, "LiveEntryForUnqueuedPage",
                            [](JengaAllocator& a) {
                              auto& side = ReclaimQueueTestPeer::Side(a);
                              side.push_back(side.front());
@@ -233,29 +246,35 @@ INSTANTIATE_TEST_SUITE_P(
                                  0, 0, ReclaimQueueTestPeer::Generation(a)[0]);
                              std::push_heap(side.begin(), side.end(), std::greater<>{});
                              ReclaimQueueTestPeer::Written(a) += 1;
-                           },
-                           "large page 0 is not queued but has 1 live entries"},
-        ReclaimQueueDefect{"QueuedBeyondPool",
+                             return "large page 0 is not queued but has 1 live entries";
+                           }},
+        ReclaimQueueDefect{0x10, "QueuedBeyondPool",
                            [](JengaAllocator& a) {
                              ReclaimQueueTestPeer::Generation(a).push_back(1);
-                           },
-                           "beyond the 8-page pool is queued"},
-        ReclaimQueueDefect{"QueuedCountDrifts",
-                           [](JengaAllocator& a) { ReclaimQueueTestPeer::Live(a) += 1; },
-                           "counts 8 queued pages, 7 are queued"},
-        ReclaimQueueDefect{"CandidateDequeued",
+                             return "beyond the 8-page pool is queued";
+                           }},
+        ReclaimQueueDefect{0x21, "QueuedCountDrifts",
+                           [](JengaAllocator& a) {
+                             ReclaimQueueTestPeer::Live(a) += 1;
+                             return "counts 8 queued pages, 7 are queued";
+                           }},
+        ReclaimQueueDefect{0x33, "CandidateDequeued",
                            [](JengaAllocator& a) {
                              ReclaimQueueTestPeer::Generation(a)[6] += 1;
                              ReclaimQueueTestPeer::Live(a) -= 1;
-                           },
-                           "large page 6 of group 1 is not represented"},
-        ReclaimQueueDefect{"KeyNewerThanPage",
-                           [](JengaAllocator& a) { ReclaimQueueTestPeer::Place(a, 99, 1, 3); },
-                           "large 3 has timestamp 99 newer than the current 11"},
-        ReclaimQueueDefect{"WrittenUndercounted",
-                           [](JengaAllocator& a) { ReclaimQueueTestPeer::Written(a) -= 1; },
-                           "stores 10 entries but counts only 9 written"},
-        ReclaimQueueDefect{"CompactionSkipped",
+                             return "large page 6 of group 1 is not represented";
+                           }},
+        ReclaimQueueDefect{0x45, "KeyNewerThanPage",
+                           [](JengaAllocator& a) {
+                             ReclaimQueueTestPeer::Place(a, 99, 1, 3);
+                             return "large 3 has timestamp 99 newer than the current 11";
+                           }},
+        ReclaimQueueDefect{0x56, "WrittenUndercounted",
+                           [](JengaAllocator& a) {
+                             ReclaimQueueTestPeer::Written(a) -= 1;
+                             return "stores 10 entries but counts only 9 written";
+                           }},
+        ReclaimQueueDefect{0x6A, "CompactionSkipped",
                            [](JengaAllocator& a) {
                              // Stale copies a compaction should have dropped.
                              auto& side = ReclaimQueueTestPeer::Side(a);
@@ -265,8 +284,8 @@ INSTANTIATE_TEST_SUITE_P(
                                std::push_heap(side.begin(), side.end(), std::greater<>{});
                                ReclaimQueueTestPeer::Written(a) += 1;
                              }
-                           },
-                           "exceed 2 x 7 live"}),
+                             return "exceed 2 x 7 live";
+                           }}),
     [](const ::testing::TestParamInfo<ReclaimQueueDefect>& info) { return info.param.name; });
 
 // Seeded defects in the per-group and pool state: each corrupts one clause of
