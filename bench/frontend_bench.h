@@ -84,7 +84,7 @@ inline FrontendLoadResult RunClosedLoop(int producers, int per_producer, int64_t
   first_token_ms.reserve(static_cast<size_t>(producers) * static_cast<size_t>(per_producer));
 
   const auto begin = std::chrono::steady_clock::now();
-  frontend.RunClients(producers, [&](int client) {
+  RunClients(producers, [&](int client) {
     std::vector<double> local;
     local.reserve(static_cast<size_t>(per_producer));
     for (int i = 0; i < per_producer; ++i) {

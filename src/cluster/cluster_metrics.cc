@@ -67,10 +67,11 @@ FleetStats ClusterMetrics::Summarize() const {
   return stats;
 }
 
-FleetStats ClusterMetrics::FromRouter(FleetRouter& router) {
+FleetStats ClusterMetrics::FromRouter(const FleetRouter& router) {
   ClusterMetrics metrics;
   for (int i = 0; i < router.num_replicas(); ++i) {
-    metrics.AddReplica(router.replica(i).metrics(), router.LoadOf(i).occupancy);
+    const Engine& replica = router.replica(i);
+    metrics.AddReplica(replica.metrics(), FleetCore::LoadOf(replica).occupancy);
   }
   metrics.AddFleetCounters(router.counters());
   return metrics.Summarize();

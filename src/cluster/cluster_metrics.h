@@ -69,7 +69,7 @@ class ClusterMetrics {
   [[nodiscard]] FleetStats Summarize() const;
 
   // Convenience: snapshots every replica of `router` (metrics + live occupancy).
-  [[nodiscard]] static FleetStats FromRouter(FleetRouter& router);
+  [[nodiscard]] static FleetStats FromRouter(const FleetRouter& router);
 
  private:
   Summary ttft_;

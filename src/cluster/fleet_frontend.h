@@ -1,9 +1,10 @@
 // Concurrent fleet serving: N ServingFrontends (one engine thread per replica) behind the
-// same prefix-affinity routing policy as FleetRouter. Client threads call SubmitAsync from
-// anywhere; the routing decision runs on the submitting thread against (a) the shared
-// ClusterPrefixIndex, fed by each replica's engine thread through the allocator's index
-// events, and (b) lock-free per-replica load snapshots that each engine thread publishes
-// after every step.
+// FleetCore that FleetRouter uses too, so routing, the ledger and placement are the same
+// code in both drivers. Client threads call SubmitAsync from anywhere; the routing decision
+// runs on the submitting thread against (a) the shared ClusterPrefixIndex, fed by each
+// replica's engine thread through the allocator's index events, and (b) the core's
+// per-replica load views, which each engine thread publishes after every step. This class
+// adds only the threads, the client streams and kill serialisation.
 //
 // Unlike FleetRouter — the seeded single-threaded determinism reference — this path is
 // deliberately NOT deterministic: load snapshots lag by up to a step and concurrent submits
@@ -23,16 +24,11 @@
 #define JENGA_SRC_CLUSTER_FLEET_FRONTEND_H_
 
 #include <atomic>
-#include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
-#include "src/cluster/fleet_router.h"
-#include "src/cluster/prefix_index.h"
-#include "src/cluster/replica_supervisor.h"
+#include "src/cluster/fleet_core.h"
 #include "src/common/status.h"
 #include "src/engine/frontend.h"
 
@@ -71,8 +67,6 @@ class FleetFrontend {
   // Shuts every replica frontend down (drain + join); idempotent, also run by the destructor.
   // Waits for an in-flight KillReplica to finish re-routing first.
   void Shutdown();
-  // Spawns `n` client threads running `fn(client_index)` and joins them all.
-  void RunClients(int n, const std::function<void(int)>& fn);
 
   // --- Failure injection (any thread; kills serialize) ---
 
@@ -82,67 +76,38 @@ class FleetFrontend {
   // without side effects when the replica is already dead, it is the last one alive, or the
   // fleet is shut down. Must not race ~FleetFrontend.
   bool KillReplica(int replica);
-  [[nodiscard]] bool ReplicaAlive(int i) const { return supervisor_.alive(i); }
-  [[nodiscard]] const ReplicaSupervisor& supervisor() const { return supervisor_; }
+  [[nodiscard]] bool ReplicaAlive(int i) const { return core_.alive(i); }
 
   // --- Introspection ---
 
   [[nodiscard]] int num_replicas() const { return static_cast<int>(fronts_.size()); }
   [[nodiscard]] ServingFrontend& replica(int i) { return *fronts_[static_cast<size_t>(i)]; }
-  [[nodiscard]] const ClusterPrefixIndex& prefix_index() const { return *index_; }
-  [[nodiscard]] bool routing_enabled() const { return routing_group_ >= 0; }
-  // Routing counters snapshot (atomics; exact after Shutdown).
-  [[nodiscard]] FleetCounters counters() const;
+  [[nodiscard]] const FleetCore& core() const { return core_; }
+  // Routing and recovery ledger snapshot (exact after Shutdown).
+  [[nodiscard]] FleetCounters counters() const { return core_.counters(); }
   // Sum of the replica frontends' own counters (exact after Shutdown).
   [[nodiscard]] ServingFrontend::Counters frontend_counters() const;
   // Replica the request was routed to; -1 for unknown ids.
-  [[nodiscard]] int PlacementOf(RequestId id) const;
+  [[nodiscard]] int PlacementOf(RequestId id) const { return core_.PlacementOf(id); }
 
  private:
-  struct ReplicaLoad {
-    std::atomic<int64_t> waiting{0};
-    std::atomic<int64_t> running{0};
-    std::atomic<double> occupancy{0.0};
-    std::atomic<bool> draining{false};
-  };
+  // The one client submit path: routes `request` and enqueues it on the chosen replica with
+  // `stream`, re-routing while the chosen replica's queue turns out closed (it died).
+  // kFailedPrecondition after Shutdown(). Unless `wait_if_full`, kResourceExhausted when
+  // the decision finds every replica saturated or the chosen queue is full. A refusal
+  // leaves no placement behind and books its ledger field.
+  [[nodiscard]] Status Enqueue(Request& request, const StreamHandle& stream, bool wait_if_full);
 
-  [[nodiscard]] RouteDecision Decide(const Request& request);
-  void CountDecision(const RouteDecision& decision);
-
-  FleetConfig config_;
-  ReplicaSupervisor supervisor_;
-  std::unique_ptr<ClusterPrefixIndex> index_;
-  int routing_group_ = -1;
-  int routing_block_size_ = 0;
-  uint64_t routing_salt_ = 0;
-  std::vector<std::unique_ptr<ReplicaLoad>> loads_;
+  // Filled before core_ finishes constructing (its engine factory builds them); each
+  // replica's step observer publishes its load into core_.
   std::vector<std::unique_ptr<ServingFrontend>> fronts_;
+  FleetCore core_;
 
   std::atomic<RequestId> next_id_{1};
-  std::atomic<int64_t> rr_cursor_{0};
   std::atomic<bool> shut_down_{false};
   // Serializes KillReplica calls against each other and against Shutdown, so a kill's
   // harvest-and-re-route always completes against open survivor queues.
   std::mutex kill_mu_;
-
-  // Forever-growing like the engines' own request maps (same asymptotics); guarded because
-  // submit and cancel race across client threads.
-  mutable std::mutex placement_mu_;
-  std::unordered_map<RequestId, int> placement_;
-
-  std::atomic<int64_t> submitted_{0};
-  std::atomic<int64_t> routed_affinity_{0};
-  std::atomic<int64_t> routed_spill_{0};
-  std::atomic<int64_t> routed_least_loaded_{0};
-  std::atomic<int64_t> routed_round_robin_{0};
-  std::atomic<int64_t> saturated_submits_{0};
-  std::atomic<int64_t> backpressure_rejections_{0};
-  std::atomic<int64_t> cancelled_{0};
-  std::atomic<int64_t> rejected_submits_{0};
-  std::atomic<int64_t> replicas_killed_{0};
-  std::atomic<int64_t> death_cancels_{0};
-  std::atomic<int64_t> rerouted_{0};
-  std::atomic<int64_t> lost_on_shutdown_{0};
 };
 
 }  // namespace jenga

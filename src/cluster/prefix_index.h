@@ -53,7 +53,7 @@ class ClusterPrefixIndex {
   // Summary cardinality (resident routing-group hashes) for `replica`.
   [[nodiscard]] int64_t ResidentHashes(int replica) const;
 
-  // Drops every summarized hash for `replica`. Called by the replica supervisor on death:
+  // Drops every summarized hash for `replica`. Called by the fleet core on death:
   // a dead replica must stop attracting affinity immediately, not when its (never-coming)
   // eviction events would have drained the summary. Detach the replica's feed first.
   void PurgeReplica(int replica);

@@ -80,8 +80,8 @@ class MpscQueue {
   }
 
   // Blocking enqueue: spins (with yield) while the queue is full. Returns false only when
-  // the queue is closed.
-  bool Push(T value) {
+  // the queue is closed; the value is untouched then, as with TryPush.
+  [[nodiscard]] bool Push(T& value) {
     for (;;) {
       if (TryPush(value)) return true;
       if (closed_.load(std::memory_order_acquire)) return false;

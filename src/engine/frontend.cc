@@ -23,89 +23,46 @@ double ServingFrontend::WallSeconds() const {
 
 StreamHandle ServingFrontend::SubmitAsync(Request request) {
   auto stream = std::make_shared<RequestStream>();
-  stream->submit_wall.store(WallSeconds(), std::memory_order_release);
-  Op op;
-  op.kind = Op::Kind::kSubmit;
-  op.id = request.id;
-  op.request = std::move(request);
-  op.stream = stream;
-  // Push blocks while the queue is full and fails only once the queue is closed (shutdown).
-  if (!queue_.Push(std::move(op))) {
+  if (SubmitWithStream(request, stream, /*wait_if_full=*/true) == TrySubmitResult::kClosed) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
     stream->phase.store(StreamPhase::kRejected, std::memory_order_release);
-    return stream;
   }
-  submitted_.fetch_add(1, std::memory_order_relaxed);
-  WakeConsumer();
   return stream;
 }
 
 bool ServingFrontend::TrySubmitAsync(Request request, StreamHandle* out) {
   JENGA_CHECK(out != nullptr);
   auto stream = std::make_shared<RequestStream>();
-  stream->submit_wall.store(WallSeconds(), std::memory_order_release);
-  Op op;
-  op.kind = Op::Kind::kSubmit;
-  op.id = request.id;
-  op.request = std::move(request);
-  op.stream = stream;
-  if (queue_.closed()) {
+  const TrySubmitResult result = SubmitWithStream(request, stream, /*wait_if_full=*/false);
+  if (result == TrySubmitResult::kQueueFull) {
+    return false;  // No side effect on the caller.
+  }
+  if (result == TrySubmitResult::kClosed) {
+    // Handled: the caller can read the rejection off the stream.
     rejected_.fetch_add(1, std::memory_order_relaxed);
     stream->phase.store(StreamPhase::kRejected, std::memory_order_release);
-    *out = std::move(stream);
-    return true;  // Handled: the caller can read the rejection off the stream.
   }
-  if (!queue_.TryPush(op)) {
-    return false;  // Full; no side effect.
-  }
-  submitted_.fetch_add(1, std::memory_order_relaxed);
-  WakeConsumer();
   *out = std::move(stream);
   return true;
 }
 
-bool ServingFrontend::SubmitWithStream(Request& request, const StreamHandle& stream) {
-  Op op;
-  op.kind = Op::Kind::kSubmit;
-  op.id = request.id;
-  op.request = std::move(request);
-  op.stream = stream;
-  // TryPush leaves the op intact on failure, so the request can be handed back to the
-  // caller if the queue closes while we spin on a full one.
-  for (;;) {
-    if (queue_.closed()) {
-      request = std::move(op.request);
-      return false;
-    }
-    if (queue_.TryPush(op)) {
-      break;
-    }
-    std::this_thread::yield();
-  }
-  double expected = -1.0;
-  (void)stream->submit_wall.compare_exchange_strong(expected, WallSeconds(),
+ServingFrontend::TrySubmitResult ServingFrontend::SubmitWithStream(Request& request,
+                                                                   const StreamHandle& stream,
+                                                                   bool wait_if_full) {
+  double unset = -1.0;
+  (void)stream->submit_wall.compare_exchange_strong(unset, WallSeconds(),
                                                     std::memory_order_release,
                                                     std::memory_order_relaxed);
-  submitted_.fetch_add(1, std::memory_order_relaxed);
-  WakeConsumer();
-  return true;
-}
-
-ServingFrontend::TrySubmitResult ServingFrontend::TrySubmitWithStream(
-    Request& request, const StreamHandle& stream) {
   Op op;
   op.kind = Op::Kind::kSubmit;
   op.id = request.id;
   op.request = std::move(request);
   op.stream = stream;
-  if (!queue_.TryPush(op)) {
+  // Both pushes leave the op intact on failure, so the request goes back to the caller.
+  if (!(wait_if_full ? queue_.Push(op) : queue_.TryPush(op))) {
     request = std::move(op.request);
     return queue_.closed() ? TrySubmitResult::kClosed : TrySubmitResult::kQueueFull;
   }
-  double expected = -1.0;
-  (void)stream->submit_wall.compare_exchange_strong(expected, WallSeconds(),
-                                                    std::memory_order_release,
-                                                    std::memory_order_relaxed);
   submitted_.fetch_add(1, std::memory_order_relaxed);
   WakeConsumer();
   return TrySubmitResult::kAccepted;
@@ -117,7 +74,7 @@ void ServingFrontend::CancelAsync(RequestId id) {
   op.id = id;
   // A cancel dropped because the queue closed is harmless: shutdown drains the accepted
   // work to completion either way.
-  if (queue_.Push(std::move(op))) {
+  if (queue_.Push(op)) {
     WakeConsumer();
   }
 }
@@ -229,9 +186,7 @@ std::vector<ServingFrontend::AbandonedWork> ServingFrontend::HarvestAbandoned() 
   for (const RequestId id : engine_.ActiveRequests()) {
     auto it = live_.find(id);
     JENGA_CHECK(it != live_.end()) << "active engine request has no live stream";
-    const Request& dead = engine_.request(id);
-    Request revived = MakeRequest(dead.id, dead.prompt, dead.output_len, dead.arrival_time);
-    revived.deadline = dead.deadline;
+    Request revived = ReviveForReroute(engine_.request(id));
     JENGA_CHECK(engine_.CancelRequest(id));
     harvested_live_.fetch_add(1, std::memory_order_relaxed);
     work.push_back(AbandonedWork{std::move(revived), std::move(it->second),
@@ -246,17 +201,6 @@ void ServingFrontend::RunUntilIdle() {
   JENGA_CHECK(!started_.load(std::memory_order_acquire))
       << "RunUntilIdle cannot run next to the engine thread";
   EngineLoop(/*until_idle=*/true);
-}
-
-void ServingFrontend::RunClients(int n, const std::function<void(int)>& fn) {
-  std::vector<std::thread> clients;
-  clients.reserve(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    clients.emplace_back(fn, i);
-  }
-  for (std::thread& t : clients) {
-    t.join();
-  }
 }
 
 void ServingFrontend::EngineLoop(bool until_idle) {
@@ -387,6 +331,17 @@ void ServingFrontend::WakeConsumer() {
   if (consumer_idle_.load(std::memory_order_seq_cst)) {
     std::lock_guard<std::mutex> lock(wake_mu_);
     wake_cv_.notify_one();
+  }
+}
+
+void RunClients(int n, const std::function<void(int)>& fn) {
+  std::vector<std::thread> clients;
+  clients.reserve(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    clients.emplace_back(fn, i);
+  }
+  for (std::thread& t : clients) {
+    t.join();
   }
 }
 

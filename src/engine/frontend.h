@@ -69,6 +69,10 @@ struct RequestStream {
 
 using StreamHandle = std::shared_ptr<RequestStream>;
 
+// Spawns `n` client threads running `fn(client_index)` and joins them all. A frontend's
+// engine loop must be running (Start()) or be run concurrently.
+void RunClients(int n, const std::function<void(int)>& fn);
+
 class ServingFrontend {
  public:
   struct Options {
@@ -98,21 +102,19 @@ class ServingFrontend {
   StreamHandle SubmitAsync(Request request);
   // Non-blocking variant: false (and no side effect) when the queue is full.
   [[nodiscard]] bool TrySubmitAsync(Request request, StreamHandle* out);
-  // Fleet-layer submit that adopts a caller-provided stream instead of creating one — used
-  // both for first placement and for re-routing a harvested request after a replica death
-  // (the client keeps polling the same stream across the move). Blocks while the queue is
-  // merely full; returns false — with `request` left intact and the stream untouched — once
-  // the queue is closed (this frontend shut down or was killed), so the caller can re-route.
-  // Sets submit_wall only if the stream has none yet (re-routes keep the original).
-  [[nodiscard]] bool SubmitWithStream(Request& request, const StreamHandle& stream);
   enum class TrySubmitResult : uint8_t {
     kAccepted,   // Enqueued; counters bumped.
-    kQueueFull,  // Backpressure; `request` left intact, no side effect.
-    kClosed,     // Shutdown or killed; `request` left intact, no side effect.
+    kQueueFull,  // Backpressure; `request` left intact.
+    kClosed,     // Shutdown or killed; `request` left intact.
   };
-  // Non-blocking SubmitWithStream that distinguishes backpressure from closure.
-  [[nodiscard]] TrySubmitResult TrySubmitWithStream(Request& request,
-                                                    const StreamHandle& stream);
+  // The one enqueue path, which SubmitAsync and TrySubmitAsync call with a fresh stream.
+  // The fleet layer calls it directly to adopt a caller-provided stream — both for first
+  // placement and for re-routing a harvested request after a replica death (the client
+  // keeps polling the same stream across the move). Stamps the stream's submit_wall first
+  // unless it already has one (re-routes keep the original); a refusal changes nothing else.
+  // `wait_if_full` blocks while the queue is merely full; otherwise that is kQueueFull.
+  [[nodiscard]] TrySubmitResult SubmitWithStream(Request& request, const StreamHandle& stream,
+                                                 bool wait_if_full);
   // Requests cancellation of `id` (queued or engine-side). Unknown/finished ids are a no-op.
   void CancelAsync(RequestId id);
   // Fresh unique request id (atomic counter).
@@ -132,11 +134,7 @@ class ServingFrontend {
   // callers enqueued everything beforehand — the unit tests' mode.
   void RunUntilIdle();
 
-  // Spawns `n` client threads running `fn(client_index)` and joins them all. The frontend
-  // owns the threads; the engine loop must be running (Start()) or be run concurrently.
-  void RunClients(int n, const std::function<void(int)>& fn);
-
-  // --- Failure injection (fleet supervisor) ---
+  // --- Failure injection (fleet layer) ---
 
   // Hard-kills the frontend: closes the queue, stops the engine loop at the next step
   // boundary WITHOUT draining queued ops or finishing engine work, and joins the thread.

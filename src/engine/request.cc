@@ -50,4 +50,10 @@ Request MakeRequest(RequestId id, Prompt prompt, int64_t output_len, double arri
   return request;
 }
 
+Request ReviveForReroute(const Request& dead) {
+  Request revived = MakeRequest(dead.id, dead.prompt, dead.output_len, dead.arrival_time);
+  revived.deadline = dead.deadline;
+  return revived;
+}
+
 }  // namespace jenga

@@ -95,7 +95,6 @@ struct Request {
   [[nodiscard]] int64_t prompt_len() const { return prompt.size(); }
   [[nodiscard]] int64_t total_len() const { return prompt.size() + num_generated; }
   [[nodiscard]] bool InPrefill() const { return num_computed_tokens < prompt_len(); }
-  [[nodiscard]] bool Finished() const { return state == RequestState::kFinished; }
   // Every image token is a prompt token, so positions past the prompt clamp to its end.
   [[nodiscard]] int64_t ImageTokensBefore(int64_t position) const {
     return image_prefix.empty()
@@ -120,6 +119,12 @@ struct Request {
 // Builds a request with a fresh id. `output_len` must be >= 1.
 [[nodiscard]] Request MakeRequest(RequestId id, Prompt prompt, int64_t output_len,
                                   double arrival_time);
+
+// Rebuilds a request harvested off a dead replica for re-submission to a survivor: fresh
+// scheduler state, same id/prompt/output target/arrival/deadline. Progress is recomputed from
+// the prompt on the new replica (the deadline stays absolute, so a revived request may still
+// expire there — a legitimate terminal state, not a lost request).
+[[nodiscard]] Request ReviveForReroute(const Request& dead);
 
 }  // namespace jenga
 

@@ -86,7 +86,7 @@ class SchedulerCore {
   bool CancelRequest(RequestId id);
 
   // Ids of every unfinished request in deterministic scheduler order (running queue first,
-  // then waiting) — the harvest order a fleet supervisor re-routes work in on replica death.
+  // then waiting) — the harvest order a fleet driver re-routes work in on replica death.
   [[nodiscard]] std::vector<RequestId> ActiveRequests() const;
 
   // Writes a human-readable state dump (queues, pool occupancy, per-request progress, fault

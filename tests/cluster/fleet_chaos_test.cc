@@ -298,7 +298,7 @@ std::string RunFleetChaosSchedule(const FleetChaosSchedule& s, bool with_audit,
     }
     for (const ChaosKillSpec& k : s.kills) {
       if (k.step == step && fleet.ReplicaAlive(k.replica) &&
-          fleet.supervisor().num_alive() > 1) {
+          fleet.core().num_alive() > 1) {
         fleet.KillReplica(k.replica);
         ++applied_kills;
       }
@@ -344,7 +344,7 @@ std::string RunFleetChaosSchedule(const FleetChaosSchedule& s, bool with_audit,
            std::to_string(applied_kills) + " of " + std::to_string(s.num_replicas) +
            " replicas)";
   }
-  if (fleet.supervisor().num_alive() !=
+  if (fleet.core().num_alive() !=
       s.num_replicas - static_cast<int>(fc.replica_deaths)) {
     return "liveness count disagrees with replica_deaths";
   }
@@ -548,11 +548,12 @@ FleetChaosSchedule MinimizeFleetChaosSchedule(FleetChaosSchedule s) {
 }
 
 void RunFleetChaosTier(uint64_t seed_base) {
-  const std::optional<uint64_t> forced_seed = FuzzEnvSeed();
-  const int64_t schedules = forced_seed ? 1 : FuzzEnvInt("JENGA_FLEET_CHAOS_SCHEDULES", 150);
+  const std::optional<uint64_t> forced_seed = TestEnvUint("JENGA_FUZZ_SEED");
+  const uint64_t schedules =
+      forced_seed ? 1 : TestEnvUint("JENGA_FLEET_CHAOS_SCHEDULES").value_or(150);
   FleetChaosActivity activity;
-  for (int64_t i = 0; i < schedules; ++i) {
-    const uint64_t seed = forced_seed ? *forced_seed : seed_base + static_cast<uint64_t>(i);
+  for (uint64_t i = 0; i < schedules; ++i) {
+    const uint64_t seed = forced_seed ? *forced_seed : seed_base + i;
     const FleetChaosSchedule schedule = DrawFleetChaosSchedule(seed);
     if (forced_seed) {
       std::fprintf(stderr, "replaying fleet chaos schedule:\n%s",
@@ -600,10 +601,7 @@ TEST(FleetChaos, DeterministicDriverAltBand) { RunFleetChaosTier(0xF1EE80000ull)
 // ---------------------------------------------------------------------------------------
 // Threaded arm: FleetFrontend under mid-flight kills.
 
-uint64_t ThreadedChaosSeed() {
-  const char* env = std::getenv("JENGA_STRESS_SEED");
-  return env != nullptr ? static_cast<uint64_t>(std::strtoull(env, nullptr, 10)) : 42;
-}
+uint64_t ThreadedChaosSeed() { return TestEnvUint("JENGA_STRESS_SEED").value_or(42); }
 
 void RunThreadedFleetChaos(int num_replicas, int producers, int per_producer, int kills) {
   std::atomic<int64_t> audits{0};
@@ -674,7 +672,7 @@ void RunThreadedFleetChaos(int num_replicas, int producers, int per_producer, in
     }
     throttle.store(false, std::memory_order_relaxed);
   });
-  fleet.RunClients(producers, [&](int client) {
+  RunClients(producers, [&](int client) {
     Rng rng(seed + static_cast<uint64_t>(client) * 104729);
     std::vector<StreamHandle> streams;
     std::vector<RequestId> ids;

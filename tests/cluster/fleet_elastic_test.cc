@@ -76,7 +76,7 @@ TEST(FleetElastic, DecideRouteCountsDrainingAsSaturated) {
 TEST(FleetElastic, RouterSpillsAroundADrainingReplicaThenReturnsAfterTheDrain) {
   FleetConfig config = TestFleetConfig(2, RoutePolicy::kPrefixAffinity);
   FleetRouter router(std::move(config));
-  ASSERT_TRUE(router.routing_enabled());
+  ASSERT_TRUE(router.core().routing_enabled());
 
   // Warm article 0 onto replica 0 (empty fleet: least-loaded ties break to index 0).
   RouteDecision warm =

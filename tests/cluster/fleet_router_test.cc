@@ -108,15 +108,15 @@ TEST(DecideRouteTest, Names) {
 
 TEST(FleetRouterTest, RoutingGroupFromSpec) {
   FleetRouter fleet(TestFleetConfig(2, RoutePolicy::kPrefixAffinity));
-  EXPECT_TRUE(fleet.routing_enabled());
-  EXPECT_EQ(fleet.routing_group(), 0);
-  EXPECT_EQ(fleet.prefix_index().num_replicas(), 2);
+  EXPECT_TRUE(fleet.core().routing_enabled());
+  EXPECT_EQ(fleet.core().routing_group(), 0);
+  EXPECT_EQ(fleet.core().prefix_index().num_replicas(), 2);
 
   FleetConfig no_cache = TestFleetConfig(2, RoutePolicy::kPrefixAffinity);
   no_cache.engine.enable_prefix_caching = false;
   FleetRouter cold(no_cache);
-  EXPECT_FALSE(cold.routing_enabled());
-  EXPECT_TRUE(cold.RoutingChain(ArticlePrompt(0, 64)).empty());
+  EXPECT_FALSE(cold.core().routing_enabled());
+  EXPECT_TRUE(cold.core().RoutingChain(ArticlePrompt(0, 64)).empty());
 }
 
 TEST(FleetRouterTest, SecondRequestFollowsWarmPrefix) {
@@ -189,6 +189,31 @@ TEST(FleetRouterTest, BackpressureWhenEveryReplicaSaturated) {
   EXPECT_EQ(fleet.counters().saturated_submits, 1);
   fleet.RunToCompletion();
   EXPECT_TRUE(fleet.TrySubmit(MakeRequest(4, ArticlePrompt(3, 64), 4, 100.0)).ok());
+  fleet.RunToCompletion();
+}
+
+TEST(FleetRouterTest, TrySubmitRefusesWhenOnlyAStalledReplicaIsUnsaturated) {
+  FleetConfig config = TestFleetConfig(2, RoutePolicy::kPrefixAffinity);
+  config.spill_queue_depth = 1;
+  FleetRouter fleet(config);
+  fleet.StallReplica(0, 8);
+
+  // Replica 0 is stalled, hence unroutable: the first request lands on replica 1 and fills
+  // its waiting queue. Replica 0 stays unsaturated but cannot take work.
+  EXPECT_EQ(fleet.Submit(MakeRequest(1, ArticlePrompt(0, 64), 4, 0.0)).replica, 1);
+  EXPECT_FALSE(fleet.IsSaturated(0));
+  EXPECT_TRUE(fleet.IsSaturated(1));
+
+  // TrySubmit decides from the same routing decision it would place with, so it refuses
+  // instead of placing on the saturated replica.
+  const StatusOr<int> refused = fleet.TrySubmit(MakeRequest(2, ArticlePrompt(1, 64), 4, 0.0));
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(fleet.PlacementOf(2), -1);
+  const FleetCounters c = fleet.counters();
+  EXPECT_EQ(c.backpressure_rejections, 1);
+  EXPECT_EQ(c.saturated_submits, 0);
+  EXPECT_EQ(c.submitted, 1);
   fleet.RunToCompletion();
 }
 
@@ -274,7 +299,7 @@ TEST(FleetRouterTest, KillReplicaRevivesWorkOnSurvivor) {
   EXPECT_TRUE(fleet.ReplicaAlive(0));
   fleet.KillReplica(0);
   EXPECT_FALSE(fleet.ReplicaAlive(0));
-  EXPECT_EQ(fleet.supervisor().num_alive(), 1);
+  EXPECT_EQ(fleet.core().num_alive(), 1);
   fleet.RunToCompletion();
 
   const FleetCounters& c = fleet.counters();
@@ -348,7 +373,7 @@ TEST(FleetRouterTest, DeathFireOnLastReplicaIsSuppressed) {
   const FleetCounters& c = fleet.counters();
   EXPECT_EQ(c.replica_deaths, 1);
   EXPECT_GT(c.death_fires_ignored, 0);
-  EXPECT_EQ(fleet.supervisor().num_alive(), 1);
+  EXPECT_EQ(fleet.core().num_alive(), 1);
   EXPECT_EQ(ClusterMetrics::FromRouter(fleet).completed, 4);
 }
 

@@ -17,14 +17,12 @@
 #include "src/common/random.h"
 #include "src/model/kv_spec.h"
 #include "tests/cluster/fleet_test_util.h"
+#include "tests/common/test_env.h"
 
 namespace jenga {
 namespace {
 
-uint64_t StressSeed() {
-  const char* env = std::getenv("JENGA_STRESS_SEED");
-  return env != nullptr ? static_cast<uint64_t>(std::strtoull(env, nullptr, 10)) : 42;
-}
+uint64_t StressSeed() { return TestEnvUint("JENGA_STRESS_SEED").value_or(42); }
 
 FleetConfig PressureFleetConfig(int num_replicas, RoutePolicy policy) {
   FleetConfig config = TestFleetConfig(num_replicas, policy, StressSeed());
@@ -61,7 +59,7 @@ void RunFleetStress(int num_replicas, RoutePolicy policy, int producers, int per
   const uint64_t seed = StressSeed();
   std::atomic<int64_t> terminal{0};
   std::atomic<int64_t> refused{0};
-  fleet.RunClients(producers, [&](int client) {
+  RunClients(producers, [&](int client) {
     Rng rng(seed + static_cast<uint64_t>(client) * 7919);
     std::vector<StreamHandle> streams;
     std::vector<RequestId> ids;

@@ -14,15 +14,13 @@
 #include "src/audit/allocator_auditor.h"
 #include "src/common/random.h"
 #include "src/engine/frontend.h"
+#include "tests/common/test_env.h"
 #include "tests/engine/test_models.h"
 
 namespace jenga {
 namespace {
 
-uint64_t StressSeed() {
-  const char* env = std::getenv("JENGA_STRESS_SEED");
-  return env != nullptr ? static_cast<uint64_t>(std::strtoull(env, nullptr, 10)) : 42;
-}
+uint64_t StressSeed() { return TestEnvUint("JENGA_STRESS_SEED").value_or(42); }
 
 EngineConfig PressureConfig() {
   const ModelConfig model = TinyFullModel();
@@ -59,7 +57,7 @@ void RunStress(int producers, int per_producer) {
 
   const uint64_t seed = StressSeed();
   std::atomic<int64_t> terminal{0};
-  frontend.RunClients(producers, [&](int client) {
+  RunClients(producers, [&](int client) {
     Rng rng(seed + static_cast<uint64_t>(client) * 7919);
     std::vector<StreamHandle> streams;
     std::vector<RequestId> ids;

@@ -189,7 +189,7 @@ TEST(FrontendTest, StartedLoopServesConcurrentClients) {
   constexpr int kPerClient = 5;
   std::atomic<int> finished{0};
   std::atomic<int> cancelled{0};
-  frontend.RunClients(kClients, [&](int client) {
+  RunClients(kClients, [&](int client) {
     for (int i = 0; i < kPerClient; ++i) {
       const RequestId id = frontend.NextRequestId();
       StreamHandle stream =

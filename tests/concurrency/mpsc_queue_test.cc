@@ -50,10 +50,18 @@ TEST(MpscQueueTest, SingleProducerFifo) {
 
 TEST(MpscQueueTest, MoveOnlyValues) {
   MpscQueue<std::unique_ptr<int>> queue(4);
-  EXPECT_TRUE(queue.Push(std::make_unique<int>(7)));
+  auto value = std::make_unique<int>(7);
+  EXPECT_TRUE(queue.Push(value));
+  EXPECT_EQ(value, nullptr);  // Moved into the queue on success.
   auto popped = queue.TryPop();
   ASSERT_TRUE(popped.has_value());
   EXPECT_EQ(**popped, 7);
+  // A failed push leaves a move-only value with the caller.
+  queue.Close();
+  auto kept = std::make_unique<int>(8);
+  EXPECT_FALSE(queue.Push(kept));
+  ASSERT_NE(kept, nullptr);
+  EXPECT_EQ(*kept, 8);
 }
 
 TEST(MpscQueueTest, DrainAfterClose) {
@@ -65,6 +73,7 @@ TEST(MpscQueueTest, DrainAfterClose) {
   int v = 42;
   EXPECT_FALSE(queue.TryPush(v));
   EXPECT_FALSE(queue.Push(v));
+  EXPECT_EQ(v, 42);  // Untouched on failure.
   // Everything accepted before Close() remains poppable, in order.
   for (int i = 0; i < 5; ++i) {
     EXPECT_EQ(queue.TryPop().value(), i);
@@ -83,7 +92,8 @@ TEST(MpscQueueTest, PerProducerFifoUnderContention) {
   for (int p = 0; p < kProducers; ++p) {
     producers.emplace_back([&queue, p] {
       for (int i = 0; i < kPerProducer; ++i) {
-        ASSERT_TRUE(queue.Push({p, i}));
+        std::pair<int, int> item{p, i};
+        ASSERT_TRUE(queue.Push(item));
       }
     });
   }
@@ -139,7 +149,9 @@ TEST(MpscQueueTest, CloseUnblocksWaitingProducer) {
   ASSERT_TRUE(queue.TryPush(b));
   std::atomic<bool> returned{false};
   std::thread producer([&] {
-    EXPECT_FALSE(queue.Push(3));  // Full; must return false once closed.
+    int c = 3;
+    EXPECT_FALSE(queue.Push(c));  // Full; must return false once closed.
+    EXPECT_EQ(c, 3);
     returned.store(true);
   });
   queue.Close();

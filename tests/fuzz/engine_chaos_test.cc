@@ -115,7 +115,7 @@ FuzzSchedule DrawChaosSchedule(uint64_t seed, bool spec_engine, bool offload) {
   // JENGA_CHAOS_ELASTIC=1 (the check.sh pressure-chaos stage) keeps the rest of the stream —
   // and therefore seed replay under the same env — byte-identical.
   const bool draw_elastic = rng.Bernoulli(0.5);
-  if (draw_elastic || FuzzEnvInt("JENGA_CHAOS_ELASTIC", 0) != 0) {
+  if (draw_elastic || TestEnvUint("JENGA_CHAOS_ELASTIC").value_or(0) != 0) {
     FuzzElasticSpec& e = s.elastic;
     if (!spec_engine) {
       e.armed = true;
@@ -547,11 +547,11 @@ FuzzSchedule MinimizeChaosSchedule(FuzzSchedule s) {
 }
 
 void RunChaosCombination(bool spec_engine, bool offload, uint64_t seed_base) {
-  const std::optional<uint64_t> forced_seed = FuzzEnvSeed();
-  const int64_t schedules = forced_seed ? 1 : FuzzEnvInt("JENGA_CHAOS_SCHEDULES", 200);
+  const std::optional<uint64_t> forced_seed = TestEnvUint("JENGA_FUZZ_SEED");
+  const uint64_t schedules = forced_seed ? 1 : TestEnvUint("JENGA_CHAOS_SCHEDULES").value_or(200);
   int64_t total_fires = 0;
-  for (int64_t i = 0; i < schedules; ++i) {
-    const uint64_t seed = forced_seed ? *forced_seed : seed_base + static_cast<uint64_t>(i);
+  for (uint64_t i = 0; i < schedules; ++i) {
+    const uint64_t seed = forced_seed ? *forced_seed : seed_base + i;
     const FuzzSchedule schedule = DrawChaosSchedule(seed, spec_engine, offload);
     if (forced_seed) {
       std::fprintf(stderr, "replaying chaos schedule:\n%s",
@@ -571,7 +571,7 @@ void RunChaosCombination(bool spec_engine, bool offload, uint64_t seed_base) {
            << (min_failure.empty() ? "failure did not survive minimization" : min_failure)
            << "):\n"
            << DescribeFuzzSchedule(minimized) << "\nreproduce with:\n  "
-           << (FuzzEnvInt("JENGA_CHAOS_ELASTIC", 0) != 0 ? "JENGA_CHAOS_ELASTIC=1 " : "")
+           << (TestEnvUint("JENGA_CHAOS_ELASTIC").value_or(0) != 0 ? "JENGA_CHAOS_ELASTIC=1 " : "")
            << "JENGA_FUZZ_SEED=0x" << std::hex << seed << std::dec
            << " ./build/tests/engine_chaos_test --gtest_filter=" << info->test_suite_name()
            << "." << info->name();

@@ -378,10 +378,10 @@ FuzzSchedule MinimizeSchedule(FuzzSchedule s) {
 }
 
 void RunCombination(bool spec_engine, bool offload, uint64_t seed_base) {
-  const std::optional<uint64_t> forced_seed = FuzzEnvSeed();
-  const int64_t schedules = forced_seed ? 1 : FuzzEnvInt("JENGA_FUZZ_SCHEDULES", 200);
-  for (int64_t i = 0; i < schedules; ++i) {
-    const uint64_t seed = forced_seed ? *forced_seed : seed_base + static_cast<uint64_t>(i);
+  const std::optional<uint64_t> forced_seed = TestEnvUint("JENGA_FUZZ_SEED");
+  const uint64_t schedules = forced_seed ? 1 : TestEnvUint("JENGA_FUZZ_SCHEDULES").value_or(200);
+  for (uint64_t i = 0; i < schedules; ++i) {
+    const uint64_t seed = forced_seed ? *forced_seed : seed_base + i;
     const FuzzSchedule schedule = DrawFuzzSchedule(seed, spec_engine, offload);
     if (forced_seed) {
       std::fprintf(stderr, "replaying schedule:\n%s", DescribeFuzzSchedule(schedule).c_str());

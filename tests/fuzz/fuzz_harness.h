@@ -28,22 +28,10 @@
 #include "src/engine/spec_decode.h"
 #include "src/fault/fault_injector.h"
 #include "src/model/kv_spec.h"
+#include "tests/common/test_env.h"
 #include "tests/engine/test_models.h"
 
 namespace jenga {
-
-inline int64_t FuzzEnvInt(const char* name, int64_t fallback) {
-  const char* value = std::getenv(name);
-  return value != nullptr ? std::strtoll(value, nullptr, 0) : fallback;
-}
-
-inline std::optional<uint64_t> FuzzEnvSeed(const char* name = "JENGA_FUZZ_SEED") {
-  const char* value = std::getenv(name);
-  if (value == nullptr) {
-    return std::nullopt;
-  }
-  return std::strtoull(value, nullptr, 0);
-}
 
 // ---------------------------------------------------------------------------------------
 // Schedule model
