@@ -104,6 +104,30 @@ double MicroAllocBurstFree(int64_t bursts) {
   return static_cast<double>(bursts * kBurst) / Seconds(begin, end);
 }
 
+// A finished request's release, the spec-batch shape: one request's 2k-page block table in a
+// multi-slot group (three pages per large page), claimed in one AllocateN and released in one
+// ReleaseN with its deferred last-access tick. Every large page but the last goes back to the
+// LCM whole. Times the releases only and counts pages released per second.
+double MicroFinishRelease(int64_t cycles) {
+  constexpr int64_t kPages = 2048;
+  JengaAllocator alloc(TwoGroupSpec(), 64LL << 20);
+  SmallPageAllocator& group = alloc.group(0);
+  std::vector<SmallPageId> table;
+  Tick now = 0;
+  Clock::duration released{};
+  for (int64_t c = 0; c < cycles; ++c) {
+    ++now;
+    table.clear();
+    if (!group.AllocateN(/*request=*/c % 8, kPages, now, &table)) {
+      return 0.0;
+    }
+    const auto begin = Clock::now();
+    group.ReleaseN(table, /*keep_cached=*/false, now, kPages);
+    released += Clock::now() - begin;
+  }
+  return static_cast<double>(cycles * kPages) / std::chrono::duration<double>(released).count();
+}
+
 // Prefix-cache churn under a bounded pool: hash, release-to-cache, revive, rekey — the
 // evictor-heavy path (Insert/Remove plus UpdateLastAccess/SetPrefixLength rekeys).
 double MicroCacheChurn(int64_t iters) {
@@ -832,6 +856,7 @@ bool Run(bool quick, bool gate, int profile, const std::string& out_path,
   } micros[] = {
       {"micro.alloc_release.ops_per_s", MicroAllocRelease, 125000 * scale},
       {"micro.alloc_burst_free.ops_per_s", MicroAllocBurstFree, 64 * scale},
+      {"micro.finish_release.ops_per_s", MicroFinishRelease, 256 * scale},
       {"micro.cache_churn.ops_per_s", MicroCacheChurn, 125000 * scale},
       {"micro.reclaim_ties.ops_per_s", MicroReclaimTies, 2000 * scale},
       {"micro.cache_churn_offload.ops_per_s", MicroCacheChurnOffload, 1500 * scale},

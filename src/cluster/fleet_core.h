@@ -126,6 +126,8 @@ struct FleetCounters {
   int64_t saturated_submits = 0;
   // TrySubmit refusals (all replicas saturated).
   int64_t backpressure_rejections = 0;
+  // Client cancels that took effect: the engine cancelled the request, or (FleetFrontend)
+  // the cancel annihilated its still-queued submit. A late cancel of a finished id is not one.
   int64_t cancelled = 0;
 
   // Recovery ledger. Re-routed submissions deliberately do NOT bump `submitted` or the

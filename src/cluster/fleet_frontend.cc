@@ -141,11 +141,19 @@ Status FleetFrontend::TrySubmitAsync(Request request, StreamHandle* out) {
 
 void FleetFrontend::CancelAsync(RequestId id) {
   const int replica = PlacementOf(id);
-  if (replica < 0) {
-    return;
+  if (replica >= 0) {
+    fronts_[static_cast<size_t>(replica)]->CancelAsync(id);
   }
-  core_.Count(&FleetCounters::cancelled);
-  fronts_[static_cast<size_t>(replica)]->CancelAsync(id);
+}
+
+FleetCounters FleetFrontend::counters() const {
+  // A cancel is counted where it takes effect, on the replica's engine thread, as
+  // FleetRouter::CancelRequest counts only the cancels its engine performed.
+  FleetCounters counters = core_.counters();
+  for (const auto& front : fronts_) {
+    counters.cancelled += front->counters().client_cancels;
+  }
+  return counters;
 }
 
 ServingFrontend::Counters FleetFrontend::frontend_counters() const {
@@ -159,6 +167,7 @@ ServingFrontend::Counters FleetFrontend::frontend_counters() const {
     total.finished += c.finished;
     total.cancelled += c.cancelled;
     total.failed += c.failed;
+    total.client_cancels += c.client_cancels;
     total.harvested_queued += c.harvested_queued;
     total.harvested_live += c.harvested_live;
   }

@@ -55,7 +55,8 @@ class FleetFrontend {
   // spill thresholds or the chosen replica's queue is full. No side effects on failure.
   // On success *out holds the stream.
   [[nodiscard]] Status TrySubmitAsync(Request request, StreamHandle* out);
-  // Cancels wherever the request was routed; unknown ids are a no-op.
+  // Cancels wherever the request was routed; unknown ids are a no-op, and so is a cancel
+  // that arrives after the request finished (counters().cancelled counts neither).
   void CancelAsync(RequestId id);
   [[nodiscard]] RequestId NextRequestId() {
     return next_id_.fetch_add(1, std::memory_order_relaxed);
@@ -83,8 +84,10 @@ class FleetFrontend {
   [[nodiscard]] int num_replicas() const { return static_cast<int>(fronts_.size()); }
   [[nodiscard]] ServingFrontend& replica(int i) { return *fronts_[static_cast<size_t>(i)]; }
   [[nodiscard]] const FleetCore& core() const { return core_; }
-  // Routing and recovery ledger snapshot (exact after Shutdown).
-  [[nodiscard]] FleetCounters counters() const { return core_.counters(); }
+  // Routing and recovery ledger snapshot (exact after Shutdown). `cancelled` sums the
+  // replicas' client_cancels: cancels that annihilated a queued submit or that the engine
+  // performed.
+  [[nodiscard]] FleetCounters counters() const;
   // Sum of the replica frontends' own counters (exact after Shutdown).
   [[nodiscard]] ServingFrontend::Counters frontend_counters() const;
   // Replica the request was routed to; -1 for unknown ids.

@@ -53,7 +53,8 @@ class AuditSink {
   // evictable → empty under capacity pressure (step-5 victim or large-page reclaim); the
   // cached content was destroyed (its OnHashUnindexed payload let the host tier park it).
   virtual void OnPageEvicted(int /*group*/, SmallPageId /*page*/) {}
-  // The request's affinity free list was dropped (request id retired).
+  // A retired request's affinity free list was dropped while empty pages were still
+  // associated with the request; step 1 can no longer hand them out to it.
   virtual void OnRequestForgotten(int /*group*/, RequestId /*request*/) {}
   // An AllocateN call completed: `count` pages were claimed for `request` in one pass, each
   // already announced through the per-page events above (claims, acquisitions, evictions) in

@@ -143,11 +143,13 @@ void SmallPageAllocator::ClaimEmpty(SmallPageId page, RequestId request, Tick no
   JENGA_AUDIT_HOOK(audit_, OnPageClaimed(group_index_, page, request));
 }
 
-std::optional<SmallPageId> SmallPageAllocator::Allocate(RequestId request, Tick now) {
+template <typename Emit>
+int64_t SmallPageAllocator::ClaimPass(RequestId request, int64_t run, Tick now, Emit emit) {
   // Step 1: an empty page already associated with this request (§4.3).
   if (const auto page = PopRequestFree(request)) {
     ClaimEmpty(*page, request, now);
-    return page;
+    emit(*page);
+    return 1;
   }
 
   // Steps 2–3: a fresh large page; the provider evicts an evictable large page if the free
@@ -171,24 +173,39 @@ std::optional<SmallPageId> SmallPageAllocator::Allocate(RequestId request, Tick 
     // free-list upkeep altogether.
     if (pages_per_large_ == 1) {
       ClaimEmpty(base, request, now);
-      return base;
+      emit(base);
+      return 1;
     }
+    // Page by page, slots 1…n−1 would be pushed onto both lists here. Step 2 ran because the
+    // request's own list held no valid ref, so the run's next step-1 pops would return those
+    // slots in descending order: push only the slots the run leaves over (1…left), and claim
+    // slot 0 and then n−1, n−2, … directly.
+    const int tail = static_cast<int>(std::min<int64_t>(run - 1, pages_per_large_ - 1));
+    const int left = pages_per_large_ - 1 - tail;
     std::vector<FreeRef>& request_refs = RefsFor(request);
-    for (int slot = 1; slot < pages_per_large_; ++slot) {
+    for (int slot = 1; slot <= left; ++slot) {
       const FreeRef ref{base + slot, entry.slots[static_cast<size_t>(slot)].epoch};
       request_refs.push_back(ref);
       empty_any_.push_back(ref);
     }
-    by_request_refs_ += pages_per_large_ - 1;
+    by_request_refs_ += left;
     ClaimEmpty(base, request, now);
-    MaybeCompactFreeLists();
-    return base;
+    emit(base);
+    for (int slot = pages_per_large_ - 1; slot > left; --slot) {
+      ClaimEmpty(base + slot, request, now);
+      emit(base + slot);
+    }
+    if (left > 0) {
+      MaybeCompactFreeLists();
+    }
+    return 1 + tail;
   }
 
   // Step 4: any empty page, regardless of association.
   if (const auto page = PopAnyFree()) {
     ClaimEmpty(*page, request, now);
-    return page;
+    emit(*page);
+    return 1;
   }
 
   // Step 5: evict this group's LRU evictable page and reuse it in place (never in a one-slot
@@ -211,10 +228,19 @@ std::optional<SmallPageId> SmallPageAllocator::Allocate(RequestId request, Tick 
     evictable_count_ -= 1;
     used_count_ += 1;
     JENGA_AUDIT_HOOK(audit_, OnPageClaimed(group_index_, *victim, request));
-    return victim;
+    emit(*victim);
+    return 1;
   }
 
-  return std::nullopt;
+  return 0;
+}
+
+std::optional<SmallPageId> SmallPageAllocator::Allocate(RequestId request, Tick now) {
+  SmallPageId page = kNoSmallPage;
+  if (ClaimPass(request, /*run=*/1, now, [&page](SmallPageId claimed) { page = claimed; }) == 0) {
+    return std::nullopt;
+  }
+  return page;
 }
 
 bool SmallPageAllocator::AllocateN(RequestId request, int64_t n, Tick now,
@@ -224,20 +250,21 @@ bool SmallPageAllocator::AllocateN(RequestId request, int64_t n, Tick now,
   const size_t base = out->size();
   // No reserve: an exact-size reserve would defeat the vector's geometric growth and copy the
   // whole block table on nearly every grow.
-  for (int64_t i = 0; i < n; ++i) {
-    // The five-step algorithm must re-run per page: a fresh large page acquired in step 2
-    // refills the affinity free list that step 1 of the *next* page pops from, so batching
-    // any step across pages would change placement. Allocate() is already O(1) per page;
-    // the bulk win is the single rollback below.
-    const auto page = Allocate(request, now);
-    if (!page.has_value()) {
-      for (size_t j = out->size(); j > base; --j) {
-        Release((*out)[j - 1], /*keep_cached=*/false);
-      }
+  const auto append = [out](SmallPageId page) { out->push_back(page); };
+  // The five-step algorithm re-runs per pass: a step-1 or step-4 pop can change what the next
+  // pop sees, and a step-5 victim or a step-3 reclaim changes the next victim. Only a fresh
+  // large page's run is batched (see ClaimPass), which the per-page loop would claim in
+  // exactly that order.
+  for (int64_t left = n; left > 0;) {
+    const int64_t claimed = ClaimPass(request, left, now, append);
+    if (claimed == 0) {
+      // Newest first, as the per-page loop would undo its claims.
+      std::reverse(out->begin() + static_cast<std::ptrdiff_t>(base), out->end());
+      ReleaseN(std::span<const SmallPageId>(*out).subspan(base), /*keep_cached=*/false);
       out->resize(base);
       return false;
     }
-    out->push_back(*page);
+    left -= claimed;
   }
   if (n > 0) {
     JENGA_AUDIT_HOOK(audit_, OnBulkAllocate(group_index_, request, n));
@@ -317,58 +344,110 @@ void SmallPageAllocator::TransitionToEmpty(SmallPageId page) {
   JENGA_AUDIT_HOOK(audit_, OnPageEmptied(group_index_, page));
 
   if (entry.used_count == 0 && entry.evictable_count == 0) {
-    // The whole large page is empty: return it to the LCM allocator (§4.1). Stale FreeRefs to
-    // its slots are filtered lazily by epoch/residency checks.
+    // The whole large page is empty: return it to the LCM allocator (§4.1). Its slots' refs at
+    // the list tails go now; any others are filtered lazily by epoch/residency checks.
     empty_count_ -= pages_per_large_;
     ReleaseLarge(large, entry);
+    DropStaleTails(large, meta.assoc);
     return;
   }
 
-  const FreeRef ref{page, meta.epoch};
-  RefsFor(meta.assoc).push_back(ref);
-  by_request_refs_ += 1;
-  empty_any_.push_back(ref);
+  released_refs_.push_back(ReleasedRef{large, SlotOf(page), meta.epoch});
   NotifyCandidateIfEligible(large);
-  MaybeCompactFreeLists();
 }
 
-void SmallPageAllocator::Release(SmallPageId page, bool keep_cached) {
-  const LargePageId large = LargeOf(page);
-  LargeEntry& entry = Entry(large);
-  SlotMeta& meta = entry.slots[static_cast<size_t>(SlotOf(page))];
-  JENGA_CHECK(meta.state == PageState::kUsed) << "Release on non-used page " << page;
-  JENGA_CHECK_GT(meta.ref_count, 0);
-  meta.ref_count -= 1;
-  if (meta.ref_count > 0) {
-    return;
+void SmallPageAllocator::DropStaleTails(LargePageId large, RequestId request) {
+  const SmallPageId base = static_cast<SmallPageId>(large) * pages_per_large_;
+  const auto into_large = [base, this](const FreeRef& ref) {
+    return ref.page >= base && ref.page < base + pages_per_large_;
+  };
+  while (!empty_any_.empty() && into_large(empty_any_.back())) {
+    empty_any_.pop_back();
   }
+  std::vector<FreeRef>* refs = request == refs_cache_key_ ? refs_cache_ : nullptr;
+  if (refs == nullptr) {
+    const auto it = empty_by_request_.find(request);
+    refs = it == empty_by_request_.end() ? nullptr : &it->second;
+  }
+  while (refs != nullptr && !refs->empty() && into_large(refs->back())) {
+    refs->pop_back();
+    by_request_refs_ -= 1;
+  }
+}
 
-  bool cacheable = keep_cached && meta.has_hash;
-  if (cacheable) {
-    // Index the content if no other resident page holds it; duplicates are not worth keeping.
-    const auto [indexed, inserted] = cache_index_.Emplace(meta.hash, page);
-    cacheable = indexed == page;
-    if (inserted) {
-      JENGA_AUDIT_HOOK(audit_, OnHashIndexed(group_index_, meta.hash));
+void SmallPageAllocator::ReleaseN(std::span<const SmallPageId> pages, bool keep_cached,
+                                  Tick touch_tick, int64_t touched) {
+  for (size_t i = 0; i < pages.size(); ++i) {
+    const SmallPageId page = pages[i];
+    if (page == kNoSmallPage) {
+      continue;
     }
+    const LargePageId large = LargeOf(page);
+    LargeEntry& entry = Entry(large);
+    SlotMeta& meta = entry.slots[static_cast<size_t>(SlotOf(page))];
+    JENGA_CHECK(meta.state == PageState::kUsed) << "Release on non-used page " << page;
+    JENGA_CHECK_GT(meta.ref_count, 0);
+    if (static_cast<int64_t>(i) < touched) {
+      // UpdateLastAccess on a used page, which has no evictor key to rekey.
+      meta.last_access = std::max(meta.last_access, touch_tick);
+    }
+    meta.ref_count -= 1;
+    if (meta.ref_count > 0) {
+      continue;
+    }
+
+    bool cacheable = keep_cached && meta.has_hash;
+    if (cacheable) {
+      // Index the content if no other resident page holds it; duplicates are not worth
+      // keeping.
+      const auto [indexed, inserted] = cache_index_.Emplace(meta.hash, page);
+      cacheable = indexed == page;
+      if (inserted) {
+        JENGA_AUDIT_HOOK(audit_, OnHashIndexed(group_index_, meta.hash));
+      }
+    }
+
+    if (!cacheable) {
+      TransitionToEmpty(page);
+      continue;
+    }
+
+    meta.state = PageState::kEvictable;
+    meta.epoch = next_epoch_++;
+    entry.used_count -= 1;
+    entry.evictable_count += 1;
+    used_count_ -= 1;
+    evictable_count_ += 1;
+    JENGA_AUDIT_HOOK(audit_, OnPageCached(group_index_, page, meta.hash));
+    if (uses_evictor_) {
+      evictor_.Insert(page, meta.last_access, meta.prefix_length);
+    }
+    NotifyCandidateIfEligible(large);
   }
 
-  if (!cacheable) {
-    TransitionToEmpty(page);
+  // Flush the buffered pushes. Nothing claims or acquires during a release, so a buffered ref
+  // goes stale only when its large page went back to the LCM whole later in the same release;
+  // the per-page loop's pops would skip it anyway.
+  if (released_refs_.empty()) {
     return;
   }
-
-  meta.state = PageState::kEvictable;
-  meta.epoch = next_epoch_++;
-  entry.used_count -= 1;
-  entry.evictable_count += 1;
-  used_count_ -= 1;
-  evictable_count_ += 1;
-  JENGA_AUDIT_HOOK(audit_, OnPageCached(group_index_, page, meta.hash));
-  if (uses_evictor_) {
-    evictor_.Insert(page, meta.last_access, meta.prefix_length);
+  int64_t flushed = 0;
+  for (const ReleasedRef& released : released_refs_) {
+    const LargeEntry& entry = larges_[static_cast<size_t>(released.large)];
+    if (!entry.resident) {
+      continue;
+    }
+    const FreeRef ref{static_cast<SmallPageId>(released.large) * pages_per_large_ + released.slot,
+                      released.epoch};
+    RefsFor(entry.slots[static_cast<size_t>(released.slot)].assoc).push_back(ref);
+    empty_any_.push_back(ref);
+    flushed += 1;
   }
-  NotifyCandidateIfEligible(large);
+  released_refs_.clear();
+  if (flushed > 0) {
+    by_request_refs_ += flushed;
+    MaybeCompactFreeLists();
+  }
 }
 
 void SmallPageAllocator::SetContentHash(SmallPageId page, BlockHash hash) {
@@ -416,10 +495,17 @@ void SmallPageAllocator::ForgetRequest(RequestId request) {
   if (it == empty_by_request_.end()) {
     return;
   }
+  // Only a list that still names an empty page is announced. Whether a list of stale refs is
+  // still around depends on when the lazy compaction last swept, which no observer should see.
+  const bool announce =
+      audit_ != nullptr && std::any_of(it->second.rbegin(), it->second.rend(),
+                                       [this](const FreeRef& ref) { return IsValidEmpty(ref); });
   by_request_refs_ -= static_cast<int64_t>(it->second.size());
   InvalidateRefsCacheFor(request);
   empty_by_request_.erase(it);
-  JENGA_AUDIT_HOOK(audit_, OnRequestForgotten(group_index_, request));
+  if (announce) {
+    JENGA_AUDIT_HOOK(audit_, OnRequestForgotten(group_index_, request));
+  }
 }
 
 void SmallPageAllocator::NotifyCandidateIfEligible(LargePageId large) {

@@ -12,6 +12,10 @@
 // evictable page is then a whole reclaim candidate, which step 3 takes first. Such groups keep
 // no evictor at all.
 //
+// Pages are claimed and released in runs (AllocateN, ReleaseN) with exactly the placement,
+// events and later pop order of the per-page calls; the runs only skip free-list pushes whose
+// refs would go stale before any pop could see them.
+//
 // The allocator also maintains the group's prefix-cache index (block hash → resident page)
 // and implements GroupCacheOps so the layer policies can adjust eviction priorities.
 //
@@ -24,6 +28,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -66,10 +71,12 @@ class SmallPageAllocator final : public GroupCacheOps {
   [[nodiscard]] std::optional<SmallPageId> Allocate(RequestId request, Tick now);
 
   // Bulk variant: appends `n` pages to `*out` with page ids, victim order, and audit events
-  // identical to `n` consecutive Allocate calls. All-or-nothing — on exhaustion every page
-  // this call took is released again (keep_cached=false, reverse order), `*out` is restored,
-  // and false is returned. The single rollback path spares callers from tracking partial
-  // progress per group.
+  // identical to `n` consecutive Allocate calls. When step 2 hands over a fresh large page it
+  // claims slot 0 and then slots n−1, n−2, … for the rest of the run — the pages the next
+  // step-1 pops would return — and pushes only the slots left over. All-or-nothing — on
+  // exhaustion every page this call took is released again (one ReleaseN, keep_cached=false,
+  // reverse order), `*out` is restored, and false is returned. The single rollback path
+  // spares callers from tracking partial progress per group.
   [[nodiscard]] bool AllocateN(RequestId request, int64_t n, Tick now,
                                std::vector<SmallPageId>* out);
 
@@ -80,7 +87,20 @@ class SmallPageAllocator final : public GroupCacheOps {
   // Drops one reference. When the count reaches zero the page becomes evictable if
   // `keep_cached` and it holds indexed-or-indexable content, and empty otherwise. Fully-empty
   // large pages are returned to the LCM allocator immediately.
-  void Release(SmallPageId page, bool keep_cached);
+  void Release(SmallPageId page, bool keep_cached) {
+    ReleaseN(std::span<const SmallPageId>(&page, 1), keep_cached);
+  }
+
+  // Releases `pages` in order, each as Release(page, keep_cached); kNoSmallPage entries
+  // (block-table holes) are skipped. The pages at positions below `touched` first get
+  // UpdateLastAccess(page, touch_tick): the deferred last-access refresh of a request's
+  // block table, fused into the same pass. Events, LCM frees and reclaim notifications are
+  // those of the per-page loop, in its order. The free-list pushes are buffered and flushed
+  // once at the end — minus the refs whose large page went back to the LCM whole meanwhile —
+  // followed by one compaction check; nothing pops in between, so every later pop sees the
+  // per-page loop's sequence.
+  void ReleaseN(std::span<const SmallPageId> pages, bool keep_cached, Tick touch_tick = 0,
+                int64_t touched = 0);
 
   // Registers the content hash of a fully-computed block for future prefix-cache hits.
   void SetContentHash(SmallPageId page, BlockHash hash);
@@ -103,6 +123,7 @@ class SmallPageAllocator final : public GroupCacheOps {
   // Drops the request-affinity free list of a finished request. Affinity state is otherwise
   // only pruned lazily (on pop exhaustion), so long-lived servers must call this when a
   // request id retires for good; preempted requests keep their entry for re-admission.
+  // Fires OnRequestForgotten only when the list still held a valid ref.
   void ForgetRequest(RequestId request);
 
   // Resizes the dense metadata slab after the LCM pool grew or shrank (elastic governor).
@@ -228,10 +249,21 @@ class SmallPageAllocator final : public GroupCacheOps {
     }
   }
 
+  // One pass of the five-step algorithm for `request`: claims one page, or — when step 2
+  // hands over a fresh large page — up to `run` of its slots (slot 0, then n−1, n−2, …).
+  // Passes each claimed page to `emit` in claim order and returns how many were claimed;
+  // 0 when the group is out of memory. Allocate is a pass with run = 1.
+  template <typename Emit>
+  int64_t ClaimPass(RequestId request, int64_t run, Tick now, Emit emit);
   // empty → used for `request`.
   void ClaimEmpty(SmallPageId page, RequestId request, Tick now);
-  // evictable/used(ref 0) → empty; may return the large page to the LCM allocator.
+  // evictable/used(ref 0) → empty; may return the large page to the LCM allocator. The new
+  // empty page's free-list ref is buffered in released_refs_ until ReleaseN's flush.
   void TransitionToEmpty(SmallPageId page);
+  // Pops the refs into `large`, just returned to the LCM, off the tails of the any-list and
+  // of `request`'s list. Pops skip stale refs anyway, so no pop changes; the refs a fresh
+  // large page's leftover slots or an earlier release left there never reach a sweep.
+  void DropStaleTails(LargePageId large, RequestId request);
   // Drops the page's hash, erasing its index entry if the page holds it. `evicted` marks a
   // capacity eviction, whose OnHashUnindexed event carries the destroyed page.
   void UnregisterHash(SmallPageId page, SlotMeta& meta, bool evicted = false);
@@ -255,6 +287,15 @@ class SmallPageAllocator final : public GroupCacheOps {
   RequestId refs_cache_key_ = kNoRequest;
   std::vector<FreeRef>* refs_cache_ = nullptr;
   std::vector<FreeRef> empty_any_;
+  // A free-list push of the ReleaseN in progress, kept as (large page, slot) so the flush
+  // tests residency without dividing by pages_per_large_.
+  struct ReleasedRef {
+    LargePageId large = kNoLargePage;
+    int32_t slot = 0;
+    uint64_t epoch = 0;
+  };
+  // Empty between calls; capacity reused.
+  std::vector<ReleasedRef> released_refs_;
   Evictor evictor_;
   CacheIndex cache_index_;
 

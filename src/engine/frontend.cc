@@ -137,6 +137,7 @@ std::vector<ServingFrontend::AbandonedWork> ServingFrontend::HarvestAbandoned() 
       if (pending_cancels_.erase(op->id) > 0) {
         retired_.insert(op->id);
         cancelled_queued_.fetch_add(1, std::memory_order_relaxed);
+        client_cancels_.fetch_add(1, std::memory_order_relaxed);
         op->stream->finish_wall.store(wall, std::memory_order_release);
         op->stream->phase.store(StreamPhase::kCancelled, std::memory_order_release);
         continue;
@@ -151,6 +152,7 @@ std::vector<ServingFrontend::AbandonedWork> ServingFrontend::HarvestAbandoned() 
       queued_index.erase(it);
       retired_.insert(id);
       cancelled_queued_.fetch_add(1, std::memory_order_relaxed);
+      client_cancels_.fetch_add(1, std::memory_order_relaxed);
       submit.stream->finish_wall.store(wall, std::memory_order_release);
       submit.stream->phase.store(StreamPhase::kCancelled, std::memory_order_release);
       submit.stream.reset();  // Marks the slot annihilated.
@@ -159,6 +161,7 @@ std::vector<ServingFrontend::AbandonedWork> ServingFrontend::HarvestAbandoned() 
     if (auto it = live_.find(id); it != live_.end()) {
       JENGA_CHECK(engine_.CancelRequest(id));
       cancelled_.fetch_add(1, std::memory_order_relaxed);
+      client_cancels_.fetch_add(1, std::memory_order_relaxed);
       it->second->finish_wall.store(wall, std::memory_order_release);
       it->second->phase.store(StreamPhase::kCancelled, std::memory_order_release);
       retired_.insert(id);
@@ -254,6 +257,7 @@ void ServingFrontend::ApplySubmit(Op& op) {
     // Cancelled while still queued: the engine never sees the request.
     retired_.insert(op.id);
     cancelled_queued_.fetch_add(1, std::memory_order_relaxed);
+    client_cancels_.fetch_add(1, std::memory_order_relaxed);
     op.stream->finish_wall.store(WallSeconds(), std::memory_order_release);
     op.stream->phase.store(StreamPhase::kCancelled, std::memory_order_release);
     return;
@@ -265,7 +269,10 @@ void ServingFrontend::ApplySubmit(Op& op) {
 
 void ServingFrontend::ApplyCancel(RequestId id) {
   if (live_.find(id) != live_.end()) {
-    (void)engine_.CancelRequest(id);  // False only if it finished this very step; fine.
+    // False only if it finished this very step: the cancel took no effect.
+    if (engine_.CancelRequest(id)) {
+      client_cancels_.fetch_add(1, std::memory_order_relaxed);
+    }
     return;
   }
   if (retired_.find(id) != retired_.end()) {
@@ -354,6 +361,7 @@ ServingFrontend::Counters ServingFrontend::counters() const {
   c.finished = finished_.load(std::memory_order_relaxed);
   c.cancelled = cancelled_.load(std::memory_order_relaxed);
   c.failed = failed_.load(std::memory_order_relaxed);
+  c.client_cancels = client_cancels_.load(std::memory_order_relaxed);
   c.harvested_queued = harvested_queued_.load(std::memory_order_relaxed);
   c.harvested_live = harvested_live_.load(std::memory_order_relaxed);
   return c;

@@ -173,6 +173,9 @@ class ServingFrontend {
     int64_t finished = 0;            // Terminal kFinished.
     int64_t cancelled = 0;           // Terminal kCancelled (engine-side).
     int64_t failed = 0;              // Terminal kFailed.
+    // Client cancels that took effect: a queued submit annihilated (also in cancelled_queued)
+    // or the request cancelled off the engine. Late cancels of finished ids are not counted.
+    int64_t client_cancels = 0;
     // Kill/harvest ledger (0 unless the frontend was killed). The per-frontend balances
     // become: submitted == admitted + cancelled_queued + harvested_queued, and
     // admitted == finished + cancelled + failed + harvested_live.
@@ -225,6 +228,7 @@ class ServingFrontend {
   std::atomic<int64_t> finished_{0};
   std::atomic<int64_t> cancelled_{0};
   std::atomic<int64_t> failed_{0};
+  std::atomic<int64_t> client_cancels_{0};
   std::atomic<int64_t> harvested_queued_{0};
   std::atomic<int64_t> harvested_live_{0};
 

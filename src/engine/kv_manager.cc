@@ -553,14 +553,15 @@ void KvManager::TruncateBlockTable(RequestKv& state, int g, int64_t size) {
   state.grow_limit = -1;
   state.next_event = -1;
   GroupState& gs = state.groups[static_cast<size_t>(g)];
-  SmallPageAllocator& alloc = allocator_.group(g);
-  while (static_cast<int64_t>(gs.pages.size()) > size) {
-    // Pages past the committed state never had a content hash registered.
-    if (gs.pages.back() != kNoSmallPage) {
-      alloc.Release(gs.pages.back(), /*keep_cached=*/false);
-    }
-    gs.pages.pop_back();
+  if (static_cast<int64_t>(gs.pages.size()) <= size) {
+    return;
   }
+  // Newest first. Pages past the committed state never had a content hash registered.
+  const auto tail = gs.pages.begin() + static_cast<std::ptrdiff_t>(size);
+  std::reverse(tail, gs.pages.end());
+  allocator_.group(g).ReleaseN(std::span<const SmallPageId>(tail, gs.pages.end()),
+                               /*keep_cached=*/false);
+  gs.pages.resize(static_cast<size_t>(size));
 }
 
 void KvManager::RegisterHashes(Request& r, RequestKv& state, Tick now) {
@@ -624,21 +625,27 @@ void KvManager::DropUnneededPages(const Request& r, RequestKv& state, int g) {
   // earlier range (e.g. the attention sinks) overlaps it.
   const int64_t limit_block =
       std::min<int64_t>(ranges.back().begin / bs, static_cast<int64_t>(gs.pages.size()));
+  const bool deferred = defer_refresh_[static_cast<size_t>(g)] && state.last_touch != 0;
+  std::vector<SmallPageId>& dropped = dropped_pages_;
+  dropped.clear();
+  int64_t refreshed = 0;
   for (; gs.drop_cursor < limit_block; ++gs.drop_cursor) {
     const int64_t j = gs.drop_cursor;
     const SmallPageId page = gs.pages[static_cast<size_t>(j)];
     if (page == kNoSmallPage || BlockNeeded(ranges, j, bs)) {
       continue;
     }
-    if (defer_refresh_[static_cast<size_t>(g)] && state.last_touch != 0 && j * bs < touched) {
+    if (deferred && j * bs < touched) {
       // Deferred refresh: the page was inside the window through the previous step. A block
       // claimed ahead (a failed step's chunk) that no commit reached keeps its claim tick.
-      alloc.UpdateLastAccess(page, state.last_touch);
+      // Blocks go in ascending order, so the refreshed ones are a prefix of `dropped`.
+      refreshed += 1;
     }
     alloc.SetPrefixLength(page, (j + 1) * bs);
-    alloc.Release(page, options_.enable_prefix_caching);
+    dropped.push_back(page);
     gs.pages[static_cast<size_t>(j)] = kNoSmallPage;
   }
+  alloc.ReleaseN(dropped, options_.enable_prefix_caching, state.last_touch, refreshed);
 }
 
 void KvManager::FreeConsumedVisionPages(const Request& r, RequestKv& state, Tick now) {
@@ -699,7 +706,7 @@ void KvManager::OnStepComputed(Request& r, Tick now) {
     // Balanced eviction (§5.1): refresh last-access of the pages this step actually touched.
     // Deferred-refresh groups share the one tick recorded below instead of writing O(pages)
     // metadata — a used page's last-access is unobservable until it can become evictable, so
-    // the tick is applied at release/drop/consume time (ApplyDeferredTouch), yielding the
+    // the tick is applied at release/drop/consume time (ReleaseN's touch), yielding the
     // same final values.
     for (size_t g = 0; g < spec_.groups.size(); ++g) {
       if (!defer_refresh_[g]) {
@@ -808,43 +815,30 @@ bool KvManager::StepWalkIsNoOp(const Request& r, const RequestKv& state) const {
   return true;
 }
 
-void KvManager::ApplyDeferredTouch(const Request& r, RequestKv& state, int g) {
-  GroupState& gs = state.groups[static_cast<size_t>(g)];
-  if (!defer_refresh_[static_cast<size_t>(g)] || state.last_touch == 0 || gs.pages.empty()) {
-    return;
-  }
-  const KvGroupSpec& group = spec_.groups[static_cast<size_t>(g)];
-  // Only blocks the eager refresh would have marked: blocks of computed tokens. The vision
-  // group allocates ahead for unconsumed images — those pages keep their claim-time tick.
-  // Mamba's one page is the running state, which every step touches.
-  int64_t marked = static_cast<int64_t>(gs.pages.size());
-  if (group.kind != GroupKind::kMamba) {
-    const int64_t tokens = GroupTokensFor(r, group, state.computed_tokens);
-    marked = std::min(marked, CeilDiv(tokens, group.tokens_per_page));
-  }
-  SmallPageAllocator& alloc = allocator_.group(g);
-  for (int64_t j = 0; j < marked; ++j) {
-    if (gs.pages[static_cast<size_t>(j)] != kNoSmallPage) {
-      alloc.UpdateLastAccess(gs.pages[static_cast<size_t>(j)], state.last_touch);
-    }
-  }
-}
-
 void KvManager::Release(Request& r, bool finished) {
   RequestKv& state = StateOf(r);
   for (size_t g = 0; g < spec_.groups.size(); ++g) {
     SmallPageAllocator& alloc = allocator_.group(static_cast<int>(g));
-    ApplyDeferredTouch(r, state, static_cast<int>(g));
+    const KvGroupSpec& group = spec_.groups[g];
+    const std::vector<SmallPageId>& pages = state.groups[g].pages;
     if (options_.enable_prefix_caching) {
       // Aligned eviction (§5.1): assign consistent per-token priorities across groups before
       // the pages become evictable.
       policies_[g]->SetPrefixLength(ViewOf(r, state, static_cast<int>(g)), alloc);
     }
-    for (const SmallPageId page : state.groups[g].pages) {
-      if (page != kNoSmallPage) {
-        alloc.Release(page, options_.enable_prefix_caching);
+    // Deferred refresh: ReleaseN stamps state.last_touch on the blocks the eager refresh would
+    // have marked, the blocks of computed tokens. The vision group allocates ahead for
+    // unconsumed images — those pages keep their claim-time tick. Mamba's one page is the
+    // running state, which every step touches.
+    int64_t marked = 0;
+    if (defer_refresh_[g] && state.last_touch != 0) {
+      marked = static_cast<int64_t>(pages.size());
+      if (group.kind != GroupKind::kMamba) {
+        marked = std::min(marked, CeilDiv(GroupTokensFor(r, group, state.computed_tokens),
+                                          group.tokens_per_page));
       }
     }
+    alloc.ReleaseN(pages, options_.enable_prefix_caching, state.last_touch, marked);
   }
   Untrack(r);
   if (finished || !options_.memoize_admission) {

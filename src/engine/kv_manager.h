@@ -335,10 +335,6 @@ class KvManager {
   // Debug check behind OnStepComputed's fast return: at r's current length the step walk
   // would hash no unit, drop or consume no block, and run no per-step policy refresh.
   [[nodiscard]] bool StepWalkIsNoOp(const Request& r, const RequestKv& state) const;
-  // Applies the pending last_touch to the blocks group g's eager per-step refresh would have
-  // marked (capped at computed tokens — the vision group allocates ahead; Mamba's running
-  // state page always). Must run before any of the group's pages can become evictable.
-  void ApplyDeferredTouch(const Request& r, RequestKv& state, int g);
   void FreeConsumedVisionPages(const Request& r, RequestKv& state, Tick now);
   [[nodiscard]] RequestPages ViewOf(const Request& r, const RequestKv& state, int g) const;
 
@@ -363,6 +359,8 @@ class KvManager {
   // Populated lazily (MemoFor); survives preemption when memoize_admission is on.
   std::unordered_map<RequestId, AdmissionMemo> admission_memos_;
   int64_t total_cache_hit_tokens_ = 0;
+  // DropUnneededPages' run for one ReleaseN (empty between calls; capacity reused).
+  std::vector<SmallPageId> dropped_pages_;
   SwapManager* offload_ = nullptr;
   int manager_index_ = 0;
 };

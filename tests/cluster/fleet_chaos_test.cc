@@ -733,6 +733,13 @@ void RunThreadedFleetChaos(int num_replicas, int producers, int per_producer, in
   EXPECT_EQ(c.submitted, c.admitted + c.cancelled_queued + c.harvested_queued);
   EXPECT_EQ(c.admitted, c.finished + c.cancelled + c.failed + c.harvested_live);
   EXPECT_EQ(fc.death_cancels, c.harvested_live);
+  // Cancel ledger (DESIGN.md §10): a client cancel counts where it takes effect. Each one
+  // either left a cancelled record or annihilated a queued submit, which leaves none.
+  int64_t cancelled_records = 0;
+  for (int r = 0; r < fleet.num_replicas(); ++r) {
+    cancelled_records += fleet.replica(r).metrics().CancelledRecords();
+  }
+  EXPECT_EQ(cancelled_records + c.cancelled_queued, fc.death_cancels + fc.cancelled);
   EXPECT_EQ(fc.rerouted + fc.lost_on_shutdown, c.harvested_live + c.harvested_queued);
   EXPECT_EQ(fc.lost_on_shutdown, 0);
   EXPECT_EQ(fc.backpressure_rejections, refused.load());

@@ -4,6 +4,10 @@
 // from transient saturation, so callers retried forever. Both entry points now report the
 // terminal state cleanly: SubmitAsync returns a kRejected stream, TrySubmitAsync returns
 // Status::FailedPrecondition (kResourceExhausted stays reserved for genuine saturation).
+//
+// Also the cancel ledger of both fleet drivers: FleetCounters::cancelled counts a client
+// cancel only when it takes effect, so a cancel that arrives after its request finished
+// counts nothing.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +16,7 @@
 #include <vector>
 
 #include "src/cluster/fleet_frontend.h"
+#include "src/cluster/fleet_router.h"
 #include "src/common/status.h"
 #include "tests/cluster/fleet_test_util.h"
 
@@ -69,6 +74,45 @@ TEST(FleetShutdownTest, KillReplicaAfterShutdownIsRefused) {
   fleet.Shutdown();
   EXPECT_FALSE(fleet.KillReplica(0));
   EXPECT_EQ(fleet.counters().replica_deaths, 0);
+}
+
+TEST(FleetCancelTest, RouterCancelAfterFinishIsNotCounted) {
+  FleetRouter fleet(TestFleetConfig(2, RoutePolicy::kPrefixAffinity, /*seed=*/7));
+  const RequestId id = 1;
+  fleet.Submit(MakeRequest(id, ArticlePrompt(0, 32, 0), /*output_len=*/2, 0.0));
+  fleet.RunToCompletion();
+  EXPECT_FALSE(fleet.CancelRequest(id));
+  EXPECT_EQ(fleet.counters().cancelled, 0);
+}
+
+TEST(FleetCancelTest, FrontendCancelAfterFinishIsNotCounted) {
+  FleetFrontend fleet = MakeFleet(2);
+  fleet.Start();
+  const Request request = SmallRequest(fleet);
+  const RequestId id = request.id;
+  StreamHandle stream = fleet.SubmitAsync(request);
+  while (!stream->Done()) {
+    std::this_thread::yield();
+  }
+  fleet.CancelAsync(id);
+  fleet.Shutdown();  // Drains the cancel on the replica's engine thread.
+  EXPECT_EQ(stream->phase.load(), StreamPhase::kFinished);
+  EXPECT_EQ(fleet.counters().cancelled, 0);
+  EXPECT_EQ(fleet.frontend_counters().client_cancels, 0);
+}
+
+TEST(FleetCancelTest, FrontendCancelThatTakesEffectIsCounted) {
+  // Never started: Shutdown drains the submit and then the cancel on this thread, so the
+  // engine holds the request when the cancel arrives.
+  FleetFrontend fleet = MakeFleet(2);
+  const Request request = SmallRequest(fleet);
+  const RequestId id = request.id;
+  StreamHandle stream = fleet.SubmitAsync(request);
+  fleet.CancelAsync(id);
+  fleet.Shutdown();
+  EXPECT_EQ(stream->phase.load(), StreamPhase::kCancelled);
+  EXPECT_EQ(fleet.counters().cancelled, 1);
+  EXPECT_EQ(fleet.frontend_counters().client_cancels, 1);
 }
 
 // Producers race Shutdown: every submit must either be accepted (and reach a terminal
