@@ -233,7 +233,7 @@ double MicroCacheChurnOffload(int64_t cycles) {
   const KvSpec spec = TwoGroupSpec();
   KvManager::Options options;
   options.tokens_per_page = 16;
-  KvManager kv(spec, spec, 8LL << 20, options);
+  KvManager kv(spec, spec, 8LL << 20, options, MakeLayerPolicies(spec));
   OffloadConfig offload;
   offload.enabled = true;
   offload.host_pool_bytes = 4LL << 20;
@@ -276,7 +276,7 @@ double MicroAdmissionReadmit(int64_t cycles) {
   const KvSpec spec = TwoGroupSpec();
   KvManager::Options options;
   options.tokens_per_page = 16;
-  KvManager kv(spec, spec, 64LL << 20, options);
+  KvManager kv(spec, spec, 64LL << 20, options, MakeLayerPolicies(spec));
   constexpr int kLen = 4096;
   Request r = MakeRequest(/*id=*/7, ChurnPrompt(0, kLen), /*output_len=*/1, 0.0);
   Tick now = 0;
@@ -292,6 +292,43 @@ double MicroAdmissionReadmit(int64_t cycles) {
   }
   const auto end = Clock::now();
   kv.OnRequestRetired(7);
+  return static_cast<double>(cycles) / Seconds(begin, end);
+}
+
+// Admissions of questions over a few shared long documents, each with its own suffix (the
+// arXiv-QA shape). The shared-prefix table hands each prompt its document's chains, so an
+// admission hashes only its suffix before the hit scan finds the document cached. Counts
+// admissions per second.
+double MicroAdmissionSharedPrefix(int64_t cycles) {
+  const KvSpec spec = TwoGroupSpec();
+  KvManager::Options options;
+  options.tokens_per_page = 16;
+  KvManager kv(spec, spec, 64LL << 20, options, MakeLayerPolicies(spec));
+  constexpr int kDocs = 4;
+  constexpr int kDocLen = 4096;
+  constexpr int kSuffixLen = 24;
+  std::vector<Prompt> docs;
+  for (int d = 0; d < kDocs; ++d) {
+    docs.push_back(ChurnPrompt(d, kDocLen));
+  }
+  Tick now = 0;
+  const auto begin = Clock::now();
+  for (int64_t i = 0; i < cycles; ++i) {
+    Prompt prompt = docs[static_cast<size_t>(i % kDocs)];
+    for (int k = 0; k < kSuffixLen; ++k) {
+      prompt.tokens.push_back(static_cast<int32_t>(1000000 + (i * kSuffixLen + k) % 1000000000));
+    }
+    const int64_t len = prompt.size();
+    Request r = MakeRequest(static_cast<RequestId>(i), std::move(prompt), /*output_len=*/1, 0.0);
+    ++now;
+    kv.OnAdmit(r, now);
+    if (kv.AllocateForTokens(r, len - r.num_computed_tokens, now)) {
+      r.num_computed_tokens = len;
+      kv.OnStepComputed(r, now);
+    }
+    kv.Release(r, /*finished=*/true);
+  }
+  const auto end = Clock::now();
   return static_cast<double>(cycles) / Seconds(begin, end);
 }
 
@@ -861,6 +898,7 @@ bool Run(bool quick, bool gate, int profile, const std::string& out_path,
       {"micro.reclaim_ties.ops_per_s", MicroReclaimTies, 2000 * scale},
       {"micro.cache_churn_offload.ops_per_s", MicroCacheChurnOffload, 1500 * scale},
       {"micro.admission_readmit.ops_per_s", MicroAdmissionReadmit, 1500 * scale},
+      {"micro.admission_shared_prefix.ops_per_s", MicroAdmissionSharedPrefix, 1500 * scale},
       {"micro.evictor_churn.ops_per_s", MicroEvictorChurn, 250000 * scale},
       {"micro.meta_reads.ops_per_s", MicroMetaReads, 1250000 * scale},
       {"micro.deadline_sweep.steps_per_s", MicroDeadlineSweep, 512 * scale},

@@ -19,9 +19,10 @@ double MeasuredWaste(const ModelConfig& model, const Prompt& prompt) {
   KvManager::Options options;
   options.tokens_per_page = bs;
   options.enable_prefix_caching = false;
-  options.jenga = false;
   const int64_t pool = 256LL * 1024 * 1024 * 1024;  // Large enough to never evict.
-  KvManager kv(MakeHomogeneousSpec(model, bs), MakeJengaSpec(model, bs, false), pool, options);
+  const KvSpec spec = MakeHomogeneousSpec(model, bs);
+  KvManager kv(spec, MakeJengaSpec(model, bs, false), pool, options,
+               MakeFullPrefixPolicies(spec));
   Request r = MakeRequest(1, prompt, 2, 0.0);
   kv.OnAdmit(r, 1);
   const bool ok = kv.AllocateForTokens(r, r.prompt_len(), 1);

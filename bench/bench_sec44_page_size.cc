@@ -45,9 +45,8 @@ double MeasuredLcmFrag(const ModelConfig& model, int64_t pool_bytes) {
   KvManager::Options options;
   options.tokens_per_page = 16;
   options.enable_prefix_caching = false;
-  options.jenga = true;
   options.tokens_per_image = std::max(model.vision.tokens_per_image, 1);
-  KvManager kv(spec, spec, pool_bytes, options);
+  KvManager kv(spec, spec, pool_bytes, options, MakeLayerPolicies(spec, options.tokens_per_image));
 
   ShareGptDataset dataset;
   Rng rng(0x44);

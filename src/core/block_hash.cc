@@ -20,19 +20,20 @@ uint64_t Absorb(uint64_t h, uint64_t value) {
   return h;
 }
 
-// ExtendBlockHash over every full block, for kLanes chains at once: each token is absorbed by
-// every lane before the next one, so the lanes' multiply chains overlap. A compile-time lane
-// count keeps the chain values in registers.
+// ExtendBlockHash over every full block past the ones `out` already holds, for kLanes chains
+// at once: each token is absorbed by every lane before the next one, so the lanes' multiply
+// chains overlap. A compile-time lane count keeps the chain values in registers.
 template <size_t kLanes>
 void ChainLanes(std::span<const int32_t> tokens, size_t block_size, const uint64_t* salts,
                 std::vector<BlockHash>* out) {
   const size_t num_blocks = tokens.size() / block_size;
+  const size_t done = out[0].size();
   std::array<uint64_t, kLanes> h;
   for (size_t l = 0; l < kLanes; ++l) {
-    h[l] = InitBlockChain(salts[l]);
+    h[l] = done == 0 ? InitBlockChain(salts[l]) : out[l].back();
     out[l].reserve(num_blocks);
   }
-  for (size_t b = 0; b < num_blocks; ++b) {
+  for (size_t b = done; b < num_blocks; ++b) {
     for (size_t l = 0; l < kLanes; ++l) {
       h[l] = Absorb(h[l], 0x9E3779B97F4A7C15ull);
     }
@@ -68,16 +69,26 @@ std::vector<BlockHash> ChainBlockHashes(std::span<const int32_t> tokens, int blo
 std::vector<std::vector<BlockHash>> ChainBlockHashes(std::span<const int32_t> tokens,
                                                      int block_size,
                                                      std::span<const uint64_t> salts) {
-  JENGA_CHECK_GT(block_size, 0);
   std::vector<std::vector<BlockHash>> hashes(salts.size());
+  ExtendChains(tokens, block_size, salts, hashes);
+  return hashes;
+}
+
+void ExtendChains(std::span<const int32_t> tokens, int block_size,
+                  std::span<const uint64_t> salts, std::span<std::vector<BlockHash>> chains) {
+  JENGA_CHECK_GT(block_size, 0);
+  JENGA_CHECK_EQ(chains.size(), salts.size());
+  for (const std::vector<BlockHash>& chain : chains) {
+    JENGA_CHECK_EQ(chain.size(), chains.front().size()) << "chains must cover the same blocks";
+    JENGA_CHECK_LE(chain.size(), tokens.size() / static_cast<size_t>(block_size));
+  }
   size_t lane = 0;
   for (; lane + 2 <= salts.size(); lane += 2) {
-    ChainLanes<2>(tokens, static_cast<size_t>(block_size), &salts[lane], &hashes[lane]);
+    ChainLanes<2>(tokens, static_cast<size_t>(block_size), &salts[lane], &chains[lane]);
   }
   if (lane < salts.size()) {
-    ChainLanes<1>(tokens, static_cast<size_t>(block_size), &salts[lane], &hashes[lane]);
+    ChainLanes<1>(tokens, static_cast<size_t>(block_size), &salts[lane], &chains[lane]);
   }
-  return hashes;
 }
 
 int64_t LongestCommonValidPrefix(std::span<const std::vector<bool>> valids) {

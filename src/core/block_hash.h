@@ -36,10 +36,19 @@ namespace jenga {
                                                       int block_size, uint64_t salt);
 
 // One chain per salt over the same stream and block size, in salt order; chain i equals
-// ChainBlockHashes(tokens, block_size, salts[i]). The chains advance together token by token,
-// so their independent multiply latencies overlap instead of running back to back.
+// ChainBlockHashes(tokens, block_size, salts[i]). A thin wrapper of ExtendChains from empty
+// chains.
 [[nodiscard]] std::vector<std::vector<BlockHash>> ChainBlockHashes(
     std::span<const int32_t> tokens, int block_size, std::span<const uint64_t> salts);
+
+// Completes one chain per salt over the same stream and block size, in salt order. On entry
+// every chains[i] holds the hashes of the same first k full blocks of `tokens` (k may be 0);
+// on return it holds ChainBlockHashes(tokens, block_size, salts[i]). So a caller that already
+// has a prefix's hashes (another prompt's, over the same leading tokens) pays only for the
+// blocks past it. The chains advance together token by token, so their independent multiply
+// latencies overlap instead of running back to back.
+void ExtendChains(std::span<const int32_t> tokens, int block_size,
+                  std::span<const uint64_t> salts, std::span<std::vector<BlockHash>> chains);
 
 // Longest prefix boundary valid in *every* group (§5.2): each element of `valids` is one
 // group's bitmap over the same boundary indices (all must share a size); returns the largest

@@ -23,4 +23,20 @@ std::unique_ptr<LayerPolicy> MakeLayerPolicy(const KvGroupSpec& spec, int tokens
   JENGA_CHECK(false) << "unhandled group kind";
 }
 
+LayerPolicies MakeLayerPolicies(const KvSpec& spec, int tokens_per_image) {
+  LayerPolicies policies;
+  for (const KvGroupSpec& group : spec.groups) {
+    policies.push_back(MakeLayerPolicy(group, tokens_per_image));
+  }
+  return policies;
+}
+
+LayerPolicies MakeFullPrefixPolicies(const KvSpec& spec) {
+  LayerPolicies policies;
+  for (size_t g = 0; g < spec.groups.size(); ++g) {
+    policies.push_back(std::make_unique<FullPrefixPolicy>());
+  }
+  return policies;
+}
+
 }  // namespace jenga

@@ -4,6 +4,7 @@
 #define JENGA_SRC_CORE_POLICY_FACTORY_H_
 
 #include <memory>
+#include <vector>
 
 #include "src/core/layer_policy.h"
 #include "src/model/kv_spec.h"
@@ -19,6 +20,16 @@ inline constexpr int kPyramidNumSinks = 4;
 // (cross-attention KV and the vision-embedding cache) and ignored otherwise.
 [[nodiscard]] std::unique_ptr<LayerPolicy> MakeLayerPolicy(const KvGroupSpec& spec,
                                                            int tokens_per_image = 0);
+
+// One policy per group of a spec, in group order.
+using LayerPolicies = std::vector<std::unique_ptr<LayerPolicy>>;
+
+// Jenga's policy set: MakeLayerPolicy for every group of `spec`.
+[[nodiscard]] LayerPolicies MakeLayerPolicies(const KvSpec& spec, int tokens_per_image = 0);
+
+// The PagedAttention baselines' policy set (vLLM v0.6.3): full-prefix rules for every group,
+// so nothing is dropped mid-request.
+[[nodiscard]] LayerPolicies MakeFullPrefixPolicies(const KvSpec& spec);
 
 }  // namespace jenga
 

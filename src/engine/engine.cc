@@ -72,10 +72,12 @@ std::unique_ptr<KvManager> Engine::BuildKvManager(const ModelConfig& model, int6
   options.tokens_per_page = config_.tokens_per_page;
   options.enable_prefix_caching = config_.enable_prefix_caching;
   options.memoize_admission = config_.memoize_admission;
-  options.jenga = config_.jenga;
   options.tokens_per_image = model.vision.tokens_per_image;
+  LayerPolicies policies = config_.jenga
+                               ? MakeLayerPolicies(alloc_spec, options.tokens_per_image)
+                               : MakeFullPrefixPolicies(alloc_spec);
   return std::make_unique<KvManager>(std::move(alloc_spec), std::move(accounting_spec), pool,
-                                     options);
+                                     options, std::move(policies));
 }
 
 int64_t Engine::EffectiveOutputLen(const Request& r) const {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <span>
 
@@ -116,14 +117,32 @@ std::span<const int32_t> UnitPastPrompt(const Request& r, GroupScope scope, int6
   return buf;
 }
 
+// Length of the common prefix of `a` and `b`: memcmp over 64-token strides up to the first
+// stride that differs, then token by token inside it.
+size_t CommonPrefixLength(std::span<const int32_t> a, std::span<const int32_t> b) {
+  constexpr size_t kStride = 64;
+  const size_t n = std::min(a.size(), b.size());
+  size_t i = 0;
+  while (i + kStride <= n &&
+         std::memcmp(a.data() + i, b.data() + i, kStride * sizeof(int32_t)) == 0) {
+    i += kStride;
+  }
+  while (i < n && a[i] == b[i]) {
+    ++i;
+  }
+  return i;
+}
+
 // Order-sensitive mix for the swap round-trip fingerprint (splitmix-style).
 uint64_t MixFingerprint(uint64_t h, uint64_t v) {
   h ^= v + 0x9E3779B97F4A7C15ull + (h << 12) + (h >> 4);
   return h * 0xFF51AFD7ED558CCDull;
 }
 
-// Differential audit of the fused hit scan against the materialized-bitmap reference. Off by
-// default (the reference pass re-does every allocator lookup); the fuzz/chaos stages enable it.
+// Differential audit of the fused hit scan against the materialized-bitmap reference, and of
+// every chain taken from the shared-prefix table against a from-scratch hash. Off by default
+// (the reference passes re-do every allocator lookup and every hash); the fuzz/chaos stages
+// enable it.
 bool AdmissionScanAuditEnabled() {
   static const bool enabled = std::getenv("JENGA_CHECK_ADMISSION") != nullptr;
   return enabled;
@@ -132,28 +151,25 @@ bool AdmissionScanAuditEnabled() {
 }  // namespace
 
 KvManager::KvManager(KvSpec alloc_spec, KvSpec accounting_spec, int64_t pool_bytes,
-                     Options options)
+                     Options options, LayerPolicies policies)
     : spec_(std::move(alloc_spec)),
       accounting_spec_(std::move(accounting_spec)),
       options_(options),
-      allocator_(spec_, pool_bytes) {
+      allocator_(spec_, pool_bytes),
+      policies_(std::move(policies)),
+      accounting_policies_(
+          MakeLayerPolicies(accounting_spec_, std::max(options_.tokens_per_image, 1))) {
   JENGA_CHECK_LE(spec_.groups.size(), kMaxGroups);
+  JENGA_CHECK_EQ(policies_.size(), spec_.groups.size()) << "one policy per group";
   for (size_t g = 0; g < spec_.groups.size(); ++g) {
     const KvGroupSpec& group = spec_.groups[g];
-    if (options_.jenga) {
-      policies_.push_back(MakeLayerPolicy(group, options_.tokens_per_image));
-    } else {
-      policies_.push_back(std::make_unique<FullPrefixPolicy>());
-    }
     if (group.kind == GroupKind::kVisionEmbed) {
       vision_group_ = static_cast<int>(g);
     }
-    const LayerPolicy& policy = *policies_.back();
-    // Droppable policies cover all residents only when drops actually run (Jenga mode).
-    defer_refresh_.push_back(policy.RefreshCoversResidentPages() &&
-                             (!policy.CanDropUnneededPages() || options_.jenga));
+    defer_refresh_.push_back(policies_[g]->RefreshCoversResidentPages());
     const GroupScope stream =
         IsSubsequenceScope(group.scope) ? group.scope : GroupScope::kAllTokens;
+    has_all_token_pass_ = has_all_token_pass_ || stream == GroupScope::kAllTokens;
     const int unit = HitUnit(g);
     auto pass = std::find_if(hash_passes_.begin(), hash_passes_.end(), [&](const HashPass& p) {
       return p.stream == stream && p.unit == unit;
@@ -163,9 +179,6 @@ KvManager::KvManager(KvSpec alloc_spec, KvSpec accounting_spec, int64_t pool_byt
     }
     pass->groups.push_back(g);
     pass->salts.push_back(GroupChainSalt(static_cast<int>(g)));
-  }
-  for (const KvGroupSpec& group : accounting_spec_.groups) {
-    accounting_policies_.push_back(MakeLayerPolicy(group, std::max(options_.tokens_per_image, 1)));
   }
 }
 
@@ -335,13 +348,20 @@ void KvManager::OnAdmit(Request& r, Tick now) {
   total_cache_hit_tokens_ += hit_tokens;
 }
 
-KvManager::AdmissionMemo KvManager::BuildAdmissionMemo(const Request& r) const {
+KvManager::AdmissionMemo KvManager::BuildAdmissionMemo(const Request& r) {
   AdmissionMemo memo;
   memo.group_hashes.resize(spec_.groups.size());
+  const std::span<const int32_t> prompt(r.prompt.tokens);
+  const bool shared = options_.memoize_admission && has_all_token_pass_ &&
+                      ChainsFromSharedPrefix(prompt, memo);
   std::vector<int32_t> sub;
   for (const HashPass& pass : hash_passes_) {
-    std::span<const int32_t> stream(r.prompt.tokens);
-    if (pass.stream != GroupScope::kAllTokens) {
+    std::span<const int32_t> stream = prompt;
+    if (pass.stream == GroupScope::kAllTokens) {
+      if (shared) {
+        continue;
+      }
+    } else {
       const TokenKind kind =
           pass.stream == GroupScope::kImageTokens ? TokenKind::kImage : TokenKind::kText;
       sub.clear();
@@ -358,6 +378,78 @@ KvManager::AdmissionMemo KvManager::BuildAdmissionMemo(const Request& r) const {
     }
   }
   return memo;
+}
+
+bool KvManager::ChainsFromSharedPrefix(std::span<const int32_t> prompt, AdmissionMemo& memo) {
+  const size_t bs = static_cast<size_t>(options_.tokens_per_page);
+  if (prompt.size() < bs) {
+    return false;  // No first block to key on, and no whole unit to share.
+  }
+  if (shared_prefixes_.empty()) {
+    shared_prefixes_.resize(kSharedPrefixSlots);
+  }
+  const BlockHash key = SharedPrefixKey(prompt);
+  SharedPrefix& slot = shared_prefixes_[key % kSharedPrefixSlots];
+  if (!slot.used || slot.key != key) {
+    slot = SharedPrefix{};  // Frees the previous prompt's buffers.
+    slot.used = true;
+    slot.key = key;
+    return false;
+  }
+  // The key only makes a shared prefix likely; the comparison decides how long it is.
+  const size_t common = CommonPrefixLength(prompt, slot.tokens);
+  shared_prefix_reused_tokens_ += static_cast<int64_t>(common);
+  slot.tokens.resize(common);
+  slot.tokens.insert(slot.tokens.end(), prompt.begin() + static_cast<std::ptrdiff_t>(common),
+                     prompt.end());
+  slot.chains.resize(spec_.groups.size());
+  std::vector<std::vector<BlockHash>> chains;
+  for (const HashPass& pass : hash_passes_) {
+    if (pass.stream != GroupScope::kAllTokens) {
+      continue;
+    }
+    const size_t units = common / static_cast<size_t>(pass.unit);
+    chains.resize(pass.groups.size());
+    for (size_t i = 0; i < pass.groups.size(); ++i) {
+      chains[i] = std::move(slot.chains[pass.groups[i]]);
+      chains[i].resize(std::min(chains[i].size(), units));
+    }
+    ExtendChains(prompt, pass.unit, pass.salts, chains);
+    if (units > 0 && AdmissionScanAuditEnabled()) {
+      const std::vector<std::vector<BlockHash>> scratch =
+          ChainBlockHashes(prompt, pass.unit, pass.salts);
+      for (size_t i = 0; i < pass.groups.size(); ++i) {
+        JENGA_CHECK_EQ(chains[i].size(), scratch[i].size());
+        for (size_t j = 0; j < scratch[i].size(); ++j) {
+          JENGA_CHECK_EQ(chains[i][j], scratch[i][j])
+              << "shared-prefix chain of group " << pass.groups[i] << " diverged at unit " << j;
+        }
+      }
+    }
+    for (size_t i = 0; i < pass.groups.size(); ++i) {
+      memo.group_hashes[pass.groups[i]] = chains[i];
+      slot.chains[pass.groups[i]] = std::move(chains[i]);
+    }
+  }
+  return true;
+}
+
+BlockHash KvManager::SharedPrefixKey(std::span<const int32_t> prompt) const {
+  return ExtendBlockHash(InitBlockChain(0),
+                         prompt.first(static_cast<size_t>(options_.tokens_per_page)));
+}
+
+KvManager::SharedPrefixStats KvManager::shared_prefix_stats() const {
+  SharedPrefixStats stats;
+  stats.reused_tokens = shared_prefix_reused_tokens_;
+  for (const SharedPrefix& slot : shared_prefixes_) {
+    stats.entries += slot.used ? 1 : 0;
+    stats.stored_tokens += static_cast<int64_t>(slot.tokens.size());
+    for (const std::vector<BlockHash>& chain : slot.chains) {
+      stats.stored_hashes += static_cast<int64_t>(chain.size());
+    }
+  }
+  return stats;
 }
 
 const KvManager::AdmissionMemo& KvManager::MemoFor(const Request& r) {
@@ -462,7 +554,7 @@ KvManager::GrowPlan KvManager::PlanGrow(const Request& r, const RequestKv& state
     int64_t need = target - size;
     // Droppable groups (sliding window, pyramid) restore only the blocks the policy still
     // needs at `tokens`; everything else stays a hole, exactly as DropUnneededPages left it.
-    if (leave_dropped && options_.jenga && policies_[g]->CanDropUnneededPages()) {
+    if (leave_dropped && policies_[g]->CanDropUnneededPages()) {
       plan.holes |= 1u << g;
       const TokenRanges needed =
           policies_[g]->NeededTokenRanges(GroupTokensFor(r, group, tokens));
@@ -692,17 +784,15 @@ void KvManager::OnStepComputed(Request& r, Tick now) {
     if (options_.enable_prefix_caching) {
       RegisterHashes(r, state, now);
     }
-    if (options_.jenga) {
-      for (size_t g = 0; g < spec_.groups.size(); ++g) {
-        if (static_cast<int>(g) == vision_group_) {
-          continue;  // Vision pages are freed by consumption, not by windowing.
-        }
-        if (policies_[g]->CanDropUnneededPages()) {
-          DropUnneededPages(r, state, static_cast<int>(g));
-        }
+    for (size_t g = 0; g < spec_.groups.size(); ++g) {
+      if (static_cast<int>(g) == vision_group_) {
+        continue;  // Vision pages are freed by consumption, not by windowing.
       }
-      FreeConsumedVisionPages(r, state, now);
+      if (policies_[g]->CanDropUnneededPages()) {
+        DropUnneededPages(r, state, static_cast<int>(g));
+      }
     }
+    FreeConsumedVisionPages(r, state, now);
     // Balanced eviction (§5.1): refresh last-access of the pages this step actually touched.
     // Deferred-refresh groups share the one tick recorded below instead of writing O(pages)
     // metadata — a used page's last-access is unobservable until it can become evictable, so
@@ -766,9 +856,6 @@ int64_t KvManager::NextKvEvent(const Request& r, const RequestKv& state) const {
       // The next hit unit completes: a content hash, or a Mamba checkpoint.
       next = std::min(next, TokensToReach(r, g, (gs.hashed_blocks + 1) * HitUnit(g)));
     }
-    if (!options_.jenga) {
-      continue;
-    }
     const KvGroupSpec& group = spec_.groups[g];
     const int bs = group.tokens_per_page;
     if (static_cast<int>(g) == vision_group_) {
@@ -798,7 +885,7 @@ bool KvManager::StepWalkIsNoOp(const Request& r, const RequestKv& state) const {
         (options_.enable_prefix_caching && tokens / HitUnit(g) != gs.hashed_blocks)) {
       return false;
     }
-    if (!options_.jenga || gs.drop_cursor >= size) {
+    if (gs.drop_cursor >= size) {
       continue;
     }
     if (static_cast<int>(g) == vision_group_) {

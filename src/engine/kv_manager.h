@@ -2,7 +2,8 @@
 // Jenga configuration (per-group allocation, layer-specific policies, out-of-window drops,
 // vision-embedding cache) and the PagedAttention-style baselines (a single degenerate group
 // covering every layer, full-prefix rules only) — exactly the comparison the paper makes,
-// with everything else held equal.
+// with everything else held equal. The two differ only in the spec and the policy set the
+// caller passes in.
 
 #ifndef JENGA_SRC_ENGINE_KV_MANAGER_H_
 #define JENGA_SRC_ENGINE_KV_MANAGER_H_
@@ -10,6 +11,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -17,6 +19,7 @@
 #include "src/core/block_hash.h"
 #include "src/core/jenga_allocator.h"
 #include "src/core/layer_policy.h"
+#include "src/core/policy_factory.h"
 #include "src/engine/request.h"
 #include "src/model/kv_spec.h"
 #include "src/model/model_config.h"
@@ -81,22 +84,22 @@ class KvManager {
   struct Options {
     int tokens_per_page = 16;
     bool enable_prefix_caching = true;
-    // Jenga semantics: layer-specific policies + dropping of unneeded pages. When false,
-    // every group uses full-prefix rules and nothing is dropped mid-request (vLLM v0.6.3).
-    bool jenga = true;
-    // Needed by the image-cache policies of multimodal models.
+    // Needed by the image-cache policies of the accounting spec of multimodal models.
     int tokens_per_image = 0;
     // Keep each request's prompt hash chains from first use until the request retires, so
     // re-admissions and swap restores reuse them — prompts are immutable, so the chains are
     // too. Off = drop them at every Release, so each admission and restore rebuilds from
-    // scratch (the reference behavior the memoized path must match bit for bit).
+    // scratch without the shared-prefix table (the reference behavior the memoized path must
+    // match bit for bit).
     bool memoize_admission = true;
   };
 
   // `alloc_spec` drives allocation; `accounting_spec` is the true per-group architecture,
   // used for the needed-vs-allocated waste accounting of Fig. 16 and for the decode KV-read
-  // estimate, regardless of allocation mode.
-  KvManager(KvSpec alloc_spec, KvSpec accounting_spec, int64_t pool_bytes, Options options);
+  // estimate, regardless of allocation mode. `policies` holds one policy per alloc-spec group:
+  // MakeLayerPolicies for Jenga, MakeFullPrefixPolicies for the PagedAttention baselines.
+  KvManager(KvSpec alloc_spec, KvSpec accounting_spec, int64_t pool_bytes, Options options,
+            LayerPolicies policies);
 
   KvManager(const KvManager&) = delete;
   KvManager& operator=(const KvManager&) = delete;
@@ -196,6 +199,17 @@ class KvManager {
   // True while some request is admitted (its KvHandle points into this manager).
   [[nodiscard]] bool tracks_requests() const { return !requests_.empty(); }
 
+  // The shared-prefix table's contents (BuildAdmissionMemo): what it holds now, and how many
+  // prompt tokens admissions have found in it so far.
+  struct SharedPrefixStats {
+    int64_t entries = 0;        // Slots holding a key; at most kSharedPrefixSlots.
+    int64_t stored_tokens = 0;  // Prompt tokens held across the slots.
+    int64_t stored_hashes = 0;  // Chain hashes held across the slots.
+    int64_t reused_tokens = 0;  // Cumulative common-prefix tokens of memo builds.
+  };
+  [[nodiscard]] SharedPrefixStats shared_prefix_stats() const;
+  static constexpr size_t kSharedPrefixSlots = 256;
+
  private:
   // Drives the claim walk and the feasibility bound separately (differential soundness test).
   friend struct KvManagerTestPeer;
@@ -210,6 +224,19 @@ class KvManager {
   // memoize_admission is off; with it on, preempted requests keep theirs.
   struct AdmissionMemo {
     std::vector<std::vector<BlockHash>> group_hashes;
+  };
+
+  // One slot of the shared-prefix table: the most recent prompt whose first block hashed to
+  // `key`, with the chains of every all-token group over it (empty for subsequence groups).
+  // Prompts that share a first block mostly share far more (questions over one document), so
+  // a new prompt copies the chains of the whole units inside its common prefix with the slot
+  // and hashes only the rest. A key's first sighting stores the key alone, so prompts that
+  // share nothing store nothing.
+  struct SharedPrefix {
+    bool used = false;
+    BlockHash key = 0;
+    std::vector<int32_t> tokens;
+    std::vector<std::vector<BlockHash>> chains;
   };
 
   // Groups whose prompt chains one BuildAdmissionMemo pass hashes together: they share a token
@@ -253,7 +280,16 @@ class KvManager {
   template <typename Fn>
   void ForEachHitBlock(const Request& r, const std::vector<std::vector<BlockHash>>& group_hashes,
                        int64_t hit_tokens, Fn&& fn) const;
-  [[nodiscard]] AdmissionMemo BuildAdmissionMemo(const Request& r) const;
+  // Hashes r's prompt chains: the all-token passes through the shared-prefix table (when
+  // memoize_admission is on), the subsequence passes from scratch.
+  [[nodiscard]] AdmissionMemo BuildAdmissionMemo(const Request& r);
+  // Fills the all-token groups of `memo` for `prompt` from its slot of the shared-prefix table
+  // and extends them past the common prefix, then makes the slot hold `prompt`. Returns false,
+  // touching nothing in `memo`, when the slot holds another key (which it then replaces).
+  bool ChainsFromSharedPrefix(std::span<const int32_t> prompt, AdmissionMemo& memo);
+  // The shared-prefix key of a prompt of at least one block: a hash of its first block. The
+  // slot is the key modulo kSharedPrefixSlots.
+  [[nodiscard]] BlockHash SharedPrefixKey(std::span<const int32_t> prompt) const;
   // `r`'s memo, built on first use.
   const AdmissionMemo& MemoFor(const Request& r);
   // Fused, early-exiting replacement for BuildValidBitmaps + LongestCommonValidPrefix: scans
@@ -288,7 +324,7 @@ class KvManager {
   // unit — a content hash on its block, or a §5.3 checkpoint snapshot for Mamba.
   void RegisterHashes(Request& r, RequestKv& state, Tick now);
   // Releases group g's blocks that fell out of what its policy needs at r's computed length
-  // (Jenga mode, droppable policies only). Runs before the commit updates `computed_tokens`.
+  // (droppable policies only). Runs before the commit updates `computed_tokens`.
   void DropUnneededPages(const Request& r, RequestKv& state, int g);
   // One block-table grow, sized before anything is claimed: per group, the target table size
   // and the pages the claim walk will request (only the wanted blocks when restoring with holes).
@@ -342,14 +378,14 @@ class KvManager {
   KvSpec accounting_spec_;
   Options options_;
   JengaAllocator allocator_;
-  std::vector<std::unique_ptr<LayerPolicy>> policies_;             // Per alloc-spec group.
-  std::vector<std::unique_ptr<LayerPolicy>> accounting_policies_;  // Per accounting group.
+  LayerPolicies policies_;             // Per alloc-spec group.
+  LayerPolicies accounting_policies_;  // Per accounting group.
   // Per alloc-spec group: true when the per-step eviction-metadata refresh is deferred to
   // RequestKv::last_touch. Requires the policy's refresh to cover every resident page —
-  // unconditionally (full prefix, image cache, Mamba's running state) or because out-of-range
-  // pages are dropped as they fall out, which only happens in Jenga mode (sliding window,
-  // pyramid). Every built-in policy qualifies; the eager per-step refresh stays for other
-  // policies and as the reference the event-driven step is tested against.
+  // unconditionally (full prefix, image cache, Mamba's running state) or because the policy
+  // drops out-of-range pages as they fall out (sliding window, pyramid). Every built-in policy
+  // qualifies; the eager per-step refresh stays for other policies and as the reference the
+  // event-driven step is tested against.
   std::vector<bool> defer_refresh_;
   int vision_group_ = -1;
   // The spec's groups partitioned by (stream, hit unit), in order of each pass's first group.
@@ -358,6 +394,11 @@ class KvManager {
   std::unordered_map<RequestId, RequestKv> requests_;
   // Populated lazily (MemoFor); survives preemption when memoize_admission is on.
   std::unordered_map<RequestId, AdmissionMemo> admission_memos_;
+  // True when some hash pass runs over the whole prompt (the shared-prefix table's only use).
+  bool has_all_token_pass_ = false;
+  // Direct-mapped on the first-block key; allocated on first use.
+  std::vector<SharedPrefix> shared_prefixes_;
+  int64_t shared_prefix_reused_tokens_ = 0;
   int64_t total_cache_hit_tokens_ = 0;
   // DropUnneededPages' run for one ReleaseN (empty between calls; capacity reused).
   std::vector<SmallPageId> dropped_pages_;

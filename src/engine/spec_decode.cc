@@ -53,8 +53,7 @@ SpecDecodeEngine::SpecDecodeEngine(SpecDecodeConfig config)
   const KvSpec merged_accounting =
       MergeKvSpecs({{"target", target_jenga}, {"draft", draft_jenga}});
 
-  options.jenga = config_.strategy == SpecStrategy::kJenga;
-  if (!options.jenga) {
+  if (config_.strategy != SpecStrategy::kJenga) {
     // Homogeneous engines reserve Mamba state statically for both models.
     const int64_t reservation = StaticMambaReservationBytes(config_.target, max_num_seqs_) +
                                 StaticMambaReservationBytes(config_.draft, max_num_seqs_);
@@ -63,7 +62,8 @@ SpecDecodeEngine::SpecDecodeEngine(SpecDecodeConfig config)
   }
   switch (config_.strategy) {
     case SpecStrategy::kJenga:
-      AddManager(std::make_unique<KvManager>(merged_accounting, merged_accounting, pool, options));
+      AddManager(std::make_unique<KvManager>(merged_accounting, merged_accounting, pool, options,
+                                             MakeLayerPolicies(merged_accounting)));
       break;
     case SpecStrategy::kVllmMax: {
       // One uniform page sized for the larger model; every token pays it for both models.
@@ -71,7 +71,8 @@ SpecDecodeEngine::SpecDecodeEngine(SpecDecodeConfig config)
                                              config_.draft.KvBytesPerTokenAllLayers());
       const KvSpec alloc =
           MakeHomogeneousSpec(config_.target, bs, /*bytes_per_token_override=*/2 * max_per_token);
-      AddManager(std::make_unique<KvManager>(alloc, merged_accounting, pool, options));
+      AddManager(std::make_unique<KvManager>(alloc, merged_accounting, pool, options,
+                                             MakeFullPrefixPolicies(alloc)));
       break;
     }
     case SpecStrategy::kVllmManual: {
@@ -82,10 +83,12 @@ SpecDecodeEngine::SpecDecodeEngine(SpecDecodeConfig config)
             static_cast<int64_t>(static_cast<double>(pool) * config_.manual_draft_fraction);
         split.target_bytes = pool - split.draft_bytes;
       }
-      AddManager(std::make_unique<KvManager>(MakeHomogeneousSpec(config_.target, bs),
-                                             target_jenga, split.target_bytes, options));
-      AddManager(std::make_unique<KvManager>(MakeHomogeneousSpec(config_.draft, bs), draft_jenga,
-                                             split.draft_bytes, options));
+      const KvSpec target_alloc = MakeHomogeneousSpec(config_.target, bs);
+      const KvSpec draft_alloc = MakeHomogeneousSpec(config_.draft, bs);
+      AddManager(std::make_unique<KvManager>(target_alloc, target_jenga, split.target_bytes,
+                                             options, MakeFullPrefixPolicies(target_alloc)));
+      AddManager(std::make_unique<KvManager>(draft_alloc, draft_jenga, split.draft_bytes, options,
+                                             MakeFullPrefixPolicies(draft_alloc)));
       break;
     }
   }

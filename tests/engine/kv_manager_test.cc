@@ -65,6 +65,14 @@ struct KvManagerTestPeer {
   static int64_t NextEvent(const KvManager& kv, const Request& r) {
     return kv.StateOf(r).next_event;
   }
+  // Every group's prompt chains for `r`, built on first use as an admission builds them.
+  static std::vector<std::vector<BlockHash>> MemoChains(KvManager& kv, const Request& r) {
+    return kv.MemoFor(r).group_hashes;
+  }
+  // The shared-prefix slot a prompt of at least one block maps to.
+  static size_t SharedPrefixSlot(const KvManager& kv, const Prompt& prompt) {
+    return kv.SharedPrefixKey(prompt.tokens) % KvManager::kSharedPrefixSlots;
+  }
 };
 
 namespace {
@@ -75,14 +83,7 @@ KvManager::Options JengaOptions(bool caching = true, int tokens_per_image = 0) {
   KvManager::Options options;
   options.tokens_per_page = kBs;
   options.enable_prefix_caching = caching;
-  options.jenga = true;
   options.tokens_per_image = tokens_per_image;
-  return options;
-}
-
-KvManager::Options BaselineOptions(bool caching = true) {
-  KvManager::Options options = JengaOptions(caching);
-  options.jenga = false;
   return options;
 }
 
@@ -90,14 +91,15 @@ std::unique_ptr<KvManager> MakeJengaManager(const ModelConfig& model, int64_t po
                                             bool caching = true) {
   const KvSpec spec = MakeJengaSpec(model, kBs, model.vision.present);
   return std::make_unique<KvManager>(spec, spec, pool,
-                                     JengaOptions(caching, model.vision.tokens_per_image));
+                                     JengaOptions(caching, model.vision.tokens_per_image),
+                                     MakeLayerPolicies(spec, model.vision.tokens_per_image));
 }
 
 std::unique_ptr<KvManager> MakeBaselineManager(const ModelConfig& model, int64_t pool,
                                                bool caching = true) {
-  return std::make_unique<KvManager>(MakeHomogeneousSpec(model, kBs),
-                                     MakeJengaSpec(model, kBs, /*vision_cache=*/false), pool,
-                                     BaselineOptions(caching));
+  const KvSpec spec = MakeHomogeneousSpec(model, kBs);
+  return std::make_unique<KvManager>(spec, MakeJengaSpec(model, kBs, /*vision_cache=*/false),
+                                     pool, JengaOptions(caching), MakeFullPrefixPolicies(spec));
 }
 
 // Drives a request through the manager as the engine would: allocate, advance, notify.
@@ -420,6 +422,144 @@ TEST(KvManager, RegisteredHashesMatchAnIndependentChain) {
   }
 }
 
+// A LLaVA-style vision model: image tokens enter the decoder sequence, so its attention group
+// covers every token while the vision-embedding group covers the image subsequence.
+ModelConfig TinyInlineVisionModel() {
+  ModelConfig model = TinyFullModel();
+  model.name = "tiny-inline-vision";
+  model.vision = TinyVisionModel().vision;
+  return model;
+}
+
+// The first `head_len` tokens of `head`, then `tail_len` text tokens with ids from `tail_base`.
+Prompt PrefixPlusTail(const Prompt& head, int64_t head_len, int64_t tail_len, int32_t tail_base) {
+  Prompt prompt;
+  int64_t image_tokens = 0;
+  for (int64_t i = 0; i < head_len; ++i) {
+    prompt.tokens.push_back(head.tokens[static_cast<size_t>(i)]);
+    prompt.kinds.push_back(head.kind(i));
+    image_tokens += head.kind(i) == TokenKind::kImage ? 1 : 0;
+  }
+  for (int64_t i = 0; i < tail_len; ++i) {
+    prompt.tokens.push_back(tail_base + static_cast<int32_t>(i));
+    prompt.kinds.push_back(TokenKind::kText);
+  }
+  prompt.num_images = image_tokens == 0 ? 0 : head.num_images;
+  return prompt;
+}
+
+// Every group's memo chain for `r` equals a from-scratch chain over the group's stream.
+void ExpectChainsFromScratch(KvManager& kv, const Request& r) {
+  const std::vector<std::vector<BlockHash>> chains = KvManagerTestPeer::MemoChains(kv, r);
+  const KvSpec& spec = kv.alloc_spec();
+  for (int g = 0; g < static_cast<int>(spec.groups.size()); ++g) {
+    const KvGroupSpec& group = spec.groups[static_cast<size_t>(g)];
+    const int unit = group.kind == GroupKind::kMamba ? kMambaCheckpointInterval : kBs;
+    EXPECT_EQ(chains[static_cast<size_t>(g)],
+              ChainBlockHashes(GroupStream(r, group.scope), unit, GroupChainSalt(g)))
+        << "request " << r.id << " group " << g << " (" << GroupKindName(group.kind) << ")";
+  }
+}
+
+TEST(KvManager, SharedPrefixChainsMatchFromScratch) {
+  // One manager sees a sequence of prompts over one 1,100-token document, shaped to hit every
+  // case of the shared-prefix table; after each admission every group's memo chain must equal
+  // ChainBlockHashes over the group's stream. The vision specs' image-scoped (and, with
+  // cross-attention, text-scoped) passes bypass the table and still hash from scratch.
+  struct Case {
+    ModelConfig model;
+    int images;
+  };
+  const std::vector<Case> cases = {{TinySlidingModel(64), 0},
+                                   {TinyMambaModel(), 0},
+                                   {TinyInlineVisionModel(), 3},
+                                   {TinyVisionModel(), 3}};
+  for (const Case& tc : cases) {
+    SCOPED_TRACE(tc.model.name);
+    auto kv = MakeJengaManager(tc.model, 1 << 26, /*caching=*/true);
+    const Prompt doc = MixedPrompt(40, tc.images, 8, 1100 - 40 - tc.images * 8);
+    RequestId next_id = 1;
+    Tick now = 0;
+    int32_t tail_base = 50000;
+    // Admits `prompt`, checks its chains, computes it and finishes it.
+    auto serve = [&](const Prompt& prompt) {
+      Request r = MakeRequest(next_id++, prompt, 2, 0.0);
+      kv->OnAdmit(r, ++now);
+      ExpectChainsFromScratch(*kv, r);
+      ComputeTokens(*kv, r, r.prompt_len() - r.num_computed_tokens, now);
+      kv->Release(r, /*finished=*/true);
+    };
+    auto with_tail = [&](int64_t head_len, int64_t tail_len = 24) {
+      tail_base += 100;
+      return PrefixPlusTail(doc, head_len, tail_len, tail_base);
+    };
+
+    int64_t all_token_hashes = 0;  // Per stored 1,124-token prompt.
+    for (const KvGroupSpec& group : kv->alloc_spec().groups) {
+      if (group.scope == GroupScope::kAllTokens || group.scope == GroupScope::kPerSequence) {
+        all_token_hashes +=
+            1124 / (group.kind == GroupKind::kMamba ? kMambaCheckpointInterval : kBs);
+      }
+    }
+
+    serve(with_tail(1100));  // First sighting of the key: the slot stores the key alone.
+    serve(with_tail(1100));  // Second: the slot stores the prompt, nothing is reused yet.
+    const int64_t before = kv->shared_prefix_stats().reused_tokens;
+    serve(with_tail(1100));  // A distinct suffix: the whole document is reused.
+    EXPECT_EQ(kv->shared_prefix_stats().reused_tokens - before,
+              all_token_hashes == 0 ? 0 : 1100);
+    serve(with_tail(601));   // Divergence mid-block (and inside the second Mamba interval).
+    serve(with_tail(608));   // Divergence at a block edge.
+    serve(with_tail(512));   // ... and at a Mamba checkpoint edge.
+    const Prompt repeated = with_tail(700);
+    serve(repeated);
+    serve(repeated);                      // An identical prompt.
+    serve(PrefixPlusTail(repeated, 300, 0, 0));  // A strict prefix of the stored prompt.
+    serve(with_tail(1100));               // The stored prompt is a strict prefix of this one.
+    serve(PrefixPlusTail(doc, 10, 0, 0));  // Shorter than one block.
+
+    // Two prompts with different first blocks that land in the same slot: each replaces the
+    // other, so the document is re-seen twice before its chains are reused again.
+    Prompt rival;
+    for (int32_t base = 900000;; base += 1000) {
+      rival = PrefixPlusTail(doc, 0, 200, base);
+      if (KvManagerTestPeer::SharedPrefixSlot(*kv, rival) ==
+          KvManagerTestPeer::SharedPrefixSlot(*kv, doc)) {
+        break;
+      }
+    }
+    serve(rival);
+    serve(rival);
+    serve(with_tail(1100));
+    serve(with_tail(1100));
+    serve(with_tail(1100));
+    serve(rival);
+
+    // A preempted request re-admits with its own memo, whatever the slot holds by then.
+    Request preempted = MakeRequest(next_id++, with_tail(1100), 2, 0.0);
+    kv->OnAdmit(preempted, ++now);
+    ComputeTokens(*kv, preempted, 8, now);
+    kv->Release(preempted, /*finished=*/false);
+    serve(with_tail(1100));
+    serve(with_tail(1100));
+    kv->OnAdmit(preempted, ++now);
+    ExpectChainsFromScratch(*kv, preempted);
+    kv->Release(preempted, /*finished=*/true);
+
+    // Only all-token groups store chains: the slot holds the last 1,124-token prompt.
+    const KvManager::SharedPrefixStats stats = kv->shared_prefix_stats();
+    if (all_token_hashes == 0) {
+      EXPECT_EQ(stats.entries, 0);  // Cross-attention: no pass runs over the whole prompt.
+      EXPECT_EQ(stats.reused_tokens, 0);
+    } else {
+      EXPECT_EQ(stats.entries, 1);
+      EXPECT_EQ(stats.stored_tokens, 1124);
+      EXPECT_EQ(stats.stored_hashes, all_token_hashes);
+    }
+    ExpectConsistent(*kv);
+  }
+}
+
 TEST(KvManager, VisionPagesFreedAsConsumed) {
   const ModelConfig model = TinyVisionModel();
   auto kv = MakeJengaManager(model, 1 << 22, /*caching=*/false);
@@ -455,7 +595,8 @@ TEST(KvManager, RollbackOnOutOfMemory) {
   const ModelConfig model = TinyFullModel();
   // Pool of exactly 4 large pages (page = 16 KiB here): 64 blocks... make it tiny: 2 pages.
   const KvSpec spec = MakeJengaSpec(model, kBs, false);
-  auto kv = std::make_unique<KvManager>(spec, spec, spec.LcmPageBytes() * 2, JengaOptions(false));
+  auto kv = std::make_unique<KvManager>(spec, spec, spec.LcmPageBytes() * 2, JengaOptions(false),
+                                        MakeLayerPolicies(spec));
   Request r = MakeRequest(1, TextPrompt(16 * 3), 4, 0.0);
   kv->OnAdmit(r, 1);
   // Only 2 blocks fit; allocation of 3 must fail and roll back cleanly.
@@ -468,7 +609,8 @@ TEST(KvManager, RollbackOnOutOfMemory) {
 TEST(KvManager, CanAllocateReflectsCapacity) {
   const ModelConfig model = TinyFullModel();
   const KvSpec spec = MakeJengaSpec(model, kBs, false);
-  auto kv = std::make_unique<KvManager>(spec, spec, spec.LcmPageBytes() * 64, JengaOptions(false));
+  auto kv = std::make_unique<KvManager>(spec, spec, spec.LcmPageBytes() * 64, JengaOptions(false),
+                                        MakeLayerPolicies(spec));
   Request r = MakeRequest(1, TextPrompt(512), 4, 0.0);
   EXPECT_TRUE(kv->CanAllocate(r, 512));
   Request big = MakeRequest(2, TextPrompt(16 * 65), 4, 0.0);
@@ -609,7 +751,8 @@ TEST(KvManager, FailedRestoreLeavesAllocatorUntouched) {
   ASSERT_EQ(spec.LcmPageBytes(), spec.groups[0].page_bytes);
   ASSERT_EQ(spec.LcmPageBytes(), spec.groups[1].page_bytes);
   auto kv = std::make_unique<KvManager>(spec, spec, spec.LcmPageBytes() * 27,
-                                        JengaOptions(/*caching=*/false));
+                                        JengaOptions(/*caching=*/false),
+                                        MakeLayerPolicies(spec));
   AllocatorAuditor auditor;
   auditor.AttachAllocator(&kv->allocator_mutable());
   Request r = MakeRequest(1, TextPrompt(320), 4, 0.0);
@@ -660,9 +803,11 @@ TEST(KvManager, KvHandlesNeverGoStale) {
   const ModelConfig model = TinyPyramidModel(/*budget=*/48);
   const KvSpec spec = MakeJengaSpec(model, kBs, false);
   auto kv = std::make_unique<KvManager>(spec, spec, spec.LcmPageBytes() * 27,
-                                        JengaOptions(/*caching=*/false));
+                                        JengaOptions(/*caching=*/false),
+                                        MakeLayerPolicies(spec));
   auto twin = std::make_unique<KvManager>(spec, spec, spec.LcmPageBytes() * 27,
-                                          JengaOptions(/*caching=*/false));
+                                          JengaOptions(/*caching=*/false),
+                                          MakeLayerPolicies(spec));
   Request r = MakeRequest(1, TextPrompt(320), 4, 0.0);
   kv->OnAdmit(r, 1);
   twin->OnAdmit(r, 1);
@@ -795,7 +940,8 @@ TEST(KvManager, RejectedGrowLeavesNoTrace) {
   const KvSpec spec = MakeJengaSpec(model, kBs, false);
   const int64_t pool_larges = 8;
   auto kv = std::make_unique<KvManager>(spec, spec, spec.LcmPageBytes() * pool_larges,
-                                        JengaOptions(/*caching=*/false));
+                                        JengaOptions(/*caching=*/false),
+                                        MakeLayerPolicies(spec));
   const int attn = GroupOf(*kv, GroupKind::kFullAttention);
   ASSERT_GE(attn, 0);
   const int ppl = kv->allocator().group(attn).pages_per_large();
@@ -833,7 +979,8 @@ TEST(KvManager, RejectedGrowEvictsAndReclaimsNothing) {
   const ModelConfig model = TinyFullModel();
   const KvSpec spec = MakeJengaSpec(model, kBs, false);
   auto kv = std::make_unique<KvManager>(spec, spec, spec.LcmPageBytes() * 8,
-                                        JengaOptions(/*caching=*/true));
+                                        JengaOptions(/*caching=*/true),
+                                        MakeLayerPolicies(spec));
   Request a = MakeRequest(1, TextPrompt(4 * kBs + 1), 4, 0.0);
   kv->OnAdmit(a, 1);
   ComputeTokens(*kv, a, 4 * kBs + 1, 1);
@@ -930,7 +1077,8 @@ class GrowBoundDifferential {
 
   Twin Fresh() const {
     Twin twin;
-    twin.kv = std::make_unique<KvManager>(spec_, spec_, pool_bytes_, JengaOptions(true));
+    twin.kv = std::make_unique<KvManager>(spec_, spec_, pool_bytes_, JengaOptions(true),
+                                          MakeLayerPolicies(spec_));
     return twin;
   }
 
@@ -1198,15 +1346,25 @@ class EventStepDifferential {
     KvSpec accounting_spec;
     int64_t pool_larges = 0;
     KvManager::Options options;
-    bool images = false;  // Prompts carry images (vision specs).
+    bool images = false;       // Prompts carry images (vision specs).
+    bool full_prefix = false;  // The PagedAttention baseline's policy set.
   };
+
+  static LayerPolicies PoliciesFor(const Config& config) {
+    if (config.full_prefix) {
+      return MakeFullPrefixPolicies(config.alloc_spec);
+    }
+    return MakeLayerPolicies(config.alloc_spec, config.options.tokens_per_image);
+  }
 
   EventStepDifferential(const Config& config, uint64_t seed)
       : config_(config),
         fast_(config.alloc_spec, config.accounting_spec,
-              config.alloc_spec.LcmPageBytes() * config.pool_larges, config.options),
+              config.alloc_spec.LcmPageBytes() * config.pool_larges, config.options,
+              PoliciesFor(config)),
         full_(config.alloc_spec, config.accounting_spec,
-              config.alloc_spec.LcmPageBytes() * config.pool_larges, config.options),
+              config.alloc_spec.LcmPageBytes() * config.pool_larges, config.options,
+              PoliciesFor(config)),
         rng_(seed) {
     KvManagerTestPeer::RefreshEveryStep(full_);
   }
@@ -1411,7 +1569,7 @@ TEST(KvManager, EventDrivenStepMatchesFullWalk) {
         true}},
       {"paged",
        {MakeHomogeneousSpec(TinySlidingModel(64), kBs),
-        MakeJengaSpec(TinySlidingModel(64), kBs, false), 192, BaselineOptions(), false}},
+        MakeJengaSpec(TinySlidingModel(64), kBs, false), 192, JengaOptions(), false, true}},
   };
   for (const auto& [name, config] : configs) {
     for (const int max_emit : {1, 5}) {

@@ -20,12 +20,13 @@ std::unique_ptr<KvManager> Manager(const ModelConfig& model, int64_t pool, bool 
   KvManager::Options options;
   options.tokens_per_page = kBs;
   options.enable_prefix_caching = caching;
-  options.jenga = jenga;
   options.tokens_per_image = model.vision.tokens_per_image;
   const KvSpec alloc = jenga ? MakeJengaSpec(model, kBs, model.vision.present)
                              : MakeHomogeneousSpec(model, kBs);
   const KvSpec accounting = MakeJengaSpec(model, kBs, jenga && model.vision.present);
-  return std::make_unique<KvManager>(alloc, accounting, pool, options);
+  return std::make_unique<KvManager>(
+      alloc, accounting, pool, options,
+      jenga ? MakeLayerPolicies(alloc, options.tokens_per_image) : MakeFullPrefixPolicies(alloc));
 }
 
 void Compute(KvManager& kv, Request& r, int64_t n, Tick now) {
