@@ -49,6 +49,10 @@ double Seconds(Clock::time_point begin, Clock::time_point end) {
 // Prevents the compiler from eliding a measured computation.
 volatile int64_t g_sink = 0;
 
+// Width of the key column of the tables: the longest micro.* key plus a gap, so no key runs
+// into its value. The baseline comparison widens it to its own longest key.
+constexpr int kKeyWidth = 42;
+
 // Two heterogeneous groups whose page sizes share a 12 KiB large page, the shape every
 // micro.* allocator case runs on.
 KvSpec TwoGroupSpec() {
@@ -332,6 +336,62 @@ double MicroAdmissionSharedPrefix(int64_t cycles) {
   return static_cast<double>(cycles) / Seconds(begin, end);
 }
 
+// Prefix-cache upkeep where nothing is ever hit, the mmlu-decode shape: a Jamba-like manager
+// (multi-slot attention group, one-slot Mamba group) over a pool full of cached pages. Each op
+// admits an unshared 768-token prompt, commits it, decodes 32 tokens and finishes, so it hashes
+// the prompt, registers its blocks, releases them to the cache and reclaims whole large pages
+// for the next request; no claim reaches step 5. Counts requests per second.
+double MicroCacheUpkeepMultislot(int64_t ops) {
+  const ModelConfig model = Jamba52B_Fp8();
+  const KvSpec spec = MakeJengaSpec(model, /*tokens_per_page=*/16, /*vision_cache=*/false);
+  KvManager::Options options;
+  options.tokens_per_page = 16;
+  KvManager kv(spec, spec, spec.LcmPageBytes() * 40, options, MakeLayerPolicies(spec));
+  constexpr int kPromptLen = 768;
+  constexpr int kDecode = 32;
+  Tick now = 0;
+  const auto serve = [&](int64_t id) {
+    Prompt prompt;
+    prompt.tokens.reserve(kPromptLen);
+    for (int i = 0; i < kPromptLen; ++i) {
+      prompt.tokens.push_back(static_cast<int32_t>((id * kPromptLen + i) % 2000000000));
+    }
+    Request r = MakeRequest(id, std::move(prompt), kDecode, 0.0);
+    kv.OnAdmit(r, ++now);
+    if (!kv.AllocateForTokens(r, kPromptLen - r.num_computed_tokens, now)) {
+      return false;
+    }
+    r.num_computed_tokens = kPromptLen;
+    kv.OnStepComputed(r, now);
+    for (int k = 0; k < kDecode - 1; ++k) {
+      r.AppendGenerated(static_cast<int32_t>(id + k));
+      if (!kv.AllocateForTokens(r, 1, ++now)) {
+        return false;
+      }
+      r.num_computed_tokens += 1;
+      kv.OnStepComputed(r, now);
+    }
+    kv.Release(r, /*finished=*/true);
+    return true;
+  };
+  // Fill the pool with cached pages first (about three large pages per request), so every
+  // timed op runs at the steady state.
+  int64_t id = 0;
+  for (; id < 64; ++id) {
+    if (!serve(id)) {
+      return 0.0;
+    }
+  }
+  const auto begin = Clock::now();
+  for (int64_t i = 0; i < ops; ++i) {
+    if (!serve(id++)) {
+      return 0.0;
+    }
+  }
+  const auto end = Clock::now();
+  return static_cast<double>(ops) / Seconds(begin, end);
+}
+
 // The eviction queue alone: steady-state rekeys with periodic pop/reinsert, over a resident
 // set of 4096 pages (the §5.1 per-token bookkeeping).
 double MicroEvictorChurn(int64_t iters) {
@@ -579,7 +639,7 @@ void RunE2eProfiled(const E2eSpec& spec, std::map<std::string, double>& current)
   engine.RunToCompletion();
 
   const int64_t total_ns = profiler.total_ns();
-  PrintRow({{34, "profiler." + spec.key},
+  PrintRow({{kKeyWidth, "profiler." + spec.key},
             {10, FmtI(profiler.steps())},
             {12, Fmt("%.2fms", static_cast<double>(total_ns) * 1e-6)},
             {16, Fmt("%.1f ns/step",
@@ -591,7 +651,7 @@ void RunE2eProfiled(const E2eSpec& spec, std::map<std::string, double>& current)
     const double share_pct = profiler.PhaseShare(phase) * 100.0;
     current["profiler." + spec.key + "." + StepPhaseName(phase) + ".share_pct"] = share_pct;
     const StepProfiler::PhaseStats& stats = profiler.phase(phase);
-    PrintRow({{34, std::string("  ") + StepPhaseName(phase)},
+    PrintRow({{kKeyWidth, std::string("  ") + StepPhaseName(phase)},
               {10, Fmt("%.1f%%", share_pct)},
               {12, Fmt("%.2fms", static_cast<double>(stats.ns) * 1e-6)},
               {16, FmtI(stats.calls) + " calls"}});
@@ -833,7 +893,7 @@ bool Run(bool quick, bool gate, int profile, const std::string& out_path,
   std::map<std::string, double> current;
 
   if (profile == 2) {
-    PrintRow({{34, "step profiler (exclusive time)"},
+    PrintRow({{kKeyWidth, "step profiler (exclusive time)"},
               {10, "steps"},
               {14, "ns/step"}});
     PrintRule();
@@ -883,7 +943,7 @@ bool Run(bool quick, bool gate, int profile, const std::string& out_path,
     return true;
   }
 
-  PrintRow({{34, "micro benchmark"}, {16, "ops/sec"}, {12, "4n vs n"}});
+  PrintRow({{kKeyWidth, "micro benchmark"}, {16, "ops/sec"}, {12, "4n vs n"}});
   PrintRule();
   const int64_t scale = quick ? 1 : 8;
   const struct {
@@ -899,6 +959,7 @@ bool Run(bool quick, bool gate, int profile, const std::string& out_path,
       {"micro.cache_churn_offload.ops_per_s", MicroCacheChurnOffload, 1500 * scale},
       {"micro.admission_readmit.ops_per_s", MicroAdmissionReadmit, 1500 * scale},
       {"micro.admission_shared_prefix.ops_per_s", MicroAdmissionSharedPrefix, 1500 * scale},
+      {"micro.cache_upkeep_multislot.ops_per_s", MicroCacheUpkeepMultislot, 400 * scale},
       {"micro.evictor_churn.ops_per_s", MicroEvictorChurn, 250000 * scale},
       {"micro.meta_reads.ops_per_s", MicroMetaReads, 1250000 * scale},
       {"micro.deadline_sweep.steps_per_s", MicroDeadlineSweep, 512 * scale},
@@ -932,11 +993,11 @@ bool Run(bool quick, bool gate, int profile, const std::string& out_path,
       current[length_key] = pct_at_4n;
       ratio_column = Fmt("%.1f%%", pct_at_4n);
     }
-    PrintRow({{34, micro.key}, {16, Fmt("%.3g", ops_per_s)}, {12, ratio_column}});
+    PrintRow({{kKeyWidth, micro.key}, {16, Fmt("%.3g", ops_per_s)}, {12, ratio_column}});
   }
 
   std::printf("\n");
-  PrintRow({{34, "frontend (closed loop, think 200us)"}, {16, "req/sec"}});
+  PrintRow({{kKeyWidth, "frontend (closed loop, think 200us)"}, {16, "req/sec"}});
   PrintRule();
   {
     // Best-of-3: threaded wall-clock numbers are noisy on a loaded box; the best run is the
@@ -952,14 +1013,14 @@ bool Run(bool quick, bool gate, int profile, const std::string& out_path,
     current["frontend.admit_1p.req_per_s"] = rps_1p;
     current["frontend.admit_4p.req_per_s"] = rps_4p;
     current["frontend.scaling_4p_over_1p"] = rps_1p > 0 ? rps_4p / rps_1p : 0.0;
-    PrintRow({{34, "frontend.admit_1p.req_per_s"}, {16, Fmt("%.3g", rps_1p)}});
-    PrintRow({{34, "frontend.admit_4p.req_per_s"}, {16, Fmt("%.3g", rps_4p)}});
-    PrintRow({{34, "frontend.scaling_4p_over_1p"},
+    PrintRow({{kKeyWidth, "frontend.admit_1p.req_per_s"}, {16, Fmt("%.3g", rps_1p)}});
+    PrintRow({{kKeyWidth, "frontend.admit_4p.req_per_s"}, {16, Fmt("%.3g", rps_4p)}});
+    PrintRow({{kKeyWidth, "frontend.scaling_4p_over_1p"},
               {16, Fmt("%.2fx", current["frontend.scaling_4p_over_1p"])}});
   }
 
   std::printf("\n");
-  PrintRow({{34, "fleet (4 replicas, tiny model)"}, {16, "value"}});
+  PrintRow({{kKeyWidth, "fleet (4 replicas, tiny model)"}, {16, "value"}});
   PrintRule();
   {
     const double route_ops = FleetRouteOpsPerSecond(quick ? 20000 : 100000);
@@ -973,14 +1034,14 @@ bool Run(bool quick, bool gate, int profile, const std::string& out_path,
     current["fleet.affinity_4r.hit_pct"] = affinity_hit * 100.0;
     current["fleet.rr_4r.hit_pct"] = rr_hit * 100.0;
     current["fleet.hit_ratio_4r"] = rr_hit > 0 ? affinity_hit / rr_hit : 0.0;
-    PrintRow({{34, "fleet.route_4r.ops_per_s"}, {16, Fmt("%.3g", route_ops)}});
-    PrintRow({{34, "fleet.affinity_4r.hit_pct"}, {16, Pct(affinity_hit)}});
-    PrintRow({{34, "fleet.rr_4r.hit_pct"}, {16, Pct(rr_hit)}});
-    PrintRow({{34, "fleet.hit_ratio_4r"}, {16, Fmt("%.2fx", current["fleet.hit_ratio_4r"])}});
+    PrintRow({{kKeyWidth, "fleet.route_4r.ops_per_s"}, {16, Fmt("%.3g", route_ops)}});
+    PrintRow({{kKeyWidth, "fleet.affinity_4r.hit_pct"}, {16, Pct(affinity_hit)}});
+    PrintRow({{kKeyWidth, "fleet.rr_4r.hit_pct"}, {16, Pct(rr_hit)}});
+    PrintRow({{kKeyWidth, "fleet.hit_ratio_4r"}, {16, Fmt("%.2fx", current["fleet.hit_ratio_4r"])}});
   }
 
   std::printf("\n");
-  PrintRow({{34, "end-to-end (Jenga profile, H100)"},
+  PrintRow({{kKeyWidth, "end-to-end (Jenga profile, H100)"},
             {10, "steps"},
             {12, "wall"},
             {16, "steps/sec"}});
@@ -989,7 +1050,7 @@ bool Run(bool quick, bool gate, int profile, const std::string& out_path,
     current["e2e." + key + ".steps_per_s"] = result.steps_per_s;
     current["e2e." + key + ".step_p50_us"] = result.step_p50_us;
     current["e2e." + key + ".step_p95_us"] = result.step_p95_us;
-    PrintRow({{34, key},
+    PrintRow({{kKeyWidth, key},
               {10, FmtI(result.steps)},
               {12, Fmt("%.2fs", result.seconds)},
               {16, Fmt("%.1f", result.steps_per_s)},
@@ -1003,7 +1064,7 @@ bool Run(bool quick, bool gate, int profile, const std::string& out_path,
 
   if (profile == 1) {
     std::printf("\n");
-    PrintRow({{34, "step profiler (exclusive time)"},
+    PrintRow({{kKeyWidth, "step profiler (exclusive time)"},
               {10, "steps"},
               {14, "ns/step"}});
     PrintRule();
@@ -1020,12 +1081,16 @@ bool Run(bool quick, bool gate, int profile, const std::string& out_path,
       text << file.rdbuf();
       baseline = ParseFlatNumbers(ExtractObject(text.str(), "current"));
       std::printf("\nbaseline: %s\n", baseline_path.c_str());
-      PrintRow({{34, "metric"}, {16, "baseline"}, {16, "current"}, {10, "speedup"}});
+      int key_width = kKeyWidth;
+      for (const auto& [key, value] : current) {
+        key_width = std::max(key_width, static_cast<int>(key.size()) + 2);
+      }
+      PrintRow({{key_width, "metric"}, {16, "baseline"}, {16, "current"}, {10, "speedup"}});
       PrintRule();
       for (const auto& [key, value] : current) {
         const auto it = baseline.find(key);
         if (it != baseline.end() && it->second > 0) {
-          PrintRow({{34, key},
+          PrintRow({{key_width, key},
                     {16, Fmt("%.3g", it->second)},
                     {16, Fmt("%.3g", value)},
                     {10, Fmt("%.2fx", value / it->second)}});

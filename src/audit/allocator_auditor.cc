@@ -497,6 +497,17 @@ std::vector<std::string> AllocatorAuditor::CheckState(const SmallPageAllocator& 
     for (int slot = 0; slot < grp.pages_per_large_; ++slot) {
       const SmallPageAllocator::SlotMeta& meta = entry.slots[static_cast<size_t>(slot)];
       const SmallPageId page = base + slot;
+      // Index ownership: the bit is set exactly when the index maps the page's hash to it.
+      if (!meta.has_hash) {
+        if (meta.indexed) {
+          Fail(out, tag + "page " + std::to_string(page) + " owns an index entry but has no " +
+                        "content hash");
+        }
+      } else if (meta.indexed != (grp.cache_index_.Find(meta.hash) == page)) {
+        Fail(out, tag + "page " + std::to_string(page) + " index ownership bit is " +
+                      (meta.indexed ? "set, but the index does not map its hash to it"
+                                    : "clear, but the index maps its hash to it"));
+      }
       switch (meta.state) {
         case PageState::kUsed:
           entry_used += 1;
@@ -565,8 +576,13 @@ std::vector<std::string> AllocatorAuditor::CheckState(const SmallPageAllocator& 
                   std::to_string(empty));
   }
 
-  // Evictor: authoritative keys == ground truth; lazy heap covers all keys.
+  // Evictor: authoritative keys == ground truth; a heap is empty until built, and a built
+  // heap covers every live key.
   const Evictor& evictor = grp.evictor_;
+  if (!evictor.built_ && !evictor.heap_.empty()) {
+    Fail(out, tag + "evictor heap holds " + std::to_string(evictor.heap_.size()) +
+                  " entries before it was built");
+  }
   if (!std::is_heap(evictor.heap_.begin(), evictor.heap_.end(), std::greater<Evictor::Key>{})) {
     Fail(out, tag + "evictor heap violates the heap property");
   }
@@ -590,7 +606,7 @@ std::vector<std::string> AllocatorAuditor::CheckState(const SmallPageAllocator& 
     if (page != static_cast<SmallPageId>(index)) {
       Fail(out, tag + "evictor key slot " + std::to_string(index) + " holds page " +
                     std::to_string(page));
-    } else if (!covered.contains(page)) {
+    } else if (evictor.built_ && !covered.contains(page)) {
       Fail(out, tag + "live evictor key for page " + std::to_string(page) +
                     " has no matching heap entry (lost tombstone)");
     }

@@ -12,8 +12,9 @@
 //   - affinity free lists hold only refs whose (live) slot is empty and associated with the
 //     list's request, and the stale-inclusive ref accounting matches;
 //   - the evictor's authoritative key map equals a ground-truth rebuild from the slot
-//     metadata (the evictable pages, or none in a one-slot group), its lazy heap covers every
-//     live key and satisfies the heap property, and the shadow (event-derived) copy agrees —
+//     metadata (the evictable pages, or none in a one-slot group), its lazy heap is empty
+//     until built and then covers every live key and satisfies the heap property, and the
+//     shadow (event-derived) copy agrees —
 //     so an UpdateLastAccess/SetPrefixLength that skipped the evictor (or vice versa) is
 //     caught;
 //   - the global reclaim queue keeps its runs in ascending timestamp order and a sorted run
@@ -22,7 +23,8 @@
 //     represented under its owning group with a timestamp no newer than its current one
 //     (lazy re-key contract);
 //   - the prefix-cache index maps each hash to a resident page carrying that hash, and every
-//     evictable page is reachable through it;
+//     evictable page is reachable through it; a page's ownership bit is set exactly when the
+//     index maps its hash to it;
 //   - host-pool byte accounting equals the sum of parked swap sets and cache pages, the LRU
 //     index is a bijection onto the entries, and the event-derived shadow of the host pool
 //     matches exactly. Promotions therefore provably erase the host copy — the "GPU-resident

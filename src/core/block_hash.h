@@ -41,13 +41,16 @@ namespace jenga {
 [[nodiscard]] std::vector<std::vector<BlockHash>> ChainBlockHashes(
     std::span<const int32_t> tokens, int block_size, std::span<const uint64_t> salts);
 
-// Completes one chain per salt over the same stream and block size, in salt order. On entry
-// every chains[i] holds the hashes of the same first k full blocks of `tokens` (k may be 0);
-// on return it holds ChainBlockHashes(tokens, block_size, salts[i]). So a caller that already
-// has a prefix's hashes (another prompt's, over the same leading tokens) pays only for the
-// blocks past it. The chains advance together token by token, so their independent multiply
-// latencies overlap instead of running back to back.
-void ExtendChains(std::span<const int32_t> tokens, int block_size,
+// Completes one chain per lane over the same stream, in lane order: lane i hashes blocks of
+// units[i] tokens under salts[i]. On entry chains[i] holds the hashes of the first k_i full
+// blocks of its unit (k_i may be 0 and may differ per lane); on return it holds
+// ChainBlockHashes(tokens, units[i], salts[i]). So a caller that already has a prefix's hashes
+// (another prompt's, over the same leading tokens) pays only for the blocks past it. Every
+// unit must be a multiple of the smallest, and there are at most 16 lanes. The lanes advance
+// together token by token, so their independent multiply latencies overlap instead of running
+// back to back; each lane absorbs only its own span of tokens, decided per smallest-unit
+// block.
+void ExtendChains(std::span<const int32_t> tokens, std::span<const int> units,
                   std::span<const uint64_t> salts, std::span<std::vector<BlockHash>> chains);
 
 // Longest prefix boundary valid in *every* group (§5.2): each element of `valids` is one

@@ -88,6 +88,14 @@ class CacheIndex {
     return true;
   }
 
+  // Starts loading the slot a probe for `hash` begins at. A cache hint only: the table does
+  // not change.
+  void Prefetch(BlockHash hash) const {
+    if (!slots_.empty()) {
+      __builtin_prefetch(&slots_[HomeSlot(hash)]);
+    }
+  }
+
   [[nodiscard]] size_t size() const { return size_; }
   [[nodiscard]] size_t capacity() const { return slots_.size(); }
 

@@ -8,11 +8,24 @@
 namespace jenga {
 
 void Evictor::Push(Key key) {
+  if (!built_) {
+    return;
+  }
   heap_.push_back(key);
   std::push_heap(heap_.begin(), heap_.end(), std::greater<Key>{});
 }
 
-void Evictor::DropStaleTop() const {
+void Evictor::PrepareTop() const {
+  if (!built_ && size_ > 0) {
+    built_ = true;
+    heap_.reserve(size_);
+    for (const Key& key : keys_) {
+      if (key.page != kNoSmallPage) {
+        heap_.push_back(key);
+      }
+    }
+    std::make_heap(heap_.begin(), heap_.end(), std::greater<Key>{});
+  }
   while (!heap_.empty() && !IsLive(heap_.front())) {
     std::pop_heap(heap_.begin(), heap_.end(), std::greater<Key>{});
     heap_.pop_back();
@@ -93,7 +106,7 @@ void Evictor::SetPrefixLength(SmallPageId page, int64_t prefix_length) {
 }
 
 std::optional<SmallPageId> Evictor::PopVictim() {
-  DropStaleTop();
+  PrepareTop();
   if (heap_.empty()) {
     return std::nullopt;
   }
@@ -107,7 +120,7 @@ std::optional<SmallPageId> Evictor::PopVictim() {
 }
 
 std::optional<Tick> Evictor::PeekOldestAccess() const {
-  DropStaleTop();
+  PrepareTop();
   if (heap_.empty()) {
     return std::nullopt;
   }

@@ -13,6 +13,11 @@
 //
 // `keys_` is a dense vector indexed by page id (small-page ids are dense pool indices), so
 // the liveness test on every heap entry is an array read, not a hash probe.
+//
+// The heap is built at the first PopVictim or PeekOldestAccess that finds a page present;
+// until then Insert, Remove and rekeys write `keys_` only. Most groups never reach step 5,
+// so they never pay a heap push. The pop order is the total order on live keys, so when the
+// heap was built cannot show.
 
 #ifndef JENGA_SRC_CORE_EVICTOR_H_
 #define JENGA_SRC_CORE_EVICTOR_H_
@@ -53,7 +58,8 @@ class Evictor {
   // Priority of the page that PopVictim would return, without popping.
   [[nodiscard]] std::optional<Tick> PeekOldestAccess() const;
 
-  // Heap entries including tombstones; bounded at O(size()) by compaction (test/bench only).
+  // Heap entries including tombstones; bounded at O(size()) by compaction, and 0 until the
+  // heap is built (test/bench only).
   [[nodiscard]] size_t heap_entries() const { return heap_.size(); }
 
   // Event subscribers (an AuditSinkList::get() value); `group` tags this queue's events.
@@ -64,6 +70,7 @@ class Evictor {
 
  private:
   friend class AllocatorAuditor;
+  friend struct AllocatorStateTestPeer;
   struct Key {
     Tick last_access;
     int64_t neg_prefix_length;  // negated so larger prefixes sort first.
@@ -76,16 +83,19 @@ class Evictor {
   [[nodiscard]] bool IsLive(const Key& key) const {
     return keys_[static_cast<size_t>(key.page)] == key;
   }
+  // Pushes `key` once the heap is built; before that, `keys_` alone records it.
   void Push(Key key);
   // Applies a changed key to a present page: records it and pushes the new heap entry.
   void Rekey(Key& slot, const Key& key);
-  // Discards stale entries from the heap top (const: tombstone cleanup is not observable).
-  void DropStaleTop() const;
+  // Builds the heap if need be, then discards stale entries from its top (const: neither is
+  // observable).
+  void PrepareTop() const;
   // Filters the heap down to one entry per live key when tombstones dominate.
   void MaybeCompact();
 
-  // Min-heap over Key (ascending order through std::greater).
+  // Min-heap over Key (ascending order through std::greater); empty until `built_`.
   mutable std::vector<Key> heap_;
+  mutable bool built_ = false;
   // Current key of every present page, indexed by page id; absent slots hold page ==
   // kNoSmallPage. Grows to the largest page id ever inserted (bounded by the pool).
   std::vector<Key> keys_;

@@ -299,17 +299,21 @@ void SmallPageAllocator::AddRef(SmallPageId page) {
 }
 
 void SmallPageAllocator::UnregisterHash(SmallPageId page, SlotMeta& meta, bool evicted) {
-  if (meta.has_hash) {
-    // Only an index entry is announced: a page whose hash another resident copy holds offers
-    // nothing a future hit could use, so its loss is no event.
-    if (cache_index_.Erase(meta.hash, page)) {
-      const CacheEviction eviction{spec_.page_bytes, meta.prefix_length, meta.last_access};
-      JENGA_AUDIT_HOOK(audit_, OnHashUnindexed(group_index_, meta.hash,
-                                               evicted ? &eviction : nullptr));
-    }
-    meta.has_hash = false;
-    meta.hash = 0;
+  if (!meta.has_hash) {
+    return;
   }
+  // Only an index entry is announced: a page whose hash another resident copy holds offers
+  // nothing a future hit could use, so its loss is no event (and costs no probe).
+  if (meta.indexed) {
+    const bool erased = cache_index_.Erase(meta.hash, page);
+    JENGA_CHECK(erased) << "page " << page << " owned no index entry";
+    const CacheEviction eviction{spec_.page_bytes, meta.prefix_length, meta.last_access};
+    JENGA_AUDIT_HOOK(audit_,
+                     OnHashUnindexed(group_index_, meta.hash, evicted ? &eviction : nullptr));
+  }
+  meta.has_hash = false;
+  meta.indexed = false;
+  meta.hash = 0;
 }
 
 void SmallPageAllocator::ReleaseLarge(LargePageId large, LargeEntry& entry) {
@@ -396,16 +400,15 @@ void SmallPageAllocator::ReleaseN(std::span<const SmallPageId> pages, bool keep_
       continue;
     }
 
-    bool cacheable = keep_cached && meta.has_hash;
-    if (cacheable) {
+    if (keep_cached && meta.has_hash && !meta.indexed) {
       // Index the content if no other resident page holds it; duplicates are not worth
-      // keeping.
-      const auto [indexed, inserted] = cache_index_.Emplace(meta.hash, page);
-      cacheable = indexed == page;
-      if (inserted) {
+      // keeping. An owner already holds its entry and skips the probe.
+      meta.indexed = cache_index_.Emplace(meta.hash, page).second;
+      if (meta.indexed) {
         JENGA_AUDIT_HOOK(audit_, OnHashIndexed(group_index_, meta.hash));
       }
     }
+    const bool cacheable = keep_cached && meta.indexed;
 
     if (!cacheable) {
       TransitionToEmpty(page);
@@ -459,9 +462,10 @@ void SmallPageAllocator::SetContentHash(SmallPageId page, BlockHash hash) {
   }
   meta.has_hash = true;
   meta.hash = hash;
-  // Keeps an existing mapping if one is resident (in which case the index is unchanged and
-  // no event fires).
-  if (cache_index_.Emplace(hash, page).second) {
+  // Keeps an existing mapping if one is resident (in which case the index is unchanged, no
+  // event fires and this page is a non-owning duplicate).
+  meta.indexed = cache_index_.Emplace(hash, page).second;
+  if (meta.indexed) {
     JENGA_AUDIT_HOOK(audit_, OnHashIndexed(group_index_, hash));
   }
 }
@@ -547,6 +551,14 @@ void SmallPageAllocator::ReclaimLargePage(LargePageId large) {
   LargeEntry& entry = Entry(large);
   JENGA_CHECK_EQ(entry.used_count, 0) << "reclaiming large page with used slots";
   const SmallPageId base = static_cast<SmallPageId>(large) * pages_per_large_;
+  if (pages_per_large_ > 1) {
+    // The erases below probe scattered index slots one after another; start every load first.
+    for (const SlotMeta& meta : entry.slots) {
+      if (meta.indexed) {
+        cache_index_.Prefetch(meta.hash);
+      }
+    }
+  }
   for (int slot = 0; slot < pages_per_large_; ++slot) {
     SlotMeta& meta = entry.slots[static_cast<size_t>(slot)];
     const SmallPageId page = base + slot;

@@ -187,8 +187,13 @@ class SmallPageAllocator final : public GroupCacheOps {
     int64_t prefix_length = 0;
     uint64_t epoch = 0;
     bool has_hash = false;
+    // True when the prefix-cache index maps `hash` to this page (the page owns the entry).
+    // Only an owner's release needs no index probe and only an owner's unregister erases.
+    bool indexed = false;
     BlockHash hash = 0;
   };
+  // The ownership bit sits in has_hash's padding: a slot stays one cache line.
+  static_assert(sizeof(SlotMeta) == 64);
 
   struct LargeEntry {
     std::vector<SlotMeta> slots;  // Sized on first acquisition; capacity reused thereafter.
@@ -264,7 +269,7 @@ class SmallPageAllocator final : public GroupCacheOps {
   // of `request`'s list. Pops skip stale refs anyway, so no pop changes; the refs a fresh
   // large page's leftover slots or an earlier release left there never reach a sweep.
   void DropStaleTails(LargePageId large, RequestId request);
-  // Drops the page's hash, erasing its index entry if the page holds it. `evicted` marks a
+  // Drops the page's hash, erasing its index entry if the page owns it. `evicted` marks a
   // capacity eviction, whose OnHashUnindexed event carries the destroyed page.
   void UnregisterHash(SmallPageId page, SlotMeta& meta, bool evicted = false);
   void NotifyCandidateIfEligible(LargePageId large);

@@ -172,13 +172,16 @@ KvManager::KvManager(KvSpec alloc_spec, KvSpec accounting_spec, int64_t pool_byt
     has_all_token_pass_ = has_all_token_pass_ || stream == GroupScope::kAllTokens;
     const int unit = HitUnit(g);
     auto pass = std::find_if(hash_passes_.begin(), hash_passes_.end(), [&](const HashPass& p) {
-      return p.stream == stream && p.unit == unit;
+      return p.stream == stream && std::all_of(p.units.begin(), p.units.end(), [unit](int u) {
+               return u % unit == 0 || unit % u == 0;
+             });
     });
     if (pass == hash_passes_.end()) {
-      pass = hash_passes_.insert(pass, HashPass{stream, unit, {}, {}});
+      pass = hash_passes_.insert(pass, HashPass{stream, {}, {}, {}});
     }
     pass->groups.push_back(g);
     pass->salts.push_back(GroupChainSalt(static_cast<int>(g)));
+    pass->units.push_back(unit);
   }
 }
 
@@ -372,7 +375,8 @@ KvManager::AdmissionMemo KvManager::BuildAdmissionMemo(const Request& r) {
       }
       stream = sub;
     }
-    std::vector<std::vector<BlockHash>> chains = ChainBlockHashes(stream, pass.unit, pass.salts);
+    std::vector<std::vector<BlockHash>> chains(pass.groups.size());
+    ExtendChains(stream, pass.units, pass.salts, chains);
     for (size_t i = 0; i < pass.groups.size(); ++i) {
       memo.group_hashes[pass.groups[i]] = std::move(chains[i]);
     }
@@ -389,13 +393,26 @@ bool KvManager::ChainsFromSharedPrefix(std::span<const int32_t> prompt, Admissio
     shared_prefixes_.resize(kSharedPrefixSlots);
   }
   const BlockHash key = SharedPrefixKey(prompt);
-  SharedPrefix& slot = shared_prefixes_[key % kSharedPrefixSlots];
-  if (!slot.used || slot.key != key) {
-    slot = SharedPrefix{};  // Frees the previous prompt's buffers.
-    slot.used = true;
-    slot.key = key;
+  const std::span<SharedPrefix> set =
+      std::span(shared_prefixes_)
+          .subspan(key % (kSharedPrefixSlots / kSharedPrefixWays) * kSharedPrefixWays,
+                   kSharedPrefixWays);
+  const auto held = std::find_if(set.begin(), set.end(), [key](const SharedPrefix& slot) {
+    return slot.used && slot.key == key;
+  });
+  if (held == set.end()) {
+    // An unused slot has last_use 0, so it goes first.
+    SharedPrefix& victim = *std::min_element(
+        set.begin(), set.end(),
+        [](const SharedPrefix& a, const SharedPrefix& b) { return a.last_use < b.last_use; });
+    victim = SharedPrefix{};  // Frees the previous prompt's buffers.
+    victim.used = true;
+    victim.key = key;
+    victim.last_use = ++shared_prefix_clock_;
     return false;
   }
+  SharedPrefix& slot = *held;
+  slot.last_use = ++shared_prefix_clock_;
   // The key only makes a shared prefix likely; the comparison decides how long it is.
   const size_t common = CommonPrefixLength(prompt, slot.tokens);
   shared_prefix_reused_tokens_ += static_cast<int64_t>(common);
@@ -408,20 +425,21 @@ bool KvManager::ChainsFromSharedPrefix(std::span<const int32_t> prompt, Admissio
     if (pass.stream != GroupScope::kAllTokens) {
       continue;
     }
-    const size_t units = common / static_cast<size_t>(pass.unit);
+    // Each lane resumes after its own whole units inside the common prefix.
     chains.resize(pass.groups.size());
     for (size_t i = 0; i < pass.groups.size(); ++i) {
       chains[i] = std::move(slot.chains[pass.groups[i]]);
-      chains[i].resize(std::min(chains[i].size(), units));
+      chains[i].resize(
+          std::min(chains[i].size(), common / static_cast<size_t>(pass.units[i])));
     }
-    ExtendChains(prompt, pass.unit, pass.salts, chains);
-    if (units > 0 && AdmissionScanAuditEnabled()) {
-      const std::vector<std::vector<BlockHash>> scratch =
-          ChainBlockHashes(prompt, pass.unit, pass.salts);
+    ExtendChains(prompt, pass.units, pass.salts, chains);
+    if (AdmissionScanAuditEnabled()) {
       for (size_t i = 0; i < pass.groups.size(); ++i) {
-        JENGA_CHECK_EQ(chains[i].size(), scratch[i].size());
-        for (size_t j = 0; j < scratch[i].size(); ++j) {
-          JENGA_CHECK_EQ(chains[i][j], scratch[i][j])
+        const std::vector<BlockHash> scratch =
+            ChainBlockHashes(prompt, pass.units[i], pass.salts[i]);
+        JENGA_CHECK_EQ(chains[i].size(), scratch.size());
+        for (size_t j = 0; j < scratch.size(); ++j) {
+          JENGA_CHECK_EQ(chains[i][j], scratch[j])
               << "shared-prefix chain of group " << pass.groups[i] << " diverged at unit " << j;
         }
       }

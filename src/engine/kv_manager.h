@@ -209,6 +209,8 @@ class KvManager {
   };
   [[nodiscard]] SharedPrefixStats shared_prefix_stats() const;
   static constexpr size_t kSharedPrefixSlots = 256;
+  // Slots per set: a key may sit in either slot of its set.
+  static constexpr size_t kSharedPrefixWays = 2;
 
  private:
   // Drives the claim walk and the feasibility bound separately (differential soundness test).
@@ -235,18 +237,20 @@ class KvManager {
   struct SharedPrefix {
     bool used = false;
     BlockHash key = 0;
+    uint64_t last_use = 0;  // shared_prefix_clock_ at the slot's latest lookup; 0 when unused.
     std::vector<int32_t> tokens;
     std::vector<std::vector<BlockHash>> chains;
   };
 
-  // Groups whose prompt chains one BuildAdmissionMemo pass hashes together: they share a token
-  // stream (the prompt for all-token and per-sequence groups, its text or image subsequence
-  // for text- and image-scoped ones) and a hit unit.
+  // Groups whose prompt chains one BuildAdmissionMemo pass hashes together, one ExtendChains
+  // lane each: they share a token stream (the prompt for all-token and per-sequence groups,
+  // its text or image subsequence for text- and image-scoped ones), and their hit units divide
+  // one another (Jamba's 16-token blocks and 512-token Mamba checkpoints).
   struct HashPass {
     GroupScope stream = GroupScope::kAllTokens;  // kAllTokens: the whole prompt.
-    int unit = 0;
     std::vector<size_t> groups;
     std::vector<uint64_t> salts;  // GroupChainSalt of each of `groups`.
+    std::vector<int> units;       // HitUnit of each of `groups`.
   };
 
   // A group's share of a global prefix, in the group's hit unit (HitUnit): whole units
@@ -285,10 +289,11 @@ class KvManager {
   [[nodiscard]] AdmissionMemo BuildAdmissionMemo(const Request& r);
   // Fills the all-token groups of `memo` for `prompt` from its slot of the shared-prefix table
   // and extends them past the common prefix, then makes the slot hold `prompt`. Returns false,
-  // touching nothing in `memo`, when the slot holds another key (which it then replaces).
+  // touching nothing in `memo`, when no slot of the key's set holds the key; the key then
+  // replaces the set's least recently used slot.
   bool ChainsFromSharedPrefix(std::span<const int32_t> prompt, AdmissionMemo& memo);
   // The shared-prefix key of a prompt of at least one block: a hash of its first block. The
-  // slot is the key modulo kSharedPrefixSlots.
+  // set is the key modulo kSharedPrefixSlots / kSharedPrefixWays.
   [[nodiscard]] BlockHash SharedPrefixKey(std::span<const int32_t> prompt) const;
   // `r`'s memo, built on first use.
   const AdmissionMemo& MemoFor(const Request& r);
@@ -388,7 +393,8 @@ class KvManager {
   // event-driven step is tested against.
   std::vector<bool> defer_refresh_;
   int vision_group_ = -1;
-  // The spec's groups partitioned by (stream, hit unit), in order of each pass's first group.
+  // The spec's groups partitioned by stream, and within a stream into sets of units that
+  // divide one another, in order of each pass's first group.
   std::vector<HashPass> hash_passes_;
   // Owns every admitted request's state; node-based, so a handle stays valid until Untrack.
   std::unordered_map<RequestId, RequestKv> requests_;
@@ -396,8 +402,10 @@ class KvManager {
   std::unordered_map<RequestId, AdmissionMemo> admission_memos_;
   // True when some hash pass runs over the whole prompt (the shared-prefix table's only use).
   bool has_all_token_pass_ = false;
-  // Direct-mapped on the first-block key; allocated on first use.
+  // Two-way set-associative on the first-block key (set s is slots 2s and 2s + 1), so two
+  // documents whose keys share a set do not evict each other; allocated on first use.
   std::vector<SharedPrefix> shared_prefixes_;
+  uint64_t shared_prefix_clock_ = 0;
   int64_t shared_prefix_reused_tokens_ = 0;
   int64_t total_cache_hit_tokens_ = 0;
   // DropUnneededPages' run for one ReleaseN (empty between calls; capacity reused).

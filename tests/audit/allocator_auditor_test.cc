@@ -437,6 +437,46 @@ INSTANTIATE_TEST_SUITE_P(
                       Peer::EvictorOf(a.group(0)).Insert(p.empty, 0, 0);
                     },
                     0, "empty page", "present in evictor"},
+        StateDefect{"UnbuiltEvictorHeapHoldsEntries",
+                    [](JengaAllocator& a, const StatePages& p) {
+                      Evictor& evictor = Peer::EvictorOf(a.group(0));
+                      Peer::Heap(evictor).push_back(Peer::KeyOf(evictor, p.evictable));
+                    },
+                    0, "evictor heap holds 1 entries", "before it was built"},
+        StateDefect{"BuiltEvictorHeapLosesLiveKey",
+                    [](JengaAllocator& a, const StatePages& /*p*/) {
+                      Evictor& evictor = Peer::EvictorOf(a.group(0));
+                      (void)evictor.PeekOldestAccess();  // Builds the heap.
+                      Peer::Heap(evictor).clear();
+                    },
+                    0, "live evictor key for page", "has no matching heap entry"},
+        StateDefect{"BuiltEvictorHeapBroken",
+                    [](JengaAllocator& a, const StatePages& p) {
+                      Evictor& evictor = Peer::EvictorOf(a.group(0));
+                      (void)evictor.PeekOldestAccess();  // Builds the heap.
+                      auto stale = Peer::KeyOf(evictor, p.evictable);
+                      stale.last_access -= 1;  // Sorts before the top: a tombstone out of place.
+                      Peer::Heap(evictor).push_back(stale);
+                    },
+                    0, "evictor heap", "violates the heap property"},
+        StateDefect{"IndexOwnerWithoutHash",
+                    [](JengaAllocator& a, const StatePages& p) {
+                      Peer::Slot(a.group(0), p.lone).indexed = true;
+                    },
+                    0, "owns an index entry", "but has no content hash"},
+        StateDefect{"IndexOwnerBitCleared",
+                    [](JengaAllocator& a, const StatePages& p) {
+                      Peer::Slot(a.group(0), p.used).indexed = false;
+                    },
+                    0, "index ownership bit is clear", "but the index maps its hash to it"},
+        StateDefect{"IndexOwnerBitOnDuplicate",
+                    [](JengaAllocator& a, const StatePages& p) {
+                      SmallPageAllocator& g = a.group(0);
+                      Peer::Slot(g, p.lone).has_hash = true;
+                      Peer::Slot(g, p.lone).hash = Peer::Slot(g, p.used).hash;
+                      Peer::Slot(g, p.lone).indexed = true;
+                    },
+                    0, "index ownership bit is set", "but the index does not map its hash to it"},
         StateDefect{"EvictorEntryInOneSlotGroup",
                     [](JengaAllocator& a, const StatePages& p) {
                       Peer::EvictorOf(a.group(2)).Insert(p.state, 5, 0);

@@ -20,6 +20,11 @@ struct AllocatorStateTestPeer {
     return group.Entry(group.LargeOf(page));
   }
   static Evictor& EvictorOf(SmallPageAllocator& group) { return group.evictor_; }
+  // The evictor's heap storage, and its key for a present page.
+  static std::vector<Evictor::Key>& Heap(Evictor& evictor) { return evictor.heap_; }
+  static Evictor::Key KeyOf(const Evictor& evictor, SmallPageId page) {
+    return evictor.keys_[static_cast<size_t>(page)];
+  }
   static int64_t& UsedCount(SmallPageAllocator& group) { return group.used_count_; }
   static int64_t& EmptyCount(SmallPageAllocator& group) { return group.empty_count_; }
   static int64_t& ByRequestRefs(SmallPageAllocator& group) { return group.by_request_refs_; }

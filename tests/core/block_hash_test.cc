@@ -97,6 +97,56 @@ TEST(ChainBlockHashes, MultiSaltEqualsPerSaltChains) {
   }
 }
 
+TEST(ExtendChains, PerLaneUnitsEqualPerPassChains) {
+  // One interleaved pass over lanes of different units (Jamba's 16-token blocks and 512-token
+  // Mamba checkpoints) must equal one ChainBlockHashes pass per lane, from empty chains and
+  // from per-lane resume points inside a shared prefix: each lane keeps its whole units of the
+  // first `common` tokens, which for most `common` is not a multiple of 512.
+  const std::vector<std::vector<int>> unit_sets = {{16, 512}, {16, 16, 512}, {512, 16}};
+  uint32_t state = 777;
+  std::vector<int32_t> tokens(3000);
+  for (int32_t& token : tokens) {
+    state = state * 1664525u + 1013904223u;
+    token = static_cast<int32_t>(state);
+  }
+  for (const std::vector<int>& units : unit_sets) {
+    std::vector<uint64_t> salts;
+    for (size_t l = 0; l < units.size(); ++l) {
+      salts.push_back(GroupChainSalt(static_cast<int>(l)));
+    }
+    for (const size_t len : {size_t{0}, size_t{15}, size_t{16}, size_t{511}, size_t{512},
+                             size_t{600}, size_t{1030}, size_t{1536}, size_t{3000}}) {
+      const std::span<const int32_t> stream(tokens.data(), len);
+      for (const size_t common : {size_t{0}, size_t{16}, size_t{300}, size_t{512}, size_t{600},
+                                  size_t{1030}, size_t{1536}, size_t{2047}}) {
+        if (common > len) {
+          continue;
+        }
+        SCOPED_TRACE(testing::Message() << "lanes=" << units.size() << " len=" << len
+                                        << " common=" << common);
+        std::vector<std::vector<BlockHash>> chains(units.size());
+        for (size_t l = 0; l < units.size(); ++l) {
+          const size_t unit = static_cast<size_t>(units[l]);
+          chains[l] = ChainBlockHashes(stream, units[l], salts[l]);
+          chains[l].resize(common / unit);
+        }
+        ExtendChains(stream, units, salts, chains);
+        for (size_t l = 0; l < units.size(); ++l) {
+          EXPECT_EQ(chains[l], ChainBlockHashes(stream, units[l], salts[l])) << "lane " << l;
+        }
+      }
+    }
+  }
+}
+
+TEST(ExtendChainsDeath, UnitsMustBeMultiplesOfTheSmallest) {
+  const std::vector<int32_t> tokens(100, 1);
+  const std::vector<int> units = {16, 24};
+  const std::vector<uint64_t> salts = {1, 2};
+  std::vector<std::vector<BlockHash>> chains(2);
+  EXPECT_DEATH(ExtendChains(tokens, units, salts, chains), "multiple of the smallest");
+}
+
 TEST(LongestCommonValidPrefix, IntersectsAcrossGroups) {
   // Group A valid up to 4, group B valid at {0, 2, 3}: the longest common boundary is 3.
   const std::vector<std::vector<bool>> valids = {

@@ -76,6 +76,10 @@ class ReferenceEvictor {
 
   bool Contains(SmallPageId page) const { return keys_.contains(page); }
   size_t size() const { return keys_.size(); }
+  std::optional<Key> KeyOf(SmallPageId page) const {
+    const auto it = keys_.find(page);
+    return it == keys_.end() ? std::nullopt : std::optional<Key>(it->second);
+  }
 
  private:
   std::map<SmallPageId, Key> keys_;
@@ -147,7 +151,98 @@ void RunEquivalence(uint64_t seed, PickPage pick_page) {
   ASSERT_EQ(heap.size(), 0u);
 }
 
+// A long pre-pop phase, then pops: `pre_ops` inserts, removes and rekeys with no pop or peek
+// (some rekeys set a key away and back to its earlier value), during which the heap must stay
+// unbuilt and empty; then pops interleaved with more of the same upkeep. The heap built at the
+// first pop must give the model's victim order from there on.
+void RunPrePopPhase(uint64_t seed, int pre_ops) {
+  constexpr int kPages = 160;
+  Rng rng(seed);
+  Evictor heap;
+  ReferenceEvictor model;
+  Tick now = 0;
+  const auto upkeep = [&] {
+    now += rng.UniformInt(0, 2);
+    const SmallPageId page = rng.UniformInt(0, kPages - 1);
+    const int op = static_cast<int>(rng.UniformInt(0, 99));
+    if (op < 35) {
+      if (!model.Contains(page)) {
+        const Tick access = now - rng.UniformInt(0, 3);
+        const int64_t prefix = rng.UniformInt(0, 8);
+        heap.Insert(page, access, prefix);
+        model.Insert(page, access, prefix);
+      }
+    } else if (op < 50) {
+      heap.Remove(page);
+      model.Remove(page);
+    } else if (op < 70) {
+      const Tick access = now - rng.UniformInt(0, 3);
+      heap.UpdateLastAccess(page, access);
+      model.UpdateLastAccess(page, access);
+    } else if (op < 85) {
+      const int64_t prefix = rng.UniformInt(0, 8);
+      heap.SetPrefixLength(page, prefix);
+      model.SetPrefixLength(page, prefix);
+    } else if (const auto key = model.KeyOf(page)) {
+      // Away and back: the key ends where it started.
+      heap.UpdateLastAccess(page, now + 5);
+      model.UpdateLastAccess(page, now + 5);
+      heap.SetPrefixLength(page, 9);
+      model.SetPrefixLength(page, 9);
+      heap.UpdateLastAccess(page, std::get<0>(*key));
+      model.UpdateLastAccess(page, std::get<0>(*key));
+      heap.SetPrefixLength(page, -std::get<1>(*key));
+      model.SetPrefixLength(page, -std::get<1>(*key));
+    }
+  };
+
+  for (int step = 0; step < pre_ops; ++step) {
+    upkeep();
+    ASSERT_EQ(heap.heap_entries(), 0u) << "heap built before the first pop, step " << step;
+    ASSERT_EQ(heap.size(), model.size());
+  }
+  ASSERT_GT(heap.size(), 1u);
+  for (int step = 0; step < 6000; ++step) {
+    if (rng.UniformInt(0, 99) < 20) {
+      const auto expected = model.PopVictim();
+      ASSERT_EQ(heap.PopVictim(), expected) << "victim mismatch at step " << step;
+    } else {
+      upkeep();
+    }
+    ASSERT_EQ(heap.size(), model.size());
+    ASSERT_LE(heap.heap_entries(), 2 * heap.size() + 65);
+  }
+  while (true) {
+    const auto expected = model.PopVictim();
+    ASSERT_EQ(heap.PopVictim(), expected);
+    if (!expected.has_value()) {
+      break;
+    }
+  }
+}
+
 class EvictorEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(EvictorEquivalenceTest, LongPrePopPhaseMatchesOrderedSetModel) {
+  RunPrePopPhase(GetParam(), /*pre_ops=*/8000);
+}
+
+// An empty queue builds nothing: a peek or pop with no page present leaves the heap unbuilt.
+TEST(Evictor, HeapBuiltAtFirstPopWithPagesPresent) {
+  Evictor evictor;
+  EXPECT_FALSE(evictor.PeekOldestAccess().has_value());
+  EXPECT_FALSE(evictor.PopVictim().has_value());
+  for (SmallPageId page = 0; page < 8; ++page) {
+    evictor.Insert(page, 10 - page, 0);
+  }
+  evictor.Remove(3);
+  evictor.UpdateLastAccess(0, 1);
+  EXPECT_EQ(evictor.heap_entries(), 0u);
+  EXPECT_EQ(evictor.PeekOldestAccess(), std::optional<Tick>(1));
+  EXPECT_EQ(evictor.heap_entries(), 7u);
+  EXPECT_EQ(evictor.PopVictim(), std::optional<SmallPageId>(0));
+  EXPECT_EQ(evictor.PopVictim(), std::optional<SmallPageId>(7));
+}
 
 TEST_P(EvictorEquivalenceTest, MatchesOrderedSetModel) {
   constexpr int kPages = 96;

@@ -194,6 +194,60 @@ TEST_F(SmallPageAllocatorTest, DuplicateContentIsNotDoubleIndexed) {
   ExpectConsistent(alloc_);
 }
 
+// Index ownership with duplicate holders: only the page the index maps a hash to owns the
+// entry. A non-owning copy's release and loss must leave the owner's entry alone, and when the
+// owner goes first the copy's release indexes the copy.
+TEST_F(SmallPageAllocatorTest, DuplicateHoldersKeepTheOwnersEntry) {
+  struct IndexEvents final : AuditSink {
+    void OnHashIndexed(int /*group*/, BlockHash /*hash*/) override { ++indexed; }
+    void OnHashUnindexed(int /*group*/, BlockHash /*hash*/,
+                         const CacheEviction* evicted) override {
+      ++unindexed;
+      evictions += evicted != nullptr ? 1 : 0;
+    }
+    int indexed = 0;
+    int unindexed = 0;
+    int evictions = 0;
+  };
+  IndexEvents events;
+  const std::vector<AuditSink*> sinks = {&events};
+  alloc_.set_audit_sinks(&sinks);
+
+  // The copy is released and its large page goes back whole; the owner then caches as usual.
+  const SmallPageId owner = *alloc_.Allocate(1, 0);
+  const SmallPageId copy = *alloc_.Allocate(2, 0);
+  ASSERT_NE(owner / 3, copy / 3);
+  alloc_.SetContentHash(owner, 0x77);
+  alloc_.SetContentHash(copy, 0x77);
+  EXPECT_EQ(events.indexed, 1);
+  alloc_.Release(copy, /*keep_cached=*/true);
+  EXPECT_EQ(lcm_.num_allocated(), 1);
+  EXPECT_EQ(alloc_.LookupCached(0x77), owner);
+  EXPECT_EQ(events.unindexed, 0);
+  ExpectConsistent(alloc_);
+  alloc_.Release(owner, /*keep_cached=*/true);
+  EXPECT_EQ(alloc_.state(owner), PageState::kEvictable);
+  EXPECT_EQ(alloc_.LookupCached(0x77), owner);
+  EXPECT_EQ(events.indexed, 1);
+  ExpectConsistent(alloc_);
+
+  // The owner is cached and then evicted with its large page; the copy's release takes over.
+  const SmallPageId copy2 = *alloc_.Allocate(3, 1);
+  alloc_.SetContentHash(copy2, 0x77);
+  EXPECT_EQ(events.indexed, 1);
+  alloc_.ReclaimLargePage(static_cast<LargePageId>(owner / 3));
+  EXPECT_EQ(events.unindexed, 1);
+  EXPECT_EQ(events.evictions, 1);
+  EXPECT_FALSE(alloc_.LookupCached(0x77).has_value());
+  ExpectConsistent(alloc_);
+  alloc_.Release(copy2, /*keep_cached=*/true);
+  EXPECT_EQ(alloc_.state(copy2), PageState::kEvictable);
+  EXPECT_EQ(alloc_.LookupCached(0x77), copy2);
+  EXPECT_EQ(events.indexed, 2);
+  ExpectConsistent(alloc_);
+  alloc_.set_audit_sinks(nullptr);
+}
+
 TEST_F(SmallPageAllocatorTest, ReclaimCandidateNotifications) {
   const SmallPageId a = *alloc_.Allocate(1, 3);
   alloc_.SetContentHash(a, 0x1);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <map>
 #include <ostream>
@@ -69,9 +70,18 @@ struct KvManagerTestPeer {
   static std::vector<std::vector<BlockHash>> MemoChains(KvManager& kv, const Request& r) {
     return kv.MemoFor(r).group_hashes;
   }
-  // The shared-prefix slot a prompt of at least one block maps to.
-  static size_t SharedPrefixSlot(const KvManager& kv, const Prompt& prompt) {
-    return kv.SharedPrefixKey(prompt.tokens) % KvManager::kSharedPrefixSlots;
+  // The shared-prefix set a prompt of at least one block maps to.
+  static size_t SharedPrefixSet(const KvManager& kv, const Prompt& prompt) {
+    return kv.SharedPrefixKey(prompt.tokens) %
+           (KvManager::kSharedPrefixSlots / KvManager::kSharedPrefixWays);
+  }
+  // The hit units of each hash pass, in pass order.
+  static std::vector<std::vector<int>> HashPassUnits(const KvManager& kv) {
+    std::vector<std::vector<int>> units;
+    for (const KvManager::HashPass& pass : kv.hash_passes_) {
+      units.push_back(pass.units);
+    }
+    return units;
   }
 };
 
@@ -518,22 +528,32 @@ TEST(KvManager, SharedPrefixChainsMatchFromScratch) {
     serve(with_tail(1100));               // The stored prompt is a strict prefix of this one.
     serve(PrefixPlusTail(doc, 10, 0, 0));  // Shorter than one block.
 
-    // Two prompts with different first blocks that land in the same slot: each replaces the
-    // other, so the document is re-seen twice before its chains are reused again.
-    Prompt rival;
-    for (int32_t base = 900000;; base += 1000) {
-      rival = PrefixPlusTail(doc, 0, 200, base);
-      if (KvManagerTestPeer::SharedPrefixSlot(*kv, rival) ==
-          KvManagerTestPeer::SharedPrefixSlot(*kv, doc)) {
-        break;
+    // Three prompts with different first blocks in one two-way set. Two share the set; the
+    // third evicts the least recently used of them, which is then re-seen twice before its
+    // chains are reused again.
+    std::vector<Prompt> rivals;
+    for (int32_t base = 900000; rivals.size() < 2; base += 1000) {
+      Prompt rival = PrefixPlusTail(doc, 0, 200, base);
+      if (KvManagerTestPeer::SharedPrefixSet(*kv, rival) ==
+          KvManagerTestPeer::SharedPrefixSet(*kv, doc)) {
+        rivals.push_back(std::move(rival));
       }
     }
-    serve(rival);
-    serve(rival);
-    serve(with_tail(1100));
-    serve(with_tail(1100));
-    serve(with_tail(1100));
-    serve(rival);
+    const auto reused_by = [&](const Prompt& prompt) {
+      const int64_t reused = kv->shared_prefix_stats().reused_tokens;
+      serve(prompt);
+      return kv->shared_prefix_stats().reused_tokens - reused;
+    };
+    const int64_t doc_reuse = all_token_hashes == 0 ? 0 : 1100;
+    serve(rivals[0]);
+    serve(rivals[0]);
+    EXPECT_EQ(reused_by(with_tail(1100)), doc_reuse);  // Both ways held: no eviction.
+    serve(rivals[1]);  // Evicts rivals[0], the least recently used.
+    serve(rivals[1]);
+    serve(rivals[0]);  // Evicts the document.
+    EXPECT_EQ(reused_by(with_tail(1100)), 0);  // Evicts rivals[1].
+    EXPECT_EQ(reused_by(with_tail(1100)), 0);
+    EXPECT_EQ(reused_by(with_tail(1100)), doc_reuse);
 
     // A preempted request re-admits with its own memo, whatever the slot holds by then.
     Request preempted = MakeRequest(next_id++, with_tail(1100), 2, 0.0);
@@ -546,17 +566,66 @@ TEST(KvManager, SharedPrefixChainsMatchFromScratch) {
     ExpectChainsFromScratch(*kv, preempted);
     kv->Release(preempted, /*finished=*/true);
 
-    // Only all-token groups store chains: the slot holds the last 1,124-token prompt.
+    // Only all-token groups store chains: the set holds the last 1,124-token prompt and the
+    // key of rivals[0] alone.
     const KvManager::SharedPrefixStats stats = kv->shared_prefix_stats();
     if (all_token_hashes == 0) {
       EXPECT_EQ(stats.entries, 0);  // Cross-attention: no pass runs over the whole prompt.
       EXPECT_EQ(stats.reused_tokens, 0);
     } else {
-      EXPECT_EQ(stats.entries, 1);
+      EXPECT_EQ(stats.entries, 2);
       EXPECT_EQ(stats.stored_tokens, 1124);
       EXPECT_EQ(stats.stored_hashes, all_token_hashes);
     }
     ExpectConsistent(*kv);
+  }
+}
+
+TEST(KvManager, HashPassesMergeUnitsThatDivideOneAnother) {
+  // Jamba-like: the attention group's 16-token blocks and the Mamba group's 512-token
+  // checkpoints divide one another, so one interleaved pass hashes both. 24-token blocks do not
+  // divide 512 and keep a pass of their own. Either way every memo chain, whether hashed from
+  // scratch or resumed from a shared prefix that ends off a checkpoint edge, equals the group's
+  // own from-scratch chain.
+  const ModelConfig model = TinyMambaModel();
+  for (const int tokens_per_page : {16, 24}) {
+    SCOPED_TRACE(tokens_per_page);
+    const KvSpec spec = MakeJengaSpec(model, tokens_per_page, false);
+    KvManager::Options options = JengaOptions();
+    options.tokens_per_page = tokens_per_page;
+    KvManager kv(spec, spec, 1 << 26, options, MakeLayerPolicies(spec));
+    std::vector<std::vector<int>> passes = KvManagerTestPeer::HashPassUnits(kv);
+    for (std::vector<int>& units : passes) {
+      std::sort(units.begin(), units.end());
+    }
+    std::sort(passes.begin(), passes.end());
+    if (tokens_per_page == 16) {
+      EXPECT_EQ(passes, (std::vector<std::vector<int>>{{16, kMambaCheckpointInterval}}));
+    } else {
+      EXPECT_EQ(passes, (std::vector<std::vector<int>>{{24}, {kMambaCheckpointInterval}}));
+    }
+
+    const Prompt doc = TextPrompt(1600);
+    RequestId next_id = 1;
+    Tick now = 0;
+    for (const int64_t head : {1600, 1600, 1600, 1030, 600, 1536, 520, 100}) {
+      Request r = MakeRequest(next_id, PrefixPlusTail(doc, head, 40, 70000 + 100 * next_id), 2,
+                              0.0);
+      ++next_id;
+      kv.OnAdmit(r, ++now);
+      const std::vector<std::vector<BlockHash>> chains = KvManagerTestPeer::MemoChains(kv, r);
+      for (size_t g = 0; g < spec.groups.size(); ++g) {
+        const int unit = spec.groups[g].kind == GroupKind::kMamba ? kMambaCheckpointInterval
+                                                                  : tokens_per_page;
+        EXPECT_EQ(chains[g],
+                  ChainBlockHashes(r.prompt.tokens, unit, GroupChainSalt(static_cast<int>(g))))
+            << "head " << head << " group " << g;
+      }
+      ComputeTokens(kv, r, r.prompt_len() - r.num_computed_tokens, now);
+      kv.Release(r, /*finished=*/true);
+    }
+    EXPECT_GT(kv.shared_prefix_stats().reused_tokens, 0);
+    ExpectConsistent(kv);
   }
 }
 
