@@ -36,7 +36,7 @@ double RunOne(const ModelConfig& target, const ModelConfig& draft, SpecStrategy 
 
 void Run() {
   PrintHeader("Figure 19: Speculative decoding — vLLM-max / vLLM-manual / Jenga (H100)");
-  PrintRow({{24, "Target + draft"},
+  PrintRow({{28, "Target + draft"},
             {12, "vLLM-max"},
             {14, "vLLM-manual"},
             {12, "Jenga"},
@@ -87,7 +87,7 @@ void Run() {
     const double max_tput = results[3 * row];
     const double manual_tput = results[3 * row + 1];
     const double jenga_tput = results[3 * row + 2];
-    PrintRow({{24, pair.label},
+    PrintRow({{28, pair.label},
               {12, Fmt("%.3f", max_tput)},
               {14, Fmt("%.3f", manual_tput)},
               {12, Fmt("%.3f", jenga_tput)},

@@ -336,34 +336,27 @@ double MicroAdmissionSharedPrefix(int64_t cycles) {
   return static_cast<double>(cycles) / Seconds(begin, end);
 }
 
-// Prefix-cache upkeep where nothing is ever hit, the mmlu-decode shape: a Jamba-like manager
-// (multi-slot attention group, one-slot Mamba group) over a pool full of cached pages. Each op
-// admits an unshared 768-token prompt, commits it, decodes 32 tokens and finishes, so it hashes
-// the prompt, registers its blocks, releases them to the cache and reclaims whole large pages
-// for the next request; no claim reaches step 5. Counts requests per second.
-double MicroCacheUpkeepMultislot(int64_t ops) {
-  const ModelConfig model = Jamba52B_Fp8();
-  const KvSpec spec = MakeJengaSpec(model, /*tokens_per_page=*/16, /*vision_cache=*/false);
-  KvManager::Options options;
-  options.tokens_per_page = 16;
-  KvManager kv(spec, spec, spec.LcmPageBytes() * 40, options, MakeLayerPolicies(spec));
-  constexpr int kPromptLen = 768;
-  constexpr int kDecode = 32;
+// Serves requests with unshared `prompt_len`-token prompts on `kv` as the engine would: each
+// is admitted, prefilled, run `decode_steps` decode steps and finished. `warmup` requests fill
+// the pool with cached pages first, so every timed one runs at the steady state. Returns the
+// timed requests per second, or 0 when the pool cannot hold one.
+double ServeUnsharedPerSecond(KvManager& kv, int prompt_len, int decode_steps, int warmup,
+                              int64_t ops) {
   Tick now = 0;
   const auto serve = [&](int64_t id) {
     Prompt prompt;
-    prompt.tokens.reserve(kPromptLen);
-    for (int i = 0; i < kPromptLen; ++i) {
-      prompt.tokens.push_back(static_cast<int32_t>((id * kPromptLen + i) % 2000000000));
+    prompt.tokens.reserve(static_cast<size_t>(prompt_len));
+    for (int i = 0; i < prompt_len; ++i) {
+      prompt.tokens.push_back(static_cast<int32_t>((id * prompt_len + i) % 2000000000));
     }
-    Request r = MakeRequest(id, std::move(prompt), kDecode, 0.0);
+    Request r = MakeRequest(id, std::move(prompt), decode_steps + 1, 0.0);
     kv.OnAdmit(r, ++now);
-    if (!kv.AllocateForTokens(r, kPromptLen - r.num_computed_tokens, now)) {
+    if (!kv.AllocateForTokens(r, prompt_len - r.num_computed_tokens, now)) {
       return false;
     }
-    r.num_computed_tokens = kPromptLen;
+    r.num_computed_tokens = prompt_len;
     kv.OnStepComputed(r, now);
-    for (int k = 0; k < kDecode - 1; ++k) {
+    for (int k = 0; k < decode_steps; ++k) {
       r.AppendGenerated(static_cast<int32_t>(id + k));
       if (!kv.AllocateForTokens(r, 1, ++now)) {
         return false;
@@ -374,10 +367,8 @@ double MicroCacheUpkeepMultislot(int64_t ops) {
     kv.Release(r, /*finished=*/true);
     return true;
   };
-  // Fill the pool with cached pages first (about three large pages per request), so every
-  // timed op runs at the steady state.
   int64_t id = 0;
-  for (; id < 64; ++id) {
+  for (; id < warmup; ++id) {
     if (!serve(id)) {
       return 0.0;
     }
@@ -390,6 +381,37 @@ double MicroCacheUpkeepMultislot(int64_t ops) {
   }
   const auto end = Clock::now();
   return static_cast<double>(ops) / Seconds(begin, end);
+}
+
+// Prefix-cache upkeep where nothing is ever hit, the mmlu-decode shape: a Jamba-like manager
+// (multi-slot attention group, one-slot Mamba group) over a pool full of cached pages. Each op
+// admits an unshared 768-token prompt, commits it, decodes 32 tokens and finishes, so it hashes
+// the prompt, registers its blocks, releases them to the cache and reclaims whole large pages
+// for the next request; no claim reaches step 5. Counts requests per second.
+double MicroCacheUpkeepMultislot(int64_t ops) {
+  const ModelConfig model = Jamba52B_Fp8();
+  const KvSpec spec = MakeJengaSpec(model, /*tokens_per_page=*/16, /*vision_cache=*/false);
+  KvManager::Options options;
+  options.tokens_per_page = 16;
+  KvManager kv(spec, spec, spec.LcmPageBytes() * 40, options, MakeLayerPolicies(spec));
+  // About three large pages per request: the 64 warm-up requests fill the pool.
+  return ServeUnsharedPerSecond(kv, /*prompt_len=*/768, /*decode_steps=*/31, /*warmup=*/64, ops);
+}
+
+// The decode path of a long unshared prompt, the spec-batch shape: a Gemma-2-9B manager whose
+// pool holds about three such requests. Each op admits a fresh 12,000-token prompt, prefills
+// it, decodes 64 tokens and finishes, so every generated token is appended and hashed past a
+// prompt it must not copy. Counts requests per second.
+double MicroDecodeLongPrompt(int64_t ops) {
+  const ModelConfig model = Gemma2_9B();
+  const KvSpec spec = MakeJengaSpec(model, /*tokens_per_page=*/16, /*vision_cache=*/false);
+  KvManager::Options options;
+  options.tokens_per_page = 16;
+  constexpr int kPromptLen = 12000;
+  constexpr int kDecode = 64;
+  KvManager kv(spec, spec, 3 * (kPromptLen + kDecode) * model.KvBytesPerTokenAllLayers(),
+               options, MakeLayerPolicies(spec));
+  return ServeUnsharedPerSecond(kv, kPromptLen, kDecode, /*warmup=*/4, ops);
 }
 
 // The eviction queue alone: steady-state rekeys with periodic pop/reinsert, over a resident
@@ -960,6 +982,7 @@ bool Run(bool quick, bool gate, int profile, const std::string& out_path,
       {"micro.admission_readmit.ops_per_s", MicroAdmissionReadmit, 1500 * scale},
       {"micro.admission_shared_prefix.ops_per_s", MicroAdmissionSharedPrefix, 1500 * scale},
       {"micro.cache_upkeep_multislot.ops_per_s", MicroCacheUpkeepMultislot, 400 * scale},
+      {"micro.decode_long_prompt.ops_per_s", MicroDecodeLongPrompt, 64 * scale},
       {"micro.evictor_churn.ops_per_s", MicroEvictorChurn, 250000 * scale},
       {"micro.meta_reads.ops_per_s", MicroMetaReads, 1250000 * scale},
       {"micro.deadline_sweep.steps_per_s", MicroDeadlineSweep, 512 * scale},

@@ -12,7 +12,6 @@
 #ifndef JENGA_SRC_CORE_LAYER_POLICY_H_
 #define JENGA_SRC_CORE_LAYER_POLICY_H_
 
-#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
@@ -89,8 +88,10 @@ class TokenRanges {
   TokenRanges() = default;
   TokenRanges(std::initializer_list<TokenRange> ranges) {
     JENGA_CHECK_LE(ranges.size(), kCapacity);
-    std::copy(ranges.begin(), ranges.end(), ranges_.begin());
-    size_ = ranges.size();
+    // Element by element: std::copy of this trivially copyable type becomes a memmove call.
+    for (const TokenRange& range : ranges) {
+      ranges_[size_++] = range;
+    }
   }
 
   [[nodiscard]] size_t size() const { return size_; }

@@ -89,28 +89,27 @@ inline bool BlockNeeded(const TokenRanges& ranges, int64_t j, int bs) {
 
 // The tokens of hit unit j of a `scope` stream, for a unit past the prompt's whole units (the
 // admission memo hashes those). Generated tokens are text, so an image-scoped stream never
-// reaches past them, and a text-scoped one there is all_tokens shifted by the prompt's image
-// tokens — except for the one block straddling the prompt end, which is gathered into `buf`.
+// reaches past them, and the stream there is `generated` after the prompt's part of the stream
+// (its text tokens for a text scope, all of it otherwise) — except for the one unit straddling
+// the prompt end, which is gathered into `buf`.
 std::span<const int32_t> UnitPastPrompt(const Request& r, GroupScope scope, int64_t j, int unit,
                                         std::vector<int32_t>& buf) {
   JENGA_DCHECK(scope != GroupScope::kImageTokens);
-  const std::span<const int32_t> all(r.all_tokens);
-  const int64_t begin = j * unit;
-  if (scope != GroupScope::kTextTokens) {
-    return all.subspan(static_cast<size_t>(begin), static_cast<size_t>(unit));
-  }
+  const bool text_only = scope == GroupScope::kTextTokens;
   const int64_t prompt_len = r.prompt_len();
-  const int64_t prompt_text = r.TextTokensBefore(prompt_len);
-  if (begin >= prompt_text) {
-    return all.subspan(static_cast<size_t>(begin + prompt_len - prompt_text),
-                       static_cast<size_t>(unit));
+  const int64_t prompt_part = text_only ? r.TextTokensBefore(prompt_len) : prompt_len;
+  const std::span<const int32_t> generated(r.generated);
+  const int64_t begin = j * unit;
+  if (begin >= prompt_part) {
+    return generated.subspan(static_cast<size_t>(begin - prompt_part), static_cast<size_t>(unit));
   }
-  // The prompt's last `k` text tokens, then the first generated ones.
-  int64_t k = prompt_text - begin;
+  // The prompt part's last `k` tokens, then the first generated ones.
+  int64_t k = prompt_part - begin;
   buf.resize(static_cast<size_t>(unit));
-  std::copy(all.begin() + prompt_len, all.begin() + prompt_len + unit - k, buf.begin() + k);
+  std::copy(generated.begin(), generated.begin() + (unit - k), buf.begin() + k);
   for (int64_t i = prompt_len; k > 0;) {
-    if (r.prompt.kind(--i) == TokenKind::kText) {
+    --i;
+    if (!text_only || r.prompt.kind(i) == TokenKind::kText) {
       buf[static_cast<size_t>(--k)] = r.prompt.tokens[static_cast<size_t>(i)];
     }
   }
@@ -1033,7 +1032,7 @@ void KvManager::TrimToComputed(const Request& r) {
 bool KvManager::RestoreFromSwap(Request& r, int64_t tokens, uint64_t expected_fingerprint,
                                 Tick now) {
   JENGA_CHECK_GT(tokens, 0);
-  JENGA_CHECK_GE(static_cast<int64_t>(r.all_tokens.size()), tokens);
+  JENGA_CHECK_GE(r.total_len(), tokens);
   RequestKv& state = TrackRequest(r);
   if (!GrowBlockTables(r, state, tokens, /*leave_dropped=*/true, now)) {
     Untrack(r);

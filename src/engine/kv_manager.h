@@ -209,8 +209,8 @@ class KvManager {
   };
   [[nodiscard]] SharedPrefixStats shared_prefix_stats() const;
   static constexpr size_t kSharedPrefixSlots = 256;
-  // Slots per set: a key may sit in either slot of its set.
-  static constexpr size_t kSharedPrefixWays = 2;
+  // Slots per set: a key may sit in any slot of its set.
+  static constexpr size_t kSharedPrefixWays = 4;
 
  private:
   // Drives the claim walk and the feasibility bound separately (differential soundness test).

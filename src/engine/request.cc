@@ -23,7 +23,7 @@ void Request::Prepare() {
   if (!prompt.kinds.empty()) {
     JENGA_CHECK_EQ(prompt.kinds.size(), prompt.tokens.size());
   }
-  all_tokens = prompt.tokens;
+  generated.reserve(static_cast<size_t>(output_len));
   image_prefix.clear();
   if (prompt.kinds.empty()) {
     return;
@@ -36,7 +36,7 @@ void Request::Prepare() {
 }
 
 void Request::AppendGenerated(int32_t token) {
-  all_tokens.push_back(token);
+  generated.push_back(token);
   num_generated += 1;
 }
 

@@ -53,10 +53,9 @@ struct Request {
   double deadline = -1.0;
 
   RequestState state = RequestState::kWaiting;
-  // Tokens (prompt + generated so far); generated ids are appended as they are produced so
-  // that block hashing over decode output works like hashing over the prompt. Generated
-  // tokens are text.
-  std::vector<int32_t> all_tokens;
+  // Tokens generated so far, all text. They are hashed after the prompt's tokens, so decode
+  // output can be prefix-cached. Prepare reserves `output_len`, so appending never reallocates.
+  std::vector<int32_t> generated;
   // Prefix counts of image tokens over the prompt: image_prefix[i] = #image tokens in [0, i).
   // Empty for an all-text prompt (empty prompt.kinds), which has no image tokens to count.
   std::vector<int64_t> image_prefix;
@@ -109,8 +108,8 @@ struct Request {
     return position - ImageTokensBefore(position);
   }
 
-  // Initializes all_tokens/image_prefix from the prompt; must be called once before the
-  // request enters the scheduler.
+  // Reserves `generated` and builds image_prefix from the prompt; must be called once before
+  // the request enters the scheduler.
   void Prepare();
   // Appends one generated (text) token.
   void AppendGenerated(int32_t token);

@@ -87,6 +87,31 @@ TEST(Engine, PreemptionRecoversUnderMemoryPressure) {
   ExpectConsistent(engine.kv());
 }
 
+TEST(Engine, GeneratedTokensStayInTheirReservedVector) {
+  // A 12k-token prompt decoded 64 tokens: the generated tokens live in their own vector,
+  // reserved to output_len at submission, so the decode path never moves or grows it.
+  constexpr int64_t kOutput = 64;
+  Engine engine(TestConfig(TinyFullModel(), true, 1 << 25));
+  engine.Submit(MakeRequest(0, TextPrompt(12000), kOutput, 0.0));
+  const Request& r = engine.request(0);
+  const int32_t* first_decode = nullptr;
+  while (engine.StepOnce()) {
+    if (r.num_generated == 0) {
+      continue;
+    }
+    if (first_decode == nullptr) {
+      first_decode = r.generated.data();
+    }
+    EXPECT_EQ(r.generated.data(), first_decode) << "after " << r.num_generated << " tokens";
+  }
+  EXPECT_EQ(r.state, RequestState::kFinished);
+  EXPECT_NE(first_decode, nullptr);
+  EXPECT_EQ(static_cast<int64_t>(r.generated.size()), r.num_generated);
+  EXPECT_EQ(r.num_generated, kOutput);
+  EXPECT_EQ(r.generated.data(), first_decode);
+  EXPECT_EQ(static_cast<int64_t>(r.generated.capacity()), kOutput);
+}
+
 TEST(Engine, OversizedRequestFailsInsteadOfDeadlocking) {
   const ModelConfig model = TinyFullModel();
   const KvSpec spec = MakeJengaSpec(model, 16, false);

@@ -6,6 +6,7 @@
 #include <array>
 #include <map>
 #include <ostream>
+#include <string>
 
 #include "src/audit/allocator_auditor.h"
 #include "src/common/math_util.h"
@@ -373,18 +374,30 @@ TEST(KvManager, SlidingWindowHitNeedsTheBlockBeforeItsWindow) {
   ExpectConsistent(*kv);
 }
 
-// The token stream of `r` that a `scope` group hashes, rebuilt from all_tokens and the prompt's
-// token kinds.
+// A LLaVA-style vision model: image tokens enter the decoder sequence, so its attention group
+// covers every token while the vision-embedding group covers the image subsequence.
+ModelConfig TinyInlineVisionModel() {
+  ModelConfig model = TinyFullModel();
+  model.name = "tiny-inline-vision";
+  model.vision = TinyVisionModel().vision;
+  return model;
+}
+
+// The token stream of `r` that a `scope` group hashes, rebuilt from the prompt's tokens and
+// kinds, then the generated tokens (text).
 std::vector<int32_t> GroupStream(const Request& r, GroupScope scope) {
   std::vector<int32_t> stream;
-  for (int64_t i = 0; i < static_cast<int64_t>(r.all_tokens.size()); ++i) {
-    const bool image = i < r.prompt_len() && r.prompt.kind(i) == TokenKind::kImage;
+  for (int64_t i = 0; i < r.prompt_len(); ++i) {
+    const bool image = r.prompt.kind(i) == TokenKind::kImage;
     const bool in_stream = scope == GroupScope::kImageTokens  ? image
                            : scope == GroupScope::kTextTokens ? !image
                                                               : true;
     if (in_stream) {
-      stream.push_back(r.all_tokens[static_cast<size_t>(i)]);
+      stream.push_back(r.prompt.tokens[static_cast<size_t>(i)]);
     }
+  }
+  if (scope != GroupScope::kImageTokens) {
+    stream.insert(stream.end(), r.generated.begin(), r.generated.end());
   }
   return stream;
 }
@@ -393,16 +406,21 @@ TEST(KvManager, RegisteredHashesMatchAnIndependentChain) {
   // After decoding past the prompt, every whole hit unit of every group — the prompt's and the
   // ones past it — is resident under the hash a from-scratch chain over the group's stream
   // gives it. Covers the text-scoped block that straddles the prompt end (67 prompt text
-  // tokens), Mamba checkpoints past the prompt (1024 of 1100), and an all-token group.
+  // tokens), Mamba checkpoints past the prompt (1024 of 1100), a prompt on a unit edge of
+  // every group (no unit straddles), a prompt shorter than one Mamba unit (unit 0 straddles),
+  // and an all-token group over a mixed prompt (91 tokens, so its block 5 straddles).
   struct Case {
     ModelConfig model;
     Prompt prompt;
     int64_t generated;
   };
   const std::vector<Case> cases = {{TinyVisionModel(), MixedPrompt(30, 3, 8, 37), 40},
-                                   {TinyMambaModel(), TextPrompt(700), 400}};
+                                   {TinyMambaModel(), TextPrompt(700), 400},
+                                   {TinyMambaModel(), TextPrompt(1024), 520},
+                                   {TinyMambaModel(), TextPrompt(300), 300},
+                                   {TinyInlineVisionModel(), MixedPrompt(30, 3, 8, 37), 40}};
   for (const Case& tc : cases) {
-    SCOPED_TRACE(tc.model.name);
+    SCOPED_TRACE(tc.model.name + " prompt " + std::to_string(tc.prompt.size()));
     auto kv = MakeJengaManager(tc.model, 1 << 24, /*caching=*/true);
     Request r = MakeRequest(1, tc.prompt, tc.generated + 1, 0.0);
     kv->OnAdmit(r, 1);
@@ -430,15 +448,6 @@ TEST(KvManager, RegisteredHashesMatchAnIndependentChain) {
     kv->Release(r, /*finished=*/true);
     ExpectConsistent(*kv);
   }
-}
-
-// A LLaVA-style vision model: image tokens enter the decoder sequence, so its attention group
-// covers every token while the vision-embedding group covers the image subsequence.
-ModelConfig TinyInlineVisionModel() {
-  ModelConfig model = TinyFullModel();
-  model.name = "tiny-inline-vision";
-  model.vision = TinyVisionModel().vision;
-  return model;
 }
 
 // The first `head_len` tokens of `head`, then `tail_len` text tokens with ids from `tail_base`.
@@ -504,13 +513,17 @@ TEST(KvManager, SharedPrefixChainsMatchFromScratch) {
       return PrefixPlusTail(doc, head_len, tail_len, tail_base);
     };
 
-    int64_t all_token_hashes = 0;  // Per stored 1,124-token prompt.
-    for (const KvGroupSpec& group : kv->alloc_spec().groups) {
-      if (group.scope == GroupScope::kAllTokens || group.scope == GroupScope::kPerSequence) {
-        all_token_hashes +=
-            1124 / (group.kind == GroupKind::kMamba ? kMambaCheckpointInterval : kBs);
+    // Chain hashes the table stores for a prompt of `len` tokens.
+    const auto stored_hashes = [&](int64_t len) {
+      int64_t hashes = 0;
+      for (const KvGroupSpec& group : kv->alloc_spec().groups) {
+        if (group.scope == GroupScope::kAllTokens || group.scope == GroupScope::kPerSequence) {
+          hashes += len / (group.kind == GroupKind::kMamba ? kMambaCheckpointInterval : kBs);
+        }
       }
-    }
+      return hashes;
+    };
+    const int64_t all_token_hashes = stored_hashes(1124);
 
     serve(with_tail(1100));  // First sighting of the key: the slot stores the key alone.
     serve(with_tail(1100));  // Second: the slot stores the prompt, nothing is reused yet.
@@ -528,11 +541,12 @@ TEST(KvManager, SharedPrefixChainsMatchFromScratch) {
     serve(with_tail(1100));               // The stored prompt is a strict prefix of this one.
     serve(PrefixPlusTail(doc, 10, 0, 0));  // Shorter than one block.
 
-    // Three prompts with different first blocks in one two-way set. Two share the set; the
-    // third evicts the least recently used of them, which is then re-seen twice before its
-    // chains are reused again.
+    // One prompt more than the set has ways, each with its own first block: the document and
+    // rivals[0..ways-2] fill the set; rivals[ways-1] evicts the least recently used of them,
+    // which is then re-seen twice before its chains are reused again.
+    const size_t ways = KvManager::kSharedPrefixWays;
     std::vector<Prompt> rivals;
-    for (int32_t base = 900000; rivals.size() < 2; base += 1000) {
+    for (int32_t base = 900000; rivals.size() < ways; base += 1000) {
       Prompt rival = PrefixPlusTail(doc, 0, 200, base);
       if (KvManagerTestPeer::SharedPrefixSet(*kv, rival) ==
           KvManagerTestPeer::SharedPrefixSet(*kv, doc)) {
@@ -545,11 +559,15 @@ TEST(KvManager, SharedPrefixChainsMatchFromScratch) {
       return kv->shared_prefix_stats().reused_tokens - reused;
     };
     const int64_t doc_reuse = all_token_hashes == 0 ? 0 : 1100;
-    serve(rivals[0]);
-    serve(rivals[0]);
-    EXPECT_EQ(reused_by(with_tail(1100)), doc_reuse);  // Both ways held: no eviction.
-    serve(rivals[1]);  // Evicts rivals[0], the least recently used.
-    serve(rivals[1]);
+    for (size_t i = 0; i + 1 < ways; ++i) {
+      serve(rivals[i]);
+      serve(rivals[i]);
+    }
+    EXPECT_EQ(reused_by(with_tail(1100)), doc_reuse);  // Every way held: no eviction.
+    for (size_t i = 1; i < ways; ++i) {
+      serve(rivals[i]);  // The last one evicts rivals[0], the least recently used.
+      serve(rivals[i]);
+    }
     serve(rivals[0]);  // Evicts the document.
     EXPECT_EQ(reused_by(with_tail(1100)), 0);  // Evicts rivals[1].
     EXPECT_EQ(reused_by(with_tail(1100)), 0);
@@ -566,19 +584,53 @@ TEST(KvManager, SharedPrefixChainsMatchFromScratch) {
     ExpectChainsFromScratch(*kv, preempted);
     kv->Release(preempted, /*finished=*/true);
 
-    // Only all-token groups store chains: the set holds the last 1,124-token prompt and the
-    // key of rivals[0] alone.
+    // Only all-token groups store chains: the set holds the last 1,124-token prompt, the key
+    // of rivals[0] alone, and rivals[2..ways-1] (200 tokens each).
     const KvManager::SharedPrefixStats stats = kv->shared_prefix_stats();
     if (all_token_hashes == 0) {
       EXPECT_EQ(stats.entries, 0);  // Cross-attention: no pass runs over the whole prompt.
       EXPECT_EQ(stats.reused_tokens, 0);
     } else {
-      EXPECT_EQ(stats.entries, 2);
-      EXPECT_EQ(stats.stored_tokens, 1124);
-      EXPECT_EQ(stats.stored_hashes, all_token_hashes);
+      const int64_t rivals_held = static_cast<int64_t>(ways) - 2;
+      EXPECT_EQ(stats.entries, static_cast<int64_t>(ways));
+      EXPECT_EQ(stats.stored_tokens, 1124 + rivals_held * 200);
+      EXPECT_EQ(stats.stored_hashes, all_token_hashes + rivals_held * stored_hashes(200));
     }
     ExpectConsistent(*kv);
   }
+}
+
+TEST(KvManager, SharedPrefixSetHoldsFourHotPrompts) {
+  // Four documents whose first blocks fall in one set of the shared-prefix table, asked about in
+  // turn with fresh questions (the arXiv-QA pattern). A set holds all four, so once a document
+  // has been seen twice (key, then tokens) every later admission reuses the whole document.
+  auto kv = MakeJengaManager(TinyFullModel(), 1 << 26, /*caching=*/true);
+  constexpr int64_t kDocLen = 400;
+  std::vector<Prompt> docs = {TextPrompt(kDocLen, 1000)};
+  for (int32_t base = 2000; docs.size() < 4; base += 1000) {
+    Prompt doc = TextPrompt(kDocLen, base);
+    if (KvManagerTestPeer::SharedPrefixSet(*kv, doc) ==
+        KvManagerTestPeer::SharedPrefixSet(*kv, docs[0])) {
+      docs.push_back(std::move(doc));
+    }
+  }
+  RequestId next_id = 1;
+  Tick now = 0;
+  int32_t tail_base = 500000;
+  for (int round = 0; round < 4; ++round) {
+    for (const Prompt& doc : docs) {
+      tail_base += 100;
+      Request r = MakeRequest(next_id++, PrefixPlusTail(doc, kDocLen, 24, tail_base), 2, 0.0);
+      const int64_t reused = kv->shared_prefix_stats().reused_tokens;
+      kv->OnAdmit(r, ++now);
+      EXPECT_EQ(kv->shared_prefix_stats().reused_tokens - reused, round < 2 ? 0 : kDocLen)
+          << "round " << round << " request " << r.id;
+      ComputeTokens(*kv, r, r.prompt_len() - r.num_computed_tokens, now);
+      kv->Release(r, /*finished=*/true);
+    }
+  }
+  EXPECT_EQ(kv->shared_prefix_stats().entries, 4);
+  ExpectConsistent(*kv);
 }
 
 TEST(KvManager, HashPassesMergeUnitsThatDivideOneAnother) {
@@ -807,6 +859,45 @@ TEST(KvManager, SwapRoundTripRestoresHoleLayoutAndFingerprint) {
   EXPECT_EQ(after.resident_bytes, before.resident_bytes);
   ExpectConsistent(auditor);
   ExpectConsistent(*kv);
+}
+
+TEST(KvManager, SwapRoundTripPastTheGeneratedUnitEdges) {
+  // A 700-token prompt decoded 400 tokens past its end, swapped out and restored into a second
+  // manager with an empty cache: the restore's replay hashes the attention block and the Mamba
+  // unit straddling the prompt end, and the blocks wholly inside the generated tokens, and must
+  // reproduce the swapped-out state and register every unit under its from-scratch hash.
+  auto kv = MakeJengaManager(TinyMambaModel(), 1 << 24, /*caching=*/true);
+  auto twin = MakeJengaManager(TinyMambaModel(), 1 << 24, /*caching=*/true);
+  Request r = MakeRequest(1, TextPrompt(700), 401, 0.0);
+  kv->OnAdmit(r, 1);
+  ComputeTokens(*kv, r, r.prompt_len(), 1);
+  for (int64_t i = 0; i < 400; ++i) {
+    r.AppendGenerated(static_cast<int32_t>(7000 + i));
+    ComputeTokens(*kv, r, 1, 2 + i);
+  }
+  const std::vector<std::vector<bool>> layout = HoleLayout(*kv, r);
+  const SwapFootprint before = FootprintOf(*kv, r);
+  ASSERT_EQ(before.tokens, 1100);
+  kv->Release(r);
+  ASSERT_TRUE(twin->RestoreFromSwap(r, before.tokens, before.fingerprints[0], 500));
+  EXPECT_EQ(r.num_computed_tokens, 1100);
+  EXPECT_EQ(HoleLayout(*twin, r), layout);
+  EXPECT_EQ(FootprintOf(*twin, r).fingerprints, before.fingerprints);
+  const KvSpec& spec = twin->alloc_spec();
+  for (int g = 0; g < static_cast<int>(spec.groups.size()); ++g) {
+    const KvGroupSpec& group = spec.groups[static_cast<size_t>(g)];
+    const int unit = group.kind == GroupKind::kMamba ? kMambaCheckpointInterval : kBs;
+    const std::vector<BlockHash> hashes =
+        ChainBlockHashes(GroupStream(r, group.scope), unit, GroupChainSalt(g));
+    ASSERT_GT(static_cast<int64_t>(hashes.size()) * unit, 700);
+    for (size_t j = 0; j < hashes.size(); ++j) {
+      EXPECT_TRUE(twin->allocator().group(g).LookupCached(hashes[j]).has_value())
+          << GroupKindName(group.kind) << " unit " << j;
+    }
+  }
+  twin->Release(r, /*finished=*/true);
+  ExpectConsistent(*kv);
+  ExpectConsistent(*twin);
 }
 
 TEST(KvManager, FailedRestoreLeavesAllocatorUntouched) {
