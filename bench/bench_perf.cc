@@ -414,6 +414,56 @@ double MicroDecodeLongPrompt(int64_t ops) {
   return ServeUnsharedPerSecond(kv, kPromptLen, kDecode, /*warmup=*/4, ops);
 }
 
+// A grow that passes the bound and then fails in the claim walk, the spec-batch shape: the
+// merged Gemma-2-27B + 2B Jenga spec with prefix caching off, where every group is multi-slot.
+// Sixteen filler requests hold one page per group, so each group keeps a partly empty large
+// page per filler, and eight large pages stay free. Each op admits a fresh request and asks
+// for a 3,200-token prefill (200 pages per group). The bound admits it: each target group
+// lacks only 8 pages beyond its 192 empties. The walk would fail: the first target group takes
+// all 8 free large pages before reusing the fillers' empties, so the second runs short. The
+// request is then finished. Counts failed grows per second, or 0 when a grow does not fail
+// that way.
+double MicroFailedGrow(int64_t ops) {
+  const KvSpec spec = MergeKvSpecs({{"target", MakeJengaSpec(Gemma2_27B(), 16, false)},
+                                    {"draft", MakeJengaSpec(Gemma2_2B(), 16, false)}});
+  KvManager::Options options;
+  options.tokens_per_page = 16;
+  options.enable_prefix_caching = false;
+  constexpr int kFillers = 16;
+  constexpr int kFreeLarges = 8;
+  constexpr int kPrefill = 3200;
+  const int64_t pool_larges = kFillers * static_cast<int64_t>(spec.groups.size()) + kFreeLarges;
+  KvManager kv(spec, spec, spec.LcmPageBytes() * pool_larges, options, MakeLayerPolicies(spec));
+  Tick now = 0;
+  std::vector<Request> fillers;
+  for (int i = 0; i < kFillers; ++i) {
+    fillers.push_back(MakeRequest(i, ChurnPrompt(i, 16), /*output_len=*/1, 0.0));
+    kv.OnAdmit(fillers.back(), ++now);
+    if (!kv.AllocateForTokens(fillers.back(), 16, now)) {
+      return 0.0;
+    }
+  }
+  if (kv.allocator().lcm().num_free() != kFreeLarges) {
+    return 0.0;
+  }
+  const Prompt prompt = ChurnPrompt(kFillers, kPrefill);
+  const int64_t settled_before = kv.settled_walks();
+  const auto begin = Clock::now();
+  for (int64_t i = 0; i < ops; ++i) {
+    Request r = MakeRequest(kFillers + i, prompt, /*output_len=*/1, 0.0);
+    kv.OnAdmit(r, ++now);
+    if (kv.AllocateForTokens(r, kPrefill, now)) {
+      return 0.0;
+    }
+    kv.Release(r, /*finished=*/true);
+  }
+  const auto end = Clock::now();
+  if (kv.settled_walks() - settled_before != ops) {
+    return 0.0;
+  }
+  return static_cast<double>(ops) / Seconds(begin, end);
+}
+
 // The eviction queue alone: steady-state rekeys with periodic pop/reinsert, over a resident
 // set of 4096 pages (the §5.1 per-token bookkeeping).
 double MicroEvictorChurn(int64_t iters) {
@@ -983,6 +1033,7 @@ bool Run(bool quick, bool gate, int profile, const std::string& out_path,
       {"micro.admission_shared_prefix.ops_per_s", MicroAdmissionSharedPrefix, 1500 * scale},
       {"micro.cache_upkeep_multislot.ops_per_s", MicroCacheUpkeepMultislot, 400 * scale},
       {"micro.decode_long_prompt.ops_per_s", MicroDecodeLongPrompt, 64 * scale},
+      {"micro.failed_grow.ops_per_s", MicroFailedGrow, 4000 * scale},
       {"micro.evictor_churn.ops_per_s", MicroEvictorChurn, 250000 * scale},
       {"micro.meta_reads.ops_per_s", MicroMetaReads, 1250000 * scale},
       {"micro.deadline_sweep.steps_per_s", MicroDeadlineSweep, 512 * scale},

@@ -2,14 +2,15 @@
 """Alternating servebench A/B between two checkouts of this repository.
 
     scripts/servebench_ab.py <parent-tree> <change-tree> --workload W [--workload W2 ...] \\
-        --seed S --pairs N [--seconds 20]
+        --seed S --pairs N [--seconds 20] [--layers]
 
 For each workload, each pair runs `python3 servebench/run.py --workload W --seed S --seconds X`
 once in each tree; odd pairs start with the parent, even pairs with the change, so slow phases
 of a shared host fall on both sides. run.py builds each tree into its own .bench_build/ on
 first use; this script writes nothing itself.
 
-For every end-to-end metric of the change tree's BENCHMARK.json it prints, one table per
+After each pair it reports, on stderr, both runs' value of the first end-to-end metric of
+the change tree's BENCHMARK.json. For every end-to-end metric it prints, one table per
 workload, the parent's median and quartiles, the change's median, the ratio change/parent, the
 pairs the change won (in the metric's "better" direction) and a verdict against the metric's
 `bound`: REGRESSED when the change median is worse than the parent median by more than the
@@ -18,6 +19,13 @@ spread too widely to tell), "ok" otherwise. It exits 1 on any REGRESSED metric, 
 not `correct`, or when a sim_* metric, completed_pct or the failed count differs between any
 two runs of a workload: those are simulated results and must not depend on the tree or the
 run.
+
+With --layers, after the pairs of a workload it runs `run.py --trace 1` once in each tree and
+prints every per-layer metric of BENCHMARK.json side by side with the ratio change/parent,
+flagging each count metric whose value differs between the trees. Counts are totals over one
+traced pass per trace, so they do not depend on --seconds or on host speed; a flagged count is
+a change in work done, which may be the point of the change. The flags do not affect the exit
+status. --pairs 0 --layers prints only the per-layer tables.
 """
 
 import argparse
@@ -28,9 +36,9 @@ import subprocess
 import sys
 
 
-def run_once(tree, workload, args):
+def run_once(tree, workload, args, trace=0):
     cmd = [sys.executable, "servebench/run.py", "--workload", workload,
-           "--seed", str(args.seed), "--seconds", str(args.seconds)]
+           "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", str(trace)]
     done = subprocess.run(cmd, cwd=tree, stdout=subprocess.PIPE, text=True)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
@@ -101,6 +109,19 @@ def compare(workload, runs, metrics, args):
     return status
 
 
+def compare_layers(workload, results, per_layer):
+    """Prints one workload's per-layer table from one traced run per tree."""
+    print("%s per-layer (one traced run per tree)" % workload)
+    print("%-36s %16s %16s %8s  %s" % ("metric", "parent", "change", "ratio", "flag"))
+    for m in per_layer:
+        name = m["name"]
+        parent = results["parent"]["metrics"][name]["value"]
+        change = results["change"]["metrics"][name]["value"]
+        ratio = change / parent if parent else float("nan")
+        flag = "count differs" if m["unit"] == "count" and parent != change else ""
+        print("%-36s %16.10g %16.10g %8.3f  %s" % (name, parent, change, ratio, flag))
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_tree")
@@ -110,13 +131,16 @@ def main():
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--layers", action="store_true",
+                        help="after the pairs, compare one traced run per tree")
     args = parser.parse_args()
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
+    if args.pairs < (0 if args.layers else 1):
+        parser.error("--pairs must be at least 1 (0 with --layers)")
     trees = {"parent": os.path.abspath(args.parent_tree),
              "change": os.path.abspath(args.change_tree)}
     with open(os.path.join(trees["change"], "BENCHMARK.json")) as f:
-        metrics = json.load(f)["end_to_end"]
+        benchmark = json.load(f)
+    metrics = benchmark["end_to_end"]
 
     status = 0
     for n, workload in enumerate(args.workload):
@@ -125,10 +149,25 @@ def main():
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for side in order:
                 runs[side].append(run_once(trees[side], workload, args))
-            print("%s: pair %d/%d done" % (workload, pair + 1, args.pairs), file=sys.stderr)
+            head = metrics[0]["name"]
+            print("%s: pair %d/%d done, %s parent %.6g change %.6g" %
+                  (workload, pair + 1, args.pairs, head,
+                   runs["parent"][-1]["metrics"][head]["value"],
+                   runs["change"][-1]["metrics"][head]["value"]), file=sys.stderr)
         if n > 0:
             print()
-        status |= compare(workload, runs, metrics, args)
+        if args.pairs > 0:
+            status |= compare(workload, runs, metrics, args)
+        if args.layers:
+            traced = {}
+            for side in ("parent", "change"):
+                traced[side] = run_once(trees[side], workload, args, trace=1)
+                if not traced[side]["correct"]:
+                    print("%s: %s traced run is not correct" % (workload, side))
+                    status = 1
+            if args.pairs > 0:
+                print()
+            compare_layers(workload, traced, benchmark["per_layer"])
     return status
 
 

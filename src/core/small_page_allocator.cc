@@ -428,9 +428,13 @@ void SmallPageAllocator::ReleaseN(std::span<const SmallPageId> pages, bool keep_
     NotifyCandidateIfEligible(large);
   }
 
-  // Flush the buffered pushes. Nothing claims or acquires during a release, so a buffered ref
-  // goes stale only when its large page went back to the LCM whole later in the same release;
-  // the per-page loop's pops would skip it anyway.
+  // Nothing claims or acquires during a release, so a buffered ref goes stale only when its
+  // large page went back to the LCM whole later in the same release; the per-page loop's
+  // pops would skip it anyway.
+  FlushReleasedRefs();
+}
+
+void SmallPageAllocator::FlushReleasedRefs() {
   if (released_refs_.empty()) {
     return;
   }
@@ -451,6 +455,50 @@ void SmallPageAllocator::ReleaseN(std::span<const SmallPageId> pages, bool keep_
     by_request_refs_ += flushed;
     MaybeCompactFreeLists();
   }
+}
+
+int64_t SmallPageAllocator::AffinityEmpties(RequestId request, int64_t cap) const {
+  if (cap <= 0) {
+    return 0;
+  }
+  const auto it = empty_by_request_.find(request);
+  if (it == empty_by_request_.end()) {
+    return 0;
+  }
+  int64_t count = 0;
+  for (auto ref = it->second.rbegin(); ref != it->second.rend() && count < cap; ++ref) {
+    count += IsValidEmpty(*ref) ? 1 : 0;
+  }
+  return count;
+}
+
+void SmallPageAllocator::SettleFailedClaim(RequestId request, int64_t own, int64_t any,
+                                           Tick now) {
+  JENGA_CHECK(released_refs_.empty());
+  for (int64_t i = 0; i < own + any; ++i) {
+    const std::optional<SmallPageId> page = i < own ? PopRequestFree(request) : PopAnyFree();
+    JENGA_CHECK(page.has_value()) << "group " << group_index_ << " has no empty page for step "
+                                  << (i < own ? 1 : 4) << " of a settled claim walk";
+    // A claim's new epoch: the page's ref in the other list goes stale, as ClaimEmpty leaves it.
+    Meta(*page).epoch = next_epoch_++;
+    released_refs_.push_back(ReleasedRef{LargeOf(*page), SlotOf(*page), 0});
+  }
+  // The rollback releases the claims newest first.
+  std::reverse(released_refs_.begin(), released_refs_.end());
+  for (ReleasedRef& released : released_refs_) {
+    SlotMeta& meta = larges_[static_cast<size_t>(released.large)]
+                         .slots[static_cast<size_t>(released.slot)];
+    meta.assoc = request;
+    meta.last_access = now;
+    meta.prefix_length = 0;
+    meta.epoch = next_epoch_++;
+    released.epoch = meta.epoch;
+    const SmallPageId page =
+        static_cast<SmallPageId>(released.large) * pages_per_large_ + released.slot;
+    JENGA_AUDIT_HOOK(audit_, OnPageClaimed(group_index_, page, request));
+    JENGA_AUDIT_HOOK(audit_, OnPageEmptied(group_index_, page));
+  }
+  FlushReleasedRefs();
 }
 
 void SmallPageAllocator::SetContentHash(SmallPageId page, BlockHash hash) {

@@ -80,6 +80,21 @@ class SmallPageAllocator final : public GroupCacheOps {
   [[nodiscard]] bool AllocateN(RequestId request, int64_t n, Tick now,
                                std::vector<SmallPageId>* out);
 
+  // Empty pages step 1 would hand `request` before anything else: the valid refs of its
+  // affinity list, counted newest first and no further than `cap`. Reads nothing else.
+  [[nodiscard]] int64_t AffinityEmpties(RequestId request, int64_t cap) const;
+
+  // Leaves this group as a claim walk for `request` that fails leaves it, without running the
+  // walk. KvManager calls it only when the walk cannot reclaim or evict; then the walk's one
+  // visible effect here is on the empty pages it popped. Pops what steps 1 and 4 would pop —
+  // `own` refs off `request`'s list, then `any` off the any-list — and re-empties those pages
+  // as the rollback's ReleaseN would, newest first: a new epoch, `request` as their
+  // association and last access `now`, their refs pushed to `request`'s list and to the
+  // any-list. With a sink attached each page emits the walk's OnPageClaimed/OnPageEmptied
+  // pair. The walk's fresh large pages need nothing: the rollback frees them in reverse, so
+  // the LCM's LIFO free list hands pages out in the same order again.
+  void SettleFailedClaim(RequestId request, int64_t own, int64_t any, Tick now);
+
   // Takes an additional reference on a resident cached page (prefix-cache hit). The page may
   // currently be evictable (revived) or used (shared with another request).
   void AddRef(SmallPageId page);
@@ -269,6 +284,9 @@ class SmallPageAllocator final : public GroupCacheOps {
   // of `request`'s list. Pops skip stale refs anyway, so no pop changes; the refs a fresh
   // large page's leftover slots or an earlier release left there never reach a sweep.
   void DropStaleTails(LargePageId large, RequestId request);
+  // Pushes the refs buffered in released_refs_ whose large page is still resident onto their
+  // association's list and the any-list, in buffer order, then checks for compaction.
+  void FlushReleasedRefs();
   // Drops the page's hash, erasing its index entry if the page owns it. `evicted` marks a
   // capacity eviction, whose OnHashUnindexed event carries the destroyed page.
   void UnregisterHash(SmallPageId page, SlotMeta& meta, bool evicted = false);
@@ -299,7 +317,7 @@ class SmallPageAllocator final : public GroupCacheOps {
     int32_t slot = 0;
     uint64_t epoch = 0;
   };
-  // Empty between calls; capacity reused.
+  // Empty between calls; capacity reused. SettleFailedClaim buffers its pushes here too.
   std::vector<ReleasedRef> released_refs_;
   Evictor evictor_;
   CacheIndex cache_index_;

@@ -543,10 +543,19 @@ bool KvManager::GrowBlockTables(const Request& r, RequestKv& state, int64_t toke
                                 bool leave_dropped, Tick now) {
   const GrowPlan plan = PlanGrow(r, state, tokens, leave_dropped);
   if (plan.grows) {
-    if (plan.beyond_empties && !GrowFits(plan)) {
-      return false;  // Decided from counters: nothing claimed, reclaimed, evicted or reshuffled.
+    WalkForecast forecast = WalkForecast::kUnknown;
+    if (plan.beyond_empties) {
+      if (!GrowFits(plan)) {
+        return false;  // Decided from counters: nothing claimed, reclaimed, evicted or reshuffled.
+      }
+      forecast = SettleDoomedGrow(r, state, plan, now);
+      if (forecast == WalkForecast::kSettled) {
+        return false;
+      }
     }
     if (!ClaimGrow(r, state, plan, now)) {
+      JENGA_CHECK(forecast != WalkForecast::kCompletes)
+          << "claim walk for request " << r.id << " failed against its counter forecast";
       return false;
     }
   }
@@ -610,6 +619,57 @@ bool KvManager::GrowFits(const GrowPlan& plan) const {
   const int64_t reclaimable =
       std::min(static_cast<int64_t>(allocator_.reclaim_heap_entries()), evictable);
   return larges <= allocator_.lcm().num_free() + reclaimable;
+}
+
+KvManager::WalkForecast KvManager::SettleDoomedGrow(const Request& r, RequestKv& state,
+                                                    const GrowPlan& plan, Tick now) {
+  // Steps 3 and 5 cannot run: nothing is queued for reclaim and nothing is evictable. The walk
+  // then reads no allocator state but the counts below.
+  if (plan.holes != 0 || allocator_.reclaim_heap_entries() != 0) {
+    return WalkForecast::kUnknown;
+  }
+  const size_t groups = spec_.groups.size();
+  int64_t fresh_larges = 0;
+  for (size_t g = 0; g < groups; ++g) {
+    if (allocator_.group(static_cast<int>(g)).evictable_pages() != 0) {
+      return WalkForecast::kUnknown;
+    }
+    fresh_larges += LargesBeyondOwn(g, plan.need[g], 0);
+  }
+  int64_t free_larges = allocator_.lcm().num_free();
+  if (fresh_larges <= free_larges) {
+    return WalkForecast::kCompletes;  // Every group could take all it needs fresh.
+  }
+  // Per group, the pages steps 1 and 4 pop. The walk fails at the first group whose step 4
+  // runs out of empty pages.
+  std::array<int64_t, kMaxGroups> own;
+  std::array<int64_t, kMaxGroups> any;
+  size_t failing = groups;
+  for (size_t g = 0; g < groups && failing == groups; ++g) {
+    const SmallPageAllocator& alloc = allocator_.group(static_cast<int>(g));
+    const int64_t need = plan.need[g];
+    own[g] = alloc.AffinityEmpties(r.id, need);
+    const int64_t larges = std::min(free_larges, LargesBeyondOwn(g, need, own[g]));
+    free_larges -= larges;
+    any[g] = std::max<int64_t>(0, need - own[g] - larges * alloc.pages_per_large());
+    const int64_t others = alloc.empty_pages() - own[g];
+    if (any[g] > others) {
+      any[g] = others;  // Step 4 drains the any-list before the walk gives up.
+      failing = g;
+    }
+  }
+  if (failing == groups) {
+    return WalkForecast::kCompletes;
+  }
+  for (size_t g = 0; g <= failing; ++g) {
+    if (own[g] + any[g] > 0) {
+      allocator_.group(static_cast<int>(g)).SettleFailedClaim(r.id, own[g], any[g], now);
+    }
+  }
+  state.grow_limit = -1;
+  state.next_event = -1;
+  settled_walks_ += 1;
+  return WalkForecast::kSettled;
 }
 
 bool KvManager::ClaimGrow(const Request& r, RequestKv& state, const GrowPlan& plan, Tick now) {

@@ -208,6 +208,8 @@ class KvManager {
     int64_t reused_tokens = 0;  // Cumulative common-prefix tokens of memo builds.
   };
   [[nodiscard]] SharedPrefixStats shared_prefix_stats() const;
+  // Grows whose claim walk was settled from counters instead of run (GrowBlockTables).
+  [[nodiscard]] int64_t settled_walks() const { return settled_walks_; }
   static constexpr size_t kSharedPrefixSlots = 256;
   // Slots per set: a key may sit in any slot of its set.
   static constexpr size_t kSharedPrefixWays = 4;
@@ -348,8 +350,9 @@ class KvManager {
   // Grows every block table to its target at `tokens` computed tokens, one AllocateN per run of
   // wanted blocks. With `leave_dropped`, droppable groups leave the blocks their policy no
   // longer needs at `tokens` as holes (swap restore). A grow that GrowFits rules out returns
-  // false before claiming anything; one that fails in the claim walk releases every page this
-  // call claimed, newest first, and returns false.
+  // false before claiming anything. One that SettleDoomedGrow finds the claim walk cannot
+  // complete returns false with only the walk's visible effects applied; one that fails in the
+  // claim walk releases every page this call claimed, newest first, and returns false.
   [[nodiscard]] bool GrowBlockTables(const Request& r, RequestKv& state, int64_t tokens,
                                      bool leave_dropped, Tick now);
   [[nodiscard]] GrowPlan PlanGrow(const Request& r, const RequestKv& state, int64_t tokens,
@@ -357,6 +360,20 @@ class KvManager {
   // Counter-only necessary condition for the claim walk to complete (never false for a grow
   // the walk would finish); see the soundness argument at the definition.
   [[nodiscard]] bool GrowFits(const GrowPlan& plan) const;
+  // What SettleDoomedGrow found out about the claim walk over a plan.
+  enum class WalkForecast {
+    kUnknown,    // The walk could reclaim or evict, or leave holes: only running it tells.
+    kCompletes,  // The walk completes; run it.
+    kSettled,    // The walk fails; its visible effects are applied and nothing else is left.
+  };
+  // Decides the claim walk over `plan` from counters when it cannot reclaim or evict (no
+  // holes, no queued reclaim, nothing evictable). Group by group the walk then takes the
+  // request's own empties, fresh large pages while the LCM has them, then any empty page. On
+  // a predicted failure it leaves every group as the walk and its rollback would: the empty
+  // pages the walk would have popped come back associated with `r` (SettleFailedClaim), and
+  // both event counts of `state` are invalidated.
+  [[nodiscard]] WalkForecast SettleDoomedGrow(const Request& r, RequestKv& state,
+                                              const GrowPlan& plan, Tick now);
   // The §5.4 claim walk over `plan`, with the rollback described at GrowBlockTables.
   [[nodiscard]] bool ClaimGrow(const Request& r, RequestKv& state, const GrowPlan& plan,
                                Tick now);
@@ -408,6 +425,7 @@ class KvManager {
   uint64_t shared_prefix_clock_ = 0;
   int64_t shared_prefix_reused_tokens_ = 0;
   int64_t total_cache_hit_tokens_ = 0;
+  int64_t settled_walks_ = 0;
   // DropUnneededPages' run for one ReleaseN (empty between calls; capacity reused).
   std::vector<SmallPageId> dropped_pages_;
   SwapManager* offload_ = nullptr;

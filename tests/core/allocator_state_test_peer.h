@@ -6,6 +6,8 @@
 #define JENGA_TESTS_CORE_ALLOCATOR_STATE_TEST_PEER_H_
 
 #include <cstdint>
+#include <map>
+#include <tuple>
 #include <vector>
 
 #include "src/core/evictor.h"
@@ -31,6 +33,51 @@ struct AllocatorStateTestPeer {
   static LcmAllocator& Lcm(SmallPageAllocator& group) { return *group.lcm_; }
   static std::vector<int>& Owner(LcmAllocator& lcm) { return lcm.owner_; }
   static std::vector<LargePageId>& FreeList(LcmAllocator& lcm) { return lcm.free_list_; }
+
+  // Every resident page of `group`, ascending, with its state and association.
+  static std::vector<std::tuple<SmallPageId, PageState, RequestId>> ResidentPages(
+      const SmallPageAllocator& group) {
+    std::vector<std::tuple<SmallPageId, PageState, RequestId>> pages;
+    for (size_t large = 0; large < group.larges_.size(); ++large) {
+      const SmallPageAllocator::LargeEntry& entry = group.larges_[large];
+      if (!entry.resident) {
+        continue;
+      }
+      for (size_t slot = 0; slot < entry.slots.size(); ++slot) {
+        const auto page = static_cast<SmallPageId>(large * entry.slots.size() + slot);
+        pages.emplace_back(page, entry.slots[slot].state, entry.slots[slot].assoc);
+      }
+    }
+    return pages;
+  }
+  // The pages step 4 would hand out, in pop order: the any-list's valid refs, newest first.
+  static std::vector<SmallPageId> AnyListPops(const SmallPageAllocator& group) {
+    return ValidPops(group, group.empty_any_);
+  }
+  // The same for step 1, per request whose affinity list holds a valid ref.
+  static std::map<RequestId, std::vector<SmallPageId>> AffinityListPops(
+      const SmallPageAllocator& group) {
+    std::map<RequestId, std::vector<SmallPageId>> pops;
+    for (const auto& [request, refs] : group.empty_by_request_) {
+      std::vector<SmallPageId> valid = ValidPops(group, refs);
+      if (!valid.empty()) {
+        pops.emplace(request, std::move(valid));
+      }
+    }
+    return pops;
+  }
+
+ private:
+  template <typename Refs>
+  static std::vector<SmallPageId> ValidPops(const SmallPageAllocator& group, const Refs& refs) {
+    std::vector<SmallPageId> pages;
+    for (auto ref = refs.rbegin(); ref != refs.rend(); ++ref) {
+      if (group.IsValidEmpty(*ref)) {
+        pages.push_back(ref->page);
+      }
+    }
+    return pages;
+  }
 };
 
 }  // namespace jenga

@@ -15,6 +15,7 @@
 #include "src/model/model_zoo.h"
 #include "src/offload/swap_manager.h"
 #include "tests/audit/audit_test_util.h"
+#include "tests/core/allocator_state_test_peer.h"
 #include "tests/engine/test_models.h"
 
 namespace jenga {
@@ -1169,16 +1170,49 @@ TEST(KvManager, RejectedGrowEvictsAndReclaimsNothing) {
   ExpectConsistent(*kv);
 }
 
-// Differential soundness of the grow bound. Twin managers replay one randomized op sequence
-// (admissions with shared-prefix prompts, prefill chunks, decode steps, finishes, swap-outs
-// and restores) under tight pools with prefix caching on. Twin A runs the public API; twin B,
-// in the same state, runs the claim walk without the bound. Every grow must succeed or fail
-// alike on both — so every grow the bound rejects is one the walk could not complete. B is
-// rebuilt by replay after any op that left it apart from A.
+// Expects `a` and `b` to agree on everything later placement reads: per group every resident
+// page's state and association, and the pages steps 1 and 4 would hand out, in pop order; and
+// the order in which the LCM hands out free large pages.
+// Returns whether they do.
+bool ExpectSamePlacement(KvManager& a, KvManager& b) {
+  using Peer = AllocatorStateTestPeer;
+  JengaAllocator& alloc_a = a.allocator_mutable();
+  JengaAllocator& alloc_b = b.allocator_mutable();
+  bool same = true;
+  const auto expect_eq = [&same](const auto& x, const auto& y, const char* what) {
+    EXPECT_EQ(x, y) << what;
+    same = same && x == y;
+  };
+  for (int g = 0; g < alloc_a.num_groups(); ++g) {
+    SCOPED_TRACE(testing::Message() << "group " << g);
+    const SmallPageAllocator& ga = alloc_a.group(g);
+    const SmallPageAllocator& gb = alloc_b.group(g);
+    expect_eq(Peer::ResidentPages(ga), Peer::ResidentPages(gb), "resident pages");
+    expect_eq(Peer::AnyListPops(ga), Peer::AnyListPops(gb), "any-list pops");
+    expect_eq(Peer::AffinityListPops(ga), Peer::AffinityListPops(gb), "affinity-list pops");
+  }
+  expect_eq(Peer::FreeList(Peer::Lcm(alloc_a.group(0))),
+            Peer::FreeList(Peer::Lcm(alloc_b.group(0))), "LCM free list");
+  return same;
+}
+
+// Differential soundness of the grow bound and exactness of the settled claim walk. Twin
+// managers replay one randomized op sequence (admissions with shared-prefix prompts, prefill
+// chunks, decode steps, finishes, swap-outs and restores) under tight pools, with prefix
+// caching on or off (off, nothing is ever evictable, so every walk is one the forecast
+// decides). Twin A runs the public API; twin B, in the same state, runs the claim walk without the
+// bound and without the counter forecast. Every grow must succeed or fail alike on both — so
+// every grow the bound rejects is one the walk could not complete. After every op whose walk A
+// settled from counters, A's placement state must equal the one B's failed walk left. B is
+// rebuilt by replay after ops that leave it apart from A on purpose: bound rejections and
+// restores.
 class GrowBoundDifferential {
  public:
-  GrowBoundDifferential(KvSpec spec, int64_t pool_larges, uint64_t seed)
-      : spec_(std::move(spec)), pool_bytes_(spec_.LcmPageBytes() * pool_larges), rng_(seed) {
+  GrowBoundDifferential(KvSpec spec, int64_t pool_larges, bool caching, uint64_t seed)
+      : spec_(std::move(spec)),
+        pool_bytes_(spec_.LcmPageBytes() * pool_larges),
+        caching_(caching),
+        rng_(seed) {
     a_ = Fresh();
     b_ = Fresh();
   }
@@ -1187,6 +1221,7 @@ class GrowBoundDifferential {
     for (int i = 0; i < num_ops; ++i) {
       const Op op = NextOp();
       log_.push_back(op);
+      const int64_t settled_before = a_.kv->settled_walks();
       const Outcome outcome_a = Apply(a_, op, /*checked=*/true);
       const Outcome outcome_b = Apply(b_, op, /*checked=*/false);
       ASSERT_EQ(outcome_a.grew, outcome_b.grew)
@@ -1195,6 +1230,11 @@ class GrowBoundDifferential {
       rejected_ += outcome_a.rejected ? 1 : 0;
       failed_ += outcome_a.grew == 0 ? 1 : 0;
       grows_ += outcome_a.grew >= 0 ? 1 : 0;
+      if (a_.kv->settled_walks() != settled_before) {
+        settled_ += a_.kv->settled_walks() - settled_before;
+        SCOPED_TRACE(testing::Message() << "op " << i << " settled from counters");
+        ASSERT_TRUE(ExpectSamePlacement(*a_.kv, *b_.kv));
+      }
       if (outcome_a.rejected || op.kind == OpKind::kRestore) {
         b_ = Fresh();
         for (const Op& past : log_) {
@@ -1209,6 +1249,7 @@ class GrowBoundDifferential {
   int64_t grows() const { return grows_; }
   int64_t failed() const { return failed_; }
   int64_t rejected() const { return rejected_; }
+  int64_t settled() const { return settled_; }
 
  private:
   enum class OpKind { kAdmit, kGrow, kFinish, kSwapOut, kRestore };
@@ -1237,7 +1278,7 @@ class GrowBoundDifferential {
 
   Twin Fresh() const {
     Twin twin;
-    twin.kv = std::make_unique<KvManager>(spec_, spec_, pool_bytes_, JengaOptions(true),
+    twin.kv = std::make_unique<KvManager>(spec_, spec_, pool_bytes_, JengaOptions(caching_),
                                           MakeLayerPolicies(spec_));
     return twin;
   }
@@ -1350,6 +1391,7 @@ class GrowBoundDifferential {
 
   KvSpec spec_;
   int64_t pool_bytes_;
+  bool caching_;
   Rng rng_;
   Twin a_;
   Twin b_;
@@ -1359,23 +1401,30 @@ class GrowBoundDifferential {
   int64_t grows_ = 0;
   int64_t failed_ = 0;
   int64_t rejected_ = 0;
+  int64_t settled_ = 0;
 };
 
 TEST(KvManager, GrowBoundNeverRejectsAFeasibleGrow) {
+  // Uneven layer counts make both sliding-model groups multi-slot, so they keep empty pages
+  // and the first one's fresh large pages can starve the second. With equal page sizes every
+  // group is one-slot, and no walk the bound admits can fail.
+  const ModelConfig sliding = TinyUnevenSlidingModel();
   const std::vector<std::pair<std::string, KvSpec>> specs = {
-      {"sliding", MakeJengaSpec(TinySlidingModel(64), kBs, false)},
+      {"sliding", MakeJengaSpec(sliding, kBs, false)},
       {"mamba", MakeJengaSpec(TinyMambaModel(), kBs, false)},
-      {"merged", MergeKvSpecs({{"target", MakeJengaSpec(TinySlidingModel(64), kBs, false)},
+      {"merged", MergeKvSpecs({{"target", MakeJengaSpec(sliding, kBs, false)},
                                {"draft", MakeJengaSpec(TinyDraftModel(), kBs, false)}})},
   };
   for (const auto& [name, spec] : specs) {
     int64_t grows = 0;
     int64_t failed = 0;
     int64_t rejected = 0;
-    for (uint64_t seed = 1; seed <= 8; ++seed) {
-      SCOPED_TRACE(testing::Message() << name << " seed " << seed);
+    int64_t settled = 0;
+    for (uint64_t seed = 1; seed <= 16; ++seed) {
+      const bool caching = seed <= 8;
+      SCOPED_TRACE(testing::Message() << name << " seed " << seed << " caching " << caching);
       GrowBoundDifferential run(spec, /*pool_larges=*/static_cast<int64_t>(16 + 8 * (seed % 4)),
-                                seed);
+                                caching, seed);
       run.Run(/*num_ops=*/200);
       if (HasFatalFailure()) {
         return;
@@ -1383,10 +1432,16 @@ TEST(KvManager, GrowBoundNeverRejectsAFeasibleGrow) {
       grows += run.grows();
       failed += run.failed();
       rejected += run.rejected();
+      settled += run.settled();
     }
-    // The sequences must exercise both outcomes of the bound, not just easy grows.
+    // The sequences must exercise both outcomes of the bound and the settled walk, not just
+    // easy grows.
     EXPECT_GT(rejected, 0) << name;
+    EXPECT_GT(settled, 0) << name;
     EXPECT_GT(grows, failed) << name;
+    std::printf("%s: %lld grows, %lld failed, %lld rejected by the bound, %lld settled\n",
+                name.c_str(), static_cast<long long>(grows), static_cast<long long>(failed),
+                static_cast<long long>(rejected), static_cast<long long>(settled));
   }
 }
 

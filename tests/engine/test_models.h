@@ -42,6 +42,16 @@ inline ModelConfig TinySlidingModel(int window = 64) {
   return model;
 }
 
+// Three sliding-window (64 tokens) and two full-attention layers: 12 KiB and 8 KiB pages in
+// one 24 KiB large page, so both groups are multi-slot, as Gemma-2's are next to a draft model.
+inline ModelConfig TinyUnevenSlidingModel() {
+  ModelConfig model = TinySlidingModel(64);
+  model.name = "tiny-uneven-sliding";
+  model.layers.push_back(model.layers.front());
+  model.compute_layers += 1;
+  return model;
+}
+
 // Half full attention, half PyramidKV-style sparse layers (token budget 48).
 inline ModelConfig TinyPyramidModel(int budget = 48) {
   ModelConfig model = TinyFullModel();

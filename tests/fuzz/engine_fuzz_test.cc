@@ -80,8 +80,10 @@ struct MetricsSnapshot {
 
 // Runs one schedule to completion, auditing after every step and applying the per-step
 // oracle. Returns the first violation (empty string = green). When `signature` is non-null
-// the outcome signature is appended to it (for the determinism differential).
-std::string RunSchedule(const FuzzSchedule& s, bool with_audit, std::string* signature) {
+// the outcome signature is appended to it (for the determinism differential); when
+// `settled_walks` is, the grows its managers settled from counters are added to it.
+std::string RunSchedule(const FuzzSchedule& s, bool with_audit, std::string* signature,
+                        int64_t* settled_walks = nullptr) {
   std::unique_ptr<FuzzHarness> harness = MakeFuzzHarness(s);
   AllocatorAuditor auditor;
   if (with_audit) {
@@ -303,6 +305,11 @@ std::string RunSchedule(const FuzzSchedule& s, bool with_audit, std::string* sig
     return "stall time nonzero with the offload tier disabled";
   }
 
+  if (settled_walks != nullptr) {
+    for (int i = 0; i < harness->Core().num_managers(); ++i) {
+      *settled_walks += harness->Core().manager(i).settled_walks();
+    }
+  }
   if (signature != nullptr) {
     std::ostringstream sig;
     for (const RequestRecord& record : m.finished()) {
@@ -323,10 +330,11 @@ std::string RunSchedule(const FuzzSchedule& s, bool with_audit, std::string* sig
 }
 
 // Full check for one schedule: audited run + determinism differential (second, unaudited run
-// must produce a byte-identical outcome signature).
-std::string CheckSchedule(const FuzzSchedule& s) {
+// must produce a byte-identical outcome signature). Adds the audited run's settled claim walks
+// to `settled_walks` when it is non-null.
+std::string CheckSchedule(const FuzzSchedule& s, int64_t* settled_walks = nullptr) {
   std::string sig_a;
-  std::string failure = RunSchedule(s, /*with_audit=*/true, &sig_a);
+  std::string failure = RunSchedule(s, /*with_audit=*/true, &sig_a, settled_walks);
   if (!failure.empty()) {
     return failure;
   }
@@ -377,16 +385,24 @@ FuzzSchedule MinimizeSchedule(FuzzSchedule s) {
   return s;
 }
 
-void RunCombination(bool spec_engine, bool offload, uint64_t seed_base) {
+constexpr uint64_t kDefaultSchedules = 200;
+
+// Checks `schedules` schedules drawn by `draw` from consecutive seeds; returns the claim walks
+// their audited runs settled from counters.
+template <typename Draw>
+int64_t RunSchedules(Draw draw, uint64_t seed_base, uint64_t schedules) {
   const std::optional<uint64_t> forced_seed = TestEnvUint("JENGA_FUZZ_SEED");
-  const uint64_t schedules = forced_seed ? 1 : TestEnvUint("JENGA_FUZZ_SCHEDULES").value_or(200);
+  if (forced_seed) {
+    schedules = 1;
+  }
+  int64_t settled_walks = 0;
   for (uint64_t i = 0; i < schedules; ++i) {
     const uint64_t seed = forced_seed ? *forced_seed : seed_base + i;
-    const FuzzSchedule schedule = DrawFuzzSchedule(seed, spec_engine, offload);
+    const FuzzSchedule schedule = draw(seed);
     if (forced_seed) {
       std::fprintf(stderr, "replaying schedule:\n%s", DescribeFuzzSchedule(schedule).c_str());
     }
-    const std::string failure = CheckSchedule(schedule);
+    const std::string failure = CheckSchedule(schedule, &settled_walks);
     if (failure.empty()) {
       continue;
     }
@@ -394,15 +410,27 @@ void RunCombination(bool spec_engine, bool offload, uint64_t seed_base) {
     const std::string min_failure = CheckSchedule(minimized);
     const ::testing::TestInfo* info =
         ::testing::UnitTest::GetInstance()->current_test_info();
-    FAIL() << "fuzz failure with seed 0x" << std::hex << seed << std::dec << ":\n"
-           << failure << "\n\noriginal schedule:\n"
-           << DescribeFuzzSchedule(schedule) << "\nminimized schedule ("
-           << (min_failure.empty() ? "failure did not survive minimization" : min_failure)
-           << "):\n"
-           << DescribeFuzzSchedule(minimized) << "\nreproduce with:\n  JENGA_FUZZ_SEED=0x"
-           << std::hex << seed << std::dec << " ./build/tests/engine_fuzz_test --gtest_filter="
-           << info->test_suite_name() << "." << info->name();
+    ADD_FAILURE() << "fuzz failure with seed 0x" << std::hex << seed << std::dec << ":\n"
+                  << failure << "\n\noriginal schedule:\n"
+                  << DescribeFuzzSchedule(schedule) << "\nminimized schedule ("
+                  << (min_failure.empty() ? "failure did not survive minimization" : min_failure)
+                  << "):\n"
+                  << DescribeFuzzSchedule(minimized) << "\nreproduce with:\n  JENGA_FUZZ_SEED=0x"
+                  << std::hex << seed << std::dec
+                  << " ./build/tests/engine_fuzz_test --gtest_filter=" << info->test_suite_name()
+                  << "." << info->name();
+    return settled_walks;
   }
+  return settled_walks;
+}
+
+uint64_t ScheduleCount() {
+  return TestEnvUint("JENGA_FUZZ_SCHEDULES").value_or(kDefaultSchedules);
+}
+
+void RunCombination(bool spec_engine, bool offload, uint64_t seed_base) {
+  RunSchedules([=](uint64_t seed) { return DrawFuzzSchedule(seed, spec_engine, offload); },
+               seed_base, ScheduleCount());
 }
 
 // ---------------------------------------------------------------------------------------
@@ -422,6 +450,23 @@ TEST(SpecDecodeFuzz, AllocatorStackNoOffload) {
 
 TEST(SpecDecodeFuzz, AllocatorStackWithOffload) {
   RunCombination(/*spec_engine=*/true, /*offload=*/true, 0xE4000000ull);
+}
+
+// The spec-batch shape (DrawSpecBatchSchedule) is where grows that pass the bound fail in the
+// claim walk, so it is where KvManager settles them from counters; the auditor checks every
+// settlement's events and free lists. The floor keeps the shape reaching that path.
+TEST(SpecDecodeFuzz, SpecBatchShapeSettlesDoomedWalks) {
+  const uint64_t schedules = ScheduleCount();
+  const int64_t settled = RunSchedules(DrawSpecBatchSchedule, 0xE5000000ull, schedules);
+  if (HasFailure() || TestEnvUint("JENGA_FUZZ_SEED")) {
+    return;
+  }
+  std::printf("spec-batch shape: %lld claim walks settled across %llu schedules\n",
+              static_cast<long long>(settled), static_cast<unsigned long long>(schedules));
+  // 213 at the default count when the shape was introduced.
+  constexpr int64_t kMinSettledPerDefaultRun = 100;
+  EXPECT_GE(settled, kMinSettledPerDefaultRun * static_cast<int64_t>(schedules) /
+                         static_cast<int64_t>(kDefaultSchedules));
 }
 
 // ---------------------------------------------------------------------------------------

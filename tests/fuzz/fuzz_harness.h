@@ -36,7 +36,7 @@ namespace jenga {
 // ---------------------------------------------------------------------------------------
 // Schedule model
 
-enum class FuzzModel { kFull, kSliding, kPyramid, kMamba, kVision };
+enum class FuzzModel { kFull, kSliding, kPyramid, kMamba, kVision, kUnevenSliding };
 
 inline const char* FuzzModelName(FuzzModel model) {
   switch (model) {
@@ -50,6 +50,8 @@ inline const char* FuzzModelName(FuzzModel model) {
       return "mamba";
     case FuzzModel::kVision:
       return "vision";
+    case FuzzModel::kUnevenSliding:
+      return "uneven-sliding";
   }
   return "?";
 }
@@ -66,6 +68,8 @@ inline ModelConfig MakeFuzzModel(FuzzModel model) {
       return TinyMambaModel();
     case FuzzModel::kVision:
       return TinyVisionModel();
+    case FuzzModel::kUnevenSliding:
+      return TinyUnevenSlidingModel();
   }
   return TinyFullModel();
 }
@@ -289,6 +293,50 @@ inline FuzzSchedule DrawFuzzSchedule(uint64_t seed, bool spec_engine, bool offlo
     r.oversized = true;
     s.requests.push_back(r);
   }
+  return s;
+}
+
+// The spec-batch shape: SpecDecodeEngine with the Jenga strategy over a target whose two
+// multi-slot groups sit next to the draft's, 4-10 long unshared prompts that all arrive at
+// t=0, prefill-sized chunks, and a pool only a little larger than the longest request needs
+// alone. The spec engine never caches, so nothing is ever evictable, and a prefill grow that
+// passes the bound can still fail in the claim walk: the target's groups take fresh large
+// pages the draft's group then lacks.
+inline FuzzSchedule DrawSpecBatchSchedule(uint64_t seed) {
+  Rng rng(seed);
+  rng.NextU64();  // Decorrelate adjacent seeds.
+  FuzzSchedule s;
+  s.seed = seed;
+  s.spec_engine = true;
+  s.model = FuzzModel::kUnevenSliding;
+  s.strategy = SpecStrategy::kJenga;
+  s.max_num_seqs = static_cast<int>(rng.UniformInt(4, 8));
+  const int64_t chunks[] = {128, 256, 512};
+  s.max_batched_tokens = static_cast<int>(chunks[rng.UniformInt(0, 2)]);
+
+  const ModelConfig model = MakeFuzzModel(s.model);
+  const ModelConfig draft = TinyDraftModel();
+  const KvSpec spec = MergeKvSpecs({{"target", MakeJengaSpec(model, 16, false)},
+                                    {"draft", MakeJengaSpec(draft, 16, false)}});
+  const int num_requests = static_cast<int>(rng.UniformInt(4, 10));
+  int64_t longest = 0;
+  for (int i = 0; i < num_requests; ++i) {
+    FuzzRequestSpec r;
+    r.family = i;  // Unshared prompts.
+    r.prompt_len = rng.UniformInt(256, 1024);
+    r.output_len = rng.UniformInt(2, 40);
+    longest = std::max(longest, r.prompt_len + r.output_len);
+    s.requests.push_back(r);
+  }
+  // Every request must finish alone: the longest one's KV in both models plus draft lookahead,
+  // a little headroom, and a spare large page per group for partly filled ones.
+  const int64_t per_token =
+      model.KvBytesPerTokenAllLayers() + draft.KvBytesPerTokenAllLayers();
+  const double headroom = rng.UniformDouble(1.05, 1.5);
+  const int64_t lcm = spec.LcmPageBytes();
+  const auto pool =
+      static_cast<int64_t>(static_cast<double>((longest + 64) * per_token) * headroom);
+  s.pool_bytes = (pool / lcm + 1 + static_cast<int64_t>(spec.groups.size())) * lcm;
   return s;
 }
 
