@@ -855,10 +855,11 @@ bool IsGatedKey(const std::string& key) {
 
 bool IsProfileKey(const std::string& key) { return key.rfind("profiler.", 0) == 0; }
 
-// Length-scaling gate (ROADMAP item 2): every micro.* also runs at 4n, and its ops/s there
-// must stay at or above `kLengthGateFloorPct` percent of its ops/s at n. A structure that
-// grows with history shows up as per-op cost climbing with run length, which a fixed-length
-// baseline comparison cannot see. Absolute, so it needs no baseline value.
+// Length-scaling gate (DESIGN.md §12, "The §5.4 reclaim path is bounded by the pool, not by
+// history"): every micro.* also runs at 4n, and its ops/s there must stay at or above
+// `kLengthGateFloorPct` percent of its ops/s at n. A structure that grows with history shows
+// up as per-op cost climbing with run length, which a fixed-length baseline comparison cannot
+// see. Absolute, so it needs no baseline value.
 constexpr double kLengthGateFloorPct = 85.0;
 
 // "micro.cache_churn.ops_per_s" -> "length.cache_churn.pct_at_4n"; empty for non-micros.

@@ -2,7 +2,7 @@
 """Alternating servebench A/B between two checkouts of this repository.
 
     scripts/servebench_ab.py <parent-tree> <change-tree> --workload W [--workload W2 ...] \\
-        --seed S --pairs N [--seconds 20] [--layers]
+        --seed S --pairs N [--seconds 20] [--layers] [--claim METRIC]
 
 For each workload, each pair runs `python3 servebench/run.py --workload W --seed S --seconds X`
 once in each tree; odd pairs start with the parent, even pairs with the change, so slow phases
@@ -19,6 +19,11 @@ spread too widely to tell), "ok" otherwise. It exits 1 on any REGRESSED metric, 
 not `correct`, or when a sim_* metric, completed_pct or the failed count differs between any
 two runs of a workload: those are simulated results and must not depend on the tree or the
 run.
+
+With --claim METRIC (an end-to-end metric), it also prints "claim met" or "claim not met" for
+METRIC under each workload's table, by the rule for claiming a gain: the change wins at least
+nine tenths of the pairs (ties count for neither side), and its median is better than the
+parent's by more than the parent's interquartile range. It exits 1 when a claim is not met.
 
 With --layers, after the pairs of a workload it runs `run.py --trace 1` once in each tree and
 prints every per-layer metric of BENCHMARK.json side by side with the ratio change/parent,
@@ -71,8 +76,22 @@ def verdict(direction, bound, q1, median, q3, change_median):
     return "REGRESSED" if worse / abs(median) > bound else "ok"
 
 
+def claim_met(direction, parent, change):
+    """(met, wins, margin, iqr) for a claimed gain of change over parent (module docstring)."""
+    if direction == "higher":
+        wins = sum(c > p for p, c in zip(parent, change))
+    else:
+        wins = sum(c < p for p, c in zip(parent, change))
+    q1, median, q3 = quartiles(parent)
+    change_median = statistics.median(change)
+    margin = change_median - median if direction == "higher" else median - change_median
+    met = 10 * wins >= 9 * len(parent) and margin > q3 - q1
+    return met, wins, margin, q3 - q1
+
+
 def compare(workload, runs, metrics, args):
-    """Prints one workload's table; returns 1 on a regression or a moved simulated result."""
+    """Prints one workload's table; returns 1 on a regression, a moved simulated result or a
+    claim not met."""
     status = 0
     reference = simulated(runs["parent"][0])
     for side in ("parent", "change"):
@@ -97,15 +116,19 @@ def compare(workload, runs, metrics, args):
         q1, median, q3 = quartiles(parent)
         change_median = statistics.median(change)
         ratio = change_median / median if median else float("nan")
-        if direction == "higher":
-            wins = sum(c > p for p, c in zip(parent, change))
-        else:
-            wins = sum(c < p for p, c in zip(parent, change))
+        met, wins, margin, iqr = claim_met(direction, parent, change)
+        if name == args.claim:
+            claim = ("%s: claim %s on %s: %d/%d pairs won (9/10 needed), medians %.6g apart in "
+                     "the better direction against a parent IQR of %.6g" %
+                     (workload, "met" if met else "not met", name, wins, args.pairs, margin, iqr))
+            status |= 0 if met else 1
         result = verdict(direction, bound, q1, median, q3, change_median)
         if result == "REGRESSED":
             status = 1
         print("%-18s %14.6g %14.6g %14.6g %14.6g %7.3f %3d/%-2d %6.3g  %s" %
               (name, median, q1, q3, change_median, ratio, wins, args.pairs, bound, result))
+    if args.claim:
+        print(claim)
     return status
 
 
@@ -133,14 +156,20 @@ def main():
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--layers", action="store_true",
                         help="after the pairs, compare one traced run per tree")
+    parser.add_argument("--claim", metavar="METRIC",
+                        help="end-to-end metric whose claimed gain to test on each workload")
     args = parser.parse_args()
     if args.pairs < (0 if args.layers else 1):
         parser.error("--pairs must be at least 1 (0 with --layers)")
+    if args.claim and args.pairs < 1:
+        parser.error("--claim needs at least 1 pair")
     trees = {"parent": os.path.abspath(args.parent_tree),
              "change": os.path.abspath(args.change_tree)}
     with open(os.path.join(trees["change"], "BENCHMARK.json")) as f:
         benchmark = json.load(f)
     metrics = benchmark["end_to_end"]
+    if args.claim and args.claim not in [m["name"] for m in metrics]:
+        parser.error("--claim %s is not an end-to-end metric of BENCHMARK.json" % args.claim)
 
     status = 0
     for n, workload in enumerate(args.workload):

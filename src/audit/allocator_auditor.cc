@@ -138,7 +138,7 @@ void AllocatorAuditor::SeedAllocatorShadow(AllocState* state) {
       shadow.resident.insert(large);
       const SmallPageId base = static_cast<SmallPageId>(large) * grp.pages_per_large_;
       for (int slot = 0; slot < grp.pages_per_large_; ++slot) {
-        const SmallPageAllocator::SlotMeta& meta = entry.slots[static_cast<size_t>(slot)];
+        const SmallPageAllocator::SlotMeta& meta = grp.slab_[static_cast<size_t>(base + slot)];
         shadow.slots[base + slot] = ShadowSlot{meta.state, meta.assoc};
       }
     }
@@ -485,17 +485,11 @@ std::vector<std::string> AllocatorAuditor::CheckState(const SmallPageAllocator& 
                     " is owned by group " + std::to_string(grp.lcm_->owner(large)) +
                     " in the LCM allocator");
     }
-    if (static_cast<int>(entry.slots.size()) != grp.pages_per_large_) {
-      Fail(out, tag + "large page " + std::to_string(large) + " has " +
-                    std::to_string(entry.slots.size()) + " slots, expected " +
-                    std::to_string(grp.pages_per_large_));
-      continue;
-    }
     int32_t entry_used = 0;
     int32_t entry_evictable = 0;
     const SmallPageId base = static_cast<SmallPageId>(large) * grp.pages_per_large_;
     for (int slot = 0; slot < grp.pages_per_large_; ++slot) {
-      const SmallPageAllocator::SlotMeta& meta = entry.slots[static_cast<size_t>(slot)];
+      const SmallPageAllocator::SlotMeta& meta = grp.slab_[static_cast<size_t>(base + slot)];
       const SmallPageId page = base + slot;
       // Index ownership: the bit is set exactly when the index maps the page's hash to it.
       if (!meta.has_hash) {
@@ -563,7 +557,7 @@ std::vector<std::string> AllocatorAuditor::CheckState(const SmallPageAllocator& 
     }
     used += entry_used;
     evictable += entry_evictable;
-    empty += entry.empty_count();
+    empty += grp.pages_per_large_ - entry.used_count - entry.evictable_count;
   }
 
   if (resident != grp.resident_larges_ || used != grp.used_count_ ||
@@ -638,15 +632,12 @@ std::vector<std::string> AllocatorAuditor::CheckState(const SmallPageAllocator& 
                   " entries in " + std::to_string(grp.cache_index_.capacity()) + " slots");
   }
   grp.cache_index_.ForEach([&](BlockHash hash, SmallPageId page) {
-    const LargePageId large = static_cast<LargePageId>(page / grp.pages_per_large_);
-    if (!grp.IsResident(large)) {
+    if (!grp.IsResidentPage(page)) {
       Fail(out, tag + "cache index maps hash " + std::to_string(hash) +
                     " to non-resident page " + std::to_string(page));
       return;
     }
-    const SmallPageAllocator::SlotMeta& meta =
-        grp.larges_[static_cast<size_t>(large)]
-            .slots[static_cast<size_t>(page % grp.pages_per_large_)];
+    const SmallPageAllocator::SlotMeta& meta = grp.slab_[static_cast<size_t>(page)];
     if (meta.state == PageState::kEmpty || !meta.has_hash || meta.hash != hash) {
       Fail(out, tag + "cache index entry for hash " + std::to_string(hash) +
                     " points at page " + std::to_string(page) +
@@ -673,9 +664,7 @@ std::vector<std::string> AllocatorAuditor::CheckState(const SmallPageAllocator& 
       if (!grp.IsValidEmpty(ref)) {
         continue;
       }
-      const SmallPageAllocator::SlotMeta& meta =
-          grp.larges_[static_cast<size_t>(ref.page / grp.pages_per_large_)]
-              .slots[static_cast<size_t>(ref.page % grp.pages_per_large_)];
+      const SmallPageAllocator::SlotMeta& meta = grp.slab_[static_cast<size_t>(ref.page)];
       if (meta.assoc != request) {
         Fail(out, tag + "affinity list of request " + std::to_string(request) +
                       " holds page " + std::to_string(ref.page) + " associated with request " +
@@ -701,7 +690,7 @@ std::vector<std::string> AllocatorAuditor::CheckState(const SmallPageAllocator& 
     }
     const SmallPageId base = static_cast<SmallPageId>(index) * grp.pages_per_large_;
     for (int slot = 0; slot < grp.pages_per_large_; ++slot) {
-      if (entry.slots[static_cast<size_t>(slot)].state != PageState::kEmpty) {
+      if (grp.slab_[static_cast<size_t>(base + slot)].state != PageState::kEmpty) {
         continue;
       }
       empty_seen += 1;
@@ -735,16 +724,13 @@ void AllocatorAuditor::CompareShadow(size_t a, int g, std::vector<std::string>* 
       continue;
     }
     resident += 1;
-    if (static_cast<int>(entry.slots.size()) != grp.pages_per_large_) {
-      continue;  // CheckState reports it.
-    }
     if (!shadow.resident.contains(large)) {
       Fail(out, tag + "large page " + std::to_string(large) + " resident but not in shadow");
     }
     const SmallPageId base = static_cast<SmallPageId>(large) * grp.pages_per_large_;
     for (int slot = 0; slot < grp.pages_per_large_; ++slot) {
-      const SmallPageAllocator::SlotMeta& meta = entry.slots[static_cast<size_t>(slot)];
       const SmallPageId page = base + slot;
+      const SmallPageAllocator::SlotMeta& meta = grp.slab_[static_cast<size_t>(page)];
       const auto sh = shadow.slots.find(page);
       if (sh == shadow.slots.end()) {
         Fail(out, tag + "page " + std::to_string(page) + " missing from shadow");

@@ -1,6 +1,7 @@
 #include "src/core/small_page_allocator.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "src/common/check.h"
 
@@ -9,33 +10,76 @@ namespace jenga {
 namespace {
 // Free lists below this size are never compacted; avoids churn on tiny pools.
 constexpr size_t kFreeListCompactFloor = 64;
+
+int PagesPerLarge(const LcmAllocator* lcm, const KvGroupSpec& spec) {
+  JENGA_CHECK(lcm != nullptr);
+  JENGA_CHECK_GT(spec.page_bytes, 0);
+  JENGA_CHECK_EQ(lcm->large_page_bytes() % spec.page_bytes, 0)
+      << "group page size must divide the LCM page size";
+  return static_cast<int>(lcm->large_page_bytes() / spec.page_bytes);
+}
 }  // namespace
+
+PageDivider::PageDivider(int pages_per_large) : pages_per_large_(pages_per_large) {
+  JENGA_CHECK_GT(pages_per_large, 0);
+  const auto divisor = static_cast<uint64_t>(pages_per_large);
+  shift_ = 31 + static_cast<int>(std::bit_width(divisor));
+  const uint64_t one = uint64_t{1} << shift_;
+  magic_ = (one + divisor - 1) / divisor;
+  const uint64_t excess = magic_ * divisor - one;
+  const uint64_t exact = excess == 0 ? one : (one - 1) / excess + 1;
+  limit_ = std::min({exact, uint64_t{1} << 32, divisor << 31});
+}
 
 SmallPageAllocator::SmallPageAllocator(int group_index, KvGroupSpec spec, LcmAllocator* lcm,
                                        LargePageProvider* provider)
-    : group_index_(group_index), spec_(std::move(spec)), lcm_(lcm), provider_(provider) {
-  JENGA_CHECK(lcm_ != nullptr);
+    : group_index_(group_index),
+      spec_(std::move(spec)),
+      lcm_(lcm),
+      provider_(provider),
+      pages_per_large_(PagesPerLarge(lcm, spec_)),
+      uses_evictor_(pages_per_large_ > 1),
+      divider_(pages_per_large_) {
   JENGA_CHECK(provider_ != nullptr);
-  JENGA_CHECK_GT(spec_.page_bytes, 0);
-  JENGA_CHECK_EQ(lcm_->large_page_bytes() % spec_.page_bytes, 0)
-      << "group page size must divide the LCM page size";
-  pages_per_large_ = static_cast<int>(lcm_->large_page_bytes() / spec_.page_bytes);
-  uses_evictor_ = pages_per_large_ > 1;
-  larges_.resize(static_cast<size_t>(lcm_->num_pages()));
+  ResizeSlab(lcm_->num_pages());
+}
+
+void SmallPageAllocator::ResizeSlab(int32_t num_larges) {
+  JENGA_CHECK_GE(num_larges, 0);
+  const auto pages = static_cast<uint64_t>(num_larges) * static_cast<uint64_t>(pages_per_large_);
+  JENGA_CHECK_LE(pages, divider_.limit())
+      << "group " << group_index_ << ": " << num_larges << " large pages of "
+      << pages_per_large_ << " pages overflow the page ids the divider maps exactly";
+  if (pages > slab_capacity_) {
+    // Uninitialized, so memory is committed only as large pages are acquired (or copied
+    // here). Capacity grows geometrically and never shrinks, so a governor's run of small
+    // resizes copies O(pool) in total.
+    const uint64_t capacity = std::max(pages, 2 * slab_capacity_);
+    auto slab = std::make_unique_for_overwrite<SlotMeta[]>(static_cast<size_t>(capacity));
+    const size_t kept = std::min(larges_.size(), static_cast<size_t>(num_larges));
+    const auto ppl = static_cast<size_t>(pages_per_large_);
+    for (size_t large = 0; large < kept; ++large) {
+      if (larges_[large].resident) {
+        std::copy_n(&slab_[large * ppl], ppl, &slab[large * ppl]);
+      }
+    }
+    slab_ = std::move(slab);
+    slab_capacity_ = capacity;
+  }
+  larges_.resize(static_cast<size_t>(num_larges));
+  num_pages_ = pages;
 }
 
 SmallPageAllocator::SlotMeta& SmallPageAllocator::Meta(SmallPageId page) {
-  const LargePageId large = LargeOf(page);
-  JENGA_CHECK(page >= 0 && IsResident(large))
-      << "page " << page << " not resident in group " << group_index_;
-  return larges_[static_cast<size_t>(large)].slots[static_cast<size_t>(SlotOf(page))];
+  JENGA_CHECK(IsResidentPage(page)) << "page " << page << " not resident in group "
+                                    << group_index_;
+  return slab_[static_cast<size_t>(page)];
 }
 
 const SmallPageAllocator::SlotMeta& SmallPageAllocator::Meta(SmallPageId page) const {
-  const LargePageId large = LargeOf(page);
-  JENGA_CHECK(page >= 0 && IsResident(large))
-      << "page " << page << " not resident in group " << group_index_;
-  return larges_[static_cast<size_t>(large)].slots[static_cast<size_t>(SlotOf(page))];
+  JENGA_CHECK(IsResidentPage(page)) << "page " << page << " not resident in group "
+                                    << group_index_;
+  return slab_[static_cast<size_t>(page)];
 }
 
 SmallPageAllocator::LargeEntry& SmallPageAllocator::Entry(LargePageId large) {
@@ -51,12 +95,10 @@ const SmallPageAllocator::LargeEntry& SmallPageAllocator::Entry(LargePageId larg
 }
 
 bool SmallPageAllocator::IsValidEmpty(const FreeRef& ref) const {
-  const LargePageId large = LargeOf(ref.page);
-  if (!IsResident(large)) {
+  if (!IsResidentPage(ref.page)) {
     return false;
   }
-  const SlotMeta& meta =
-      larges_[static_cast<size_t>(large)].slots[static_cast<size_t>(SlotOf(ref.page))];
+  const SlotMeta& meta = slab_[static_cast<size_t>(ref.page)];
   return meta.state == PageState::kEmpty && meta.epoch == ref.epoch;
 }
 
@@ -126,9 +168,8 @@ void SmallPageAllocator::MaybeCompactFreeLists() {
 }
 
 void SmallPageAllocator::ClaimEmpty(SmallPageId page, RequestId request, Tick now) {
-  const LargePageId large = LargeOf(page);
-  LargeEntry& entry = Entry(large);
-  SlotMeta& meta = entry.slots[static_cast<size_t>(SlotOf(page))];
+  SlotMeta& meta = Meta(page);
+  LargeEntry& entry = larges_[static_cast<size_t>(LargeOf(page))];
   JENGA_CHECK(meta.state == PageState::kEmpty);
   JENGA_CHECK(!meta.has_hash);
   meta.state = PageState::kUsed;
@@ -145,11 +186,15 @@ void SmallPageAllocator::ClaimEmpty(SmallPageId page, RequestId request, Tick no
 
 template <typename Emit>
 int64_t SmallPageAllocator::ClaimPass(RequestId request, int64_t run, Tick now, Emit emit) {
+  // Steps 1 and 4 pop only when some page is empty: every empty page has a valid ref in the
+  // any-list, so without one both pops would only drop stale refs, which compaction drops too.
   // Step 1: an empty page already associated with this request (§4.3).
-  if (const auto page = PopRequestFree(request)) {
-    ClaimEmpty(*page, request, now);
-    emit(*page);
-    return 1;
+  if (empty_count_ > 0) {
+    if (const auto page = PopRequestFree(request)) {
+      ClaimEmpty(*page, request, now);
+      emit(*page);
+      return 1;
+    }
   }
 
   // Steps 2–3: a fresh large page; the provider evicts an evictable large page if the free
@@ -157,18 +202,23 @@ int64_t SmallPageAllocator::ClaimPass(RequestId request, int64_t run, Tick now, 
   if (const auto large = provider_->AcquireLargePage(group_index_)) {
     LargeEntry& entry = larges_[static_cast<size_t>(*large)];
     JENGA_CHECK(!entry.resident) << "large page " << *large << " already held";
-    entry.resident = true;
-    entry.used_count = 0;
-    entry.evictable_count = 0;
-    entry.slots.assign(static_cast<size_t>(pages_per_large_), SlotMeta{});
-    for (SlotMeta& slot : entry.slots) {
-      slot.assoc = request;
-      slot.epoch = next_epoch_++;
+    entry = LargeEntry{.resident = true};
+    const SmallPageId base = static_cast<SmallPageId>(*large) * pages_per_large_;
+    SlotMeta* const slots = &slab_[static_cast<size_t>(base)];
+    for (int slot = 0; slot < pages_per_large_; ++slot) {
+      slots[slot] = SlotMeta{.state = PageState::kEmpty,
+                             .assoc = request,
+                             .ref_count = 0,
+                             .last_access = 0,
+                             .prefix_length = 0,
+                             .epoch = next_epoch_++,
+                             .has_hash = false,
+                             .indexed = false,
+                             .hash = 0};
     }
     resident_larges_ += 1;
     empty_count_ += pages_per_large_;
     JENGA_AUDIT_HOOK(audit_, OnLargeAcquired(group_index_, *large, request));
-    const SmallPageId base = static_cast<SmallPageId>(*large) * pages_per_large_;
     // A one-slot large page leaves no empty slots behind: skip the affinity entry and the
     // free-list upkeep altogether.
     if (pages_per_large_ == 1) {
@@ -184,7 +234,7 @@ int64_t SmallPageAllocator::ClaimPass(RequestId request, int64_t run, Tick now, 
     const int left = pages_per_large_ - 1 - tail;
     std::vector<FreeRef>& request_refs = RefsFor(request);
     for (int slot = 1; slot <= left; ++slot) {
-      const FreeRef ref{base + slot, entry.slots[static_cast<size_t>(slot)].epoch};
+      const FreeRef ref{base + slot, slots[slot].epoch};
       request_refs.push_back(ref);
       empty_any_.push_back(ref);
     }
@@ -202,18 +252,19 @@ int64_t SmallPageAllocator::ClaimPass(RequestId request, int64_t run, Tick now, 
   }
 
   // Step 4: any empty page, regardless of association.
-  if (const auto page = PopAnyFree()) {
-    ClaimEmpty(*page, request, now);
-    emit(*page);
-    return 1;
+  if (empty_count_ > 0) {
+    if (const auto page = PopAnyFree()) {
+      ClaimEmpty(*page, request, now);
+      emit(*page);
+      return 1;
+    }
   }
 
   // Step 5: evict this group's LRU evictable page and reuse it in place (never in a one-slot
   // group, whose evictor is empty).
   if (const auto victim = evictor_.PopVictim()) {
-    const LargePageId large = LargeOf(*victim);
-    LargeEntry& entry = Entry(large);
-    SlotMeta& meta = entry.slots[static_cast<size_t>(SlotOf(*victim))];
+    SlotMeta& meta = Meta(*victim);
+    LargeEntry& entry = larges_[static_cast<size_t>(LargeOf(*victim))];
     JENGA_CHECK(meta.state == PageState::kEvictable);
     UnregisterHash(*victim, meta, /*evicted=*/true);
     JENGA_AUDIT_HOOK(audit_, OnPageEvicted(group_index_, *victim));
@@ -273,9 +324,8 @@ bool SmallPageAllocator::AllocateN(RequestId request, int64_t n, Tick now,
 }
 
 void SmallPageAllocator::AddRef(SmallPageId page) {
-  const LargePageId large = LargeOf(page);
-  LargeEntry& entry = Entry(large);
-  SlotMeta& meta = entry.slots[static_cast<size_t>(SlotOf(page))];
+  SlotMeta& meta = Meta(page);
+  LargeEntry& entry = larges_[static_cast<size_t>(LargeOf(page))];
   switch (meta.state) {
     case PageState::kUsed:
       meta.ref_count += 1;
@@ -326,9 +376,9 @@ void SmallPageAllocator::ReleaseLarge(LargePageId large, LargeEntry& entry) {
 }
 
 void SmallPageAllocator::TransitionToEmpty(SmallPageId page) {
+  SlotMeta& meta = Meta(page);
   const LargePageId large = LargeOf(page);
-  LargeEntry& entry = Entry(large);
-  SlotMeta& meta = entry.slots[static_cast<size_t>(SlotOf(page))];
+  LargeEntry& entry = larges_[static_cast<size_t>(large)];
   JENGA_CHECK(meta.state != PageState::kEmpty);
   UnregisterHash(page, meta);
   if (meta.state == PageState::kUsed) {
@@ -386,9 +436,9 @@ void SmallPageAllocator::ReleaseN(std::span<const SmallPageId> pages, bool keep_
     if (page == kNoSmallPage) {
       continue;
     }
+    SlotMeta& meta = Meta(page);
     const LargePageId large = LargeOf(page);
-    LargeEntry& entry = Entry(large);
-    SlotMeta& meta = entry.slots[static_cast<size_t>(SlotOf(page))];
+    LargeEntry& entry = larges_[static_cast<size_t>(large)];
     JENGA_CHECK(meta.state == PageState::kUsed) << "Release on non-used page " << page;
     JENGA_CHECK_GT(meta.ref_count, 0);
     if (static_cast<int64_t>(i) < touched) {
@@ -440,13 +490,12 @@ void SmallPageAllocator::FlushReleasedRefs() {
   }
   int64_t flushed = 0;
   for (const ReleasedRef& released : released_refs_) {
-    const LargeEntry& entry = larges_[static_cast<size_t>(released.large)];
-    if (!entry.resident) {
+    if (!larges_[static_cast<size_t>(released.large)].resident) {
       continue;
     }
     const FreeRef ref{static_cast<SmallPageId>(released.large) * pages_per_large_ + released.slot,
                       released.epoch};
-    RefsFor(entry.slots[static_cast<size_t>(released.slot)].assoc).push_back(ref);
+    RefsFor(slab_[static_cast<size_t>(ref.page)].assoc).push_back(ref);
     empty_any_.push_back(ref);
     flushed += 1;
   }
@@ -486,15 +535,14 @@ void SmallPageAllocator::SettleFailedClaim(RequestId request, int64_t own, int64
   // The rollback releases the claims newest first.
   std::reverse(released_refs_.begin(), released_refs_.end());
   for (ReleasedRef& released : released_refs_) {
-    SlotMeta& meta = larges_[static_cast<size_t>(released.large)]
-                         .slots[static_cast<size_t>(released.slot)];
+    const SmallPageId page =
+        static_cast<SmallPageId>(released.large) * pages_per_large_ + released.slot;
+    SlotMeta& meta = slab_[static_cast<size_t>(page)];
     meta.assoc = request;
     meta.last_access = now;
     meta.prefix_length = 0;
     meta.epoch = next_epoch_++;
     released.epoch = meta.epoch;
-    const SmallPageId page =
-        static_cast<SmallPageId>(released.large) * pages_per_large_ + released.slot;
     JENGA_AUDIT_HOOK(audit_, OnPageClaimed(group_index_, page, request));
     JENGA_AUDIT_HOOK(audit_, OnPageEmptied(group_index_, page));
   }
@@ -576,11 +624,13 @@ bool SmallPageAllocator::IsReclaimCandidate(LargePageId large) const {
 }
 
 Tick SmallPageAllocator::ReclaimTimestamp(LargePageId large) const {
-  const LargeEntry& entry = Entry(large);
+  (void)Entry(large);  // Checks residency: only a held large page's slots are initialized.
+  const SlotMeta* const slots =
+      &slab_[static_cast<size_t>(static_cast<SmallPageId>(large) * pages_per_large_)];
   Tick timestamp = 0;
-  for (const SlotMeta& slot : entry.slots) {
-    if (slot.state == PageState::kEvictable) {
-      timestamp = std::max(timestamp, slot.last_access);
+  for (int slot = 0; slot < pages_per_large_; ++slot) {
+    if (slots[slot].state == PageState::kEvictable) {
+      timestamp = std::max(timestamp, slots[slot].last_access);
     }
   }
   return timestamp;
@@ -592,23 +642,24 @@ void SmallPageAllocator::OnPoolResized(int32_t new_num_larges) {
     JENGA_CHECK(!larges_[large].resident)
         << "pool shrink over group " << group_index_ << "'s resident large page " << large;
   }
-  larges_.resize(static_cast<size_t>(new_num_larges));
+  ResizeSlab(new_num_larges);
 }
 
 void SmallPageAllocator::ReclaimLargePage(LargePageId large) {
   LargeEntry& entry = Entry(large);
   JENGA_CHECK_EQ(entry.used_count, 0) << "reclaiming large page with used slots";
   const SmallPageId base = static_cast<SmallPageId>(large) * pages_per_large_;
+  SlotMeta* const slots = &slab_[static_cast<size_t>(base)];
   if (pages_per_large_ > 1) {
     // The erases below probe scattered index slots one after another; start every load first.
-    for (const SlotMeta& meta : entry.slots) {
-      if (meta.indexed) {
-        cache_index_.Prefetch(meta.hash);
+    for (int slot = 0; slot < pages_per_large_; ++slot) {
+      if (slots[slot].indexed) {
+        cache_index_.Prefetch(slots[slot].hash);
       }
     }
   }
   for (int slot = 0; slot < pages_per_large_; ++slot) {
-    SlotMeta& meta = entry.slots[static_cast<size_t>(slot)];
+    SlotMeta& meta = slots[slot];
     const SmallPageId page = base + slot;
     if (meta.state == PageState::kEvictable) {
       if (uses_evictor_) {

@@ -19,16 +19,28 @@
 // The allocator also maintains the group's prefix-cache index (block hash → resident page)
 // and implements GroupCacheOps so the layer policies can adjust eviction priorities.
 //
-// Page metadata lives in a dense slab indexed by LargePageId (large-page ids are pool
-// indices), so Meta()/Entry() are array lookups rather than hash probes — every AddRef/
-// Release/SetContentHash on the per-token path is O(1) with no hashing.
+// Page metadata lives in two flat arrays over the whole pool, so Meta()/Entry() are array
+// lookups rather than hash probes or pointer chases:
+//   - larges_, indexed by LargePageId (large-page ids are pool indices): a 12-byte entry of
+//     residency and per-large counters;
+//   - slab_, indexed by SmallPageId (large × pages_per_large + slot): one SlotMeta per small
+//     page of the pool.
+// The slab is committed only where the group holds a large page: it is allocated without
+// initialization, a large page's slots are written when the group acquires it, a grow past
+// its capacity copies only resident ranges, and no slot of a non-resident large page is ever
+// read.
+// Page → large page and slot is a multiply by a per-group reciprocal (PageDivider), never a
+// division; the constructor and every resize check that each page id of the pool divides
+// exactly.
 
 #ifndef JENGA_SRC_CORE_SMALL_PAGE_ALLOCATOR_H_
 #define JENGA_SRC_CORE_SMALL_PAGE_ALLOCATOR_H_
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -54,6 +66,33 @@ class LargePageProvider {
   // no used small pages and at least one evictable one. Lazy — the provider revalidates
   // candidacy and timestamp at eviction time.
   virtual void OnReclaimCandidate(int group_index, LargePageId large, Tick timestamp) = 0;
+};
+
+// page / pages_per_large and page % pages_per_large without a division: the large page is
+// (page × m) >> s with s = 32 + ⌊log2 pages_per_large⌋ and m = ⌈2^s / pages_per_large⌉ ≤ 2^32,
+// so a one-slot group's m = 2^32 makes it the identity. With the rounding excess
+// e = m × pages_per_large − 2^s < pages_per_large, the quotient is exact for every page id p
+// with p × e < 2^s, which holds for every p below 2^31. limit() is the first id past the
+// exact range, capped at 2^32 (which keeps p × m within 64 bits) and at the ids whose large
+// page fits a LargePageId.
+class PageDivider {
+ public:
+  explicit PageDivider(int pages_per_large);
+
+  [[nodiscard]] LargePageId Large(SmallPageId page) const {
+    return static_cast<LargePageId>((static_cast<uint64_t>(page) * magic_) >> shift_);
+  }
+  [[nodiscard]] int Slot(SmallPageId page) const {
+    return static_cast<int>(page - static_cast<SmallPageId>(Large(page)) * pages_per_large_);
+  }
+  // Number of page ids, counted from 0, that Large and Slot map exactly.
+  [[nodiscard]] uint64_t limit() const { return limit_; }
+
+ private:
+  uint64_t magic_ = 0;
+  uint64_t limit_ = 0;
+  int shift_ = 0;
+  int pages_per_large_ = 0;
 };
 
 class SmallPageAllocator final : public GroupCacheOps {
@@ -141,10 +180,10 @@ class SmallPageAllocator final : public GroupCacheOps {
   // Fires OnRequestForgotten only when the list still held a valid ref.
   void ForgetRequest(RequestId request);
 
-  // Resizes the dense metadata slab after the LCM pool grew or shrank (elastic governor).
-  // Shrink requires every removed large page to be non-resident in this group (the caller
-  // drains them first); stale FreeRefs into removed pages are filtered lazily by the same
-  // residency/epoch checks that already guard releases.
+  // Resizes the metadata arrays after the LCM pool grew or shrank (elastic governor); a slab
+  // that must grow copies only the resident large pages' slots. Shrink requires every removed large page to be
+  // non-resident in this group (the caller drains them first); stale FreeRefs into removed
+  // pages are filtered lazily by the same bounds/residency/epoch checks that guard releases.
   void OnPoolResized(int32_t new_num_larges);
 
   // --- Whole-large-page eviction support (§5.4 step 3, driven by the provider) ---
@@ -194,31 +233,31 @@ class SmallPageAllocator final : public GroupCacheOps {
   friend class AllocatorAuditor;  // CheckState re-derives this allocator's invariants.
   friend struct AllocatorStateTestPeer;
 
+  // No default member initializers: the slab is allocated uninitialized, and a slot is
+  // written whole when its large page is acquired.
   struct SlotMeta {
-    PageState state = PageState::kEmpty;
-    RequestId assoc = kNoRequest;
-    int32_t ref_count = 0;
-    Tick last_access = 0;
-    int64_t prefix_length = 0;
-    uint64_t epoch = 0;
-    bool has_hash = false;
+    PageState state;
+    RequestId assoc;
+    int32_t ref_count;
+    Tick last_access;
+    int64_t prefix_length;
+    uint64_t epoch;
+    bool has_hash;
     // True when the prefix-cache index maps `hash` to this page (the page owns the entry).
     // Only an owner's release needs no index probe and only an owner's unregister erases.
-    bool indexed = false;
-    BlockHash hash = 0;
+    bool indexed;
+    BlockHash hash;
   };
   // The ownership bit sits in has_hash's padding: a slot stays one cache line.
   static_assert(sizeof(SlotMeta) == 64);
+  static_assert(std::is_trivially_default_constructible_v<SlotMeta>);
 
   struct LargeEntry {
-    std::vector<SlotMeta> slots;  // Sized on first acquisition; capacity reused thereafter.
     int32_t used_count = 0;
     int32_t evictable_count = 0;
     bool resident = false;
-    [[nodiscard]] int32_t empty_count() const {
-      return static_cast<int32_t>(slots.size()) - used_count - evictable_count;
-    }
   };
+  static_assert(sizeof(LargeEntry) == 12);
 
   // An entry in the lazy free lists; valid only while the slot's epoch is unchanged.
   struct FreeRef {
@@ -226,16 +265,21 @@ class SmallPageAllocator final : public GroupCacheOps {
     uint64_t epoch = 0;
   };
 
-  [[nodiscard]] LargePageId LargeOf(SmallPageId page) const {
-    return static_cast<LargePageId>(page / pages_per_large_);
-  }
-  [[nodiscard]] int SlotOf(SmallPageId page) const {
-    return static_cast<int>(page % pages_per_large_);
-  }
+  // Exact only for pages of the pool (page < num_pages_).
+  [[nodiscard]] LargePageId LargeOf(SmallPageId page) const { return divider_.Large(page); }
+  [[nodiscard]] int SlotOf(SmallPageId page) const { return divider_.Slot(page); }
   [[nodiscard]] bool IsResident(LargePageId large) const {
     return large >= 0 && static_cast<size_t>(large) < larges_.size() &&
            larges_[static_cast<size_t>(large)].resident;
   }
+  // A page of the pool whose large page this group holds: its slot may be read.
+  [[nodiscard]] bool IsResidentPage(SmallPageId page) const {
+    return static_cast<uint64_t>(page) < num_pages_ &&
+           larges_[static_cast<size_t>(LargeOf(page))].resident;
+  }
+  // Sizes the metadata arrays for a pool of `num_larges` large pages, keeping the resident
+  // slots; checks first that every page id of that pool divides exactly.
+  void ResizeSlab(int32_t num_larges);
   [[nodiscard]] SlotMeta& Meta(SmallPageId page);
   [[nodiscard]] const SlotMeta& Meta(SmallPageId page) const;
   [[nodiscard]] LargeEntry& Entry(LargePageId large);
@@ -298,13 +342,17 @@ class SmallPageAllocator final : public GroupCacheOps {
   LcmAllocator* lcm_;
   LargePageProvider* provider_;
   const std::vector<AuditSink*>* audit_ = nullptr;
-  int pages_per_large_ = 0;
+  int pages_per_large_;
   // False in one-slot groups, whose evictor stays empty: step 5 can never pick a victim there
   // (see the header comment), so Insert/Remove/rekey upkeep is skipped.
-  bool uses_evictor_ = false;
-
-  // Dense slab over the whole pool; larges_[id].resident marks the pages this group holds.
+  bool uses_evictor_;
+  PageDivider divider_;
+  // Dense arrays over the whole pool (see the header comment); larges_[id].resident marks the
+  // large pages this group holds, and only their slab_ slots are initialized.
   std::vector<LargeEntry> larges_;
+  std::unique_ptr<SlotMeta[]> slab_;
+  uint64_t num_pages_ = 0;  // larges_.size() × pages_per_large_: the pool's page ids.
+  uint64_t slab_capacity_ = 0;  // Slots slab_ holds, at least num_pages_.
   std::unordered_map<RequestId, std::vector<FreeRef>> empty_by_request_;
   // One-entry cache over empty_by_request_ (see RefsFor); kNoRequest/nullptr when invalid.
   RequestId refs_cache_key_ = kNoRequest;

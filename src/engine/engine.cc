@@ -194,7 +194,7 @@ bool Engine::StepOnce() {
 
   int64_t budget = max_batched_tokens_;
   // Reused across steps: per-step construction showed up as malloc traffic on the
-  // steps-per-second path (ROADMAP item 5).
+  // steps-per-second path (DESIGN.md §12, "The steady request step allocates nothing").
   std::vector<Scheduled>& scheduled = scheduled_buf_;
   scheduled.clear();
   double vision_time = 0.0;

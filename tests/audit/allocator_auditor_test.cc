@@ -392,11 +392,6 @@ INSTANTIATE_TEST_SUITE_P(
                           p.used / g.pages_per_large())] = 1;
                     },
                     0, "resident large page", "is owned by group 1 in the LCM allocator"},
-        StateDefect{"SlotCountWrong",
-                    [](JengaAllocator& a, const StatePages& p) {
-                      Peer::Large(a.group(0), p.used).slots.emplace_back();
-                    },
-                    0, "has 4 slots", "expected 3"},
         StateDefect{"UsedPageWithoutRef",
                     [](JengaAllocator& a, const StatePages& p) {
                       Peer::Slot(a.group(0), p.used).ref_count = 0;

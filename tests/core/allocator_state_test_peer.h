@@ -38,14 +38,14 @@ struct AllocatorStateTestPeer {
   static std::vector<std::tuple<SmallPageId, PageState, RequestId>> ResidentPages(
       const SmallPageAllocator& group) {
     std::vector<std::tuple<SmallPageId, PageState, RequestId>> pages;
+    const auto ppl = static_cast<size_t>(group.pages_per_large_);
     for (size_t large = 0; large < group.larges_.size(); ++large) {
-      const SmallPageAllocator::LargeEntry& entry = group.larges_[large];
-      if (!entry.resident) {
+      if (!group.larges_[large].resident) {
         continue;
       }
-      for (size_t slot = 0; slot < entry.slots.size(); ++slot) {
-        const auto page = static_cast<SmallPageId>(large * entry.slots.size() + slot);
-        pages.emplace_back(page, entry.slots[slot].state, entry.slots[slot].assoc);
+      for (size_t page = large * ppl; page < (large + 1) * ppl; ++page) {
+        const SmallPageAllocator::SlotMeta& meta = group.slab_[page];
+        pages.emplace_back(static_cast<SmallPageId>(page), meta.state, meta.assoc);
       }
     }
     return pages;

@@ -15,6 +15,7 @@
 #include "src/model/kv_spec.h"
 #include "src/model/model_zoo.h"
 #include "tests/audit/audit_test_util.h"
+#include "tests/core/allocator_state_test_peer.h"
 #include "tests/core/reclaim_queue_test_peer.h"
 
 namespace jenga {
@@ -537,6 +538,91 @@ TEST(JengaAllocator, MultiSlotGroupsKeepTheirEvictor) {
   auditor.AttachAllocator(&alloc);
   ExpectConsistent(auditor);
   auditor.DetachAll();
+}
+
+TEST(JengaAllocator, ResizingKeepsEveryResidentPagesMetadata) {
+  using Peer = AllocatorStateTestPeer;
+  constexpr int kLarges = 6;
+  JengaAllocator alloc(Figure6Spec(), 768 * kLarges);
+  // Group 0 (3 slots): request 1 holds four pages, two of them hashed, over two large pages,
+  // so two slots are empty; one hashed page is cached. Group 1 (2 slots): request 2 holds three
+  // pages over two large pages; of the first, one is cached and one released empty.
+  std::vector<SmallPageId> image;
+  std::vector<SmallPageId> text;
+  for (int i = 0; i < 4; ++i) {
+    image.push_back(*alloc.group(0).Allocate(1, /*now=*/i));
+  }
+  for (int i = 0; i < 3; ++i) {
+    text.push_back(*alloc.group(1).Allocate(2, /*now=*/10 + i));
+  }
+  alloc.group(0).SetContentHash(image[0], 0x10);
+  alloc.group(0).SetContentHash(image[1], 0x11);
+  alloc.group(0).SetPrefixLength(image[1], 7);
+  alloc.group(0).UpdateLastAccess(image[1], 20);
+  alloc.group(0).Release(image[1], /*keep_cached=*/true);
+  alloc.group(1).SetContentHash(text[0], 0x20);
+  alloc.group(1).Release(text[0], /*keep_cached=*/true);
+  alloc.group(1).Release(text[1], /*keep_cached=*/false);
+  ExpectConsistent(alloc);
+
+  using PageMeta = std::tuple<PageState, RequestId, uint64_t, Tick, int64_t, int, bool, bool,
+                              BlockHash>;
+  struct Snapshot {
+    std::vector<std::tuple<SmallPageId, PageState, RequestId>> resident;
+    std::vector<PageMeta> meta;
+    std::vector<SmallPageId> any_pops;
+    std::map<RequestId, std::vector<SmallPageId>> affinity_pops;
+    bool operator==(const Snapshot&) const = default;
+  };
+  const auto snapshot = [&alloc](int g) {
+    SmallPageAllocator& group = alloc.group(g);
+    Snapshot shot{Peer::ResidentPages(group), {}, Peer::AnyListPops(group),
+                  Peer::AffinityListPops(group)};
+    for (const auto& [page, state, assoc] : shot.resident) {
+      const auto& meta = Peer::Slot(group, page);
+      shot.meta.emplace_back(meta.state, meta.assoc, meta.epoch, meta.last_access,
+                             meta.prefix_length, meta.ref_count, meta.has_hash, meta.indexed,
+                             meta.hash);
+    }
+    return shot;
+  };
+  const Snapshot before[] = {snapshot(0), snapshot(1)};
+  for (int g = 0; g < 2; ++g) {
+    SCOPED_TRACE(::testing::Message() << "group " << g);
+    std::set<PageState> states;
+    for (const auto& page : before[g].resident) {
+      states.insert(std::get<1>(page));
+    }
+    EXPECT_EQ(states.size(), 3u) << "the pool holds used, evictable and empty pages";
+    EXPECT_FALSE(before[g].any_pops.empty());
+  }
+
+  alloc.GrowPool(3);  // Outgrows the slab: the resident ranges are copied.
+  ASSERT_EQ(alloc.lcm().num_pages(), kLarges + 3);
+  EXPECT_TRUE(before[0] == snapshot(0));
+  EXPECT_TRUE(before[1] == snapshot(1));
+  ExpectConsistent(alloc);
+  ASSERT_EQ(alloc.ShrinkPool(3), 3);
+  ASSERT_EQ(alloc.lcm().num_pages(), kLarges);
+  EXPECT_TRUE(before[0] == snapshot(0));
+  EXPECT_TRUE(before[1] == snapshot(1));
+  ExpectConsistent(alloc);
+}
+
+TEST(JengaAllocatorDeathTest, PageIdsPastTheDividersRangeAreRefusedBeforeTheSlabIsSized) {
+  // 1 B pages in a 1 MiB large page: 2^20 slots each, so 4,097 large pages hold more than
+  // 2^32 page ids. The slab would be 275 GB; the check must fire first.
+  KvSpec spec = Figure6Spec();
+  spec.groups[0].page_bytes = 1;
+  spec.groups[1].page_bytes = int64_t{1} << 20;
+  EXPECT_DEATH(JengaAllocator(spec, int64_t{4097} << 20), "overflow the page ids");
+  // The same pool reached by growing one that fits.
+  EXPECT_DEATH(
+      {
+        JengaAllocator alloc(spec, int64_t{1} << 20);
+        alloc.GrowPool(4096);
+      },
+      "overflow the page ids");
 }
 
 }  // namespace

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <vector>
 
+#include "src/model/kv_spec.h"
+#include "src/model/model_zoo.h"
 #include "tests/audit/audit_test_util.h"
 
 namespace jenga {
@@ -355,6 +358,61 @@ TEST_F(SmallPageAllocatorTest, DeathOnDoubleRelease) {
   (void)*alloc_.Allocate(1, 0);
   alloc_.Release(a, false);
   EXPECT_DEATH(alloc_.Release(a, false), "non-used");
+}
+
+// Every pages_per_large a model-zoo spec produces, and those of the merged Gemma-2-27B + 2B
+// spec that speculative decoding serves.
+std::set<int> ZooPagesPerLarge() {
+  std::set<int> found;
+  const auto add = [&found](const KvSpec& spec) {
+    for (const KvGroupSpec& group : spec.groups) {
+      found.insert(static_cast<int>(spec.LcmPageBytes() / group.page_bytes));
+    }
+  };
+  for (const ModelConfig& model : AllZooModels()) {
+    add(BuildKvSpec(model, KvSpecOptions{}));
+  }
+  add(MergeKvSpecs({{"target", BuildKvSpec(Gemma2_27B(), KvSpecOptions{})},
+                    {"draft", BuildKvSpec(Gemma2_2B(), KvSpecOptions{})}}));
+  return found;
+}
+
+// Page ids `first` … `last` (inclusive) divide as `/` and `%` do.
+::testing::AssertionResult DividesExactly(int pages_per_large, SmallPageId first,
+                                          SmallPageId last, SmallPageId stride = 1) {
+  const PageDivider divider(pages_per_large);
+  for (SmallPageId page = first; page <= last; page += stride) {
+    if (divider.Large(page) != page / pages_per_large ||
+        divider.Slot(page) != page % pages_per_large) {
+      return ::testing::AssertionFailure()
+             << "pages_per_large " << pages_per_large << ", page " << page << ": large "
+             << divider.Large(page) << " slot " << divider.Slot(page);
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(PageDivider, MatchesDivisionAcrossTheAllowedRange) {
+  std::set<int> divisors = ZooPagesPerLarge();
+  // Jamba's Mamba page, and the merged Gemma-2-27B + 2B spec's two page sizes.
+  for (const int expected : {84, 13, 46}) {
+    EXPECT_TRUE(divisors.contains(expected)) << expected;
+  }
+  for (int pages_per_large = 1; pages_per_large <= 128; ++pages_per_large) {
+    divisors.insert(pages_per_large);
+  }
+  for (const int pages_per_large : divisors) {
+    const auto limit = static_cast<SmallPageId>(PageDivider(pages_per_large).limit());
+    ASSERT_LE(limit, SmallPageId{1} << 32);
+    ASSERT_GE(limit, SmallPageId{1} << 31) << pages_per_large;
+    const SmallPageId span = 4 * SmallPageId{pages_per_large} + 4;
+    EXPECT_TRUE(DividesExactly(pages_per_large, 0, span));
+    EXPECT_TRUE(DividesExactly(pages_per_large, limit - span, limit - 1));
+    EXPECT_TRUE(DividesExactly(pages_per_large, 0, limit - 1, limit / 4099 + 1));
+  }
+  // One-slot groups are bounded by the large-page id type, 2^20-slot groups by 2^32.
+  EXPECT_EQ(PageDivider(1).limit(), uint64_t{1} << 31);
+  EXPECT_EQ(PageDivider(1 << 20).limit(), uint64_t{1} << 32);
 }
 
 }  // namespace

@@ -73,11 +73,9 @@ void SubmitBatch(SchedulerCore& core, RequestId first_id) {
   }
 }
 
-// Runs one batch to completion so the pool is warm — a group sizes a large page's slot table
-// the first time it ever holds that page, once per (group, large page) over the pool's life —
-// then steps an identical batch past its prefills and returns heap allocations per scheduled
-// request-step over kMeasuredSteps steady decode steps (every running request is scheduled
-// each step).
+// Runs one batch to completion so the pool is warm, then steps an identical batch past its
+// prefills and returns heap allocations per scheduled request-step over kMeasuredSteps steady
+// decode steps (every running request is scheduled each step).
 double AllocationsPerRequestStep(SchedulerCore& core) {
   SubmitBatch(core, 0);
   core.RunToCompletion();
@@ -106,20 +104,29 @@ TEST(StepAllocations, EngineSteadyDecodeDoesNotAllocate) {
   EXPECT_LT(AllocationsPerRequestStep(engine), kMaxAllocationsPerRequestStep);
 }
 
-TEST(StepAllocations, SpecDecodeSteadyDecodeDoesNotAllocate) {
-  // kVllmManual runs a [target, draft] manager pair, so every request holds two KV handles.
-  // Each manager's pool has one group: with the target's sliding-window drops handing large
-  // pages between groups of one pool (kJenga), one warm batch leaves first holds of pages in
-  // the window, which this test does not measure.
+double SpecDecodeAllocationsPerRequestStep(SpecStrategy strategy) {
   SpecDecodeConfig config;
   config.target = TinySlidingModel();
   config.draft = TinyDraftModel();
   config.gpu = TestGpu();
-  config.strategy = SpecStrategy::kVllmManual;
+  config.strategy = strategy;
   config.pool_bytes_override = 64LL << 20;
   config.seed = 7;
   SpecDecodeEngine engine(config);
-  EXPECT_LT(AllocationsPerRequestStep(engine), kMaxAllocationsPerRequestStep);
+  return AllocationsPerRequestStep(engine);
+}
+
+TEST(StepAllocations, SpecDecodeSteadyDecodeDoesNotAllocate) {
+  // kVllmManual runs a [target, draft] manager pair, so every request holds two KV handles.
+  EXPECT_LT(SpecDecodeAllocationsPerRequestStep(SpecStrategy::kVllmManual),
+            kMaxAllocationsPerRequestStep);
+}
+
+TEST(StepAllocations, JengaSpecDecodeSteadyDecodeDoesNotAllocate) {
+  // One merged pool, whose groups hand large pages to each other as the target's sliding
+  // window drops pages: a group's first hold of a large page allocates nothing.
+  EXPECT_LT(SpecDecodeAllocationsPerRequestStep(SpecStrategy::kJenga),
+            kMaxAllocationsPerRequestStep);
 }
 
 }  // namespace
