@@ -4,25 +4,23 @@
 #include <utility>
 
 #include "src/common/check.h"
-#include "src/core/block_hash.h"
 
 namespace jenga {
 
 int PickRoutingGroup(const KvSpec& spec) {
-  for (int pass = 0; pass < 2; ++pass) {
-    for (int g = 0; g < static_cast<int>(spec.groups.size()); ++g) {
-      const KvGroupSpec& group = spec.groups[static_cast<size_t>(g)];
-      if (group.scope != GroupScope::kAllTokens || group.tokens_per_page <= 0 ||
-          group.kind == GroupKind::kMamba || group.kind == GroupKind::kVisionEmbed) {
-        continue;
-      }
-      if (pass == 0 && group.kind != GroupKind::kFullAttention) {
-        continue;
-      }
+  int first = -1;
+  for (int g = 0; g < static_cast<int>(spec.groups.size()); ++g) {
+    const KvGroupSpec& group = spec.groups[static_cast<size_t>(g)];
+    if (group.scope != GroupScope::kAllTokens || group.kind == GroupKind::kMamba ||
+        group.kind == GroupKind::kVisionEmbed) {
+      continue;
+    }
+    if (group.kind == GroupKind::kFullAttention) {
       return g;
     }
+    first = first < 0 ? g : first;
   }
-  return -1;
+  return first;
 }
 
 namespace {
@@ -190,12 +188,9 @@ FleetCore::FleetCore(FleetConfig config,
     engines_.push_back(&make_engine(i, std::move(engine)));
   }
 
-  const KvSpec& spec = engines_[0]->kv().alloc_spec();
-  routing_group_ = config_.engine.enable_prefix_caching ? PickRoutingGroup(spec) : -1;
-  if (routing_group_ >= 0) {
-    routing_block_size_ = spec.groups[static_cast<size_t>(routing_group_)].tokens_per_page;
-    routing_salt_ = GroupChainSalt(routing_group_);
-  }
+  const KvManager& kv = engines_[0]->kv();
+  routing_group_ = config_.engine.enable_prefix_caching ? PickRoutingGroup(kv.alloc_spec()) : -1;
+  hasher_ = std::make_unique<const PromptHasher>(kv.alloc_spec(), kv.tokens_per_page());
   index_ = std::make_unique<ClusterPrefixIndex>(n, routing_group_);
   for (int i = 0; i < n; ++i) {
     engines_[static_cast<size_t>(i)]->kv().allocator_mutable().SetAuditSink(index_->feed(i));
@@ -266,7 +261,7 @@ std::vector<BlockHash> FleetCore::RoutingChain(const Prompt& prompt) const {
   if (routing_group_ < 0) {
     return {};
   }
-  return ChainBlockHashes(prompt.tokens, routing_block_size_, routing_salt_);
+  return hasher_->GroupChain(prompt, static_cast<size_t>(routing_group_));
 }
 
 void FleetCore::CountSubmit(const RouteDecision& decision) {

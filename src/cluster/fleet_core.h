@@ -1,10 +1,11 @@
 // The fleet core: everything the deterministic FleetRouter and the threaded FleetFrontend
 // share, written once so the two drivers cannot drift (DESIGN.md §10). It owns
 //   - the per-replica engine configurations (FleetConfig::replica_pool_bytes applied),
-//   - the routing group, its block size and chain salt, the ClusterPrefixIndex with one
-//     feed per replica allocator, replica liveness and stalls, and the seeded round-robin
-//     cursor,
-//   - one load view per replica and one routing decision (affinity chain + DecideRoute),
+//   - the routing group, the ClusterPrefixIndex with one feed per replica allocator,
+//     replica liveness and stalls, and the seeded round-robin cursor,
+//   - one load view per replica and one routing decision (affinity chain + DecideRoute); the
+//     chain comes from a const PromptHasher built like every replica's, so it equals the
+//     chain the replica registers, and no routing thread reaches a shared-prefix table,
 //   - one decision and recovery ledger (FleetCounters) and the request placement map.
 // A driver adds only how it runs the engines: FleetRouter steps them in index order from
 // one thread; FleetFrontend gives each its own engine thread behind a ServingFrontend.
@@ -33,6 +34,7 @@
 
 #include "src/cluster/prefix_index.h"
 #include "src/engine/engine.h"
+#include "src/engine/prompt_hasher.h"
 #include "src/engine/request.h"
 #include "src/fault/fault_injector.h"
 
@@ -230,8 +232,8 @@ class FleetCore {
   std::vector<LoadCell> loads_;
   std::unique_ptr<ClusterPrefixIndex> index_;
   int routing_group_ = -1;
-  int routing_block_size_ = 0;
-  uint64_t routing_salt_ = 0;
+  // Built from replica 0's spec, since a repartition replaces a replica's KvManager.
+  std::unique_ptr<const PromptHasher> hasher_;
   std::atomic<int64_t> rr_cursor_{0};
   // Every field is read and written only through std::atomic_ref (relaxed).
   mutable FleetCounters ledger_;

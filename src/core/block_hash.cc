@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <utility>
 
 #include "src/common/check.h"
 
@@ -85,15 +84,8 @@ BlockHash ExtendBlockHash(BlockHash previous, std::span<const int32_t> block_tok
 
 std::vector<BlockHash> ChainBlockHashes(std::span<const int32_t> tokens, int block_size,
                                         uint64_t salt) {
-  return std::move(ChainBlockHashes(tokens, block_size, std::span<const uint64_t>(&salt, 1))[0]);
-}
-
-std::vector<std::vector<BlockHash>> ChainBlockHashes(std::span<const int32_t> tokens,
-                                                     int block_size,
-                                                     std::span<const uint64_t> salts) {
-  std::vector<std::vector<BlockHash>> hashes(salts.size());
-  const std::vector<int> units(salts.size(), block_size);
-  ExtendChains(tokens, units, salts, hashes);
+  std::vector<BlockHash> hashes;
+  ExtendChains(tokens, std::span(&block_size, 1), std::span(&salt, 1), std::span(&hashes, 1));
   return hashes;
 }
 

@@ -17,11 +17,8 @@ namespace jenga {
 // hashers (InitBlockChain + repeated ExtendBlockHash) produce identical hashes.
 [[nodiscard]] BlockHash InitBlockChain(uint64_t salt);
 
-// The per-group chain salt the KV manager hashes with (group index → salt). Exposed here so
-// layers that compute chains *about* a manager's cache — the cluster router scoring a prompt
-// against per-replica residency summaries — produce hashes identical to the ones the manager
-// registered. Changing this constant invalidates every golden that pins hash-dependent
-// placement.
+// The per-group chain salt (group index → salt) every prompt chain is hashed with. Changing
+// this constant invalidates every golden that pins hash-dependent placement.
 [[nodiscard]] inline uint64_t GroupChainSalt(int group_index) {
   return (static_cast<uint64_t>(group_index) + 1) * 0x9E3779B97F4A7C15ull;
 }
@@ -31,15 +28,9 @@ namespace jenga {
 
 // Hashes all *full* blocks of `tokens` (floor(len / block_size) of them). `salt` namespaces
 // the chain, e.g. per group kind, so identical token streams in different coordinate spaces
-// (text blocks vs Mamba checkpoints) never alias.
+// (text blocks vs Mamba checkpoints) never alias. ExtendChains with one lane.
 [[nodiscard]] std::vector<BlockHash> ChainBlockHashes(std::span<const int32_t> tokens,
                                                       int block_size, uint64_t salt);
-
-// One chain per salt over the same stream and block size, in salt order; chain i equals
-// ChainBlockHashes(tokens, block_size, salts[i]). A thin wrapper of ExtendChains from empty
-// chains.
-[[nodiscard]] std::vector<std::vector<BlockHash>> ChainBlockHashes(
-    std::span<const int32_t> tokens, int block_size, std::span<const uint64_t> salts);
 
 // Completes one chain per lane over the same stream, in lane order: lane i hashes blocks of
 // units[i] tokens under salts[i]. On entry chains[i] holds the hashes of the first k_i full

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <span>
 
@@ -73,10 +71,6 @@ int64_t GroupTokensFor(const Request& r, const KvGroupSpec& group, int64_t prefi
   JENGA_CHECK(false) << "unhandled scope";
 }
 
-bool IsSubsequenceScope(GroupScope scope) {
-  return scope == GroupScope::kImageTokens || scope == GroupScope::kTextTokens;
-}
-
 // True when block j (tokens [j·bs, (j+1)·bs)) overlaps one of the needed token ranges.
 inline bool BlockNeeded(const TokenRanges& ranges, int64_t j, int bs) {
   for (const TokenRange& range : ranges) {
@@ -116,35 +110,10 @@ std::span<const int32_t> UnitPastPrompt(const Request& r, GroupScope scope, int6
   return buf;
 }
 
-// Length of the common prefix of `a` and `b`: memcmp over 64-token strides up to the first
-// stride that differs, then token by token inside it.
-size_t CommonPrefixLength(std::span<const int32_t> a, std::span<const int32_t> b) {
-  constexpr size_t kStride = 64;
-  const size_t n = std::min(a.size(), b.size());
-  size_t i = 0;
-  while (i + kStride <= n &&
-         std::memcmp(a.data() + i, b.data() + i, kStride * sizeof(int32_t)) == 0) {
-    i += kStride;
-  }
-  while (i < n && a[i] == b[i]) {
-    ++i;
-  }
-  return i;
-}
-
 // Order-sensitive mix for the swap round-trip fingerprint (splitmix-style).
 uint64_t MixFingerprint(uint64_t h, uint64_t v) {
   h ^= v + 0x9E3779B97F4A7C15ull + (h << 12) + (h >> 4);
   return h * 0xFF51AFD7ED558CCDull;
-}
-
-// Differential audit of the fused hit scan against the materialized-bitmap reference, and of
-// every chain taken from the shared-prefix table against a from-scratch hash. Off by default
-// (the reference passes re-do every allocator lookup and every hash); the fuzz/chaos stages
-// enable it.
-bool AdmissionScanAuditEnabled() {
-  static const bool enabled = std::getenv("JENGA_CHECK_ADMISSION") != nullptr;
-  return enabled;
 }
 
 }  // namespace
@@ -157,7 +126,8 @@ KvManager::KvManager(KvSpec alloc_spec, KvSpec accounting_spec, int64_t pool_byt
       allocator_(spec_, pool_bytes),
       policies_(std::move(policies)),
       accounting_policies_(
-          MakeLayerPolicies(accounting_spec_, std::max(options_.tokens_per_image, 1))) {
+          MakeLayerPolicies(accounting_spec_, std::max(options_.tokens_per_image, 1))),
+      hasher_(spec_, options_.tokens_per_page) {
   JENGA_CHECK_LE(spec_.groups.size(), kMaxGroups);
   JENGA_CHECK_EQ(policies_.size(), spec_.groups.size()) << "one policy per group";
   for (size_t g = 0; g < spec_.groups.size(); ++g) {
@@ -166,21 +136,6 @@ KvManager::KvManager(KvSpec alloc_spec, KvSpec accounting_spec, int64_t pool_byt
       vision_group_ = static_cast<int>(g);
     }
     defer_refresh_.push_back(policies_[g]->RefreshCoversResidentPages());
-    const GroupScope stream =
-        IsSubsequenceScope(group.scope) ? group.scope : GroupScope::kAllTokens;
-    has_all_token_pass_ = has_all_token_pass_ || stream == GroupScope::kAllTokens;
-    const int unit = HitUnit(g);
-    auto pass = std::find_if(hash_passes_.begin(), hash_passes_.end(), [&](const HashPass& p) {
-      return p.stream == stream && std::all_of(p.units.begin(), p.units.end(), [unit](int u) {
-               return u % unit == 0 || unit % u == 0;
-             });
-    });
-    if (pass == hash_passes_.end()) {
-      pass = hash_passes_.insert(pass, HashPass{stream, {}, {}, {}});
-    }
-    pass->groups.push_back(g);
-    pass->salts.push_back(GroupChainSalt(static_cast<int>(g)));
-    pass->units.push_back(unit);
   }
 }
 
@@ -245,13 +200,8 @@ void KvManager::Untrack(Request& r) {
   requests_.erase(r.id);
 }
 
-int KvManager::HitUnit(size_t g) const {
-  return spec_.groups[g].kind == GroupKind::kMamba ? kMambaCheckpointInterval
-                                                   : options_.tokens_per_page;
-}
-
 KvManager::GroupHit KvManager::HitBlocks(const Request& r, size_t g, int64_t tokens) const {
-  const int unit = HitUnit(g);
+  const int unit = hasher_.unit(g);
   const int64_t group_tokens = GroupTokensFor(r, spec_.groups[g], tokens);
   return GroupHit{group_tokens / unit, group_tokens % unit == 0};
 }
@@ -263,7 +213,7 @@ void KvManager::ForEachHitBlock(const Request& r,
   for (size_t g = 0; g < spec_.groups.size(); ++g) {
     const KvGroupSpec& group = spec_.groups[g];
     const std::vector<BlockHash>& hashes = group_hashes[g];
-    const int unit = HitUnit(g);
+    const int unit = hasher_.unit(g);
     const int64_t blocks = HitBlocks(r, g, hit_tokens).blocks;
     JENGA_CHECK_LE(blocks, static_cast<int64_t>(hashes.size()));
     const int gi = static_cast<int>(g);
@@ -296,7 +246,7 @@ void KvManager::OnAdmit(Request& r, Tick now) {
   if (r.prompt_len() <= bs) {
     return;  // No block boundary below the prompt end to hit.
   }
-  const std::vector<std::vector<BlockHash>>& group_hashes = MemoFor(r).group_hashes;
+  const std::vector<std::vector<BlockHash>>& group_hashes = MemoFor(r);
 
   // Second-chance pass: re-materialize host-resident pages on the GPU *before* scanning for
   // hits, so the scan and the reference-taking below see one consistent allocator state
@@ -350,129 +300,10 @@ void KvManager::OnAdmit(Request& r, Tick now) {
   total_cache_hit_tokens_ += hit_tokens;
 }
 
-KvManager::AdmissionMemo KvManager::BuildAdmissionMemo(const Request& r) {
-  AdmissionMemo memo;
-  memo.group_hashes.resize(spec_.groups.size());
-  const std::span<const int32_t> prompt(r.prompt.tokens);
-  const bool shared = options_.memoize_admission && has_all_token_pass_ &&
-                      ChainsFromSharedPrefix(prompt, memo);
-  std::vector<int32_t> sub;
-  for (const HashPass& pass : hash_passes_) {
-    std::span<const int32_t> stream = prompt;
-    if (pass.stream == GroupScope::kAllTokens) {
-      if (shared) {
-        continue;
-      }
-    } else {
-      const TokenKind kind =
-          pass.stream == GroupScope::kImageTokens ? TokenKind::kImage : TokenKind::kText;
-      sub.clear();
-      for (int64_t i = 0; i < r.prompt_len(); ++i) {
-        if (r.prompt.kind(i) == kind) {
-          sub.push_back(r.prompt.tokens[static_cast<size_t>(i)]);
-        }
-      }
-      stream = sub;
-    }
-    std::vector<std::vector<BlockHash>> chains(pass.groups.size());
-    ExtendChains(stream, pass.units, pass.salts, chains);
-    for (size_t i = 0; i < pass.groups.size(); ++i) {
-      memo.group_hashes[pass.groups[i]] = std::move(chains[i]);
-    }
-  }
-  return memo;
-}
-
-bool KvManager::ChainsFromSharedPrefix(std::span<const int32_t> prompt, AdmissionMemo& memo) {
-  const size_t bs = static_cast<size_t>(options_.tokens_per_page);
-  if (prompt.size() < bs) {
-    return false;  // No first block to key on, and no whole unit to share.
-  }
-  if (shared_prefixes_.empty()) {
-    shared_prefixes_.resize(kSharedPrefixSlots);
-  }
-  const BlockHash key = SharedPrefixKey(prompt);
-  const std::span<SharedPrefix> set =
-      std::span(shared_prefixes_)
-          .subspan(key % (kSharedPrefixSlots / kSharedPrefixWays) * kSharedPrefixWays,
-                   kSharedPrefixWays);
-  const auto held = std::find_if(set.begin(), set.end(), [key](const SharedPrefix& slot) {
-    return slot.used && slot.key == key;
-  });
-  if (held == set.end()) {
-    // An unused slot has last_use 0, so it goes first.
-    SharedPrefix& victim = *std::min_element(
-        set.begin(), set.end(),
-        [](const SharedPrefix& a, const SharedPrefix& b) { return a.last_use < b.last_use; });
-    victim = SharedPrefix{};  // Frees the previous prompt's buffers.
-    victim.used = true;
-    victim.key = key;
-    victim.last_use = ++shared_prefix_clock_;
-    return false;
-  }
-  SharedPrefix& slot = *held;
-  slot.last_use = ++shared_prefix_clock_;
-  // The key only makes a shared prefix likely; the comparison decides how long it is.
-  const size_t common = CommonPrefixLength(prompt, slot.tokens);
-  shared_prefix_reused_tokens_ += static_cast<int64_t>(common);
-  slot.tokens.resize(common);
-  slot.tokens.insert(slot.tokens.end(), prompt.begin() + static_cast<std::ptrdiff_t>(common),
-                     prompt.end());
-  slot.chains.resize(spec_.groups.size());
-  std::vector<std::vector<BlockHash>> chains;
-  for (const HashPass& pass : hash_passes_) {
-    if (pass.stream != GroupScope::kAllTokens) {
-      continue;
-    }
-    // Each lane resumes after its own whole units inside the common prefix.
-    chains.resize(pass.groups.size());
-    for (size_t i = 0; i < pass.groups.size(); ++i) {
-      chains[i] = std::move(slot.chains[pass.groups[i]]);
-      chains[i].resize(
-          std::min(chains[i].size(), common / static_cast<size_t>(pass.units[i])));
-    }
-    ExtendChains(prompt, pass.units, pass.salts, chains);
-    if (AdmissionScanAuditEnabled()) {
-      for (size_t i = 0; i < pass.groups.size(); ++i) {
-        const std::vector<BlockHash> scratch =
-            ChainBlockHashes(prompt, pass.units[i], pass.salts[i]);
-        JENGA_CHECK_EQ(chains[i].size(), scratch.size());
-        for (size_t j = 0; j < scratch.size(); ++j) {
-          JENGA_CHECK_EQ(chains[i][j], scratch[j])
-              << "shared-prefix chain of group " << pass.groups[i] << " diverged at unit " << j;
-        }
-      }
-    }
-    for (size_t i = 0; i < pass.groups.size(); ++i) {
-      memo.group_hashes[pass.groups[i]] = chains[i];
-      slot.chains[pass.groups[i]] = std::move(chains[i]);
-    }
-  }
-  return true;
-}
-
-BlockHash KvManager::SharedPrefixKey(std::span<const int32_t> prompt) const {
-  return ExtendBlockHash(InitBlockChain(0),
-                         prompt.first(static_cast<size_t>(options_.tokens_per_page)));
-}
-
-KvManager::SharedPrefixStats KvManager::shared_prefix_stats() const {
-  SharedPrefixStats stats;
-  stats.reused_tokens = shared_prefix_reused_tokens_;
-  for (const SharedPrefix& slot : shared_prefixes_) {
-    stats.entries += slot.used ? 1 : 0;
-    stats.stored_tokens += static_cast<int64_t>(slot.tokens.size());
-    for (const std::vector<BlockHash>& chain : slot.chains) {
-      stats.stored_hashes += static_cast<int64_t>(chain.size());
-    }
-  }
-  return stats;
-}
-
-const KvManager::AdmissionMemo& KvManager::MemoFor(const Request& r) {
+const std::vector<std::vector<BlockHash>>& KvManager::MemoFor(const Request& r) {
   const auto [it, inserted] = admission_memos_.try_emplace(r.id);
   if (inserted) {
-    it->second = BuildAdmissionMemo(r);
+    it->second = hasher_.PromptChains(r.prompt, /*use_table=*/options_.memoize_admission);
   }
   return it->second;
 }
@@ -510,7 +341,7 @@ int64_t KvManager::ResolveHitBoundary(const Request& r,
       // be hits for it — conservative for modality-subsequence groups.
       const GroupHit hit = HitBlocks(r, g, b * bs);
       all = hit.aligned && hit.blocks <= static_cast<int64_t>(group_hashes[g].size()) &&
-            policies_[g]->PrefixValid(resolvers[g], hit.blocks, HitUnit(g));
+            policies_[g]->PrefixValid(resolvers[g], hit.blocks, hasher_.unit(g));
     }
     if (all) {
       result = b;
@@ -518,7 +349,7 @@ int64_t KvManager::ResolveHitBoundary(const Request& r,
     }
   }
 
-  if (AdmissionScanAuditEnabled()) {
+  if (AdmissionAuditEnabled()) {
     std::vector<std::vector<bool>> bitmaps = BuildValidBitmaps(r, group_hashes, include_host);
     for (std::vector<bool>& valid : bitmaps) {
       valid.resize(static_cast<size_t>(num_boundaries) + 1);
@@ -735,19 +566,19 @@ void KvManager::TruncateBlockTable(RequestKv& state, int g, int64_t size) {
 
 void KvManager::RegisterHashes(Request& r, RequestKv& state, Tick now) {
   // Most decode steps complete no unit, so the memo is fetched only for the first one that does.
-  const AdmissionMemo* memo = nullptr;
+  const std::vector<std::vector<BlockHash>>* memo = nullptr;
   std::vector<int32_t> straddle;
   for (size_t g = 0; g < spec_.groups.size(); ++g) {
     const KvGroupSpec& group = spec_.groups[g];
     SmallPageAllocator& alloc = allocator_.group(static_cast<int>(g));
     GroupState& gs = state.groups[g];
-    const int unit = HitUnit(g);
+    const int unit = hasher_.unit(g);
     const int64_t units = GroupTokensFor(r, group, r.num_computed_tokens) / unit;
     for (int64_t j = gs.hashed_blocks; j < units; ++j) {
       if (memo == nullptr) {
         memo = &MemoFor(r);
       }
-      const std::vector<BlockHash>& prompt_hashes = memo->group_hashes[g];
+      const std::vector<BlockHash>& prompt_hashes = (*memo)[g];
       gs.chain = j < static_cast<int64_t>(prompt_hashes.size())
                      ? prompt_hashes[static_cast<size_t>(j)]
                      : ExtendBlockHash(gs.chain, UnitPastPrompt(r, group.scope, j, unit, straddle));
@@ -842,14 +673,9 @@ void KvManager::FreeConsumedVisionPages(const Request& r, RequestKv& state, Tick
 }
 
 RequestPages KvManager::ViewOf(const Request& r, const RequestKv& state, int g) const {
-  const KvGroupSpec& group = spec_.groups[static_cast<size_t>(g)];
-  RequestPages view;
-  view.request = r.id;
-  view.pages = state.groups[static_cast<size_t>(g)].pages;
-  view.num_tokens = GroupTokensFor(r, group, r.num_computed_tokens);
-  view.tokens_per_page =
-      group.kind == GroupKind::kMamba ? kMambaCheckpointInterval : group.tokens_per_page;
-  return view;
+  const size_t gi = static_cast<size_t>(g);
+  return RequestPages{r.id, state.groups[gi].pages,
+                      GroupTokensFor(r, spec_.groups[gi], r.num_computed_tokens), hasher_.unit(gi)};
 }
 
 void KvManager::OnStepComputed(Request& r, Tick now) {
@@ -890,7 +716,7 @@ void KvManager::OnStepComputed(Request& r, Tick now) {
 
 int64_t KvManager::TokensToReach(const Request& r, size_t g, int64_t group_tokens) const {
   const KvGroupSpec& group = spec_.groups[g];
-  if (!IsSubsequenceScope(group.scope)) {
+  if (group.scope != GroupScope::kImageTokens && group.scope != GroupScope::kTextTokens) {
     return group_tokens;
   }
   if (group.scope == GroupScope::kImageTokens && group_tokens > r.ImageTokens()) {
@@ -931,7 +757,7 @@ int64_t KvManager::NextKvEvent(const Request& r, const RequestKv& state) const {
     const GroupState& gs = state.groups[g];
     if (options_.enable_prefix_caching) {
       // The next hit unit completes: a content hash, or a Mamba checkpoint.
-      next = std::min(next, TokensToReach(r, g, (gs.hashed_blocks + 1) * HitUnit(g)));
+      next = std::min(next, TokensToReach(r, g, (gs.hashed_blocks + 1) * hasher_.unit(g)));
     }
     const KvGroupSpec& group = spec_.groups[g];
     const int bs = group.tokens_per_page;
@@ -959,7 +785,7 @@ bool KvManager::StepWalkIsNoOp(const Request& r, const RequestKv& state) const {
     const int64_t size = static_cast<int64_t>(gs.pages.size());
     const int bs = group.tokens_per_page;
     if (!defer_refresh_[g] ||
-        (options_.enable_prefix_caching && tokens / HitUnit(g) != gs.hashed_blocks)) {
+        (options_.enable_prefix_caching && tokens / hasher_.unit(g) != gs.hashed_blocks)) {
       return false;
     }
     if (gs.drop_cursor >= size) {
@@ -1051,7 +877,7 @@ uint64_t KvManager::StateFingerprint(const RequestKv& state) const {
     const GroupState& gs = state.groups[g];
     h = MixFingerprint(h, static_cast<uint64_t>(g));
     h = MixFingerprint(h, gs.chain);
-    h = MixFingerprint(h, static_cast<uint64_t>(gs.hashed_blocks * HitUnit(g)));
+    h = MixFingerprint(h, static_cast<uint64_t>(gs.hashed_blocks * hasher_.unit(g)));
     h = MixFingerprint(h, static_cast<uint64_t>(gs.pages.size()));
   }
   return h;
@@ -1119,7 +945,6 @@ std::vector<std::vector<bool>> KvManager::BuildValidBitmaps(
   const int64_t num_boundaries = r.prompt_len() / bs;
   std::vector<std::vector<bool>> valid_global(spec_.groups.size());
   for (size_t g = 0; g < spec_.groups.size(); ++g) {
-    const KvGroupSpec& group = spec_.groups[g];
     const SmallPageAllocator& alloc = allocator_.group(static_cast<int>(g));
     std::vector<bool>& valid = valid_global[g];
     valid.assign(static_cast<size_t>(num_boundaries) + 1, false);
@@ -1134,40 +959,18 @@ std::vector<std::vector<bool>> KvManager::BuildValidBitmaps(
                nullptr);
     }
 
-    if (group.kind == GroupKind::kMamba) {
-      const std::vector<bool> gv =
-          policies_[g]->GetPossiblePrefix(is_hit, kMambaCheckpointInterval);
-      for (int64_t b = 1; b <= num_boundaries; ++b) {
-        const int64_t tokens = b * bs;
-        if (tokens % kMambaCheckpointInterval != 0) {
-          continue;
-        }
-        const size_t k = static_cast<size_t>(tokens / kMambaCheckpointInterval);
-        if (k < gv.size()) {
-          valid[static_cast<size_t>(b)] = gv[k];
-        }
+    // Only boundaries on the group's own unit edge count: every one for all-token groups, the
+    // checkpoint edges for Mamba, the block-aligned ones for subsequence groups (conservative).
+    // Mapped here apart from HitBlocks, which the fused scan uses.
+    const int unit = hasher_.unit(g);
+    const std::vector<bool> gv = policies_[g]->GetPossiblePrefix(is_hit, unit);
+    for (int64_t b = 1; b <= num_boundaries; ++b) {
+      const int64_t group_tokens = GroupTokensFor(r, spec_.groups[g], b * bs);
+      const size_t k = static_cast<size_t>(group_tokens / unit);
+      if (group_tokens % unit == 0 && k < gv.size()) {
+        valid[static_cast<size_t>(b)] = gv[k];
       }
-      continue;
     }
-
-    if (IsSubsequenceScope(group.scope)) {
-      const std::vector<bool> gv = policies_[g]->GetPossiblePrefix(is_hit, bs);
-      for (int64_t b = 1; b <= num_boundaries; ++b) {
-        const int64_t sub_count = GroupTokensFor(r, group, b * bs);
-        // Conservative: only block-aligned subsequence coverage counts as a hit.
-        if (sub_count % bs != 0) {
-          continue;
-        }
-        const size_t blocks = static_cast<size_t>(sub_count / bs);
-        if (blocks < gv.size()) {
-          valid[static_cast<size_t>(b)] = gv[blocks];
-        }
-      }
-      continue;
-    }
-
-    // All-token groups: boundaries map 1:1 to group blocks.
-    valid = policies_[g]->GetPossiblePrefix(is_hit, bs);
   }
   return valid_global;
 }

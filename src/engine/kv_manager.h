@@ -11,7 +11,6 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -20,6 +19,7 @@
 #include "src/core/jenga_allocator.h"
 #include "src/core/layer_policy.h"
 #include "src/core/policy_factory.h"
+#include "src/engine/prompt_hasher.h"
 #include "src/engine/request.h"
 #include "src/model/kv_spec.h"
 #include "src/model/model_config.h"
@@ -199,20 +199,10 @@ class KvManager {
   // True while some request is admitted (its KvHandle points into this manager).
   [[nodiscard]] bool tracks_requests() const { return !requests_.empty(); }
 
-  // The shared-prefix table's contents (BuildAdmissionMemo): what it holds now, and how many
-  // prompt tokens admissions have found in it so far.
-  struct SharedPrefixStats {
-    int64_t entries = 0;        // Slots holding a key; at most kSharedPrefixSlots.
-    int64_t stored_tokens = 0;  // Prompt tokens held across the slots.
-    int64_t stored_hashes = 0;  // Chain hashes held across the slots.
-    int64_t reused_tokens = 0;  // Cumulative common-prefix tokens of memo builds.
-  };
-  [[nodiscard]] SharedPrefixStats shared_prefix_stats() const;
+  // The prompt hasher admissions build their chains with (its shared-prefix table included).
+  [[nodiscard]] const PromptHasher& hasher() const { return hasher_; }
   // Grows whose claim walk was settled from counters instead of run (GrowBlockTables).
   [[nodiscard]] int64_t settled_walks() const { return settled_walks_; }
-  static constexpr size_t kSharedPrefixSlots = 256;
-  // Slots per set: a key may sit in any slot of its set.
-  static constexpr size_t kSharedPrefixWays = 4;
 
  private:
   // Drives the claim walk and the feasibility bound separately (differential soundness test).
@@ -220,42 +210,7 @@ class KvManager {
 
   using GroupState = RequestKv::GroupState;
 
-  // A request's per-group prompt hash chains, one hash per whole hit unit of the group's
-  // prompt stream (its modality subsequence for image/text-scoped groups): the input of
-  // OnAdmit's §5.2 scan and the hashes RegisterHashes registers for prompt units. Built on
-  // first use (MemoFor) and immutable, since prompts never change. Entries are dropped when
-  // the request id retires (Release(finished) / OnRequestRetired), and at every Release when
-  // memoize_admission is off; with it on, preempted requests keep theirs.
-  struct AdmissionMemo {
-    std::vector<std::vector<BlockHash>> group_hashes;
-  };
-
-  // One slot of the shared-prefix table: the most recent prompt whose first block hashed to
-  // `key`, with the chains of every all-token group over it (empty for subsequence groups).
-  // Prompts that share a first block mostly share far more (questions over one document), so
-  // a new prompt copies the chains of the whole units inside its common prefix with the slot
-  // and hashes only the rest. A key's first sighting stores the key alone, so prompts that
-  // share nothing store nothing.
-  struct SharedPrefix {
-    bool used = false;
-    BlockHash key = 0;
-    uint64_t last_use = 0;  // shared_prefix_clock_ at the slot's latest lookup; 0 when unused.
-    std::vector<int32_t> tokens;
-    std::vector<std::vector<BlockHash>> chains;
-  };
-
-  // Groups whose prompt chains one BuildAdmissionMemo pass hashes together, one ExtendChains
-  // lane each: they share a token stream (the prompt for all-token and per-sequence groups,
-  // its text or image subsequence for text- and image-scoped ones), and their hit units divide
-  // one another (Jamba's 16-token blocks and 512-token Mamba checkpoints).
-  struct HashPass {
-    GroupScope stream = GroupScope::kAllTokens;  // kAllTokens: the whole prompt.
-    std::vector<size_t> groups;
-    std::vector<uint64_t> salts;  // GroupChainSalt of each of `groups`.
-    std::vector<int> units;       // HitUnit of each of `groups`.
-  };
-
-  // A group's share of a global prefix, in the group's hit unit (HitUnit): whole units
+  // A group's share of a global prefix, in the group's hit unit (PromptHasher::unit): whole units
   // covered, and whether the prefix ends exactly on a unit edge.
   struct GroupHit {
     int64_t blocks = 0;
@@ -274,9 +229,6 @@ class KvManager {
   RequestKv& TrackRequest(Request& r);
   // Stops tracking `r`: drops its state and clears its handle (Release, failed restore).
   void Untrack(Request& r);
-  // Group g's hit unit: the checkpoint interval for Mamba, a block otherwise (of the group's
-  // modality subsequence for image/text-scoped groups).
-  [[nodiscard]] int HitUnit(size_t g) const;
   // The one boundary→block mapping of the §5.2 hit logic: group g's share of a `tokens`-long
   // prompt prefix. Only aligned shares can be hits; all-token groups are always aligned.
   [[nodiscard]] GroupHit HitBlocks(const Request& r, size_t g, int64_t tokens) const;
@@ -286,19 +238,11 @@ class KvManager {
   template <typename Fn>
   void ForEachHitBlock(const Request& r, const std::vector<std::vector<BlockHash>>& group_hashes,
                        int64_t hit_tokens, Fn&& fn) const;
-  // Hashes r's prompt chains: the all-token passes through the shared-prefix table (when
-  // memoize_admission is on), the subsequence passes from scratch.
-  [[nodiscard]] AdmissionMemo BuildAdmissionMemo(const Request& r);
-  // Fills the all-token groups of `memo` for `prompt` from its slot of the shared-prefix table
-  // and extends them past the common prefix, then makes the slot hold `prompt`. Returns false,
-  // touching nothing in `memo`, when no slot of the key's set holds the key; the key then
-  // replaces the set's least recently used slot.
-  bool ChainsFromSharedPrefix(std::span<const int32_t> prompt, AdmissionMemo& memo);
-  // The shared-prefix key of a prompt of at least one block: a hash of its first block. The
-  // set is the key modulo kSharedPrefixSlots / kSharedPrefixWays.
-  [[nodiscard]] BlockHash SharedPrefixKey(std::span<const int32_t> prompt) const;
-  // `r`'s memo, built on first use.
-  const AdmissionMemo& MemoFor(const Request& r);
+  // `r`'s per-group prompt chains (PromptChains, through the table when memoize_admission is
+  // on), built on first use: the input of OnAdmit's §5.2 scan and the prompt units' hashes
+  // RegisterHashes registers. Dropped when the id retires, and at every Release without
+  // memoize_admission; with it, preempted requests keep theirs.
+  const std::vector<std::vector<BlockHash>>& MemoFor(const Request& r);
   // Fused, early-exiting replacement for BuildValidBitmaps + LongestCommonValidPrefix: scans
   // boundaries top-down and resolves block hits lazily, finding the identical boundary while
   // touching O(blocks) allocator lookups instead of materializing every per-group bitmap.
@@ -410,20 +354,10 @@ class KvManager {
   // event-driven step is tested against.
   std::vector<bool> defer_refresh_;
   int vision_group_ = -1;
-  // The spec's groups partitioned by stream, and within a stream into sets of units that
-  // divide one another, in order of each pass's first group.
-  std::vector<HashPass> hash_passes_;
+  PromptHasher hasher_;
   // Owns every admitted request's state; node-based, so a handle stays valid until Untrack.
   std::unordered_map<RequestId, RequestKv> requests_;
-  // Populated lazily (MemoFor); survives preemption when memoize_admission is on.
-  std::unordered_map<RequestId, AdmissionMemo> admission_memos_;
-  // True when some hash pass runs over the whole prompt (the shared-prefix table's only use).
-  bool has_all_token_pass_ = false;
-  // Two-way set-associative on the first-block key (set s is slots 2s and 2s + 1), so two
-  // documents whose keys share a set do not evict each other; allocated on first use.
-  std::vector<SharedPrefix> shared_prefixes_;
-  uint64_t shared_prefix_clock_ = 0;
-  int64_t shared_prefix_reused_tokens_ = 0;
+  std::unordered_map<RequestId, std::vector<std::vector<BlockHash>>> admission_memos_;  // MemoFor
   int64_t total_cache_hit_tokens_ = 0;
   int64_t settled_walks_ = 0;
   // DropUnneededPages' run for one ReleaseN (empty between calls; capacity reused).

@@ -8,6 +8,7 @@
 
 #include "src/cluster/cluster_metrics.h"
 #include "src/common/random.h"
+#include "src/core/block_hash.h"
 #include "src/workload/datasets.h"
 #include "tests/cluster/fleet_test_util.h"
 
@@ -141,6 +142,40 @@ TEST(FleetRouterTest, SecondRequestFollowsWarmPrefix) {
   EXPECT_EQ(fleet.counters().routed_least_loaded, 1);
   EXPECT_EQ(fleet.PlacementOf(2), warm.replica);
   EXPECT_EQ(fleet.PlacementOf(999), -1);
+}
+
+TEST(FleetRouterTest, MergedPassRoutesLikeTheReplicaHashes) {
+  // TinySlidingModel's full-attention and sliding-window groups share one two-lane hash pass,
+  // and from a document's third sighting on a replica takes that pass's chains from its
+  // shared-prefix table. The router hashes the routing group alone, from scratch; its chain
+  // must match what the replica registered either way.
+  FleetConfig config = TestFleetConfig(2, RoutePolicy::kPrefixAffinity);
+  config.engine.model = TinySlidingModel();
+  FleetRouter fleet(config);
+  ASSERT_EQ(fleet.core().routing_group(), 0);
+  const std::vector<PromptHasher::HashPass>& passes = fleet.replica(0).kv().hasher().passes();
+  ASSERT_EQ(passes.size(), 1u);
+  ASSERT_EQ(passes[0].groups.size(), 2u);
+
+  constexpr int64_t kArticle = 128;
+  const auto question = [&](int q) { return ArticlePrompt(7, kArticle + 40, q, kArticle); };
+  const RouteDecision warm = fleet.Submit(MakeRequest(1, question(0), 4, 0.0));
+  fleet.RunToCompletion();
+  for (int q = 1; q <= 2; ++q) {
+    SCOPED_TRACE(q);
+    const PromptHasher& replica_hasher = fleet.replica(warm.replica).kv().hasher();
+    const int64_t reused = replica_hasher.shared_prefix_stats().reused_tokens;
+    const Prompt prompt = question(q);
+    EXPECT_EQ(fleet.core().RoutingChain(prompt), ChainBlockHashes(prompt.tokens, 16,
+                                                                  GroupChainSalt(0)));
+    const RouteDecision follow = fleet.Submit(MakeRequest(1 + q, prompt, 4, 0.0));
+    EXPECT_EQ(follow.replica, warm.replica);
+    EXPECT_EQ(follow.reason, RouteDecision::Reason::kAffinity);
+    EXPECT_EQ(follow.affinity_blocks, kArticle / 16);
+    fleet.RunToCompletion();
+    // The second sighting stores the document; the third reuses it from the table.
+    EXPECT_EQ(replica_hasher.shared_prefix_stats().reused_tokens - reused, q == 1 ? 0 : kArticle);
+  }
 }
 
 TEST(FleetRouterTest, SpilloverWhenAffineReplicaSaturated) {

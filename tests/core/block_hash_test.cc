@@ -62,9 +62,9 @@ TEST(ChainBlockHashes, NoCollisionsOnSmallUniverse) {
 }
 
 TEST(ChainBlockHashes, MultiSaltEqualsPerSaltChains) {
-  // Each lane of the interleaved pass must equal that salt's chain hashed alone, and the
-  // incremental InitBlockChain + ExtendBlockHash chain: every block size, full and partial
-  // tails, the empty stream, and one to four salts.
+  // Each lane of an ExtendChains pass whose lanes share one unit must equal that salt's chain
+  // hashed alone, and the incremental InitBlockChain + ExtendBlockHash chain: every block size,
+  // full and partial tails, the empty stream, and one to four salts.
   const std::vector<uint64_t> all_salts = {GroupChainSalt(0), GroupChainSalt(1), 0, 7};
   uint32_t state = 12345;
   for (const int bs : {1, 3, 16, 512}) {
@@ -79,7 +79,9 @@ TEST(ChainBlockHashes, MultiSaltEqualsPerSaltChains) {
       for (size_t lanes = 1; lanes <= all_salts.size(); ++lanes) {
         SCOPED_TRACE(testing::Message() << "bs=" << bs << " len=" << len << " lanes=" << lanes);
         const std::span<const uint64_t> salts(all_salts.data(), lanes);
-        const std::vector<std::vector<BlockHash>> chains = ChainBlockHashes(tokens, bs, salts);
+        const std::vector<int> units(lanes, bs);
+        std::vector<std::vector<BlockHash>> chains(lanes);
+        ExtendChains(tokens, units, salts, chains);
         ASSERT_EQ(chains.size(), lanes);
         for (size_t l = 0; l < lanes; ++l) {
           EXPECT_EQ(chains[l], ChainBlockHashes(tokens, bs, salts[l]));

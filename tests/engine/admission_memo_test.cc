@@ -69,9 +69,9 @@ int ExpectMemoEquivalent(const EngineConfig& config, const std::function<void(En
 
   EXPECT_EQ(Fingerprint(memoized), Fingerprint(reference)) << "model " << config.model.name;
   // The reference hashes every prompt from scratch.
-  EXPECT_EQ(reference.kv().shared_prefix_stats().reused_tokens, 0);
+  EXPECT_EQ(reference.kv().hasher().shared_prefix_stats().reused_tokens, 0);
   if (reused_tokens != nullptr) {
-    *reused_tokens = memoized.kv().shared_prefix_stats().reused_tokens;
+    *reused_tokens = memoized.kv().hasher().shared_prefix_stats().reused_tokens;
   }
   int preemptions = 0;
   for (const RequestRecord& r : memoized.metrics().finished()) {
@@ -111,19 +111,6 @@ void SubmitTextBatch(Engine& engine, int64_t prompt_len, int64_t output_len) {
   }
 }
 
-// `docs` shared documents of `doc_len` tokens; request i asks about document i % docs with its
-// own `suffix_len`-token question.
-Prompt SharedDocPrompt(int i, int docs, int64_t doc_len, int64_t suffix_len) {
-  Prompt prompt;
-  for (int64_t k = 0; k < doc_len; ++k) {
-    prompt.tokens.push_back(1000000 + (i % docs) * 100000 + static_cast<int32_t>(k));
-  }
-  for (int64_t k = 0; k < suffix_len; ++k) {
-    prompt.tokens.push_back(2000000 + i * 1000 + static_cast<int32_t>(k));
-  }
-  return prompt;
-}
-
 TEST(AdmissionMemo, SharedDocumentBatch) {
   // Questions over two shared documents: later prompts take the document's chains from the
   // shared-prefix table, the reference hashes each prompt from scratch, and the trajectories
@@ -143,52 +130,6 @@ TEST(AdmissionMemo, SharedDocumentBatch) {
     EXPECT_GT(preemptions, 0) << model.name;
     EXPECT_GE(reused_tokens, 8 * doc_len) << model.name;
   }
-}
-
-TEST(AdmissionMemo, SharedPrefixTableStaysBounded) {
-  // 20k distinct prompts through one engine. The first 10k share no first block with any other
-  // prompt, so the table holds their keys alone; in the next 10k every fifth prompt asks about
-  // one of four documents, and only those prompts are ever stored.
-  EngineConfig config;
-  config.model = TinySlidingModel();
-  config.gpu = TestGpu();
-  config.jenga = true;
-  const KvSpec spec = MakeJengaSpec(config.model, config.tokens_per_page, false);
-  config.pool_bytes_override = spec.LcmPageBytes() * 256;
-  Engine engine(config);
-  constexpr int kWave = 400;
-  constexpr int kPrompts = 20000;
-  constexpr int kDocs = 4;
-  constexpr int64_t kDocPromptLen = 64 + 8;
-  for (int wave = 0; wave * kWave < kPrompts; ++wave) {
-    for (int i = wave * kWave; i < (wave + 1) * kWave; ++i) {
-      Prompt prompt;
-      if (i >= kPrompts / 2 && i % 5 == 0) {
-        prompt = SharedDocPrompt(i, kDocs, kDocPromptLen - 8, 8);
-      } else {
-        for (int32_t k = 0; k < 40; ++k) {
-          prompt.tokens.push_back(50000000 + i * 100 + k);
-        }
-      }
-      engine.Submit(MakeRequest(i, std::move(prompt), 2, engine.now()));
-    }
-    engine.RunToCompletion();
-    const KvManager::SharedPrefixStats stats = engine.kv().shared_prefix_stats();
-    ASSERT_LE(stats.entries, static_cast<int64_t>(KvManager::kSharedPrefixSlots));
-    if ((wave + 1) * kWave <= kPrompts / 2) {
-      ASSERT_EQ(stats.stored_tokens, 0) << "wave " << wave;
-      ASSERT_EQ(stats.stored_hashes, 0) << "wave " << wave;
-    } else {
-      ASSERT_LE(stats.stored_tokens, kDocs * kDocPromptLen) << "wave " << wave;
-      ASSERT_LE(stats.stored_hashes, kDocs * static_cast<int64_t>(spec.groups.size()) *
-                                         (kDocPromptLen / config.tokens_per_page))
-          << "wave " << wave;
-    }
-  }
-  EXPECT_EQ(engine.metrics().CompletedRequests(), kPrompts);
-  EXPECT_EQ(engine.kv().shared_prefix_stats().entries,
-            static_cast<int64_t>(KvManager::kSharedPrefixSlots));
-  EXPECT_GT(engine.kv().shared_prefix_stats().reused_tokens, 0);
 }
 
 TEST(AdmissionMemo, FullAttentionPreemptReAdmit) {

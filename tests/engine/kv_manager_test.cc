@@ -68,23 +68,6 @@ struct KvManagerTestPeer {
   static int64_t NextEvent(const KvManager& kv, const Request& r) {
     return kv.StateOf(r).next_event;
   }
-  // Every group's prompt chains for `r`, built on first use as an admission builds them.
-  static std::vector<std::vector<BlockHash>> MemoChains(KvManager& kv, const Request& r) {
-    return kv.MemoFor(r).group_hashes;
-  }
-  // The shared-prefix set a prompt of at least one block maps to.
-  static size_t SharedPrefixSet(const KvManager& kv, const Prompt& prompt) {
-    return kv.SharedPrefixKey(prompt.tokens) %
-           (KvManager::kSharedPrefixSlots / KvManager::kSharedPrefixWays);
-  }
-  // The hit units of each hash pass, in pass order.
-  static std::vector<std::vector<int>> HashPassUnits(const KvManager& kv) {
-    std::vector<std::vector<int>> units;
-    for (const KvManager::HashPass& pass : kv.hash_passes_) {
-      units.push_back(pass.units);
-    }
-    return units;
-  }
 };
 
 namespace {
@@ -375,34 +358,6 @@ TEST(KvManager, SlidingWindowHitNeedsTheBlockBeforeItsWindow) {
   ExpectConsistent(*kv);
 }
 
-// A LLaVA-style vision model: image tokens enter the decoder sequence, so its attention group
-// covers every token while the vision-embedding group covers the image subsequence.
-ModelConfig TinyInlineVisionModel() {
-  ModelConfig model = TinyFullModel();
-  model.name = "tiny-inline-vision";
-  model.vision = TinyVisionModel().vision;
-  return model;
-}
-
-// The token stream of `r` that a `scope` group hashes, rebuilt from the prompt's tokens and
-// kinds, then the generated tokens (text).
-std::vector<int32_t> GroupStream(const Request& r, GroupScope scope) {
-  std::vector<int32_t> stream;
-  for (int64_t i = 0; i < r.prompt_len(); ++i) {
-    const bool image = r.prompt.kind(i) == TokenKind::kImage;
-    const bool in_stream = scope == GroupScope::kImageTokens  ? image
-                           : scope == GroupScope::kTextTokens ? !image
-                                                              : true;
-    if (in_stream) {
-      stream.push_back(r.prompt.tokens[static_cast<size_t>(i)]);
-    }
-  }
-  if (scope != GroupScope::kImageTokens) {
-    stream.insert(stream.end(), r.generated.begin(), r.generated.end());
-  }
-  return stream;
-}
-
 TEST(KvManager, RegisteredHashesMatchAnIndependentChain) {
   // After decoding past the prompt, every whole hit unit of every group — the prompt's and the
   // ones past it — is resident under the hash a from-scratch chain over the group's stream
@@ -451,41 +406,10 @@ TEST(KvManager, RegisteredHashesMatchAnIndependentChain) {
   }
 }
 
-// The first `head_len` tokens of `head`, then `tail_len` text tokens with ids from `tail_base`.
-Prompt PrefixPlusTail(const Prompt& head, int64_t head_len, int64_t tail_len, int32_t tail_base) {
-  Prompt prompt;
-  int64_t image_tokens = 0;
-  for (int64_t i = 0; i < head_len; ++i) {
-    prompt.tokens.push_back(head.tokens[static_cast<size_t>(i)]);
-    prompt.kinds.push_back(head.kind(i));
-    image_tokens += head.kind(i) == TokenKind::kImage ? 1 : 0;
-  }
-  for (int64_t i = 0; i < tail_len; ++i) {
-    prompt.tokens.push_back(tail_base + static_cast<int32_t>(i));
-    prompt.kinds.push_back(TokenKind::kText);
-  }
-  prompt.num_images = image_tokens == 0 ? 0 : head.num_images;
-  return prompt;
-}
-
-// Every group's memo chain for `r` equals a from-scratch chain over the group's stream.
-void ExpectChainsFromScratch(KvManager& kv, const Request& r) {
-  const std::vector<std::vector<BlockHash>> chains = KvManagerTestPeer::MemoChains(kv, r);
-  const KvSpec& spec = kv.alloc_spec();
-  for (int g = 0; g < static_cast<int>(spec.groups.size()); ++g) {
-    const KvGroupSpec& group = spec.groups[static_cast<size_t>(g)];
-    const int unit = group.kind == GroupKind::kMamba ? kMambaCheckpointInterval : kBs;
-    EXPECT_EQ(chains[static_cast<size_t>(g)],
-              ChainBlockHashes(GroupStream(r, group.scope), unit, GroupChainSalt(g)))
-        << "request " << r.id << " group " << g << " (" << GroupKindName(group.kind) << ")";
-  }
-}
-
-TEST(KvManager, SharedPrefixChainsMatchFromScratch) {
-  // One manager sees a sequence of prompts over one 1,100-token document, shaped to hit every
-  // case of the shared-prefix table; after each admission every group's memo chain must equal
-  // ChainBlockHashes over the group's stream. The vision specs' image-scoped (and, with
-  // cross-attention, text-scoped) passes bypass the table and still hash from scratch.
+TEST(KvManager, PreemptedReAdmissionReusesItsMemo) {
+  // A preempted request re-admits with its own memo, whatever the shared-prefix slot of its
+  // document holds by then: the re-admission looks nothing up in the table, and once computed
+  // every whole hit unit of every group is resident under its from-scratch hash.
   struct Case {
     ModelConfig model;
     int images;
@@ -501,184 +425,42 @@ TEST(KvManager, SharedPrefixChainsMatchFromScratch) {
     RequestId next_id = 1;
     Tick now = 0;
     int32_t tail_base = 50000;
-    // Admits `prompt`, checks its chains, computes it and finishes it.
-    auto serve = [&](const Prompt& prompt) {
+    const auto with_tail = [&]() {
+      tail_base += 100;
+      return PrefixPlusTail(doc, 1100, 24, tail_base);
+    };
+    const auto serve = [&](const Prompt& prompt) {
       Request r = MakeRequest(next_id++, prompt, 2, 0.0);
       kv->OnAdmit(r, ++now);
-      ExpectChainsFromScratch(*kv, r);
       ComputeTokens(*kv, r, r.prompt_len() - r.num_computed_tokens, now);
       kv->Release(r, /*finished=*/true);
     };
-    auto with_tail = [&](int64_t head_len, int64_t tail_len = 24) {
-      tail_base += 100;
-      return PrefixPlusTail(doc, head_len, tail_len, tail_base);
-    };
+    serve(with_tail());
+    serve(with_tail());
 
-    // Chain hashes the table stores for a prompt of `len` tokens.
-    const auto stored_hashes = [&](int64_t len) {
-      int64_t hashes = 0;
-      for (const KvGroupSpec& group : kv->alloc_spec().groups) {
-        if (group.scope == GroupScope::kAllTokens || group.scope == GroupScope::kPerSequence) {
-          hashes += len / (group.kind == GroupKind::kMamba ? kMambaCheckpointInterval : kBs);
-        }
-      }
-      return hashes;
-    };
-    const int64_t all_token_hashes = stored_hashes(1124);
-
-    serve(with_tail(1100));  // First sighting of the key: the slot stores the key alone.
-    serve(with_tail(1100));  // Second: the slot stores the prompt, nothing is reused yet.
-    const int64_t before = kv->shared_prefix_stats().reused_tokens;
-    serve(with_tail(1100));  // A distinct suffix: the whole document is reused.
-    EXPECT_EQ(kv->shared_prefix_stats().reused_tokens - before,
-              all_token_hashes == 0 ? 0 : 1100);
-    serve(with_tail(601));   // Divergence mid-block (and inside the second Mamba interval).
-    serve(with_tail(608));   // Divergence at a block edge.
-    serve(with_tail(512));   // ... and at a Mamba checkpoint edge.
-    const Prompt repeated = with_tail(700);
-    serve(repeated);
-    serve(repeated);                      // An identical prompt.
-    serve(PrefixPlusTail(repeated, 300, 0, 0));  // A strict prefix of the stored prompt.
-    serve(with_tail(1100));               // The stored prompt is a strict prefix of this one.
-    serve(PrefixPlusTail(doc, 10, 0, 0));  // Shorter than one block.
-
-    // One prompt more than the set has ways, each with its own first block: the document and
-    // rivals[0..ways-2] fill the set; rivals[ways-1] evicts the least recently used of them,
-    // which is then re-seen twice before its chains are reused again.
-    const size_t ways = KvManager::kSharedPrefixWays;
-    std::vector<Prompt> rivals;
-    for (int32_t base = 900000; rivals.size() < ways; base += 1000) {
-      Prompt rival = PrefixPlusTail(doc, 0, 200, base);
-      if (KvManagerTestPeer::SharedPrefixSet(*kv, rival) ==
-          KvManagerTestPeer::SharedPrefixSet(*kv, doc)) {
-        rivals.push_back(std::move(rival));
-      }
-    }
-    const auto reused_by = [&](const Prompt& prompt) {
-      const int64_t reused = kv->shared_prefix_stats().reused_tokens;
-      serve(prompt);
-      return kv->shared_prefix_stats().reused_tokens - reused;
-    };
-    const int64_t doc_reuse = all_token_hashes == 0 ? 0 : 1100;
-    for (size_t i = 0; i + 1 < ways; ++i) {
-      serve(rivals[i]);
-      serve(rivals[i]);
-    }
-    EXPECT_EQ(reused_by(with_tail(1100)), doc_reuse);  // Every way held: no eviction.
-    for (size_t i = 1; i < ways; ++i) {
-      serve(rivals[i]);  // The last one evicts rivals[0], the least recently used.
-      serve(rivals[i]);
-    }
-    serve(rivals[0]);  // Evicts the document.
-    EXPECT_EQ(reused_by(with_tail(1100)), 0);  // Evicts rivals[1].
-    EXPECT_EQ(reused_by(with_tail(1100)), 0);
-    EXPECT_EQ(reused_by(with_tail(1100)), doc_reuse);
-
-    // A preempted request re-admits with its own memo, whatever the slot holds by then.
-    Request preempted = MakeRequest(next_id++, with_tail(1100), 2, 0.0);
+    Request preempted = MakeRequest(next_id++, with_tail(), 2, 0.0);
     kv->OnAdmit(preempted, ++now);
     ComputeTokens(*kv, preempted, 8, now);
     kv->Release(preempted, /*finished=*/false);
-    serve(with_tail(1100));
-    serve(with_tail(1100));
+    serve(with_tail());
+    serve(with_tail());
+    const int64_t reused = kv->hasher().shared_prefix_stats().reused_tokens;
     kv->OnAdmit(preempted, ++now);
-    ExpectChainsFromScratch(*kv, preempted);
-    kv->Release(preempted, /*finished=*/true);
-
-    // Only all-token groups store chains: the set holds the last 1,124-token prompt, the key
-    // of rivals[0] alone, and rivals[2..ways-1] (200 tokens each).
-    const KvManager::SharedPrefixStats stats = kv->shared_prefix_stats();
-    if (all_token_hashes == 0) {
-      EXPECT_EQ(stats.entries, 0);  // Cross-attention: no pass runs over the whole prompt.
-      EXPECT_EQ(stats.reused_tokens, 0);
-    } else {
-      const int64_t rivals_held = static_cast<int64_t>(ways) - 2;
-      EXPECT_EQ(stats.entries, static_cast<int64_t>(ways));
-      EXPECT_EQ(stats.stored_tokens, 1124 + rivals_held * 200);
-      EXPECT_EQ(stats.stored_hashes, all_token_hashes + rivals_held * stored_hashes(200));
-    }
-    ExpectConsistent(*kv);
-  }
-}
-
-TEST(KvManager, SharedPrefixSetHoldsFourHotPrompts) {
-  // Four documents whose first blocks fall in one set of the shared-prefix table, asked about in
-  // turn with fresh questions (the arXiv-QA pattern). A set holds all four, so once a document
-  // has been seen twice (key, then tokens) every later admission reuses the whole document.
-  auto kv = MakeJengaManager(TinyFullModel(), 1 << 26, /*caching=*/true);
-  constexpr int64_t kDocLen = 400;
-  std::vector<Prompt> docs = {TextPrompt(kDocLen, 1000)};
-  for (int32_t base = 2000; docs.size() < 4; base += 1000) {
-    Prompt doc = TextPrompt(kDocLen, base);
-    if (KvManagerTestPeer::SharedPrefixSet(*kv, doc) ==
-        KvManagerTestPeer::SharedPrefixSet(*kv, docs[0])) {
-      docs.push_back(std::move(doc));
-    }
-  }
-  RequestId next_id = 1;
-  Tick now = 0;
-  int32_t tail_base = 500000;
-  for (int round = 0; round < 4; ++round) {
-    for (const Prompt& doc : docs) {
-      tail_base += 100;
-      Request r = MakeRequest(next_id++, PrefixPlusTail(doc, kDocLen, 24, tail_base), 2, 0.0);
-      const int64_t reused = kv->shared_prefix_stats().reused_tokens;
-      kv->OnAdmit(r, ++now);
-      EXPECT_EQ(kv->shared_prefix_stats().reused_tokens - reused, round < 2 ? 0 : kDocLen)
-          << "round " << round << " request " << r.id;
-      ComputeTokens(*kv, r, r.prompt_len() - r.num_computed_tokens, now);
-      kv->Release(r, /*finished=*/true);
-    }
-  }
-  EXPECT_EQ(kv->shared_prefix_stats().entries, 4);
-  ExpectConsistent(*kv);
-}
-
-TEST(KvManager, HashPassesMergeUnitsThatDivideOneAnother) {
-  // Jamba-like: the attention group's 16-token blocks and the Mamba group's 512-token
-  // checkpoints divide one another, so one interleaved pass hashes both. 24-token blocks do not
-  // divide 512 and keep a pass of their own. Either way every memo chain, whether hashed from
-  // scratch or resumed from a shared prefix that ends off a checkpoint edge, equals the group's
-  // own from-scratch chain.
-  const ModelConfig model = TinyMambaModel();
-  for (const int tokens_per_page : {16, 24}) {
-    SCOPED_TRACE(tokens_per_page);
-    const KvSpec spec = MakeJengaSpec(model, tokens_per_page, false);
-    KvManager::Options options = JengaOptions();
-    options.tokens_per_page = tokens_per_page;
-    KvManager kv(spec, spec, 1 << 26, options, MakeLayerPolicies(spec));
-    std::vector<std::vector<int>> passes = KvManagerTestPeer::HashPassUnits(kv);
-    for (std::vector<int>& units : passes) {
-      std::sort(units.begin(), units.end());
-    }
-    std::sort(passes.begin(), passes.end());
-    if (tokens_per_page == 16) {
-      EXPECT_EQ(passes, (std::vector<std::vector<int>>{{16, kMambaCheckpointInterval}}));
-    } else {
-      EXPECT_EQ(passes, (std::vector<std::vector<int>>{{24}, {kMambaCheckpointInterval}}));
-    }
-
-    const Prompt doc = TextPrompt(1600);
-    RequestId next_id = 1;
-    Tick now = 0;
-    for (const int64_t head : {1600, 1600, 1600, 1030, 600, 1536, 520, 100}) {
-      Request r = MakeRequest(next_id, PrefixPlusTail(doc, head, 40, 70000 + 100 * next_id), 2,
-                              0.0);
-      ++next_id;
-      kv.OnAdmit(r, ++now);
-      const std::vector<std::vector<BlockHash>> chains = KvManagerTestPeer::MemoChains(kv, r);
-      for (size_t g = 0; g < spec.groups.size(); ++g) {
-        const int unit = spec.groups[g].kind == GroupKind::kMamba ? kMambaCheckpointInterval
-                                                                  : tokens_per_page;
-        EXPECT_EQ(chains[g],
-                  ChainBlockHashes(r.prompt.tokens, unit, GroupChainSalt(static_cast<int>(g))))
-            << "head " << head << " group " << g;
+    EXPECT_EQ(kv->hasher().shared_prefix_stats().reused_tokens, reused);
+    ComputeTokens(*kv, preempted, preempted.prompt_len() - preempted.num_computed_tokens, now);
+    const KvSpec& spec = kv->alloc_spec();
+    for (int g = 0; g < static_cast<int>(spec.groups.size()); ++g) {
+      const KvGroupSpec& group = spec.groups[static_cast<size_t>(g)];
+      const int unit = group.kind == GroupKind::kMamba ? kMambaCheckpointInterval : kBs;
+      const std::vector<BlockHash> hashes =
+          ChainBlockHashes(GroupStream(preempted, group.scope), unit, GroupChainSalt(g));
+      for (size_t j = 0; j < hashes.size(); ++j) {
+        EXPECT_TRUE(kv->allocator().group(g).LookupCached(hashes[j]).has_value())
+            << GroupKindName(group.kind) << " unit " << j;
       }
-      ComputeTokens(kv, r, r.prompt_len() - r.num_computed_tokens, now);
-      kv.Release(r, /*finished=*/true);
     }
-    EXPECT_GT(kv.shared_prefix_stats().reused_tokens, 0);
-    ExpectConsistent(kv);
+    kv->Release(preempted, /*finished=*/true);
+    ExpectConsistent(*kv);
   }
 }
 

@@ -4,10 +4,12 @@
 #define JENGA_TESTS_ENGINE_TEST_MODELS_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "src/engine/gpu.h"
 #include "src/engine/request.h"
 #include "src/engine/scheduler_core.h"
+#include "src/model/kv_spec.h"
 #include "src/model/model_config.h"
 
 namespace jenga {
@@ -169,6 +171,65 @@ inline Prompt MixedPrompt(int64_t text_prefix, int num_images, int tokens_per_im
     push(TokenKind::kText, next++);
   }
   prompt.num_images = num_images;
+  return prompt;
+}
+
+// A LLaVA-style vision model: image tokens enter the decoder sequence, so its attention group
+// covers every token while the vision-embedding group covers the image subsequence.
+inline ModelConfig TinyInlineVisionModel() {
+  ModelConfig model = TinyFullModel();
+  model.name = "tiny-inline-vision";
+  model.vision = TinyVisionModel().vision;
+  return model;
+}
+
+// The token stream of `r` that a `scope` group hashes, rebuilt from the prompt's tokens and
+// kinds, then the generated tokens (text).
+inline std::vector<int32_t> GroupStream(const Request& r, GroupScope scope) {
+  std::vector<int32_t> stream;
+  for (int64_t i = 0; i < r.prompt_len(); ++i) {
+    const bool image = r.prompt.kind(i) == TokenKind::kImage;
+    const bool in_stream = scope == GroupScope::kImageTokens  ? image
+                           : scope == GroupScope::kTextTokens ? !image
+                                                              : true;
+    if (in_stream) {
+      stream.push_back(r.prompt.tokens[static_cast<size_t>(i)]);
+    }
+  }
+  if (scope != GroupScope::kImageTokens) {
+    stream.insert(stream.end(), r.generated.begin(), r.generated.end());
+  }
+  return stream;
+}
+
+// The first `head_len` tokens of `head`, then `tail_len` text tokens with ids from `tail_base`.
+inline Prompt PrefixPlusTail(const Prompt& head, int64_t head_len, int64_t tail_len,
+                             int32_t tail_base) {
+  Prompt prompt;
+  int64_t image_tokens = 0;
+  for (int64_t i = 0; i < head_len; ++i) {
+    prompt.tokens.push_back(head.tokens[static_cast<size_t>(i)]);
+    prompt.kinds.push_back(head.kind(i));
+    image_tokens += head.kind(i) == TokenKind::kImage ? 1 : 0;
+  }
+  for (int64_t i = 0; i < tail_len; ++i) {
+    prompt.tokens.push_back(tail_base + static_cast<int32_t>(i));
+    prompt.kinds.push_back(TokenKind::kText);
+  }
+  prompt.num_images = image_tokens == 0 ? 0 : head.num_images;
+  return prompt;
+}
+
+// `docs` shared documents of `doc_len` tokens; request i asks about document i % docs with its
+// own `suffix_len`-token question.
+inline Prompt SharedDocPrompt(int i, int docs, int64_t doc_len, int64_t suffix_len) {
+  Prompt prompt;
+  for (int64_t k = 0; k < doc_len; ++k) {
+    prompt.tokens.push_back(1000000 + (i % docs) * 100000 + static_cast<int32_t>(k));
+  }
+  for (int64_t k = 0; k < suffix_len; ++k) {
+    prompt.tokens.push_back(2000000 + i * 1000 + static_cast<int32_t>(k));
+  }
   return prompt;
 }
 
